@@ -59,7 +59,7 @@ race:
 	$(GO) test -race -run 'TestEngine|TestStation|TestMeasureCurve' ./internal/sim ./internal/trade
 	$(GO) test -race -run 'TestCoordinator|TestSharded' ./internal/sim ./internal/trade
 	$(GO) test -race -run 'TestFleet' ./internal/fleet
-	$(GO) test -race -run 'TestConcurrentServing|TestColdStampedeBuildsOnce|TestOverloadShedsNotCollapses|TestGracefulShutdownDrains' ./internal/serve
+	$(GO) test -race -run 'TestConcurrentServing|TestColdStampedeBuildsOnce|TestOverloadShedsNotCollapses|TestGracefulShutdownDrains|TestBuildWorkersBoundAllMethods' ./internal/serve
 	$(GO) test -race ./internal/scenario
 	$(GO) test -race -run 'TestScenario|TestFleetScenario' ./internal/trade ./internal/fleet
 	$(GO) test -race -run 'TestTrainDeterministicAcrossWorkers' ./internal/regress

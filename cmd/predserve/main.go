@@ -44,7 +44,7 @@ import (
 func main() {
 	addr := flag.String("addr", ":8089", "listen address (use 127.0.0.1:0 with -addr-file for an ephemeral port)")
 	addrFile := flag.String("addr-file", "", "write the bound address to this file once listening")
-	cacheCap := flag.Int("cache-cap", 256, "model cache capacity in (architecture, mix) entries; 0 = unbounded")
+	cacheCap := flag.Int("cache-cap", 256, "model store capacity in (method, architecture, mix) entries, all methods together; 0 = unbounded")
 	points := flag.Int("points", 0, "hybrid pseudo data points per equation (0 = paper's 4)")
 	laplaceB := flag.Float64("laplace-b", 0, "fixed Laplace percentile scale in seconds; 0 calibrates per key from a fixed-seed simulator run")
 	calibSeconds := flag.Float64("calib-seconds", 40, "simulated seconds per percentile calibration run")
@@ -52,7 +52,7 @@ func main() {
 	regressSamples := flag.Int("regress-samples", 8, "training measurements per (architecture, mix) for the cheap regress tier")
 	regressSeconds := flag.Float64("regress-seconds", 20, "simulated seconds per regress training run")
 	regressDegree := flag.Int("regress-degree", 2, "polynomial degree of the regress tier")
-	buildWorkers := flag.Int("build-workers", 2, "concurrent cold model builds")
+	buildWorkers := flag.Int("build-workers", 2, "concurrent cold model builds, all methods together")
 	maxQueuedBuilds := flag.Int("max-queued-builds", 8, "cold builds allowed to wait beyond the workers before 429")
 	solveWorkers := flag.Int("solve-workers", 0, "batch solver workers (0 = GOMAXPROCS)")
 	maxQueuedSolves := flag.Int("max-queued-solves", 256, "batch solver queue bound")

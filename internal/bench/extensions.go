@@ -70,7 +70,7 @@ func (s *Suite) Percentiles() (*Table, error) {
 			if err != nil {
 				return nil, err
 			}
-			lqP, err := percentileFromMean(lq.MeanResponseTime(), saturated, b, p)
+			lqP, err := rtdist.PercentileFromMean(lq.MeanResponseTime(), saturated, b, p)
 			if err != nil {
 				return nil, err
 			}
@@ -164,12 +164,6 @@ func (s *Suite) CacheStudy() (*Table, error) {
 	t.AddNote("historical method records cache size as a variable and fits the trend (works)")
 	t.AddNote("layered fixed point needs an assumed replacement-volume distribution the solver cannot predict (§7.2's difficulty); its miss-rate estimates are structurally rough")
 	return t, nil
-}
-
-// percentileFromMean applies the §7.1 distribution selection to a
-// mean-value prediction.
-func percentileFromMean(mean float64, saturated bool, b, p float64) (float64, error) {
-	return rtdist.PercentileFromMean(mean, saturated, b, p)
 }
 
 // LQNMaxClientsCost reports the §8.2/§8.5 search-cost experiment: the

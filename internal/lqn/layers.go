@@ -400,6 +400,7 @@ func solveLayered(m *Model, r *resolved, opt Options) (*Result, error) {
 		ClassProcessorUtil: make(map[string]map[string]float64, len(r.processors)),
 		Iterations:         iter,
 		Converged:          converged,
+		order:              classOrder(m),
 	}
 	for k, cl := range m.Classes {
 		res.Classes[cl.Name] = ClassResult{ResponseTime: R[k], Throughput: X[k]}

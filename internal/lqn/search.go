@@ -3,6 +3,8 @@ package lqn
 import (
 	"errors"
 	"fmt"
+
+	"perfpred/internal/sla"
 )
 
 // MaxClientsSearch finds the largest population of the named class for
@@ -10,10 +12,10 @@ import (
 // goalRT seconds, holding every other class fixed. The layered queuing
 // method cannot invert its model — "in the current layered queuing
 // solver the number of clients can only be an input so it is necessary
-// to search" (§8.2) — so this performs that search: an exponential
-// probe for an infeasible upper bound followed by binary search. It
-// returns the population and the number of solver evaluations spent,
-// which is the cost the paper warns about in §8.5.
+// to search" (§8.2) — so this runs the shared sla.MaxClients search
+// over a warm-started solver. It returns the population and the number
+// of solver evaluations spent, which is the cost the paper warns about
+// in §8.5.
 func MaxClientsSearch(m *Model, className string, goalRT float64, limit int, opt Options) (clients, evaluations int, err error) {
 	if goalRT <= 0 {
 		return 0, 0, errors.New("lqn: goal response time must be positive")
@@ -40,7 +42,7 @@ func MaxClientsSearch(m *Model, className string, goalRT float64, limit int, opt
 	// §8.5 search cost actually goes.
 	solver := NewSolver()
 	solver.WarmStart = true
-	evalAt := func(n int) (bool, error) {
+	clients, err = sla.MaxClients(limit, func(n int) (bool, error) {
 		target.Population = n
 		res, err := solver.Solve(m, opt)
 		if err != nil {
@@ -48,43 +50,6 @@ func MaxClientsSearch(m *Model, className string, goalRT float64, limit int, opt
 		}
 		evaluations++
 		return res.Classes[className].ResponseTime <= goalRT, nil
-	}
-
-	ok, err := evalAt(1)
-	if err != nil {
-		return 0, evaluations, err
-	}
-	if !ok {
-		return 0, evaluations, nil
-	}
-	// Exponential probe for the first infeasible population.
-	lo, hi := 1, 2
-	for hi <= limit {
-		ok, err := evalAt(hi)
-		if err != nil {
-			return 0, evaluations, err
-		}
-		if !ok {
-			break
-		}
-		lo = hi
-		hi *= 2
-	}
-	if hi > limit {
-		hi = limit + 1
-	}
-	// Binary search in (lo feasible, hi infeasible].
-	for lo+1 < hi {
-		mid := lo + (hi-lo)/2
-		ok, err := evalAt(mid)
-		if err != nil {
-			return 0, evaluations, err
-		}
-		if ok {
-			lo = mid
-		} else {
-			hi = mid
-		}
-	}
-	return lo, evaluations, nil
+	})
+	return clients, evaluations, err
 }

@@ -60,16 +60,45 @@ type Result struct {
 	// SolveTime is the wall-clock cost of the evaluation — the §8.5
 	// prediction-delay metric.
 	SolveTime time.Duration
+
+	// order lists the class names in model order, recorded by the
+	// solver so sums over Classes add in one fixed order: float addition
+	// is not associative, and Go's map iteration order would otherwise
+	// move the last bits of a ≥3-class sum between identical solves.
+	order []string
+}
+
+// classOrder returns the model's class names in declaration order.
+func classOrder(m *Model) []string {
+	names := make([]string, len(m.Classes))
+	for i, cl := range m.Classes {
+		names[i] = cl.Name
+	}
+	return names
+}
+
+// eachClass visits the class results in model class order, or in map
+// order for a hand-built Result that carries none.
+func (r *Result) eachClass(visit func(ClassResult)) {
+	if len(r.order) != len(r.Classes) {
+		for _, c := range r.Classes {
+			visit(c)
+		}
+		return
+	}
+	for _, name := range r.order {
+		visit(r.Classes[name])
+	}
 }
 
 // MeanResponseTime returns the request-weighted mean response time
 // across classes, the headline metric of figure 2.
 func (r *Result) MeanResponseTime() float64 {
 	var xSum, rxSum float64
-	for _, c := range r.Classes {
+	r.eachClass(func(c ClassResult) {
 		xSum += c.Throughput
 		rxSum += c.Throughput * c.ResponseTime
-	}
+	})
 	if xSum == 0 {
 		return 0
 	}
@@ -79,9 +108,7 @@ func (r *Result) MeanResponseTime() float64 {
 // TotalThroughput returns the summed class throughputs.
 func (r *Result) TotalThroughput() float64 {
 	var x float64
-	for _, c := range r.Classes {
-		x += c.Throughput
-	}
+	r.eachClass(func(c ClassResult) { x += c.Throughput })
 	return x
 }
 

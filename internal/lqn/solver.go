@@ -163,6 +163,7 @@ func buildPlan(m *Model, r *resolved) *solvePlan {
 func (s *Solver) rebuildResult() {
 	p := s.plan
 	s.out.Classes = make(map[string]ClassResult, len(p.closed)+len(p.open))
+	s.out.order = classOrder(s.model)
 	s.out.ProcessorUtil = make(map[string]float64, len(p.procNames))
 	s.out.ClassProcessorUtil = make(map[string]map[string]float64, len(p.procNames))
 	for _, name := range p.procNames {

@@ -108,8 +108,12 @@ func TestSolverZeroAllocSteadyState(t *testing.T) {
 	allocs := testing.AllocsPerRun(200, func() {
 		n++
 		m.Classes[0].Population = 100 + 50*(n%2)
-		if _, err := s.Solve(m, Options{}); err != nil {
+		res, err := s.Solve(m, Options{})
+		if err != nil {
 			t.Fatal(err)
+		}
+		if res.MeanResponseTime() <= 0 || res.TotalThroughput() <= 0 {
+			t.Fatal("non-positive class sums")
 		}
 	})
 	if allocs != 0 {
@@ -430,4 +434,46 @@ func TestSolverTaskLayeringMatchesSolve(t *testing.T) {
 		t.Fatal(err)
 	}
 	requireSameResult(t, gotFlat, wantFlat)
+}
+
+// Result sums must add classes in model order, not map order: float
+// addition is not associative, so with three or more classes a map walk
+// moves the last bits between identical solves. A hand-built Result
+// carries no order and still sums (over the map).
+func TestResultSumsStableAcrossSolves(t *testing.T) {
+	m := tradeTestModel(t, 700)
+	third := *m.Classes[1]
+	third.Name, third.Population, third.Think = "bulk", 333, 3.1
+	m.Classes = append(m.Classes, &third)
+
+	var wantRT, wantX uint64
+	for i := 0; i < 200; i++ {
+		res, err := Solve(m, Options{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		rt, x := math.Float64bits(res.MeanResponseTime()), math.Float64bits(res.TotalThroughput())
+		if i == 0 {
+			wantRT, wantX = rt, x
+			var x0 float64
+			for _, cl := range m.Classes {
+				x0 += res.Classes[cl.Name].Throughput
+			}
+			if math.Float64bits(x0) != x {
+				t.Fatalf("TotalThroughput %x is not the model-order sum %x", x, math.Float64bits(x0))
+			}
+			continue
+		}
+		if rt != wantRT || x != wantX {
+			t.Fatalf("solve %d: mean RT bits %x (want %x), throughput bits %x (want %x)", i, rt, wantRT, x, wantX)
+		}
+	}
+
+	hand := &Result{Classes: map[string]ClassResult{"a": {ResponseTime: 2, Throughput: 1}, "b": {ResponseTime: 4, Throughput: 3}}}
+	if got := hand.MeanResponseTime(); got != 3.5 {
+		t.Fatalf("hand-built mean RT = %v, want 3.5", got)
+	}
+	if got := hand.TotalThroughput(); got != 4 {
+		t.Fatalf("hand-built throughput = %v, want 4", got)
+	}
 }

@@ -1,116 +1,13 @@
 package rm
 
 import (
-	"errors"
 	"testing"
+
+	"perfpred/internal/sla"
 )
 
-// bruteCapacity is the reference oracle: a linear scan over integer
-// populations.
-func bruteCapacity(predict func(float64) (float64, error), goal float64, limit int) int {
-	best := 0
-	for n := 1; n <= limit; n++ {
-		rt, err := predict(float64(n))
-		if err != nil || rt > goal {
-			break
-		}
-		best = n
-	}
-	return best
-}
-
-// CapacitySearch must agree exactly with a brute-force scan on
-// monotone curves, across goals that land at zero, mid-range and at
-// the limit.
-func TestCapacitySearchMatchesBruteForce(t *testing.T) {
-	curve := func(n float64) (float64, error) {
-		return 0.05 + 0.001*n + 0.0004*n*n, nil
-	}
-	for _, goal := range []float64{0.049, 0.0515, 0.08, 0.2, 1, 5, 100} {
-		for _, limit := range []int{1, 7, 64, 300} {
-			got, err := CapacitySearch(curve, goal, limit)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if want := bruteCapacity(curve, goal, limit); got != want {
-				t.Errorf("goal %v limit %d: search %d, brute force %d", goal, limit, got, want)
-			}
-		}
-	}
-	if _, err := CapacitySearch(curve, 0, 100); err == nil {
-		t.Error("non-positive goal accepted")
-	}
-	fail := errors.New("probe failed")
-	if _, err := CapacitySearch(func(float64) (float64, error) { return 0, fail }, 1, 100); !errors.Is(err, fail) {
-		t.Errorf("probe error not surfaced: %v", err)
-	}
-}
-
-// Regression: when the doubling sequence overshoots a limit that does
-// NOT lie on the 2^k probe grid, the limit itself must be probed, not
-// returned on faith. With rt(n) = n/1000 and a 50 ms goal the true
-// capacity is 50; the old code returned limit (60) untested, a
-// population that misses the goal by 20%.
-func TestCapacitySearchOvershootProbesLimit(t *testing.T) {
-	probes := 0
-	curve := func(n float64) (float64, error) {
-		probes++
-		return 0.001 * n, nil
-	}
-	const goal = 0.05
-	got, err := CapacitySearch(curve, goal, 60)
-	if err != nil {
-		t.Fatal(err)
-	}
-	searchProbes := probes
-	if want := bruteCapacity(curve, goal, 60); got != want {
-		t.Fatalf("limit 60: search %d, brute force %d", got, want)
-	}
-	// The defining property: the goal holds at the reported capacity
-	// and breaks one past it.
-	if rt, _ := curve(float64(got)); rt > goal {
-		t.Errorf("capacity %d misses the goal: rt %v > %v", got, rt, goal)
-	}
-	if rt, _ := curve(float64(got + 1)); rt <= goal {
-		t.Errorf("capacity %d not maximal: %d still meets the goal at %v", got, got+1, rt)
-	}
-	if searchProbes > 20 {
-		t.Errorf("search degenerated to a linear scan: %d probes", searchProbes)
-	}
-	// A limit the curve does satisfy must still be reported as the
-	// capacity — but only after a verifying probe.
-	probed40 := false
-	got, err = CapacitySearch(func(n float64) (float64, error) {
-		if n == 40 {
-			probed40 = true
-		}
-		return 0.001 * n, nil
-	}, goal, 40)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got != 40 {
-		t.Errorf("satisfiable limit 40: got %d", got)
-	}
-	if !probed40 {
-		t.Error("limit 40 reported without being probed")
-	}
-	// Every call site that caps its search at a non-2^k limit leans on
-	// this; sweep odd limits around the true capacity for agreement
-	// with brute force.
-	for limit := 45; limit <= 55; limit++ {
-		got, err := CapacitySearch(curve, goal, limit)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if want := bruteCapacity(curve, goal, limit); got != want {
-			t.Errorf("limit %d: search %d, brute force %d", limit, got, want)
-		}
-	}
-}
-
-// Equivalence regression for the realCapacity rewrite: the doubling +
-// bisection search probing truth.Predict must report the same integer
+// Equivalence regression for the realCapacity rewrite: the shared
+// search probing truth.Predict must report the same integer
 // capacity the old implementation got by flooring truth.MaxClients,
 // for the analytic case-study models at every goal the evaluation
 // harness sweeps.
@@ -118,9 +15,9 @@ func TestCapacitySearchMatchesMaxClients(t *testing.T) {
 	truth := truthModels()
 	for arch := range truth {
 		for _, goal := range []float64{0.05, 0.1, 0.15, 0.25, 0.5, 1, 2} {
-			got, err := CapacitySearch(func(n float64) (float64, error) {
+			got, err := sla.Goal{MaxRT: goal}.MaxClients(maxOracleClients, func(n float64) (float64, error) {
 				return truth.Predict(arch, n)
-			}, goal, maxOracleClients)
+			})
 			if err != nil {
 				t.Fatal(err)
 			}

@@ -263,11 +263,10 @@ type capKey struct {
 }
 
 // realCapacity asks the truth predictor how many clients the
-// architecture actually holds within the goal, via the same
-// doubling+bisection search over integer populations that
-// SimOracle.MaxClients runs (CapacitySearch) — capacity is found by
-// probing the predictor's response-time curve directly instead of
-// trusting a MaxClients implementation to invert it.
+// architecture actually holds within the goal, via the same search
+// over integer populations that SimOracle.MaxClients runs — capacity is
+// found by probing the predictor's response-time curve directly
+// instead of trusting a MaxClients implementation to invert it.
 func realCapacity(truth Predictor, arch string, goal float64, memo map[capKey]int) (int, error) {
 	k := capKey{arch: arch, goal: goal}
 	if c, ok := memo[k]; ok {
@@ -276,9 +275,9 @@ func realCapacity(truth Predictor, arch string, goal float64, memo map[capKey]in
 	if mm := metrics.Load(); mm != nil {
 		mm.predictorCalls.Inc()
 	}
-	c, err := CapacitySearch(func(n float64) (float64, error) {
+	c, err := sla.Goal{MaxRT: goal}.MaxClients(maxOracleClients, func(n float64) (float64, error) {
 		return truth.Predict(arch, n)
-	}, goal, maxOracleClients)
+	})
 	if err != nil {
 		return 0, err
 	}

@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"sort"
 
+	"perfpred/internal/sla"
 	"perfpred/internal/workload"
 )
 
@@ -165,9 +166,8 @@ func lexLess(a, b []int) bool {
 }
 
 // evalMix prices one architecture mix and finds its capacity: the
-// largest total population Algorithm 1 plans with no rejections. The
-// search reuses the shared doubling + bisection over the monotone
-// "does N fully place?" predicate.
+// largest total population Algorithm 1 plans with no rejections, by the
+// shared search over the monotone "does N fully place?" predicate.
 func evalMix(counts []int, prices []ArchPrice, pred Predictor, think float64, opt FrontierOptions) (FrontierPoint, error) {
 	pt := FrontierPoint{Counts: append([]int(nil), counts...)}
 	var servers []Server
@@ -193,18 +193,7 @@ func evalMix(counts []int, prices []ArchPrice, pred Predictor, think float64, op
 		}
 		return len(plan.RejectedPlanned) == 0, nil
 	}
-	// CapacitySearch wants a response-time-shaped curve; express the
-	// boolean predicate as 0 (fits) / 2 (rejects) against goal 1.
-	capN, err := CapacitySearch(func(n float64) (float64, error) {
-		ok, err := fits(int(n))
-		if err != nil {
-			return 0, err
-		}
-		if ok {
-			return 0, nil
-		}
-		return 2, nil
-	}, 1, opt.MaxClients)
+	capN, err := sla.MaxClients(opt.MaxClients, fits)
 	if err != nil {
 		return pt, err
 	}

@@ -5,6 +5,7 @@ import (
 	"math"
 
 	"perfpred/internal/lqn"
+	"perfpred/internal/sla"
 	"perfpred/internal/workload"
 )
 
@@ -15,7 +16,7 @@ import (
 // populations seed each other's Schweitzer iteration, so a capacity
 // search's doubling/bisection probes and a replan loop's repeated
 // questions converge in a fraction of the cold iteration count.
-// MaxClients answers through CapacitySearch with a per-(arch, goal)
+// MaxClients answers through sla.Goal.MaxClients with a per-(arch, goal)
 // memo, so a steady replan cadence asks each genuinely new question
 // once.
 //
@@ -84,17 +85,17 @@ func (p *LQNPredictor) Predict(arch string, n float64) (float64, error) {
 }
 
 // MaxClients returns the largest population the architecture holds
-// within goalRT per the layered model, via CapacitySearch over integer
-// populations, memoized per (architecture, goal).
+// within goalRT per the layered model, via the shared search over
+// integer populations, memoized per (architecture, goal).
 func (p *LQNPredictor) MaxClients(arch string, goalRT float64) (float64, error) {
 	k := capKey{arch: arch, goal: goalRT}
 	if c, ok := p.capMemo[k]; ok {
 		p.capHits++
 		return float64(c), nil
 	}
-	n, err := CapacitySearch(func(x float64) (float64, error) {
+	n, err := sla.Goal{MaxRT: goalRT}.MaxClients(p.limit, func(x float64) (float64, error) {
 		return p.Predict(arch, x)
-	}, goalRT, p.limit)
+	})
 	if err != nil {
 		return 0, err
 	}

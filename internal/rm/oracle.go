@@ -5,6 +5,7 @@ import (
 	"math"
 
 	"perfpred/internal/parallel"
+	"perfpred/internal/sla"
 	"perfpred/internal/trade"
 	"perfpred/internal/workload"
 )
@@ -67,12 +68,12 @@ func (o *SimOracle) Predict(arch string, n float64) (float64, error) {
 }
 
 // MaxClients returns the largest population whose measured mean
-// response time stays within goalRT, found by CapacitySearch's doubling
-// plus bisection. Every probe lands in the memo, so a follow-up Predict
-// at the capacity is free.
+// response time stays within goalRT, found by the shared doubling plus
+// bisection search. Every probe lands in the memo, so a follow-up
+// Predict at the capacity is free.
 func (o *SimOracle) MaxClients(arch string, goalRT float64) (float64, error) {
-	n, err := CapacitySearch(func(n float64) (float64, error) {
+	n, err := sla.Goal{MaxRT: goalRT}.MaxClients(maxOracleClients, func(n float64) (float64, error) {
 		return o.Predict(arch, n)
-	}, goalRT, maxOracleClients)
+	})
 	return float64(n), err
 }

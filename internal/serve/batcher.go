@@ -1,39 +1,34 @@
 package serve
 
 import (
+	"cmp"
 	"context"
-	"sort"
+	"slices"
+	"strings"
 	"sync"
 
 	"perfpred/internal/lqn"
 	"perfpred/internal/sessioncache"
-	"perfpred/internal/workload"
+	"perfpred/internal/sla"
 )
 
-// solveKind selects what a batch worker computes for a job.
-type solveKind int
-
-const (
-	solveRT       solveKind = iota // mean response time at a population
-	solveCapacity                  // max clients under a goal (§8.2 search)
-)
-
-// solveJob is one queued layered-solver request. The response channel
-// is buffered so a worker's send never blocks on a caller that gave up
-// waiting (deadline expiry leaves the job to complete harmlessly).
+// solveJob is one queued layered-solver request: the mean response
+// time at population n, or — when goalRT is positive — the max clients
+// under that goal (§8.2 search). The response channel is buffered so a
+// worker's send never blocks on a caller that gave up waiting (deadline
+// expiry leaves the job to complete harmlessly).
 type solveJob struct {
-	kind   solveKind
 	key    modelKey
-	n      int     // population, for solveRT
-	goalRT float64 // seconds, for solveCapacity
+	n      int     // population
+	goalRT float64 // seconds
 	ctx    context.Context
 	resp   chan solveOut
 }
 
 type solveOut struct {
-	rt    float64 // mean response time, for solveRT
-	n     int     // max clients, for solveCapacity
-	evals int
+	rt    float64 // mean response time at n
+	n     int     // max clients under goalRT
+	evals int     // solves the capacity search spent
 	err   error
 }
 
@@ -42,9 +37,24 @@ type solveOut struct {
 // warm-started Solver whose cached resolution and previous queue
 // lengths every solve in a batch reuses.
 type keyState struct {
-	model  *lqn.Model
-	solver *lqn.Solver
-	load   func(n int) workload.Workload
+	model   *lqn.Model
+	solver  *lqn.Solver
+	buyFrac float64
+}
+
+// meanRT solves the model at a total population of n, split across the
+// mix's classes, counts the solve, and returns the request-weighted
+// mean response time.
+func (st *keyState) meanRT(solver *lqn.Solver, n int, opt lqn.Options) (float64, error) {
+	for i, p := range mixLoad(n, st.buyFrac) {
+		st.model.Classes[i].Population = p.Clients
+	}
+	res, err := solver.Solve(st.model, opt)
+	if err != nil {
+		return 0, err
+	}
+	metrics.Load().batchSolves.Inc()
+	return res.MeanResponseTime(), nil
 }
 
 // batcher turns the service's exact layered-queuing queries into
@@ -142,58 +152,38 @@ func (b *batcher) worker() {
 
 		// Group by key, ascending population within a key: each
 		// group becomes one warm-start sweep.
-		sort.SliceStable(batch, func(i, j int) bool {
-			if batch[i].key != batch[j].key {
-				return lessKey(batch[i].key, batch[j].key)
-			}
-			return batch[i].n < batch[j].n
+		slices.SortStableFunc(batch, func(a, b *solveJob) int {
+			return cmp.Or(strings.Compare(a.key.arch, b.key.arch),
+				cmp.Compare(a.key.buyPctTenth, b.key.buyPctTenth), cmp.Compare(a.n, b.n))
 		})
 		for _, job := range batch {
-			b.run(states, job)
+			job.resp <- b.run(states, job)
 		}
 	}
 }
 
 // run executes one job on the worker's warm state for its key.
-func (b *batcher) run(states *sessioncache.LRU[modelKey, *keyState], job *solveJob) {
+func (b *batcher) run(states *sessioncache.LRU[modelKey, *keyState], job *solveJob) solveOut {
 	if err := job.ctx.Err(); err != nil {
 		// The caller's deadline passed while the job sat in the queue;
 		// skip the solve rather than burning a worker on a dead request.
 		metrics.Load().deadlineExpired.Inc()
-		job.resp <- solveOut{err: err}
-		return
+		return solveOut{err: err}
 	}
 	st, ok := states.Get(job.key)
 	if !ok {
 		var err error
-		st, err = b.makeState(job.key)
-		if err != nil {
-			job.resp <- solveOut{err: err}
-			return
+		if st, err = b.makeState(job.key); err != nil {
+			return solveOut{err: err}
 		}
 		states.Put(job.key, st)
 	}
-	switch job.kind {
-	case solveRT:
-		for i, p := range st.load(job.n) {
-			st.model.Classes[i].Population = p.Clients
-		}
-		res, err := st.solver.Solve(st.model, b.opt)
-		if err != nil {
-			job.resp <- solveOut{err: err}
-			return
-		}
-		metrics.Load().batchSolves.Inc()
-		job.resp <- solveOut{rt: weightedMeanRT(st.model, res), evals: 1}
-	case solveCapacity:
+	if job.goalRT > 0 {
 		n, evals, err := b.capacitySearch(st, job.goalRT)
-		if err != nil {
-			job.resp <- solveOut{err: err}
-			return
-		}
-		metrics.Load().batchSolves.Add(uint64(evals))
-		job.resp <- solveOut{n: n, evals: evals}
+		return solveOut{n: n, evals: evals, err: err}
 	}
+	rt, err := st.meanRT(st.solver, job.n, b.opt)
+	return solveOut{rt: rt, err: err}
 }
 
 // capacitySearch is the §8.2 client-count search generalised to a
@@ -201,63 +191,19 @@ func (b *batcher) run(states *sessioncache.LRU[modelKey, *keyState], job *solveJ
 // populations (the mix split at each probe exactly as the RT path
 // splits it) until the request-weighted mean response time breaks the
 // goal, then bisects. It deliberately runs on a fresh warm-started
-// solver with a fixed probe sequence — MaxClientsSearch's exponential
-// probe then bisection — so a capacity answer never depends on what
-// the worker happened to solve before it, and an offline rerun of the
-// same query reproduces the served number exactly.
+// solver with the shared search's fixed probe sequence, so a capacity
+// answer never depends on what the worker happened to solve before it,
+// and an offline rerun of the same query reproduces the served number
+// exactly.
 func (b *batcher) capacitySearch(st *keyState, goalRT float64) (clients, evals int, err error) {
-	if goalRT <= 0 {
-		return 0, 0, &badRequestError{msg: "goal response time must be positive"}
-	}
 	solver := lqn.NewSolver()
 	solver.WarmStart = true
-	evalAt := func(n int) (bool, error) {
-		for i, p := range st.load(n) {
-			st.model.Classes[i].Population = p.Clients
-		}
-		res, err := solver.Solve(st.model, b.opt)
-		if err != nil {
-			return false, err
-		}
+	clients, err = sla.MaxClients(1<<20, func(n int) (bool, error) {
+		rt, err := st.meanRT(solver, n, b.opt)
 		evals++
-		return weightedMeanRT(st.model, res) <= goalRT, nil
-	}
-	const limit = 1 << 20
-	ok, err := evalAt(1)
-	if err != nil {
-		return 0, evals, err
-	}
-	if !ok {
-		return 0, evals, nil
-	}
-	lo, hi := 1, 2
-	for hi <= limit {
-		ok, err := evalAt(hi)
-		if err != nil {
-			return 0, evals, err
-		}
-		if !ok {
-			break
-		}
-		lo = hi
-		hi *= 2
-	}
-	if hi > limit {
-		hi = limit + 1
-	}
-	for lo+1 < hi {
-		mid := lo + (hi-lo)/2
-		ok, err := evalAt(mid)
-		if err != nil {
-			return 0, evals, err
-		}
-		if ok {
-			lo = mid
-		} else {
-			hi = mid
-		}
-	}
-	return lo, evals, nil
+		return rt <= goalRT, err
+	})
+	return clients, evals, err
 }
 
 // tryRecv is a non-blocking receive that also tolerates a closed
@@ -269,11 +215,4 @@ func tryRecv(q chan *solveJob) (*solveJob, bool) {
 	default:
 		return nil, false
 	}
-}
-
-func lessKey(a, b modelKey) bool {
-	if a.arch != b.arch {
-		return a.arch < b.arch
-	}
-	return a.buyPctTenth < b.buyPctTenth
 }

@@ -10,95 +10,89 @@ import (
 	"perfpred/internal/hybrid"
 	"perfpred/internal/parallel"
 	"perfpred/internal/regress"
+	"perfpred/internal/rm"
 	"perfpred/internal/rtdist"
 	"perfpred/internal/sessioncache"
 	"perfpred/internal/trade"
 	"perfpred/internal/workload"
 )
 
-// modelKey identifies one cached predictor: an architecture under a
-// buy mix. The mix is quantised to 0.1% so float jitter in request
-// payloads cannot mint unbounded distinct keys.
+// modelKey identifies one servable model: a method's model of an
+// architecture under a buy mix. The mix is quantised to 0.1% so float
+// jitter in request payloads cannot mint unbounded distinct keys.
 type modelKey struct {
+	method      string
 	arch        string
 	buyPctTenth int // buy percentage × 10, i.e. 125 = 12.5%
 }
 
-func makeKey(arch string, buyPct float64) modelKey {
-	return modelKey{arch: arch, buyPctTenth: int(buyPct*10 + 0.5)}
+func makeKey(method, arch string, buyPct float64) modelKey {
+	return modelKey{method: method, arch: arch, buyPctTenth: int(buyPct*10 + 0.5)}
 }
 
 // buyFrac converts the quantised mix back to the fraction the builders
 // consume.
 func (k modelKey) buyFrac() float64 { return float64(k.buyPctTenth) / 1000 }
 
-// modelEntry is one cached per-(architecture, mix) predictor: the
-// hybrid-calibrated historical model, the Laplace scale its percentile
-// predictions use, and the cold-build cost it took to make.
+// mixLoad is n clients under a buy mix: the typical all-browse
+// workload at 0, the browse/buy split otherwise.
+func mixLoad(n int, buyFrac float64) workload.Workload {
+	if buyFrac <= 0 {
+		return workload.TypicalWorkload(n)
+	}
+	return workload.MixedWorkload(n, buyFrac)
+}
+
+// modelEntry is one cached per-(method, architecture, mix) model and
+// the cold-build cost it took to make.
 type modelEntry struct {
-	sm *hist.ServerModel
-	// laplaceB is the §7.1 post-saturation Laplace scale, either the
-	// configured constant or calibrated from a fixed-seed simulator run
-	// during the build.
+	// pred answers the two mean-value questions: the hybrid-calibrated
+	// historical model, or the cheap tier's black-box regression model.
+	pred rm.Predictor
+	// sm and laplaceB carry the hybrid tier's §7.1 percentile conversion
+	// (unset on other tiers): the model whose saturation boundary picks
+	// the distribution, and the Laplace scale — the configured constant
+	// or calibrated from a fixed-seed simulator run during the build.
+	sm       *hist.ServerModel
 	laplaceB float64
 	// buildWall is the build's wall-clock cost (the §8.5 start-up
 	// delay this entry amortises across warm predictions).
 	buildWall time.Duration
-	// evals counts layered-solver runs spent on the build.
-	evals int
 }
 
-func (e *modelEntry) setBuildWall(d time.Duration) { e.buildWall = d }
-
-// regressEntry is one cached regression-family predictor — the cheap
-// tier: a few short seeded simulator runs instead of warm-started
-// layered sweeps plus a calibration run.
-type regressEntry struct {
-	model     *regress.Model
-	buildWall time.Duration
-}
-
-func (e *regressEntry) setBuildWall(d time.Duration) { e.buildWall = d }
-
-// cacheEntry is what the generic cache needs from an entry: somewhere
-// to record the cold build's wall-clock cost.
-type cacheEntry interface {
-	setBuildWall(time.Duration)
-}
-
-// modelCache is the stampede-proof per-(architecture, mix) model
-// store, generic over the predictor tier it holds (hybrid modelEntry
-// or regressEntry): a bounded sessioncache.LRU holds finished models,
-// and a parallel.Memo singleflight collapses a thundering herd of cold
-// requests for one key into exactly one build. Completed flights are
-// immediately forgotten so the LRU is the single source of truth —
-// after an eviction the next request misses and rebuilds, and during
-// a rebuild Forget's done-only semantics guarantee no duplicate build
-// can start.
+// modelStore is the service's one stampede-proof model store, shared
+// by every method that serves from a cached model: a bounded
+// sessioncache.LRU holds finished models, and a parallel.Memo
+// singleflight collapses a thundering herd of cold requests for one key
+// into exactly one build. Completed flights are immediately forgotten
+// so the LRU is the single source of truth — after an eviction the next
+// request misses and rebuilds, and during a rebuild Forget's done-only
+// semantics guarantee no duplicate build can start.
 //
-// Builds are admission-controlled: at most workers builds run
-// concurrently, at most queued more may wait for a slot, and anything
-// beyond that is rejected with ErrOverloaded so a cold-key flood
-// degrades to fast 429s instead of a convoy of queued solves.
-type modelCache[E cacheEntry] struct {
-	lru     *sessioncache.LRU[modelKey, E]
-	flights parallel.Memo[modelKey, E]
+// Builds are admission-controlled across all methods together: at most
+// workers builds run concurrently, at most queued more may wait for a
+// slot, and anything beyond that is rejected with ErrOverloaded so a
+// cold-key flood degrades to fast 429s instead of a convoy of queued
+// solves.
+type modelStore struct {
+	lru     *sessioncache.LRU[modelKey, *modelEntry]
+	flights parallel.Memo[modelKey, *modelEntry]
 
-	build func(modelKey) (E, error)
+	build func(modelKey) (*modelEntry, error)
 
 	sem     chan struct{}
-	queued  atomic.Int64
-	maxWait int64 // queued builds allowed beyond the worker slots
+	queued  atomic.Int64 // admitted builds, waiting for a slot or running
+	maxWait int64        // builds allowed to wait beyond the worker slots
 }
 
-func newModelCache[E cacheEntry](capacity, workers, maxQueued int, build func(modelKey) (E, error)) *modelCache[E] {
-	c := &modelCache[E]{
-		lru:     sessioncache.NewLRU[modelKey, E](capacity),
+func newModelStore(capacity, workers, maxQueued int, build func(modelKey) (*modelEntry, error)) *modelStore {
+	c := &modelStore{
+		lru:     sessioncache.NewLRU[modelKey, *modelEntry](capacity),
 		build:   build,
 		sem:     make(chan struct{}, workers),
 		maxWait: int64(maxQueued),
 	}
-	c.lru.OnEvict(func(modelKey, E) {
+	c.lru.OnEvict(func(modelKey, *modelEntry) {
 		metrics.Load().cacheEvicts.Inc()
 	})
 	return c
@@ -108,35 +102,33 @@ func newModelCache[E cacheEntry](capacity, workers, maxQueued int, build func(mo
 // whether this request had to wait on a build (shared or its own).
 // The returned error is ErrOverloaded when the build queue is full and
 // ctx.Err() when the caller's deadline expired while waiting.
-func (c *modelCache[E]) get(ctx context.Context, key modelKey) (e E, cold bool, err error) {
+func (c *modelStore) get(ctx context.Context, key modelKey) (e *modelEntry, cold bool, err error) {
 	m := metrics.Load()
 	if e, ok := c.lru.Get(key); ok {
 		m.cacheHits.Inc()
 		return e, false, nil
 	}
 	m.cacheMisses.Inc()
-	e, err = c.flights.DoCtx(ctx, key, func() (E, error) {
-		var zero E
+	e, err = c.flights.DoCtx(ctx, key, func() (*modelEntry, error) {
+		defer c.track(-1) // counted from acquireBuildSlot's admission to the build's end
 		if err := c.acquireBuildSlot(ctx); err != nil {
-			return zero, err
+			return nil, err
 		}
 		defer func() { <-c.sem }()
 		start := time.Now()
 		entry, err := c.build(key)
 		if err != nil {
-			return zero, err
+			return nil, err
 		}
-		wall := time.Since(start)
-		entry.setBuildWall(wall)
+		entry.buildWall = time.Since(start)
 		mm := metrics.Load()
 		mm.builds.Inc()
-		mm.buildSeconds.Observe(wall.Seconds())
+		mm.buildSeconds.Observe(entry.buildWall.Seconds())
 		c.lru.Put(key, entry)
 		return entry, nil
 	})
 	if err != nil {
-		var zero E
-		return zero, true, err
+		return nil, true, err
 	}
 	// The value now lives in the LRU; dropping the completed flight
 	// makes eviction → rebuild work (Forget leaves in-progress flights
@@ -145,15 +137,14 @@ func (c *modelCache[E]) get(ctx context.Context, key modelKey) (e E, cold bool, 
 	return e, true, nil
 }
 
-// acquireBuildSlot admits the flight leader to a build worker slot,
-// rejecting immediately when the queue is full and abandoning the wait
-// when the leader's own deadline expires.
-func (c *modelCache[E]) acquireBuildSlot(ctx context.Context) error {
+// acquireBuildSlot counts the flight leader in and admits it to a build
+// worker slot, rejecting immediately when the workers are busy and the
+// queue behind them is full, and abandoning the wait when the leader's
+// own deadline expires.
+func (c *modelStore) acquireBuildSlot(ctx context.Context) error {
 	m := metrics.Load()
-	q := c.queued.Add(1)
-	m.buildQueueDepth.Set(q)
+	q := c.track(1)
 	m.buildQueueHigh.Observe(q)
-	defer func() { m.buildQueueDepth.Set(c.queued.Add(-1)) }()
 	if q > int64(cap(c.sem))+c.maxWait {
 		m.rejectedOverload.Inc()
 		return ErrOverloaded
@@ -166,53 +157,69 @@ func (c *modelCache[E]) acquireBuildSlot(ctx context.Context) error {
 	}
 }
 
-// buildEntry is the Service's cold path: generate the hybrid model for
-// the key's (architecture, mix) from warm-started layered solves, then
-// fix the percentile scale — either the configured constant or a
+// track moves the count of builds waiting or running by d and keeps
+// serve_build_queue_depth in step with it.
+func (c *modelStore) track(d int64) int64 {
+	metrics.Load().buildQueueDepth.Add(d)
+	return c.queued.Add(d)
+}
+
+// buildEntry is the store's cold path: resolve the key's architecture
+// and run the cold build of the key's method.
+func (s *Service) buildEntry(key modelKey) (*modelEntry, error) {
+	arch, err := s.arch(key.arch)
+	if err != nil {
+		return nil, err
+	}
+	return methods[key.method].build(s, arch, key.buyFrac())
+}
+
+// arch resolves a request's architecture name.
+func (s *Service) arch(name string) (workload.ServerArch, error) {
+	a, ok := s.archs[name]
+	if !ok {
+		return a, &badRequestError{msg: "unknown architecture " + name}
+	}
+	return a, nil
+}
+
+// buildHybrid is the hybrid method's cold path: generate the hybrid
+// model for the (architecture, mix) from warm-started layered solves,
+// then fix the percentile scale — either the configured constant or a
 // calibration against a fixed-seed simulator run at a saturated
 // population under the same mix, the §7.1 procedure the offline suite
 // uses.
-func (s *Service) buildEntry(key modelKey) (*modelEntry, error) {
-	arch, ok := s.archs[key.arch]
-	if !ok {
-		return nil, &badRequestError{msg: "unknown architecture " + key.arch}
-	}
+func (s *Service) buildHybrid(arch workload.ServerArch, buyFrac float64) (*modelEntry, error) {
 	cfg := hybrid.Config{
 		DB:                s.cfg.DB,
 		Demands:           s.cfg.Demands,
 		PointsPerEquation: s.cfg.PointsPerEquation,
 		LQN:               s.cfg.LQN,
 	}
-	sm, evals, err := hybrid.BuildServerMix(cfg, arch, key.buyFrac())
+	sm, _, err := hybrid.BuildServerMix(cfg, arch, buyFrac)
 	if err != nil {
 		return nil, err
 	}
-	e := &modelEntry{sm: sm, laplaceB: s.cfg.LaplaceB, evals: evals}
-	if e.laplaceB == 0 {
-		b, err := s.calibrateScale(arch, key.buyFrac(), sm)
-		if err != nil {
+	b := s.cfg.LaplaceB
+	if b == 0 {
+		if b, err = s.calibrateScale(arch, buyFrac, sm); err != nil {
 			return nil, err
 		}
-		e.laplaceB = b
 	}
-	return e, nil
+	return &modelEntry{pred: rm.ModelSet{arch.Name: sm}, sm: sm, laplaceB: b}, nil
 }
 
-// buildRegressEntry is the cheap tier's cold path: train a black-box
-// regression model for the key's (architecture, mix) from a handful of
-// short seeded simulator runs. No layered solves, no calibration run —
-// the start-up cost the four-family comparison shows is a fraction of
+// buildRegress is the cheap tier's cold path: train a black-box
+// regression model for the (architecture, mix) from a handful of short
+// seeded simulator runs. No layered solves, no calibration run — the
+// start-up cost the four-family comparison shows is a fraction of
 // hybrid's, traded against polynomial rather than model-based
 // accuracy. The training seed is fixed by configuration, so equal keys
 // always serve bit-identical fits.
-func (s *Service) buildRegressEntry(key modelKey) (*regressEntry, error) {
-	arch, ok := s.archs[key.arch]
-	if !ok {
-		return nil, &badRequestError{msg: "unknown architecture " + key.arch}
-	}
+func (s *Service) buildRegress(arch workload.ServerArch, buyFrac float64) (*modelEntry, error) {
 	m, err := regress.Train(regress.TrainConfig{
 		Archs:         []workload.ServerArch{arch},
-		BuyFracs:      []float64{key.buyFrac()},
+		BuyFracs:      []float64{buyFrac},
 		SamplesPerMix: s.cfg.RegressTrainSamples,
 		Seed:          s.cfg.CalibrationSeed,
 		Opt: trade.MeasureOptions{
@@ -224,7 +231,7 @@ func (s *Service) buildRegressEntry(key modelKey) (*regressEntry, error) {
 	if err != nil {
 		return nil, err
 	}
-	return &regressEntry{model: m}, nil
+	return &modelEntry{pred: m}, nil
 }
 
 // calibrateScale runs the simulator at ~1.4× the model's saturation
@@ -237,15 +244,11 @@ func (s *Service) calibrateScale(arch workload.ServerArch, buyFrac float64, sm *
 	if n < 1 {
 		n = 1
 	}
-	load := workload.TypicalWorkload(n)
-	if buyFrac > 0 {
-		load = workload.MixedWorkload(n, buyFrac)
-	}
 	res, err := trade.Run(trade.Config{
 		Server:   arch,
 		DB:       s.cfg.DB,
 		Demands:  s.cfg.Demands,
-		Load:     load,
+		Load:     mixLoad(n, buyFrac),
 		Seed:     s.cfg.CalibrationSeed,
 		WarmUp:   s.cfg.CalibrationSimSeconds / 4,
 		Duration: s.cfg.CalibrationSimSeconds,

@@ -13,13 +13,8 @@ import (
 // registered once via EnableMetrics, nil-safe, zero-allocation on the
 // request path.
 type serveMetrics struct {
-	predictRequests  *obs.Counter
-	capacityRequests *obs.Counter
-	allocateRequests *obs.Counter
-
-	predictSeconds  *obs.Histogram
-	capacitySeconds *obs.Histogram
-	allocateSeconds *obs.Histogram
+	requests [numEndpoints]*obs.Counter
+	seconds  [numEndpoints]*obs.Histogram
 
 	cacheHits   *obs.Counter
 	cacheMisses *obs.Counter
@@ -40,6 +35,17 @@ type serveMetrics struct {
 	deadlineExpired  *obs.Counter
 	errors           *obs.Counter
 }
+
+// endpoint indexes the per-endpoint request counters and latency
+// histograms.
+type endpoint int
+
+const (
+	epPredict endpoint = iota
+	epCapacity
+	epAllocate
+	numEndpoints
+)
 
 var metrics atomic.Pointer[serveMetrics]
 
@@ -64,13 +70,16 @@ func EnableMetrics(r *obs.Registry) {
 	lat := []float64{1e-5, 3e-5, 1e-4, 3e-4, 1e-3, 3e-3, 1e-2, 3e-2, 0.1, 0.3, 1, 3, 10}
 	batch := []float64{1, 2, 4, 8, 16, 32, 64, 128}
 	metrics.Store(&serveMetrics{
-		predictRequests:  r.Counter("serve_predict_requests"),
-		capacityRequests: r.Counter("serve_capacity_requests"),
-		allocateRequests: r.Counter("serve_allocate_requests"),
-
-		predictSeconds:  r.Histogram("serve_predict_seconds", lat...),
-		capacitySeconds: r.Histogram("serve_capacity_seconds", lat...),
-		allocateSeconds: r.Histogram("serve_allocate_seconds", lat...),
+		requests: [numEndpoints]*obs.Counter{
+			epPredict:  r.Counter("serve_predict_requests"),
+			epCapacity: r.Counter("serve_capacity_requests"),
+			epAllocate: r.Counter("serve_allocate_requests"),
+		},
+		seconds: [numEndpoints]*obs.Histogram{
+			epPredict:  r.Histogram("serve_predict_seconds", lat...),
+			epCapacity: r.Histogram("serve_capacity_seconds", lat...),
+			epAllocate: r.Histogram("serve_allocate_seconds", lat...),
+		},
 
 		cacheHits:   r.Counter("serve_cache_hits"),
 		cacheMisses: r.Counter("serve_cache_misses"),

@@ -7,14 +7,13 @@
 //
 // The serving architecture has four load-bearing pieces:
 //
-//   - a per-(architecture, mix) model cache: finished hybrid models
-//     live in a bounded sessioncache.LRU, and a parallel.Memo
-//     singleflight collapses a thundering herd of cold requests for
-//     one key into exactly one build (stampede control);
-//   - async build workers: cold hybrid builds run warm-started
-//     layered sweeps under a bounded worker semaphore, so build cost
-//     is paid off the steady-state request path and bounded in
-//     concurrency;
+//   - one per-(method, architecture, mix) model store: finished hybrid
+//     and regress models live in one bounded sessioncache.LRU, and a
+//     parallel.Memo singleflight collapses a thundering herd of cold
+//     requests for one key into exactly one build (stampede control);
+//   - async build workers: cold builds of every method run under one
+//     bounded worker semaphore, so build cost is paid off the
+//     steady-state request path and bounded in concurrency;
 //   - a request-coalescing batch solver for exact layered queries:
 //     queued solves are drained in batches, grouped by model and
 //     sorted by population, so N adjacent-population requests become
@@ -79,7 +78,8 @@ type Config struct {
 	// paper's 4).
 	PointsPerEquation int
 
-	// CacheCapacity bounds the model cache in entries; 0 = unbounded.
+	// CacheCapacity bounds the model store in entries, all methods
+	// together; 0 = unbounded.
 	CacheCapacity int
 
 	// LaplaceB fixes the §7.1 percentile scale in seconds. 0 means
@@ -104,7 +104,8 @@ type Config struct {
 	// (default 2 — the cheap tier favours robustness over fit).
 	RegressDegree int
 
-	// BuildWorkers bounds concurrent cold builds (default 2).
+	// BuildWorkers bounds concurrent cold builds, all methods together
+	// (default 2).
 	BuildWorkers int
 	// MaxQueuedBuilds bounds builds waiting for a worker slot beyond
 	// the running ones; more cold keys than this reject with 429
@@ -134,37 +135,24 @@ func (c Config) withDefaults() Config {
 	if c.CalibrationSimSeconds == 0 {
 		c.CalibrationSimSeconds = 40
 	}
-	if c.RegressTrainSamples <= 0 {
-		c.RegressTrainSamples = 8
-	}
-	if c.RegressSimSeconds <= 0 {
-		c.RegressSimSeconds = 20
-	}
-	if c.RegressDegree <= 0 {
-		c.RegressDegree = 2
-	}
-	if c.BuildWorkers <= 0 {
-		c.BuildWorkers = 2
-	}
-	if c.MaxQueuedBuilds <= 0 {
-		c.MaxQueuedBuilds = 8
-	}
-	if c.SolveWorkers <= 0 {
-		c.SolveWorkers = runtime.GOMAXPROCS(0)
-	}
-	if c.MaxQueuedSolves <= 0 {
-		c.MaxQueuedSolves = 256
-	}
-	if c.MaxBatch <= 0 {
-		c.MaxBatch = 64
-	}
-	if c.DefaultDeadline <= 0 {
-		c.DefaultDeadline = 5 * time.Second
-	}
-	if c.RetryAfter <= 0 {
-		c.RetryAfter = time.Second
-	}
+	positiveOr(&c.RegressTrainSamples, 8)
+	positiveOr(&c.RegressSimSeconds, 20)
+	positiveOr(&c.RegressDegree, 2)
+	positiveOr(&c.BuildWorkers, 2)
+	positiveOr(&c.MaxQueuedBuilds, 8)
+	positiveOr(&c.SolveWorkers, runtime.GOMAXPROCS(0))
+	positiveOr(&c.MaxQueuedSolves, 256)
+	positiveOr(&c.MaxBatch, 64)
+	positiveOr(&c.DefaultDeadline, 5*time.Second)
+	positiveOr(&c.RetryAfter, time.Second)
 	return c
+}
+
+// positiveOr replaces a knob left at zero (or below) with its default.
+func positiveOr[T int | float64 | time.Duration](v *T, def T) {
+	if *v <= 0 {
+		*v = def
+	}
 }
 
 // Service is the long-lived prediction service. Create with New,
@@ -174,12 +162,10 @@ func (c Config) withDefaults() Config {
 type Service struct {
 	cfg   Config
 	archs map[string]workload.ServerArch
-	cache *modelCache[*modelEntry]
-	// regressCache is the cheap tier: black-box regression models
-	// trained from a few short simulator runs, sharing the hybrid
-	// cache's stampede control and admission machinery.
-	regressCache *modelCache[*regressEntry]
-	batch        *batcher
+	// store holds every method's cached models behind one LRU, one
+	// singleflight and one build admission controller.
+	store *modelStore
+	batch *batcher
 
 	closed atomic.Bool
 }
@@ -206,8 +192,7 @@ func New(cfg Config) (*Service, error) {
 		}
 		s.archs[a.Name] = a
 	}
-	s.cache = newModelCache(cfg.CacheCapacity, cfg.BuildWorkers, cfg.MaxQueuedBuilds, s.buildEntry)
-	s.regressCache = newModelCache(cfg.CacheCapacity, cfg.BuildWorkers, cfg.MaxQueuedBuilds, s.buildRegressEntry)
+	s.store = newModelStore(cfg.CacheCapacity, cfg.BuildWorkers, cfg.MaxQueuedBuilds, s.buildEntry)
 	s.batch = newBatcher(cfg.SolveWorkers, cfg.MaxQueuedSolves, cfg.MaxBatch, cfg.LQN, s.makeState)
 	return s, nil
 }
@@ -216,48 +201,23 @@ func New(cfg Config) (*Service, error) {
 // HTTP server has shut down: accepted requests still queued are
 // answered before the workers exit.
 func (s *Service) Close() {
-	if s.closed.CompareAndSwap(false, true) {
-		s.batch.close()
-	}
+	s.closed.Store(true)
+	s.batch.close()
 }
 
 // makeState builds a batch worker's warm solving context for one key.
 func (s *Service) makeState(key modelKey) (*keyState, error) {
-	arch, ok := s.archs[key.arch]
-	if !ok {
-		return nil, &badRequestError{msg: "unknown architecture " + key.arch}
+	arch, err := s.arch(key.arch)
+	if err != nil {
+		return nil, err
 	}
-	buyFrac := key.buyFrac()
-	load := func(n int) workload.Workload {
-		if buyFrac <= 0 {
-			return workload.TypicalWorkload(n)
-		}
-		return workload.MixedWorkload(n, buyFrac)
-	}
-	model, err := lqn.NewTradeModel(arch, s.cfg.DB, s.cfg.Demands, load(1))
+	model, err := lqn.NewTradeModel(arch, s.cfg.DB, s.cfg.Demands, mixLoad(1, key.buyFrac()))
 	if err != nil {
 		return nil, err
 	}
 	solver := lqn.NewSolver()
 	solver.WarmStart = true
-	return &keyState{model: model, solver: solver, load: load}, nil
-}
-
-// weightedMeanRT recomputes Result.MeanResponseTime iterating classes
-// in model order: the Result method walks a map, and float summation
-// order perturbs the last digits, which would make identical queries
-// return non-identical numbers.
-func weightedMeanRT(model *lqn.Model, res *lqn.Result) float64 {
-	var xSum, rxSum float64
-	for _, cl := range model.Classes {
-		c := res.Classes[cl.Name]
-		xSum += c.Throughput
-		rxSum += c.Throughput * c.ResponseTime
-	}
-	if xSum == 0 {
-		return 0
-	}
-	return rxSum / xSum
+	return &keyState{model: model, solver: solver, buyFrac: key.buyFrac()}, nil
 }
 
 // ---- request/response schema ----
@@ -272,9 +232,8 @@ type PredictRequest struct {
 	// Percentile, in (0,1), converts the mean prediction via the §7.1
 	// distributions; 0 predicts the mean.
 	Percentile float64 `json:"percentile"`
-	// Method is "hybrid" (default; cached closed-form model), "lqn"
-	// (exact layered solve through the coalescing batcher) or "regress"
-	// (cheap-tier black-box regression, means only).
+	// Method names a row of the method table (see methods); empty
+	// selects hybrid.
 	Method string `json:"method"`
 	// DeadlineMS overrides the service's default deadline.
 	DeadlineMS int64 `json:"deadline_ms"`
@@ -372,11 +331,39 @@ type errorResponse struct {
 // Mount the obs Handler alongside it for /metrics and /debug.
 func (s *Service) Handler() http.Handler {
 	mux := http.NewServeMux()
-	mux.HandleFunc("/v1/predict", s.handlePredict)
-	mux.HandleFunc("/v1/capacity", s.handleCapacity)
-	mux.HandleFunc("/v1/allocate", s.handleAllocate)
+	mux.HandleFunc("/v1/predict", handle(s, epPredict, s.Predict))
+	mux.HandleFunc("/v1/capacity", handle(s, epCapacity, s.Capacity))
+	mux.HandleFunc("/v1/allocate", handle(s, epAllocate, s.Allocate))
 	mux.HandleFunc("/healthz", s.handleHealth)
 	return mux
+}
+
+// handle wraps one endpoint's in-process entry point in the shared HTTP
+// bookkeeping: request count, in-flight gauge, latency histogram,
+// decoding and typed error mapping.
+func handle[Req, Resp any](s *Service, ep endpoint, call func(*http.Request, Req) (*Resp, error)) http.HandlerFunc {
+	return func(w http.ResponseWriter, r *http.Request) {
+		m := metrics.Load()
+		m.requests[ep].Inc()
+		m.inflight.Add(1)
+		start := time.Now()
+		defer func() {
+			m.inflight.Add(-1)
+			m.seconds[ep].Observe(time.Since(start).Seconds())
+		}()
+
+		var req Req
+		if err := decodeInto(r, &req); err != nil {
+			s.writeError(w, err)
+			return
+		}
+		resp, err := call(r, req)
+		if err != nil {
+			s.writeError(w, err)
+			return
+		}
+		writeJSON(w, http.StatusOK, resp)
+	}
 }
 
 // requestCtx applies the per-request deadline.
@@ -391,9 +378,10 @@ func (s *Service) requestCtx(r *http.Request, deadlineMS int64) (context.Context
 	return context.WithTimeout(r.Context(), d)
 }
 
-// writeJSON writes v with status 200.
-func writeJSON(w http.ResponseWriter, v any) {
+// writeJSON writes v with the given status.
+func writeJSON(w http.ResponseWriter, status int, v any) {
 	w.Header().Set("Content-Type", "application/json")
+	w.WriteHeader(status)
 	_ = json.NewEncoder(w).Encode(v)
 }
 
@@ -422,13 +410,17 @@ func (s *Service) writeError(w http.ResponseWriter, err error) {
 	default:
 		m.errors.Inc()
 	}
-	w.Header().Set("Content-Type", "application/json")
-	w.WriteHeader(status)
-	_ = json.NewEncoder(w).Encode(errorResponse{Error: err.Error()})
+	writeJSON(w, status, errorResponse{Error: err.Error()})
 }
 
-// decodeInto parses a request from a JSON body (POST) or query
-// parameters (GET; numeric fields named like their JSON tags).
+// queryParams are the numeric GET parameters, named like their JSON
+// tags, in the order decodeInto parses them — fixed, so a request with
+// several malformed values always names the same one.
+var queryParams = [...]string{"clients", "goal_rt_s", "buy_pct", "percentile", "deadline_ms"}
+
+// decodeInto parses a request from a JSON body (POST) or, for predict
+// and capacity, from query parameters (any other verb). dst is a fresh
+// zero request.
 func decodeInto(r *http.Request, dst any) error {
 	if r.Method == http.MethodPost {
 		dec := json.NewDecoder(r.Body)
@@ -438,60 +430,38 @@ func decodeInto(r *http.Request, dst any) error {
 		}
 		return nil
 	}
-	q := r.URL.Query()
-	get := func(name string) (string, bool) { v := q.Get(name); return v, v != "" }
-	getF := func(name string, into *float64) error {
-		if v, ok := get(name); ok {
-			f, err := strconv.ParseFloat(v, 64)
-			if err != nil {
-				return &badRequestError{msg: "bad " + name + ": " + v}
-			}
-			*into = f
-		}
-		return nil
-	}
+	// into binds queryParams to the request's fields; nil = not one of
+	// this request's, ignored as any unknown parameter is.
+	var (
+		arch, method *string
+		deadlineMS   *int64
+		deadline     float64
+		into         [len(queryParams)]*float64
+	)
 	switch d := dst.(type) {
 	case *PredictRequest:
-		if v, ok := get("arch"); ok {
-			d.Arch = v
-		}
-		if v, ok := get("method"); ok {
-			d.Method = v
-		}
-		for name, into := range map[string]*float64{
-			"clients": &d.Clients, "buy_pct": &d.BuyPct, "percentile": &d.Percentile,
-		} {
-			if err := getF(name, into); err != nil {
-				return err
-			}
-		}
-		var dl float64
-		if err := getF("deadline_ms", &dl); err != nil {
-			return err
-		}
-		d.DeadlineMS = int64(dl)
+		arch, method, deadlineMS = &d.Arch, &d.Method, &d.DeadlineMS
+		into = [...]*float64{&d.Clients, nil, &d.BuyPct, &d.Percentile, &deadline}
 	case *CapacityRequest:
-		if v, ok := get("arch"); ok {
-			d.Arch = v
-		}
-		if v, ok := get("method"); ok {
-			d.Method = v
-		}
-		for name, into := range map[string]*float64{
-			"goal_rt_s": &d.GoalRTS, "buy_pct": &d.BuyPct,
-		} {
-			if err := getF(name, into); err != nil {
-				return err
-			}
-		}
-		var dl float64
-		if err := getF("deadline_ms", &dl); err != nil {
-			return err
-		}
-		d.DeadlineMS = int64(dl)
-	default:
-		return &badRequestError{msg: "method not allowed"}
+		arch, method, deadlineMS = &d.Arch, &d.Method, &d.DeadlineMS
+		into = [...]*float64{nil, &d.GoalRTS, &d.BuyPct, nil, &deadline}
+	case *AllocateRequest:
+		return &badRequestError{msg: "allocate requires POST"}
 	}
+	q := r.URL.Query()
+	*arch, *method = q.Get("arch"), q.Get("method")
+	for i, name := range queryParams {
+		v := q.Get(name)
+		if v == "" || into[i] == nil {
+			continue
+		}
+		f, err := strconv.ParseFloat(v, 64)
+		if err != nil {
+			return &badRequestError{msg: "bad " + name + ": " + v}
+		}
+		*into[i] = f
+	}
+	*deadlineMS = int64(deadline)
 	return nil
 }
 
@@ -507,27 +477,122 @@ func validateCommon(arch string, buyPct float64) error {
 
 // ---- endpoints ----
 
-func (s *Service) handlePredict(w http.ResponseWriter, r *http.Request) {
-	m := metrics.Load()
-	m.predictRequests.Inc()
-	m.inflight.Add(1)
-	start := time.Now()
-	defer func() {
-		m.inflight.Add(-1)
-		m.predictSeconds.Observe(time.Since(start).Seconds())
-	}()
+// method is one row of the method table: how a predictor family gets
+// the model that answers the paper's two questions — response time at N
+// clients, max clients under a goal (§8.2) — as an rm.Predictor.
+type method struct {
+	// build is the cold path of the method's store tier; nil for a
+	// method whose questions go to the batcher as exact layered solves.
+	build func(s *Service, arch workload.ServerArch, buyFrac float64) (*modelEntry, error)
+	// meansOnly rejects percentile requests before any build is paid.
+	meansOnly bool
+}
 
-	var req PredictRequest
-	if err := decodeInto(r, &req); err != nil {
-		s.writeError(w, err)
-		return
+// methods is the one method table Predict, Capacity and Allocate look
+// up: "hybrid" (default; cached closed-form model), "lqn" (exact
+// layered solve through the coalescing batcher) and "regress"
+// (cheap-tier black-box regression, means only).
+var methods = map[string]method{
+	"hybrid":  {build: (*Service).buildHybrid},
+	"regress": {build: (*Service).buildRegress, meansOnly: true},
+	"lqn":     {},
+}
+
+// methodFor resolves a request's method name in place (empty selects
+// hybrid) to its table row.
+func methodFor(name *string) (method, error) {
+	if *name == "" {
+		*name = "hybrid"
 	}
-	resp, err := s.Predict(r, req)
+	mt, ok := methods[*name]
+	if !ok {
+		return mt, &badRequestError{msg: "unknown method " + *name + " (want hybrid, lqn or regress)"}
+	}
+	return mt, nil
+}
+
+// query answers one request's questions as an rm.Predictor, by the
+// request's method under its deadline and mix. What the answers cost —
+// a cold build waited on, its wall time, the solves a capacity search
+// spent — accumulates for the reply.
+type query struct {
+	s      *Service
+	ctx    context.Context
+	method string
+	buyPct float64
+
+	cold    bool
+	buildMS float64
+	evals   int
+}
+
+// model returns the method's predictor for one architecture and, when
+// the method has a store tier, the cached entry behind it.
+func (q *query) model(arch string) (rm.Predictor, *modelEntry, error) {
+	key := makeKey(q.method, arch, q.buyPct)
+	if methods[q.method].build == nil {
+		return batchPredictor{q, key}, nil, nil
+	}
+	e, cold, err := q.s.store.get(q.ctx, key)
 	if err != nil {
-		s.writeError(w, err)
-		return
+		return nil, nil, err
 	}
-	writeJSON(w, resp)
+	q.cold = cold
+	if cold {
+		q.buildMS = float64(e.buildWall) / float64(time.Millisecond)
+	}
+	return e.pred, e, nil
+}
+
+func (q *query) Predict(arch string, n float64) (float64, error) {
+	pred, _, err := q.model(arch)
+	if err != nil {
+		return 0, err
+	}
+	return pred.Predict(arch, n)
+}
+
+func (q *query) MaxClients(arch string, goalRT float64) (float64, error) {
+	pred, _, err := q.model(arch)
+	if err != nil {
+		return 0, err
+	}
+	return pred.MaxClients(arch, goalRT)
+}
+
+// batchPredictor answers a query's questions about one key with exact
+// layered solves routed through the coalescing batcher.
+type batchPredictor struct {
+	q   *query
+	key modelKey
+}
+
+func (b batchPredictor) Predict(_ string, n float64) (float64, error) {
+	clients := int(n + 0.5)
+	if clients < 1 {
+		clients = 1
+	}
+	out, err := b.solve(&solveJob{n: clients})
+	return out.rt, err
+}
+
+func (b batchPredictor) MaxClients(_ string, goalRT float64) (float64, error) {
+	out, err := b.solve(&solveJob{goalRT: goalRT})
+	b.q.evals = out.evals
+	return float64(out.n), err
+}
+
+func (b batchPredictor) solve(job *solveJob) (solveOut, error) {
+	job.key, job.ctx, job.resp = b.key, b.q.ctx, make(chan solveOut, 1)
+	if err := b.q.s.batch.submit(job); err != nil {
+		return solveOut{}, err
+	}
+	select {
+	case out := <-job.resp:
+		return out, out.err
+	case <-b.q.ctx.Done():
+		return solveOut{}, b.q.ctx.Err()
+	}
 }
 
 // Predict answers a PredictRequest; it is exported so in-process
@@ -546,121 +611,46 @@ func (s *Service) Predict(r *http.Request, req PredictRequest) (*PredictResponse
 	if req.Percentile < 0 || req.Percentile >= 1 {
 		return nil, &badRequestError{msg: fmt.Sprintf("percentile %v outside [0,1)", req.Percentile)}
 	}
-	method := req.Method
-	if method == "" {
-		method = "hybrid"
+	mt, err := methodFor(&req.Method)
+	if err != nil {
+		return nil, err
+	}
+	if mt.meansOnly && req.Percentile > 0 {
+		return nil, &badRequestError{msg: "method " + req.Method + " predicts means only (no percentile support)"}
 	}
 	ctx, cancel := s.requestCtx(r, req.DeadlineMS)
 	defer cancel()
 
-	key := makeKey(req.Arch, req.BuyPct)
-	resp := &PredictResponse{
-		Arch: req.Arch, Clients: req.Clients, BuyPct: req.BuyPct,
-		Method: method, Percentile: req.Percentile,
-	}
-
-	switch method {
-	case "hybrid":
-		entry, cold, err := s.cache.get(ctx, key)
-		if err != nil {
-			return nil, err
-		}
-		resp.Cold = cold
-		if cold {
-			resp.BuildMS = float64(entry.buildWall) / float64(time.Millisecond)
-		}
-		if req.Percentile > 0 {
-			rt, err := entry.sm.PredictPercentile(req.Clients, req.Percentile, entry.laplaceB)
-			if err != nil {
-				return nil, err
-			}
-			resp.ResponseTimeS = rt
-		} else {
-			resp.ResponseTimeS = entry.sm.Predict(req.Clients)
-		}
-	case "regress":
-		if req.Percentile > 0 {
-			return nil, &badRequestError{msg: "method regress predicts means only (no percentile support)"}
-		}
-		entry, cold, err := s.regressCache.get(ctx, key)
-		if err != nil {
-			return nil, err
-		}
-		resp.Cold = cold
-		if cold {
-			resp.BuildMS = float64(entry.buildWall) / float64(time.Millisecond)
-		}
-		rt, err := entry.model.Predict(req.Arch, req.Clients)
-		if err != nil {
-			return nil, err
-		}
-		resp.ResponseTimeS = rt
-	case "lqn":
-		rt, err := s.batchSolveRT(ctx, key, int(req.Clients+0.5))
-		if err != nil {
-			return nil, err
-		}
-		resp.ResponseTimeS = rt
-		if req.Percentile > 0 {
-			// The layered solver predicts only means; percentile
-			// conversion borrows the cached hybrid entry's saturation
-			// boundary and Laplace scale, exactly as the offline
-			// comparison does.
-			entry, cold, err := s.cache.get(ctx, key)
-			if err != nil {
-				return nil, err
-			}
-			resp.Cold = cold
-			p, err := rtdist.PercentileFromMean(rt, entry.sm.Saturated(req.Clients), entry.laplaceB, req.Percentile)
-			if err != nil {
-				return nil, err
-			}
-			resp.ResponseTimeS = p
-		}
-	default:
-		return nil, &badRequestError{msg: "unknown method " + method + " (want hybrid, lqn or regress)"}
-	}
-	return resp, nil
-}
-
-// batchSolveRT routes one exact solve through the coalescing batcher.
-func (s *Service) batchSolveRT(ctx context.Context, key modelKey, n int) (float64, error) {
-	if n < 1 {
-		n = 1
-	}
-	job := &solveJob{kind: solveRT, key: key, n: n, ctx: ctx, resp: make(chan solveOut, 1)}
-	if err := s.batch.submit(job); err != nil {
-		return 0, err
-	}
-	select {
-	case out := <-job.resp:
-		return out.rt, out.err
-	case <-ctx.Done():
-		return 0, ctx.Err()
-	}
-}
-
-func (s *Service) handleCapacity(w http.ResponseWriter, r *http.Request) {
-	m := metrics.Load()
-	m.capacityRequests.Inc()
-	m.inflight.Add(1)
-	start := time.Now()
-	defer func() {
-		m.inflight.Add(-1)
-		m.capacitySeconds.Observe(time.Since(start).Seconds())
-	}()
-
-	var req CapacityRequest
-	if err := decodeInto(r, &req); err != nil {
-		s.writeError(w, err)
-		return
-	}
-	resp, err := s.Capacity(r, req)
+	q := &query{s: s, ctx: ctx, method: req.Method, buyPct: req.BuyPct}
+	pred, e, err := q.model(req.Arch)
 	if err != nil {
-		s.writeError(w, err)
-		return
+		return nil, err
 	}
-	writeJSON(w, resp)
+	rt, err := pred.Predict(req.Arch, req.Clients)
+	if err != nil {
+		return nil, err
+	}
+	if req.Percentile > 0 {
+		if e == nil {
+			// The layered solver predicts only means; the conversion
+			// borrows the cached hybrid entry's saturation boundary and
+			// Laplace scale, exactly as the offline comparison does.
+			// Waiting on that build marks the reply cold, no more.
+			var cold bool
+			if e, cold, err = s.store.get(ctx, makeKey("hybrid", req.Arch, req.BuyPct)); err != nil {
+				return nil, err
+			}
+			q.cold = cold
+		}
+		if rt, err = rtdist.PercentileFromMean(rt, e.sm.Saturated(req.Clients), e.laplaceB, req.Percentile); err != nil {
+			return nil, err
+		}
+	}
+	return &PredictResponse{
+		Arch: req.Arch, Clients: req.Clients, BuyPct: req.BuyPct,
+		Method: req.Method, Percentile: req.Percentile,
+		ResponseTimeS: rt, Cold: q.cold, BuildMS: q.buildMS,
+	}, nil
 }
 
 // Capacity answers a CapacityRequest (see Predict for the in-process
@@ -675,93 +665,21 @@ func (s *Service) Capacity(r *http.Request, req CapacityRequest) (*CapacityRespo
 	if req.GoalRTS <= 0 {
 		return nil, &badRequestError{msg: "goal_rt_s must be positive"}
 	}
-	method := req.Method
-	if method == "" {
-		method = "hybrid"
+	if _, err := methodFor(&req.Method); err != nil {
+		return nil, err
 	}
 	ctx, cancel := s.requestCtx(r, req.DeadlineMS)
 	defer cancel()
 
-	key := makeKey(req.Arch, req.BuyPct)
-	resp := &CapacityResponse{Arch: req.Arch, GoalRTS: req.GoalRTS, BuyPct: req.BuyPct, Method: method}
-
-	switch method {
-	case "hybrid":
-		entry, cold, err := s.cache.get(ctx, key)
-		if err != nil {
-			return nil, err
-		}
-		resp.Cold = cold
-		if cold {
-			resp.BuildMS = float64(entry.buildWall) / float64(time.Millisecond)
-		}
-		n, err := entry.sm.MaxClients(req.GoalRTS)
-		if err != nil {
-			return nil, err
-		}
-		resp.MaxClients = n
-	case "regress":
-		entry, cold, err := s.regressCache.get(ctx, key)
-		if err != nil {
-			return nil, err
-		}
-		resp.Cold = cold
-		if cold {
-			resp.BuildMS = float64(entry.buildWall) / float64(time.Millisecond)
-		}
-		n, err := entry.model.MaxClients(req.Arch, req.GoalRTS)
-		if err != nil {
-			return nil, err
-		}
-		resp.MaxClients = n
-	case "lqn":
-		job := &solveJob{kind: solveCapacity, key: key, goalRT: req.GoalRTS, ctx: ctx, resp: make(chan solveOut, 1)}
-		if err := s.batch.submit(job); err != nil {
-			return nil, err
-		}
-		select {
-		case out := <-job.resp:
-			if out.err != nil {
-				return nil, out.err
-			}
-			resp.MaxClients = float64(out.n)
-			resp.Evaluations = out.evals
-		case <-ctx.Done():
-			return nil, ctx.Err()
-		}
-	default:
-		return nil, &badRequestError{msg: "unknown method " + method + " (want hybrid, lqn or regress)"}
-	}
-	return resp, nil
-}
-
-func (s *Service) handleAllocate(w http.ResponseWriter, r *http.Request) {
-	m := metrics.Load()
-	m.allocateRequests.Inc()
-	m.inflight.Add(1)
-	start := time.Now()
-	defer func() {
-		m.inflight.Add(-1)
-		m.allocateSeconds.Observe(time.Since(start).Seconds())
-	}()
-
-	if r.Method != http.MethodPost {
-		s.writeError(w, &badRequestError{msg: "allocate requires POST"})
-		return
-	}
-	var req AllocateRequest
-	dec := json.NewDecoder(r.Body)
-	dec.DisallowUnknownFields()
-	if err := dec.Decode(&req); err != nil {
-		s.writeError(w, &badRequestError{msg: "bad JSON body: " + err.Error()})
-		return
-	}
-	resp, err := s.Allocate(r, req)
+	q := &query{s: s, ctx: ctx, method: req.Method, buyPct: req.BuyPct}
+	n, err := q.MaxClients(req.Arch, req.GoalRTS)
 	if err != nil {
-		s.writeError(w, err)
-		return
+		return nil, err
 	}
-	writeJSON(w, resp)
+	return &CapacityResponse{
+		Arch: req.Arch, GoalRTS: req.GoalRTS, BuyPct: req.BuyPct, Method: req.Method,
+		MaxClients: n, Evaluations: q.evals, Cold: q.cold, BuildMS: q.buildMS,
+	}, nil
 }
 
 // Allocate answers an AllocateRequest: Algorithm 1 over the cached
@@ -785,12 +703,12 @@ func (s *Service) Allocate(r *http.Request, req AllocateRequest) (*AllocateRespo
 	}
 	servers := make([]rm.Server, len(req.Servers))
 	for i, sv := range req.Servers {
-		if _, ok := s.archs[sv.Arch]; !ok {
-			return nil, &badRequestError{msg: "unknown architecture " + sv.Arch}
+		if _, err := s.arch(sv.Arch); err != nil {
+			return nil, err
 		}
 		servers[i] = rm.Server{Name: sv.Name, Arch: sv.Arch, Power: sv.Power}
 	}
-	pred := cachedPredictor{s: s, ctx: ctx, buyPct: req.BuyPct}
+	pred := &query{s: s, ctx: ctx, method: "hybrid", buyPct: req.BuyPct}
 	plan, err := rm.Allocate(classes, servers, pred, req.Slack, rm.Options{AllowDeflation: req.AllowDeflation})
 	if err != nil {
 		// Distinguish operational failures (overload, deadline) from
@@ -808,34 +726,10 @@ func (s *Service) Allocate(r *http.Request, req AllocateRequest) (*AllocateRespo
 	return resp, nil
 }
 
-// cachedPredictor adapts the model cache to rm.Predictor for one
-// request's context and mix.
-type cachedPredictor struct {
-	s      *Service
-	ctx    context.Context
-	buyPct float64
-}
-
-func (p cachedPredictor) Predict(arch string, n float64) (float64, error) {
-	entry, _, err := p.s.cache.get(p.ctx, makeKey(arch, p.buyPct))
-	if err != nil {
-		return 0, err
-	}
-	return entry.sm.Predict(n), nil
-}
-
-func (p cachedPredictor) MaxClients(arch string, goalRT float64) (float64, error) {
-	entry, _, err := p.s.cache.get(p.ctx, makeKey(arch, p.buyPct))
-	if err != nil {
-		return 0, err
-	}
-	return entry.sm.MaxClients(goalRT)
-}
-
 func (s *Service) handleHealth(w http.ResponseWriter, _ *http.Request) {
 	names := make([]string, 0, len(s.archs))
 	for _, a := range s.cfg.Archs {
 		names = append(names, a.Name)
 	}
-	writeJSON(w, map[string]any{"status": "ok", "archs": names})
+	writeJSON(w, http.StatusOK, map[string]any{"status": "ok", "archs": names})
 }

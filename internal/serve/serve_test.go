@@ -9,6 +9,7 @@ import (
 	"math"
 	"net/http"
 	"net/http/httptest"
+	"reflect"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -16,6 +17,7 @@ import (
 
 	"perfpred/internal/hybrid"
 	"perfpred/internal/lqn"
+	"perfpred/internal/obs"
 	"perfpred/internal/regress"
 	"perfpred/internal/rm"
 	"perfpred/internal/trade"
@@ -245,7 +247,7 @@ func TestServedLQNMatchesOffline(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	want := weightedMeanRT(model, res)
+	want := res.MeanResponseTime()
 
 	url := fmt.Sprintf("%s/v1/predict?arch=%s&clients=%d&method=lqn", srv.URL, arch.Name, n)
 	var first PredictResponse
@@ -287,7 +289,7 @@ func TestServedLQNMatchesOffline(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		return weightedMeanRT(model, r)
+		return r.MeanResponseTime()
 	}
 	nCap := int(c1.MaxClients)
 	if nCap < 1 {
@@ -383,8 +385,8 @@ func TestColdStampedeBuildsOnce(t *testing.T) {
 	client := srv.Client()
 
 	var builds atomic.Int32
-	orig := s.cache.build
-	s.cache.build = func(k modelKey) (*modelEntry, error) {
+	orig := s.store.build
+	s.store.build = func(k modelKey) (*modelEntry, error) {
 		builds.Add(1)
 		time.Sleep(20 * time.Millisecond) // widen the stampede window
 		return orig(k)
@@ -425,8 +427,8 @@ func TestEvictionRebuild(t *testing.T) {
 	client := srv.Client()
 
 	var builds atomic.Int32
-	orig := s.cache.build
-	s.cache.build = func(k modelKey) (*modelEntry, error) {
+	orig := s.store.build
+	s.store.build = func(k modelKey) (*modelEntry, error) {
 		builds.Add(1)
 		return orig(k)
 	}
@@ -451,8 +453,8 @@ func TestEvictionRebuild(t *testing.T) {
 	if s1 == f1 {
 		t.Fatal("distinct architectures served identical predictions")
 	}
-	if s.cache.lru.Len() != 1 {
-		t.Fatalf("cache holds %d entries, capacity 1", s.cache.lru.Len())
+	if s.store.lru.Len() != 1 {
+		t.Fatalf("cache holds %d entries, capacity 1", s.store.lru.Len())
 	}
 }
 
@@ -526,8 +528,8 @@ func TestOverloadShedsNotCollapses(t *testing.T) {
 	if code := getJSON(t, client, warmURL, nil); code != http.StatusOK {
 		t.Fatalf("warm-up status %d", code)
 	}
-	orig := s.cache.build
-	s.cache.build = func(k modelKey) (*modelEntry, error) {
+	orig := s.store.build
+	s.store.build = func(k modelKey) (*modelEntry, error) {
 		time.Sleep(30 * time.Millisecond) // an expensive cold build
 		return orig(k)
 	}
@@ -611,9 +613,9 @@ func TestDeadlineExpiresWith504(t *testing.T) {
 	s, srv := newTestServer(t, nil)
 	client := srv.Client()
 
-	orig := s.cache.build
+	orig := s.store.build
 	release := make(chan struct{})
-	s.cache.build = func(k modelKey) (*modelEntry, error) {
+	s.store.build = func(k modelKey) (*modelEntry, error) {
 		<-release
 		return orig(k)
 	}
@@ -751,7 +753,7 @@ func TestCancelledClientContext(t *testing.T) {
 	s := newTestService(t, nil)
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	job := &solveJob{kind: solveRT, key: makeKey("AppServF", 0), n: 100, ctx: ctx, resp: make(chan solveOut, 1)}
+	job := &solveJob{key: makeKey("lqn", "AppServF", 0), n: 100, ctx: ctx, resp: make(chan solveOut, 1)}
 	if err := s.batch.submit(job); err != nil {
 		t.Fatal(err)
 	}
@@ -762,5 +764,151 @@ func TestCancelledClientContext(t *testing.T) {
 		}
 	case <-time.After(10 * time.Second):
 		t.Fatal("cancelled job never answered")
+	}
+}
+
+// TestBuildWorkersBoundAllMethods pins the one admission controller:
+// with BuildWorkers 1, a cold hybrid build and a cold regress build must
+// never run side by side (two per-tier semaphores once let them), and
+// serve_build_queue_depth must count both while one runs and the other
+// waits (two per-tier counters once overwrote each other in the gauge).
+func TestBuildWorkersBoundAllMethods(t *testing.T) {
+	reg := obs.NewRegistry()
+	EnableMetrics(reg)
+	defer EnableMetrics(nil)
+	depth := reg.Gauge("serve_build_queue_depth")
+
+	s := newTestService(t, func(c *Config) {
+		c.BuildWorkers = 1
+		c.RegressSimSeconds = 2
+	})
+	started := make(chan string, 2)
+	release := make(chan struct{})
+	orig := s.store.build
+	s.store.build = func(k modelKey) (*modelEntry, error) {
+		started <- k.method
+		<-release
+		return orig(k)
+	}
+
+	var wg sync.WaitGroup
+	for _, req := range []PredictRequest{
+		{Arch: "AppServF", Clients: 500},
+		{Arch: "AppServS", Clients: 300, Method: "regress"},
+	} {
+		wg.Add(1)
+		go func(req PredictRequest) {
+			defer wg.Done()
+			if _, err := s.Predict(httptest.NewRequest(http.MethodGet, "/v1/predict", nil), req); err != nil {
+				t.Errorf("%+v: %v", req, err)
+			}
+		}(req)
+	}
+	fail := func(format string, args ...any) {
+		t.Helper()
+		close(release)
+		wg.Wait()
+		t.Fatalf(format, args...)
+	}
+
+	first := <-started
+	// The other build must be admitted — counted — and parked behind the
+	// single worker slot, not started.
+	for deadline := time.Now().Add(10 * time.Second); depth.Value() != 2; time.Sleep(time.Millisecond) {
+		select {
+		case second := <-started:
+			fail("%s and %s builds ran concurrently with BuildWorkers 1", first, second)
+		default:
+		}
+		if time.Now().After(deadline) {
+			fail("serve_build_queue_depth = %d with one build running and one waiting, want 2", depth.Value())
+		}
+	}
+	select {
+	case second := <-started:
+		fail("%s and %s builds ran concurrently with BuildWorkers 1", first, second)
+	default:
+	}
+	close(release)
+	wg.Wait()
+	if got := depth.Value(); got != 0 {
+		t.Fatalf("serve_build_queue_depth = %d after both builds finished, want 0", got)
+	}
+	if got := reg.Counter("serve_builds").Value(); got != 2 {
+		t.Fatalf("serve_builds = %d, want 2", got)
+	}
+}
+
+// TestMixedTierEviction bounds the one store at two entries and walks
+// hybrid and regress keys through it: recency is tracked across
+// methods, the least recently used entry goes whichever tier it belongs
+// to, and an evicted key rebuilds exactly once and serves what it served
+// before.
+func TestMixedTierEviction(t *testing.T) {
+	s := newTestService(t, func(c *Config) {
+		c.CacheCapacity = 2
+		c.RegressSimSeconds = 2
+	})
+	builds := map[modelKey]int{}
+	var mu sync.Mutex
+	orig := s.store.build
+	s.store.build = func(k modelKey) (*modelEntry, error) {
+		mu.Lock()
+		builds[k]++
+		mu.Unlock()
+		return orig(k)
+	}
+	predict := func(arch, method string, wantCold bool) float64 {
+		t.Helper()
+		resp, err := s.Predict(httptest.NewRequest(http.MethodGet, "/v1/predict", nil),
+			PredictRequest{Arch: arch, Clients: 300, Method: method})
+		if err != nil {
+			t.Fatalf("%s %s: %v", method, arch, err)
+		}
+		if resp.Cold != wantCold {
+			t.Fatalf("%s %s: cold = %v, want %v", method, arch, resp.Cold, wantCold)
+		}
+		return resp.ResponseTimeS
+	}
+	predict("AppServF", "hybrid", true)        // store: hF
+	r1 := predict("AppServS", "regress", true) // store: rS hF
+	predict("AppServF", "hybrid", false)       // refreshes hF: rS is now the oldest
+	predict("AppServVF", "hybrid", true)       // evicts rS, the LRU entry of either tier
+	predict("AppServF", "hybrid", false)       // hF survived
+	r2 := predict("AppServS", "regress", true) // rebuilt, evicts hVF
+	r3 := predict("AppServS", "regress", false)
+	if r1 != r2 || r2 != r3 {
+		t.Fatalf("rebuilt regress model disagrees: %v, %v, %v", r1, r2, r3)
+	}
+	want := map[modelKey]int{
+		makeKey("hybrid", "AppServF", 0):  1,
+		makeKey("hybrid", "AppServVF", 0): 1,
+		makeKey("regress", "AppServS", 0): 2,
+	}
+	if !reflect.DeepEqual(builds, want) {
+		t.Fatalf("builds per key = %v, want %v", builds, want)
+	}
+	if n := s.store.lru.Len(); n != 2 {
+		t.Fatalf("store holds %d entries, capacity 2", n)
+	}
+}
+
+// A GET with several malformed parameters names the same one every
+// time: parameters are parsed in queryParams order, not map order.
+func TestGetDecodeErrorIsStable(t *testing.T) {
+	_, srv := newTestServer(t, nil)
+	for _, tc := range []struct{ url, want string }{
+		{"/v1/predict?arch=AppServF&clients=x&buy_pct=y&percentile=z", "bad clients: x"},
+		{"/v1/capacity?arch=AppServF&buy_pct=y&goal_rt_s=x&deadline_ms=w", "bad goal_rt_s: x"},
+	} {
+		for i := 0; i < 40; i++ {
+			var e errorResponse
+			if code := getJSON(t, srv.Client(), srv.URL+tc.url, &e); code != http.StatusBadRequest {
+				t.Fatalf("%s: status %d, want 400", tc.url, code)
+			}
+			if e.Error != tc.want {
+				t.Fatalf("%s (attempt %d): error %q, want %q", tc.url, i, e.Error, tc.want)
+			}
+		}
 	}
 }

@@ -113,3 +113,61 @@ func (t *Tracker) ClassFailurePct(class string) float64 {
 	}
 	return 100 * float64(r) / float64(s+r)
 }
+
+// MaxClients returns the largest n in [1, limit] for which meets(n)
+// holds, or 0 when even n = 1 fails — the one capacity search shared by
+// every predictor family that cannot invert its model in closed form
+// (§8.2: "the number of clients can only be an input so it is necessary
+// to search"). meets must be monotone: true up to a threshold, false
+// beyond. The search probes 1, 2, 4, … until the predicate breaks,
+// clamping the doubling to limit and probing the limit itself — it is
+// an answer only once verified — then bisects the final interval. The
+// probe sequence is a pure function of the predicate's answers, so a
+// deterministic predicate yields a deterministic capacity and count.
+func MaxClients(limit int, meets func(n int) (bool, error)) (int, error) {
+	if limit < 1 {
+		return 0, nil
+	}
+	lo, hi := 0, 1 // lo meets (0: nothing verified yet); hi is the next probe
+	for {
+		ok, err := meets(hi)
+		if err != nil {
+			return 0, err
+		}
+		if !ok {
+			break
+		}
+		if hi == limit {
+			return limit, nil
+		}
+		lo = hi
+		hi *= 2
+		hi = min(hi, limit)
+	}
+	for hi-lo > 1 {
+		mid := lo + (hi-lo)/2
+		ok, err := meets(mid)
+		if err != nil {
+			return 0, err
+		}
+		if ok {
+			lo = mid
+		} else {
+			hi = mid
+		}
+	}
+	return lo, nil
+}
+
+// MaxClients returns the largest integer population in [1, limit]
+// whose response time rtAt(n) meets the goal (0 when one client already
+// misses it), by the shared MaxClients search.
+func (g Goal) MaxClients(limit int, rtAt func(n float64) (float64, error)) (int, error) {
+	if err := g.Validate(); err != nil {
+		return 0, err
+	}
+	return MaxClients(limit, func(n int) (bool, error) {
+		rt, err := rtAt(float64(n))
+		return g.Met(rt), err
+	})
+}

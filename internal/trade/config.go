@@ -173,13 +173,6 @@ type Config struct {
 	// StreamingPercentiles.
 	StreamQuantiles []float64
 
-	// CompatTypeChoice selects the legacy CDF-inversion draw-to-type
-	// mapping for multi-type class mixes instead of the precomputed
-	// alias table. Both sample the identical distribution with one
-	// uniform draw per pick; only the per-seed type sequence differs.
-	// Single-type mixes never draw, under either setting.
-	CompatTypeChoice bool
-
 	// Pools, when > 1, switches the run to the sharded fleet model: the
 	// configured network (application tier + database) is replicated
 	// Pools times, each replica carrying the configured Load with its

@@ -12,35 +12,30 @@ import (
 // per-request path rebuilt the sorted type list and scanned a CDF on
 // every pick; this sampler does that work exactly once per Config.
 //
-// Draw discipline: a single-type mix consumes no draws (matching the
-// legacy fast path); a multi-type mix consumes exactly one uniform
-// draw per pick in both modes. Compat mode reproduces the legacy
-// Stream.Choose CDF-inversion draw-to-type mapping bit for bit; the
-// default alias mapping samples the identical distribution but maps
-// draws to types differently, so multi-type per-seed sequences change
-// (Config.CompatTypeChoice restores the old ones).
+// Draw discipline: a single-type mix consumes no draws (the invariant
+// every golden output relies on); a multi-type mix consumes exactly one
+// uniform draw per pick.
 type typeSampler struct {
 	types   []workload.RequestType
 	demands []workload.Demand
-	weights []float64
-	alias   *sim.AliasTable // nil for single-type mixes and compat mode
+	alias   *sim.AliasTable // nil for single-type mixes
 }
 
 // newTypeSampler builds a sampler for one class mix against a demand
 // table. The caller has validated that every type in the mix has a
 // demand entry.
-func newTypeSampler(mix workload.Mix, demands map[workload.RequestType]workload.Demand, compat bool) *typeSampler {
+func newTypeSampler(mix workload.Mix, demands map[workload.RequestType]workload.Demand) *typeSampler {
 	t := &typeSampler{
 		types:   orderedTypes(mix),
 		demands: make([]workload.Demand, 0, len(mix)),
-		weights: make([]float64, 0, len(mix)),
 	}
+	weights := make([]float64, 0, len(mix))
 	for _, rt := range t.types {
 		t.demands = append(t.demands, demands[rt])
-		t.weights = append(t.weights, mix[rt])
+		weights = append(weights, mix[rt])
 	}
-	if len(t.types) > 1 && !compat {
-		t.alias = sim.NewAliasTable(t.weights)
+	if len(t.types) > 1 {
+		t.alias = sim.NewAliasTable(weights)
 	}
 	return t
 }
@@ -48,13 +43,10 @@ func newTypeSampler(mix workload.Mix, demands map[workload.RequestType]workload.
 // pick returns the index of the next request type, consuming one
 // uniform draw from choose for multi-type mixes and none otherwise.
 func (t *typeSampler) pick(choose *sim.Stream) int {
-	if len(t.types) == 1 {
+	if t.alias == nil {
 		return 0
 	}
-	if t.alias != nil {
-		return t.alias.Pick(choose)
-	}
-	return choose.Choose(t.weights)
+	return t.alias.Pick(choose)
 }
 
 // sample returns the resolved demand of the next request type.

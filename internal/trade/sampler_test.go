@@ -7,49 +7,20 @@ import (
 	"perfpred/internal/workload"
 )
 
-// TestTypeSamplerCompatMatchesLegacyChoose pins the compatibility
-// contract: with CompatTypeChoice the sampler reproduces the legacy
-// per-request algorithm — a CDF inversion over the mix's types in
-// orderedTypes order — draw for draw.
-func TestTypeSamplerCompatMatchesLegacyChoose(t *testing.T) {
-	mix := workload.Mix{workload.Buy: 0.35, workload.Browse: 0.65}
-	demands := workload.CaseStudyDemands()
-	sampler := newTypeSampler(mix, demands, true)
-
-	legacyTypes := orderedTypes(mix)
-	legacyWeights := make([]float64, len(legacyTypes))
-	for i, rt := range legacyTypes {
-		legacyWeights[i] = mix[rt]
-	}
-
-	a, b := sim.NewStream(42), sim.NewStream(42)
-	for i := 0; i < 1000; i++ {
-		got := sampler.types[sampler.pick(a)]
-		want := legacyTypes[b.Choose(legacyWeights)]
-		if got != want {
-			t.Fatalf("pick %d: compat sampler chose %q, legacy chose %q", i, got, want)
-		}
-	}
-}
-
-// TestTypeSamplerSingleTypeNoDraw pins the shared fast path: a
-// single-type mix consumes no draws in either mode, so the choose
-// stream's sequence is untouched — the invariant every golden output
-// relies on.
+// TestTypeSamplerSingleTypeNoDraw pins the fast path: a single-type mix
+// consumes no draws, so the choose stream's sequence is untouched — the
+// invariant every golden output relies on.
 func TestTypeSamplerSingleTypeNoDraw(t *testing.T) {
-	demands := workload.CaseStudyDemands()
-	for _, compat := range []bool{true, false} {
-		sampler := newTypeSampler(workload.Mix{workload.Browse: 1}, demands, compat)
-		a, b := sim.NewStream(7), sim.NewStream(7)
-		for i := 0; i < 10; i++ {
-			if sampler.pick(a) != 0 {
-				t.Fatal("single-type mix must always pick index 0")
-			}
+	sampler := newTypeSampler(workload.Mix{workload.Browse: 1}, workload.CaseStudyDemands())
+	a, b := sim.NewStream(7), sim.NewStream(7)
+	for i := 0; i < 10; i++ {
+		if sampler.pick(a) != 0 {
+			t.Fatal("single-type mix must always pick index 0")
 		}
-		for i := 0; i < 10; i++ {
-			if x, y := a.Float64(), b.Float64(); x != y {
-				t.Fatalf("compat=%v: single-type pick consumed draws", compat)
-			}
+	}
+	for i := 0; i < 10; i++ {
+		if x, y := a.Float64(), b.Float64(); x != y {
+			t.Fatal("single-type pick consumed draws")
 		}
 	}
 }
@@ -61,8 +32,8 @@ func TestTypeSamplerSingleTypeNoDraw(t *testing.T) {
 func TestTypeSamplerAliasDeterministic(t *testing.T) {
 	mix := workload.Mix{workload.Buy: 0.25, workload.Browse: 0.75}
 	demands := workload.CaseStudyDemands()
-	s1 := newTypeSampler(mix, demands, false)
-	s2 := newTypeSampler(mix, demands, false)
+	s1 := newTypeSampler(mix, demands)
+	s2 := newTypeSampler(mix, demands)
 	a, b := sim.NewStream(13), sim.NewStream(13)
 	for i := 0; i < 1000; i++ {
 		if x, y := s1.pick(a), s2.pick(b); x != y {
@@ -72,60 +43,52 @@ func TestTypeSamplerAliasDeterministic(t *testing.T) {
 }
 
 // TestRunDeterministicMultiType pins full-run determinism with a
-// multi-type mix under both sampling modes.
+// multi-type mix.
 func TestRunDeterministicMultiType(t *testing.T) {
-	for _, compat := range []bool{false, true} {
-		cfg := Config{
-			Server:  workload.AppServF(),
-			DB:      workload.CaseStudyDB(),
-			Demands: workload.CaseStudyDemands(),
-			Load: workload.Workload{{
-				Class: workload.ServiceClass{
-					Name:          "mixed",
-					Mix:           workload.Mix{workload.Browse: 0.7, workload.Buy: 0.3},
-					ThinkTimeMean: workload.ThinkTimeMean,
-				},
-				Clients: 300,
-			}},
-			Seed:             31,
-			WarmUp:           5,
-			Duration:         30,
-			CompatTypeChoice: compat,
-		}
-		r1, err := Run(cfg)
-		if err != nil {
-			t.Fatal(err)
-		}
-		r2, err := Run(cfg)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if r1.MeanRT != r2.MeanRT || r1.Throughput != r2.Throughput {
-			t.Fatalf("compat=%v: identical configs diverged: %v vs %v", compat, r1, r2)
-		}
+	cfg := Config{
+		Server:  workload.AppServF(),
+		DB:      workload.CaseStudyDB(),
+		Demands: workload.CaseStudyDemands(),
+		Load: workload.Workload{{
+			Class: workload.ServiceClass{
+				Name:          "mixed",
+				Mix:           workload.Mix{workload.Browse: 0.7, workload.Buy: 0.3},
+				ThinkTimeMean: workload.ThinkTimeMean,
+			},
+			Clients: 300,
+		}},
+		Seed:     31,
+		WarmUp:   5,
+		Duration: 30,
+	}
+	r1, err := Run(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	r2, err := Run(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if r1.MeanRT != r2.MeanRT || r1.Throughput != r2.Throughput {
+		t.Fatalf("identical configs diverged: %v vs %v", r1, r2)
 	}
 }
 
-// TestTypeSamplerModesAgreeInDistribution checks the two mappings
-// sample the same mix: over many picks the type frequencies agree
-// within statistical noise even though the per-seed sequences differ.
-func TestTypeSamplerModesAgreeInDistribution(t *testing.T) {
+// TestTypeSamplerMatchesMixInDistribution checks the alias mapping
+// samples the mix it was built from: over many picks the type
+// frequencies match the mix's weights within statistical noise.
+func TestTypeSamplerMatchesMixInDistribution(t *testing.T) {
 	mix := workload.Mix{workload.Buy: 0.4, workload.Browse: 0.6}
-	demands := workload.CaseStudyDemands()
+	sampler := newTypeSampler(mix, workload.CaseStudyDemands())
 	const n = 100000
-	freq := func(compat bool) float64 {
-		sampler := newTypeSampler(mix, demands, compat)
-		s := sim.NewStream(3)
-		buys := 0
-		for i := 0; i < n; i++ {
-			if sampler.types[sampler.pick(s)] == workload.Buy {
-				buys++
-			}
+	s := sim.NewStream(3)
+	buys := 0
+	for i := 0; i < n; i++ {
+		if sampler.types[sampler.pick(s)] == workload.Buy {
+			buys++
 		}
-		return float64(buys) / n
 	}
-	fa, fc := freq(false), freq(true)
-	if diff := fa - fc; diff < -0.01 || diff > 0.01 {
-		t.Fatalf("alias buy fraction %v vs compat %v differ beyond noise", fa, fc)
+	if diff := float64(buys)/n - mix[workload.Buy]; diff < -0.01 || diff > 0.01 {
+		t.Fatalf("sampled buy fraction %v vs mix weight %v differ beyond noise", float64(buys)/n, mix[workload.Buy])
 	}
 }

@@ -295,7 +295,7 @@ func newSimulator(cfg Config, opt simOptions) (*simulator, error) {
 	// in place.
 	id, sessID := 0, 0
 	for pi, pop := range cfg.Load {
-		sampler := newTypeSampler(pop.Class.Mix, cfg.Demands, cfg.CompatTypeChoice)
+		sampler := newTypeSampler(pop.Class.Mix, cfg.Demands)
 		s.acc[pop.Class.Name] = &classAcc{maxSample: cfg.MaxRTSamples, rng: sampleRNG.Derive(uint64(len(s.acc)))}
 		if cfg.StreamingPercentiles {
 			s.acc[pop.Class.Name].quant = stats.NewStreamingQuantiles(cfg.StreamQuantiles)
