@@ -56,7 +56,7 @@ test:
 race:
 	$(GO) test -race ./internal/parallel
 	$(GO) test -race -run 'TestSuiteConcurrent|TestSuiteParallelHybrid|TestFigure2ShapeHolds' ./internal/bench
-	$(GO) test -race -run 'TestEngine|TestStation|TestMeasureCurve' ./internal/sim ./internal/trade
+	$(GO) test -race -run 'TestEngine|TestStation|TestCalendar|TestReschedule|TestMeasureCurve' ./internal/sim ./internal/trade
 	$(GO) test -race -run 'TestCoordinator|TestSharded' ./internal/sim ./internal/trade
 	$(GO) test -race -run 'TestFleet' ./internal/fleet
 	$(GO) test -race -run 'TestConcurrentServing|TestColdStampedeBuildsOnce|TestOverloadShedsNotCollapses|TestGracefulShutdownDrains|TestBuildWorkersBoundAllMethods' ./internal/serve
@@ -65,7 +65,7 @@ race:
 	$(GO) test -race -run 'TestTrainDeterministicAcrossWorkers' ./internal/regress
 
 bench:
-	$(GO) test -run '^$$' -bench 'BenchmarkSchedule|BenchmarkRunDrain|BenchmarkStationSubmit' -benchmem ./internal/sim
+	$(GO) test -run '^$$' -bench 'BenchmarkSchedule|BenchmarkRunDrain|BenchmarkStation' -benchmem ./internal/sim
 	$(GO) test -run '^$$' -bench BenchmarkMeasureCurve -benchtime 2x ./internal/trade
 	$(GO) test -run '^$$' -bench 'BenchmarkRequestLoop|BenchmarkCollect|BenchmarkTransientCurve' -benchmem ./internal/trade
 	$(GO) test -run '^$$' -bench 'BenchmarkSolve' -benchmem ./internal/lqn
@@ -74,7 +74,7 @@ bench:
 	$(GO) run ./cmd/tradebench -bench -out BENCH_trade.json
 
 bench-sim:
-	$(GO) test -run '^$$' -bench 'BenchmarkCalendar|BenchmarkShard' -benchmem ./internal/sim
+	$(GO) test -run '^$$' -bench 'BenchmarkCalendar|BenchmarkShard|BenchmarkStationChurn' -benchmem ./internal/sim
 	$(GO) run ./cmd/simbench -out BENCH_sim.json
 
 bench-fleet:

@@ -67,6 +67,39 @@ func TestGradientExperiment(t *testing.T) {
 	}
 }
 
+// Seed 37 used to abort the whole data-quantity experiment: with ns =
+// 25 truncated samples a lower-equation fit comes out with λL <= 0 and
+// relationship 2 rejects it. What too little data does is the
+// experiment's subject, so that cell reads "fit failed" (with the
+// reason in a note) and the other cells are still scored.
+func TestDataQuantitySurvivesFailedFit(t *testing.T) {
+	if testing.Short() {
+		t.Skip("calibrates a fresh suite")
+	}
+	tab, err := NewSuite(37).DataQuantity()
+	if err != nil {
+		t.Fatalf("seed 37: %v", err)
+	}
+	if len(tab.Rows) != 12 {
+		t.Fatalf("rows = %d, want all 12 cells", len(tab.Rows))
+	}
+	failed := 0
+	for _, row := range tab.Rows {
+		if row[2] == "fit failed" {
+			failed++
+			if row[1] != "25" {
+				t.Errorf("fit failed at ns=%s; only the ns=25 fits are known to break at this seed", row[1])
+			}
+		}
+	}
+	if failed == 0 {
+		t.Fatal("no cell failed: seed 37 no longer exercises the failed-fit path")
+	}
+	if len(tab.Notes) != failed+1 {
+		t.Fatalf("%d notes for %d failed cells, want one reason each plus the paper note", len(tab.Notes), failed)
+	}
+}
+
 func TestFigure2ShapeHolds(t *testing.T) {
 	accs, err := sharedSuite.Figure2Accuracies()
 	if err != nil {

@@ -42,51 +42,70 @@ func (s *Suite) DataQuantity() (*Table, error) {
 
 	for _, perEq := range []int{2, 3, 4} {
 		for _, ns := range []int{25, 50, 200, 0} { // 0 = all samples
-			var est []*hist.ServerModel
-			for _, arch := range []workload.ServerArch{workload.AppServF(), workload.AppServVF()} {
-				xMax, err := s.MaxThroughput(arch)
-				if err != nil {
-					return nil, err
-				}
-				nStar := xMax / gradient
-				var pts []hist.DataPoint
-				fracs := append(spreadFracs(0.20, 0.60, perEq), spreadFracs(1.15, 1.65, perEq)...)
-				for _, frac := range fracs {
-					n := int(frac * nStar)
-					res, err := measureCached(s, arch, n, 0)
-					if err != nil {
-						return nil, err
-					}
-					pts = append(pts, hist.DataPoint{
-						Clients: float64(n),
-						MeanRT:  truncatedMean(res.PerClass["browse"].Samples, ns),
-						Samples: ns,
-					})
-				}
-				m, err := hist.CalibrateServer(arch, xMax, gradient, pts)
-				if err != nil {
-					return nil, fmt.Errorf("bench: quantity calibration (%d pts, ns=%d): %w", perEq, ns, err)
-				}
-				est = append(est, m)
-			}
-			rel2, err := hist.FitRelationship2(est)
-			if err != nil {
-				return nil, err
-			}
-			sModel, err := rel2.NewServerModel(sArch, sMax)
-			if err != nil {
-				return nil, err
-			}
-			acc := hist.EvaluateAccuracy(sModel, evalPts)
 			nsLabel := "all"
 			if ns > 0 {
 				nsLabel = itoa(ns)
 			}
-			t.AddRow(itoa(perEq), nsLabel, f1(acc))
+			sModel, fitErr, err := s.quantityModel(gradient, sArch, sMax, perEq, ns)
+			if err != nil {
+				return nil, err
+			}
+			if fitErr != nil {
+				// What too little data does is the experiment's subject: a
+				// fit it breaks is a result, not a reason to stop.
+				t.AddRow(itoa(perEq), nsLabel, "fit failed")
+				t.AddNote("%d points/equation, ns=%s: %v", perEq, nsLabel, fitErr)
+				continue
+			}
+			t.AddRow(itoa(perEq), nsLabel, f1(hist.EvaluateAccuracy(sModel, evalPts)))
 		}
 	}
 	t.AddNote("paper: accuracy holds with nldp=nudp=2 and ns=50; recording 50 samples took at most 4.5s below and 2.2min above max throughput")
 	return t, nil
+}
+
+// quantityModel builds the new server's relationship-2 model from
+// established-server calibrations that use perEq data points per
+// equation and ns samples per point. A calibration or fit that the
+// reduced data cannot support comes back as fitErr; err is a failed
+// measurement.
+func (s *Suite) quantityModel(gradient float64, sArch workload.ServerArch, sMax float64, perEq, ns int) (sModel *hist.ServerModel, fitErr, err error) {
+	var est []*hist.ServerModel
+	for _, arch := range []workload.ServerArch{workload.AppServF(), workload.AppServVF()} {
+		xMax, err := s.MaxThroughput(arch)
+		if err != nil {
+			return nil, nil, err
+		}
+		nStar := xMax / gradient
+		var pts []hist.DataPoint
+		fracs := append(spreadFracs(0.20, 0.60, perEq), spreadFracs(1.15, 1.65, perEq)...)
+		for _, frac := range fracs {
+			n := int(frac * nStar)
+			res, err := measureCached(s, arch, n, 0)
+			if err != nil {
+				return nil, nil, err
+			}
+			pts = append(pts, hist.DataPoint{
+				Clients: float64(n),
+				MeanRT:  truncatedMean(res.PerClass["browse"].Samples, ns),
+				Samples: ns,
+			})
+		}
+		m, err := hist.CalibrateServer(arch, xMax, gradient, pts)
+		if err != nil {
+			return nil, fmt.Errorf("calibration of %s: %w", arch.Name, err), nil
+		}
+		est = append(est, m)
+	}
+	rel2, err := hist.FitRelationship2(est)
+	if err != nil {
+		return nil, err, nil
+	}
+	sModel, err = rel2.NewServerModel(sArch, sMax)
+	if err != nil {
+		return nil, err, nil
+	}
+	return sModel, nil, nil
 }
 
 // truncatedMean emulates recording only ns response-time samples (the

@@ -78,20 +78,51 @@ func BenchmarkScheduleCancelDrain(b *testing.B) {
 // client. The calendar's O(1) bucket operations are the point of the
 // backend, and steady state must stay allocation-free: the intrusive
 // bucket lists reuse the events' own link field.
+//
+// The uniform case fills on [0,1) and then holds Exp(1), so the density
+// the fill-time width was fitted to equals the density at the head by
+// construction: it cannot tell a calendar whose width is stale from one
+// whose width is right. The fleet-shaped case is what the fleets
+// actually present: Exp(7) think timers from t = 0, so the pending set
+// thins out exponentially and the head is ~ln N denser than the mean,
+// and every firing starts a ~5 ms service event that a second arrival
+// moves once before it fires.
 func BenchmarkCalendarHold(b *testing.B) {
+	const pending = 65536
+	uniform := func(e *Engine) {
+		rng := NewStream(7)
+		var fire func()
+		fire = func() { e.Schedule(rng.Exp(1), fire) }
+		for i := 0; i < pending; i++ {
+			e.Schedule(rng.Float64(), fire)
+		}
+	}
+	fleetShaped := func(e *Engine) {
+		rng := NewStream(7)
+		var request func()
+		think := func() { e.Schedule(rng.Exp(7), request) }
+		request = func() {
+			h := e.Schedule(rng.Exp(0.005), think)
+			e.Reschedule(h, rng.Exp(0.005), think)
+		}
+		for i := 0; i < pending; i++ {
+			e.Schedule(rng.Exp(7), request)
+		}
+		e.Run(14, 0) // two turnovers: measure the steady state, not the fill
+	}
 	for _, bc := range []struct {
 		name string
 		mk   func() *Engine
-	}{{"heap", NewEngine}, {"calendar", NewEngineCalendar}} {
+		fill func(*Engine)
+	}{
+		{"heap", NewEngine, uniform},
+		{"calendar", NewEngineCalendar, uniform},
+		{"fleet-shaped/heap", NewEngine, fleetShaped},
+		{"fleet-shaped/calendar", NewEngineCalendar, fleetShaped},
+	} {
 		b.Run(bc.name, func(b *testing.B) {
 			e := bc.mk()
-			rng := NewStream(7)
-			var fire func()
-			fire = func() { e.Schedule(rng.Exp(1), fire) }
-			const pending = 65536
-			for i := 0; i < pending; i++ {
-				e.Schedule(rng.Float64(), fire)
-			}
+			bc.fill(e)
 			b.ReportAllocs()
 			b.ResetTimer()
 			e.Run(math.Inf(1), uint64(b.N))
@@ -143,6 +174,34 @@ func BenchmarkStationSubmit(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		s.Submit(0, 0.001, nil)
-		e.Run(e.Now()+1, 0)
+		// A short step keeps the clock small: past ~8e6 a float64 clock
+		// cannot advance by the last 1e-9 of a demand, and at one unit per
+		// iteration a default -benchtime gets there.
+		e.Run(e.Now()+0.002, 0)
+	}
+}
+
+// BenchmarkStationChurn measures one arrival plus one completion at a
+// station holding 50 jobs in service — a saturated application server —
+// where the per-event walk over the jobs in service, not the scheduler,
+// is the cost.
+func BenchmarkStationChurn(b *testing.B) {
+	for _, bc := range []struct {
+		name string
+		mk   func() *Engine
+	}{{"heap", NewEngine}, {"calendar", NewEngineCalendar}} {
+		b.Run(bc.name, func(b *testing.B) {
+			e := bc.mk()
+			s := NewStation(e, "app", 1, 50, GlobalFIFO)
+			rng := NewStream(13)
+			var done func()
+			done = func() { s.Submit(0, rng.Exp(0.005), done) }
+			for i := 0; i < 50; i++ {
+				done()
+			}
+			b.ReportAllocs()
+			b.ResetTimer()
+			e.Run(math.Inf(1), uint64(b.N))
+		})
 	}
 }

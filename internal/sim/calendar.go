@@ -14,21 +14,31 @@ import "math"
 // Ordering is identical to the heap: (time, seq) with scheduling order
 // breaking time ties, so an engine produces the same firing sequence
 // whichever structure backs it — the equivalence is property-tested.
+// The bucket layout (count and width) never affects that order, only
+// how many events a dequeue has to look at.
 //
 // Buckets are intrusive singly-linked lists threaded through the
 // events' own next field (an event is either queued or on the free
 // list, never both, so the field is free here). Push is a head
 // prepend and pop an unlink, so steady-state operation performs NO
 // allocation at all — the only allocations ever are the bucket-head
-// slices on the rare resizes, which double/halve the bucket count with
-// wide hysteresis (grow past 2× buckets, shrink under ¼) and refit
-// the width to the resident events' time spread.
+// slices when the bucket count doubles or halves (wide hysteresis:
+// grow past 2× buckets, shrink under ¼).
+//
+// The width follows the measured dequeue rate. A closed population
+// with exponential residency keeps an exponentially skewed pending
+// set, so a width fitted to the mean gap over the whole spread is
+// about ln N too wide at the head, where every dequeue happens; the
+// queue therefore counts pops and periodically re-buckets in place
+// when the width has drifted from calendarGapsPerSlot mean dequeue
+// gaps by more than calendarRefitSlack either way.
 type calendarQueue struct {
-	buckets []*event // bucket heads; events chain via event.next
+	buckets []*event // bucket heads; events chain via event.next; len is a power of two
 	width   float64
+	inv     float64 // 1/width: slot numbers are computed by multiplication
 	size    int
 	// lastTime is the dequeue cursor: no resident event's time is below
-	// it, so the slot search can start at its bucket.
+	// it, so the slot search can start at its slot.
 	lastTime float64
 	// cachedMin memoises the (time,seq)-least resident event, its
 	// bucket and its list predecessor (nil when at the head), shared
@@ -37,30 +47,65 @@ type calendarQueue struct {
 	cachedMin *event
 	minPrev   *event
 	minB      int
+
+	// Dequeue-rate tracking: pops and sim-time advanced since the last
+	// width check, and the mean gap that check measured (0 until one
+	// has).
+	pops      int
+	sinceTime float64
+	gap       float64
+
+	scanned uint64 // events visited by findMin
+	refits  uint64 // same-count re-buckets made by the rate check
 }
 
-const calendarMinBuckets = 8
+const (
+	calendarMinBuckets = 8
+	// calendarGapsPerSlot mean dequeue gaps per slot keeps head chains
+	// a few events long while a pop rarely walks an empty slot.
+	calendarGapsPerSlot = 3
+	// calendarRefitSlack is how far the width may drift from its target
+	// before a re-bucket: a factor of two costs at most a few extra
+	// events per scan and keeps re-fits rare.
+	calendarRefitSlack = 2
+	// calendarMinCheckPops is the least number of pops a rate
+	// measurement averages over.
+	calendarMinCheckPops = 1024
+	// calendarMaxSlot clamps slot numbers so distant times (long idle
+	// horizons) cannot overflow, with room for a cursor to walk a full
+	// year past it. Clamped events share one slot and stay ordered by
+	// the (time, seq) comparison inside it.
+	calendarMaxSlot = 1 << 62
+)
 
 func newCalendarQueue() *calendarQueue {
 	return &calendarQueue{
 		buckets: make([]*event, calendarMinBuckets),
 		width:   1,
+		inv:     1,
 	}
 }
 
-// bucketIndex maps an event time onto the calendar. Computed with a
-// float modulus rather than integer division so distant times (long
-// idle horizons) cannot overflow.
-func (cq *calendarQueue) bucketIndex(t float64) int {
-	nb := len(cq.buckets)
-	span := cq.width * float64(nb)
-	i := int(math.Mod(t, span) / cq.width)
-	if i >= nb {
-		i = nb - 1
+// slot maps an event time onto the calendar's integer slot number. It
+// is monotone in t, which is all the dequeue search relies on.
+func (cq *calendarQueue) slot(t float64) int64 {
+	s := t * cq.inv
+	if s >= calendarMaxSlot {
+		return calendarMaxSlot
 	}
-	if i < 0 {
-		i = 0
-	}
+	return int64(s)
+}
+
+// bucket is the index of the bucket that holds time t's slot.
+func (cq *calendarQueue) bucket(t float64) int {
+	return int(cq.slot(t) & int64(len(cq.buckets)-1))
+}
+
+// link prepends ev to its slot's bucket and returns the bucket index.
+func (cq *calendarQueue) link(ev *event) int {
+	i := cq.bucket(ev.time)
+	ev.next = cq.buckets[i]
+	cq.buckets[i] = ev
 	return i
 }
 
@@ -68,9 +113,7 @@ func (cq *calendarQueue) push(ev *event) {
 	if cq.size+1 > 2*len(cq.buckets) {
 		cq.resize(2 * len(cq.buckets))
 	}
-	i := cq.bucketIndex(ev.time)
-	ev.next = cq.buckets[i]
-	cq.buckets[i] = ev
+	i := cq.link(ev)
 	cq.size++
 	if cq.cachedMin != nil {
 		if eventBefore(ev, cq.cachedMin) {
@@ -83,6 +126,30 @@ func (cq *calendarQueue) push(ev *event) {
 			cq.minPrev = ev
 		}
 	}
+}
+
+// remove unlinks a resident event from its bucket chain, leaving it
+// ready to be pushed again at a new time.
+func (cq *calendarQueue) remove(ev *event) {
+	i := cq.bucket(ev.time)
+	var prev *event
+	for p := cq.buckets[i]; p != ev; p = p.next {
+		prev = p
+	}
+	if prev != nil {
+		prev.next = ev.next
+	} else {
+		cq.buckets[i] = ev.next
+	}
+	switch ev {
+	case cq.cachedMin:
+		cq.cachedMin = nil
+		cq.minPrev = nil
+	case cq.minPrev:
+		cq.minPrev = prev
+	}
+	ev.next = nil
+	cq.size--
 }
 
 // peek returns the (time,seq)-least resident event without removing
@@ -111,31 +178,54 @@ func (cq *calendarQueue) popBefore(until float64) *event {
 	}
 	ev.next = nil
 	cq.size--
+	cq.pops++
 	cq.lastTime = ev.time
 	cq.cachedMin = nil
 	cq.minPrev = nil
 	if cq.size < len(cq.buckets)/4 && len(cq.buckets) > calendarMinBuckets {
 		cq.resize(len(cq.buckets) / 2)
+	} else if cq.pops >= calendarMinCheckPops && cq.pops >= cq.size/4 {
+		cq.checkRate()
 	}
 	return ev
 }
 
-// findMin locates the least resident event: walk bucket slots in
-// calendar order from the cursor for up to one full year (the classic
+// checkRate closes a measurement period: it records the mean dequeue
+// gap over the period and re-buckets at the same bucket count when the
+// width is off its target by more than the slack.
+func (cq *calendarQueue) checkRate() {
+	gap := (cq.lastTime - cq.sinceTime) / float64(cq.pops)
+	cq.pops = 0
+	cq.sinceTime = cq.lastTime
+	if !(gap > 0) || math.IsInf(gap, 0) {
+		return // a burst at one instant carries no rate
+	}
+	cq.gap = gap
+	target := calendarGapsPerSlot * gap
+	if cq.width > calendarRefitSlack*target || cq.width*calendarRefitSlack < target {
+		cq.refits++
+		all, _ := cq.unlinkAll()
+		cq.relink(all, len(cq.buckets), target)
+	}
+}
+
+// findMin locates the least resident event: walk slots in calendar
+// order from the cursor for up to one full year (the classic
 // O(1)-amortised search), then fall back to a direct scan when the
 // calendar is sparse. Requires size > 0.
 func (cq *calendarQueue) findMin() {
 	nb := len(cq.buckets)
-	span := cq.width * float64(nb)
-	i := cq.bucketIndex(cq.lastTime)
-	// limit is the end of bucket i's slot within the cursor's year:
-	// any resident event below it must live in bucket i, so the first
-	// slot that yields a candidate holds the global minimum time.
-	limit := math.Floor(cq.lastTime/span)*span + float64(i+1)*cq.width
+	mask := int64(nb - 1)
+	// No resident event lies below the cursor's slot and slot numbers
+	// are monotone in time, so the first slot holding an event of its
+	// own year holds the global minimum.
+	s := cq.slot(cq.lastTime)
 	for k := 0; k < nb; k++ {
+		i := int(s & mask)
 		var best, bestPrev, prev *event
 		for ev := cq.buckets[i]; ev != nil; ev = ev.next {
-			if ev.time < limit && (best == nil || eventBefore(ev, best)) {
+			cq.scanned++
+			if cq.slot(ev.time) <= s && (best == nil || eventBefore(ev, best)) {
 				best, bestPrev = ev, prev
 			}
 			prev = ev
@@ -146,17 +236,14 @@ func (cq *calendarQueue) findMin() {
 			cq.minB = i
 			return
 		}
-		i++
-		if i == nb {
-			i = 0
-		}
-		limit += cq.width
+		s++
 	}
 	// Sparse: nothing within a year of the cursor. Direct scan.
 	var best, bestPrev *event
 	for bi, head := range cq.buckets {
 		var prev *event
 		for ev := head; ev != nil; ev = ev.next {
+			cq.scanned++
 			if best == nil || eventBefore(ev, best) {
 				best, bestPrev = ev, prev
 				cq.minB = bi
@@ -168,17 +255,26 @@ func (cq *calendarQueue) findMin() {
 	cq.minPrev = bestPrev
 }
 
-// resize rebuilds the calendar with n buckets and a width fitted to
-// the resident events' time spread (targeting a few events per slot).
-// Events are relinked in place; the only allocation is the bucket-head
-// slice itself.
+// resize changes the bucket count to n. Before any dequeue history
+// exists the width is fitted to the resident events' time spread (four
+// mean gaps per slot); afterwards the measured rate sets it, unless
+// the spread fit is narrower still (a burst scheduled since the last
+// measurement).
 func (cq *calendarQueue) resize(n int) {
-	if n < calendarMinBuckets {
-		n = calendarMinBuckets
+	all, spread := cq.unlinkAll()
+	width := 1.0
+	if cq.size > 1 && spread > 0 {
+		width = spread / float64(cq.size) * 4
 	}
-	// Collect every resident event into one chain and measure the
-	// spread.
-	var all *event
+	if w := calendarGapsPerSlot * cq.gap; w > 0 && w < width {
+		width = w
+	}
+	cq.relink(all, n, width)
+}
+
+// unlinkAll empties every bucket into one chain and returns it with
+// the time spread of the events on it.
+func (cq *calendarQueue) unlinkAll() (all *event, spread float64) {
 	lo, hi := math.Inf(1), math.Inf(-1)
 	for bi, head := range cq.buckets {
 		for ev := head; ev != nil; {
@@ -195,26 +291,31 @@ func (cq *calendarQueue) resize(n int) {
 		}
 		cq.buckets[bi] = nil
 	}
-	width := 1.0
-	if cq.size > 1 && hi > lo {
-		// Four average gaps per slot keeps slots short while leaving
-		// headroom for clustering around the head.
-		width = (hi - lo) / float64(cq.size) * 4
-		if width <= 0 || math.IsInf(width, 0) || math.IsNaN(width) {
-			width = 1.0
-		}
+	return all, hi - lo
+}
+
+// relink rebuilds the calendar from an unlinked chain with n buckets
+// (a power of two) of the given width. Events are relinked in place;
+// the only allocation is the bucket-head slice, and only when n
+// changes.
+func (cq *calendarQueue) relink(all *event, n int, width float64) {
+	if n < calendarMinBuckets {
+		n = calendarMinBuckets
+	}
+	inv := 1 / width
+	if !(width > 0) || math.IsInf(width, 0) || math.IsInf(inv, 0) {
+		width, inv = 1, 1
 	}
 	if n != len(cq.buckets) {
 		cq.buckets = make([]*event, n)
 	}
 	cq.width = width
+	cq.inv = inv
 	cq.cachedMin = nil
 	cq.minPrev = nil
 	for ev := all; ev != nil; {
 		next := ev.next
-		i := cq.bucketIndex(ev.time)
-		ev.next = cq.buckets[i]
-		cq.buckets[i] = ev
+		cq.link(ev)
 		ev = next
 	}
 }

@@ -7,15 +7,17 @@ import (
 )
 
 // Property: a calendar-queue engine fires exactly the same event
-// sequence as the heap engine for any schedule/cancel workload —
-// including time ties (broken by scheduling order), cancellations,
-// reschedules from inside actions, and enough churn to force calendar
-// resizes in both directions.
+// sequence as the heap engine for any schedule/cancel/reschedule
+// workload — including time ties (broken by scheduling order),
+// cancellations, in-place moves of fresh and long-resident events (and
+// through handles that have gone stale), and enough churn to force
+// calendar resizes in both directions.
 func TestCalendarMatchesHeapProperty(t *testing.T) {
 	run := func(e *Engine, seed int64, n int) []int {
 		rng := NewStream(seed)
 		var order []int
 		id := 0
+		var held Event
 		var churn func()
 		churn = func() {
 			// From inside an action, schedule a few follow-ups at mixed
@@ -26,14 +28,23 @@ func TestCalendarMatchesHeapProperty(t *testing.T) {
 				myID := id
 				id++
 				d := rng.Exp(float64(1 + rng.Intn(50)))
-				ev := e.Schedule(d, func() {
+				act := func() {
 					order = append(order, myID)
 					if len(order) < n {
 						churn()
 					}
-				})
-				if rng.Float64() < 0.2 {
+				}
+				ev := e.Schedule(d, act)
+				switch x := rng.Float64(); {
+				case x < 0.2:
 					ev.Cancel()
+				case x < 0.4:
+					ev = e.Reschedule(ev, rng.Exp(float64(1+rng.Intn(50))), act)
+				case x < 0.5:
+					// Move whatever was held last — resident for a while,
+					// or fired or cancelled meanwhile — and hold this one.
+					e.Reschedule(held, rng.Exp(5), act)
+					held = ev
 				}
 				if rng.Float64() < 0.3 {
 					dupID := id
@@ -107,6 +118,67 @@ func TestCalendarResizeKeepsOrder(t *testing.T) {
 	}
 	if fired != n+n/2 {
 		t.Fatalf("fired %d, want %d", fired, n+n/2)
+	}
+}
+
+// The structural gate behind the fleets' speed: under the pending set
+// a closed population keeps — exponential think timers, so events thin
+// out exponentially away from the head, plus millisecond-scale service
+// events landing right at the head — the bucket width must follow the
+// dequeue rate, or every pop re-scans a head bucket holding ~ln N times
+// too many events (≈ 85 per pop with a width fitted to the spread). A
+// count, not a time, so it gates on any machine.
+func TestCalendarChainStaysShortUnderSkew(t *testing.T) {
+	e := NewEngineCalendar()
+	rng := NewStream(7)
+	const clients, think = 50000, 7.0
+	var request func()
+	next := func() { e.Schedule(rng.Exp(think), request) }
+	request = func() {
+		// A service completion that a second arrival pushes back once.
+		h := e.Schedule(rng.Exp(0.005), next)
+		e.Reschedule(h, rng.Exp(0.005), next)
+	}
+	for i := 0; i < clients; i++ {
+		e.Schedule(rng.Exp(think), request)
+	}
+	e.Run(3*think, 0) // past two turnovers of the population
+	perPop := float64(e.cal.scanned) / float64(e.Fired())
+	t.Logf("%d pops, %.2f events scanned per pop, %d rate re-fits, width %.3g", e.Fired(), perPop, e.cal.refits, e.cal.width)
+	if perPop > 8 {
+		t.Errorf("findMin scanned %.1f events per pop, want <= 8", perPop)
+	}
+	if e.cal.refits == 0 {
+		t.Error("the width was never re-fitted to the dequeue rate")
+	}
+}
+
+// A re-fit at an unchanged bucket count relinks events in place and
+// must not allocate: it runs inside the steady-state event loop.
+func TestCalendarRefitAllocatesNothing(t *testing.T) {
+	e := NewEngineCalendar()
+	rng := NewStream(3)
+	for i := 0; i < 5000; i++ {
+		e.Schedule(rng.Exp(7), func() {})
+	}
+	cq := e.cal
+	w := cq.width
+	if a := testing.AllocsPerRun(20, func() {
+		w *= 1.5
+		all, _ := cq.unlinkAll()
+		cq.relink(all, len(cq.buckets), w)
+	}); a != 0 {
+		t.Fatalf("re-fit allocated %v times per run", a)
+	}
+	lastTime := -1.0
+	for e.Step() {
+		if e.Now() < lastTime {
+			t.Fatalf("time went backwards after re-fits: %v after %v", e.Now(), lastTime)
+		}
+		lastTime = e.Now()
+	}
+	if e.Fired() != 5000 {
+		t.Fatalf("fired %d of 5000 after re-fits", e.Fired())
 	}
 }
 

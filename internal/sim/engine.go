@@ -26,14 +26,15 @@ import (
 )
 
 // Event is a handle to a scheduled occurrence, returned by
-// Engine.Schedule so callers can cancel the event before it fires. It
-// is a small value type; the zero Event is a valid no-op handle.
+// Engine.Schedule so callers can cancel or move the event before it
+// fires. It is a small value type; the zero Event is a valid no-op
+// handle.
 //
 // Handles stay safe across event reuse: the engine recycles fired
-// events through a free list, and each reuse bumps a generation
-// counter, so a Cancel through a stale handle (after the event fired
-// or was discarded) is a no-op rather than a cancellation of whatever
-// the slot was reused for.
+// events through a free list, and each reuse (and each Reschedule)
+// bumps a generation counter, so a Cancel through a stale handle
+// (after the event fired, was discarded or was moved) is a no-op
+// rather than a cancellation of whatever the slot now holds.
 type Event struct {
 	ev   *event
 	gen  uint64
@@ -59,6 +60,7 @@ type event struct {
 	gen       uint64
 	action    func()
 	cancelled bool
+	index     int32  // position in the heap; lives in cancelled's padding, so the struct stays 48 bytes
 	next      *event // free-list link, or calendar bucket chain; nil while heap-queued
 }
 
@@ -105,7 +107,8 @@ func (e *Engine) Now() float64 { return e.now }
 func (e *Engine) Fired() uint64 { return e.fired }
 
 // Pending returns the number of events currently scheduled (including
-// cancelled events not yet discarded).
+// cancelled events not yet discarded; an event moved by Reschedule
+// leaves nothing behind).
 func (e *Engine) Pending() int {
 	if e.cal != nil {
 		return e.cal.size
@@ -178,6 +181,42 @@ func (e *Engine) enqueue(t float64, action func()) Event {
 		}
 	} else {
 		e.push(ev)
+	}
+	return Event{ev: ev, gen: ev.gen, time: ev.time}
+}
+
+// Reschedule moves the still-pending event behind h to now+delay with
+// a new action, in place, and returns its new handle; h and every copy
+// of it go stale. It is order-equivalent to h.Cancel() followed by
+// Schedule(delay, action) — it consumes the one sequence number that
+// Schedule call would — but leaves no dead event behind to be popped
+// and discarded, and costs one heap sift (or one short bucket unlink)
+// instead of a push now and a pop later. Through a zero, fired or
+// otherwise stale handle it is exactly Schedule. It panics on negative
+// or NaN delays like Schedule.
+func (e *Engine) Reschedule(h Event, delay float64, action func()) Event {
+	if delay < 0 || math.IsNaN(delay) {
+		panic(fmt.Sprintf("sim: invalid delay %v", delay))
+	}
+	ev := h.ev
+	if ev == nil || ev.gen != h.gen {
+		return e.enqueue(e.now+delay, action)
+	}
+	if e.cal != nil {
+		e.cal.remove(ev)
+	}
+	ev.time = e.now + delay
+	ev.seq = e.nextSq
+	ev.action = action
+	ev.cancelled = false
+	ev.gen++
+	e.nextSq++
+	if e.cal != nil {
+		e.cal.push(ev)
+	} else if i := int(ev.index); i > 0 && eventBefore(ev, e.queue[(i-1)/2]) {
+		e.up(ev, i)
+	} else {
+		e.down(ev, i)
 	}
 	return Event{ev: ev, gen: ev.gen, time: ev.time}
 }
@@ -305,26 +344,16 @@ func eventBefore(a, b *event) bool {
 	return a.seq < b.seq
 }
 
-// push inserts ev into the heap (sift-up).
+// push inserts ev into the heap.
 func (e *Engine) push(ev *event) {
 	e.queue = append(e.queue, ev)
 	if len(e.queue) > e.heapMax {
 		e.heapMax = len(e.queue)
 	}
-	q := e.queue
-	i := len(q) - 1
-	for i > 0 {
-		parent := (i - 1) / 2
-		if !eventBefore(ev, q[parent]) {
-			break
-		}
-		q[i] = q[parent]
-		i = parent
-	}
-	q[i] = ev
+	e.up(ev, len(e.queue)-1)
 }
 
-// pop removes and returns the earliest event (sift-down).
+// pop removes and returns the earliest event.
 func (e *Engine) pop() *event {
 	q := e.queue
 	top := q[0]
@@ -332,25 +361,49 @@ func (e *Engine) pop() *event {
 	ev := q[last]
 	q[last] = nil
 	e.queue = q[:last]
-	if last == 0 {
-		return top
+	if last > 0 {
+		e.down(ev, 0)
 	}
-	q = e.queue
-	i := 0
-	for {
-		child := 2*i + 1
-		if child >= last {
+	return top
+}
+
+// up stores ev, notionally at heap position i, after sifting it
+// towards the root. Every move records the moved event's position so
+// Reschedule can find it again.
+func (e *Engine) up(ev *event, i int) {
+	q := e.queue
+	for i > 0 {
+		parent := (i - 1) / 2
+		if !eventBefore(ev, q[parent]) {
 			break
 		}
-		if r := child + 1; r < last && eventBefore(q[r], q[child]) {
+		q[i] = q[parent]
+		q[i].index = int32(i)
+		i = parent
+	}
+	q[i] = ev
+	ev.index = int32(i)
+}
+
+// down is up's counterpart towards the leaves.
+func (e *Engine) down(ev *event, i int) {
+	q := e.queue
+	n := len(q)
+	for {
+		child := 2*i + 1
+		if child >= n {
+			break
+		}
+		if r := child + 1; r < n && eventBefore(q[r], q[child]) {
 			child = r
 		}
 		if !eventBefore(q[child], ev) {
 			break
 		}
 		q[i] = q[child]
+		q[i].index = int32(i)
 		i = child
 	}
 	q[i] = ev
-	return top
+	ev.index = int32(i)
 }

@@ -28,11 +28,11 @@ const remainEps = 1e-9
 // reused by a later Submit, so the steady-state service loop performs
 // no allocation.
 type job struct {
-	remaining float64
-	done      func()
-	source    int
-	arrived   float64
-	next      *job // free-list link
+	demand  float64 // service demand; once in service, Station.remain tracks what is left
+	done    func()
+	source  int
+	arrived float64
+	next    *job // free-list link
 }
 
 // Station is a processor-sharing service centre with a multiprogramming
@@ -49,6 +49,7 @@ type Station struct {
 	admission Admission
 
 	active  []*job
+	remain  []float64    // remaining demand of active[i], contiguous for the per-event pass
 	queues  []fifo[*job] // indexed by source id
 	sources []int        // insertion-ordered source ids for round-robin
 	known   []bool       // source id already registered in sources
@@ -124,7 +125,19 @@ func (s *Station) Submit(source int, demand float64, done func()) {
 	if demand < 0 || math.IsNaN(demand) {
 		panic(fmt.Sprintf("sim: station %q got invalid demand %v", s.name, demand))
 	}
-	s.update()
+	// One pass over the jobs in service: charge the service delivered
+	// since the last event and find the least remaining demand.
+	perJob, charge := s.accrue()
+	minRemaining := math.Inf(1)
+	for i, r := range s.remain {
+		if charge {
+			r -= perJob
+			s.remain[i] = r
+		}
+		if r < minRemaining {
+			minRemaining = r
+		}
+	}
 	j := s.free
 	if j != nil {
 		s.free = j.next
@@ -132,17 +145,21 @@ func (s *Station) Submit(source int, demand float64, done func()) {
 	} else {
 		j = &job{}
 	}
-	j.remaining = demand
+	j.demand = demand
 	j.done = done
 	j.source = source
 	j.arrived = s.eng.Now()
 	if s.mpl == 0 || len(s.active) < s.mpl {
 		s.active = append(s.active, j)
+		s.remain = append(s.remain, demand)
+		if demand < minRemaining {
+			minRemaining = demand
+		}
 	} else {
 		s.queueFor(source).push(j)
 		s.queuedCount++
 	}
-	s.scheduleNext()
+	s.scheduleNext(minRemaining)
 }
 
 // release returns a retired job to the free list.
@@ -158,17 +175,17 @@ func (s *Station) InService() int { return len(s.active) }
 // Queued returns the number of jobs waiting for a slot.
 func (s *Station) Queued() int { return s.queuedCount }
 
-// update advances the per-job remaining demands and the time-weighted
-// statistics to the engine's current time.
-func (s *Station) update() {
+// accrue advances the time-weighted statistics to the engine's
+// current time and returns the service each job in service received
+// since the last call; charge is false when there is nothing to
+// subtract (no time passed, or nothing in service).
+func (s *Station) accrue() (perJob float64, charge bool) {
 	now := s.eng.Now()
 	elapsed := now - s.lastUpdate
 	if elapsed > 0 {
 		if n := len(s.active); n > 0 {
-			perJob := elapsed * s.speed / float64(n)
-			for _, j := range s.active {
-				j.remaining -= perJob
-			}
+			perJob = elapsed * s.speed / float64(n)
+			charge = true
 			s.busyTime += elapsed
 			s.areaActive += elapsed * float64(n)
 			s.totalService += elapsed * s.speed
@@ -176,27 +193,33 @@ func (s *Station) update() {
 		s.areaQueued += elapsed * float64(s.queuedCount)
 	}
 	s.lastUpdate = now
+	return perJob, charge
 }
 
-// scheduleNext (re)schedules the completion event for the job with the
-// least remaining demand.
-func (s *Station) scheduleNext() {
-	s.completion.Cancel()
-	s.completion = Event{}
-	if len(s.active) == 0 {
-		return
-	}
-	minRemaining := math.Inf(1)
-	for _, j := range s.active {
-		if j.remaining < minRemaining {
-			minRemaining = j.remaining
+// update brings the remaining demands and the statistics to the
+// engine's current time, for the readers below. Submit and
+// onCompletion fuse the same subtraction into their own single pass.
+func (s *Station) update() {
+	if perJob, charge := s.accrue(); charge {
+		for i := range s.remain {
+			s.remain[i] -= perJob
 		}
+	}
+}
+
+// scheduleNext moves the completion event to when the job with the
+// least remaining demand finishes — the station's one scheduling
+// routine. A stale handle (the completion just fired) schedules
+// afresh.
+func (s *Station) scheduleNext(minRemaining float64) {
+	n := len(s.active)
+	if n == 0 {
+		return
 	}
 	if minRemaining < 0 {
 		minRemaining = 0
 	}
-	delay := minRemaining * float64(len(s.active)) / s.speed
-	s.completion = s.eng.Schedule(delay, s.onComp)
+	s.completion = s.eng.Reschedule(s.completion, minRemaining*float64(n)/s.speed, s.onComp)
 }
 
 // onCompletion retires every job whose demand is exhausted, admits
@@ -205,29 +228,56 @@ func (s *Station) scheduleNext() {
 // so they may immediately Submit again (e.g. a request's next database
 // call); retired jobs are recycled before the callbacks run, so a
 // re-Submit can reuse them.
+//
+// The jobs in service are walked once: charge, stable partition into
+// retired and kept, and the kept jobs' minimum happen in one loop that
+// performs the same floating-point operations in the same per-job
+// order as three separate passes would, so completion times are
+// bit-identical to that reference (TestStationFusedMatchesReference).
 func (s *Station) onCompletion() {
 	s.completion = Event{}
-	s.update()
+	perJob, charge := s.accrue()
 	finished := s.finished[:0]
-	kept := s.active[:0]
-	for _, j := range s.active {
-		if j.remaining <= remainEps {
-			finished = append(finished, j)
-		} else {
-			kept = append(kept, j)
+	minRemaining := math.Inf(1)
+	k := 0
+	for i, r := range s.remain {
+		if charge {
+			r -= perJob
+		}
+		if r <= remainEps {
+			finished = append(finished, s.active[i])
+			continue
+		}
+		if k != i {
+			s.active[k] = s.active[i]
+		}
+		s.remain[k] = r
+		k++
+		if r < minRemaining {
+			minRemaining = r
 		}
 	}
-	s.active = kept
+	s.active = s.active[:k]
+	s.remain = s.remain[:k]
 	s.completed += uint64(len(finished))
 	for s.mpl == 0 || len(s.active) < s.mpl {
-		next := s.admitOne()
-		if next == nil {
+		if s.queuedCount == 0 {
+			// Nothing waits: skip the scan over the sources, but leave the
+			// round-robin cursor where the fruitless lap would have.
+			if s.admission == PerSourceFIFO {
+				s.rrNext += len(s.sources)
+			}
 			break
 		}
+		next := s.admitOne()
 		s.active = append(s.active, next)
+		s.remain = append(s.remain, next.demand)
 		s.queuedCount--
+		if next.demand < minRemaining {
+			minRemaining = next.demand
+		}
 	}
-	s.scheduleNext()
+	s.scheduleNext(minRemaining)
 	dones := s.dones[:0]
 	for _, j := range finished {
 		dones = append(dones, j.done)

@@ -1,0 +1,244 @@
+package sim
+
+import (
+	"math"
+	"testing"
+	"testing/quick"
+)
+
+// refStation is the three-pass processor-sharing station the one-pass
+// Station replaced, kept as the reference its results must equal bit
+// for bit: a pointer per job, one walk to charge service, one to
+// partition, one to find the minimum, and a Cancel+Schedule pair per
+// event.
+type refJob struct {
+	remaining, arrived float64
+	source             int
+	done               func()
+}
+
+type refStation struct {
+	eng             *Engine
+	speed           float64
+	mpl             int
+	adm             Admission
+	active, waiting []*refJob
+	sources         []int // in order of first queueing
+	rrNext          int
+	last            float64
+	completion      Event
+}
+
+func (s *refStation) update() {
+	elapsed := s.eng.Now() - s.last
+	if n := len(s.active); elapsed > 0 && n > 0 {
+		perJob := elapsed * s.speed / float64(n)
+		for _, j := range s.active {
+			j.remaining -= perJob
+		}
+	}
+	s.last = s.eng.Now()
+}
+
+func (s *refStation) scheduleNext() {
+	s.completion.Cancel()
+	s.completion = Event{}
+	if len(s.active) == 0 {
+		return
+	}
+	minRemaining := math.Inf(1)
+	for _, j := range s.active {
+		if j.remaining < minRemaining {
+			minRemaining = j.remaining
+		}
+	}
+	if minRemaining < 0 {
+		minRemaining = 0
+	}
+	s.completion = s.eng.Schedule(minRemaining*float64(len(s.active))/s.speed, s.onCompletion)
+}
+
+func (s *refStation) submit(source int, demand float64, done func()) {
+	s.update()
+	j := &refJob{remaining: demand, arrived: s.eng.Now(), source: source, done: done}
+	if s.mpl == 0 || len(s.active) < s.mpl {
+		s.active = append(s.active, j)
+	} else {
+		known := false
+		for _, src := range s.sources {
+			known = known || src == source
+		}
+		if !known {
+			s.sources = append(s.sources, source)
+		}
+		s.waiting = append(s.waiting, j)
+	}
+	s.scheduleNext()
+}
+
+// admit removes and returns the next waiting job: round-robin over the
+// sources' FIFO heads, or the earliest arrival among them (ties to the
+// source that queued first).
+func (s *refStation) admit() *refJob {
+	head := func(src int) int {
+		for i, j := range s.waiting {
+			if j.source == src {
+				return i
+			}
+		}
+		return -1
+	}
+	pick := -1
+	if s.adm == PerSourceFIFO {
+		for range s.sources {
+			src := s.sources[s.rrNext%len(s.sources)]
+			s.rrNext++
+			if pick = head(src); pick >= 0 {
+				break
+			}
+		}
+	} else {
+		for _, src := range s.sources {
+			if h := head(src); h >= 0 && (pick < 0 || s.waiting[h].arrived < s.waiting[pick].arrived) {
+				pick = h
+			}
+		}
+	}
+	if pick < 0 {
+		return nil
+	}
+	j := s.waiting[pick]
+	s.waiting = append(s.waiting[:pick], s.waiting[pick+1:]...)
+	return j
+}
+
+func (s *refStation) onCompletion() {
+	s.completion = Event{}
+	s.update()
+	var finished, kept []*refJob
+	for _, j := range s.active {
+		if j.remaining <= remainEps {
+			finished = append(finished, j)
+		} else {
+			kept = append(kept, j)
+		}
+	}
+	s.active = kept
+	for s.mpl == 0 || len(s.active) < s.mpl {
+		next := s.admit()
+		if next == nil {
+			break
+		}
+		s.active = append(s.active, next)
+	}
+	s.scheduleNext()
+	for _, j := range finished {
+		j.done()
+	}
+}
+
+// The one-pass station must reproduce the three-pass reference's
+// completion times exactly — math.Float64bits equality, not a
+// tolerance — over random submit sequences with simultaneous arrivals
+// and completions, zero demands, resubmits from callbacks, unlimited
+// and limited multiprogramming and both admission disciplines, on both
+// scheduler backends. Bit-identity of every seeded run in the
+// repository rests on this.
+func TestStationFusedMatchesReference(t *testing.T) {
+	type completion struct {
+		id int
+		at uint64
+	}
+	// drive runs one script against a submit function and returns the
+	// completions in callback order.
+	drive := func(e *Engine, submit func(source int, demand float64, done func()), seed int64, n int) []completion {
+		rng := NewStream(seed)
+		var out []completion
+		id := 0
+		var arrive func()
+		arrive = func() {
+			myID := id
+			id++
+			// Demands from a small set, so that jobs submitted together
+			// finish together and zero demands occur.
+			demand := float64(rng.Intn(4)) / 2
+			if rng.Float64() < 0.4 {
+				demand = rng.Exp(1)
+			}
+			resubmit := rng.Float64() < 0.2
+			submit(rng.Intn(3), demand, func() {
+				out = append(out, completion{myID, math.Float64bits(e.Now())})
+				if resubmit && id < n {
+					arrive()
+				}
+			})
+		}
+		for i := 0; i < n/2; i++ {
+			// Arrivals on a coarse grid (simultaneous submits) or spread.
+			at := float64(rng.Intn(40)) / 4
+			if rng.Float64() < 0.5 {
+				at = rng.Exp(5)
+			}
+			e.Schedule(at, arrive)
+		}
+		e.Run(math.Inf(1), 0)
+		return out
+	}
+	f := func(seed int64, rawSpeed, rawMPL, nRaw uint8, perSource bool) bool {
+		speed := 0.5 + float64(rawSpeed%6)/2
+		mpl := int(rawMPL % 5) // 0 is unlimited
+		n := int(nRaw)%120 + 10
+		adm := GlobalFIFO
+		if perSource {
+			adm = PerSourceFIFO
+		}
+		re := NewEngine()
+		ref := &refStation{eng: re, speed: speed, mpl: mpl, adm: adm}
+		want := drive(re, ref.submit, seed, n)
+		for _, mk := range []func() *Engine{NewEngine, NewEngineCalendar} {
+			e := mk()
+			st := NewStation(e, "fused", speed, mpl, adm)
+			got := drive(e, st.Submit, seed, n)
+			if len(got) != len(want) {
+				return false
+			}
+			for i := range got {
+				if got[i] != want[i] {
+					return false
+				}
+			}
+			if e.nextSq != re.nextSq {
+				return false // Reschedule must consume what Cancel+Schedule did
+			}
+		}
+		return len(want) >= n/2
+	}
+	if err := quick.Check(f, &quick.Config{MaxCount: 300}); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// A full service cycle at a busy station — Submit, the completion
+// event, the callback — is the innermost loop of every simulated
+// measurement and must not allocate on either backend.
+func TestStationCycleAllocatesNothing(t *testing.T) {
+	for _, mk := range []func() *Engine{NewEngine, NewEngineCalendar} {
+		e := mk()
+		s := NewStation(e, "cpu", 1, 4, PerSourceFIFO)
+		rng := NewStream(9)
+		done := func() {}
+		cycle := func() {
+			for i := 0; i < 8; i++ { // past the limit, so the queues work too
+				s.Submit(i%3, rng.Exp(0.01), done)
+			}
+			e.Run(e.Now()+1, 0)
+		}
+		cycle() // fill the job and event pools
+		if a := testing.AllocsPerRun(200, cycle); a != 0 {
+			t.Fatalf("station cycle allocated %v times per run", a)
+		}
+		if s.InService() != 0 || s.Queued() != 0 {
+			t.Fatalf("station not drained: %d in service, %d queued", s.InService(), s.Queued())
+		}
+	}
+}
