@@ -55,7 +55,7 @@ test:
 
 race:
 	$(GO) test -race ./internal/parallel
-	$(GO) test -race -run 'TestSuiteConcurrent|TestSuiteParallelHybrid|TestFigure2ShapeHolds' ./internal/bench
+	$(GO) test -race -run 'TestSuiteConcurrent|TestSuiteParallelHybrid|TestFigure2ShapeHolds|TestWorkerCountInvariance' ./internal/bench
 	$(GO) test -race -run 'TestEngine|TestStation|TestCalendar|TestReschedule|TestMeasureCurve' ./internal/sim ./internal/trade
 	$(GO) test -race -run 'TestCoordinator|TestSharded' ./internal/sim ./internal/trade
 	$(GO) test -race -run 'TestFleet' ./internal/fleet
@@ -67,7 +67,7 @@ race:
 bench:
 	$(GO) test -run '^$$' -bench 'BenchmarkSchedule|BenchmarkRunDrain|BenchmarkStation' -benchmem ./internal/sim
 	$(GO) test -run '^$$' -bench BenchmarkMeasureCurve -benchtime 2x ./internal/trade
-	$(GO) test -run '^$$' -bench 'BenchmarkRequestLoop|BenchmarkCollect|BenchmarkTransientCurve' -benchmem ./internal/trade
+	$(GO) test -run '^$$' -bench 'BenchmarkRequestLoop|BenchmarkCollect|BenchmarkTransientCurve|BenchmarkRunBackend' -benchmem ./internal/trade
 	$(GO) test -run '^$$' -bench 'BenchmarkSolve' -benchmem ./internal/lqn
 	$(GO) test -run '^$$' -bench 'BenchmarkHybridBuild|BenchmarkBuildRelationship3' -benchmem ./internal/hybrid
 	$(GO) run ./cmd/lqnbench -out BENCH_lqn.json

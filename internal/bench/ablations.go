@@ -20,33 +20,32 @@ func (s *Suite) AblationTransition() (*Table, error) {
 		Title:  "Historical accuracy through the knee: transition phase-in vs hard switch",
 		Header: []string{"Server", "Clients", "Measured (ms)", "With transition (ms)", "Hard switch (ms)"},
 	}
+	hms, err := s.caseStudyModels()
+	if err != nil {
+		return nil, err
+	}
+	// Populations inside the transition band, where the variants differ.
+	fracs := []float64{0.7, 0.85, 1.0, 1.05}
+	var cells []measureCell
+	for i, arch := range workload.CaseStudyServers() {
+		cells = append(cells, cellsAt(arch, hms[i].SaturationClients(), fracs)...)
+	}
+	results, err := measureCells(s, cells)
+	if err != nil {
+		return nil, err
+	}
 	var wPred, hPred, acts []float64
-	for _, arch := range workload.CaseStudyServers() {
-		hm, err := s.HistModelFor(arch)
-		if err != nil {
-			return nil, err
+	for k, c := range cells {
+		hm, n := hms[k/len(fracs)], float64(c.clients)
+		with := hm.Predict(n)
+		hard := hm.Upper(n)
+		if n < hm.SaturationClients() {
+			hard = hm.Lower(n)
 		}
-		nStar := hm.SaturationClients()
-		// Populations inside the transition band, where the variants
-		// differ.
-		for _, frac := range []float64{0.7, 0.85, 1.0, 1.05} {
-			n := int(frac * nStar)
-			meas, err := measureCached(s, arch, n, 0)
-			if err != nil {
-				return nil, err
-			}
-			with := hm.Predict(float64(n))
-			var hard float64
-			if float64(n) < nStar {
-				hard = hm.Lower(float64(n))
-			} else {
-				hard = hm.Upper(float64(n))
-			}
-			wPred = append(wPred, with)
-			hPred = append(hPred, hard)
-			acts = append(acts, meas.MeanRT)
-			t.AddRow(arch.Name, itoa(n), ms(meas.MeanRT), ms(with), ms(hard))
-		}
+		wPred = append(wPred, with)
+		hPred = append(hPred, hard)
+		acts = append(acts, results[k].MeanRT)
+		t.AddRow(c.arch.Name, itoa(c.clients), ms(results[k].MeanRT), ms(with), ms(hard))
 	}
 	t.AddNote("knee accuracy: transition %.1f%% vs hard switch %.1f%%",
 		stats.Accuracy(wPred, acts), stats.Accuracy(hPred, acts))
@@ -152,15 +151,18 @@ func (s *Suite) AblationTaskLayering() (*Table, error) {
 		},
 	}
 	class := workload.ServiceClass{Name: "browse", Mix: workload.Mix{workload.Browse: 1}, ThinkTimeMean: 1.0}
-	for _, n := range []int{10, 40, 80, 120} {
-		load := workload.Workload{{Class: class, Clients: n}}
-		meas, err := trade.Run(trade.Config{
-			Server: arch, DB: workload.CaseStudyDB(), Demands: demands, Load: load,
-			Seed: s.Opt.Seed, WarmUp: s.Opt.WarmUp, Duration: s.Opt.Duration,
-		})
-		if err != nil {
-			return nil, err
-		}
+	populations := []int{10, 40, 80, 120}
+	cfgs := make([]trade.Config, len(populations))
+	for i, n := range populations {
+		cfgs[i] = s.config(arch, workload.Workload{{Class: class, Clients: n}})
+		cfgs[i].Demands = demands
+	}
+	results, err := runConfigs(s, cfgs)
+	if err != nil {
+		return nil, err
+	}
+	for i, n := range populations {
+		meas, load := results[i], cfgs[i].Load
 		model, err := lqn.NewTradeModel(arch, workload.CaseStudyDB(), demands, load)
 		if err != nil {
 			return nil, err

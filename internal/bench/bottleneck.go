@@ -1,6 +1,8 @@
 package bench
 
 import (
+	"slices"
+
 	"perfpred/internal/hist"
 	"perfpred/internal/lqn"
 	"perfpred/internal/stats"
@@ -34,23 +36,17 @@ func (s *Suite) Bottleneck() (*Table, error) {
 		return nil, err
 	}
 
-	measure := func(n int) (*trade.Result, error) {
-		cfg := trade.Config{
-			Server:          arch,
-			DB:              workload.CaseStudyDB(),
-			Demands:         workload.CaseStudyDemands(),
-			Load:            workload.TypicalWorkload(n),
-			Seed:            s.Opt.Seed,
-			WarmUp:          s.Opt.WarmUp,
-			Duration:        s.Opt.Duration,
-			CriticalSection: &trade.CriticalSectionConfig{MeanTime: csMeanTime, Fraction: csFraction},
-		}
-		return trade.Run(cfg)
+	csConfig := func(n int) trade.Config {
+		cfg := s.config(arch, workload.TypicalWorkload(n))
+		cfg.CriticalSection = &trade.CriticalSectionConfig{MeanTime: csMeanTime, Fraction: csFraction}
+		return cfg
 	}
 
 	// Historical method: benchmark + calibrate on the CS-enabled system
-	// exactly as on any other system — nothing special to model.
-	csMax, err := measure(2 * int(workload.MaxThroughputF*workload.ThinkTimeMean))
+	// exactly as on any other system — nothing special to model. The
+	// ceiling run sizes every other population, so it runs alone; the
+	// four calibration and five evaluation runs share one fan-out.
+	csMax, err := trade.Run(csConfig(2 * int(workload.MaxThroughputF*workload.ThinkTimeMean)))
 	if err != nil {
 		return nil, err
 	}
@@ -60,13 +56,19 @@ func (s *Suite) Bottleneck() (*Table, error) {
 		return nil, err
 	}
 	nStar := xMax / gradient
-	var calPts []hist.DataPoint
-	for _, frac := range []float64{0.25, 0.55, 1.2, 1.6} {
-		res, err := measure(int(frac * nStar))
-		if err != nil {
-			return nil, err
-		}
-		calPts = append(calPts, hist.DataPoint{Clients: frac * nStar, MeanRT: res.MeanRT})
+	evalFracs := []float64{0.3, 0.6, 0.95, 1.3, 1.7}
+	fracs := slices.Concat(calibrationFracs, evalFracs)
+	cfgs := make([]trade.Config, len(fracs))
+	for i, frac := range fracs {
+		cfgs[i] = csConfig(int(frac * nStar))
+	}
+	results, err := runConfigs(s, cfgs)
+	if err != nil {
+		return nil, err
+	}
+	calPts := make([]hist.DataPoint, len(calibrationFracs))
+	for i, frac := range calibrationFracs {
+		calPts[i] = hist.DataPoint{Clients: frac * nStar, MeanRT: results[i].MeanRT}
 	}
 	histModel, err := hist.CalibrateServer(arch, xMax, gradient, calPts)
 	if err != nil {
@@ -91,12 +93,8 @@ func (s *Suite) Bottleneck() (*Table, error) {
 	}
 
 	var histP, naiveP, profP, acts []float64
-	for _, frac := range []float64{0.3, 0.6, 0.95, 1.3, 1.7} {
-		n := int(frac * nStar)
-		meas, err := measure(n)
-		if err != nil {
-			return nil, err
-		}
+	for k := len(calibrationFracs); k < len(fracs); k++ {
+		n, meas := cfgs[k].Load[0].Clients, results[k]
 		h := histModel.Predict(float64(n))
 		naive, err := lqnRT(n, false)
 		if err != nil {

@@ -40,49 +40,39 @@ func (s *Suite) Percentiles() (*Table, error) {
 		a.pred = append(a.pred, pred)
 		a.act = append(a.act, act)
 	}
+	hms, cells, results, err := s.figure2Grid()
+	if err != nil {
+		return nil, err
+	}
 	const p = 0.90
-	for _, arch := range workload.CaseStudyServers() {
-		hm, err := s.HistModelFor(arch)
-		if err != nil {
-			return nil, err
-		}
+	for k, c := range cells {
+		arch, n, hm := c.arch, c.clients, hms[k/len(figure2Fractions)]
 		group := "new"
 		if arch.Established {
 			group = "established"
 		}
-		nStar := hm.SaturationClients()
-		for _, frac := range figure2Fractions {
-			n := int(frac * nStar)
-			if n < 1 {
-				n = 1
-			}
-			meas, err := measureCached(s, arch, n, 0)
-			if err != nil {
-				return nil, err
-			}
-			measured := meas.OverallPercentile(100 * p)
-			saturated := hm.Saturated(float64(n))
-			histP, err := hm.PredictPercentile(float64(n), p, b)
-			if err != nil {
-				return nil, err
-			}
-			lq, err := s.LQNPredict(arch, workload.TypicalWorkload(n))
-			if err != nil {
-				return nil, err
-			}
-			lqP, err := rtdist.PercentileFromMean(lq.MeanResponseTime(), saturated, b, p)
-			if err != nil {
-				return nil, err
-			}
-			hyP, err := hyb.PredictPercentile(arch.Name, float64(n), p, b)
-			if err != nil {
-				return nil, err
-			}
-			record("historical", group, histP, measured)
-			record("lqn", group, lqP, measured)
-			record("hybrid", group, hyP, measured)
-			t.AddRow(arch.Name, itoa(n), ms(measured), ms(histP), ms(lqP), ms(hyP))
+		measured := results[k].OverallPercentile(100 * p)
+		saturated := hm.Saturated(float64(n))
+		histP, err := hm.PredictPercentile(float64(n), p, b)
+		if err != nil {
+			return nil, err
 		}
+		lq, err := s.LQNPredict(arch, workload.TypicalWorkload(n))
+		if err != nil {
+			return nil, err
+		}
+		lqP, err := rtdist.PercentileFromMean(lq.MeanResponseTime(), saturated, b, p)
+		if err != nil {
+			return nil, err
+		}
+		hyP, err := hyb.PredictPercentile(arch.Name, float64(n), p, b)
+		if err != nil {
+			return nil, err
+		}
+		record("historical", group, histP, measured)
+		record("lqn", group, lqP, measured)
+		record("hybrid", group, hyP, measured)
+		t.AddRow(arch.Name, itoa(n), ms(measured), ms(histP), ms(lqP), ms(hyP))
 	}
 	for _, method := range []string{"historical", "lqn", "hybrid"} {
 		est := accs[method]["established"]
@@ -112,45 +102,33 @@ func (s *Suite) CacheStudy() (*Table, error) {
 	if err != nil {
 		return nil, err
 	}
-	measure := func(capFrac float64) (*trade.Result, error) {
-		cfg := trade.Config{
-			Server:   workload.AppServF(),
-			DB:       workload.CaseStudyDB(),
-			Demands:  workload.CaseStudyDemands(),
-			Load:     workload.TypicalWorkload(clients),
-			Seed:     s.Opt.Seed,
-			WarmUp:   s.Opt.WarmUp,
-			Duration: s.Opt.Duration,
-			Cache: &trade.CacheConfig{
-				SizeBytes:        int64(capFrac * workingSet),
-				SessionBytesMean: sessionBytes,
-				MissExtraDBCalls: 1,
-			},
+	// The first nCal cache sizes calibrate the historical fit, the rest
+	// evaluate it.
+	capFracs := []float64{0.2, 0.85, 0.1, 0.35, 0.6, 0.95}
+	const nCal = 2
+	cfgs := make([]trade.Config, len(capFracs))
+	for i, f := range capFracs {
+		cfgs[i] = s.config(workload.AppServF(), workload.TypicalWorkload(clients))
+		cfgs[i].Cache = &trade.CacheConfig{
+			SizeBytes:        int64(f * workingSet),
+			SessionBytesMean: sessionBytes,
+			MissExtraDBCalls: 1,
 		}
-		return trade.Run(cfg)
 	}
-	// Historical calibration at two cache sizes.
-	calFracs := []float64{0.2, 0.85}
-	var calPoints []sessioncache.CachePoint
-	for _, f := range calFracs {
-		res, err := measure(f)
-		if err != nil {
-			return nil, err
-		}
-		calPoints = append(calPoints, sessioncache.CachePoint{
-			CapacityBytes: f * workingSet,
-			MissRate:      res.CacheMissRate,
-		})
+	results, err := runConfigs(s, cfgs)
+	if err != nil {
+		return nil, err
+	}
+	calPoints := make([]sessioncache.CachePoint, nCal)
+	for i, f := range capFracs[:nCal] {
+		calPoints[i] = sessioncache.CachePoint{CapacityBytes: f * workingSet, MissRate: results[i].CacheMissRate}
 	}
 	missModel, err := sessioncache.FitMissRateModel(calPoints)
 	if err != nil {
 		return nil, err
 	}
-	for _, f := range []float64{0.1, 0.35, 0.6, 0.95} {
-		meas, err := measure(f)
-		if err != nil {
-			return nil, err
-		}
+	for i, f := range capFracs[nCal:] {
+		meas := results[nCal+i]
 		histMiss := missModel.Predict(f * workingSet)
 		fp, err := sessioncache.SolveWithCache(workload.AppServF(), workload.CaseStudyDB(),
 			demands, workload.TypicalWorkload(clients),

@@ -18,14 +18,8 @@ func (s *Suite) Stabilisation() (*Table, error) {
 		Title:  "Cold-start settling: measured trajectory vs fitted stabilisation model",
 		Header: []string{"Time (s)", "Measured RT (ms)", "Model RT (ms)"},
 	}
-	cfg := trade.Config{
-		Server:   workload.AppServF(),
-		DB:       workload.CaseStudyDB(),
-		Demands:  workload.CaseStudyDemands(),
-		Load:     workload.TypicalWorkload(1900),
-		Seed:     s.Opt.Seed,
-		Duration: 400,
-	}
+	cfg := s.config(workload.AppServF(), workload.TypicalWorkload(1900))
+	cfg.Duration = 400 // from a cold start: TransientCurve discards no warm-up
 	curve, err := trade.TransientCurve(cfg, 20)
 	if err != nil {
 		return nil, err
@@ -61,23 +55,19 @@ func (s *Suite) ClusterStudy() (*Table, error) {
 		Title:  "Heterogeneous application tier under workload-manager routing policies",
 		Header: []string{"Routing", "Mean RT (ms)", "Tier X (req/s)", "U(S)", "U(F)", "U(VF)"},
 	}
-	servers := []workload.ServerArch{workload.AppServS(), workload.AppServF(), workload.AppServVF()}
-	for _, routing := range []trade.RoutingPolicy{trade.RouteSticky, trade.RouteRoundRobin, trade.RouteLeastBusy} {
-		cfg := trade.Config{
-			Servers:  servers,
-			Routing:  routing,
-			DB:       workload.CaseStudyDB(),
-			Demands:  workload.CaseStudyDemands(),
-			Load:     workload.TypicalWorkload(3600),
-			Seed:     s.Opt.Seed,
-			WarmUp:   s.Opt.WarmUp,
-			Duration: s.Opt.Duration,
-		}
-		res, err := trade.Run(cfg)
-		if err != nil {
-			return nil, err
-		}
-		t.AddRow(string(routing), ms(res.MeanRT), f1(res.Throughput),
+	routings := []trade.RoutingPolicy{trade.RouteSticky, trade.RouteRoundRobin, trade.RouteLeastBusy}
+	cfgs := make([]trade.Config, len(routings))
+	for i, routing := range routings {
+		cfgs[i] = s.config(workload.ServerArch{}, workload.TypicalWorkload(3600))
+		cfgs[i].Servers = workload.CaseStudyServers()
+		cfgs[i].Routing = routing
+	}
+	results, err := runConfigs(s, cfgs)
+	if err != nil {
+		return nil, err
+	}
+	for i, res := range results {
+		t.AddRow(string(routings[i]), ms(res.MeanRT), f1(res.Throughput),
 			f2(res.PerServer[0].Utilization), f2(res.PerServer[1].Utilization), f2(res.PerServer[2].Utilization))
 	}
 	t.AddNote("tier capacity ≈ 86+186+320 = 592 req/s; speed-blind round robin overloads the slow member")
@@ -98,29 +88,25 @@ func (s *Suite) OpenWorkload() (*Table, error) {
 	if err != nil {
 		return nil, err
 	}
+	rates := []float64{40, 80, 120, 150}
+	cfgs := make([]trade.Config, len(rates))
+	for i, rate := range rates {
+		cfgs[i] = s.config(workload.AppServF(), workload.OpenWorkload(class, rate))
+	}
+	results, err := runConfigs(s, cfgs)
+	if err != nil {
+		return nil, err
+	}
 	var preds, acts []float64
-	for _, rate := range []float64{40, 80, 120, 150} {
-		cfg := trade.Config{
-			Server:   workload.AppServF(),
-			DB:       workload.CaseStudyDB(),
-			Demands:  workload.CaseStudyDemands(),
-			Load:     workload.OpenWorkload(class, rate),
-			Seed:     s.Opt.Seed,
-			WarmUp:   s.Opt.WarmUp,
-			Duration: s.Opt.Duration,
-		}
-		res, err := trade.Run(cfg)
-		if err != nil {
-			return nil, err
-		}
-		pred, err := lqn.PredictTrade(workload.AppServF(), demands, workload.OpenWorkload(class, rate), s.LQNOpt)
+	for i, rate := range rates {
+		pred, err := lqn.PredictTrade(workload.AppServF(), demands, cfgs[i].Load, s.LQNOpt)
 		if err != nil {
 			return nil, err
 		}
 		p := pred.Classes["stream"].ResponseTime
 		preds = append(preds, p)
-		acts = append(acts, res.MeanRT)
-		t.AddRow(f1(rate), ms(res.MeanRT), ms(p))
+		acts = append(acts, results[i].MeanRT)
+		t.AddRow(f1(rate), ms(results[i].MeanRT), ms(p))
 	}
 	t.AddNote("open-workload LQN accuracy: %.1f%%", stats.Accuracy(preds, acts))
 	return t, nil
@@ -144,36 +130,43 @@ func (s *Suite) PercentileDirect() (*Table, error) {
 	if err != nil {
 		return nil, err
 	}
+	sArch := workload.AppServS()
+	sMax, err := s.MaxThroughput(sArch)
+	if err != nil {
+		return nil, err
+	}
+	// One fan-out: the historical calibration's own points on the
+	// established servers, then the evaluation points on the new one.
+	established := []workload.ServerArch{workload.AppServF(), workload.AppServVF()}
+	xMaxes := make([]float64, len(established))
+	var cells []measureCell
+	for i, arch := range established {
+		if xMaxes[i], err = s.MaxThroughput(arch); err != nil {
+			return nil, err
+		}
+		cells = append(cells, cellsAt(arch, xMaxes[i]/gradient, calibrationFracs)...)
+	}
+	nCal := len(cells)
+	cells = append(cells, cellsAt(sArch, sMax/gradient, []float64{0.3, 0.5, 1.3, 1.6})...)
+	results, err := measureCells(s, cells)
+	if err != nil {
+		return nil, err
+	}
 	// Direct p90 models for the established servers, then
 	// relationship 2 for the new one.
 	var est []*hist.PercentileModel
-	for _, arch := range []workload.ServerArch{workload.AppServF(), workload.AppServVF()} {
-		xMax, err := s.MaxThroughput(arch)
-		if err != nil {
-			return nil, err
-		}
-		nStar := xMax / gradient
+	for i, arch := range established {
 		var pts []hist.DataPoint
-		for _, frac := range []float64{0.25, 0.55, 1.2, 1.6} {
-			n := int(frac * nStar)
-			res, err := measureCached(s, arch, n, 0)
-			if err != nil {
-				return nil, err
-			}
-			pts = append(pts, hist.DataPoint{Clients: float64(n), MeanRT: res.OverallPercentile(90)})
+		for k := i * len(calibrationFracs); k < (i+1)*len(calibrationFracs); k++ {
+			pts = append(pts, hist.DataPoint{Clients: float64(cells[k].clients), MeanRT: results[k].OverallPercentile(90)})
 		}
-		pm, err := hist.CalibratePercentile(arch, xMax, gradient, 0.9, pts)
+		pm, err := hist.CalibratePercentile(arch, xMaxes[i], gradient, 0.9, pts)
 		if err != nil {
 			return nil, err
 		}
 		est = append(est, pm)
 	}
 	rel2p, err := hist.PercentileRelationship2(est)
-	if err != nil {
-		return nil, err
-	}
-	sArch := workload.AppServS()
-	sMax, err := s.MaxThroughput(sArch)
 	if err != nil {
 		return nil, err
 	}
@@ -186,14 +179,9 @@ func (s *Suite) PercentileDirect() (*Table, error) {
 		return nil, err
 	}
 	var dPreds, ePreds, acts []float64
-	nStar := sMax / gradient
-	for _, frac := range []float64{0.3, 0.5, 1.3, 1.6} {
-		n := int(frac * nStar)
-		res, err := measureCached(s, sArch, n, 0)
-		if err != nil {
-			return nil, err
-		}
-		actual := res.OverallPercentile(90)
+	for k := nCal; k < len(cells); k++ {
+		n := cells[k].clients
+		actual := results[k].OverallPercentile(90)
 		dp := direct.Predict(float64(n))
 		ep, err := meanModel.PredictPercentile(float64(n), 0.9, b)
 		if err != nil {

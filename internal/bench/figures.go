@@ -1,20 +1,37 @@
 package bench
 
 import (
-	"context"
 	"strconv"
 
 	"perfpred/internal/hist"
 	"perfpred/internal/hybrid"
 	"perfpred/internal/lqn"
-	"perfpred/internal/parallel"
 	"perfpred/internal/stats"
+	"perfpred/internal/trade"
 	"perfpred/internal/workload"
 )
 
 // figure2Fractions are the client populations (as fractions of each
 // server's saturation load N*) swept by the scalability experiments.
 var figure2Fractions = []float64{0.2, 0.35, 0.5, 0.8, 1.0, 1.2, 1.45, 1.7}
+
+// figure2Grid measures the grid figure 2, its accuracy summary and the
+// §7.1 percentile study share: every case-study server at each of
+// figure2Fractions of its saturation population, server-major, in one
+// fan-out. Cell k belongs to hms[k/len(figure2Fractions)].
+func (s *Suite) figure2Grid() (hms []*hist.ServerModel, cells []measureCell, results []*trade.Result, err error) {
+	if hms, err = s.caseStudyModels(); err != nil {
+		return nil, nil, nil, err
+	}
+	for i, arch := range workload.CaseStudyServers() {
+		for _, c := range cellsAt(arch, hms[i].SaturationClients(), figure2Fractions) {
+			c.clients = max(c.clients, 1)
+			cells = append(cells, c)
+		}
+	}
+	results, err = measureCells(s, cells)
+	return hms, cells, results, err
+}
 
 // Figure2 regenerates the paper's figure 2: measured mean response
 // time versus the historical, layered queuing and hybrid predictions
@@ -30,33 +47,8 @@ func (s *Suite) Figure2() (*Table, error) {
 	if err != nil {
 		return nil, err
 	}
-	// Fan the measurement grid out across the worker pool before the
-	// serial assembly below: calibrate every architecture's historical
-	// model concurrently (the memoised Suite shares the gradient and
-	// AppServF curve between them), then pre-run every (arch, clients)
-	// simulation cell. The assembly loop then reads pure cache hits, so
-	// rows, accuracies and output bytes are identical to the serial
-	// path for any worker count.
-	archs := workload.CaseStudyServers()
-	hms, err := parallel.Map(context.Background(), s.Opt.Workers, len(archs),
-		func(_ context.Context, i int) (*hist.ServerModel, error) {
-			return s.HistModelFor(archs[i])
-		})
+	hms, cells, results, err := s.figure2Grid()
 	if err != nil {
-		return nil, err
-	}
-	var cells []measureCell
-	for i, arch := range archs {
-		nStar := hms[i].SaturationClients()
-		for _, frac := range figure2Fractions {
-			n := int(frac * nStar)
-			if n < 1 {
-				n = 1
-			}
-			cells = append(cells, measureCell{arch: arch, clients: n})
-		}
-	}
-	if err := prefetchMeasurements(s, cells); err != nil {
 		return nil, err
 	}
 	type accAgg struct{ pred, act []float64 }
@@ -73,42 +65,29 @@ func (s *Suite) Figure2() (*Table, error) {
 		a.act = append(a.act, act)
 	}
 
-	for _, arch := range workload.CaseStudyServers() {
-		hm, err := s.HistModelFor(arch)
-		if err != nil {
-			return nil, err
-		}
+	for k, c := range cells {
+		arch, n, meas := c.arch, c.clients, results[k]
+		hm := hms[k/len(figure2Fractions)]
 		group := "new"
 		if arch.Established {
 			group = "established"
 		}
-		nStar := hm.SaturationClients()
-		for _, frac := range figure2Fractions {
-			n := int(frac * nStar)
-			if n < 1 {
-				n = 1
-			}
-			meas, err := measureCached(s, arch, n, 0)
-			if err != nil {
-				return nil, err
-			}
-			histRT := hm.Predict(float64(n))
-			lq, err := s.LQNPredict(arch, workload.TypicalWorkload(n))
-			if err != nil {
-				return nil, err
-			}
-			lqRT := lq.MeanResponseTime()
-			hyRT, err := hyb.Predict(arch.Name, float64(n))
-			if err != nil {
-				return nil, err
-			}
-			record("historical", group, histRT, meas.MeanRT)
-			record("lqn", group, lqRT, meas.MeanRT)
-			record("hybrid", group, hyRT, meas.MeanRT)
-			record("lqn-throughput", group, lq.TotalThroughput(), meas.Throughput)
-			t.AddRow(arch.Name, itoa(n), ms(meas.MeanRT), ms(histRT), ms(lqRT), ms(hyRT),
-				f1(meas.Throughput), f1(lq.TotalThroughput()))
+		histRT := hm.Predict(float64(n))
+		lq, err := s.LQNPredict(arch, workload.TypicalWorkload(n))
+		if err != nil {
+			return nil, err
 		}
+		lqRT := lq.MeanResponseTime()
+		hyRT, err := hyb.Predict(arch.Name, float64(n))
+		if err != nil {
+			return nil, err
+		}
+		record("historical", group, histRT, meas.MeanRT)
+		record("lqn", group, lqRT, meas.MeanRT)
+		record("hybrid", group, hyRT, meas.MeanRT)
+		record("lqn-throughput", group, lq.TotalThroughput(), meas.Throughput)
+		t.AddRow(arch.Name, itoa(n), ms(meas.MeanRT), ms(histRT), ms(lqRT), ms(hyRT),
+			f1(meas.Throughput), f1(lq.TotalThroughput()))
 	}
 	for _, method := range []string{"historical", "lqn", "hybrid", "lqn-throughput"} {
 		for _, group := range []string{"established", "new"} {
@@ -124,12 +103,10 @@ func (s *Suite) Figure2() (*Table, error) {
 // (established, new) without formatting — reused by the §7.1
 // comparison and by tests.
 func (s *Suite) Figure2Accuracies() (map[string][2]float64, error) {
-	tab, err := s.Figure2()
+	hms, cells, results, err := s.figure2Grid()
 	if err != nil {
 		return nil, err
 	}
-	_ = tab
-	// Recompute directly (cheap thanks to memoised measurements).
 	hyb, err := s.Hybrid()
 	if err != nil {
 		return nil, err
@@ -144,37 +121,23 @@ func (s *Suite) Figure2Accuracies() (map[string][2]float64, error) {
 		pair[1] = append(pair[1], act)
 		agg[method][group] = pair
 	}
-	for _, arch := range workload.CaseStudyServers() {
-		hm, err := s.HistModelFor(arch)
-		if err != nil {
-			return nil, err
-		}
+	for k, c := range cells {
+		arch, n, meas := c.arch, c.clients, results[k]
 		group := "new"
 		if arch.Established {
 			group = "established"
 		}
-		nStar := hm.SaturationClients()
-		for _, frac := range figure2Fractions {
-			n := int(frac * nStar)
-			if n < 1 {
-				n = 1
-			}
-			meas, err := measureCached(s, arch, n, 0)
-			if err != nil {
-				return nil, err
-			}
-			lq, err := s.LQNPredict(arch, workload.TypicalWorkload(n))
-			if err != nil {
-				return nil, err
-			}
-			hyRT, err := hyb.Predict(arch.Name, float64(n))
-			if err != nil {
-				return nil, err
-			}
-			add("historical", group, hm.Predict(float64(n)), meas.MeanRT)
-			add("lqn", group, lq.MeanResponseTime(), meas.MeanRT)
-			add("hybrid", group, hyRT, meas.MeanRT)
+		lq, err := s.LQNPredict(arch, workload.TypicalWorkload(n))
+		if err != nil {
+			return nil, err
 		}
+		hyRT, err := hyb.Predict(arch.Name, float64(n))
+		if err != nil {
+			return nil, err
+		}
+		add("historical", group, hms[k/len(figure2Fractions)].Predict(float64(n)), meas.MeanRT)
+		add("lqn", group, lq.MeanResponseTime(), meas.MeanRT)
+		add("hybrid", group, hyRT, meas.MeanRT)
 	}
 	out := map[string][2]float64{}
 	for method, groups := range agg {
@@ -408,33 +371,24 @@ func (s *Suite) Figure4() (*Table, error) {
 			}
 		}
 	}
-	// Pre-run the whole (buy%, clients) grid on the worker pool; the
-	// assembly below reads cache hits in the original row order.
 	var cells []measureCell
 	for i, buyPct := range buyPcts {
-		nStar := models[i].SaturationClients()
-		for _, frac := range fracs {
-			cells = append(cells, measureCell{arch: workload.AppServS(), clients: int(frac * nStar), buyFrac: buyPct / 100})
+		for _, c := range cellsAt(workload.AppServS(), models[i].SaturationClients(), fracs) {
+			c.buyFrac = buyPct / 100
+			cells = append(cells, c)
 		}
 	}
-	if err := prefetchMeasurements(s, cells); err != nil {
+	results, err := measureCells(s, cells)
+	if err != nil {
 		return nil, err
 	}
 	var preds, acts []float64
-	for i, buyPct := range buyPcts {
-		model := models[i]
-		nStar := model.SaturationClients()
-		for _, frac := range fracs {
-			n := int(frac * nStar)
-			meas, err := measureCached(s, workload.AppServS(), n, buyPct/100)
-			if err != nil {
-				return nil, err
-			}
-			pred := model.Predict(float64(n))
-			preds = append(preds, pred)
-			acts = append(acts, meas.MeanRT)
-			t.AddRow(f1(buyPct), itoa(n), ms(meas.MeanRT), ms(pred))
-		}
+	for k, c := range cells {
+		i := k / len(fracs)
+		pred := models[i].Predict(float64(c.clients))
+		preds = append(preds, pred)
+		acts = append(acts, results[k].MeanRT)
+		t.AddRow(f1(buyPcts[i]), itoa(c.clients), ms(results[k].MeanRT), ms(pred))
 	}
 	t.AddNote("accuracy across buy mixes: %.1f%%", stats.Accuracy(preds, acts))
 	t.AddNote("paper: good shape agreement; LQNS anchor points 189/158 req/s at 0%%/25%% buy on AppServF")

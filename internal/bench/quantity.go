@@ -23,33 +23,77 @@ func (s *Suite) DataQuantity() (*Table, error) {
 	if err != nil {
 		return nil, err
 	}
-	// Evaluation set on the new server: fresh populations measured in
-	// full.
 	sArch := workload.AppServS()
 	sMax, err := s.MaxThroughput(sArch)
 	if err != nil {
 		return nil, err
 	}
+	established := []workload.ServerArch{workload.AppServF(), workload.AppServVF()}
+	xMaxes := make([]float64, len(established))
+	for i, arch := range established {
+		if xMaxes[i], err = s.MaxThroughput(arch); err != nil {
+			return nil, err
+		}
+	}
+	// One fan-out: the evaluation set on the new server (fresh
+	// populations, measured in full), then per points-per-equation
+	// setting the 2·perEq calibration points of each established server.
 	sStar := sMax / gradient
-	var evalPts []hist.DataPoint
-	for _, frac := range []float64{0.3, 0.5, 1.3, 1.6} {
-		res, err := measureCached(s, sArch, int(frac*sStar), 0)
+	evalFracs := []float64{0.3, 0.5, 1.3, 1.6}
+	cells := cellsAt(sArch, sStar, evalFracs)
+	perEqs := []int{2, 3, 4}
+	first := make([]int, len(perEqs)) // each setting's first calibration cell
+	for pi, perEq := range perEqs {
+		first[pi] = len(cells)
+		fracs := append(spreadFracs(0.20, 0.60, perEq), spreadFracs(1.15, 1.65, perEq)...)
+		for i, arch := range established {
+			cells = append(cells, cellsAt(arch, xMaxes[i]/gradient, fracs)...)
+		}
+	}
+	results, err := measureCells(s, cells)
+	if err != nil {
+		return nil, err
+	}
+	evalPts := make([]hist.DataPoint, len(evalFracs))
+	for k, frac := range evalFracs {
+		evalPts[k] = hist.DataPoint{Clients: frac * sStar, MeanRT: results[k].MeanRT}
+	}
+
+	// quantityModel builds the new server's relationship-2 model from
+	// the established servers' calibration cells, which start at cell lo,
+	// keeping ns samples per point. Its error is a calibration or fit
+	// the reduced data cannot support.
+	quantityModel := func(lo, perEq, ns int) (*hist.ServerModel, error) {
+		var est []*hist.ServerModel
+		for i, arch := range established {
+			pts := make([]hist.DataPoint, 2*perEq)
+			for j := range pts {
+				k := lo + i*len(pts) + j
+				pts[j] = hist.DataPoint{
+					Clients: float64(cells[k].clients),
+					MeanRT:  truncatedMean(results[k].PerClass["browse"].Samples, ns),
+					Samples: ns,
+				}
+			}
+			m, err := hist.CalibrateServer(arch, xMaxes[i], gradient, pts)
+			if err != nil {
+				return nil, fmt.Errorf("calibration of %s: %w", arch.Name, err)
+			}
+			est = append(est, m)
+		}
+		rel2, err := hist.FitRelationship2(est)
 		if err != nil {
 			return nil, err
 		}
-		evalPts = append(evalPts, hist.DataPoint{Clients: frac * sStar, MeanRT: res.MeanRT})
+		return rel2.NewServerModel(sArch, sMax)
 	}
-
-	for _, perEq := range []int{2, 3, 4} {
+	for pi, perEq := range perEqs {
 		for _, ns := range []int{25, 50, 200, 0} { // 0 = all samples
 			nsLabel := "all"
 			if ns > 0 {
 				nsLabel = itoa(ns)
 			}
-			sModel, fitErr, err := s.quantityModel(gradient, sArch, sMax, perEq, ns)
-			if err != nil {
-				return nil, err
-			}
+			sModel, fitErr := quantityModel(first[pi], perEq, ns)
 			if fitErr != nil {
 				// What too little data does is the experiment's subject: a
 				// fit it breaks is a result, not a reason to stop.
@@ -62,50 +106,6 @@ func (s *Suite) DataQuantity() (*Table, error) {
 	}
 	t.AddNote("paper: accuracy holds with nldp=nudp=2 and ns=50; recording 50 samples took at most 4.5s below and 2.2min above max throughput")
 	return t, nil
-}
-
-// quantityModel builds the new server's relationship-2 model from
-// established-server calibrations that use perEq data points per
-// equation and ns samples per point. A calibration or fit that the
-// reduced data cannot support comes back as fitErr; err is a failed
-// measurement.
-func (s *Suite) quantityModel(gradient float64, sArch workload.ServerArch, sMax float64, perEq, ns int) (sModel *hist.ServerModel, fitErr, err error) {
-	var est []*hist.ServerModel
-	for _, arch := range []workload.ServerArch{workload.AppServF(), workload.AppServVF()} {
-		xMax, err := s.MaxThroughput(arch)
-		if err != nil {
-			return nil, nil, err
-		}
-		nStar := xMax / gradient
-		var pts []hist.DataPoint
-		fracs := append(spreadFracs(0.20, 0.60, perEq), spreadFracs(1.15, 1.65, perEq)...)
-		for _, frac := range fracs {
-			n := int(frac * nStar)
-			res, err := measureCached(s, arch, n, 0)
-			if err != nil {
-				return nil, nil, err
-			}
-			pts = append(pts, hist.DataPoint{
-				Clients: float64(n),
-				MeanRT:  truncatedMean(res.PerClass["browse"].Samples, ns),
-				Samples: ns,
-			})
-		}
-		m, err := hist.CalibrateServer(arch, xMax, gradient, pts)
-		if err != nil {
-			return nil, fmt.Errorf("calibration of %s: %w", arch.Name, err), nil
-		}
-		est = append(est, m)
-	}
-	rel2, err := hist.FitRelationship2(est)
-	if err != nil {
-		return nil, err, nil
-	}
-	sModel, err = rel2.NewServerModel(sArch, sMax)
-	if err != nil {
-		return nil, err, nil
-	}
-	return sModel, nil, nil
 }
 
 // truncatedMean emulates recording only ns response-time samples (the

@@ -4,11 +4,13 @@ import (
 	"context"
 	"fmt"
 	"sort"
+	"sync/atomic"
 
 	"perfpred/internal/hist"
 	"perfpred/internal/hybrid"
 	"perfpred/internal/lqn"
 	"perfpred/internal/parallel"
+	"perfpred/internal/rtdist"
 	"perfpred/internal/trade"
 	"perfpred/internal/workload"
 )
@@ -33,6 +35,7 @@ type Suite struct {
 	LQNOpt lqn.Options
 
 	maxThroughput parallel.Memo[string, float64] // arch name -> measured Xmax (typical)
+	benchmarked   parallel.Once[struct{}]        // the case-study servers' Xmax fan-out
 	gradient      parallel.Once[float64]
 	histModels    parallel.Memo[string, *hist.ServerModel] // established archs
 	rel2          parallel.Once[*hist.Relationship2]
@@ -41,6 +44,11 @@ type Suite struct {
 	lqnPredicts   parallel.Memo[string, *lqn.Result] // arch+workload signature -> solution
 	hybridModel   parallel.Once[*hybrid.Model]
 	laplaceScale  parallel.Once[float64]
+
+	// fannedRuns counts the simulator runs started from inside a
+	// fan-out. The simulator counts every run; the difference is what
+	// ran with the other workers idle (TestSerialSimulationCount).
+	fannedRuns atomic.Int64
 }
 
 // NewSuite returns a harness with the given measurement seed. The
@@ -64,11 +72,25 @@ func servers() map[string]workload.ServerArch {
 }
 
 // MaxThroughput benchmarks (and memoises) an architecture's typical
-// max throughput on the simulated testbed.
+// max throughput on the simulated testbed. The first call benchmarks
+// all three case-study servers in one fan-out, longest run first:
+// they head every calibration chain, and one at a time the new
+// server's run would find the other workers idle.
 func (s *Suite) MaxThroughput(arch workload.ServerArch) (float64, error) {
-	return s.maxThroughput.Do(arch.Name, func() (float64, error) {
-		return trade.MaxThroughput(arch, 0, s.Opt)
+	benchmark := func(a workload.ServerArch) (float64, error) {
+		return s.maxThroughput.Do(a.Name, func() (float64, error) {
+			return trade.MaxThroughput(a, 0, s.Opt)
+		})
+	}
+	_, err := s.benchmarked.Do(func() (struct{}, error) {
+		archs := []workload.ServerArch{workload.AppServVF(), workload.AppServF(), workload.AppServS()}
+		_, err := simulateAll(s, len(archs), func(i int) (float64, error) { return benchmark(archs[i]) })
+		return struct{}{}, err
 	})
+	if err != nil {
+		return 0, err
+	}
+	return benchmark(arch)
 }
 
 // Gradient calibrates (and memoises) the shared clients→throughput
@@ -80,22 +102,35 @@ func (s *Suite) Gradient() (float64, error) {
 			return 0, err
 		}
 		nStar := xMax / 0.14 // provisional anchor just to stay below saturation
-		counts := []int{int(0.25 * nStar), int(0.5 * nStar)}
-		points, err := trade.MeasureCurve(workload.AppServF(), counts, 0, s.Opt)
+		cells, results, err := s.calibrationCurve(workload.AppServF(), nStar, []float64{0.25, 0.5})
 		if err != nil {
 			return 0, err
 		}
-		tps := make([]hist.ThroughputPoint, len(points))
-		for i, p := range points {
-			tps[i] = hist.ThroughputPoint{Clients: float64(p.Clients), Throughput: p.Res.Throughput}
+		tps := make([]hist.ThroughputPoint, len(cells))
+		for i, c := range cells {
+			tps[i] = hist.ThroughputPoint{Clients: float64(c.clients), Throughput: results[i].Throughput}
 		}
 		return hist.CalibrateGradient(tps)
 	})
 }
 
+// calibrationCurve measures arch under the typical workload at each
+// fraction of the saturation population nStar, in one fan-out. It
+// bypasses the measurement cache, as calibration always has: every
+// fresh suite pays its start-up cost in full.
+func (s *Suite) calibrationCurve(arch workload.ServerArch, nStar float64, fracs []float64) ([]measureCell, []*trade.Result, error) {
+	cells := cellsAt(arch, nStar, fracs)
+	results, err := simulateAll(s, len(cells), func(i int) (*trade.Result, error) { return cells[i].measure(s.Opt) })
+	return cells, results, err
+}
+
+// calibrationFracs places the historical calibration's data points as
+// fractions of the saturation population: two below and two above it,
+// the paper's minimal nldp = nudp = 2.
+var calibrationFracs = []float64{0.25, 0.55, 1.2, 1.6}
+
 // HistModel calibrates (and memoises) the historical model for an
-// established architecture from two lower and two upper measured data
-// points — the paper's minimal nldp = nudp = 2 calibration.
+// established architecture from measurements at calibrationFracs.
 func (s *Suite) HistModel(arch workload.ServerArch) (*hist.ServerModel, error) {
 	return s.histModels.Do(arch.Name, func() (*hist.ServerModel, error) {
 		xMax, err := s.MaxThroughput(arch)
@@ -106,15 +141,13 @@ func (s *Suite) HistModel(arch workload.ServerArch) (*hist.ServerModel, error) {
 		if err != nil {
 			return nil, err
 		}
-		nStar := xMax / m
-		counts := []int{int(0.25 * nStar), int(0.55 * nStar), int(1.2 * nStar), int(1.6 * nStar)}
-		points, err := trade.MeasureCurve(arch, counts, 0, s.Opt)
+		cells, results, err := s.calibrationCurve(arch, xMax/m, calibrationFracs)
 		if err != nil {
 			return nil, err
 		}
-		dps := make([]hist.DataPoint, len(points))
-		for i, p := range points {
-			dps[i] = hist.DataPoint{Clients: float64(p.Clients), MeanRT: p.Res.MeanRT, Samples: p.Res.PerClass["browse"].Completed}
+		dps := make([]hist.DataPoint, len(cells))
+		for i, c := range cells {
+			dps[i] = hist.DataPoint{Clients: float64(c.clients), MeanRT: results[i].MeanRT, Samples: results[i].PerClass["browse"].Completed}
 		}
 		return hist.CalibrateServer(arch, xMax, m, dps)
 	})
@@ -163,6 +196,21 @@ func (s *Suite) HistModelFor(arch workload.ServerArch) (*hist.ServerModel, error
 	return s.HistNewServer()
 }
 
+// caseStudyModels returns HistModelFor every case-study server, in
+// CaseStudyServers order. The new server comes first and its
+// relationship-2 fit calibrates the established pair concurrently.
+func (s *Suite) caseStudyModels() ([]*hist.ServerModel, error) {
+	archs := workload.CaseStudyServers()
+	hms := make([]*hist.ServerModel, len(archs))
+	for i, arch := range archs {
+		var err error
+		if hms[i], err = s.HistModelFor(arch); err != nil {
+			return nil, err
+		}
+	}
+	return hms, nil
+}
+
 // LQNDemands calibrates (and memoises) the per-request-type demands on
 // AppServF per §5: one single-request-type measurement per type,
 // demands from the utilisation law.
@@ -170,7 +218,7 @@ func (s *Suite) LQNDemands() (map[workload.RequestType]workload.Demand, error) {
 	return s.lqnDemands.Do(func() (map[workload.RequestType]workload.Demand, error) {
 		truth := workload.CaseStudyDemands()
 		types := []workload.RequestType{workload.Browse, workload.Buy}
-		calibrated, err := parallel.Map(context.Background(), s.Opt.Workers, len(types), func(_ context.Context, i int) (workload.Demand, error) {
+		calibrated, err := simulateAll(s, len(types), func(i int) (workload.Demand, error) {
 			rt := types[i]
 			class := workload.ServiceClass{
 				Name:          "calib",
@@ -275,7 +323,6 @@ func (s *Suite) LaplaceScale() (float64, error) {
 		if err != nil {
 			return 0, err
 		}
-		samples := res.PerClass["browse"].Samples
-		return calibrateLaplace(samples, res.MeanRT)
+		return rtdist.CalibrateScale(res.MeanRT, res.PerClass["browse"].Samples)
 	})
 }

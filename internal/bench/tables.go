@@ -1,13 +1,6 @@
 package bench
 
-import (
-	"perfpred/internal/rtdist"
-	"perfpred/internal/workload"
-)
-
-func calibrateLaplace(samples []float64, location float64) (float64, error) {
-	return rtdist.CalibrateScale(samples, location)
-}
+import "perfpred/internal/workload"
 
 // Table1 regenerates the paper's Table 1: the historical method's
 // relationship-1 parameters per server. Established servers carry the
@@ -66,25 +59,29 @@ func (s *Suite) ThroughputGradient() (*Table, error) {
 	if err != nil {
 		return nil, err
 	}
+	models, err := s.caseStudyModels()
+	if err != nil {
+		return nil, err
+	}
+	// Per-server m from one below-saturation measurement each.
+	archs := workload.CaseStudyServers()
+	cells := make([]measureCell, len(archs))
+	for i, arch := range archs {
+		cells[i] = measureCell{arch: arch, clients: int(0.4 * models[i].MaxThroughput / mShared)}
+	}
+	results, err := measureCells(s, cells)
+	if err != nil {
+		return nil, err
+	}
 	var worst float64 = 100
-	for _, arch := range workload.CaseStudyServers() {
-		model, err := s.HistModelFor(arch)
-		if err != nil {
-			return nil, err
-		}
-		// Per-server m from one below-saturation measurement.
-		xMax := model.MaxThroughput
-		n := int(0.4 * xMax / mShared)
-		points, err := measureCurveCached(s, arch, []int{n})
-		if err != nil {
-			return nil, err
-		}
-		mServer := points[0].Res.Throughput / float64(points[0].Clients)
+	for i, c := range cells {
+		xMax := models[i].MaxThroughput
+		mServer := results[i].Throughput / float64(c.clients)
 		acc := 100 * (1 - abs(mServer-mShared)/mShared)
 		if acc < worst {
 			worst = acc
 		}
-		t.AddRow(arch.Name, f3(mServer), f1(xMax), f1(xMax/mServer))
+		t.AddRow(c.arch.Name, f3(mServer), f1(xMax), f1(xMax/mServer))
 	}
 	t.AddRow("shared fit", f3(mShared), "-", "-")
 	t.AddNote("cross-server gradient agreement: worst-case %.1f%% (paper: m=0.14, 1.3%% error)", 100-worst)

@@ -158,16 +158,23 @@ func PercentileFromMean(rp float64, saturated bool, b, p float64) (float64, erro
 // post-saturation response-time samples and their mean, by maximum
 // likelihood for a Laplace distribution with known location: the mean
 // absolute deviation around the location. The paper observes the
-// resulting b is constant across server architectures.
-func CalibrateScale(samples []float64, location float64) (float64, error) {
-	if len(samples) == 0 {
+// resulting b is constant across server architectures. The samples may
+// come as several slices (one per service class, say); deviations are
+// summed slice by slice in the order given, so the result is the one
+// the concatenated slice would give, bit for bit.
+func CalibrateScale(location float64, samples ...[]float64) (float64, error) {
+	var sum float64
+	n := 0
+	for _, group := range samples {
+		for _, s := range group {
+			sum += math.Abs(s - location)
+		}
+		n += len(group)
+	}
+	if n == 0 {
 		return 0, errors.New("rtdist: no samples to calibrate scale from")
 	}
-	var sum float64
-	for _, s := range samples {
-		sum += math.Abs(s - location)
-	}
-	b := sum / float64(len(samples))
+	b := sum / float64(n)
 	if b <= 0 {
 		return 0, errors.New("rtdist: degenerate samples, scale would be non-positive")
 	}

@@ -147,17 +147,21 @@ func TestCalibrateScale(t *testing.T) {
 		}
 		samples[i] = a - b*sign*math.Log(1-2*math.Abs(u))
 	}
-	got, err := CalibrateScale(samples, a)
+	got, err := CalibrateScale(a, samples)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if math.Abs(got-b)/b > 0.05 {
 		t.Fatalf("calibrated b = %v, want ≈%v", got, b)
 	}
-	if _, err := CalibrateScale(nil, a); err == nil {
+	// Split across slices, deviations are summed in the same order.
+	if split, err := CalibrateScale(a, samples[:7001], nil, samples[7001:]); err != nil || math.Float64bits(split) != math.Float64bits(got) {
+		t.Fatalf("split samples give b = %v (%v), one slice %v", split, err, got)
+	}
+	if _, err := CalibrateScale(a); err == nil {
 		t.Fatal("expected error for empty samples")
 	}
-	if _, err := CalibrateScale([]float64{a, a, a}, a); err == nil {
+	if _, err := CalibrateScale(a, []float64{a, a, a}); err == nil {
 		t.Fatal("expected error for degenerate samples")
 	}
 }

@@ -256,18 +256,18 @@ func (s *Service) calibrateScale(arch workload.ServerArch, buyFrac float64, sm *
 	if err != nil {
 		return 0, err
 	}
-	// Merge per-class samples in sorted class order: CalibrateScale
-	// sums deviations in sample order, and float addition is not
-	// associative, so map-iteration order would perturb the last few
-	// digits of b between otherwise-identical builds.
+	// Hand over the per-class samples in sorted class order:
+	// CalibrateScale sums deviations in the order given, and float
+	// addition is not associative, so map-iteration order would perturb
+	// the last few digits of b between otherwise-identical builds.
 	names := make([]string, 0, len(res.PerClass))
 	for name := range res.PerClass {
 		names = append(names, name)
 	}
 	sort.Strings(names)
-	var samples []float64
-	for _, name := range names {
-		samples = append(samples, res.PerClass[name].Samples...)
+	samples := make([][]float64, len(names))
+	for i, name := range names {
+		samples[i] = res.PerClass[name].Samples
 	}
-	return rtdist.CalibrateScale(samples, res.MeanRT)
+	return rtdist.CalibrateScale(res.MeanRT, samples...)
 }

@@ -912,3 +912,45 @@ func TestGetDecodeErrorIsStable(t *testing.T) {
 		}
 	}
 }
+
+// calibrateScale hands rtdist.CalibrateScale the per-class sample
+// buffers instead of one merged copy. On a two-class mix of each
+// architecture the scale must equal, bit for bit, the mean absolute
+// deviation summed over the buffers merged in sorted class order.
+func TestCalibrateScaleMatchesMergedSamples(t *testing.T) {
+	s := newTestService(t, func(c *Config) { c.LaplaceB, c.CalibrationSimSeconds = 0, 8 })
+	const buyFrac = 0.25
+	for _, arch := range workload.CaseStudyServers() {
+		sm, _, err := hybrid.BuildServerMix(hybrid.Config{DB: s.cfg.DB, Demands: s.cfg.Demands}, arch, buyFrac)
+		if err != nil {
+			t.Fatal(err)
+		}
+		got, err := s.calibrateScale(arch, buyFrac, sm)
+		if err != nil {
+			t.Fatal(err)
+		}
+		res, err := trade.Run(trade.Config{
+			Server:   arch,
+			DB:       s.cfg.DB,
+			Demands:  s.cfg.Demands,
+			Load:     mixLoad(int(1.4*sm.SaturationClients()), buyFrac),
+			Seed:     s.cfg.CalibrationSeed,
+			WarmUp:   s.cfg.CalibrationSimSeconds / 4,
+			Duration: s.cfg.CalibrationSimSeconds,
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		merged := append(append([]float64(nil), res.PerClass["browse"].Samples...), res.PerClass["buy"].Samples...)
+		if len(res.PerClass) != 2 || len(merged) == 0 || len(res.PerClass["buy"].Samples) == 0 {
+			t.Fatalf("%s: want samples in exactly the browse and buy classes", arch.Name)
+		}
+		var sum float64
+		for _, x := range merged {
+			sum += math.Abs(x - res.MeanRT)
+		}
+		if want := sum / float64(len(merged)); math.Float64bits(got) != math.Float64bits(want) {
+			t.Fatalf("%s: per-class scale %v, merged %v", arch.Name, got, want)
+		}
+	}
+}

@@ -84,17 +84,17 @@ type Engine struct {
 }
 
 // NewEngine returns an engine with the clock at 0, backed by the
-// binary-heap scheduler.
+// binary-heap scheduler: the (time, seq) ordering oracle the tests
+// hold NewEngineCalendar to, and the heap side of the scheduler probes.
 func NewEngine() *Engine {
 	return &Engine{}
 }
 
 // NewEngineCalendar returns an engine backed by a calendar-queue
-// scheduler instead of the binary heap. Event ordering — and therefore
-// any seeded run's trajectory — is identical to NewEngine; the
-// calendar trades the heap's O(log n) sift for O(1) bucket operations,
-// which pays off in sharded runs holding one pending timer per idle
-// client.
+// scheduler instead of the binary heap — the engine every simulator
+// run builds on. Event ordering, and therefore any seeded run's
+// trajectory, is identical to NewEngine; the calendar trades the
+// heap's O(log n) sift for O(1) bucket operations.
 func NewEngineCalendar() *Engine {
 	return &Engine{cal: newCalendarQueue()}
 }

@@ -2,6 +2,8 @@ package stats
 
 import (
 	"math"
+	"math/bits"
+	"slices"
 	"sort"
 )
 
@@ -123,27 +125,80 @@ func Mean(xs []float64) float64 {
 }
 
 // Percentile returns the p-th percentile (0 < p <= 100) of xs using
-// linear interpolation between order statistics. It copies and sorts,
-// leaving xs unmodified. An empty slice yields 0.
+// linear interpolation between order statistics. It selects the two
+// order statistics it needs on a copy instead of sorting everything,
+// leaving xs unmodified; for NaN-free input the value is the one a full
+// sort gives, bit for bit. An empty slice yields 0.
 func Percentile(xs []float64, p float64) float64 {
 	if len(xs) == 0 {
 		return 0
 	}
-	s := make([]float64, len(xs))
-	copy(s, xs)
-	sort.Float64s(s)
 	if p <= 0 {
-		return s[0]
+		return slices.Min(xs)
 	}
 	if p >= 100 {
-		return s[len(s)-1]
+		return slices.Max(xs)
 	}
-	rank := p / 100 * float64(len(s)-1)
+	rank := p / 100 * float64(len(xs)-1)
 	lo := int(math.Floor(rank))
 	hi := int(math.Ceil(rank))
+	s := make([]float64, len(xs))
+	copy(s, xs)
+	selectKth(s, lo)
 	if lo == hi {
 		return s[lo]
 	}
+	// Everything after s[lo] is at least as large, so the next order
+	// statistic is the smallest of it.
 	frac := rank - float64(lo)
-	return s[lo]*(1-frac) + s[hi]*frac
+	return s[lo]*(1-frac) + slices.Min(s[lo+1:])*frac
+}
+
+// selectKth reorders s so that s[k] is the element a full sort would
+// put there, with nothing larger before it and nothing smaller after
+// it (Hoare's quickselect on a median-of-three pivot). A range that
+// pathological pivots fail to shrink within the usual budget of
+// iterations is sorted outright, which bounds the worst case.
+func selectKth(s []float64, k int) {
+	lo, hi := 0, len(s)-1
+	for budget := 2 * bits.Len(uint(len(s))); lo < hi; budget-- {
+		if budget == 0 {
+			sort.Float64s(s[lo : hi+1])
+			return
+		}
+		mid := lo + (hi-lo)/2
+		if s[mid] < s[lo] {
+			s[mid], s[lo] = s[lo], s[mid]
+		}
+		if s[hi] < s[lo] {
+			s[hi], s[lo] = s[lo], s[hi]
+		}
+		if s[hi] < s[mid] {
+			s[hi], s[mid] = s[mid], s[hi]
+		}
+		pivot := s[mid]
+		i, j := lo, hi
+		for i <= j {
+			for s[i] < pivot {
+				i++
+			}
+			for s[j] > pivot {
+				j--
+			}
+			if i <= j {
+				s[i], s[j] = s[j], s[i]
+				i++
+				j--
+			}
+		}
+		// s[lo..j] <= pivot <= s[i..hi] and j < i.
+		switch {
+		case k <= j:
+			hi = j
+		case k >= i:
+			lo = i
+		default:
+			return // j < k < i: s[k] is the pivot value
+		}
+	}
 }

@@ -3,6 +3,8 @@ package stats
 import (
 	"math"
 	"math/rand"
+	"slices"
+	"sort"
 	"testing"
 	"testing/quick"
 )
@@ -157,6 +159,105 @@ func TestPercentileMonotoneProperty(t *testing.T) {
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 200}); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// percentileBySort is the definition Percentile used to implement
+// directly: sort a copy, interpolate between the two order statistics.
+func percentileBySort(xs []float64, p float64) float64 {
+	s := append([]float64(nil), xs...)
+	sort.Float64s(s)
+	if p <= 0 {
+		return s[0]
+	}
+	if p >= 100 {
+		return s[len(s)-1]
+	}
+	rank := p / 100 * float64(len(s)-1)
+	lo, hi := int(math.Floor(rank)), int(math.Ceil(rank))
+	if lo == hi {
+		return s[lo]
+	}
+	frac := rank - float64(lo)
+	return s[lo]*(1-frac) + s[hi]*frac
+}
+
+// Property: selecting the two order statistics gives the sort-based
+// value bit for bit and leaves the input alone — across sizes from 1
+// up, heavy duplication, already-ordered and organ-pipe inputs (which
+// drive naive pivots quadratic), p at and beyond both ends, and ranks
+// that land on an element as well as between two.
+func TestPercentileMatchesSortReference(t *testing.T) {
+	rng := rand.New(rand.NewSource(11))
+	check := func(label string, xs []float64, p float64) {
+		t.Helper()
+		before := append([]float64(nil), xs...)
+		got, want := Percentile(xs, p), percentileBySort(xs, p)
+		if math.Float64bits(got) != math.Float64bits(want) {
+			t.Fatalf("%s, n=%d, p=%v: selected %v, sorted %v", label, len(xs), p, got, want)
+		}
+		if !slices.Equal(xs, before) {
+			t.Fatalf("%s, n=%d, p=%v: input modified", label, len(xs), p)
+		}
+	}
+	shapes := []struct {
+		label string
+		gen   func(n int) []float64
+	}{
+		{"exponential", func(n int) []float64 {
+			xs := make([]float64, n)
+			for i := range xs {
+				xs[i] = rng.ExpFloat64()
+			}
+			return xs
+		}},
+		{"few distinct values", func(n int) []float64 {
+			xs := make([]float64, n)
+			for i := range xs {
+				xs[i] = float64(rng.Intn(3))
+			}
+			return xs
+		}},
+		{"all equal", func(n int) []float64 { return make([]float64, n) }},
+		{"ascending", func(n int) []float64 {
+			xs := make([]float64, n)
+			for i := range xs {
+				xs[i] = float64(i)
+			}
+			return xs
+		}},
+		{"descending", func(n int) []float64 {
+			xs := make([]float64, n)
+			for i := range xs {
+				xs[i] = float64(n - i)
+			}
+			return xs
+		}},
+		{"organ pipe", func(n int) []float64 {
+			xs := make([]float64, n)
+			for i := range xs {
+				xs[i] = float64(min(i, n-1-i))
+			}
+			return xs
+		}},
+	}
+	for _, shape := range shapes {
+		label := shape.label
+		for _, n := range []int{1, 2, 3, 4, 5, 11, 100, 101, 1000, 4097} {
+			xs := shape.gen(n)
+			for _, p := range []float64{-5, 0, 1e-9, 10, 25, 50, 90, 99, 99.999, 100, 250} {
+				check(label, xs, p)
+			}
+			for i := 0; i < 20; i++ {
+				check(label, xs, 100*rng.Float64())
+			}
+			// p chosen so the rank is exactly an element's index.
+			for _, k := range []int{0, (n - 1) / 2, n - 1} {
+				if n > 1 {
+					check(label, xs, 100*float64(k)/float64(n-1))
+				}
+			}
+		}
 	}
 }
 

@@ -45,13 +45,18 @@ type RunControl struct {
 // the same simulator, so a run whose stopping rule fires exactly at
 // Config.Duration has made the identical event and draw sequence.
 func RunAdaptive(cfg Config, ctl RunControl) (*Result, error) {
+	return runAdaptive(cfg, ctl, simOptions{})
+}
+
+// runAdaptive is RunAdaptive under the given constructor variant.
+func runAdaptive(cfg Config, ctl RunControl, opt simOptions) (*Result, error) {
 	if ctl.TargetRelErr <= 0 {
 		return nil, errors.New("trade: adaptive run needs a positive target relative error")
 	}
 	if cfg.sharded() {
 		return nil, errors.New("trade: adaptive runs are not supported on sharded configurations")
 	}
-	s, err := newSimulator(cfg, simOptions{})
+	s, err := newSimulator(cfg, opt)
 	if err != nil {
 		return nil, err
 	}

@@ -12,6 +12,7 @@ import (
 // these atomics once per run, at collect time, so the request loop's
 // zero-allocation guarantee is untouched.
 type tradeMetrics struct {
+	runs        *obs.Counter // single-engine simulators built (Run, RunAdaptive, TransientCurve)
 	completed   *obs.Counter // measured request completions
 	poolReuses  *obs.Counter // request records served from the free list
 	poolAllocs  *obs.Counter // request records newly allocated
@@ -35,6 +36,7 @@ func EnableMetrics(r *obs.Registry) {
 		return
 	}
 	metrics.Store(&tradeMetrics{
+		runs:                 r.Counter("trade_runs"),
 		completed:            r.Counter("trade_requests_completed"),
 		poolReuses:           r.Counter("trade_request_pool_reuses"),
 		poolAllocs:           r.Counter("trade_request_pool_allocs"),
@@ -45,6 +47,13 @@ func EnableMetrics(r *obs.Registry) {
 		adaptiveBatches:      r.Counter("trade_adaptive_batches"),
 		adaptiveNonConverged: r.Counter("trade_adaptive_nonconverged"),
 	})
+}
+
+// recordRun counts one single-engine simulator at construction.
+func recordRun() {
+	if m := metrics.Load(); m != nil {
+		m.runs.Inc()
+	}
 }
 
 // flushMetrics publishes one run's totals. Called from collect, once

@@ -97,9 +97,14 @@ type simOptions struct {
 	// intercept routes every completion to the caller from t=0.
 	intercept func(now, rt float64)
 
+	// newEngine, when set, builds the private engine of a single-engine
+	// run in place of sim.NewEngineCalendar — the differential test's
+	// seam for running one Config on both scheduler backends.
+	newEngine func() *sim.Engine
+
 	// Sharded-fleet construction (set by newShardedSim): build the pool
 	// on an existing shard engine with a pool-split root stream instead
-	// of a private heap engine seeded directly from cfg.Seed.
+	// of a private engine seeded directly from cfg.Seed.
 	shard   *sim.Shard
 	root    *sim.Stream
 	poolID  uint64
@@ -180,7 +185,12 @@ func Run(cfg Config) (*Result, error) {
 	if cfg.sharded() {
 		return runSharded(cfg)
 	}
-	s, err := newSimulator(cfg, simOptions{})
+	return run(cfg, simOptions{})
+}
+
+// run is the single-engine Run under the given constructor variant.
+func run(cfg Config, opt simOptions) (*Result, error) {
+	s, err := newSimulator(cfg, opt)
 	if err != nil {
 		return nil, err
 	}
@@ -212,9 +222,16 @@ func newSimulator(cfg Config, opt simOptions) (*simulator, error) {
 		cfg.Load = cfg.Scenario.Workload()
 		cohorts = cfg.Scenario.Cohorts
 	}
-	eng := sim.NewEngine()
+	newEngine := sim.NewEngineCalendar
+	if opt.newEngine != nil {
+		newEngine = opt.newEngine
+	}
 	root := sim.NewStream(cfg.Seed)
-	if opt.shard != nil {
+	var eng *sim.Engine
+	if opt.shard == nil {
+		eng = newEngine()
+		recordRun()
+	} else {
 		// Sharded pool: run on the shard's calendar engine with a root
 		// stream split by stable pool index, so the pool's entire draw
 		// sequence is a pure function of (Seed, pool) — invariant under

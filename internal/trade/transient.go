@@ -28,6 +28,11 @@ type TransientPoint struct {
 // closed populations — but the full Config is otherwise honoured,
 // including session caches and critical sections.
 func TransientCurve(cfg Config, bucket float64) ([]TransientPoint, error) {
+	return transientCurve(cfg, bucket, simOptions{})
+}
+
+// transientCurve is TransientCurve under the given constructor variant.
+func transientCurve(cfg Config, bucket float64, opt simOptions) ([]TransientPoint, error) {
 	if bucket <= 0 {
 		return nil, errors.New("trade: bucket must be positive")
 	}
@@ -43,14 +48,13 @@ func TransientCurve(cfg Config, bucket float64) ([]TransientPoint, error) {
 	for i := range points {
 		points[i].Time = float64(i+1) * bucket
 	}
-	s, err := newSimulator(cfg, simOptions{
-		skipOpen: true,
-		intercept: func(now, rt float64) {
-			if idx := int(now / bucket); idx >= 0 && idx < buckets {
-				accs[idx].Add(rt)
-			}
-		},
-	})
+	opt.skipOpen = true
+	opt.intercept = func(now, rt float64) {
+		if idx := int(now / bucket); idx >= 0 && idx < buckets {
+			accs[idx].Add(rt)
+		}
+	}
+	s, err := newSimulator(cfg, opt)
 	if err != nil {
 		return nil, err
 	}
