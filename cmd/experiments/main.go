@@ -8,7 +8,9 @@
 //	experiments [-seed 17] [-workers N] [-list] [-metrics-addr :9100] [-report metrics.json] [name ...]
 //	experiments -scenario spec.json [-window 30] [-duration 420]
 //
-// With no names, every experiment runs in paper order. Sweeps fan out
+// With no names, every paper experiment runs in paper order; the
+// studies beyond the paper (-list names them) run only when named, and
+// render through the same suite, seed and -format. Sweeps fan out
 // across -workers concurrent simulations (default: all cores);
 // -workers 1 reproduces the exact serial evaluation order. The
 // emitted tables are byte-identical for every worker count — only the
@@ -19,7 +21,9 @@
 // internal/scenario and examples/scenarios/): the simulated testbed
 // runs the spec's time-varying traffic from a cold start and the
 // table reports, per window, the spec's offered rate alongside the
-// measured completions, throughput and mean response time.
+// measured completions, throughput and mean response time, and the
+// error of the historical, layered and hybrid predictions at the
+// window's mean load.
 package main
 
 import (
@@ -34,8 +38,6 @@ import (
 	"perfpred/internal/instrument"
 	"perfpred/internal/obs"
 	"perfpred/internal/scenario"
-	"perfpred/internal/trade"
-	"perfpred/internal/workload"
 )
 
 func main() {
@@ -100,6 +102,10 @@ func main() {
 		for _, name := range bench.Experiments() {
 			fmt.Println(name)
 		}
+		fmt.Println("\nstudies beyond the paper (run by name; -scenario spec.json is the third):")
+		for _, name := range bench.Studies() {
+			fmt.Println(name)
+		}
 		return
 	}
 	if *format != "text" && *format != "json" {
@@ -115,17 +121,20 @@ func main() {
 		t.Fprint(os.Stdout)
 	}
 
+	suite := bench.NewSuite(*seed)
+	suite.Opt.Workers = *workers
 	if *scenarioPath != "" {
-		t, err := scenarioTable(*scenarioPath, *seed, *window, *duration)
+		sc, err := scenario.Load(*scenarioPath)
+		if err != nil {
+			fatal(err)
+		}
+		t, err := suite.ScenarioWindows(sc, *window, *duration)
 		if err != nil {
 			fatal(err)
 		}
 		emit(t)
 		return
 	}
-
-	suite := bench.NewSuite(*seed)
-	suite.Opt.Workers = *workers
 	names := flag.Args()
 	if len(names) == 0 {
 		names = bench.Experiments()
@@ -141,45 +150,6 @@ func main() {
 		// across worker counts and runs.
 		fmt.Fprintf(os.Stderr, "experiments: %s in %v (workers=%d)\n", name, time.Since(start).Round(time.Millisecond), *workers)
 	}
-}
-
-// scenarioTable cold-starts the spec's traffic on the case-study
-// testbed and reports each window's offered rate next to what the
-// simulation measured.
-func scenarioTable(path string, seed int64, window, duration float64) (*bench.Table, error) {
-	sc, err := scenario.Load(path)
-	if err != nil {
-		return nil, err
-	}
-	cfg := trade.Config{
-		Server:   workload.AppServF(),
-		DB:       workload.CaseStudyDB(),
-		Demands:  workload.CaseStudyDemands(),
-		Scenario: sc,
-		Seed:     seed,
-		Duration: duration,
-	}
-	points, err := trade.Windows(cfg, window)
-	if err != nil {
-		return nil, err
-	}
-	t := &bench.Table{
-		ID:     "scenario",
-		Title:  fmt.Sprintf("Windowed transient run of scenario %q", sc.Name),
-		Header: []string{"window", "offered/s", "completed", "throughput/s", "meanRT(ms)"},
-	}
-	for _, p := range points {
-		t.AddRow(
-			fmt.Sprintf("[%.0f,%.0f)", p.Start, p.End),
-			fmt.Sprintf("%.1f", sc.MeanOfferedRate(p.Start, p.End)),
-			fmt.Sprintf("%d", p.Completed),
-			fmt.Sprintf("%.1f", p.Throughput),
-			fmt.Sprintf("%.1f", p.MeanRT*1000),
-		)
-	}
-	t.AddNote("cold start (no warm-up discard); offered/s is the spec's open-cohort rate, so closed cohorts contribute 0")
-	t.AddNote("seed %d, window %.0fs, horizon %.0fs on AppServF + case-study DB", seed, window, duration)
-	return t, nil
 }
 
 func fatal(err error) {

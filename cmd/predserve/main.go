@@ -28,6 +28,7 @@ import (
 	"context"
 	"flag"
 	"fmt"
+	"io"
 	"net"
 	"net/http"
 	"os"
@@ -42,28 +43,44 @@ import (
 )
 
 func main() {
-	addr := flag.String("addr", ":8089", "listen address (use 127.0.0.1:0 with -addr-file for an ephemeral port)")
-	addrFile := flag.String("addr-file", "", "write the bound address to this file once listening")
-	cacheCap := flag.Int("cache-cap", 256, "model store capacity in (method, architecture, mix) entries, all methods together; 0 = unbounded")
-	points := flag.Int("points", 0, "hybrid pseudo data points per equation (0 = paper's 4)")
-	laplaceB := flag.Float64("laplace-b", 0, "fixed Laplace percentile scale in seconds; 0 calibrates per key from a fixed-seed simulator run")
-	calibSeconds := flag.Float64("calib-seconds", 40, "simulated seconds per percentile calibration run")
-	calibSeed := flag.Int64("calib-seed", 1, "seed for the calibration runs")
-	regressSamples := flag.Int("regress-samples", 8, "training measurements per (architecture, mix) for the cheap regress tier")
-	regressSeconds := flag.Float64("regress-seconds", 20, "simulated seconds per regress training run")
-	regressDegree := flag.Int("regress-degree", 2, "polynomial degree of the regress tier")
-	buildWorkers := flag.Int("build-workers", 2, "concurrent cold model builds, all methods together")
-	maxQueuedBuilds := flag.Int("max-queued-builds", 8, "cold builds allowed to wait beyond the workers before 429")
-	solveWorkers := flag.Int("solve-workers", 0, "batch solver workers (0 = GOMAXPROCS)")
-	maxQueuedSolves := flag.Int("max-queued-solves", 256, "batch solver queue bound")
-	maxBatch := flag.Int("max-batch", 64, "max solves coalesced into one warm-start sweep")
-	deadline := flag.Duration("deadline", 5*time.Second, "default per-request deadline")
-	retryAfter := flag.Duration("retry-after", time.Second, "Retry-After hint on 429 responses")
-	report := flag.String("report", "", "write a final obs snapshot (JSON) here on shutdown")
-	flag.Parse()
+	stop := make(chan os.Signal, 1)
+	signal.Notify(stop, syscall.SIGINT, syscall.SIGTERM)
+	if err := run(os.Args[1:], stop, os.Stderr); err != nil {
+		fmt.Fprintln(os.Stderr, "predserve:", err)
+		os.Exit(1)
+	}
+}
+
+// run serves until a signal arrives on stop, then drains. Notices and
+// the final metrics snapshot go to stderr.
+func run(args []string, stop <-chan os.Signal, stderr io.Writer) error {
+	fs := flag.NewFlagSet("predserve", flag.ContinueOnError)
+	fs.SetOutput(stderr)
+	addr := fs.String("addr", ":8089", "listen address (use 127.0.0.1:0 with -addr-file for an ephemeral port)")
+	addrFile := fs.String("addr-file", "", "write the bound address to this file once listening")
+	cacheCap := fs.Int("cache-cap", 256, "model store capacity in (method, architecture, mix) entries, all methods together; 0 = unbounded")
+	points := fs.Int("points", 0, "hybrid pseudo data points per equation (0 = paper's 4)")
+	laplaceB := fs.Float64("laplace-b", 0, "fixed Laplace percentile scale in seconds; 0 calibrates per key from a fixed-seed simulator run")
+	calibSeconds := fs.Float64("calib-seconds", 40, "simulated seconds per percentile calibration run")
+	calibSeed := fs.Int64("calib-seed", 1, "seed for the calibration runs")
+	regressSamples := fs.Int("regress-samples", 8, "training measurements per (architecture, mix) for the cheap regress tier")
+	regressSeconds := fs.Float64("regress-seconds", 20, "simulated seconds per regress training run")
+	regressDegree := fs.Int("regress-degree", 2, "polynomial degree of the regress tier")
+	buildWorkers := fs.Int("build-workers", 2, "concurrent cold model builds, all methods together")
+	maxQueuedBuilds := fs.Int("max-queued-builds", 8, "cold builds allowed to wait beyond the workers before 429")
+	solveWorkers := fs.Int("solve-workers", 0, "batch solver workers (0 = GOMAXPROCS)")
+	maxQueuedSolves := fs.Int("max-queued-solves", 256, "batch solver queue bound")
+	maxBatch := fs.Int("max-batch", 64, "max solves coalesced into one warm-start sweep")
+	deadline := fs.Duration("deadline", 5*time.Second, "default per-request deadline")
+	retryAfter := fs.Duration("retry-after", time.Second, "Retry-After hint on 429 responses")
+	report := fs.String("report", "", "write a final obs snapshot (JSON) here on shutdown")
+	if err := fs.Parse(args); err != nil {
+		return err
+	}
 
 	reg := obs.NewRegistry()
 	instrument.EnableAll(reg)
+	defer instrument.EnableAll(nil)
 
 	svc, err := serve.New(serve.Config{
 		Archs:                 workload.CaseStudyServers(),
@@ -86,8 +103,9 @@ func main() {
 		RetryAfter:            *retryAfter,
 	})
 	if err != nil {
-		fatal(err)
+		return err
 	}
+	defer svc.Close() // for the error returns; the drain below closes in order
 
 	mux := http.NewServeMux()
 	mux.Handle("/v1/", svc.Handler())
@@ -97,27 +115,26 @@ func main() {
 
 	ln, err := net.Listen("tcp", *addr)
 	if err != nil {
-		fatal(err)
+		return err
 	}
 	bound := ln.Addr().String()
 	if *addrFile != "" {
 		if err := os.WriteFile(*addrFile, []byte(bound), 0o644); err != nil {
-			fatal(err)
+			ln.Close()
+			return err
 		}
 	}
-	fmt.Fprintf(os.Stderr, "predserve: listening on %s\n", bound)
+	fmt.Fprintf(stderr, "predserve: listening on %s\n", bound)
 
 	srv := &http.Server{Handler: mux}
 	errc := make(chan error, 1)
 	go func() { errc <- srv.Serve(ln) }()
 
-	sig := make(chan os.Signal, 1)
-	signal.Notify(sig, syscall.SIGINT, syscall.SIGTERM)
 	select {
-	case s := <-sig:
-		fmt.Fprintf(os.Stderr, "predserve: %v, draining\n", s)
+	case s := <-stop:
+		fmt.Fprintf(stderr, "predserve: %v, draining\n", s)
 	case err := <-errc:
-		fatal(err)
+		return err
 	}
 
 	// Drain order matters: stop accepting and finish in-flight HTTP
@@ -126,20 +143,14 @@ func main() {
 	ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
 	defer cancel()
 	if err := srv.Shutdown(ctx); err != nil {
-		fmt.Fprintf(os.Stderr, "predserve: shutdown: %v\n", err)
+		fmt.Fprintf(stderr, "predserve: shutdown: %v\n", err)
 	}
 	svc.Close()
 
-	fmt.Fprintln(os.Stderr, "predserve: final metrics snapshot:")
-	_ = reg.Snapshot().WriteText(os.Stderr)
+	fmt.Fprintln(stderr, "predserve: final metrics snapshot:")
+	_ = reg.Snapshot().WriteText(stderr) // a diagnostic; -report is the checked copy
 	if *report != "" {
-		if err := obs.WriteReport(*report, reg); err != nil {
-			fatal(err)
-		}
+		return obs.WriteReport(*report, reg)
 	}
-}
-
-func fatal(err error) {
-	fmt.Fprintln(os.Stderr, "predserve:", err)
-	os.Exit(1)
+	return nil
 }

@@ -10,7 +10,6 @@
 //	           [-open-rate 100] [-detailed]
 //	tradebench -servers AppServS,AppServF,AppServVF -routing leastbusy -clients 3000
 //	tradebench -server AppServS -maxthroughput
-//	tradebench -bench -out BENCH_trade.json
 package main
 
 import (
@@ -40,8 +39,6 @@ func main() {
 	routing := flag.String("routing", "", "tier routing: sticky|roundrobin|leastbusy")
 	openRate := flag.Float64("open-rate", 0, "add an open browse stream at this rate, req/s (§8.1)")
 	detailed := flag.Bool("detailed", false, "operation-level Trade workload (§3.1)")
-	bench := flag.Bool("bench", false, "run the simulator benchmarks and write a JSON snapshot")
-	out := flag.String("out", "BENCH_trade.json", "snapshot path for -bench (- for stdout)")
 	metricsAddr := flag.String("metrics-addr", "", "serve /metrics, /debug/vars and /debug/pprof on this address")
 	report := flag.String("report", "", "write a JSON metrics snapshot to this file on exit")
 	flag.Parse()
@@ -63,11 +60,6 @@ func main() {
 				}
 			}()
 		}
-	}
-
-	if *bench {
-		runBenchmarks(*out)
-		return
 	}
 
 	arch, err := serverByName(*server)

@@ -5,89 +5,79 @@ import (
 	"io"
 )
 
-// Experiment names in paper order, resolvable by Run.
-var experimentOrder = []string{
-	"table1", "table2", "gradient", "data-quantity",
-	"figure2", "figure3", "figure4",
-	"percentiles", "percentile-direct", "cache", "search",
-	"stabilisation", "cluster", "open", "bottleneck", "provider",
-	"figure5-6", "figure7", "figure8", "uniform", "delay", "matrix",
-	"ablation-transition", "ablation-mva", "ablation-convergence", "ablation-lastserver", "ablation-layers",
+// experiment is one named result table. The paper's experiments come
+// first, in paper order; the studies after them are this repository's
+// own comparisons, run only when named.
+type experiment struct {
+	name  string
+	paper bool
+	run   func(*Suite) (*Table, error)
 }
 
-// Run executes one named experiment.
+var experiments = []experiment{
+	{"table1", true, (*Suite).Table1},
+	{"table2", true, (*Suite).Table2},
+	{"gradient", true, (*Suite).ThroughputGradient},
+	{"data-quantity", true, (*Suite).DataQuantity},
+	{"figure2", true, (*Suite).Figure2},
+	{"figure3", true, (*Suite).Figure3},
+	{"figure4", true, (*Suite).Figure4},
+	{"percentiles", true, (*Suite).Percentiles},
+	{"percentile-direct", true, (*Suite).PercentileDirect},
+	{"cache", true, (*Suite).CacheStudy},
+	{"search", true, (*Suite).LQNMaxClientsCost},
+	{"stabilisation", true, (*Suite).Stabilisation},
+	{"cluster", true, (*Suite).ClusterStudy},
+	{"open", true, (*Suite).OpenWorkload},
+	{"bottleneck", true, (*Suite).Bottleneck},
+	{"provider", true, (*Suite).Provider},
+	{"figure5-6", true, (*Suite).Figure5and6},
+	{"figure7", true, (*Suite).Figure7},
+	{"figure8", true, (*Suite).Figure8},
+	{"uniform", true, (*Suite).UniformInaccuracy},
+	{"delay", true, (*Suite).PredictionDelay},
+	{"matrix", true, (*Suite).EvaluationMatrix},
+	{"ablation-transition", true, (*Suite).AblationTransition},
+	{"ablation-mva", true, (*Suite).AblationMVA},
+	{"ablation-convergence", true, (*Suite).AblationConvergence},
+	{"ablation-lastserver", true, (*Suite).AblationLastServer},
+	{"ablation-layers", true, (*Suite).AblationTaskLayering},
+
+	{"families", false, (*Suite).Families},
+	{"fleet-ab", false, (*Suite).FleetAB},
+}
+
+// Run executes one named experiment or study.
 func (s *Suite) Run(name string) (*Table, error) {
-	switch name {
-	case "table1":
-		return s.Table1()
-	case "table2":
-		return s.Table2()
-	case "gradient":
-		return s.ThroughputGradient()
-	case "data-quantity":
-		return s.DataQuantity()
-	case "percentile-direct":
-		return s.PercentileDirect()
-	case "stabilisation":
-		return s.Stabilisation()
-	case "cluster":
-		return s.ClusterStudy()
-	case "open":
-		return s.OpenWorkload()
-	case "matrix":
-		return s.EvaluationMatrix()
-	case "bottleneck":
-		return s.Bottleneck()
-	case "provider":
-		return s.Provider()
-	case "figure2":
-		return s.Figure2()
-	case "figure3":
-		return s.Figure3()
-	case "figure4":
-		return s.Figure4()
-	case "percentiles":
-		return s.Percentiles()
-	case "cache":
-		return s.CacheStudy()
-	case "search":
-		return s.LQNMaxClientsCost()
-	case "figure5-6":
-		return s.Figure5and6()
-	case "figure7":
-		return s.Figure7()
-	case "figure8":
-		return s.Figure8()
-	case "uniform":
-		return s.UniformInaccuracy()
-	case "delay":
-		return s.PredictionDelay()
-	case "ablation-transition":
-		return s.AblationTransition()
-	case "ablation-mva":
-		return s.AblationMVA()
-	case "ablation-convergence":
-		return s.AblationConvergence()
-	case "ablation-lastserver":
-		return s.AblationLastServer()
-	case "ablation-layers":
-		return s.AblationTaskLayering()
-	default:
-		return nil, fmt.Errorf("bench: unknown experiment %q", name)
+	for _, e := range experiments {
+		if e.name == name {
+			return e.run(s)
+		}
 	}
+	return nil, fmt.Errorf("bench: unknown experiment %q", name)
 }
 
-// Experiments returns the runnable experiment names in paper order.
-func Experiments() []string {
-	out := make([]string, len(experimentOrder))
-	copy(out, experimentOrder)
+func names(paper bool) []string {
+	var out []string
+	for _, e := range experiments {
+		if e.paper == paper {
+			out = append(out, e.name)
+		}
+	}
 	return out
 }
 
-// RunAll executes every experiment in paper order, printing each table
-// to w as it completes.
+// Experiments returns the paper's experiment names in paper order.
+func Experiments() []string { return names(true) }
+
+// Studies returns the names of the studies beyond the paper. The third
+// study, ScenarioWindows, takes a workload spec and so has no name here.
+func Studies() []string { return names(false) }
+
+// RunAll executes every paper experiment in paper order, printing each
+// table to w as it completes.
 func (s *Suite) RunAll(w io.Writer) error {
-	for _, name := range experimentOrder {
+	for _, name := range Experiments() {
 		t, err := s.Run(name)
 		if err != nil {
 			return fmt.Errorf("bench: experiment %s: %w", name, err)

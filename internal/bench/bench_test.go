@@ -3,6 +3,7 @@ package bench
 import (
 	"bytes"
 	"fmt"
+	"os"
 	"strings"
 	"testing"
 )
@@ -253,13 +254,41 @@ func TestRunUnknownExperiment(t *testing.T) {
 	}
 }
 
+// Experiments() is the reference output's 27 sections in order (the
+// benchmark's paper_repro splits that file by this list), every listed
+// name resolves, and no name hides another. TestStudies runs the rest.
 func TestExperimentsListMatchesRun(t *testing.T) {
-	for _, name := range Experiments() {
-		// Resolve only; heavy experiments already ran above and are
-		// memoised, so this is cheap.
-		if _, err := sharedSuite.Run(name); err != nil {
+	golden, err := os.ReadFile("../../experiments_output.txt")
+	if err != nil {
+		t.Fatal(err)
+	}
+	var sections []string
+	for _, line := range strings.Split(string(golden), "\n") {
+		if strings.HasPrefix(line, "== ") {
+			sections = append(sections, line)
+		}
+	}
+	names := Experiments()
+	if len(names) != 27 || len(sections) != len(names) {
+		t.Fatalf("%d experiments listed, %d sections in experiments_output.txt, want 27 of each", len(names), len(sections))
+	}
+	for i, name := range names {
+		// Heavy experiments already ran above and are memoised, so
+		// this is cheap.
+		tab, err := sharedSuite.Run(name)
+		if err != nil {
 			t.Fatalf("experiment %s failed: %v", name, err)
 		}
+		if got := fmt.Sprintf("== %s: %s ==", tab.ID, tab.Title); got != sections[i] {
+			t.Errorf("experiment %d (%s) prints %q, section %d of experiments_output.txt is %q", i, name, got, i, sections[i])
+		}
+	}
+	listed := map[string]bool{}
+	for _, e := range experiments {
+		if listed[e.name] {
+			t.Errorf("experiment %q listed twice", e.name)
+		}
+		listed[e.name] = true
 	}
 }
 

@@ -50,9 +50,6 @@ func (s *Suite) cellKey(c measureCell) string {
 	if o.TargetRelErr > 0 {
 		key += fmt.Sprintf("/adaptive:%g,%g,%g", o.TargetRelErr, o.Confidence, o.MaxDuration)
 	}
-	if o.StreamingPercentiles {
-		key += "/streaming"
-	}
 	return key
 }
 

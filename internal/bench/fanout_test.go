@@ -89,7 +89,7 @@ func TestSerialSimulationCount(t *testing.T) {
 // The measurement cache is process-wide, so its key must hold every
 // option that changes a result: two suites at one seed that differ in
 // such an option (all are exported through Suite.Opt) used to share
-// runs — the streaming suite below got the plain one's sample buffers.
+// runs — the adaptive suite below got the plain one's fixed horizon.
 func TestMeasurementCacheKeyCoversOptions(t *testing.T) {
 	cell := []measureCell{{arch: workload.AppServF(), clients: 300}}
 	suite := func(set func(*trade.MeasureOptions)) *Suite {
@@ -107,12 +107,8 @@ func TestMeasurementCacheKeyCoversOptions(t *testing.T) {
 		return res[0]
 	}
 	plain := measure(suite(func(*trade.MeasureOptions) {}))
-	if plain.OverallQuantiles != nil || len(plain.PerClass["browse"].Samples) == 0 {
-		t.Fatal("plain run should keep sample buffers and no streaming estimators")
-	}
-	streaming := measure(suite(func(o *trade.MeasureOptions) { o.StreamingPercentiles = true }))
-	if streaming.OverallQuantiles == nil || streaming.PerClass["browse"].Samples != nil {
-		t.Fatal("streaming suite was served the plain suite's cached run")
+	if plain.Batches != 0 || len(plain.PerClass["browse"].Samples) == 0 {
+		t.Fatal("plain run should keep sample buffers and a fixed horizon")
 	}
 	adaptive := measure(suite(func(o *trade.MeasureOptions) { o.TargetRelErr = 0.05 }))
 	if adaptive.Batches == 0 {
@@ -121,7 +117,6 @@ func TestMeasurementCacheKeyCoversOptions(t *testing.T) {
 	keys := map[string]bool{}
 	for _, set := range []func(*trade.MeasureOptions){
 		func(*trade.MeasureOptions) {},
-		func(o *trade.MeasureOptions) { o.StreamingPercentiles = true },
 		func(o *trade.MeasureOptions) { o.TargetRelErr = 0.05 },
 		func(o *trade.MeasureOptions) { o.TargetRelErr, o.Confidence = 0.05, 0.99 },
 		func(o *trade.MeasureOptions) { o.TargetRelErr, o.MaxDuration = 0.05, 500 },
@@ -129,8 +124,8 @@ func TestMeasurementCacheKeyCoversOptions(t *testing.T) {
 	} {
 		keys[suite(set).cellKey(cell[0])] = true
 	}
-	if len(keys) != 6 {
-		t.Fatalf("6 result-changing option sets made %d distinct keys: %v", len(keys), keys)
+	if len(keys) != 5 {
+		t.Fatalf("5 result-changing option sets made %d distinct keys: %v", len(keys), keys)
 	}
 	// The default options keep the key they always had.
 	if got, want := NewSuite(17).cellKey(cell[0]), "AppServF/300/0.0000/17/30/120"; got != want {

@@ -1,9 +1,10 @@
 // Package bench is the experiment harness: it calibrates the three
 // prediction methods against the simulated testbed exactly as the
 // paper calibrates them against its physical testbed, then regenerates
-// every table and figure of the evaluation. cmd/experiments drives it
-// from the command line and bench_test.go wraps each experiment in a
-// testing.B benchmark.
+// every table and figure of the evaluation, and after them the studies
+// beyond the paper (studies.go) from the same suite and seed.
+// cmd/experiments drives it from the command line and bench_test.go
+// wraps each experiment in a testing.B benchmark.
 package bench
 
 import (

@@ -336,6 +336,48 @@ func TestFleetConservationProperty(t *testing.T) {
 	}
 }
 
+// Every scorer routes without allocating: a fully routed request — the
+// scorer's pick over 64 primed pools, the admission and completion
+// counters — and the barrier sync after every 1024 of them cost no
+// heap object, whichever scorer picks.
+func TestEveryScorerRoutesWithoutAllocating(t *testing.T) {
+	const npools, nclasses = 64, 3
+	caps := make([]int, npools)
+	for i := range caps {
+		caps[i] = 50 + 10*(i%7)
+	}
+	for _, name := range ScorerNames() {
+		scorer, err := ScorerByName(name)
+		if err != nil {
+			t.Fatal(err)
+		}
+		r := NewRouter(scorer, caps, nclasses)
+		// Uneven per-pool state, so the scorers scan real signals
+		// instead of all-zero arrays.
+		for p := 0; p < npools; p++ {
+			for k := 0; k < (p*13)%37; k++ {
+				r.Started(p, k%nclasses)
+			}
+			r.Completed(p, 0, 0.05+0.001*float64(p))
+			r.Started(p, 0)
+		}
+		r.Sync()
+		i := 0
+		allocs := testing.AllocsPerRun(8, func() {
+			for end := i + 1024; i < end; i++ {
+				cls := i % nclasses
+				dst := r.Route(i%npools, cls)
+				r.Started(dst, cls)
+				r.Completed(dst, cls, 0.05)
+			}
+			r.Sync()
+		})
+		if allocs != 0 {
+			t.Errorf("scorer %s allocates %v objects per 1024 routed requests and their sync, want 0", name, allocs)
+		}
+	}
+}
+
 // Acceptance criterion: with metrics enabled, the steady-state routing
 // loop — scorer picks, counter updates, barrier syncs — allocates
 // nothing per advance.

@@ -152,7 +152,7 @@ func ScorerNames() []string {
 }
 
 // ScorerByName resolves a scorer by its stable name — the -scorer flag
-// surface of cmd/rmsim and cmd/fleetbench.
+// of cmd/rmsim and the rows of the fleet-ab study.
 func ScorerByName(name string) (Scorer, error) {
 	switch name {
 	case "static":

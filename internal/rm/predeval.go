@@ -15,8 +15,6 @@ type EvalFamily struct {
 	// StartupSimSeconds is the simulated (or measured-testbed) seconds
 	// the family consumed before it could answer its first query.
 	StartupSimSeconds float64
-	// StartupWallSeconds is the wall-clock equivalent on this machine.
-	StartupWallSeconds float64
 }
 
 // EvalScenario is one architecture's probe set: response-time queries
@@ -36,12 +34,11 @@ type FamilyScore struct {
 	MaxAbsRTErrPct  float64
 	// MeanAbsCapErrPct summarises capacity-prediction error over every
 	// (arch, goal) probe.
-	MeanAbsCapErrPct   float64
-	MaxAbsCapErrPct    float64
-	RTProbes           int
-	CapProbes          int
-	StartupSimSeconds  float64
-	StartupWallSeconds float64
+	MeanAbsCapErrPct  float64
+	MaxAbsCapErrPct   float64
+	RTProbes          int
+	CapProbes         int
+	StartupSimSeconds float64
 }
 
 // PredictorEval scores every family against the same truth on the
@@ -83,11 +80,7 @@ func PredictorEval(families []EvalFamily, truth Predictor, scenarios []EvalScena
 	}
 	scores := make([]FamilyScore, 0, len(families))
 	for _, fam := range families {
-		score := FamilyScore{
-			Name:               fam.Name,
-			StartupSimSeconds:  fam.StartupSimSeconds,
-			StartupWallSeconds: fam.StartupWallSeconds,
-		}
+		score := FamilyScore{Name: fam.Name, StartupSimSeconds: fam.StartupSimSeconds}
 		var rtErrSum, capErrSum float64
 		for _, sc := range scenarios {
 			for _, n := range sc.Pops {

@@ -189,10 +189,8 @@ func (c *Compiled) OfferedRate(t float64) float64 {
 	return sum
 }
 
-// MeanOfferedRate integrates OfferedRate over [t0, t1) by midpoint
-// sampling — the per-window offered load the transient study compares
-// predictions against.
-func (c *Compiled) MeanOfferedRate(t0, t1 float64) float64 {
+// meanRate integrates RateAt over [t0, t1) by midpoint sampling.
+func (c *Cohort) meanRate(t0, t1 float64) float64 {
 	if t1 <= t0 {
 		return 0
 	}
@@ -200,9 +198,33 @@ func (c *Compiled) MeanOfferedRate(t0, t1 float64) float64 {
 	dt := (t1 - t0) / steps
 	var sum float64
 	for i := 0; i < steps; i++ {
-		sum += c.OfferedRate(t0 + (float64(i)+0.5)*dt)
+		sum += c.RateAt(t0 + (float64(i)+0.5)*dt)
 	}
 	return sum / steps
+}
+
+// MeanOfferedRate is the mean of OfferedRate over [t0, t1) — the
+// per-window offered load the transient study compares predictions
+// against.
+func (c *Compiled) MeanOfferedRate(t0, t1 float64) float64 {
+	var sum float64
+	for _, co := range c.Cohorts {
+		sum += co.meanRate(t0, t1)
+	}
+	return sum
+}
+
+// WorkloadOver is Workload with every open cohort at its mean rate
+// over [t0, t1) instead of its stationary mean: what a steady-state
+// predictor is told about one window of the scenario.
+func (c *Compiled) WorkloadOver(t0, t1 float64) workload.Workload {
+	w := c.Workload()
+	for i, co := range c.Cohorts {
+		if co.Open() {
+			w[i].ArrivalRate = co.meanRate(t0, t1)
+		}
+	}
+	return w
 }
 
 // RequestTypes returns the distinct request types across all cohort

@@ -1,19 +1,16 @@
 package scenario
 
 import (
-	"sort"
-
 	"perfpred/internal/sim"
 	"perfpred/internal/workload"
 )
 
 // Gen is a pull-based arrival generator for one open cohort. Next
-// returns successive arrival times; the caller owns the pacing (an
-// event engine schedules them, a load driver sleeps until them). Gen
-// holds all mutable state, so one read-only Cohort can drive any
-// number of independent generators — one per shard-pool replica, each
-// on its own sim.Split stream, which is what makes spec-driven runs
-// bit-identical at any shard count.
+// returns successive arrival times; the caller owns the pacing (the
+// event engine schedules them). Gen holds all mutable state, so one
+// read-only Cohort can drive any number of independent generators —
+// one per shard-pool replica, each on its own sim.Split stream, which
+// is what makes spec-driven runs bit-identical at any shard count.
 //
 // Next allocates nothing: time-varying rates use Lewis–Shedler
 // thinning against the cohort's MaxRate envelope, MMPP modulation
@@ -124,103 +121,4 @@ func (g *Gen) nextTrace() (float64, workload.RequestType, bool) {
 	ev := tr.Events[g.idx]
 	g.idx++
 	return g.traceBase + ev.T, ev.Type, true
-}
-
-// mixSampler samples request types from a cohort mix with a stable
-// (sorted-name) category order, so draws are reproducible regardless
-// of map iteration order.
-type mixSampler struct {
-	types   []workload.RequestType
-	weights []float64
-}
-
-func newMixSampler(mix workload.Mix) *mixSampler {
-	m := &mixSampler{}
-	for rt := range mix {
-		m.types = append(m.types, rt)
-	}
-	sort.Slice(m.types, func(i, j int) bool { return m.types[i] < m.types[j] })
-	for _, rt := range m.types {
-		m.weights = append(m.weights, mix[rt])
-	}
-	return m
-}
-
-func (m *mixSampler) sample(rng *sim.Stream) workload.RequestType {
-	return m.types[rng.Choose(m.weights)]
-}
-
-// Pacer merges every open cohort of a scenario into one time-ordered
-// arrival stream — the shape a load driver (cmd/predload) or an
-// analysis pass (SelfCheck) consumes. Each cohort gets sim.Split
-// streams keyed by its index, so the merged stream is reproducible
-// and independent of how many cohorts precede it.
-type Pacer struct {
-	gens     []*Gen
-	cohorts  []int // scenario cohort index per gen
-	samplers []*mixSampler
-	mixRNG   []*sim.Stream
-	headT    []float64
-	headRT   []workload.RequestType
-	live     []bool
-}
-
-// Arrival is one merged arrival from a Pacer.
-type Arrival struct {
-	// T is the arrival time, seconds from scenario start.
-	T float64
-	// Cohort indexes Compiled.Cohorts.
-	Cohort int
-	// Type is the sampled (or trace-recorded) request type.
-	Type workload.RequestType
-}
-
-// NewPacer builds a merged generator over the scenario's open
-// cohorts, seeded from seed. Closed cohorts are skipped — a pacer has
-// no response times to close the loop with.
-func NewPacer(c *Compiled, seed int64) *Pacer {
-	p := &Pacer{}
-	for i, co := range c.Cohorts {
-		if !co.Open() {
-			continue
-		}
-		arr := sim.NewStream(sim.SplitSeed(seed, uint64(3*i)))
-		state := sim.NewStream(sim.SplitSeed(seed, uint64(3*i+1)))
-		p.gens = append(p.gens, NewGen(co, arr, state))
-		p.cohorts = append(p.cohorts, i)
-		p.samplers = append(p.samplers, newMixSampler(co.Class.Mix))
-		p.mixRNG = append(p.mixRNG, sim.NewStream(sim.SplitSeed(seed, uint64(3*i+2))))
-		p.headT = append(p.headT, 0)
-		p.headRT = append(p.headRT, "")
-		p.live = append(p.live, false)
-	}
-	for i := range p.gens {
-		p.advance(i)
-	}
-	return p
-}
-
-func (p *Pacer) advance(i int) {
-	t, rt, ok := p.gens[i].Next()
-	p.headT[i], p.headRT[i], p.live[i] = t, rt, ok
-}
-
-// Next returns the earliest pending arrival across cohorts, or
-// ok=false when every stream is exhausted.
-func (p *Pacer) Next() (a Arrival, ok bool) {
-	best := -1
-	for i := range p.gens {
-		if p.live[i] && (best < 0 || p.headT[i] < p.headT[best]) {
-			best = i
-		}
-	}
-	if best < 0 {
-		return Arrival{}, false
-	}
-	a = Arrival{T: p.headT[best], Cohort: p.cohorts[best], Type: p.headRT[best]}
-	if a.Type == "" {
-		a.Type = p.samplers[best].sample(p.mixRNG[best])
-	}
-	p.advance(best)
-	return a, true
 }

@@ -338,39 +338,6 @@ func TestTraceErrors(t *testing.T) {
 	}
 }
 
-func TestPacerMergesCohorts(t *testing.T) {
-	c, err := New("mix").
-		AddPoisson("a", 10, browseMix()).
-		AddPoisson("b", 5, twoMix()).
-		Compile("")
-	if err != nil {
-		t.Fatal(err)
-	}
-	p := NewPacer(c, 23)
-	var last float64
-	counts := map[int]int{}
-	types := map[workload.RequestType]int{}
-	for i := 0; i < 6000; i++ {
-		a, ok := p.Next()
-		if !ok {
-			t.Fatal("pacer exhausted on infinite cohorts")
-		}
-		if a.T < last {
-			t.Fatalf("pacer went backwards at %d: %v after %v", i, a.T, last)
-		}
-		last = a.T
-		counts[a.Cohort]++
-		types[a.Type]++
-	}
-	frac := float64(counts[0]) / 6000
-	if frac < 0.6 || frac > 0.72 {
-		t.Fatalf("cohort 0 share %v, want ≈ 2/3", frac)
-	}
-	if types[workload.Buy] == 0 || types[workload.Browse] == 0 {
-		t.Fatalf("pacer never sampled both types: %v", types)
-	}
-}
-
 func TestSelfCheckVerdicts(t *testing.T) {
 	c, err := New("sc").
 		AddPoisson("steady", 30, browseMix()).
@@ -392,5 +359,17 @@ func TestSelfCheckVerdicts(t *testing.T) {
 	}
 	if reports[1].CV2 <= reports[0].CV2 {
 		t.Errorf("MMPP CV² %v not above Poisson CV² %v", reports[1].CV2, reports[0].CV2)
+	}
+	// The committed example specs generate the traffic they declare.
+	for _, name := range []string{"flashsale", "diurnal", "replay"} {
+		c, err := Load("../../examples/scenarios/" + name + ".json")
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, r := range SelfCheck(c, 17, 5000) {
+			if !r.OK {
+				t.Errorf("%s.json cohort %s failed self-check: %s", name, r.Cohort, r.Reason)
+			}
+		}
 	}
 }

@@ -13,27 +13,27 @@ import (
 // the burstiness its spec declares?
 type BurstReport struct {
 	// Cohort is the cohort name; Kind its arrival process.
-	Cohort string `json:"cohort"`
-	Kind   string `json:"kind"`
+	Cohort string
+	Kind   string
 	// Arrivals generated over the check horizon.
-	Arrivals int `json:"arrivals"`
+	Arrivals int
 	// MeanRate is the observed rate; WantRate the spec's expected mean
 	// rate over the horizon (pattern-adjusted); RateErr their relative
 	// error; RateTol the error the check allows — at least 5%, widened
 	// to a four-sigma sampling bound for over-dispersed streams.
-	MeanRate float64 `json:"mean_rate"`
-	WantRate float64 `json:"want_rate"`
-	RateErr  float64 `json:"rate_err"`
-	RateTol  float64 `json:"rate_tol"`
+	MeanRate float64
+	WantRate float64
+	RateErr  float64
+	RateTol  float64
 	// CV2 is the observed squared coefficient of variation of the
 	// interarrival gaps; IDC the index of dispersion of 10-second
 	// counts. Poisson ⇒ both ≈ 1; MMPP ⇒ both > 1.
-	CV2 float64 `json:"cv2"`
-	IDC float64 `json:"idc"`
+	CV2 float64
+	IDC float64
 	// OK reports whether the stream matches its declaration; Reason
 	// explains the first failure.
-	OK     bool   `json:"ok"`
-	Reason string `json:"reason,omitempty"`
+	OK     bool
+	Reason string
 }
 
 // SelfCheck generates each open cohort's arrival stream over the

@@ -23,7 +23,7 @@
 //
 // Compile resolves a validated Spec against the request-type demand
 // table it will run under; the compiled form is read-only and shared,
-// while per-run generator state (Gen, Pacer) is split per consumer
+// while per-run generator state (Gen) is split per consumer
 // with sim.SplitSeed-stable streams, so spec-driven runs are
 // bit-identical at any shard count.
 package scenario
@@ -61,7 +61,7 @@ const (
 // cohorts. The zero value is invalid; build specs with the builder
 // API or parse them from JSON.
 type Spec struct {
-	// Name identifies the scenario in reports and bench snapshots.
+	// Name identifies the scenario in reports and tables.
 	Name string `json:"name"`
 	// Cohorts are the scenario's client cohorts, in declaration order
 	// (the order predictors and routers see them in).

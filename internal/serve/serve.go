@@ -23,10 +23,9 @@
 //     429s with Retry-After, never to collapse.
 //
 // Every stage is wired into the obs registry (per-endpoint latency
-// histograms, cache traffic, queue depths and high-water marks), and
-// cmd/predload turns the system on itself: it drives this service with
-// trade-simulator-derived request streams and snapshots the evidence
-// to BENCH_serve.json.
+// histograms, cache traffic, queue depths and high-water marks); the
+// benchmark's serve_warm and serve_churn workloads drive the service
+// end to end and report those counters as serve.* metrics.
 package serve
 
 import (

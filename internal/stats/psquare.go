@@ -155,88 +155,3 @@ func (e *P2Quantile) Max() float64 {
 	}
 	return e.q[4]
 }
-
-// StreamingQuantiles tracks a fixed set of quantiles of one stream
-// with a P² estimator per quantile — O(len(ps)) memory regardless of
-// stream length, the constant-space replacement for a reservoir sample
-// buffer. The zero value is not usable; construct with
-// NewStreamingQuantiles.
-type StreamingQuantiles struct {
-	ps  []float64
-	est []*P2Quantile
-}
-
-// DefaultStreamQuantiles is the quantile set tracked when none is
-// configured: the median plus the tail the SLA studies read.
-func DefaultStreamQuantiles() []float64 { return []float64{0.5, 0.9, 0.95, 0.99} }
-
-// NewStreamingQuantiles returns a tracker for the given quantile
-// probabilities (each in (0,1)); nil or empty selects
-// DefaultStreamQuantiles. The set is sorted ascending.
-func NewStreamingQuantiles(ps []float64) *StreamingQuantiles {
-	if len(ps) == 0 {
-		ps = DefaultStreamQuantiles()
-	}
-	sorted := make([]float64, len(ps))
-	copy(sorted, ps)
-	sort.Float64s(sorted)
-	s := &StreamingQuantiles{ps: sorted, est: make([]*P2Quantile, len(sorted))}
-	for i, p := range sorted {
-		s.est[i] = NewP2Quantile(p)
-	}
-	return s
-}
-
-// Probs returns the tracked quantile probabilities, ascending. Callers
-// must not modify the slice.
-func (s *StreamingQuantiles) Probs() []float64 { return s.ps }
-
-// Count returns the number of observations recorded.
-func (s *StreamingQuantiles) Count() int {
-	if len(s.est) == 0 {
-		return 0
-	}
-	return s.est[0].Count()
-}
-
-// Add records one observation into every tracked estimator.
-func (s *StreamingQuantiles) Add(x float64) {
-	for _, e := range s.est {
-		e.Add(x)
-	}
-}
-
-// Quantile returns the estimate for probability p in (0,1). Tracked
-// probabilities return their estimator's value; intermediate
-// probabilities interpolate linearly between the neighbouring tracked
-// estimates, and probabilities outside the tracked range clamp to the
-// stream minimum/maximum.
-func (s *StreamingQuantiles) Quantile(p float64) float64 {
-	if s.Count() == 0 {
-		return 0
-	}
-	if p <= 0 {
-		return s.est[0].Min()
-	}
-	if p >= 1 {
-		return s.est[len(s.est)-1].Max()
-	}
-	i := sort.SearchFloat64s(s.ps, p)
-	if i < len(s.ps) && s.ps[i] == p {
-		return s.est[i].Value()
-	}
-	// Interpolate within (prev tracked or min) .. (next tracked or max).
-	loP, loV := 0.0, s.est[0].Min()
-	if i > 0 {
-		loP, loV = s.ps[i-1], s.est[i-1].Value()
-	}
-	hiP, hiV := 1.0, s.est[len(s.est)-1].Max()
-	if i < len(s.ps) {
-		hiP, hiV = s.ps[i], s.est[i].Value()
-	}
-	if hiP == loP {
-		return loV
-	}
-	frac := (p - loP) / (hiP - loP)
-	return loV*(1-frac) + hiV*frac
-}

@@ -3,7 +3,6 @@ package stats
 import (
 	"math"
 	"math/rand"
-	"sort"
 	"testing"
 )
 
@@ -66,46 +65,5 @@ func TestP2QuantilePanicsOnBadP(t *testing.T) {
 			}()
 			NewP2Quantile(p)
 		}()
-	}
-}
-
-func TestStreamingQuantiles(t *testing.T) {
-	r := rand.New(rand.NewSource(3))
-	sq := NewStreamingQuantiles(nil) // default set {0.5, 0.9, 0.95, 0.99}
-	var all []float64
-	for i := 0; i < 50000; i++ {
-		x := r.ExpFloat64()
-		sq.Add(x)
-		all = append(all, x)
-	}
-	sort.Float64s(all)
-	if sq.Count() != 50000 {
-		t.Fatalf("count = %d", sq.Count())
-	}
-	for _, p := range []float64{0.5, 0.9, 0.95} {
-		got := sq.Quantile(p)
-		want := Percentile(all, p*100)
-		if math.Abs(got-want)/want > 0.05 {
-			t.Errorf("q(%v) = %v, want %v ± 5%%", p, got, want)
-		}
-	}
-	// Interpolated (untracked) probability lies between its neighbours.
-	if q70 := sq.Quantile(0.7); q70 < sq.Quantile(0.5) || q70 > sq.Quantile(0.9) {
-		t.Errorf("q(0.7) = %v outside [q50, q90]", q70)
-	}
-	// Out-of-range probabilities clamp to the observed extremes.
-	if sq.Quantile(0) != all[0] || sq.Quantile(1) != all[len(all)-1] {
-		t.Errorf("clamp: q(0)=%v q(1)=%v, want %v and %v", sq.Quantile(0), sq.Quantile(1), all[0], all[len(all)-1])
-	}
-}
-
-func TestStreamingQuantilesCustomSet(t *testing.T) {
-	sq := NewStreamingQuantiles([]float64{0.8, 0.2})
-	probs := sq.Probs()
-	if len(probs) != 2 || probs[0] != 0.2 || probs[1] != 0.8 {
-		t.Fatalf("probs = %v, want sorted [0.2 0.8]", probs)
-	}
-	if sq.Quantile(0.5) != 0 {
-		t.Fatal("empty tracker should report 0")
 	}
 }

@@ -118,17 +118,15 @@ func TestRunAdaptiveDeterministic(t *testing.T) {
 	}
 }
 
-// TestMeasureCurveAdaptiveParallel drives concurrent adaptive,
-// streaming-percentile measurements through MeasureCurve — the
-// configuration the race detector must clear — and checks worker-count
-// independence.
+// TestMeasureCurveAdaptiveParallel drives concurrent adaptive
+// measurements through MeasureCurve — the configuration the race
+// detector must clear — and checks worker-count independence.
 func TestMeasureCurveAdaptiveParallel(t *testing.T) {
 	opt := MeasureOptions{
-		Seed:                 17,
-		WarmUp:               5,
-		Duration:             30,
-		TargetRelErr:         0.1,
-		StreamingPercentiles: true,
+		Seed:         17,
+		WarmUp:       5,
+		Duration:     30,
+		TargetRelErr: 0.1,
 	}
 	counts := []int{100, 300, 500, 700}
 	serialOpt := opt
@@ -148,9 +146,6 @@ func TestMeasureCurveAdaptiveParallel(t *testing.T) {
 		}
 		if !s.Converged {
 			t.Errorf("point %d did not converge", i)
-		}
-		if s.OverallQuantiles == nil {
-			t.Errorf("point %d missing streaming quantiles", i)
 		}
 	}
 }

@@ -53,21 +53,6 @@ func TestSteadyStateRequestLoopZeroAlloc(t *testing.T) {
 	}
 }
 
-// TestSteadyStateZeroAllocStreaming repeats the contract with P²
-// streaming percentiles, whose Add path must also be allocation-free.
-func TestSteadyStateZeroAllocStreaming(t *testing.T) {
-	cfg := allocConfig()
-	cfg.StreamingPercentiles = true
-	s, until := steadySim(t, cfg)
-	allocs := testing.AllocsPerRun(50, func() {
-		until += 2
-		s.eng.Run(until, 0)
-	})
-	if allocs != 0 {
-		t.Fatalf("streaming-percentile request loop allocates %v objects per 2 simulated seconds, want 0", allocs)
-	}
-}
-
 // TestSteadyStateZeroAllocDetailed covers the §3.1 operation-level
 // workload: browse operation picks and buy-session advancement must
 // stay pooled too.

@@ -160,19 +160,6 @@ type Config struct {
 	// result gains per-operation measurements.
 	DetailedOperations bool
 
-	// StreamingPercentiles replaces the per-class response-time sample
-	// buffers with streaming P² quantile estimators: O(1) memory per
-	// class regardless of run length, at the cost of estimated (rather
-	// than sampled) percentiles. Results then carry Quantiles instead
-	// of Samples. The default keeps the reservoir buffers, which the
-	// calibration helpers and golden outputs depend on.
-	StreamingPercentiles bool
-	// StreamQuantiles optionally sets the probabilities the streaming
-	// estimators track (each in (0,1)); empty selects
-	// stats.DefaultStreamQuantiles. Only valid with
-	// StreamingPercentiles.
-	StreamQuantiles []float64
-
 	// Pools, when > 1, switches the run to the sharded fleet model: the
 	// configured network (application tier + database) is replicated
 	// Pools times, each replica carrying the configured Load with its
@@ -353,14 +340,6 @@ func (c Config) Validate() error {
 			return err
 		}
 	}
-	if len(c.StreamQuantiles) > 0 && !c.StreamingPercentiles {
-		return errors.New("trade: StreamQuantiles requires StreamingPercentiles")
-	}
-	for _, q := range c.StreamQuantiles {
-		if q <= 0 || q >= 1 {
-			return fmt.Errorf("trade: stream quantile %v outside (0,1)", q)
-		}
-	}
 	if c.Pools < 0 || c.Shards < 0 {
 		return errors.New("trade: pools and shards must be non-negative")
 	}
@@ -379,14 +358,10 @@ func (c Config) Validate() error {
 		}
 		return nil
 	}
-	// Sharded fleet restrictions: the per-operation and streaming-P²
-	// accumulators have no cross-pool merge, so those variants stay on
-	// the legacy engine.
+	// Sharded fleet restriction: the per-operation accumulators have no
+	// cross-pool merge, so that variant stays on the single engine.
 	if c.DetailedOperations {
 		return errors.New("trade: DetailedOperations is not supported in sharded runs")
-	}
-	if c.StreamingPercentiles {
-		return errors.New("trade: StreamingPercentiles is not supported in sharded runs")
 	}
 	if c.RemoteFraction > 0 && c.effectivePools() < 2 {
 		return errors.New("trade: RemoteFraction needs at least two pools")

@@ -36,11 +36,6 @@ type MeasureOptions struct {
 	// MaxDuration caps an adaptive run's measured window (0 selects
 	// 8×Duration). Ignored for fixed-horizon runs.
 	MaxDuration float64
-
-	// StreamingPercentiles forwards Config.StreamingPercentiles:
-	// constant-memory P² percentile estimators instead of sample
-	// buffers.
-	StreamingPercentiles bool
 }
 
 func (o MeasureOptions) withDefaults() MeasureOptions {
@@ -58,14 +53,13 @@ func (o MeasureOptions) withDefaults() MeasureOptions {
 func baseConfig(server workload.ServerArch, load workload.Workload, opt MeasureOptions) Config {
 	opt = opt.withDefaults()
 	return Config{
-		Server:               server,
-		DB:                   workload.CaseStudyDB(),
-		Demands:              workload.CaseStudyDemands(),
-		Load:                 load,
-		Seed:                 opt.Seed,
-		WarmUp:               opt.WarmUp,
-		Duration:             opt.Duration,
-		StreamingPercentiles: opt.StreamingPercentiles,
+		Server:   server,
+		DB:       workload.CaseStudyDB(),
+		Demands:  workload.CaseStudyDemands(),
+		Load:     load,
+		Seed:     opt.Seed,
+		WarmUp:   opt.WarmUp,
+		Duration: opt.Duration,
 	}
 }
 

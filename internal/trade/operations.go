@@ -5,7 +5,6 @@ import (
 	"sort"
 
 	"perfpred/internal/sim"
-	"perfpred/internal/stats"
 	"perfpred/internal/workload"
 )
 
@@ -105,24 +104,19 @@ func meanBrowseScale() float64 {
 // name, deriving each from the operation's registration order — the
 // hot-path record call needs no caller-supplied factory closure.
 type opAccumulators struct {
-	byName    map[string]*classAcc
-	max       int
-	rng       *sim.Stream
-	streaming bool
-	quants    []float64
+	byName map[string]*classAcc
+	max    int
+	rng    *sim.Stream
 }
 
-func newOpAccumulators(max int, rng *sim.Stream, streaming bool, quants []float64) *opAccumulators {
-	return &opAccumulators{byName: make(map[string]*classAcc), max: max, rng: rng, streaming: streaming, quants: quants}
+func newOpAccumulators(max int, rng *sim.Stream) *opAccumulators {
+	return &opAccumulators{byName: make(map[string]*classAcc), max: max, rng: rng}
 }
 
 func (o *opAccumulators) record(op string, rt float64) {
 	acc, ok := o.byName[op]
 	if !ok {
 		acc = &classAcc{maxSample: o.max, rng: o.rng.Derive(uint64(len(o.byName)))}
-		if o.streaming {
-			acc.quant = stats.NewStreamingQuantiles(o.quants)
-		}
 		o.byName[op] = acc
 	}
 	acc.record(rt)

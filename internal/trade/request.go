@@ -201,9 +201,6 @@ func (r *reqState) finish() {
 		s.intercept(s.eng.Now(), rt)
 	} else if s.measuring {
 		r.acc.record(rt)
-		if s.overall != nil {
-			s.overall.Add(rt)
-		}
 		if s.ops != nil && r.opName != "" {
 			s.ops.record(r.opName, rt)
 		}

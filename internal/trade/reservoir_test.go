@@ -76,51 +76,3 @@ func TestReservoirQuantileUnbiased(t *testing.T) {
 		t.Errorf("mean reservoir p90 = %v, exact %v: bias beyond 5%%", avg, exact90)
 	}
 }
-
-// TestStreamingMatchesReservoirPercentiles runs the same measurement
-// in both percentile modes: the P² estimates must land near the
-// reservoir (here: complete-sample) percentiles while retaining no
-// sample buffer at all.
-func TestStreamingMatchesReservoirPercentiles(t *testing.T) {
-	base := allocConfig()
-	base.WarmUp = 10
-	base.Duration = 300
-	base.MaxRTSamples = 0 // complete samples: the exact side of the comparison
-
-	reservoir, err := Run(base)
-	if err != nil {
-		t.Fatal(err)
-	}
-	streamCfg := base
-	streamCfg.StreamingPercentiles = true
-	streaming, err := Run(streamCfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	// Identical seeds: the aggregate statistics agree exactly.
-	if reservoir.MeanRT != streaming.MeanRT || reservoir.Throughput != streaming.Throughput {
-		t.Fatalf("percentile mode changed aggregates: %v vs %v", reservoir, streaming)
-	}
-	for name, sc := range streaming.PerClass {
-		if sc.Samples != nil {
-			t.Fatalf("class %q: streaming run retained a sample buffer", name)
-		}
-		if sc.Quantiles == nil {
-			t.Fatalf("class %q: streaming run has no quantile estimators", name)
-		}
-		rc := reservoir.PerClass[name]
-		for _, p := range []float64{50, 90} {
-			got, want := sc.Percentile(p), rc.Percentile(p)
-			if want > 0 && math.Abs(got-want)/want > 0.15 {
-				t.Errorf("class %q p%v: streaming %v vs sampled %v beyond 15%%", name, p, got, want)
-			}
-		}
-	}
-	if streaming.OverallQuantiles == nil {
-		t.Fatal("streaming run should carry overall quantile estimators")
-	}
-	op90, rp90 := streaming.OverallPercentile(90), reservoir.OverallPercentile(90)
-	if math.Abs(op90-rp90)/rp90 > 0.15 {
-		t.Errorf("overall p90: streaming %v vs sampled %v beyond 15%%", op90, rp90)
-	}
-}

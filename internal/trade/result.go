@@ -20,21 +20,13 @@ type ClassResult struct {
 	// Throughput is responses per second.
 	Throughput float64
 	// Samples are (possibly reservoir-sampled) response times for
-	// percentile estimation, seconds. Nil when the run used streaming
-	// percentiles (Config.StreamingPercentiles); read Quantiles then.
+	// percentile estimation, seconds.
 	Samples []float64
-	// Quantiles holds the class's streaming P² quantile estimators when
-	// the run used Config.StreamingPercentiles; nil otherwise.
-	Quantiles *stats.StreamingQuantiles
 }
 
 // Percentile returns the class's p-th percentile response time
-// (p in (0,100]) from the retained samples, or from the streaming
-// estimators when the run kept no sample buffer.
+// (p in (0,100]) from the retained samples.
 func (c ClassResult) Percentile(p float64) float64 {
-	if len(c.Samples) == 0 && c.Quantiles != nil {
-		return c.Quantiles.Quantile(p / 100)
-	}
 	return stats.Percentile(c.Samples, p)
 }
 
@@ -85,9 +77,6 @@ type Result struct {
 	// runs report Config.Duration; adaptive runs report the window the
 	// stopping rule actually measured.
 	Duration float64
-	// OverallQuantiles holds cross-class streaming quantile estimators
-	// when the run used Config.StreamingPercentiles; nil otherwise.
-	OverallQuantiles *stats.StreamingQuantiles
 	// EventsFired is the total number of simulation events executed
 	// over the whole run (warm-up included; all shards in sharded
 	// runs) — the denominator for events/sec benchmarking.
@@ -103,8 +92,7 @@ type Result struct {
 }
 
 // OverallPercentile returns the p-th percentile response time across
-// all classes' retained samples, or from the cross-class streaming
-// estimators when the run kept no sample buffers.
+// all classes' retained samples.
 func (r *Result) OverallPercentile(p float64) float64 {
 	var all []float64
 	names := make([]string, 0, len(r.PerClass))
@@ -114,9 +102,6 @@ func (r *Result) OverallPercentile(p float64) float64 {
 	sort.Strings(names)
 	for _, name := range names {
 		all = append(all, r.PerClass[name].Samples...)
-	}
-	if len(all) == 0 && r.OverallQuantiles != nil {
-		return r.OverallQuantiles.Quantile(p / 100)
 	}
 	return stats.Percentile(all, p)
 }

@@ -191,7 +191,6 @@ func TestShardedRemoteRequestsServed(t *testing.T) {
 func TestShardedConfigValidation(t *testing.T) {
 	bad := []func(*Config){
 		func(c *Config) { c.DetailedOperations = true },
-		func(c *Config) { c.StreamingPercentiles = true },
 		func(c *Config) { c.RemoteFraction = 1.0 },
 		func(c *Config) { c.RemoteFraction = -0.1 },
 		func(c *Config) { c.ShardLatency = -1 },

@@ -74,7 +74,6 @@ type simulator struct {
 	measuredDur float64 // actual measurement window (adaptive runs); 0 = cfg.Duration
 	acc         map[string]*classAcc
 	classNames  []string // sorted class names for deterministic collection
-	overall     *stats.StreamingQuantiles
 	ops         *opAccumulators
 
 	// intercept, when set, receives every completion (simulated time,
@@ -116,16 +115,11 @@ type classAcc struct {
 	samples   []float64
 	seen      int
 	maxSample int
-	rng       *sim.Stream               // reservoir sampling stream
-	quant     *stats.StreamingQuantiles // non-nil in streaming mode
+	rng       *sim.Stream // reservoir sampling stream
 }
 
 func (a *classAcc) record(rt float64) {
 	a.rt.Add(rt)
-	if a.quant != nil {
-		a.quant.Add(rt)
-		return
-	}
 	a.seen++
 	if a.seen <= a.maxSample {
 		// Filling phase: every observation is retained, so quantiles
@@ -271,11 +265,8 @@ func newSimulator(cfg Config, opt simOptions) (*simulator, error) {
 			s.stickyWeights[i] = app.arch.Speed
 		}
 	}
-	if cfg.StreamingPercentiles {
-		s.overall = stats.NewStreamingQuantiles(cfg.StreamQuantiles)
-	}
 	if cfg.DetailedOperations {
-		s.ops = newOpAccumulators(cfg.MaxRTSamples, root.Derive(7), cfg.StreamingPercentiles, cfg.StreamQuantiles)
+		s.ops = newOpAccumulators(cfg.MaxRTSamples, root.Derive(7))
 		s.browseOps = BrowseOperations()
 		s.browseWeights = make([]float64, len(s.browseOps))
 		for i, op := range s.browseOps {
@@ -314,9 +305,6 @@ func newSimulator(cfg Config, opt simOptions) (*simulator, error) {
 	for pi, pop := range cfg.Load {
 		sampler := newTypeSampler(pop.Class.Mix, cfg.Demands)
 		s.acc[pop.Class.Name] = &classAcc{maxSample: cfg.MaxRTSamples, rng: sampleRNG.Derive(uint64(len(s.acc)))}
-		if cfg.StreamingPercentiles {
-			s.acc[pop.Class.Name].quant = stats.NewStreamingQuantiles(cfg.StreamQuantiles)
-		}
 		if pop.Open() {
 			// Open stream: spec-defined generator for scenario cohorts
 			// (Poisson, MMPP, trace, with temporal patterns); constant-rate
@@ -641,7 +629,6 @@ func (s *simulator) collect() *Result {
 			RTStdDev:   acc.rt.StdDev(),
 			Throughput: float64(acc.rt.Count()) / dur,
 			Samples:    acc.samples,
-			Quantiles:  acc.quant,
 		}
 		res.PerClass[name] = cr
 		totalWeighted += cr.MeanRT * float64(cr.Completed)
@@ -651,7 +638,6 @@ func (s *simulator) collect() *Result {
 		res.MeanRT = totalWeighted / float64(totalCompleted)
 	}
 	res.Throughput = float64(totalCompleted) / dur
-	res.OverallQuantiles = s.overall
 	if s.ops != nil {
 		res.PerOperation = s.ops.results()
 	}
