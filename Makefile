@@ -44,7 +44,7 @@ benchmark:
 bench:
 	$(GO) test -run '^$$' -bench 'BenchmarkSchedule|BenchmarkRunDrain|BenchmarkStation|BenchmarkCalendar|BenchmarkShard' -benchmem ./internal/sim
 	$(GO) test -run '^$$' -bench BenchmarkMeasureCurve -benchtime 2x ./internal/trade
-	$(GO) test -run '^$$' -bench 'BenchmarkRequestLoop|BenchmarkCollect|BenchmarkTransientCurve|BenchmarkRunBackend' -benchmem ./internal/trade
+	$(GO) test -run '^$$' -bench 'BenchmarkRequestLoop|BenchmarkCollect|BenchmarkWindows|BenchmarkRunBackend' -benchmem ./internal/trade
 	$(GO) test -run '^$$' -bench 'BenchmarkSolve' -benchmem ./internal/lqn
 	$(GO) test -run '^$$' -bench 'BenchmarkHybridBuild|BenchmarkBuildRelationship3' -benchmem ./internal/hybrid
 

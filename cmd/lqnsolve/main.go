@@ -112,13 +112,7 @@ func loadModel(useTrade bool, server string, clients int, buy float64, args []st
 		if err != nil {
 			return nil, err
 		}
-		var load workload.Workload
-		if buy > 0 {
-			load = workload.MixedWorkload(clients, buy)
-		} else {
-			load = workload.TypicalWorkload(clients)
-		}
-		return lqn.NewTradeModel(arch, workload.CaseStudyDB(), workload.CaseStudyDemands(), load)
+		return lqn.NewTradeModel(arch, workload.CaseStudyDB(), workload.CaseStudyDemands(), workload.MixLoad(clients, buy))
 	}
 	if len(args) != 1 {
 		return nil, fmt.Errorf("usage: lqnsolve [flags] model.json (or -trade)")

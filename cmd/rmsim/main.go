@@ -71,7 +71,7 @@ func main() {
 	// The bench suite owns the §9.1 calibration (truth = historical on
 	// measurements, planner = hybrid).
 	suite := bench.NewSuite(*seed)
-	pred, truth, servers, err := benchSetup(suite)
+	pred, truth, servers, err := suite.RMSetup()
 	if err != nil {
 		fatal(err)
 	}
@@ -151,12 +151,6 @@ func casePrices(costS, costF, costVF float64, maxPer int) []rm.ArchPrice {
 		{Arch: workload.AppServF(), HourlyCost: costF, Max: maxPer},
 		{Arch: workload.AppServVF(), HourlyCost: costVF, Max: maxPer},
 	}
-}
-
-// benchSetup asks the suite for the §9.1 predictor pair via the public
-// figure path (the suite memoises the calibration).
-func benchSetup(s *bench.Suite) (pred, truth rm.Predictor, servers []rm.Server, err error) {
-	return s.RMSetup()
 }
 
 // runFleet executes one in-loop fleet run: scorer-routed requests over

@@ -77,12 +77,7 @@ func main() {
 		return
 	}
 
-	var load workload.Workload
-	if *buy > 0 {
-		load = workload.MixedWorkload(*clients, *buy)
-	} else {
-		load = workload.TypicalWorkload(*clients)
-	}
+	load := workload.MixLoad(*clients, *buy)
 	if *openRate > 0 {
 		load = append(load, workload.Population{
 			Class:       workload.ServiceClass{Name: "stream", Mix: workload.Mix{workload.Browse: 1}},

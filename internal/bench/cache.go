@@ -55,11 +55,7 @@ func (s *Suite) cellKey(c measureCell) string {
 
 // measure runs the cell's simulation, uncached.
 func (c measureCell) measure(opt trade.MeasureOptions) (*trade.Result, error) {
-	load := workload.TypicalWorkload(c.clients)
-	if c.buyFrac > 0 {
-		load = workload.MixedWorkload(c.clients, c.buyFrac)
-	}
-	return trade.Measure(c.arch, load, opt)
+	return trade.Measure(c.arch, workload.MixLoad(c.clients, c.buyFrac), opt)
 }
 
 // measureCells measures every cell through the cache, in one fan-out,

@@ -19,15 +19,15 @@ func (s *Suite) Stabilisation() (*Table, error) {
 		Header: []string{"Time (s)", "Measured RT (ms)", "Model RT (ms)"},
 	}
 	cfg := s.config(workload.AppServF(), workload.TypicalWorkload(1900))
-	cfg.Duration = 400 // from a cold start: TransientCurve discards no warm-up
-	curve, err := trade.TransientCurve(cfg, 20)
+	cfg.Duration = 400 // from a cold start: Windows discards no warm-up
+	curve, err := trade.Windows(cfg, 20)
 	if err != nil {
 		return nil, err
 	}
 	var pts []hist.StabilisationPoint
 	for _, p := range curve {
 		if p.Completed > 0 {
-			pts = append(pts, hist.StabilisationPoint{Time: p.Time, MeanRT: p.MeanRT})
+			pts = append(pts, hist.StabilisationPoint{Time: p.End, MeanRT: p.MeanRT})
 		}
 	}
 	model, err := hist.FitStabilisation(pts)

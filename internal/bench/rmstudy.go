@@ -31,6 +31,8 @@ func (s *Suite) RMSetup() (pred, truth rm.Predictor, servers []rm.Server, err er
 	return hyb, truthSet, rm.CaseStudyServers(), nil
 }
 
+// servers16Arch returns the architectures of the 16-server case-study
+// pool keyed by name.
 func servers16Arch() map[string]workload.ServerArch {
 	return map[string]workload.ServerArch{
 		"AppServS":  workload.AppServS(),

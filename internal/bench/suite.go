@@ -62,15 +62,6 @@ func NewSuite(seed int64) *Suite {
 	}
 }
 
-// servers returns the case-study architectures keyed by name.
-func servers() map[string]workload.ServerArch {
-	return map[string]workload.ServerArch{
-		"AppServS":  workload.AppServS(),
-		"AppServF":  workload.AppServF(),
-		"AppServVF": workload.AppServVF(),
-	}
-}
-
 // MaxThroughput benchmarks (and memoises) an architecture's typical
 // max throughput on the simulated testbed. The first call benchmarks
 // all three case-study servers in one fan-out, longest run first:

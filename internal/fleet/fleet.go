@@ -64,9 +64,6 @@ type Config struct {
 	WarmUp float64
 	// Duration is the measured window (seconds).
 	Duration float64
-	// Latency is the one-way cross-pool hop latency and conservative
-	// lookahead, seconds; 0 selects trade.DefaultShardLatency.
-	Latency float64
 	// MaxRTSamples bounds per-class sample buffers (0 = trade default).
 	MaxRTSamples int
 
@@ -209,7 +206,6 @@ func Run(cfg Config) (*Result, error) {
 		MaxRTSamples: cfg.MaxRTSamples,
 		Pools:        cfg.Pools,
 		Shards:       cfg.Shards,
-		ShardLatency: cfg.Latency,
 		Router:       router,
 		BarrierHook:  hook,
 	}

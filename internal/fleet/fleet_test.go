@@ -33,7 +33,6 @@ func testConfig(pools, shards int, scorer Scorer) Config {
 		Seed:         11,
 		WarmUp:       2,
 		Duration:     10,
-		Latency:      0.005,
 		MaxRTSamples: 64,
 		Scorer:       scorer,
 	}
@@ -211,7 +210,6 @@ func TestFleetStaticMatchesRouterlessRun(t *testing.T) {
 		MaxRTSamples: cfg.MaxRTSamples,
 		Pools:        cfg.Pools,
 		Shards:       cfg.Shards,
-		ShardLatency: cfg.Latency,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -280,7 +278,6 @@ func TestFleetConservationProperty(t *testing.T) {
 		MaxRTSamples: cfg.MaxRTSamples,
 		Pools:        cfg.Pools,
 		Shards:       cfg.Shards,
-		ShardLatency: cfg.Latency,
 		Router:       cr,
 		BarrierHook:  func(float64) { inner.Sync() },
 	})
@@ -408,7 +405,6 @@ func TestFleetSteadyStateZeroAllocWithMetrics(t *testing.T) {
 		MaxRTSamples: cfg.MaxRTSamples,
 		Pools:        cfg.Pools,
 		Shards:       cfg.Shards,
-		ShardLatency: cfg.Latency,
 		Router:       router,
 		BarrierHook:  func(float64) { router.Sync() },
 	})

@@ -130,14 +130,14 @@ func TestStabilisationFromSimulator(t *testing.T) {
 		WarmUp:   0,
 		Duration: 400,
 	}
-	curve, err := trade.TransientCurve(cfg, 10)
+	curve, err := trade.Windows(cfg, 10)
 	if err != nil {
 		t.Fatal(err)
 	}
 	var pts []StabilisationPoint
 	for _, p := range curve {
 		if p.Completed > 0 {
-			pts = append(pts, StabilisationPoint{Time: p.Time, MeanRT: p.MeanRT})
+			pts = append(pts, StabilisationPoint{Time: p.End, MeanRT: p.MeanRT})
 		}
 	}
 	m, err := FitStabilisation(pts)

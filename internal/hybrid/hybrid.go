@@ -151,20 +151,14 @@ func buildServerMix(cfg Config, arch workload.ServerArch, buyFrac float64) (*his
 	// §8.5 charges the hybrid method for. The all-browse path keeps the
 	// single-class typical workload Build has always used, so its
 	// models (and the experiment goldens behind them) are unchanged.
-	makeLoad := func(n int) workload.Workload {
-		if buyFrac <= 0 {
-			return workload.TypicalWorkload(n)
-		}
-		return workload.MixedWorkload(n, buyFrac)
-	}
-	model, err := lqn.NewTradeModel(arch, cfg.DB, cfg.Demands, makeLoad(1))
+	model, err := lqn.NewTradeModel(arch, cfg.DB, cfg.Demands, workload.MixLoad(1, buyFrac))
 	if err != nil {
 		return nil, 0, err
 	}
 	solver := lqn.NewSolver()
 	solver.WarmStart = true
 	solveTypical := func(n int) (*lqn.Result, error) {
-		for i, p := range makeLoad(n) {
+		for i, p := range workload.MixLoad(n, buyFrac) {
 			model.Classes[i].Population = p.Clients
 		}
 		return solver.Solve(model, cfg.LQN)

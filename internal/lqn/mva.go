@@ -109,11 +109,8 @@ func (ws *mvaWorkspace) background(p *solvePlan, i, k, K int) float64 {
 // warm seeds the queue-length iterate from the previous converged
 // solve when the shapes match — the initial guess changes, the fixed
 // point does not, so adjacent-population sweeps converge in a handful
-// of sweeps instead of dozens. damping in (0,1) blends each queue
-// update with the previous iterate (successive substitution), damping
-// the oscillation that inflates iteration counts at fine criteria;
-// 0 keeps the undamped legacy iteration bit-for-bit.
-func (ws *mvaWorkspace) solveSchweitzer(p *solvePlan, convergence float64, maxIter int, damping float64, warm bool) error {
+// of sweeps instead of dozens.
+func (ws *mvaWorkspace) solveSchweitzer(p *solvePlan, convergence float64, maxIter int, warm bool) error {
 	K := len(p.closed)
 	I := len(p.procNames)
 	if K == 0 {
@@ -258,9 +255,6 @@ func (ws *mvaWorkspace) solveSchweitzer(p *solvePlan, convergence float64, maxIt
 			ws.X[k] = float64(ws.pop[k]) / (ws.think[k] + rTotal)
 			for i := 0; i < I; i++ {
 				nq := ws.X[k] * ws.rik[i*K+k]
-				if damping > 0 {
-					nq = damping*ws.q[i*K+k] + (1-damping)*nq
-				}
 				if d := math.Abs(nq - ws.q[i*K+k]); d > maxDQ {
 					maxDQ = d
 				}

@@ -25,13 +25,6 @@ type Options struct {
 	// offered concurrency. Supports closed classes and synchronous
 	// calls only. See layers.go.
 	TaskLayering bool
-	// Damping in (0,1) blends each Schweitzer queue-length update with
-	// the previous iterate (damped successive substitution): next =
-	// Damping*old + (1-Damping)*new. It tames the oscillation that
-	// inflates iteration counts at fine convergence criteria on
-	// near-saturated models. Zero keeps the classic undamped iteration
-	// bit-for-bit; values outside [0,1) are rejected.
-	Damping float64
 }
 
 // ClassResult is one service class's predicted steady-state metrics.

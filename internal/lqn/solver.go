@@ -176,9 +176,6 @@ func (s *Solver) rebuildResult() {
 // Clone it to retain across solves.
 func (s *Solver) Solve(m *Model, opt Options) (*Result, error) {
 	start := time.Now()
-	if opt.Damping < 0 || opt.Damping >= 1 {
-		return nil, fmt.Errorf("lqn: damping %v outside [0,1)", opt.Damping)
-	}
 	if err := s.prepare(m); err != nil {
 		return nil, err
 	}
@@ -255,7 +252,7 @@ func (s *Solver) Solve(m *Model, opt Options) (*Result, error) {
 		}
 	default:
 		warmEligible = s.WarmStart
-		if err := ws.solveSchweitzer(p, opt.Convergence, opt.MaxIterations, opt.Damping, s.WarmStart); err != nil {
+		if err := ws.solveSchweitzer(p, opt.Convergence, opt.MaxIterations, s.WarmStart); err != nil {
 			return nil, err
 		}
 	}

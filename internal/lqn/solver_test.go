@@ -328,32 +328,6 @@ func TestSolverRejectsBadParametersOnCacheHit(t *testing.T) {
 	}
 }
 
-func TestDampingValidationAndEquivalence(t *testing.T) {
-	m := tradeTestModel(t, 1500)
-	for _, bad := range []float64{-0.1, 1, 1.5} {
-		if _, err := Solve(m, Options{Damping: bad}); err == nil {
-			t.Fatalf("damping %v accepted", bad)
-		}
-	}
-	plain, err := Solve(m, Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	damped, err := Solve(m, Options{Damping: 0.5})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !damped.Converged {
-		t.Fatal("damped iteration did not converge")
-	}
-	for name, p := range plain.Classes {
-		d := damped.Classes[name]
-		if diff := math.Abs(p.ResponseTime - d.ResponseTime); diff > 1e-3*(1+p.ResponseTime) {
-			t.Fatalf("class %q: damped RT %v vs undamped %v", name, d.ResponseTime, p.ResponseTime)
-		}
-	}
-}
-
 func TestResultClone(t *testing.T) {
 	m := tinyModel()
 	s := NewSolver()

@@ -127,13 +127,7 @@ func Train(cfg TrainConfig) (*Model, error) {
 			sp := specs[i]
 			o := opt
 			o.Seed = sim.SplitSeed(cfg.Seed, uint64(1_000_003+i))
-			var load workload.Workload
-			if sp.buyFrac <= 0 {
-				load = workload.TypicalWorkload(sp.clients)
-			} else {
-				load = workload.MixedWorkload(sp.clients, sp.buyFrac)
-			}
-			res, err := trade.Measure(sp.arch, load, o)
+			res, err := trade.Measure(sp.arch, workload.MixLoad(sp.clients, sp.buyFrac), o)
 			if err != nil {
 				return 0, err
 			}

@@ -10,6 +10,7 @@ import (
 	"perfpred/internal/lqn"
 	"perfpred/internal/sessioncache"
 	"perfpred/internal/sla"
+	"perfpred/internal/workload"
 )
 
 // solveJob is one queued layered-solver request: the mean response
@@ -46,7 +47,7 @@ type keyState struct {
 // mix's classes, counts the solve, and returns the request-weighted
 // mean response time.
 func (st *keyState) meanRT(solver *lqn.Solver, n int, opt lqn.Options) (float64, error) {
-	for i, p := range mixLoad(n, st.buyFrac) {
+	for i, p := range workload.MixLoad(n, st.buyFrac) {
 		st.model.Classes[i].Population = p.Clients
 	}
 	res, err := solver.Solve(st.model, opt)

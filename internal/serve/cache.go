@@ -34,15 +34,6 @@ func makeKey(method, arch string, buyPct float64) modelKey {
 // consume.
 func (k modelKey) buyFrac() float64 { return float64(k.buyPctTenth) / 1000 }
 
-// mixLoad is n clients under a buy mix: the typical all-browse
-// workload at 0, the browse/buy split otherwise.
-func mixLoad(n int, buyFrac float64) workload.Workload {
-	if buyFrac <= 0 {
-		return workload.TypicalWorkload(n)
-	}
-	return workload.MixedWorkload(n, buyFrac)
-}
-
 // modelEntry is one cached per-(method, architecture, mix) model and
 // the cold-build cost it took to make.
 type modelEntry struct {
@@ -248,7 +239,7 @@ func (s *Service) calibrateScale(arch workload.ServerArch, buyFrac float64, sm *
 		Server:   arch,
 		DB:       s.cfg.DB,
 		Demands:  s.cfg.Demands,
-		Load:     mixLoad(n, buyFrac),
+		Load:     workload.MixLoad(n, buyFrac),
 		Seed:     s.cfg.CalibrationSeed,
 		WarmUp:   s.cfg.CalibrationSimSeconds / 4,
 		Duration: s.cfg.CalibrationSimSeconds,

@@ -210,7 +210,7 @@ func (s *Service) makeState(key modelKey) (*keyState, error) {
 	if err != nil {
 		return nil, err
 	}
-	model, err := lqn.NewTradeModel(arch, s.cfg.DB, s.cfg.Demands, mixLoad(1, key.buyFrac()))
+	model, err := lqn.NewTradeModel(arch, s.cfg.DB, s.cfg.Demands, workload.MixLoad(1, key.buyFrac()))
 	if err != nil {
 		return nil, err
 	}

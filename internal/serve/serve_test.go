@@ -933,7 +933,7 @@ func TestCalibrateScaleMatchesMergedSamples(t *testing.T) {
 			Server:   arch,
 			DB:       s.cfg.DB,
 			Demands:  s.cfg.Demands,
-			Load:     mixLoad(int(1.4*sm.SaturationClients()), buyFrac),
+			Load:     workload.MixLoad(int(1.4*sm.SaturationClients()), buyFrac),
 			Seed:     s.cfg.CalibrationSeed,
 			WarmUp:   s.cfg.CalibrationSimSeconds / 4,
 			Duration: s.cfg.CalibrationSimSeconds,

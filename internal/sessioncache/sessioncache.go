@@ -224,7 +224,7 @@ func SolveWithCache(server workload.ServerArch, db workload.DBServer, demands ma
 			iter++
 			break
 		}
-		// Damping keeps the outer loop stable.
+		// Averaging with the last iterate keeps the outer loop stable.
 		miss = 0.5*miss + 0.5*next
 	}
 	recordSolve(iter, rebuilds, converged)

@@ -169,15 +169,12 @@ func BenchmarkShardWindow(b *testing.B) {
 // loop of every simulated measurement.
 func BenchmarkStationSubmit(b *testing.B) {
 	e := NewEngine()
-	s := NewStation(e, "cpu", 1, 4, GlobalFIFO)
+	s := NewStation(e, "cpu", 1)
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		s.Submit(0, 0.001, nil)
-		// A short step keeps the clock small: past ~8e6 a float64 clock
-		// cannot advance by the last 1e-9 of a demand, and at one unit per
-		// iteration a default -benchtime gets there.
-		e.Run(e.Now()+0.002, 0)
+		s.Submit(0.001, nil)
+		e.Run(e.Now()+1, 0)
 	}
 }
 
@@ -192,10 +189,10 @@ func BenchmarkStationChurn(b *testing.B) {
 	}{{"heap", NewEngine}, {"calendar", NewEngineCalendar}} {
 		b.Run(bc.name, func(b *testing.B) {
 			e := bc.mk()
-			s := NewStation(e, "app", 1, 50, GlobalFIFO)
+			s := NewStation(e, "app", 1)
 			rng := NewStream(13)
 			var done func()
-			done = func() { s.Submit(0, rng.Exp(0.005), done) }
+			done = func() { s.Submit(rng.Exp(0.005), done) }
 			for i := 0; i < 50; i++ {
 				done()
 			}

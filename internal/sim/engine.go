@@ -1,10 +1,10 @@
 // Package sim is a deterministic discrete-event simulation core. It
-// provides the event engine, reproducible random streams and the
-// processor-sharing service station used to model the paper's
-// application and database servers: each server admits a bounded
-// number of requests "at the same time via time-sharing" from FIFO
-// waiting queues (§2, §5), which is exactly a processor-sharing
-// station with a multiprogramming limit and FIFO admission.
+// provides the event engine, reproducible random streams and the two
+// primitives used to model the paper's application and database
+// servers: each server admits a bounded number of requests "at the
+// same time via time-sharing" from FIFO waiting queues (§2, §5), which
+// is a Semaphore (the multiprogramming limit and its FIFO admission)
+// in front of a processor-sharing Station (the CPU).
 //
 // The engine replaces the paper's physical WebSphere/DB2 testbed: the
 // Trade benchmark simulator (internal/trade) is built on these
@@ -231,47 +231,27 @@ func (e *Engine) release(ev *event) {
 	e.free = ev
 }
 
-// Run executes events until the clock would pass until, the event
-// queue drains, or limit events have fired (limit <= 0 means no
-// limit). It returns the number of events fired by this call.
-func (e *Engine) Run(until float64, limit uint64) uint64 {
+// popBefore removes and returns the earliest pending event if it fires
+// at or before until; otherwise the queue is left untouched and nil is
+// returned. It is the one place the two scheduler backends differ on
+// the dequeue side.
+func (e *Engine) popBefore(until float64) *event {
 	if e.cal != nil {
-		return e.runCalendar(until, limit)
+		return e.cal.popBefore(until)
 	}
-	var fired uint64
-	for len(e.queue) > 0 {
-		next := e.queue[0]
-		if next.time > until {
-			break
-		}
-		e.pop()
-		if next.cancelled {
-			e.release(next)
-			continue
-		}
-		e.now = next.time
-		action := next.action
-		e.release(next) // before the action, so it can reuse the slot
-		action()
-		e.fired++
-		fired++
-		if limit > 0 && fired >= limit {
-			break
-		}
+	if len(e.queue) == 0 || e.queue[0].time > until {
+		return nil
 	}
-	if e.now < until && (len(e.queue) == 0 || e.queue[0].time > until) {
-		e.now = until
-	}
-	e.flushMetrics()
-	return fired
+	return e.pop()
 }
 
-// runCalendar is Run over the calendar-queue backend: same firing
-// order, same clock-clamping rules, different dequeue mechanics.
-func (e *Engine) runCalendar(until float64, limit uint64) uint64 {
+// fire is the engine's one event loop: pop, discard if cancelled, fire,
+// until the next event lies past until, the queue drains or limit
+// events have fired (0 means no limit).
+func (e *Engine) fire(until float64, limit uint64) uint64 {
 	var fired uint64
 	for {
-		next := e.cal.popBefore(until)
+		next := e.popBefore(until)
 		if next == nil {
 			break
 		}
@@ -289,10 +269,19 @@ func (e *Engine) runCalendar(until float64, limit uint64) uint64 {
 			break
 		}
 	}
-	if e.now < until {
-		if nxt := e.cal.peek(); nxt == nil || nxt.time > until {
-			e.now = until
-		}
+	return fired
+}
+
+// Run executes events until the clock would pass until, the event
+// queue drains, or limit events have fired (limit <= 0 means no
+// limit). It returns the number of events fired by this call. When
+// nothing is left to fire at or before until, the clock moves to until.
+func (e *Engine) Run(until float64, limit uint64) uint64 {
+	fired := e.fire(until, limit)
+	// Pending is asked first because PeekTime's +Inf for an empty queue
+	// does not exceed an infinite until.
+	if e.now < until && (e.Pending() == 0 || e.PeekTime() > until) {
+		e.now = until
 	}
 	e.flushMetrics()
 	return fired
@@ -301,38 +290,7 @@ func (e *Engine) runCalendar(until float64, limit uint64) uint64 {
 // Step executes the single next event, if any, and reports whether one
 // fired.
 func (e *Engine) Step() bool {
-	if e.cal != nil {
-		for {
-			next := e.cal.popBefore(math.Inf(1))
-			if next == nil {
-				return false
-			}
-			if next.cancelled {
-				e.release(next)
-				continue
-			}
-			e.now = next.time
-			action := next.action
-			e.release(next)
-			action()
-			e.fired++
-			return true
-		}
-	}
-	for len(e.queue) > 0 {
-		next := e.pop()
-		if next.cancelled {
-			e.release(next)
-			continue
-		}
-		e.now = next.time
-		action := next.action
-		e.release(next)
-		action()
-		e.fired++
-		return true
-	}
-	return false
+	return e.fire(math.Inf(1), 1) == 1
 }
 
 // eventBefore is the heap order: earlier time first, scheduling order

@@ -6,6 +6,28 @@ import (
 	"testing/quick"
 )
 
+// server is the composition trade builds for both tiers: a Semaphore
+// holding the multiprogramming limit in front of a processor-sharing
+// Station. submit queues for a slot, serves the demand and releases the
+// slot before running done.
+type server struct {
+	slots *Semaphore
+	cpu   *Station
+}
+
+func newServer(e *Engine, speed float64, mpl int) *server {
+	return &server{slots: NewSemaphore(e, "prop/slots", mpl, GlobalFIFO), cpu: NewStation(e, "prop/cpu", speed)}
+}
+
+func (sv *server) submit(demand float64, done func()) {
+	sv.slots.Acquire(0, func() {
+		sv.cpu.Submit(demand, func() {
+			sv.slots.Release()
+			done()
+		})
+	})
+}
+
 // Property: a processor-sharing station conserves work — once every
 // job has completed, the integrated busy time times the speed equals
 // the sum of all submitted demands, regardless of arrival pattern,
@@ -13,10 +35,13 @@ import (
 func TestStationWorkConservationProperty(t *testing.T) {
 	f := func(seed int64, rawSpeed, rawMPL uint8, nJobs uint8) bool {
 		speed := 0.5 + float64(rawSpeed%8)/2 // 0.5 .. 4.0
-		mpl := int(rawMPL % 5)               // 0 (unlimited) .. 4
 		n := int(nJobs%40) + 1
+		mpl := int(rawMPL % 5) // 1 .. 4; 0 stands for a limit no job waits on
+		if mpl == 0 {
+			mpl = n
+		}
 		e := NewEngine()
-		s := NewStation(e, "prop", speed, mpl, GlobalFIFO)
+		sv := newServer(e, speed, mpl)
 		rng := NewStream(seed)
 		var total float64
 		done := 0
@@ -24,20 +49,18 @@ func TestStationWorkConservationProperty(t *testing.T) {
 			d := rng.Exp(2.0)
 			total += d
 			e.Schedule(rng.Exp(1.0), func() {
-				s.Submit(0, d, func() { done++ })
+				sv.submit(d, func() { done++ })
 			})
 		}
 		e.Run(1e9, 0)
 		if done != n {
 			return false
 		}
-		if s.Completed() != uint64(n) {
+		if sv.cpu.Completed() != uint64(n) {
 			return false
 		}
-		work := s.MeanInService() // force a final update
-		_ = work
 		// busyTime × speed == Σ demands
-		delivered := s.Utilization() * e.Now() * speed
+		delivered := sv.cpu.Utilization() * e.Now() * speed
 		return math.Abs(delivered-total) < 1e-6*(1+total)
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 150}); err != nil {
@@ -45,28 +68,29 @@ func TestStationWorkConservationProperty(t *testing.T) {
 	}
 }
 
-// Property: FIFO admission at an MPL-limited station never loses or
-// duplicates a job, and completions never exceed submissions at any
-// point in time.
+// Property: FIFO admission in front of an MPL-limited station never
+// loses or duplicates a job, the station never serves more than the
+// limit at once, and completions never exceed submissions at any point
+// in time.
 func TestStationJobConservationProperty(t *testing.T) {
 	f := func(seed int64, nJobs uint8) bool {
 		n := int(nJobs%60) + 1
 		e := NewEngine()
-		s := NewStation(e, "prop", 1, 2, GlobalFIFO)
+		sv := newServer(e, 1, 2)
 		rng := NewStream(seed)
 		completions := 0
 		for i := 0; i < n; i++ {
 			e.Schedule(rng.Exp(0.5), func() {
-				s.Submit(0, rng.Exp(1.0), func() { completions++ })
+				sv.submit(rng.Exp(1.0), func() { completions++ })
 			})
 		}
 		for e.Step() {
-			inFlight := s.InService() + s.Queued()
-			if inFlight < 0 || completions+inFlight > n {
+			inService := sv.cpu.InService()
+			if inService > 2 || inService != sv.slots.Held() || completions+inService+sv.slots.Queued() > n {
 				return false
 			}
 		}
-		return completions == n && s.InService() == 0 && s.Queued() == 0
+		return completions == n && sv.cpu.InService() == 0 && sv.slots.Queued() == 0
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 150}); err != nil {
 		t.Fatal(err)

@@ -33,17 +33,6 @@ func (f *fifo[T]) pop() (v T, ok bool) {
 	return v, true
 }
 
-// peek returns the head element without removing it.
-func (f *fifo[T]) peek() (v T, ok bool) {
-	if f.n == 0 {
-		return v, false
-	}
-	return f.buf[f.head], true
-}
-
-// len returns the number of queued elements.
-func (f *fifo[T]) len() int { return f.n }
-
 func (f *fifo[T]) grow() {
 	capNew := 2 * len(f.buf)
 	if capNew == 0 {

@@ -2,6 +2,22 @@ package sim
 
 import "fmt"
 
+// Admission selects how a Semaphore picks the next waiter when a slot
+// frees up.
+type Admission int
+
+const (
+	// GlobalFIFO grants the waiter that has been waiting longest,
+	// regardless of source — the application-server queue of the
+	// paper's system model (§2).
+	GlobalFIFO Admission = iota
+	// PerSourceFIFO keeps one FIFO queue per source and grants from
+	// the queues in round-robin order — the database server of the
+	// paper's system model, which has "one FIFO queue per application
+	// server".
+	PerSourceFIFO
+)
+
 // Semaphore models a bounded pool of admission slots with FIFO (or
 // per-source round-robin) granting — the servlet-thread pool of an
 // application server or the agent pool of a database server. A request

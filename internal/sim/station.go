@@ -5,59 +5,26 @@ import (
 	"math"
 )
 
-// Admission selects how a Station picks the next waiting job when a
-// time-sharing slot frees up.
-type Admission int
-
-const (
-	// GlobalFIFO admits the job that has been waiting longest,
-	// regardless of source — the application-server queue of the
-	// paper's system model (§2).
-	GlobalFIFO Admission = iota
-	// PerSourceFIFO keeps one FIFO queue per source and admits from
-	// the queues in round-robin order — the database server of the
-	// paper's system model, which has "one FIFO queue per application
-	// server".
-	PerSourceFIFO
-)
-
 const remainEps = 1e-9
 
-// job is one request in service or waiting at a Station. Jobs are
-// pooled per station: a retired job returns to a free list and is
-// reused by a later Submit, so the steady-state service loop performs
-// no allocation.
-type job struct {
-	demand  float64 // service demand; once in service, Station.remain tracks what is left
-	done    func()
-	source  int
-	arrived float64
-	next    *job // free-list link
-}
-
-// Station is a processor-sharing service centre with a multiprogramming
-// limit: up to MPL jobs are served simultaneously, each receiving an
-// equal share of the station's speed, and further arrivals wait in
-// FIFO queues. This is the paper's model of both server tiers: "both
-// servers can process multiple requests concurrently via time-sharing"
-// behind FIFO waiting queues.
+// Station is a processor-sharing CPU: every submitted job is in service
+// at once, each receiving an equal share of the station's speed. This
+// is the time-sharing half of the paper's model of both server tiers
+// ("both servers can process multiple requests concurrently via
+// time-sharing"); the multiprogramming limit and the FIFO waiting
+// queues in front of it are a Semaphore, which a request holds across
+// its CPU bursts.
 type Station struct {
-	eng       *Engine
-	name      string
-	speed     float64
-	mpl       int
-	admission Admission
+	eng   *Engine
+	name  string
+	speed float64
 
-	active  []*job
-	remain  []float64    // remaining demand of active[i], contiguous for the per-event pass
-	queues  []fifo[*job] // indexed by source id
-	sources []int        // insertion-ordered source ids for round-robin
-	known   []bool       // source id already registered in sources
-	rrNext  int
+	// The jobs in service, as two parallel slices that reuse their
+	// backing arrays, so the steady-state service loop allocates nothing.
+	active []func()  // completion callbacks
+	remain []float64 // remaining demand of active[i], contiguous for the per-event pass
 
-	free     *job     // retired jobs for reuse
-	finished []*job   // scratch: jobs retired by one completion event
-	dones    []func() // scratch: their callbacks, run after release
+	dones []func() // scratch: callbacks of the jobs one completion event retired
 
 	lastUpdate float64
 	completion Event
@@ -67,30 +34,17 @@ type Station struct {
 	statsSince   float64
 	busyTime     float64
 	areaActive   float64
-	areaQueued   float64
 	completed    uint64
 	totalService float64
-	queuedCount  int
 }
 
 // NewStation creates a station attached to eng. speed is the service
-// rate multiplier (1 means demands are in time units); mpl is the
-// maximum number of jobs in service at once (0 means unlimited); adm
-// selects the admission discipline.
-func NewStation(eng *Engine, name string, speed float64, mpl int, adm Admission) *Station {
+// rate multiplier (1 means demands are in time units).
+func NewStation(eng *Engine, name string, speed float64) *Station {
 	if speed <= 0 || math.IsNaN(speed) {
 		panic(fmt.Sprintf("sim: station %q needs positive speed, got %v", name, speed))
 	}
-	if mpl < 0 {
-		panic(fmt.Sprintf("sim: station %q needs non-negative MPL, got %d", name, mpl))
-	}
-	st := &Station{
-		eng:       eng,
-		name:      name,
-		speed:     speed,
-		mpl:       mpl,
-		admission: adm,
-	}
+	st := &Station{eng: eng, name: name, speed: speed}
 	st.onComp = st.onCompletion
 	return st
 }
@@ -98,30 +52,11 @@ func NewStation(eng *Engine, name string, speed float64, mpl int, adm Admission)
 // Name returns the station's label.
 func (s *Station) Name() string { return s.name }
 
-// queueFor returns the waiting queue for a source, registering the
-// source in insertion order on first use. Sources must be small
-// non-negative ids (server indices); the queues live in a slice so the
-// per-call lookup is an index, not a map probe.
-func (s *Station) queueFor(source int) *fifo[*job] {
-	if source < 0 {
-		panic(fmt.Sprintf("sim: station %q got negative source %d", s.name, source))
-	}
-	for source >= len(s.queues) {
-		s.queues = append(s.queues, fifo[*job]{})
-		s.known = append(s.known, false)
-	}
-	if !s.known[source] {
-		s.known[source] = true
-		s.sources = append(s.sources, source)
-	}
-	return &s.queues[source]
-}
-
-// Submit offers a job with the given service demand (time units at
-// speed 1) from the given source. done runs when service completes.
-// Zero-demand jobs complete via the event queue, preserving causal
-// ordering. Negative or NaN demands panic: they are modelling bugs.
-func (s *Station) Submit(source int, demand float64, done func()) {
+// Submit puts a job with the given service demand (time units at
+// speed 1) into service. done runs when service completes. Zero-demand
+// jobs complete via the event queue, preserving causal ordering.
+// Negative or NaN demands panic: they are modelling bugs.
+func (s *Station) Submit(demand float64, done func()) {
 	if demand < 0 || math.IsNaN(demand) {
 		panic(fmt.Sprintf("sim: station %q got invalid demand %v", s.name, demand))
 	}
@@ -138,42 +73,16 @@ func (s *Station) Submit(source int, demand float64, done func()) {
 			minRemaining = r
 		}
 	}
-	j := s.free
-	if j != nil {
-		s.free = j.next
-		j.next = nil
-	} else {
-		j = &job{}
-	}
-	j.demand = demand
-	j.done = done
-	j.source = source
-	j.arrived = s.eng.Now()
-	if s.mpl == 0 || len(s.active) < s.mpl {
-		s.active = append(s.active, j)
-		s.remain = append(s.remain, demand)
-		if demand < minRemaining {
-			minRemaining = demand
-		}
-	} else {
-		s.queueFor(source).push(j)
-		s.queuedCount++
+	s.active = append(s.active, done)
+	s.remain = append(s.remain, demand)
+	if demand < minRemaining {
+		minRemaining = demand
 	}
 	s.scheduleNext(minRemaining)
 }
 
-// release returns a retired job to the free list.
-func (s *Station) release(j *job) {
-	j.done = nil
-	j.next = s.free
-	s.free = j
-}
-
 // InService returns the number of jobs currently being time-shared.
 func (s *Station) InService() int { return len(s.active) }
-
-// Queued returns the number of jobs waiting for a slot.
-func (s *Station) Queued() int { return s.queuedCount }
 
 // accrue advances the time-weighted statistics to the engine's
 // current time and returns the service each job in service received
@@ -190,7 +99,6 @@ func (s *Station) accrue() (perJob float64, charge bool) {
 			s.areaActive += elapsed * float64(n)
 			s.totalService += elapsed * s.speed
 		}
-		s.areaQueued += elapsed * float64(s.queuedCount)
 	}
 	s.lastUpdate = now
 	return perJob, charge
@@ -222,12 +130,10 @@ func (s *Station) scheduleNext(minRemaining float64) {
 	s.completion = s.eng.Reschedule(s.completion, minRemaining*float64(n)/s.speed, s.onComp)
 }
 
-// onCompletion retires every job whose demand is exhausted, admits
-// replacements from the waiting queues, and then runs the retired
-// jobs' callbacks. Callbacks run after the station state is consistent
-// so they may immediately Submit again (e.g. a request's next database
-// call); retired jobs are recycled before the callbacks run, so a
-// re-Submit can reuse them.
+// onCompletion retires every job whose demand is exhausted and then
+// runs the retired jobs' callbacks. Callbacks run after the station
+// state is consistent so they may immediately Submit again (e.g. a
+// request's next database call).
 //
 // The jobs in service are walked once: charge, stable partition into
 // retired and kept, and the kept jobs' minimum happen in one loop that
@@ -237,15 +143,39 @@ func (s *Station) scheduleNext(minRemaining float64) {
 func (s *Station) onCompletion() {
 	s.completion = Event{}
 	perJob, charge := s.accrue()
-	finished := s.finished[:0]
-	minRemaining := math.Inf(1)
+	dones, minRemaining := s.retire(perJob, charge, remainEps)
+	if !charge && len(dones) == 0 {
+		// No simulated time elapsed and nothing retired: the clock is so
+		// large that now + the least remaining service rounds back to now
+		// (past ~2e7 s for millisecond demands), so this event would
+		// re-fire at this instant forever. Those jobs are as finished as a
+		// float64 clock can tell.
+		dones, minRemaining = s.retire(0, false, minRemaining)
+	}
+	s.completed += uint64(len(dones))
+	s.scheduleNext(minRemaining)
+	for i, done := range dones {
+		dones[i] = nil
+		if done != nil {
+			done()
+		}
+	}
+}
+
+// retire charges perJob to every job in service (when charge is set),
+// removes those with at most limit demand remaining, and returns their
+// callbacks in service order, in the station's scratch slice, with the
+// least remaining demand among the jobs kept.
+func (s *Station) retire(perJob float64, charge bool, limit float64) (dones []func(), minRemaining float64) {
+	dones = s.dones[:0]
+	minRemaining = math.Inf(1)
 	k := 0
 	for i, r := range s.remain {
 		if charge {
 			r -= perJob
 		}
-		if r <= remainEps {
-			finished = append(finished, s.active[i])
+		if r <= limit {
+			dones = append(dones, s.active[i])
 			continue
 		}
 		if k != i {
@@ -257,73 +187,13 @@ func (s *Station) onCompletion() {
 			minRemaining = r
 		}
 	}
+	for i := k; i < len(s.active); i++ {
+		s.active[i] = nil // drop the callback references for GC
+	}
 	s.active = s.active[:k]
 	s.remain = s.remain[:k]
-	s.completed += uint64(len(finished))
-	for s.mpl == 0 || len(s.active) < s.mpl {
-		if s.queuedCount == 0 {
-			// Nothing waits: skip the scan over the sources, but leave the
-			// round-robin cursor where the fruitless lap would have.
-			if s.admission == PerSourceFIFO {
-				s.rrNext += len(s.sources)
-			}
-			break
-		}
-		next := s.admitOne()
-		s.active = append(s.active, next)
-		s.remain = append(s.remain, next.demand)
-		s.queuedCount--
-		if next.demand < minRemaining {
-			minRemaining = next.demand
-		}
-	}
-	s.scheduleNext(minRemaining)
-	dones := s.dones[:0]
-	for _, j := range finished {
-		dones = append(dones, j.done)
-		s.release(j)
-	}
-	s.finished = finished[:0]
-	for _, done := range dones {
-		if done != nil {
-			done()
-		}
-	}
-	s.dones = dones[:0]
-}
-
-// admitOne removes and returns the next waiting job per the admission
-// discipline, or nil when all queues are empty.
-func (s *Station) admitOne() *job {
-	switch s.admission {
-	case PerSourceFIFO:
-		for range s.sources {
-			src := s.sources[s.rrNext%len(s.sources)]
-			s.rrNext++
-			if j, ok := s.queues[src].pop(); ok {
-				return j
-			}
-		}
-		return nil
-	default: // GlobalFIFO: earliest arrival across all queues
-		var best *job
-		bestSrc := -1
-		for _, src := range s.sources {
-			j, ok := s.queues[src].peek()
-			if !ok {
-				continue
-			}
-			if best == nil || j.arrived < best.arrived {
-				best = j
-				bestSrc = src
-			}
-		}
-		if best == nil {
-			return nil
-		}
-		s.queues[bestSrc].pop()
-		return best
-	}
+	s.dones = dones
+	return dones, minRemaining
 }
 
 // ResetStats zeroes the accumulated statistics (typically after a
@@ -333,7 +203,6 @@ func (s *Station) ResetStats() {
 	s.statsSince = s.eng.Now()
 	s.busyTime = 0
 	s.areaActive = 0
-	s.areaQueued = 0
 	s.completed = 0
 	s.totalService = 0
 }
@@ -358,17 +227,6 @@ func (s *Station) MeanInService() float64 {
 		return 0
 	}
 	return s.areaActive / elapsed
-}
-
-// MeanQueued returns the time-average number of waiting jobs since the
-// last stats reset.
-func (s *Station) MeanQueued() float64 {
-	s.update()
-	elapsed := s.eng.Now() - s.statsSince
-	if elapsed <= 0 {
-		return 0
-	}
-	return s.areaQueued / elapsed
 }
 
 // Completed returns the number of jobs finished since the last stats

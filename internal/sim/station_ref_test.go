@@ -12,21 +12,16 @@ import (
 // partition, one to find the minimum, and a Cancel+Schedule pair per
 // event.
 type refJob struct {
-	remaining, arrived float64
-	source             int
-	done               func()
+	remaining float64
+	done      func()
 }
 
 type refStation struct {
-	eng             *Engine
-	speed           float64
-	mpl             int
-	adm             Admission
-	active, waiting []*refJob
-	sources         []int // in order of first queueing
-	rrNext          int
-	last            float64
-	completion      Event
+	eng        *Engine
+	speed      float64
+	active     []*refJob
+	last       float64
+	completion Event
 }
 
 func (s *refStation) update() {
@@ -58,58 +53,10 @@ func (s *refStation) scheduleNext() {
 	s.completion = s.eng.Schedule(minRemaining*float64(len(s.active))/s.speed, s.onCompletion)
 }
 
-func (s *refStation) submit(source int, demand float64, done func()) {
+func (s *refStation) submit(demand float64, done func()) {
 	s.update()
-	j := &refJob{remaining: demand, arrived: s.eng.Now(), source: source, done: done}
-	if s.mpl == 0 || len(s.active) < s.mpl {
-		s.active = append(s.active, j)
-	} else {
-		known := false
-		for _, src := range s.sources {
-			known = known || src == source
-		}
-		if !known {
-			s.sources = append(s.sources, source)
-		}
-		s.waiting = append(s.waiting, j)
-	}
+	s.active = append(s.active, &refJob{remaining: demand, done: done})
 	s.scheduleNext()
-}
-
-// admit removes and returns the next waiting job: round-robin over the
-// sources' FIFO heads, or the earliest arrival among them (ties to the
-// source that queued first).
-func (s *refStation) admit() *refJob {
-	head := func(src int) int {
-		for i, j := range s.waiting {
-			if j.source == src {
-				return i
-			}
-		}
-		return -1
-	}
-	pick := -1
-	if s.adm == PerSourceFIFO {
-		for range s.sources {
-			src := s.sources[s.rrNext%len(s.sources)]
-			s.rrNext++
-			if pick = head(src); pick >= 0 {
-				break
-			}
-		}
-	} else {
-		for _, src := range s.sources {
-			if h := head(src); h >= 0 && (pick < 0 || s.waiting[h].arrived < s.waiting[pick].arrived) {
-				pick = h
-			}
-		}
-	}
-	if pick < 0 {
-		return nil
-	}
-	j := s.waiting[pick]
-	s.waiting = append(s.waiting[:pick], s.waiting[pick+1:]...)
-	return j
 }
 
 func (s *refStation) onCompletion() {
@@ -124,13 +71,6 @@ func (s *refStation) onCompletion() {
 		}
 	}
 	s.active = kept
-	for s.mpl == 0 || len(s.active) < s.mpl {
-		next := s.admit()
-		if next == nil {
-			break
-		}
-		s.active = append(s.active, next)
-	}
 	s.scheduleNext()
 	for _, j := range finished {
 		j.done()
@@ -140,8 +80,7 @@ func (s *refStation) onCompletion() {
 // The one-pass station must reproduce the three-pass reference's
 // completion times exactly — math.Float64bits equality, not a
 // tolerance — over random submit sequences with simultaneous arrivals
-// and completions, zero demands, resubmits from callbacks, unlimited
-// and limited multiprogramming and both admission disciplines, on both
+// and completions, zero demands and resubmits from callbacks, on both
 // scheduler backends. Bit-identity of every seeded run in the
 // repository rests on this.
 func TestStationFusedMatchesReference(t *testing.T) {
@@ -151,7 +90,7 @@ func TestStationFusedMatchesReference(t *testing.T) {
 	}
 	// drive runs one script against a submit function and returns the
 	// completions in callback order.
-	drive := func(e *Engine, submit func(source int, demand float64, done func()), seed int64, n int) []completion {
+	drive := func(e *Engine, submit func(demand float64, done func()), seed int64, n int) []completion {
 		rng := NewStream(seed)
 		var out []completion
 		id := 0
@@ -166,7 +105,7 @@ func TestStationFusedMatchesReference(t *testing.T) {
 				demand = rng.Exp(1)
 			}
 			resubmit := rng.Float64() < 0.2
-			submit(rng.Intn(3), demand, func() {
+			submit(demand, func() {
 				out = append(out, completion{myID, math.Float64bits(e.Now())})
 				if resubmit && id < n {
 					arrive()
@@ -184,20 +123,15 @@ func TestStationFusedMatchesReference(t *testing.T) {
 		e.Run(math.Inf(1), 0)
 		return out
 	}
-	f := func(seed int64, rawSpeed, rawMPL, nRaw uint8, perSource bool) bool {
+	f := func(seed int64, rawSpeed, nRaw uint8) bool {
 		speed := 0.5 + float64(rawSpeed%6)/2
-		mpl := int(rawMPL % 5) // 0 is unlimited
 		n := int(nRaw)%120 + 10
-		adm := GlobalFIFO
-		if perSource {
-			adm = PerSourceFIFO
-		}
 		re := NewEngine()
-		ref := &refStation{eng: re, speed: speed, mpl: mpl, adm: adm}
+		ref := &refStation{eng: re, speed: speed}
 		want := drive(re, ref.submit, seed, n)
 		for _, mk := range []func() *Engine{NewEngine, NewEngineCalendar} {
 			e := mk()
-			st := NewStation(e, "fused", speed, mpl, adm)
+			st := NewStation(e, "fused", speed)
 			got := drive(e, st.Submit, seed, n)
 			if len(got) != len(want) {
 				return false
@@ -218,27 +152,31 @@ func TestStationFusedMatchesReference(t *testing.T) {
 	}
 }
 
-// A full service cycle at a busy station — Submit, the completion
-// event, the callback — is the innermost loop of every simulated
-// measurement and must not allocate on either backend.
+// A full service cycle at a busy server — thread grant, Submit, the
+// completion event, the callback, the release that grants a waiter —
+// is the innermost loop of every simulated measurement and must not
+// allocate on either backend. The composition is the one trade builds:
+// a Semaphore holding the multiprogramming limit in front of the CPU.
 func TestStationCycleAllocatesNothing(t *testing.T) {
 	for _, mk := range []func() *Engine{NewEngine, NewEngineCalendar} {
 		e := mk()
-		s := NewStation(e, "cpu", 1, 4, PerSourceFIFO)
+		threads := NewSemaphore(e, "threads", 4, PerSourceFIFO)
+		s := NewStation(e, "cpu", 1)
 		rng := NewStream(9)
-		done := func() {}
+		done := threads.Release
+		granted := func() { s.Submit(rng.Exp(0.01), done) }
 		cycle := func() {
 			for i := 0; i < 8; i++ { // past the limit, so the queues work too
-				s.Submit(i%3, rng.Exp(0.01), done)
+				threads.Acquire(i%3, granted)
 			}
 			e.Run(e.Now()+1, 0)
 		}
-		cycle() // fill the job and event pools
+		cycle() // fill the waiter rings, job slices and event pool
 		if a := testing.AllocsPerRun(200, cycle); a != 0 {
 			t.Fatalf("station cycle allocated %v times per run", a)
 		}
-		if s.InService() != 0 || s.Queued() != 0 {
-			t.Fatalf("station not drained: %d in service, %d queued", s.InService(), s.Queued())
+		if s.InService() != 0 || threads.Held() != 0 || threads.Queued() != 0 {
+			t.Fatalf("server not drained: %d in service, %d threads held, %d queued", s.InService(), threads.Held(), threads.Queued())
 		}
 	}
 }

@@ -7,9 +7,9 @@ import (
 
 func TestStationSingleJob(t *testing.T) {
 	e := NewEngine()
-	s := NewStation(e, "app", 1, 0, GlobalFIFO)
+	s := NewStation(e, "app", 1)
 	var doneAt float64
-	s.Submit(0, 5, func() { doneAt = e.Now() })
+	s.Submit(5, func() { doneAt = e.Now() })
 	e.Run(100, 0)
 	if doneAt != 5 {
 		t.Fatalf("job finished at %v, want 5", doneAt)
@@ -21,9 +21,9 @@ func TestStationSingleJob(t *testing.T) {
 
 func TestStationSpeedScalesService(t *testing.T) {
 	e := NewEngine()
-	s := NewStation(e, "fast", 2, 0, GlobalFIFO)
+	s := NewStation(e, "fast", 2)
 	var doneAt float64
-	s.Submit(0, 10, func() { doneAt = e.Now() })
+	s.Submit(10, func() { doneAt = e.Now() })
 	e.Run(100, 0)
 	if doneAt != 5 {
 		t.Fatalf("job on speed-2 server finished at %v, want 5", doneAt)
@@ -33,10 +33,10 @@ func TestStationSpeedScalesService(t *testing.T) {
 func TestStationProcessorSharingTwoJobs(t *testing.T) {
 	// Two equal jobs sharing one processor each finish at 2*demand.
 	e := NewEngine()
-	s := NewStation(e, "app", 1, 0, GlobalFIFO)
+	s := NewStation(e, "app", 1)
 	var t1, t2 float64
-	s.Submit(0, 4, func() { t1 = e.Now() })
-	s.Submit(0, 4, func() { t2 = e.Now() })
+	s.Submit(4, func() { t1 = e.Now() })
+	s.Submit(4, func() { t2 = e.Now() })
 	e.Run(100, 0)
 	if math.Abs(t1-8) > 1e-9 || math.Abs(t2-8) > 1e-9 {
 		t.Fatalf("finish times %v, %v; want 8, 8", t1, t2)
@@ -48,10 +48,10 @@ func TestStationProcessorSharingUnequalJobs(t *testing.T) {
 	// t=4 (rate 1/2 each), then the long one runs alone with 4 units
 	// remaining, finishing at t=8.
 	e := NewEngine()
-	s := NewStation(e, "app", 1, 0, GlobalFIFO)
+	s := NewStation(e, "app", 1)
 	var tShort, tLong float64
-	s.Submit(0, 2, func() { tShort = e.Now() })
-	s.Submit(0, 6, func() { tLong = e.Now() })
+	s.Submit(2, func() { tShort = e.Now() })
+	s.Submit(6, func() { tLong = e.Now() })
 	e.Run(100, 0)
 	if math.Abs(tShort-4) > 1e-9 {
 		t.Fatalf("short job finished at %v, want 4", tShort)
@@ -65,94 +65,20 @@ func TestStationLateArrivalSharing(t *testing.T) {
 	// Job A (demand 4) starts alone at t=0. Job B (demand 2) arrives at
 	// t=2, when A has 2 remaining. They share: both finish at t=6.
 	e := NewEngine()
-	s := NewStation(e, "app", 1, 0, GlobalFIFO)
+	s := NewStation(e, "app", 1)
 	var tA, tB float64
-	s.Submit(0, 4, func() { tA = e.Now() })
-	e.Schedule(2, func() { s.Submit(0, 2, func() { tB = e.Now() }) })
+	s.Submit(4, func() { tA = e.Now() })
+	e.Schedule(2, func() { s.Submit(2, func() { tB = e.Now() }) })
 	e.Run(100, 0)
 	if math.Abs(tA-6) > 1e-9 || math.Abs(tB-6) > 1e-9 {
 		t.Fatalf("finish times A=%v B=%v, want 6, 6", tA, tB)
 	}
 }
 
-func TestStationMPLQueueing(t *testing.T) {
-	// MPL 1 turns the station into FIFO: three unit jobs finish at
-	// 1, 2, 3.
-	e := NewEngine()
-	s := NewStation(e, "db", 1, 1, GlobalFIFO)
-	var finishes []float64
-	for i := 0; i < 3; i++ {
-		s.Submit(0, 1, func() { finishes = append(finishes, e.Now()) })
-	}
-	if s.InService() != 1 || s.Queued() != 2 {
-		t.Fatalf("in service %d queued %d, want 1 and 2", s.InService(), s.Queued())
-	}
-	e.Run(100, 0)
-	want := []float64{1, 2, 3}
-	for i, w := range want {
-		if math.Abs(finishes[i]-w) > 1e-9 {
-			t.Fatalf("finishes = %v, want %v", finishes, want)
-		}
-	}
-}
-
-func TestStationGlobalFIFOAdmissionOrder(t *testing.T) {
-	// With MPL 1, waiting jobs from different sources are admitted in
-	// arrival order under GlobalFIFO.
-	e := NewEngine()
-	s := NewStation(e, "db", 1, 1, GlobalFIFO)
-	var order []int
-	s.Submit(9, 1, func() { order = append(order, 9) })
-	e.Schedule(0.1, func() { s.Submit(2, 1, func() { order = append(order, 2) }) })
-	e.Schedule(0.2, func() { s.Submit(1, 1, func() { order = append(order, 1) }) })
-	e.Schedule(0.3, func() { s.Submit(2, 1, func() { order = append(order, 2) }) })
-	e.Run(100, 0)
-	want := []int{9, 2, 1, 2}
-	for i := range want {
-		if order[i] != want[i] {
-			t.Fatalf("admission order = %v, want %v", order, want)
-		}
-	}
-}
-
-func TestStationPerSourceRoundRobin(t *testing.T) {
-	// Per-source FIFO with round-robin admission alternates between the
-	// application servers' queues, like the paper's database server.
-	e := NewEngine()
-	s := NewStation(e, "db", 1, 1, PerSourceFIFO)
-	var order []int
-	// Source 1 floods first; source 2 arrives after. Round-robin should
-	// still alternate once both queues are populated.
-	s.Submit(1, 1, func() { order = append(order, 1) }) // in service immediately
-	e.Schedule(0.1, func() {
-		for i := 0; i < 3; i++ {
-			s.Submit(1, 1, func() { order = append(order, 1) })
-		}
-		for i := 0; i < 3; i++ {
-			s.Submit(2, 1, func() { order = append(order, 2) })
-		}
-	})
-	e.Run(100, 0)
-	// After the first job, admissions alternate 1,2,1,2,...
-	want := []int{1, 1, 2, 1, 2, 1, 2}
-	if len(order) != len(want) {
-		t.Fatalf("completed %d jobs, want %d", len(order), len(want))
-	}
-	alternating := 0
-	for i := 1; i < len(order); i++ {
-		if order[i] != order[i-1] {
-			alternating++
-		}
-	}
-	if alternating < 4 {
-		t.Fatalf("admission order %v does not alternate between sources", order)
-	}
-}
-
 func TestStationStats(t *testing.T) {
 	e := NewEngine()
-	s := NewStation(e, "app", 1, 0, GlobalFIFO)
-	s.Submit(0, 5, nil)
+	s := NewStation(e, "app", 1)
+	s.Submit(5, nil)
 	e.Run(10, 0)
 	// Busy 5 of 10 time units.
 	if got := s.Utilization(); math.Abs(got-0.5) > 1e-9 {
@@ -169,9 +95,9 @@ func TestStationStats(t *testing.T) {
 
 func TestStationZeroDemand(t *testing.T) {
 	e := NewEngine()
-	s := NewStation(e, "app", 1, 0, GlobalFIFO)
+	s := NewStation(e, "app", 1)
 	fired := false
-	s.Submit(0, 0, func() { fired = true })
+	s.Submit(0, func() { fired = true })
 	if fired {
 		t.Fatal("zero-demand job completed synchronously; must go through the event queue")
 	}
@@ -185,16 +111,16 @@ func TestStationResubmitFromCallback(t *testing.T) {
 	// A request that makes a database call from its completion callback
 	// (the trade simulator's pattern) must be safe.
 	e := NewEngine()
-	s := NewStation(e, "app", 1, 0, GlobalFIFO)
+	s := NewStation(e, "app", 1)
 	hops := 0
 	var loop func()
 	loop = func() {
 		hops++
 		if hops < 5 {
-			s.Submit(0, 1, loop)
+			s.Submit(1, loop)
 		}
 	}
-	s.Submit(0, 1, loop)
+	s.Submit(1, loop)
 	e.Run(100, 0)
 	if hops != 5 {
 		t.Fatalf("hops = %d, want 5", hops)
@@ -212,16 +138,16 @@ func TestStationInvalidArgsPanic(t *testing.T) {
 				t.Fatal("negative speed did not panic")
 			}
 		}()
-		NewStation(e, "bad", -1, 0, GlobalFIFO)
+		NewStation(e, "bad", -1)
 	}()
-	s := NewStation(e, "ok", 1, 0, GlobalFIFO)
+	s := NewStation(e, "ok", 1)
 	func() {
 		defer func() {
 			if recover() == nil {
 				t.Fatal("negative demand did not panic")
 			}
 		}()
-		s.Submit(0, -3, nil)
+		s.Submit(-3, nil)
 	}()
 }
 
@@ -230,7 +156,7 @@ func TestStationMM1PSMeanResponse(t *testing.T) {
 	// demands of mean S, the mean response time is S/(1-ρ). Use
 	// λ = 0.5, S = 1 → ρ = 0.5 → E[T] = 2.
 	e := NewEngine()
-	s := NewStation(e, "app", 1, 0, GlobalFIFO)
+	s := NewStation(e, "app", 1)
 	rng := NewStream(12345)
 	var acc struct {
 		sum float64
@@ -240,7 +166,7 @@ func TestStationMM1PSMeanResponse(t *testing.T) {
 	var arrive func()
 	arrive = func() {
 		start := e.Now()
-		s.Submit(0, rng.Exp(S), func() {
+		s.Submit(rng.Exp(S), func() {
 			if start > 2000 { // warm-up
 				acc.sum += e.Now() - start
 				acc.n++
@@ -256,5 +182,45 @@ func TestStationMM1PSMeanResponse(t *testing.T) {
 	}
 	if math.Abs(got-2)/2 > 0.08 {
 		t.Fatalf("M/M/1-PS mean response = %v, want ≈2 (n=%d)", got, acc.n)
+	}
+}
+
+// Past ~2e7 simulated seconds a float64 clock no longer resolves the
+// last nanoseconds of a millisecond demand: now + remaining·n/speed
+// rounds back to now while remaining is still above remainEps. The
+// completion event must retire the least-remaining jobs there instead
+// of re-firing at one instant forever (a long trace replay gets this
+// far). The event limit turns a livelock into a failure, not a hang.
+func TestStationCompletesOnLargeClock(t *testing.T) {
+	const (
+		submits   = 200000
+		perRunCap = 1000 // events one short Run may fire; a healthy one fires a handful
+	)
+	for _, start := range []float64{2e7, 1e8, 1e9} {
+		e := NewEngineCalendar()
+		e.Run(start, 0)
+		s := NewStation(e, "cpu", 1)
+		rng := NewStream(41)
+		completed := 0
+		done := func() { completed++ }
+		for i := 0; i < submits; i++ {
+			demand := rng.Exp(0.001)
+			switch i % 10 {
+			case 3:
+				demand = 0
+			case 7:
+				demand = rng.Exp(0.010)
+			}
+			s.Submit(demand, done)
+			if fired := e.Run(e.Now()+rng.Exp(0.003), perRunCap); fired >= perRunCap {
+				t.Fatalf("clock %g: livelock after %d submits (%d completed): one Run fired %d events", start, i+1, completed, fired)
+			}
+		}
+		if fired := e.Run(e.Now()+60, submits); fired >= submits {
+			t.Fatalf("clock %g: livelock while draining (%d completed)", start, completed)
+		}
+		if completed != submits || s.InService() != 0 {
+			t.Fatalf("clock %g: %d of %d jobs completed, %d still in service", start, completed, submits, s.InService())
+		}
 	}
 }

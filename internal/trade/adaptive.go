@@ -56,11 +56,9 @@ func runAdaptive(cfg Config, ctl RunControl, opt simOptions) (*Result, error) {
 	if cfg.sharded() {
 		return nil, errors.New("trade: adaptive runs are not supported on sharded configurations")
 	}
-	s, err := newSimulator(cfg, opt)
-	if err != nil {
+	if err := cfg.Validate(); err != nil {
 		return nil, err
 	}
-	cfg = s.cfg // defaults applied
 	conf := ctl.Confidence
 	if conf == 0 {
 		conf = 0.95
@@ -81,9 +79,9 @@ func runAdaptive(cfg Config, ctl RunControl, opt simOptions) (*Result, error) {
 		return nil, fmt.Errorf("trade: max duration %v cannot fit %d batches of %v", maxDur, minBatches, batch)
 	}
 
+	s := newSimulator(cfg, opt)
 	s.eng.Run(cfg.WarmUp, 0)
-	s.resetStats()
-	s.measuring = true
+	s.beginMeasurement()
 
 	var bm stats.BatchMeans
 	var prevSum float64
@@ -103,8 +101,7 @@ func runAdaptive(cfg Config, ctl RunControl, opt simOptions) (*Result, error) {
 			break
 		}
 	}
-	s.measuredDur = elapsed
-	res := s.collect()
+	res := collect([]*simulator{s}, elapsed, s.eng.Fired(), false)
 	res.Converged = converged
 	res.Batches = bm.Count()
 	res.AchievedRelErr = bm.RelHalfWidth(conf)

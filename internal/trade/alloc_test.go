@@ -13,13 +13,12 @@ import (
 // only the steady-state path.
 func steadySim(t testing.TB, cfg Config) (*simulator, float64) {
 	t.Helper()
-	s, err := newSimulator(cfg, simOptions{})
-	if err != nil {
+	if err := cfg.Validate(); err != nil {
 		t.Fatal(err)
 	}
+	s := newSimulator(cfg, simOptions{})
 	s.eng.Run(cfg.WarmUp, 0)
-	s.resetStats()
-	s.measuring = true
+	s.beginMeasurement()
 	until := cfg.WarmUp + 60 // fills the small reservoirs and warms all pools
 	s.eng.Run(until, 0)
 	return s, until
@@ -87,7 +86,7 @@ func TestSteadyStateZeroAllocWithMetrics(t *testing.T) {
 	}
 	// The flush path (collect) must not allocate either, beyond what
 	// collect itself already does — and it must actually publish.
-	if res := s.collect(); res.Throughput <= 0 {
+	if res := collect([]*simulator{s}, s.cfg.Duration, s.eng.Fired(), false); res.Throughput <= 0 {
 		t.Fatal("empty collection")
 	}
 	snap := reg.Snapshot()
@@ -111,13 +110,13 @@ func BenchmarkCollect(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if res := s.collect(); res.Throughput <= 0 {
+		if res := collect([]*simulator{s}, s.cfg.Duration, s.eng.Fired(), false); res.Throughput <= 0 {
 			b.Fatal("empty collection")
 		}
 	}
 }
 
-func BenchmarkTransientCurve(b *testing.B) {
+func BenchmarkWindows(b *testing.B) {
 	cfg := Config{
 		Server:   workload.AppServF(),
 		DB:       workload.CaseStudyDB(),
@@ -129,7 +128,7 @@ func BenchmarkTransientCurve(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := TransientCurve(cfg, 10); err != nil {
+		if _, err := Windows(cfg, 10); err != nil {
 			b.Fatal(err)
 		}
 	}

@@ -137,19 +137,22 @@ func TestBackendsAgree(t *testing.T) {
 		}
 		sameRun(t, heap, cal)
 	})
-	t.Run("TransientCurve", func(t *testing.T) {
+	t.Run("TransientCurve", func(t *testing.T) { // the cold-start transient, in Windows
 		cfg := base(workload.TypicalWorkload(1900))
-		heap, err := transientCurve(cfg, 5, onHeap)
+		heap, err := windows(cfg, 5, onHeap)
 		if err != nil {
 			t.Fatal(err)
 		}
-		cal, err := TransientCurve(cfg, 5)
+		cal, err := Windows(cfg, 5)
 		if err != nil {
 			t.Fatal(err)
+		}
+		if len(heap) != 12 || len(cal) != len(heap) {
+			t.Fatalf("%d windows on the heap, %d on the calendar, want 12", len(heap), len(cal))
 		}
 		for i := range heap {
 			if heap[i].Completed != cal[i].Completed || bitsDiffer(heap[i].MeanRT, cal[i].MeanRT) {
-				t.Fatalf("bucket %d: heap %+v, calendar %+v", i, heap[i], cal[i])
+				t.Fatalf("window %d: heap %+v, calendar %+v", i, heap[i], cal[i])
 			}
 		}
 	})

@@ -38,9 +38,6 @@ type CacheConfig struct {
 	// MissExtraDBCalls is the number of additional database calls a
 	// cache miss costs (1 in the paper: one session read).
 	MissExtraDBCalls float64
-	// MissDBTimePerCall overrides the request type's per-call database
-	// time for the session read; 0 means use the request type's value.
-	MissDBTimePerCall float64
 }
 
 // Validate reports the first structural problem with the cache
@@ -53,8 +50,6 @@ func (c CacheConfig) Validate() error {
 		return errors.New("trade: session size mean must be positive")
 	case c.MissExtraDBCalls < 0:
 		return errors.New("trade: miss extra db calls must be non-negative")
-	case c.MissDBTimePerCall < 0:
-		return errors.New("trade: miss db time must be non-negative")
 	}
 	return nil
 }
@@ -175,18 +170,6 @@ type Config struct {
 	// time windows. 0 or 1 runs all pools on one engine. Shards above
 	// Pools are clamped to Pools.
 	Shards int
-	// RemoteFraction is the probability a closed client's request is
-	// forwarded to a uniformly chosen remote pool instead of its own —
-	// the cross-shard traffic of a fleet with shared-nothing replicas
-	// and occasional remote service. 0 (the default) makes pools fully
-	// independent. Requires a sharded run with at least two pools; must
-	// be < 1.
-	RemoteFraction float64
-	// ShardLatency is the one-way network latency of a cross-pool
-	// request hop, seconds; it doubles as the conservative lookahead, so
-	// it must be positive when RemoteFraction is. 0 selects
-	// DefaultShardLatency. A remote response time includes two hops.
-	ShardLatency float64
 
 	// PoolArchs, when non-empty, makes the fleet heterogeneous: pool i
 	// runs architecture PoolArchs[i mod len(PoolArchs)] instead of
@@ -198,10 +181,11 @@ type Config struct {
 	// Router, when non-nil, replaces the static pool assignment with
 	// per-request routing: every closed client asks the router which
 	// pool serves each request (internal/fleet provides scorer-backed
-	// implementations). Requires a sharded run with at least two pools;
-	// mutually exclusive with RemoteFraction, whose random sibling draw
-	// it supersedes. The hop latency (and conservative lookahead) is
-	// ShardLatency even when all decisions happen to stay local.
+	// implementations) — the one way to send a request across pools.
+	// Without it the pools are fully independent replicas. Requires a
+	// sharded run with at least two pools. The hop latency (and
+	// conservative lookahead) is ShardLatency even when all decisions
+	// happen to stay local.
 	Router PoolRouter
 
 	// BarrierHook, when non-nil, is installed as the coordinator's
@@ -216,11 +200,12 @@ type Config struct {
 // DefaultMaxRTSamples bounds percentile sample buffers by default.
 const DefaultMaxRTSamples = 200000
 
-// DefaultShardLatency is the cross-pool hop latency (and conservative
-// lookahead) used when a sharded run enables RemoteFraction without
-// setting ShardLatency: 5 ms, a LAN round trip's worth of headroom
-// that keeps synchronisation windows long enough to batch usefully.
-const DefaultShardLatency = 0.005
+// ShardLatency is the one-way network latency of a cross-pool request
+// hop, seconds, and with it the conservative lookahead of a fleet whose
+// pools interact: 5 ms, a LAN round trip's worth of headroom that keeps
+// synchronisation windows long enough to batch usefully. A remote
+// response time includes two hops.
+const ShardLatency = 0.005
 
 // sharded reports whether the configuration selects the fleet model
 // (shard coordinator + pool replicas) rather than the legacy
@@ -343,16 +328,7 @@ func (c Config) Validate() error {
 	if c.Pools < 0 || c.Shards < 0 {
 		return errors.New("trade: pools and shards must be non-negative")
 	}
-	if c.RemoteFraction < 0 || c.RemoteFraction >= 1 {
-		return fmt.Errorf("trade: remote fraction %v outside [0,1)", c.RemoteFraction)
-	}
-	if c.ShardLatency < 0 {
-		return errors.New("trade: shard latency must be non-negative")
-	}
 	if !c.sharded() {
-		if c.RemoteFraction != 0 || c.ShardLatency != 0 {
-			return errors.New("trade: RemoteFraction/ShardLatency require a sharded run (Pools or Shards > 1)")
-		}
 		if len(c.PoolArchs) > 0 || c.Router != nil || c.BarrierHook != nil {
 			return errors.New("trade: PoolArchs/Router/BarrierHook require a sharded run (Pools or Shards > 1)")
 		}
@@ -362,9 +338,6 @@ func (c Config) Validate() error {
 	// cross-pool merge, so that variant stays on the single engine.
 	if c.DetailedOperations {
 		return errors.New("trade: DetailedOperations is not supported in sharded runs")
-	}
-	if c.RemoteFraction > 0 && c.effectivePools() < 2 {
-		return errors.New("trade: RemoteFraction needs at least two pools")
 	}
 	if len(c.PoolArchs) > 0 {
 		if len(c.Servers) > 0 {
@@ -376,13 +349,8 @@ func (c Config) Validate() error {
 			}
 		}
 	}
-	if c.Router != nil {
-		if c.effectivePools() < 2 {
-			return errors.New("trade: Router needs at least two pools")
-		}
-		if c.RemoteFraction > 0 {
-			return errors.New("trade: Router and RemoteFraction are mutually exclusive")
-		}
+	if c.Router != nil && c.effectivePools() < 2 {
+		return errors.New("trade: Router needs at least two pools")
 	}
 	return nil
 }

@@ -92,13 +92,7 @@ func MaxThroughput(server workload.ServerArch, mixBuyFraction float64, opt Measu
 	if clients < 50 {
 		clients = 50
 	}
-	var load workload.Workload
-	if mixBuyFraction <= 0 {
-		load = workload.TypicalWorkload(clients)
-	} else {
-		load = workload.MixedWorkload(clients, mixBuyFraction)
-	}
-	res, err := Measure(server, load, opt)
+	res, err := Measure(server, workload.MixLoad(clients, mixBuyFraction), opt)
 	if err != nil {
 		return 0, err
 	}
@@ -125,14 +119,7 @@ func MeasureCurve(server workload.ServerArch, clientCounts []int, buyFraction fl
 	}
 	results, err := parallel.Map(context.Background(), opt.Workers, len(clientCounts),
 		func(_ context.Context, i int) (*Result, error) {
-			n := clientCounts[i]
-			var load workload.Workload
-			if buyFraction <= 0 {
-				load = workload.TypicalWorkload(n)
-			} else {
-				load = workload.MixedWorkload(n, buyFraction)
-			}
-			return Measure(server, load, opt)
+			return Measure(server, workload.MixLoad(clientCounts[i], buyFraction), opt)
 		})
 	if err != nil {
 		return nil, err

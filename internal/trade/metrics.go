@@ -12,7 +12,7 @@ import (
 // these atomics once per run, at collect time, so the request loop's
 // zero-allocation guarantee is untouched.
 type tradeMetrics struct {
-	runs        *obs.Counter // single-engine simulators built (Run, RunAdaptive, TransientCurve)
+	runs        *obs.Counter // single-engine simulators built (Run, RunAdaptive, Windows)
 	completed   *obs.Counter // measured request completions
 	poolReuses  *obs.Counter // request records served from the free list
 	poolAllocs  *obs.Counter // request records newly allocated

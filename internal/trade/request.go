@@ -1,10 +1,6 @@
 package trade
 
-import (
-	"math"
-
-	"perfpred/internal/workload"
-)
+import "perfpred/internal/workload"
 
 // reqState is one in-flight request's lifecycle record. The legacy
 // implementation chained fresh closures for every stage of every
@@ -102,20 +98,20 @@ func (r *reqState) slotGranted() {
 		r.app.csLock.Acquire(0, r.onCS)
 		return
 	}
-	r.app.cpu.Submit(0, r.segment, r.onSeg)
+	r.app.cpu.Submit(r.segment, r.onSeg)
 }
 
 // csGranted runs when the critical-section lock is granted: the locked
 // CPU burst's length is drawn now, as the legacy path did.
 func (r *reqState) csGranted() {
-	r.app.cpu.Submit(0, r.s.serve.Exp(r.s.cfg.CriticalSection.MeanTime), r.onCSDone)
+	r.app.cpu.Submit(r.s.serve.Exp(r.s.cfg.CriticalSection.MeanTime), r.onCSDone)
 }
 
 // csDone releases the lock (possibly admitting the next waiter
 // synchronously) and starts the request's ordinary CPU segments.
 func (r *reqState) csDone() {
 	r.app.csLock.Release()
-	r.app.cpu.Submit(0, r.segment, r.onSeg)
+	r.app.cpu.Submit(r.segment, r.onSeg)
 }
 
 // segDone runs when a CPU segment completes: either the response is
@@ -133,14 +129,7 @@ func (r *reqState) segDone() {
 // is drawn at grant time, exactly where the legacy closure drew it.
 func (r *reqState) dbGranted() {
 	s := r.s
-	perCall := r.d.DBTimePerCall
-	if r.app.cache != nil && r.c != nil && s.cfg.Cache.MissDBTimePerCall > 0 {
-		// The session read uses the configured miss cost; the request's
-		// own calls keep their type's cost. Using the max keeps the
-		// model simple while preserving the extra-work effect.
-		perCall = math.Max(perCall, s.cfg.Cache.MissDBTimePerCall)
-	}
-	s.dbCPU.Submit(r.srv, s.serve.Exp(perCall), r.onDBDone)
+	s.dbCPU.Submit(s.serve.Exp(r.d.DBTimePerCall), r.onDBDone)
 }
 
 // dbDone releases the database agent (possibly granting a waiter
@@ -162,7 +151,7 @@ func (r *reqState) dbDone() {
 // completes.
 func (r *reqState) latDone() {
 	r.dbCalls--
-	r.app.cpu.Submit(0, r.segment, r.onSeg)
+	r.app.cpu.Submit(r.segment, r.onSeg)
 }
 
 // finish releases the servlet thread (which may synchronously admit
@@ -191,7 +180,7 @@ func (r *reqState) finish() {
 			r.app.completed++
 		}
 		s.sendSeq++
-		s.shard.Send(xr.homeShard, s.poolID, s.sendSeq, s.xLatency, xr.ret)
+		s.shard.Send(xr.homeShard, s.poolID, s.sendSeq, ShardLatency, xr.ret)
 		s.putReq(r)
 		return
 	}

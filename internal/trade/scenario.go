@@ -20,8 +20,8 @@ const scenStreamBase uint64 = 1 << 20
 
 // scenGen drives one open scenario cohort through the pooled request
 // lifecycle. It mirrors startOpenStream's structure — schedule the
-// next arrival first, then build the current request on a pooled
-// reqState — with the constant-rate Poisson draw replaced by the
+// next arrival first, then admit the current request through
+// admitOpen — with the constant-rate Poisson draw replaced by the
 // cohort's compiled generator (thinned time-varying Poisson, MMPP, or
 // trace replay). The arrive continuation is bound once at
 // registration and the generator pulls allocate nothing, so the
@@ -69,10 +69,10 @@ func (g *scenGen) pull() {
 }
 
 // doArrive admits one scenario arrival: schedule the successor first
-// (matching the legacy open-stream ordering, so the request build
-// below can synchronously admit without perturbing the arrival
-// clock), then run the request like any open arrival — mix-sampled or
-// trace-recorded type, speed-weighted routing, no session cache.
+// (matching the legacy open-stream ordering, so admitting the request
+// synchronously cannot perturb the arrival clock), then run the
+// request like any open arrival, with a mix-sampled or trace-recorded
+// type.
 func (g *scenGen) doArrive() {
 	s := g.s
 	rt := g.pendRT
@@ -83,24 +83,13 @@ func (g *scenGen) doArrive() {
 	} else {
 		d = g.sampler.sample(s.choose)
 	}
-	r := s.getReq()
-	r.acc = g.acc
-	r.cls = g.cls
-	r.d = d
-	r.arrival = s.eng.Now()
-	r.srv = s.pickServerOpen()
-	r.app = s.apps[r.srv]
-	if s.router != nil {
-		// Open arrivals are never routed across pools, but they occupy
-		// the pool, so the router's in-flight state counts them.
-		s.router.Started(int(s.poolID), g.cls)
-	}
-	r.app.slots.Acquire(0, r.onSlot)
+	s.admitOpen(g.acc, g.cls, d, nil)
 }
 
-// WindowPoint is one fixed-width window of a scenario run: the
+// WindowPoint is one fixed-width window of a cold-start run: the
 // completions it saw and their mean response time. The transient-
-// error study compares these against per-window predictions.
+// error study compares these against per-window predictions, and the
+// stabilisation study (§8.2) fits its settling model to them.
 type WindowPoint struct {
 	// Start and End bound the window in simulated seconds from cold
 	// start.
@@ -116,11 +105,18 @@ type WindowPoint struct {
 
 // Windows runs the configured workload from a cold start — no warm-up
 // discard; the config's WarmUp field is ignored — and reports
-// completions in fixed-width windows across Duration. Unlike
-// TransientCurve it keeps open populations active, because
-// time-varying open traffic (flash sales, MMPP bursts) is exactly
-// what the windowed view is for. Single-engine configurations only.
+// completions in fixed-width windows across Duration. It is the view
+// for everything steady-state means hide: the stabilisation behaviour
+// the historical method records as a variable (§8.2) and time-varying
+// open traffic (flash sales, MMPP bursts). The full Config is
+// honoured, including session caches and critical sections.
+// Single-engine configurations only.
 func Windows(cfg Config, window float64) ([]WindowPoint, error) {
+	return windows(cfg, window, simOptions{})
+}
+
+// windows is Windows under the given constructor variant.
+func windows(cfg Config, window float64, opt simOptions) ([]WindowPoint, error) {
 	if window <= 0 {
 		return nil, errors.New("trade: window must be positive")
 	}
@@ -135,18 +131,14 @@ func Windows(cfg Config, window float64) ([]WindowPoint, error) {
 		n = 1
 	}
 	accs := make([]stats.Accumulator, n)
-	s, err := newSimulator(cfg, simOptions{
-		intercept: func(now, rt float64) {
-			idx := int(now / window)
-			if idx >= n {
-				idx = n - 1
-			}
-			accs[idx].Add(rt)
-		},
-	})
-	if err != nil {
-		return nil, err
+	opt.intercept = func(now, rt float64) {
+		idx := int(now / window)
+		if idx >= n {
+			idx = n - 1
+		}
+		accs[idx].Add(rt)
 	}
+	s := newSimulator(cfg, opt)
 	s.eng.Run(cfg.Duration, 0)
 	points := make([]WindowPoint, n)
 	for i := range points {

@@ -1,28 +1,59 @@
 package trade
 
 import (
-	"math"
+	"fmt"
+	"reflect"
 	"testing"
 
 	"perfpred/internal/obs"
+	"perfpred/internal/scenario"
 	"perfpred/internal/sim"
 	"perfpred/internal/workload"
 )
 
-func shardedConfig(pools, shards int, remote float64) Config {
-	return Config{
-		Server:         workload.AppServF(),
-		DB:             workload.CaseStudyDB(),
-		Demands:        workload.CaseStudyDemands(),
-		Load:           workload.MixedWorkload(200, 0.25),
-		Seed:           31,
-		WarmUp:         10,
-		Duration:       120,
-		MaxRTSamples:   64,
-		Pools:          pools,
-		Shards:         shards,
-		RemoteFraction: remote,
+// everyNth is a deterministic test PoolRouter: each pool sends every
+// nth request it issues to its right-hand neighbour and serves the rest
+// itself. Route touches only the origin's own counter and Started and
+// Completed only the serving pool's, per the threading contract.
+type everyNth struct {
+	n                          int
+	issued, started, completed []int // per pool
+}
+
+func newEveryNth(n, pools int) *everyNth {
+	return &everyNth{n: n, issued: make([]int, pools), started: make([]int, pools), completed: make([]int, pools)}
+}
+
+func (r *everyNth) Route(origin, class int) int {
+	r.issued[origin]++
+	if r.issued[origin]%r.n == 0 {
+		return (origin + 1) % len(r.issued)
 	}
+	return origin
+}
+func (r *everyNth) Started(pool, class int)               { r.started[pool]++ }
+func (r *everyNth) Completed(pool, class int, rt float64) { r.completed[pool]++ }
+
+// shardedConfig is a small fleet; crossEvery > 0 attaches a fresh
+// everyNth router, so that share of the traffic rides the cross-pool
+// hop (a router is stateful: build one config per run).
+func shardedConfig(pools, shards, crossEvery int) Config {
+	cfg := Config{
+		Server:       workload.AppServF(),
+		DB:           workload.CaseStudyDB(),
+		Demands:      workload.CaseStudyDemands(),
+		Load:         workload.MixedWorkload(200, 0.25),
+		Seed:         31,
+		WarmUp:       10,
+		Duration:     120,
+		MaxRTSamples: 64,
+		Pools:        pools,
+		Shards:       shards,
+	}
+	if crossEvery > 0 {
+		cfg.Router = newEveryNth(crossEvery, pools)
+	}
+	return cfg
 }
 
 func sameResult(t *testing.T, label string, a, b *Result) {
@@ -73,9 +104,8 @@ func sameResult(t *testing.T, label string, a, b *Result) {
 // mapping-invariant ordering keys, so 1, 2 and 4 shards replay the
 // same trajectory.
 func TestShardedDeterministicAcrossShardCounts(t *testing.T) {
-	for _, remote := range []float64{0, 0.25} {
-		cfgRef := shardedConfig(4, 1, remote)
-		ref, err := Run(cfgRef)
+	for _, crossEvery := range []int{0, 4} {
+		ref, err := Run(shardedConfig(4, 1, crossEvery))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -83,51 +113,49 @@ func TestShardedDeterministicAcrossShardCounts(t *testing.T) {
 			t.Fatal("reference run measured nothing")
 		}
 		for _, shards := range []int{2, 4} {
-			cfg := shardedConfig(4, shards, remote)
-			got, err := Run(cfg)
+			got, err := Run(shardedConfig(4, shards, crossEvery))
 			if err != nil {
 				t.Fatal(err)
 			}
-			sameResult(t, formatLabel(remote, shards), ref, got)
+			sameResult(t, fmt.Sprintf("cross every %d/%d shards", crossEvery, shards), ref, got)
 		}
 	}
-}
-
-func formatLabel(remote float64, shards int) string {
-	if remote > 0 {
-		return "remote/" + string(rune('0'+shards)) + "shards"
-	}
-	return "isolated/" + string(rune('0'+shards)) + "shards"
 }
 
 // Re-running the identical sharded config must be exactly reproducible
 // (the coordinator introduces no scheduling nondeterminism).
 func TestShardedRunReproducible(t *testing.T) {
-	cfg := shardedConfig(3, 3, 0.2)
-	a, err := Run(cfg)
+	a, err := Run(shardedConfig(3, 3, 4))
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, err := Run(cfg)
+	b, err := Run(shardedConfig(3, 3, 4))
 	if err != nil {
 		t.Fatal(err)
 	}
 	sameResult(t, "rerun", a, b)
 }
 
-// With RemoteFraction 0 every pool is an independent replica: pool i's
+// Without a router every pool is an independent replica: pool i's
 // trajectory must be EXACTLY the legacy single-engine run seeded with
 // SplitSeed(seed, i) — the fleet is the sum of legacy runs. This pins
-// the sharded path to the pre-existing engine's behaviour.
+// the sharded path to the single engine's behaviour, and, since Run
+// and ShardedRun.Collect share one collector, is the proof that the
+// fleet reduction of n pools is the single-run reduction of each:
+// per-server rows, samples and utilisations equal to the bit.
 func TestShardedPoolsMatchLegacyRuns(t *testing.T) {
 	cfg := shardedConfig(2, 2, 0)
 	fleet, err := Run(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
+	if len(fleet.PerServer) != 2 {
+		t.Fatalf("fleet has %d server rows, want 2", len(fleet.PerServer))
+	}
 	var legacyFired uint64
+	var legacyDB, legacyHeld float64
 	legacyCompleted := map[string]int{}
-	legacyApp := map[string]float64{}
+	legacySamples := map[string][]float64{}
 	for i := 0; i < 2; i++ {
 		lcfg := cfg
 		lcfg.Pools, lcfg.Shards = 0, 0
@@ -137,52 +165,58 @@ func TestShardedPoolsMatchLegacyRuns(t *testing.T) {
 			t.Fatal(err)
 		}
 		legacyFired += lr.EventsFired
+		legacyDB += lr.DBUtilization
+		legacyHeld += lr.MeanAppSlotsHeld
 		for name, c := range lr.PerClass {
 			legacyCompleted[name] += c.Completed
+			legacySamples[name] = append(legacySamples[name], c.Samples...)
 		}
-		legacyApp[lr.PerServer[0].Name] += lr.PerServer[0].Utilization
+		want := lr.PerServer[0]
+		want.Name = fmt.Sprintf("p%d/%s", i, want.Name)
+		if got := fleet.PerServer[i]; got != want {
+			t.Errorf("pool %d server row %+v, legacy run %+v", i, got, want)
+		}
 	}
 	if fleet.EventsFired != legacyFired {
 		t.Errorf("fleet fired %d events, legacy pair fired %d", fleet.EventsFired, legacyFired)
 	}
+	if fleet.DBUtilization != legacyDB/2 {
+		t.Errorf("fleet db utilisation %v, legacy pair mean %v", fleet.DBUtilization, legacyDB/2)
+	}
+	if fleet.MeanAppSlotsHeld != legacyHeld {
+		t.Errorf("fleet slots held %v, legacy pair %v", fleet.MeanAppSlotsHeld, legacyHeld)
+	}
 	for name, want := range legacyCompleted {
-		if got := fleet.PerClass[name].Completed; got != want {
-			t.Errorf("class %s completed %d, legacy pair %d", name, got, want)
+		got := fleet.PerClass[name]
+		if got.Completed != want {
+			t.Errorf("class %s completed %d, legacy pair %d", name, got.Completed, want)
 		}
-	}
-	var fleetApp float64
-	for _, srv := range fleet.PerServer {
-		fleetApp += srv.Utilization
-	}
-	var legacySum float64
-	for _, u := range legacyApp {
-		legacySum += u
-	}
-	if math.Abs(fleetApp-legacySum) > 1e-12 {
-		t.Errorf("fleet app utilisation sum %v, legacy pair %v", fleetApp, legacySum)
+		if !reflect.DeepEqual(got.Samples, legacySamples[name]) {
+			t.Errorf("class %s samples differ from the legacy pair's, concatenated", name)
+		}
 	}
 }
 
-// Remote requests must actually flow and be measured: with a high
-// remote fraction the per-class completions stay near the isolated
-// fleet's (every forwarded request still completes), and response
-// times grow by at least the two network hops on the remote share.
+// Routed-away requests must actually flow and be measured: with every
+// second request crossing pools the per-class completions stay near
+// the isolated fleet's (every forwarded request still completes), and
+// response times grow by the two network hops on the remote share.
 func TestShardedRemoteRequestsServed(t *testing.T) {
 	base, err := Run(shardedConfig(2, 2, 0))
 	if err != nil {
 		t.Fatal(err)
 	}
-	remote, err := Run(shardedConfig(2, 2, 0.5))
+	remote, err := Run(shardedConfig(2, 2, 2))
 	if err != nil {
 		t.Fatal(err)
 	}
 	if remote.Throughput <= 0.5*base.Throughput {
 		t.Fatalf("remote fleet throughput %v collapsed vs isolated %v", remote.Throughput, base.Throughput)
 	}
-	// Half the requests pay 2 × DefaultShardLatency of pure network
-	// time; the fleet mean must reflect at least part of that.
-	if remote.MeanRT < base.MeanRT {
-		t.Fatalf("remote fleet meanRT %v below isolated %v despite added hops", remote.MeanRT, base.MeanRT)
+	// Half the requests pay 2 × ShardLatency of pure network time; the
+	// fleet mean must reflect most of that.
+	if remote.MeanRT < base.MeanRT+0.8*ShardLatency {
+		t.Fatalf("remote fleet meanRT %v not above isolated %v by the added hops", remote.MeanRT, base.MeanRT)
 	}
 }
 
@@ -191,62 +225,52 @@ func TestShardedRemoteRequestsServed(t *testing.T) {
 func TestShardedConfigValidation(t *testing.T) {
 	bad := []func(*Config){
 		func(c *Config) { c.DetailedOperations = true },
-		func(c *Config) { c.RemoteFraction = 1.0 },
-		func(c *Config) { c.RemoteFraction = -0.1 },
-		func(c *Config) { c.ShardLatency = -1 },
 		func(c *Config) { c.Pools = -1 },
-		func(c *Config) { c.Pools, c.Shards = 1, 1; c.RemoteFraction = 0.5 }, // not sharded
-		func(c *Config) { c.Pools = 0; c.Shards = 0; c.ShardLatency = 0.01 }, // not sharded
+		func(c *Config) { c.Pools, c.Shards = 1, 1 }, // a router, but not sharded
 	}
 	for i, mutate := range bad {
-		cfg := shardedConfig(4, 2, 0.2)
+		cfg := shardedConfig(4, 2, 4)
 		mutate(&cfg)
 		if err := cfg.Validate(); err == nil {
 			t.Errorf("case %d: invalid sharded config passed validation", i)
 		}
 	}
-	// RemoteFraction with a single effective pool cannot forward
-	// anywhere.
-	cfg := shardedConfig(0, 1, 0.5)
-	cfg.Pools = 1
-	cfg.Shards = 2 // clamped to pools; still one replica
+	// A router with a single effective pool cannot forward anywhere.
+	cfg := shardedConfig(1, 2, 4) // shards clamp to pools; still one replica
 	if err := cfg.Validate(); err == nil {
-		t.Error("RemoteFraction with one pool passed validation")
+		t.Error("Router with one pool passed validation")
 	}
-	if err := shardedConfig(4, 2, 0.2).Validate(); err != nil {
+	if err := shardedConfig(4, 2, 4).Validate(); err != nil {
 		t.Errorf("valid sharded config rejected: %v", err)
 	}
 }
 
-// Adaptive and transient studies stay on the legacy engine.
+// Adaptive and windowed cold-start studies stay on the single engine.
 func TestShardedGuards(t *testing.T) {
 	cfg := shardedConfig(2, 2, 0)
 	if _, err := RunAdaptive(cfg, RunControl{TargetRelErr: 0.05}); err == nil {
 		t.Error("RunAdaptive accepted a sharded config")
 	}
-	if _, err := TransientCurve(cfg, 10); err == nil {
-		t.Error("TransientCurve accepted a sharded config")
+	if _, err := Windows(cfg, 10); err == nil {
+		t.Error("Windows accepted a sharded config")
 	}
 }
 
-// steadyShardedSim warms a fleet past its transient and fills every
-// pool (request records, cross-pool records, message buffers,
-// reservoirs) so subsequent windows run the pure steady-state path.
-func steadyShardedSim(t testing.TB, cfg Config) (*shardedSim, float64) {
+// steadySharded warms a fleet past its transient and fills every pool
+// (request records, cross-pool records, message buffers, reservoirs)
+// so subsequent windows run the pure steady-state path.
+func steadySharded(t testing.TB, cfg Config) (*ShardedRun, float64) {
 	t.Helper()
-	ss, err := newShardedSim(cfg)
+	r, err := NewSharded(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
-	t.Cleanup(ss.coord.Close)
-	ss.coord.Run(cfg.WarmUp)
-	for _, p := range ss.pools {
-		p.resetStats()
-		p.measuring = true
-	}
+	t.Cleanup(r.Close)
+	r.Advance(cfg.WarmUp)
+	r.BeginMeasurement()
 	until := cfg.WarmUp + 60
-	ss.coord.Run(until)
-	return ss, until
+	r.Advance(until)
+	return r, until
 }
 
 // Acceptance criterion: the sharded hot loop — window execution,
@@ -259,18 +283,21 @@ func TestShardedSteadyStateZeroAllocWithMetrics(t *testing.T) {
 	defer EnableMetrics(nil)
 	defer sim.EnableMetrics(nil)
 
-	cfg := shardedConfig(4, 2, 0.25)
+	cfg := shardedConfig(4, 2, 4)
 	cfg.Duration = 100000 // never reached; advanced manually
-	ss, until := steadyShardedSim(t, cfg)
+	r, until := steadySharded(t, cfg)
 	allocs := testing.AllocsPerRun(50, func() {
 		until += 2
-		ss.coord.Run(until)
+		r.Advance(until)
 	})
 	if allocs != 0 {
 		t.Fatalf("sharded steady-state loop allocates %v objects per 2 simulated seconds, want 0", allocs)
 	}
-	if res := ss.collect(); res.Throughput <= 0 {
+	if res := r.Collect(); res.Throughput <= 0 {
 		t.Fatal("empty collection")
+	}
+	if r.pools[0].xFree == nil {
+		t.Fatal("no cross-pool request completed")
 	}
 	snap := reg.Snapshot()
 	if snap.Counters["trade_requests_completed"] == 0 {
@@ -278,5 +305,53 @@ func TestShardedSteadyStateZeroAllocWithMetrics(t *testing.T) {
 	}
 	if snap.MaxGauges["sim_heap_depth_high_water"] == 0 {
 		t.Fatal("per-shard heap high-water never published")
+	}
+}
+
+// Every request that no local client issued — an open Load stream's
+// arrival, a scenario cohort's, a sibling pool's landing off the hop —
+// enters through admitOpen, which reports it to the router exactly
+// once: at any barrier, the requests started are the requests completed
+// plus those holding or queued for a thread.
+func TestShardedAdmitOpenReportsStartedOnce(t *testing.T) {
+	portal, err := scenario.New("portal").AddPoisson("portal", 60, map[string]float64{"browse": 1}).Compile("")
+	if err != nil {
+		t.Fatal(err)
+	}
+	cases := []struct {
+		name   string
+		routed bool // closed clients, who ask the router for a pool
+		set    func(*Config)
+	}{
+		{"open Load stream", false, func(c *Config) {
+			c.Load = workload.Workload{{Class: openClass(), ArrivalRate: 60}}
+		}},
+		{"scenario cohort", false, func(c *Config) { c.Load, c.Scenario = nil, portal }},
+		{"hop arrival", true, func(*Config) {}},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			cfg := shardedConfig(2, 2, 1) // every routed request crosses pools
+			tc.set(&cfg)
+			router := cfg.Router.(*everyNth)
+			r, err := NewSharded(cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer r.Close()
+			r.Advance(20)
+			for pi, p := range r.pools {
+				inFlight := 0
+				for _, app := range p.apps {
+					inFlight += app.slots.Held() + app.slots.Queued()
+				}
+				if router.started[pi] == 0 || router.started[pi] != router.completed[pi]+inFlight {
+					t.Errorf("pool %d: %d started, %d completed, %d in flight", pi, router.started[pi], router.completed[pi], inFlight)
+				}
+				if routed := router.issued[pi] > 0; routed != tc.routed {
+					t.Errorf("pool %d: %d requests asked the router for a pool", pi, router.issued[pi])
+				}
+			}
+		})
 	}
 }

@@ -1,6 +1,7 @@
 package trade
 
 import (
+	"fmt"
 	"math"
 	"sort"
 
@@ -44,19 +45,16 @@ type simulator struct {
 	serve  *sim.Stream
 	choose *sim.Stream
 	route  *sim.Stream
-	remote *sim.Stream // cross-pool decisions; non-nil only in sharded runs with RemoteFraction > 0
 
 	// Sharded-fleet wiring (nil/zero on the legacy single-engine path):
 	// the pool's shard, its stable pool index, references to sibling
-	// pools, the resolved hop latency and a free list of cross-pool
-	// request records.
-	shard    *sim.Shard
-	poolID   uint64
-	pools    []*simulator
-	xLatency float64
-	sendSeq  uint64
-	xFree    *xreq
-	router   PoolRouter // per-request routing hook (nil = static assignment)
+	// pools and a free list of cross-pool request records.
+	shard   *sim.Shard
+	poolID  uint64
+	pools   []*simulator
+	sendSeq uint64
+	xFree   *xreq
+	router  PoolRouter // per-request routing hook (nil = static assignment)
 
 	rrNext        int
 	stickyWeights []float64 // server speeds, hoisted for assignSticky
@@ -70,15 +68,14 @@ type simulator struct {
 	// flushMetrics publishes them to the process-wide atomics at collect.
 	poolReuses, poolAllocs uint64
 
-	measuring   bool
-	measuredDur float64 // actual measurement window (adaptive runs); 0 = cfg.Duration
-	acc         map[string]*classAcc
-	classNames  []string // sorted class names for deterministic collection
-	ops         *opAccumulators
+	measuring  bool
+	acc        map[string]*classAcc
+	classNames []string // sorted class names for deterministic collection
+	ops        *opAccumulators
 
 	// intercept, when set, receives every completion (simulated time,
 	// response time) from t=0 instead of the measuring-gated class
-	// accumulators — the transient study's hook.
+	// accumulators — the windowed cold-start run's hook.
 	intercept func(now, rt float64)
 
 	// Hoisted detailed-operation tables (§3.1), resolved once per run.
@@ -88,11 +85,8 @@ type simulator struct {
 }
 
 // simOptions selects constructor variants shared by the steady-state
-// and transient entry points.
+// and cold-start entry points.
 type simOptions struct {
-	// skipOpen leaves open populations idle — the transient study
-	// covers the closed populations.
-	skipOpen bool
 	// intercept routes every completion to the caller from t=0.
 	intercept func(now, rt float64)
 
@@ -101,13 +95,12 @@ type simOptions struct {
 	// seam for running one Config on both scheduler backends.
 	newEngine func() *sim.Engine
 
-	// Sharded-fleet construction (set by newShardedSim): build the pool
-	// on an existing shard engine with a pool-split root stream instead
-	// of a private engine seeded directly from cfg.Seed.
-	shard   *sim.Shard
-	root    *sim.Stream
-	poolID  uint64
-	latency float64
+	// Sharded-fleet construction (set by NewSharded): build the pool on
+	// an existing shard engine with a pool-split root stream instead of
+	// a private engine seeded directly from cfg.Seed.
+	shard  *sim.Shard
+	root   *sim.Stream
+	poolID uint64
 }
 
 type classAcc struct {
@@ -174,36 +167,42 @@ type buySession struct {
 	holdings int
 }
 
-// Run simulates the configured measurement and returns its result.
+// Run simulates the configured measurement and returns its result:
+// warm up, reset statistics, measure, collect. A sharded configuration
+// runs the same lifecycle on a ShardedRun.
 func Run(cfg Config) (*Result, error) {
 	if cfg.sharded() {
-		return runSharded(cfg)
+		r, err := NewSharded(cfg)
+		if err != nil {
+			return nil, err
+		}
+		defer r.Close()
+		r.Advance(cfg.WarmUp)
+		r.BeginMeasurement()
+		r.Advance(cfg.WarmUp + cfg.Duration)
+		return r.Collect(), nil
 	}
 	return run(cfg, simOptions{})
 }
 
 // run is the single-engine Run under the given constructor variant.
 func run(cfg Config, opt simOptions) (*Result, error) {
-	s, err := newSimulator(cfg, opt)
-	if err != nil {
-		return nil, err
-	}
-	// Warm up, reset statistics, then measure.
-	s.eng.Run(s.cfg.WarmUp, 0)
-	s.resetStats()
-	s.measuring = true
-	s.eng.Run(s.cfg.WarmUp+s.cfg.Duration, 0)
-	return s.collect(), nil
-}
-
-// newSimulator builds the network, registers every population and
-// schedules the initial arrivals. Both Run and TransientCurve use it,
-// so transient studies honour the full Config (caches, critical
-// sections, multi-server tiers) with the same per-seed draw sequences.
-func newSimulator(cfg Config, opt simOptions) (*simulator, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err
 	}
+	s := newSimulator(cfg, opt)
+	s.eng.Run(cfg.WarmUp, 0)
+	s.beginMeasurement()
+	s.eng.Run(cfg.WarmUp+cfg.Duration, 0)
+	return collect([]*simulator{s}, cfg.Duration, s.eng.Fired(), false), nil
+}
+
+// newSimulator builds the network, registers every population and
+// schedules the initial arrivals. Every entry point (Run, RunAdaptive,
+// Windows, NewSharded) validates cfg once and then builds on it, so
+// cold-start studies honour the full Config (caches, critical sections,
+// multi-server tiers) with the same per-seed draw sequences.
+func newSimulator(cfg Config, opt simOptions) *simulator {
 	if cfg.MaxRTSamples == 0 {
 		cfg.MaxRTSamples = DefaultMaxRTSamples
 	}
@@ -237,7 +236,7 @@ func newSimulator(cfg Config, opt simOptions) (*simulator, error) {
 		cfg:       cfg,
 		eng:       eng,
 		dbSlots:   sim.NewSemaphore(eng, cfg.DB.Name+"/agents", cfg.DB.MPL, sim.PerSourceFIFO),
-		dbCPU:     sim.NewStation(eng, cfg.DB.Name+"/cpu", cfg.DB.Speed, 0, sim.GlobalFIFO),
+		dbCPU:     sim.NewStation(eng, cfg.DB.Name+"/cpu", cfg.DB.Speed),
 		think:     root.Derive(1),
 		serve:     root.Derive(2),
 		choose:    root.Derive(3),
@@ -249,7 +248,7 @@ func newSimulator(cfg Config, opt simOptions) (*simulator, error) {
 		app := &appServer{
 			arch:  arch,
 			slots: sim.NewSemaphore(eng, arch.Name+"/threads", arch.MPL, sim.GlobalFIFO),
-			cpu:   sim.NewStation(eng, arch.Name+"/cpu", arch.Speed, 0, sim.GlobalFIFO),
+			cpu:   sim.NewStation(eng, arch.Name+"/cpu", arch.Speed),
 		}
 		if cfg.Cache != nil {
 			app.cache = newLRUCache(cfg.Cache.SizeBytes)
@@ -311,12 +310,10 @@ func newSimulator(cfg Config, opt simOptions) (*simulator, error) {
 			// Poisson arrivals (§8.1) otherwise. Either way each arrival is
 			// an independent request with no think loop and no session
 			// identity.
-			if !opt.skipOpen {
-				if cohorts != nil {
-					s.startScenarioStream(cohorts[pi], pi, sampler, root)
-				} else {
-					s.startOpenStream(pop, pi, sampler, arrivals.Derive(uint64(len(s.acc))))
-				}
+			if cohorts != nil {
+				s.startScenarioStream(cohorts[pi], pi, sampler, root)
+			} else {
+				s.startOpenStream(pop, pi, sampler, arrivals.Derive(uint64(len(s.acc))))
 			}
 			continue
 		}
@@ -369,15 +366,9 @@ func newSimulator(cfg Config, opt simOptions) (*simulator, error) {
 	if opt.shard != nil {
 		s.shard = opt.shard
 		s.poolID = opt.poolID
-		s.xLatency = opt.latency
 		s.router = cfg.Router
-		if cfg.RemoteFraction > 0 {
-			// Derived last so the pool's other streams keep the same
-			// component numbering as the legacy constructor.
-			s.remote = root.Derive(8)
-		}
 	}
-	return s, nil
+	return s
 }
 
 // startOpenStream schedules Poisson arrivals for an open population.
@@ -391,22 +382,33 @@ func (s *simulator) startOpenStream(pop workload.Population, classIdx int, sampl
 	var arrive func()
 	arrive = func() {
 		s.eng.Schedule(rng.Exp(mean), arrive)
-		d := sampler.sample(s.choose)
-		r := s.getReq()
-		r.acc = s.acc[name]
-		r.cls = classIdx
-		r.d = d
-		r.arrival = s.eng.Now()
-		r.srv = s.pickServerOpen()
-		r.app = s.apps[r.srv]
-		if s.router != nil {
-			// Open arrivals are never routed across pools, but they do
-			// occupy the pool, so the router's in-flight state counts them.
-			s.router.Started(int(s.poolID), classIdx)
-		}
-		r.app.slots.Acquire(0, r.onSlot)
+		s.admitOpen(s.acc[name], classIdx, sampler.sample(s.choose), nil)
 	}
 	s.eng.Schedule(rng.Exp(mean), arrive)
+}
+
+// admitOpen starts one request that no local client issued — an open
+// stream's or scenario cohort's arrival, or (xr non-nil) a sibling
+// pool's request landing off the cross-pool hop — on a pooled reqState.
+// Callers make their own draws first; from here every such request
+// routes like a dynamic one and carries no session identity, so it
+// bypasses the session cache and the critical section.
+func (s *simulator) admitOpen(acc *classAcc, classIdx int, d workload.Demand, xr *xreq) {
+	r := s.getReq()
+	r.acc = acc
+	r.cls = classIdx
+	r.d = d
+	r.xr = xr
+	r.arrival = s.eng.Now()
+	r.srv = s.pickServerOpen()
+	r.app = s.apps[r.srv]
+	if s.router != nil {
+		// Never routed across pools from here, but the request occupies
+		// this pool, so the router's in-flight state counts it — on the
+		// serving pool's shard, the router's threading contract.
+		s.router.Started(int(s.poolID), classIdx)
+	}
+	r.app.slots.Acquire(0, r.onSlot)
 }
 
 // pickServerOpen routes an open arrival: dynamic policies apply as-is;
@@ -452,7 +454,10 @@ func (s *simulator) pickServerFor(home int) int {
 	}
 }
 
-func (s *simulator) resetStats() {
+// beginMeasurement discards everything observed so far and starts the
+// measured window.
+func (s *simulator) beginMeasurement() {
+	s.measuring = true
 	for _, app := range s.apps {
 		app.cpu.ResetStats()
 		app.slots.ResetStats()
@@ -478,9 +483,6 @@ func (s *simulator) issueRequest(c *client) {
 			return
 		}
 		s.router.Started(int(s.poolID), c.classIdx)
-	} else if s.remote != nil && s.remote.Float64() < s.cfg.RemoteFraction {
-		s.issueRemote(c)
-		return
 	}
 	d, opName := s.nextRequest(c)
 	r := s.getReq()
@@ -576,59 +578,82 @@ func (s *simulator) measuredTotals() (sum float64, count int) {
 	return sum, count
 }
 
-func (s *simulator) collect() *Result {
-	dur := s.measuredDur
-	if dur == 0 {
-		dur = s.cfg.Duration
-	}
+// collect reduces the measurements of a run's pools — one for a
+// single-engine run, the whole fleet for a sharded one — over a
+// measured window of duration seconds into one Result: Welford
+// accumulators merge exactly, samples concatenate, utilisation is
+// speed-weighted across every server, and per-server rows are prefixed
+// "p<pool>/" when namespaced. Pools are visited in index order and
+// classes in sorted-name order, so every floating-point reduction is
+// deterministic; with one pool every merge is a copy and every average
+// a division by one, so the result is exactly that pool's own.
+func collect(pools []*simulator, duration float64, fired uint64, namespaced bool) *Result {
 	res := &Result{
-		PerClass: make(map[string]ClassResult, len(s.acc)),
-		Duration: dur,
+		PerClass:    make(map[string]ClassResult, len(pools[0].acc)),
+		Duration:    duration,
+		EventsFired: fired,
 	}
-	var speedSum, utilSum, heldSum, queueSum float64
+	var speedSum, utilSum, heldSum, queueSum, dbUtilSum float64
 	var hits, misses uint64
-	for _, app := range s.apps {
-		u := app.cpu.Utilization()
-		res.PerServer = append(res.PerServer, ServerResult{
-			Name:          app.arch.Name,
-			Utilization:   u,
-			MeanSlotsHeld: app.slots.MeanHeld(),
-			Completed:     int(app.completed),
-			Throughput:    float64(app.completed) / dur,
-		})
-		speedSum += app.arch.Speed
-		utilSum += u * app.arch.Speed
-		heldSum += app.slots.MeanHeld()
-		queueSum += app.slots.MeanQueued()
-		if app.cache != nil {
-			hits += app.cache.hits
-			misses += app.cache.misses
+	for pi, p := range pools {
+		for _, app := range p.apps {
+			name := app.arch.Name
+			if namespaced {
+				name = fmt.Sprintf("p%d/%s", pi, name)
+			}
+			u := app.cpu.Utilization()
+			res.PerServer = append(res.PerServer, ServerResult{
+				Name:          name,
+				Utilization:   u,
+				MeanSlotsHeld: app.slots.MeanHeld(),
+				Completed:     int(app.completed),
+				Throughput:    float64(app.completed) / duration,
+			})
+			speedSum += app.arch.Speed
+			utilSum += u * app.arch.Speed
+			heldSum += app.slots.MeanHeld()
+			queueSum += app.slots.MeanQueued()
+			if app.cache != nil {
+				hits += app.cache.hits
+				misses += app.cache.misses
+			}
 		}
+		dbUtilSum += p.dbCPU.Utilization()
 	}
 	// Tier-level utilisation is the speed-weighted mean: the fraction
-	// of the tier's total processing capacity in use.
+	// of the total processing capacity in use.
 	if speedSum > 0 {
 		res.AppUtilization = utilSum / speedSum
 	}
 	res.MeanAppSlotsHeld = heldSum
 	res.MeanAppQueue = queueSum
-	res.DBUtilization = s.dbCPU.Utilization()
+	res.DBUtilization = dbUtilSum / float64(len(pools))
 	if hits+misses > 0 {
 		res.CacheMissRate = float64(misses) / float64(hits+misses)
 	}
-	// Classes are collected in sorted-name order so the weighted mean's
-	// floating-point summation is deterministic for any class count.
+	// Every pool registers the same class set, so merge by the first
+	// pool's sorted names.
 	var totalWeighted float64
 	totalCompleted := 0
-	for _, name := range s.classNames {
-		acc := s.acc[name]
+	for _, name := range pools[0].classNames {
+		var merged stats.Accumulator
+		var samples []float64
+		for _, p := range pools {
+			acc := p.acc[name]
+			merged.Merge(&acc.rt)
+			if len(pools) == 1 {
+				samples = acc.samples // the buffer itself, not a copy
+			} else {
+				samples = append(samples, acc.samples...)
+			}
+		}
 		cr := ClassResult{
 			Class:      name,
-			Completed:  acc.rt.Count(),
-			MeanRT:     acc.rt.Mean(),
-			RTStdDev:   acc.rt.StdDev(),
-			Throughput: float64(acc.rt.Count()) / dur,
-			Samples:    acc.samples,
+			Completed:  merged.Count(),
+			MeanRT:     merged.Mean(),
+			RTStdDev:   merged.StdDev(),
+			Throughput: float64(merged.Count()) / duration,
+			Samples:    samples,
 		}
 		res.PerClass[name] = cr
 		totalWeighted += cr.MeanRT * float64(cr.Completed)
@@ -637,11 +662,13 @@ func (s *simulator) collect() *Result {
 	if totalCompleted > 0 {
 		res.MeanRT = totalWeighted / float64(totalCompleted)
 	}
-	res.Throughput = float64(totalCompleted) / dur
-	if s.ops != nil {
-		res.PerOperation = s.ops.results()
+	res.Throughput = float64(totalCompleted) / duration
+	if ops := pools[0].ops; ops != nil { // single-engine runs only
+		res.PerOperation = ops.results()
 	}
-	res.EventsFired = s.eng.Fired()
-	s.flushMetrics(totalCompleted)
+	for _, p := range pools {
+		_, poolCompleted := p.measuredTotals()
+		p.flushMetrics(poolCompleted)
+	}
 	return res
 }

@@ -6,6 +6,8 @@ import (
 	"perfpred/internal/workload"
 )
 
+// The cold-start transient curve — the stabilisation study's input
+// (§8.2) — is Windows over a closed population.
 func transientConfig(clients int) Config {
 	return Config{
 		Server:   workload.AppServF(),
@@ -18,33 +20,33 @@ func transientConfig(clients int) Config {
 }
 
 func TestTransientCurveValidation(t *testing.T) {
-	if _, err := TransientCurve(transientConfig(100), 0); err == nil {
-		t.Fatal("zero bucket should fail")
+	if _, err := Windows(transientConfig(100), 0); err == nil {
+		t.Fatal("zero window should fail")
 	}
 	bad := transientConfig(100)
 	bad.Duration = 0
-	if _, err := TransientCurve(bad, 10); err == nil {
+	if _, err := Windows(bad, 10); err == nil {
 		t.Fatal("invalid config should fail")
 	}
 }
 
 func TestTransientCurveShape(t *testing.T) {
-	curve, err := TransientCurve(transientConfig(1800), 10)
+	curve, err := Windows(transientConfig(1800), 10)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(curve) < 12 {
-		t.Fatalf("buckets = %d", len(curve))
+	if len(curve) != 12 {
+		t.Fatalf("windows = %d, want 12", len(curve))
 	}
-	// Bucket edges are evenly spaced.
+	// Window edges are evenly spaced.
 	for i, p := range curve {
-		if want := float64(i+1) * 10; p.Time != want {
-			t.Fatalf("bucket %d edge = %v, want %v", i, p.Time, want)
+		if want := float64(i+1) * 10; p.End != want || p.Start != want-10 {
+			t.Fatalf("window %d spans %v–%v, want %v–%v", i, p.Start, p.End, want-10, want)
 		}
 	}
-	// A saturated cold start ramps up: the first non-empty bucket's RT
-	// sits below the last bucket's.
-	var first, last TransientPoint
+	// A saturated cold start ramps up: the first non-empty window's RT
+	// sits below the last window's.
+	var first, last WindowPoint
 	for _, p := range curve {
 		if p.Completed > 0 {
 			if first.Completed == 0 {
@@ -70,17 +72,17 @@ func TestTransientCurveShape(t *testing.T) {
 }
 
 func TestTransientCurveDeterministic(t *testing.T) {
-	a, err := TransientCurve(transientConfig(600), 20)
+	a, err := Windows(transientConfig(600), 20)
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, err := TransientCurve(transientConfig(600), 20)
+	b, err := Windows(transientConfig(600), 20)
 	if err != nil {
 		t.Fatal(err)
 	}
 	for i := range a {
 		if a[i].MeanRT != b[i].MeanRT || a[i].Completed != b[i].Completed {
-			t.Fatalf("bucket %d differs across identical runs", i)
+			t.Fatalf("window %d differs across identical runs", i)
 		}
 	}
 }

@@ -145,6 +145,18 @@ func TypicalWorkload(clients int) Workload {
 	return Workload{{Class: BrowseClass(0), Clients: clients}}
 }
 
+// MixLoad is n clients under a buy mix: the typical all-browse
+// workload at buyFrac <= 0, the browse/buy split otherwise. The two
+// differ structurally (one class against two, the second possibly
+// empty), so every caller that takes a mix as a number goes through
+// here.
+func MixLoad(n int, buyFrac float64) Workload {
+	if buyFrac <= 0 {
+		return TypicalWorkload(n)
+	}
+	return MixedWorkload(n, buyFrac)
+}
+
 // MixedWorkload returns a workload with the given total clients split
 // between buy (fraction buyFrac) and browse clients, as used by the
 // heterogeneous-workload experiments (figure 4).

@@ -211,8 +211,8 @@ type (
 	// RoutingPolicy selects the workload-manager routing for
 	// multi-server tiers (§2).
 	RoutingPolicy = trade.RoutingPolicy
-	// TransientPoint is one bucket of a cold-start trajectory.
-	TransientPoint = trade.TransientPoint
+	// WindowPoint is one fixed-width window of a cold-start run.
+	WindowPoint = trade.WindowPoint
 	// OperationResult is one Trade operation's measurements from a
 	// DetailedOperations run (§3.1).
 	OperationResult = trade.OperationResult
@@ -231,9 +231,10 @@ var (
 	Measure              = trade.Measure
 	MeasureMaxThroughput = trade.MaxThroughput
 	MeasureCurve         = trade.MeasureCurve
-	// TransientCurve measures a cold-start response-time trajectory
-	// (no warm-up discard) for the stabilisation study.
-	TransientCurve = trade.TransientCurve
+	// Windows measures a cold-start run (no warm-up discard) in
+	// fixed-width windows, for the stabilisation study (§8.2) and
+	// time-varying workloads.
+	Windows = trade.Windows
 	// OpenWorkload builds a constant-rate (open) request stream
 	// (§8.1).
 	OpenWorkload = workload.OpenWorkload
