@@ -21,7 +21,7 @@
 // Usage:
 //
 //	predserve [-addr :8089] [-addr-file path] [-cache-cap 256]
-//	          [-laplace-b 0] [-deadline 5s] [-report snapshot.json]
+//	          [-laplace-b 0] [-report snapshot.json]
 package main
 
 import (
@@ -62,17 +62,10 @@ func run(args []string, stop <-chan os.Signal, stderr io.Writer) error {
 	points := fs.Int("points", 0, "hybrid pseudo data points per equation (0 = paper's 4)")
 	laplaceB := fs.Float64("laplace-b", 0, "fixed Laplace percentile scale in seconds; 0 calibrates per key from a fixed-seed simulator run")
 	calibSeconds := fs.Float64("calib-seconds", 40, "simulated seconds per percentile calibration run")
-	calibSeed := fs.Int64("calib-seed", 1, "seed for the calibration runs")
-	regressSamples := fs.Int("regress-samples", 8, "training measurements per (architecture, mix) for the cheap regress tier")
 	regressSeconds := fs.Float64("regress-seconds", 20, "simulated seconds per regress training run")
-	regressDegree := fs.Int("regress-degree", 2, "polynomial degree of the regress tier")
 	buildWorkers := fs.Int("build-workers", 2, "concurrent cold model builds, all methods together")
 	maxQueuedBuilds := fs.Int("max-queued-builds", 8, "cold builds allowed to wait beyond the workers before 429")
 	solveWorkers := fs.Int("solve-workers", 0, "batch solver workers (0 = GOMAXPROCS)")
-	maxQueuedSolves := fs.Int("max-queued-solves", 256, "batch solver queue bound")
-	maxBatch := fs.Int("max-batch", 64, "max solves coalesced into one warm-start sweep")
-	deadline := fs.Duration("deadline", 5*time.Second, "default per-request deadline")
-	retryAfter := fs.Duration("retry-after", time.Second, "Retry-After hint on 429 responses")
 	report := fs.String("report", "", "write a final obs snapshot (JSON) here on shutdown")
 	if err := fs.Parse(args); err != nil {
 		return err
@@ -89,18 +82,11 @@ func run(args []string, stop <-chan os.Signal, stderr io.Writer) error {
 		PointsPerEquation:     *points,
 		CacheCapacity:         *cacheCap,
 		LaplaceB:              *laplaceB,
-		CalibrationSeed:       *calibSeed,
 		CalibrationSimSeconds: *calibSeconds,
-		RegressTrainSamples:   *regressSamples,
 		RegressSimSeconds:     *regressSeconds,
-		RegressDegree:         *regressDegree,
 		BuildWorkers:          *buildWorkers,
 		MaxQueuedBuilds:       *maxQueuedBuilds,
 		SolveWorkers:          *solveWorkers,
-		MaxQueuedSolves:       *maxQueuedSolves,
-		MaxBatch:              *maxBatch,
-		DefaultDeadline:       *deadline,
-		RetryAfter:            *retryAfter,
 	})
 	if err != nil {
 		return err

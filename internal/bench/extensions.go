@@ -4,7 +4,6 @@ import (
 	"perfpred/internal/lqn"
 	"perfpred/internal/rtdist"
 	"perfpred/internal/sessioncache"
-	"perfpred/internal/stats"
 	"perfpred/internal/trade"
 	"perfpred/internal/workload"
 )
@@ -23,62 +22,35 @@ func (s *Suite) Percentiles() (*Table, error) {
 	if err != nil {
 		return nil, err
 	}
-	hyb, err := s.Hybrid()
-	if err != nil {
-		return nil, err
-	}
-	type agg struct{ pred, act []float64 }
-	accs := map[string]map[string]*agg{}
-	record := func(method, group string, pred, act float64) {
-		if accs[method] == nil {
-			accs[method] = map[string]*agg{}
-		}
-		if accs[method][group] == nil {
-			accs[method][group] = &agg{}
-		}
-		a := accs[method][group]
-		a.pred = append(a.pred, pred)
-		a.act = append(a.act, act)
-	}
-	hms, cells, results, err := s.figure2Grid()
+	points, err := s.figure2Walk()
 	if err != nil {
 		return nil, err
 	}
 	const p = 0.90
-	for k, c := range cells {
-		arch, n, hm := c.arch, c.clients, hms[k/len(figure2Fractions)]
-		group := "new"
-		if arch.Established {
-			group = "established"
-		}
-		measured := results[k].OverallPercentile(100 * p)
-		saturated := hm.Saturated(float64(n))
-		histP, err := hm.PredictPercentile(float64(n), p, b)
+	acc := accuracies{}
+	for _, pt := range points {
+		n := float64(pt.clients)
+		measured := pt.meas.OverallPercentile(100 * p)
+		histP, err := pt.hist.PredictPercentile(n, p, b)
 		if err != nil {
 			return nil, err
 		}
-		lq, err := s.LQNPredict(arch, workload.TypicalWorkload(n))
+		lqP, err := rtdist.PercentileFromMean(pt.lqn.MeanResponseTime(), pt.hist.Saturated(n), b, p)
 		if err != nil {
 			return nil, err
 		}
-		lqP, err := rtdist.PercentileFromMean(lq.MeanResponseTime(), saturated, b, p)
+		hyP, err := pt.hybrid.PredictPercentile(n, p, b)
 		if err != nil {
 			return nil, err
 		}
-		hyP, err := hyb.PredictPercentile(arch.Name, float64(n), p, b)
-		if err != nil {
-			return nil, err
-		}
-		record("historical", group, histP, measured)
-		record("lqn", group, lqP, measured)
-		record("hybrid", group, hyP, measured)
-		t.AddRow(arch.Name, itoa(n), ms(measured), ms(histP), ms(lqP), ms(hyP))
+		acc.record("historical", pt.group, histP, measured)
+		acc.record("lqn", pt.group, lqP, measured)
+		acc.record("hybrid", pt.group, hyP, measured)
+		t.AddRow(pt.arch.Name, itoa(pt.clients), ms(measured), ms(histP), ms(lqP), ms(hyP))
 	}
 	for _, method := range []string{"historical", "lqn", "hybrid"} {
-		est := accs[method]["established"]
-		nw := accs[method]["new"]
-		t.AddNote("%s p90 accuracy: %.1f%% established / %.1f%% new",
-			method, stats.Accuracy(est.pred, est.act), stats.Accuracy(nw.pred, nw.act))
+		pair := acc.of(method)
+		t.AddNote("%s p90 accuracy: %.1f%% established / %.1f%% new", method, pair[0], pair[1])
 	}
 	t.AddNote("calibrated Laplace scale b = %.1f ms (paper: 204.1 ms on its testbed)", b*1000)
 	t.AddNote("paper: historical 88%%/80%%, LQN 69%%/77%%, hybrid 70%%/77%% (est/new); at most 4.6%% below the mean-RT accuracies")

@@ -15,22 +15,81 @@ import (
 // server's saturation load N*) swept by the scalability experiments.
 var figure2Fractions = []float64{0.2, 0.35, 0.5, 0.8, 1.0, 1.2, 1.45, 1.7}
 
-// figure2Grid measures the grid figure 2, its accuracy summary and the
-// §7.1 percentile study share: every case-study server at each of
+// figure2Point is one cell of the grid figure 2, its accuracy summary
+// and the §7.1 percentile study share, with what was measured there and
+// each method's answer: the historical and hybrid models of the cell's
+// server and the layered solution at its population.
+type figure2Point struct {
+	arch         workload.ServerArch
+	clients      int
+	group        string // "established" or "new"
+	meas         *trade.Result
+	hist, hybrid *hist.ServerModel
+	lqn          *lqn.Result
+}
+
+// figure2Walk measures every case-study server at each of
 // figure2Fractions of its saturation population, server-major, in one
-// fan-out. Cell k belongs to hms[k/len(figure2Fractions)].
-func (s *Suite) figure2Grid() (hms []*hist.ServerModel, cells []measureCell, results []*trade.Result, err error) {
-	if hms, err = s.caseStudyModels(); err != nil {
-		return nil, nil, nil, err
+// fan-out, and asks the three methods about every cell.
+func (s *Suite) figure2Walk() ([]figure2Point, error) {
+	hyb, err := s.Hybrid()
+	if err != nil {
+		return nil, err
 	}
+	hms, err := s.caseStudyModels()
+	if err != nil {
+		return nil, err
+	}
+	var cells []measureCell
 	for i, arch := range workload.CaseStudyServers() {
 		for _, c := range cellsAt(arch, hms[i].SaturationClients(), figure2Fractions) {
 			c.clients = max(c.clients, 1)
 			cells = append(cells, c)
 		}
 	}
-	results, err = measureCells(s, cells)
-	return hms, cells, results, err
+	results, err := measureCells(s, cells)
+	if err != nil {
+		return nil, err
+	}
+	points := make([]figure2Point, len(cells))
+	for k, c := range cells {
+		lq, err := s.LQNPredict(c.arch, workload.TypicalWorkload(c.clients))
+		if err != nil {
+			return nil, err
+		}
+		group := "new"
+		if c.arch.Established {
+			group = "established"
+		}
+		points[k] = figure2Point{
+			arch: c.arch, clients: c.clients, group: group, meas: results[k],
+			hist: hms[k/len(figure2Fractions)], hybrid: hyb.Servers[c.arch.Name], lqn: lq,
+		}
+	}
+	return points, nil
+}
+
+// accuracies collects (predicted, actual) pairs per method and server
+// group and scores each series.
+type accuracies map[[2]string]*[2][]float64
+
+func (a accuracies) record(method, group string, pred, act float64) {
+	k := [2]string{method, group}
+	if a[k] == nil {
+		a[k] = new([2][]float64)
+	}
+	a[k][0] = append(a[k][0], pred)
+	a[k][1] = append(a[k][1], act)
+}
+
+// of returns the method's (established, new) accuracy pair.
+func (a accuracies) of(method string) [2]float64 {
+	var out [2]float64
+	for i, group := range []string{"established", "new"} {
+		series := a[[2]string{method, group}]
+		out[i] = stats.Accuracy(series[0], series[1])
+	}
+	return out
 }
 
 // Figure2 regenerates the paper's figure 2: measured mean response
@@ -38,117 +97,52 @@ func (s *Suite) figure2Grid() (hms []*hist.ServerModel, cells []measureCell, res
 // across client populations for all three servers, plus the per-method
 // accuracy summary for established and new servers.
 func (s *Suite) Figure2() (*Table, error) {
+	t, _, err := s.figure2()
+	return t, err
+}
+
+// Figure2Accuracies returns the per-method mean-RT accuracy pairs
+// (established, new) without formatting, for tests.
+func (s *Suite) Figure2Accuracies() (map[string][2]float64, error) {
+	_, acc, err := s.figure2()
+	if err != nil {
+		return nil, err
+	}
+	out := map[string][2]float64{}
+	for _, method := range []string{"historical", "lqn", "hybrid"} {
+		out[method] = acc.of(method)
+	}
+	return out, nil
+}
+
+func (s *Suite) figure2() (*Table, accuracies, error) {
 	t := &Table{
 		ID:     "Figure 2",
 		Title:  "Mean response time: measured vs predicted (typical workload)",
 		Header: []string{"Server", "Clients", "Measured (ms)", "Historical (ms)", "LQN (ms)", "Hybrid (ms)", "Measured X (req/s)", "LQN X (req/s)"},
 	}
-	hyb, err := s.Hybrid()
+	points, err := s.figure2Walk()
 	if err != nil {
-		return nil, err
+		return nil, nil, err
 	}
-	hms, cells, results, err := s.figure2Grid()
-	if err != nil {
-		return nil, err
-	}
-	type accAgg struct{ pred, act []float64 }
-	accs := map[string]map[string]*accAgg{} // method -> group -> series
-	record := func(method, group string, pred, act float64) {
-		if accs[method] == nil {
-			accs[method] = map[string]*accAgg{}
-		}
-		if accs[method][group] == nil {
-			accs[method][group] = &accAgg{}
-		}
-		a := accs[method][group]
-		a.pred = append(a.pred, pred)
-		a.act = append(a.act, act)
-	}
-
-	for k, c := range cells {
-		arch, n, meas := c.arch, c.clients, results[k]
-		hm := hms[k/len(figure2Fractions)]
-		group := "new"
-		if arch.Established {
-			group = "established"
-		}
-		histRT := hm.Predict(float64(n))
-		lq, err := s.LQNPredict(arch, workload.TypicalWorkload(n))
-		if err != nil {
-			return nil, err
-		}
-		lqRT := lq.MeanResponseTime()
-		hyRT, err := hyb.Predict(arch.Name, float64(n))
-		if err != nil {
-			return nil, err
-		}
-		record("historical", group, histRT, meas.MeanRT)
-		record("lqn", group, lqRT, meas.MeanRT)
-		record("hybrid", group, hyRT, meas.MeanRT)
-		record("lqn-throughput", group, lq.TotalThroughput(), meas.Throughput)
-		t.AddRow(arch.Name, itoa(n), ms(meas.MeanRT), ms(histRT), ms(lqRT), ms(hyRT),
-			f1(meas.Throughput), f1(lq.TotalThroughput()))
+	acc := accuracies{}
+	for _, p := range points {
+		n := float64(p.clients)
+		histRT, lqRT, hyRT := p.hist.Predict(n), p.lqn.MeanResponseTime(), p.hybrid.Predict(n)
+		acc.record("historical", p.group, histRT, p.meas.MeanRT)
+		acc.record("lqn", p.group, lqRT, p.meas.MeanRT)
+		acc.record("hybrid", p.group, hyRT, p.meas.MeanRT)
+		acc.record("lqn-throughput", p.group, p.lqn.TotalThroughput(), p.meas.Throughput)
+		t.AddRow(p.arch.Name, itoa(p.clients), ms(p.meas.MeanRT), ms(histRT), ms(lqRT), ms(hyRT),
+			f1(p.meas.Throughput), f1(p.lqn.TotalThroughput()))
 	}
 	for _, method := range []string{"historical", "lqn", "hybrid", "lqn-throughput"} {
-		for _, group := range []string{"established", "new"} {
-			a := accs[method][group]
-			t.AddNote("%s accuracy (%s servers): %.1f%%", method, group, stats.Accuracy(a.pred, a.act))
-		}
+		pair := acc.of(method)
+		t.AddNote("%s accuracy (established servers): %.1f%%", method, pair[0])
+		t.AddNote("%s accuracy (new servers): %.1f%%", method, pair[1])
 	}
 	t.AddNote("paper: historical 89.1%%/83%% (est/new), LQN RT 68.8%%/73.4%%, LQN X 97.8%%/97.1%%, hybrid 67.1%%/74.9%%")
-	return t, nil
-}
-
-// Figure2Accuracies returns the per-method mean-RT accuracy pairs
-// (established, new) without formatting — reused by the §7.1
-// comparison and by tests.
-func (s *Suite) Figure2Accuracies() (map[string][2]float64, error) {
-	hms, cells, results, err := s.figure2Grid()
-	if err != nil {
-		return nil, err
-	}
-	hyb, err := s.Hybrid()
-	if err != nil {
-		return nil, err
-	}
-	agg := map[string]map[string][2][]float64{}
-	add := func(method, group string, pred, act float64) {
-		if agg[method] == nil {
-			agg[method] = map[string][2][]float64{}
-		}
-		pair := agg[method][group]
-		pair[0] = append(pair[0], pred)
-		pair[1] = append(pair[1], act)
-		agg[method][group] = pair
-	}
-	for k, c := range cells {
-		arch, n, meas := c.arch, c.clients, results[k]
-		group := "new"
-		if arch.Established {
-			group = "established"
-		}
-		lq, err := s.LQNPredict(arch, workload.TypicalWorkload(n))
-		if err != nil {
-			return nil, err
-		}
-		hyRT, err := hyb.Predict(arch.Name, float64(n))
-		if err != nil {
-			return nil, err
-		}
-		add("historical", group, hms[k/len(figure2Fractions)].Predict(float64(n)), meas.MeanRT)
-		add("lqn", group, lq.MeanResponseTime(), meas.MeanRT)
-		add("hybrid", group, hyRT, meas.MeanRT)
-	}
-	out := map[string][2]float64{}
-	for method, groups := range agg {
-		est := groups["established"]
-		nw := groups["new"]
-		out[method] = [2]float64{
-			stats.Accuracy(est[0], est[1]),
-			stats.Accuracy(nw[0], nw[1]),
-		}
-	}
-	return out, nil
+	return t, acc, nil
 }
 
 // Figure3 regenerates the paper's figure 3: the predictive accuracy on
@@ -175,36 +169,32 @@ func (s *Suite) Figure3() (*Table, error) {
 
 	// This figure is the harness's densest LQN grid (~170 solves over
 	// three architectures), all on one model per architecture with only
-	// the browse population changing: each architecture gets a
-	// population sweeper — model built once, warm-started solver — and
-	// every solve below routes through it.
+	// the browse population changing: one sweep per architecture.
 	// Warm starts stay confined to the tight default criterion: the
 	// 20 ms runs stop wherever the iteration trajectory happens to
 	// land (that trajectory-sensitivity is the noise this figure
-	// studies), so they keep a cold-started solver of their own.
+	// studies), so they solve the sweep's model on a cold-started
+	// solver of their own.
 	type sweeper struct {
-		model  *lqn.Model
-		browse *lqn.Class
-		warm   *lqn.Solver
-		cold   *lqn.Solver
+		*lqn.TradeSweep
+		cold *lqn.Solver
 	}
-	sweepers := make(map[string]*sweeper, 3)
+	sweepers := make(map[string]sweeper, 3)
 	sweepAt := func(arch workload.ServerArch, n int, opt lqn.Options) (*lqn.Result, error) {
 		sw, ok := sweepers[arch.Name]
 		if !ok {
-			model, err := lqn.NewTradeModel(arch, workload.CaseStudyDB(), demands, workload.TypicalWorkload(1))
+			ts, err := lqn.NewTradeSweep(arch, workload.CaseStudyDB(), demands, workload.TypicalWorkload(1), s.LQNOpt)
 			if err != nil {
 				return nil, err
 			}
-			sw = &sweeper{model: model, browse: model.Classes[0], warm: lqn.NewSolver(), cold: lqn.NewSolver()}
-			sw.warm.WarmStart = true
+			sw = sweeper{TradeSweep: ts, cold: lqn.NewSolver()}
 			sweepers[arch.Name] = sw
 		}
-		sw.browse.Population = n
 		if opt == s.LQNOpt {
-			return sw.warm.Solve(sw.model, opt)
+			return sw.Solve(workload.TypicalWorkload(n))
 		}
-		return sw.cold.Solve(sw.model, opt)
+		sw.Model.Classes[0].Population = n
+		return sw.cold.Solve(sw.Model, opt)
 	}
 
 	// LQN-derived max throughputs anchor each server's N*.

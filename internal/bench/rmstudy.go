@@ -16,13 +16,9 @@ import (
 // represent the real system response times, and the hybrid model ...
 // as the less accurate predictions".
 func (s *Suite) RMSetup() (pred, truth rm.Predictor, servers []rm.Server, err error) {
-	truthSet := rm.ModelSet{}
-	for name, arch := range servers16Arch() {
-		m, e := s.HistModelFor(arch)
-		if e != nil {
-			return nil, nil, nil, e
-		}
-		truthSet[name] = m
+	truthSet, err := s.truthSet()
+	if err != nil {
+		return nil, nil, nil, err
 	}
 	hyb, err := s.Hybrid()
 	if err != nil {
@@ -31,14 +27,18 @@ func (s *Suite) RMSetup() (pred, truth rm.Predictor, servers []rm.Server, err er
 	return hyb, truthSet, rm.CaseStudyServers(), nil
 }
 
-// servers16Arch returns the architectures of the 16-server case-study
-// pool keyed by name.
-func servers16Arch() map[string]workload.ServerArch {
-	return map[string]workload.ServerArch{
-		"AppServS":  workload.AppServS(),
-		"AppServF":  workload.AppServF(),
-		"AppServVF": workload.AppServVF(),
+// truthSet is the §9.1 stand-in for the real system: the historical
+// model of every architecture in the 16-server case-study pool.
+func (s *Suite) truthSet() (rm.ModelSet, error) {
+	hms, err := s.caseStudyModels()
+	if err != nil {
+		return nil, err
 	}
+	set := rm.ModelSet{}
+	for i, arch := range workload.CaseStudyServers() {
+		set[arch.Name] = hms[i]
+	}
+	return set, nil
 }
 
 // studyLoads sweeps the offered load like figures 5 and 6, up to and
@@ -151,13 +151,9 @@ func (s *Suite) UniformInaccuracy() (*Table, error) {
 		Title:  "Uniform predictive inaccuracy compensated by slack = y",
 		Header: []string{"y", "Max fail % (slack=y)", "Avg usage % (slack=y)", "Max fail % (slack=1)"},
 	}
-	truthSet := rm.ModelSet{}
-	for name, arch := range servers16Arch() {
-		m, err := s.HistModelFor(arch)
-		if err != nil {
-			return nil, err
-		}
-		truthSet[name] = m
+	truthSet, err := s.truthSet()
+	if err != nil {
+		return nil, err
 	}
 	servers := rm.CaseStudyServers()
 	loads := []int{2000, 4000, 6000, 8000}

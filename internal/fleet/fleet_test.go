@@ -468,10 +468,6 @@ func TestFleetReplanTakesEffect(t *testing.T) {
 			t.Errorf("class %d estimate %d implausible against configured %d", i, est, configured)
 		}
 	}
-	pred := cfg.Replanner.Pred.(*rm.LQNPredictor)
-	if st := pred.Stats(); st.Solves == 0 {
-		t.Error("replanner never consulted the LQN predictor")
-	}
 	snap := reg.Snapshot()
 	if snap.Counters["fleet_replans"] != uint64(res.Replans) {
 		t.Errorf("fleet_replans metric %d, want %d", snap.Counters["fleet_replans"], res.Replans)

@@ -61,22 +61,22 @@ type replanState struct {
 func newReplanState(rp *rm.Replanner, router *Router, cfg *Config, archNames []string, powers []float64) *replanState {
 	n := len(cfg.Load)
 	rs := &replanState{
-		rp:        rp,
-		router:    router,
-		period:    cfg.ReplanPeriod,
-		warmup:    cfg.WarmupDelay,
-		drain:     cfg.DrainDelay,
-		next:      cfg.ReplanPeriod,
-		names:     make([]string, n),
-		goals:     make([]float64, n),
-		thinks:    make([]float64, n),
+		rp:         rp,
+		router:     router,
+		period:     cfg.ReplanPeriod,
+		warmup:     cfg.WarmupDelay,
+		drain:      cfg.DrainDelay,
+		next:       cfg.ReplanPeriod,
+		names:      make([]string, n),
+		goals:      make([]float64, n),
+		thinks:     make([]float64, n),
 		configured: make([]int, n),
-		classIdx:  make(map[string]int, n),
-		archNames: archNames,
-		powers:    powers,
-		desired:   make([]uint8, n*router.npools),
-		last:      make([]classWindow, n),
-		estimates: make([]int, n),
+		classIdx:   make(map[string]int, n),
+		archNames:  archNames,
+		powers:     powers,
+		desired:    make([]uint8, n*router.npools),
+		last:       make([]classWindow, n),
+		estimates:  make([]int, n),
 	}
 	for i, pop := range cfg.Load {
 		rs.names[i] = pop.Class.Name

@@ -156,25 +156,6 @@ func (s *Store) Servers() []string {
 	return out
 }
 
-// Prune keeps only the most recent keep points per (server, workload)
-// — the store's answer to unbounded history growth. Points are
-// retained from the end of the recorded order (most recently
-// appended).
-func (s *Store) Prune(keep int) {
-	if keep < 0 {
-		keep = 0
-	}
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	for _, rec := range s.data.Servers {
-		for key, pts := range rec.Points {
-			if len(pts) > keep {
-				rec.Points[key] = append([]DataPoint(nil), pts[len(pts)-keep:]...)
-			}
-		}
-	}
-}
-
 // Calibrate builds a ServerModel for the architecture from the
 // store's recorded data points, benchmark and gradient under the
 // workload signature — the recalibration path §2's first supporting

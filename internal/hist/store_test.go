@@ -155,25 +155,3 @@ func TestStoreFilePersistence(t *testing.T) {
 		t.Fatal("fresh store should be empty")
 	}
 }
-
-func TestStorePrune(t *testing.T) {
-	s := NewStore()
-	for i := 1; i <= 10; i++ {
-		if err := s.RecordPoint("srv", "k", DataPoint{Clients: float64(i), MeanRT: 0.01}); err != nil {
-			t.Fatal(err)
-		}
-	}
-	s.Prune(3)
-	pts := s.Points("srv", "k")
-	if len(pts) != 3 {
-		t.Fatalf("pruned to %d, want 3", len(pts))
-	}
-	// Most recent (largest client counts in this insertion order) kept.
-	if pts[0].Clients != 8 || pts[2].Clients != 10 {
-		t.Fatalf("kept wrong points: %+v", pts)
-	}
-	s.Prune(-1)
-	if len(s.Points("srv", "k")) != 0 {
-		t.Fatal("negative keep should clear")
-	}
-}

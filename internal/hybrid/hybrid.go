@@ -146,22 +146,16 @@ func buildServerMix(cfg Config, arch workload.ServerArch, buyFrac float64) (*his
 	mm := metrics.Load()
 	evals := 0
 	// The whole pseudo-data sweep solves one model at different client
-	// populations: build it once, mutate the populations in place, and
-	// warm-start each solve from the last — this is the start-up delay
-	// §8.5 charges the hybrid method for. The all-browse path keeps the
-	// single-class typical workload Build has always used, so its
-	// models (and the experiment goldens behind them) are unchanged.
-	model, err := lqn.NewTradeModel(arch, cfg.DB, cfg.Demands, workload.MixLoad(1, buyFrac))
+	// populations — this is the start-up delay §8.5 charges the hybrid
+	// method for. The all-browse path keeps the single-class typical
+	// workload Build has always used, so its models (and the experiment
+	// goldens behind them) are unchanged.
+	sweep, err := lqn.NewTradeSweep(arch, cfg.DB, cfg.Demands, workload.MixLoad(1, buyFrac), cfg.LQN)
 	if err != nil {
 		return nil, 0, err
 	}
-	solver := lqn.NewSolver()
-	solver.WarmStart = true
 	solveTypical := func(n int) (*lqn.Result, error) {
-		for i, p := range workload.MixLoad(n, buyFrac) {
-			model.Classes[i].Population = p.Clients
-		}
-		return solver.Solve(model, cfg.LQN)
+		return sweep.Solve(workload.MixLoad(n, buyFrac))
 	}
 	// Max throughput: solve far past the saturation the benchmark
 	// suggests and read the plateau throughput.
@@ -293,20 +287,13 @@ func BuildRelationship3(cfg Config, established workload.ServerArch, buyPcts []f
 	points := make([]hist.BuyPoint, 0, len(buyPcts))
 	estSat := int(established.Speed * workload.MaxThroughputF * (workload.ThinkTimeMean + 1))
 	// Varying the buy percentage only re-splits the fixed total
-	// population between the two classes; the model structure is
-	// constant, so build it once and sweep the populations with a
-	// warm-started solver.
-	model, err := lqn.NewTradeModel(established, cfg.DB, cfg.Demands, workload.MixedWorkload(2*estSat, buyPcts[0]/100))
+	// population between the two classes: one sweep over the mix.
+	sweep, err := lqn.NewTradeSweep(established, cfg.DB, cfg.Demands, workload.MixedWorkload(2*estSat, buyPcts[0]/100), cfg.LQN)
 	if err != nil {
 		return nil, evals, err
 	}
-	solver := lqn.NewSolver()
-	solver.WarmStart = true
 	for _, pct := range buyPcts {
-		for i, p := range workload.MixedWorkload(2*estSat, pct/100) {
-			model.Classes[i].Population = p.Clients
-		}
-		res, err := solver.Solve(model, cfg.LQN)
+		res, err := sweep.Solve(workload.MixedWorkload(2*estSat, pct/100))
 		if err != nil {
 			return nil, evals, err
 		}

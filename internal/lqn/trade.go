@@ -4,6 +4,7 @@ import (
 	"errors"
 	"fmt"
 
+	"perfpred/internal/sla"
 	"perfpred/internal/workload"
 )
 
@@ -104,12 +105,81 @@ func NewTradeModel(server workload.ServerArch, db workload.DBServer, demands map
 	return m, nil
 }
 
+// TradeSweep is the paper's recurring object: the layered model of one
+// architecture solved at a handful of client populations (§5's
+// predictions, §6's pseudo data, §8.2's capacity search). It owns the
+// trade model, a retained warm-started Solver and the options of every
+// solve, and with them the Solver's mutate-in-place contract: the same
+// *Model every time, InvalidateDemands after a retune, and a *Result
+// that is the solver's until the next Solve (Clone it to retain). Not
+// for concurrent use.
+type TradeSweep struct {
+	// Model is the swept model. A caller that needs a differently
+	// configured solver (figure 3's cold-started coarse criterion) sets
+	// its populations and solves it by hand.
+	Model *Model
+
+	solver *Solver
+	opt    Options
+}
+
+// NewTradeSweep builds the trade model for shape — the classes every
+// later load must repeat, in order; its populations are placeholders —
+// and retains a warm-started solver for it.
+func NewTradeSweep(server workload.ServerArch, db workload.DBServer, demands map[workload.RequestType]workload.Demand, shape workload.Workload, opt Options) (*TradeSweep, error) {
+	m, err := NewTradeModel(server, db, demands, shape)
+	if err != nil {
+		return nil, err
+	}
+	return &TradeSweep{Model: m, solver: &Solver{WarmStart: true}, opt: opt}, nil
+}
+
+// Solve gives class i load[i].Clients clients and solves, seeded from
+// the previous solution. It takes a workload rather than a count
+// because relationship 3 sweeps the mix at a fixed total.
+func (t *TradeSweep) Solve(load workload.Workload) (*Result, error) {
+	if len(load) != len(t.Model.Classes) {
+		return nil, fmt.Errorf("lqn: load has %d classes, the swept model %d", len(load), len(t.Model.Classes))
+	}
+	for i, p := range load {
+		t.Model.Classes[i].Population = p.Clients
+	}
+	return t.solver.Solve(t.Model, t.opt)
+}
+
+// Retune rewrites the model's demands in place (see RetuneTradeModel)
+// and drops the solver's cached demand folding, keeping the resolved
+// topology and the warm start.
+func (t *TradeSweep) Retune(demands map[workload.RequestType]workload.Demand) error {
+	if err := RetuneTradeModel(t.Model, demands); err != nil {
+		return err
+	}
+	t.solver.InvalidateDemands()
+	return nil
+}
+
+// MaxClients is the §8.2 search: the largest n ≤ limit whose load(n)
+// keeps the request-weighted mean response time within goalRT, and the
+// solves it took. It runs sla.MaxClients' fixed probe sequence on a
+// fresh warm-started solver, so the answer never depends on what the
+// sweep solved before and an offline rerun reproduces it exactly.
+func (t *TradeSweep) MaxClients(goalRT float64, limit int, load func(n int) workload.Workload) (clients, evals int, err error) {
+	fresh := TradeSweep{Model: t.Model, solver: &Solver{WarmStart: true}, opt: t.opt}
+	clients, err = sla.MaxClients(limit, func(n int) (bool, error) {
+		evals++
+		res, err := fresh.Solve(load(n))
+		if err != nil {
+			return false, err
+		}
+		return res.MeanResponseTime() <= goalRT, nil
+	})
+	return clients, evals, err
+}
+
 // RetuneTradeModel updates, in place, the entry demands and call means
 // of a model built by NewTradeModel to a new demand map — the
-// structure-preserving half of a rebuild. Fixed-point loops that
-// re-tune effective demands every iteration (see
-// sessioncache.SolveWithCache) pair it with Solver.InvalidateDemands
-// to skip re-building and re-validating the whole model.
+// structure-preserving half of a rebuild. A retained Solver must be
+// told (InvalidateDemands); TradeSweep.Retune does both.
 //
 // The demand map must cover the same request types the model was built
 // with, and each type's latency term must stay on the same side of

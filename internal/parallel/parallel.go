@@ -10,7 +10,6 @@
 //   - Map runs an indexed function across a bounded pool and returns
 //     results in index order, with context cancellation and
 //     deterministic first-error propagation.
-//   - Grid is Map over a two-dimensional sweep.
 //   - Memo and Once (memo.go) are the singleflight-style memoisation
 //     used to make shared calibration state safe for concurrent use.
 //
@@ -121,26 +120,6 @@ func Map[T any](ctx context.Context, workers, n int, fn func(ctx context.Context
 	}
 	if fallback != nil {
 		return nil, fallback
-	}
-	return out, nil
-}
-
-// Grid runs fn over the rows×cols cartesian product on the pool and
-// returns results indexed [row][col]. Cells are flattened row-major
-// onto Map, so ordering, cancellation and error semantics are Map's.
-func Grid[T any](ctx context.Context, workers, rows, cols int, fn func(ctx context.Context, row, col int) (T, error)) ([][]T, error) {
-	if rows <= 0 || cols <= 0 {
-		return nil, ctx.Err()
-	}
-	flat, err := Map(ctx, workers, rows*cols, func(ctx context.Context, i int) (T, error) {
-		return fn(ctx, i/cols, i%cols)
-	})
-	if err != nil {
-		return nil, err
-	}
-	out := make([][]T, rows)
-	for r := range out {
-		out[r] = flat[r*cols : (r+1)*cols]
 	}
 	return out, nil
 }

@@ -112,28 +112,6 @@ func TestMapEmpty(t *testing.T) {
 	}
 }
 
-func TestGridShapeAndValues(t *testing.T) {
-	out, err := Grid(context.Background(), 4, 3, 5, func(_ context.Context, r, c int) (string, error) {
-		return fmt.Sprintf("%d/%d", r, c), nil
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(out) != 3 {
-		t.Fatalf("rows = %d, want 3", len(out))
-	}
-	for r := range out {
-		if len(out[r]) != 5 {
-			t.Fatalf("cols(row %d) = %d, want 5", r, len(out[r]))
-		}
-		for c := range out[r] {
-			if want := fmt.Sprintf("%d/%d", r, c); out[r][c] != want {
-				t.Fatalf("out[%d][%d] = %q, want %q", r, c, out[r][c], want)
-			}
-		}
-	}
-}
-
 func TestWorkersNormalisation(t *testing.T) {
 	if Workers(0) < 1 || Workers(-3) < 1 {
 		t.Fatal("non-positive worker counts must normalise to >= 1")

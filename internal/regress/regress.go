@@ -153,7 +153,7 @@ type archFit struct {
 	beta    []float64 // ridge weights over standardized features
 	mean    []float64 // feature standardization (index 0 untouched)
 	scale   []float64
-	samples []Sample  // fixed training order, retained for k-NN
+	samples []Sample // fixed training order, retained for k-NN
 	feats   [][]float64
 	maxPop  float64 // largest trained population
 	maxRT   float64 // largest trained response time
@@ -359,22 +359,6 @@ func (m *Model) Archs() []string {
 	}
 	sort.Strings(names)
 	return names
-}
-
-// TrainedRange returns the population range the architecture was
-// trained on (0,0 for unknown architectures).
-func (m *Model) TrainedRange(arch string) (minPop, maxPop float64) {
-	af, ok := m.archs[arch]
-	if !ok {
-		return 0, 0
-	}
-	minPop = math.Inf(1)
-	for _, s := range af.samples {
-		if p := float64(s.Clients); p < minPop {
-			minPop = p
-		}
-	}
-	return minPop, af.maxPop
 }
 
 // Weights returns a copy of the fitted (standardized-feature) weights

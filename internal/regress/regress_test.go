@@ -171,44 +171,6 @@ func TestTrainDeterministicAcrossWorkers(t *testing.T) {
 	}
 }
 
-// K-fold must report a small error for clean synthetic data and
-// reject degenerate fold counts.
-func TestKFoldReporting(t *testing.T) {
-	arch := testArch()
-	var pops []int
-	for n := 5; n <= 120; n += 5 {
-		pops = append(pops, n)
-	}
-	samples := syntheticSamples(arch, 0.080, 2.5, pops)
-	cv, err := KFold(samples, 4, []workload.ServerArch{arch}, workload.CaseStudyDemands(), workload.ThinkTimeMean,
-		FitConfig{Degree: 2, Lambda: 1e-9, Target: "rt"})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(cv.Folds) != 4 {
-		t.Fatalf("%d folds reported, want 4", len(cv.Folds))
-	}
-	held := 0
-	for _, f := range cv.Folds {
-		held += f.Held
-	}
-	if held != len(samples) {
-		t.Errorf("folds held %d samples in total, want %d", held, len(samples))
-	}
-	// Not exactly zero: the fold holding out the largest population
-	// forces its model past the trained range, where the deliberate
-	// k-NN extrapolation takes over.
-	if cv.MeanMAPEPct > 0.5 {
-		t.Errorf("linear data cross-validated MAPE %v%%, want ≈ 0", cv.MeanMAPEPct)
-	}
-	if cv.MaxMAPEPct < cv.MeanMAPEPct {
-		t.Errorf("max MAPE %v below mean %v", cv.MaxMAPEPct, cv.MeanMAPEPct)
-	}
-	if _, err := KFold(samples, 1, []workload.ServerArch{arch}, workload.CaseStudyDemands(), workload.ThinkTimeMean, FitConfig{}); err == nil {
-		t.Error("k = 1 accepted")
-	}
-}
-
 // Fit must reject malformed inputs loudly.
 func TestFitValidation(t *testing.T) {
 	arch := testArch()

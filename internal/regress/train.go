@@ -25,10 +25,6 @@ type TrainConfig struct {
 	// Seed drives the population draws and every measurement run;
 	// equal seeds give bit-identical training sets and fits.
 	Seed int64
-	// MaxPopFactor scales the top of the sampled population range
-	// relative to the architecture's saturation population
-	// Xmax × think (default 1.6, comfortably past the knee).
-	MaxPopFactor float64
 	// Opt tunes the underlying simulator measurements. Opt.Workers
 	// bounds measurement concurrency only — fits are bit-identical at
 	// any worker count.
@@ -44,11 +40,13 @@ func (c TrainConfig) withDefaults() TrainConfig {
 	if c.SamplesPerMix == 0 {
 		c.SamplesPerMix = 8
 	}
-	if c.MaxPopFactor == 0 {
-		c.MaxPopFactor = 1.6
-	}
 	return c
 }
+
+// maxPopFactor puts the top of the sampled population range at 1.6×
+// the architecture's saturation population Xmax × think: comfortably
+// past the knee.
+const maxPopFactor = 1.6
 
 // drawPopulations picks SamplesPerMix distinct populations for one
 // (architecture, mix) cell: the two range endpoints plus seeded
@@ -57,7 +55,7 @@ func (c TrainConfig) withDefaults() TrainConfig {
 // cell, so the training grid is a pure function of the config.
 func drawPopulations(arch workload.ServerArch, cell uint64, cfg TrainConfig) []int {
 	sat := arch.MaxThroughputTypical * workload.ThinkTimeMean
-	maxPop := int(sat * cfg.MaxPopFactor)
+	maxPop := int(sat * maxPopFactor)
 	if maxPop < cfg.SamplesPerMix+2 {
 		maxPop = cfg.SamplesPerMix + 2
 	}

@@ -44,6 +44,9 @@ type Biased struct {
 
 // MaxClients scales the base capacity by Y.
 func (b Biased) MaxClients(arch string, goalRT float64) (float64, error) {
+	if err := b.check(); err != nil {
+		return 0, err
+	}
 	n, err := b.Base.MaxClients(arch, goalRT)
 	if err != nil {
 		return 0, err
@@ -54,8 +57,17 @@ func (b Biased) MaxClients(arch string, goalRT float64) (float64, error) {
 // Predict evaluates the base model at the un-biased population, so
 // Predict and MaxClients stay mutually consistent.
 func (b Biased) Predict(arch string, n float64) (float64, error) {
-	if b.Y <= 0 {
-		return 0, fmt.Errorf("rm: invalid bias %v", b.Y)
+	if err := b.check(); err != nil {
+		return 0, err
 	}
 	return b.Base.Predict(arch, n/b.Y)
+}
+
+// check rejects a bias that is not a positive factor: zero or below
+// would answer a zero or negative capacity.
+func (b Biased) check() error {
+	if !(b.Y > 0) {
+		return fmt.Errorf("rm: invalid bias %v", b.Y)
+	}
+	return nil
 }

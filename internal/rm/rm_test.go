@@ -534,3 +534,33 @@ func TestAllocateRejectionStopsLowerPriorityClasses(t *testing.T) {
 		t.Fatalf("loose planned %d, want 40", got)
 	}
 }
+
+// A bias is a positive factor: y > 0 scales capacity by y and reads
+// response times at the un-biased population; zero and negative biases
+// are rejected by both questions, not only by Predict (MaxClients used
+// to answer a zero or negative capacity).
+func TestBiasedRejectsNonPositiveBias(t *testing.T) {
+	truth := truthModels()
+	const arch, goal = "AppServF", 0.3
+	for _, y := range []float64{0, -0.5} {
+		b := Biased{Base: truth, Y: y}
+		if n, err := b.MaxClients(arch, goal); err == nil {
+			t.Errorf("y=%v: MaxClients answered %v, want an error", y, n)
+		}
+		if rt, err := b.Predict(arch, 100); err == nil {
+			t.Errorf("y=%v: Predict answered %v, want an error", y, rt)
+		}
+	}
+	b := Biased{Base: truth, Y: 1.25}
+	base, err := truth.MaxClients(arch, goal)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if n, err := b.MaxClients(arch, goal); err != nil || n != 1.25*base {
+		t.Fatalf("y=1.25: MaxClients = %v, %v; want %v", n, err, 1.25*base)
+	}
+	want, _ := truth.Predict(arch, 100/1.25)
+	if rt, err := b.Predict(arch, 100); err != nil || rt != want {
+		t.Fatalf("y=1.25: Predict(100) = %v, %v; want the base at 80 clients, %v", rt, err, want)
+	}
+}

@@ -116,8 +116,3 @@ func Diurnal(period, amplitude, phase float64) PatternSpec {
 func FlashSale(start, ramp, hold, decay, peak float64) PatternSpec {
 	return PatternSpec{Kind: PatternFlash, Start: start, Ramp: ramp, Hold: hold, Decay: decay, Peak: peak}
 }
-
-// Piecewise returns a segment schedule; cycle repeats it forever.
-func Piecewise(cycle bool, periods ...PeriodSpec) PatternSpec {
-	return PatternSpec{Kind: PatternPiecewise, Cycle: cycle, Periods: periods}
-}

@@ -179,16 +179,6 @@ func (c *Compiled) Workload() workload.Workload {
 	return w
 }
 
-// OfferedRate sums the cohorts' expected instantaneous arrival rates
-// at time t (open cohorts only; closed populations self-limit).
-func (c *Compiled) OfferedRate(t float64) float64 {
-	var sum float64
-	for _, co := range c.Cohorts {
-		sum += co.RateAt(t)
-	}
-	return sum
-}
-
 // meanRate integrates RateAt over [t0, t1) by midpoint sampling.
 func (c *Cohort) meanRate(t0, t1 float64) float64 {
 	if t1 <= t0 {
@@ -203,9 +193,10 @@ func (c *Cohort) meanRate(t0, t1 float64) float64 {
 	return sum / steps
 }
 
-// MeanOfferedRate is the mean of OfferedRate over [t0, t1) — the
-// per-window offered load the transient study compares predictions
-// against.
+// MeanOfferedRate is the cohorts' summed expected arrival rate (open
+// cohorts only; closed populations self-limit), averaged over [t0, t1)
+// — the per-window offered load the transient study compares
+// predictions against.
 func (c *Compiled) MeanOfferedRate(t0, t1 float64) float64 {
 	var sum float64
 	for _, co := range c.Cohorts {

@@ -169,9 +169,9 @@ func (p *Pattern) MeanScale(horizon float64) float64 {
 		// the ramp and decay are clipped right triangles, so a horizon
 		// ending mid-slope contributes the trapezoid under the slope up
 		// to the cut, not half the full triangle.
-		s1 := p.start + p.ramp          // ramp end / hold start
-		s2 := s1 + p.hold               // hold end / decay start
-		end := s2 + p.decay             // decay end
+		s1 := p.start + p.ramp                          // ramp end / hold start
+		s2 := s1 + p.hold                               // hold end / decay start
+		end := s2 + p.decay                             // decay end
 		clip := func(a, b float64) (float64, float64) { // overlap of [a,b] with [0,horizon]
 			lo, hi := math.Max(a, 0), math.Min(b, horizon)
 			if hi <= lo {

@@ -9,7 +9,6 @@ import (
 
 	"perfpred/internal/lqn"
 	"perfpred/internal/sessioncache"
-	"perfpred/internal/sla"
 	"perfpred/internal/workload"
 )
 
@@ -33,31 +32,6 @@ type solveOut struct {
 	err   error
 }
 
-// keyState is a worker-owned warm solving context for one
-// (architecture, mix): the trade model built once plus a retained
-// warm-started Solver whose cached resolution and previous queue
-// lengths every solve in a batch reuses.
-type keyState struct {
-	model   *lqn.Model
-	solver  *lqn.Solver
-	buyFrac float64
-}
-
-// meanRT solves the model at a total population of n, split across the
-// mix's classes, counts the solve, and returns the request-weighted
-// mean response time.
-func (st *keyState) meanRT(solver *lqn.Solver, n int, opt lqn.Options) (float64, error) {
-	for i, p := range workload.MixLoad(n, st.buyFrac) {
-		st.model.Classes[i].Population = p.Clients
-	}
-	res, err := solver.Solve(st.model, opt)
-	if err != nil {
-		return 0, err
-	}
-	metrics.Load().batchSolves.Inc()
-	return res.MeanResponseTime(), nil
-}
-
 // batcher turns the service's exact layered-queuing queries into
 // warm-start sweeps. Requests land in one bounded queue; each worker
 // drains a batch, groups it by (architecture, mix) and sorts each
@@ -68,24 +42,20 @@ func (st *keyState) meanRT(solver *lqn.Solver, n int, opt lqn.Options) (float64,
 // rejects instantly with ErrOverloaded: the overload regime costs a
 // channel send attempt, not a convoy.
 type batcher struct {
-	queue    chan *solveJob
-	maxBatch int
-	opt      lqn.Options
+	queue chan *solveJob
 
-	makeState func(modelKey) (*keyState, error)
+	// makeSweep builds a worker's warm solving context for one
+	// (architecture, mix): the key's trade model on a retained
+	// warm-started solver that every solve in a batch reuses.
+	makeSweep func(modelKey) (*lqn.TradeSweep, error)
 
 	mu     sync.Mutex
 	closed bool
 	wg     sync.WaitGroup
 }
 
-func newBatcher(workers, queueCap, maxBatch int, opt lqn.Options, makeState func(modelKey) (*keyState, error)) *batcher {
-	b := &batcher{
-		queue:     make(chan *solveJob, queueCap),
-		maxBatch:  maxBatch,
-		opt:       opt,
-		makeState: makeState,
-	}
+func newBatcher(workers int, makeSweep func(modelKey) (*lqn.TradeSweep, error)) *batcher {
+	b := &batcher{queue: make(chan *solveJob, maxQueuedSolves), makeSweep: makeSweep}
 	for i := 0; i < workers; i++ {
 		b.wg.Add(1)
 		go b.worker()
@@ -134,13 +104,13 @@ func (b *batcher) worker() {
 	// Worker-owned solver states, bounded so a key churn cannot pin
 	// unbounded models: least-recently-solved keys drop their workspace
 	// and rebuild on next use.
-	states := sessioncache.NewLRU[modelKey, *keyState](32)
-	batch := make([]*solveJob, 0, b.maxBatch)
+	sweeps := sessioncache.NewLRU[modelKey, *lqn.TradeSweep](32)
+	batch := make([]*solveJob, 0, maxBatch)
 	for first := range b.queue {
 		batch = append(batch[:0], first)
 		// Opportunistic drain: everything already queued joins this
 		// batch (up to maxBatch) and will share sorted warm sweeps.
-		for len(batch) < b.maxBatch {
+		for len(batch) < maxBatch {
 			j, ok := tryRecv(b.queue)
 			if !ok {
 				break
@@ -158,53 +128,46 @@ func (b *batcher) worker() {
 				cmp.Compare(a.key.buyPctTenth, b.key.buyPctTenth), cmp.Compare(a.n, b.n))
 		})
 		for _, job := range batch {
-			job.resp <- b.run(states, job)
+			job.resp <- b.run(sweeps, job)
 		}
 	}
 }
 
-// run executes one job on the worker's warm state for its key.
-func (b *batcher) run(states *sessioncache.LRU[modelKey, *keyState], job *solveJob) solveOut {
+// run executes one job on the worker's warm sweep for its key. A
+// capacity job is the §8.2 search generalised to a fixed mix (each probe
+// splits its total population exactly as the RT path does); the sweep
+// runs it on a fresh solver, so the answer never depends on what the
+// worker happened to solve before it.
+func (b *batcher) run(sweeps *sessioncache.LRU[modelKey, *lqn.TradeSweep], job *solveJob) solveOut {
+	m := metrics.Load()
 	if err := job.ctx.Err(); err != nil {
 		// The caller's deadline passed while the job sat in the queue;
 		// skip the solve rather than burning a worker on a dead request.
-		metrics.Load().deadlineExpired.Inc()
+		m.deadlineExpired.Inc()
 		return solveOut{err: err}
 	}
-	st, ok := states.Get(job.key)
+	sw, ok := sweeps.Get(job.key)
 	if !ok {
 		var err error
-		if st, err = b.makeState(job.key); err != nil {
+		if sw, err = b.makeSweep(job.key); err != nil {
 			return solveOut{err: err}
 		}
-		states.Put(job.key, st)
+		sweeps.Put(job.key, sw)
 	}
+	buyFrac := job.key.buyFrac()
 	if job.goalRT > 0 {
-		n, evals, err := b.capacitySearch(st, job.goalRT)
+		n, evals, err := sw.MaxClients(job.goalRT, 1<<20, func(n int) workload.Workload {
+			return workload.MixLoad(n, buyFrac)
+		})
+		m.batchSolves.Add(uint64(evals))
 		return solveOut{n: n, evals: evals, err: err}
 	}
-	rt, err := st.meanRT(st.solver, job.n, b.opt)
-	return solveOut{rt: rt, err: err}
-}
-
-// capacitySearch is the §8.2 client-count search generalised to a
-// fixed mix: the layered model cannot be inverted, so it probes total
-// populations (the mix split at each probe exactly as the RT path
-// splits it) until the request-weighted mean response time breaks the
-// goal, then bisects. It deliberately runs on a fresh warm-started
-// solver with the shared search's fixed probe sequence, so a capacity
-// answer never depends on what the worker happened to solve before it,
-// and an offline rerun of the same query reproduces the served number
-// exactly.
-func (b *batcher) capacitySearch(st *keyState, goalRT float64) (clients, evals int, err error) {
-	solver := lqn.NewSolver()
-	solver.WarmStart = true
-	clients, err = sla.MaxClients(1<<20, func(n int) (bool, error) {
-		rt, err := st.meanRT(solver, n, b.opt)
-		evals++
-		return rt <= goalRT, err
-	})
-	return clients, evals, err
+	res, err := sw.Solve(workload.MixLoad(job.n, buyFrac))
+	if err != nil {
+		return solveOut{err: err}
+	}
+	m.batchSolves.Inc()
+	return solveOut{rt: res.MeanResponseTime()}
 }
 
 // tryRecv is a non-blocking receive that also tolerates a closed

@@ -205,19 +205,19 @@ func (s *Service) buildHybrid(arch workload.ServerArch, buyFrac float64) (*model
 // seeded simulator runs. No layered solves, no calibration run — the
 // start-up cost the four-family comparison shows is a fraction of
 // hybrid's, traded against polynomial rather than model-based
-// accuracy. The training seed is fixed by configuration, so equal keys
-// always serve bit-identical fits.
+// accuracy. The training seed is fixed, so equal keys always serve
+// bit-identical fits.
 func (s *Service) buildRegress(arch workload.ServerArch, buyFrac float64) (*modelEntry, error) {
 	m, err := regress.Train(regress.TrainConfig{
 		Archs:         []workload.ServerArch{arch},
 		BuyFracs:      []float64{buyFrac},
-		SamplesPerMix: s.cfg.RegressTrainSamples,
-		Seed:          s.cfg.CalibrationSeed,
+		SamplesPerMix: regressTrainSamples,
+		Seed:          calibrationSeed,
 		Opt: trade.MeasureOptions{
 			WarmUp:   s.cfg.RegressSimSeconds / 4,
 			Duration: s.cfg.RegressSimSeconds,
 		},
-		Fit: regress.FitConfig{Degree: s.cfg.RegressDegree},
+		Fit: regress.FitConfig{Degree: regressDegree},
 	})
 	if err != nil {
 		return nil, err
@@ -227,8 +227,8 @@ func (s *Service) buildRegress(arch workload.ServerArch, buyFrac float64) (*mode
 
 // calibrateScale runs the simulator at ~1.4× the model's saturation
 // population under the key's mix and fits the Laplace scale to the
-// measured response-time samples around their mean. The seed and
-// window are fixed by configuration, so the same key always calibrates
+// measured response-time samples around their mean. The seed is fixed
+// and the window configured once, so the same key always calibrates
 // the same scale — served numbers stay reproducible.
 func (s *Service) calibrateScale(arch workload.ServerArch, buyFrac float64, sm *hist.ServerModel) (float64, error) {
 	n := int(1.4 * sm.SaturationClients())
@@ -240,7 +240,7 @@ func (s *Service) calibrateScale(arch workload.ServerArch, buyFrac float64, sm *
 		DB:       s.cfg.DB,
 		Demands:  s.cfg.Demands,
 		Load:     workload.MixLoad(n, buyFrac),
-		Seed:     s.cfg.CalibrationSeed,
+		Seed:     calibrationSeed,
 		WarmUp:   s.cfg.CalibrationSimSeconds / 4,
 		Duration: s.cfg.CalibrationSimSeconds,
 	})

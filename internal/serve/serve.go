@@ -85,23 +85,15 @@ type Config struct {
 	// calibrate per (architecture, mix) from a fixed-seed simulator
 	// run during the cold build — slower builds, honest tails.
 	LaplaceB float64
-	// CalibrationSeed seeds the calibration runs (default 1).
-	CalibrationSeed int64
 	// CalibrationSimSeconds is the calibration run's simulated horizon
 	// (default 40; a quarter of it is warm-up).
 	CalibrationSimSeconds float64
 
-	// RegressTrainSamples is how many simulator measurements the cheap
-	// regress tier trains on per (architecture, mix) (default 8).
-	RegressTrainSamples int
 	// RegressSimSeconds is each regress training run's simulated
 	// horizon (default 20; a quarter of it is warm-up). The whole
-	// training set costs RegressTrainSamples × 1.25 × this in simulated
+	// training set costs regressTrainSamples × 1.25 × this in simulated
 	// seconds — the knob that keeps the tier cheap.
 	RegressSimSeconds float64
-	// RegressDegree is the polynomial degree of the regress tier
-	// (default 2 — the cheap tier favours robustness over fit).
-	RegressDegree int
 
 	// BuildWorkers bounds concurrent cold builds, all methods together
 	// (default 2).
@@ -113,42 +105,42 @@ type Config struct {
 	// SolveWorkers is the batch solver's worker count (default
 	// GOMAXPROCS).
 	SolveWorkers int
-	// MaxQueuedSolves bounds the batch solver's queue (default 256).
-	MaxQueuedSolves int
-	// MaxBatch caps how many queued solves one worker drains into a
-	// single warm-start sweep (default 64).
-	MaxBatch int
-
-	// DefaultDeadline is applied to requests that do not carry their
-	// own deadline_ms (default 5s). Deadlines are capped at 60s.
-	DefaultDeadline time.Duration
-	// RetryAfter is the backoff hint attached to 429 responses
-	// (default 1s).
-	RetryAfter time.Duration
 }
 
+// Serving parameters with one value in use.
+const (
+	// calibrationSeed seeds the calibration and regress training runs.
+	calibrationSeed = 1
+	// regressTrainSamples is how many simulator measurements the cheap
+	// regress tier trains on per (architecture, mix); regressDegree its
+	// polynomial degree (the cheap tier favours robustness over fit).
+	regressTrainSamples = 8
+	regressDegree       = 2
+	// maxQueuedSolves bounds the batch solver's queue; maxBatch caps how
+	// many queued solves one worker drains into a single sweep.
+	maxQueuedSolves = 256
+	maxBatch        = 64
+	// defaultDeadline applies to requests that carry no deadline_ms;
+	// maxDeadlineMS caps the ones that do.
+	defaultDeadline = 5 * time.Second
+	maxDeadlineMS   = 60_000
+	// retryAfter is the backoff hint, in seconds, on 429 responses.
+	retryAfter = "1"
+)
+
 func (c Config) withDefaults() Config {
-	if c.CalibrationSeed == 0 {
-		c.CalibrationSeed = 1
-	}
 	if c.CalibrationSimSeconds == 0 {
 		c.CalibrationSimSeconds = 40
 	}
-	positiveOr(&c.RegressTrainSamples, 8)
 	positiveOr(&c.RegressSimSeconds, 20)
-	positiveOr(&c.RegressDegree, 2)
 	positiveOr(&c.BuildWorkers, 2)
 	positiveOr(&c.MaxQueuedBuilds, 8)
 	positiveOr(&c.SolveWorkers, runtime.GOMAXPROCS(0))
-	positiveOr(&c.MaxQueuedSolves, 256)
-	positiveOr(&c.MaxBatch, 64)
-	positiveOr(&c.DefaultDeadline, 5*time.Second)
-	positiveOr(&c.RetryAfter, time.Second)
 	return c
 }
 
 // positiveOr replaces a knob left at zero (or below) with its default.
-func positiveOr[T int | float64 | time.Duration](v *T, def T) {
+func positiveOr[T int | float64](v *T, def T) {
 	if *v <= 0 {
 		*v = def
 	}
@@ -192,7 +184,7 @@ func New(cfg Config) (*Service, error) {
 		s.archs[a.Name] = a
 	}
 	s.store = newModelStore(cfg.CacheCapacity, cfg.BuildWorkers, cfg.MaxQueuedBuilds, s.buildEntry)
-	s.batch = newBatcher(cfg.SolveWorkers, cfg.MaxQueuedSolves, cfg.MaxBatch, cfg.LQN, s.makeState)
+	s.batch = newBatcher(cfg.SolveWorkers, s.makeSweep)
 	return s, nil
 }
 
@@ -204,19 +196,13 @@ func (s *Service) Close() {
 	s.batch.close()
 }
 
-// makeState builds a batch worker's warm solving context for one key.
-func (s *Service) makeState(key modelKey) (*keyState, error) {
+// makeSweep builds a batch worker's warm solving context for one key.
+func (s *Service) makeSweep(key modelKey) (*lqn.TradeSweep, error) {
 	arch, err := s.arch(key.arch)
 	if err != nil {
 		return nil, err
 	}
-	model, err := lqn.NewTradeModel(arch, s.cfg.DB, s.cfg.Demands, workload.MixLoad(1, key.buyFrac()))
-	if err != nil {
-		return nil, err
-	}
-	solver := lqn.NewSolver()
-	solver.WarmStart = true
-	return &keyState{model: model, solver: solver, buyFrac: key.buyFrac()}, nil
+	return lqn.NewTradeSweep(arch, s.cfg.DB, s.cfg.Demands, workload.MixLoad(1, key.buyFrac()), s.cfg.LQN)
 }
 
 // ---- request/response schema ----
@@ -330,9 +316,9 @@ type errorResponse struct {
 // Mount the obs Handler alongside it for /metrics and /debug.
 func (s *Service) Handler() http.Handler {
 	mux := http.NewServeMux()
-	mux.HandleFunc("/v1/predict", handle(s, epPredict, s.Predict))
-	mux.HandleFunc("/v1/capacity", handle(s, epCapacity, s.Capacity))
-	mux.HandleFunc("/v1/allocate", handle(s, epAllocate, s.Allocate))
+	mux.HandleFunc("/v1/predict", handle(epPredict, s.Predict))
+	mux.HandleFunc("/v1/capacity", handle(epCapacity, s.Capacity))
+	mux.HandleFunc("/v1/allocate", handle(epAllocate, s.Allocate))
 	mux.HandleFunc("/healthz", s.handleHealth)
 	return mux
 }
@@ -340,7 +326,7 @@ func (s *Service) Handler() http.Handler {
 // handle wraps one endpoint's in-process entry point in the shared HTTP
 // bookkeeping: request count, in-flight gauge, latency histogram,
 // decoding and typed error mapping.
-func handle[Req, Resp any](s *Service, ep endpoint, call func(*http.Request, Req) (*Resp, error)) http.HandlerFunc {
+func handle[Req, Resp any](ep endpoint, call func(*http.Request, Req) (*Resp, error)) http.HandlerFunc {
 	return func(w http.ResponseWriter, r *http.Request) {
 		m := metrics.Load()
 		m.requests[ep].Inc()
@@ -353,12 +339,12 @@ func handle[Req, Resp any](s *Service, ep endpoint, call func(*http.Request, Req
 
 		var req Req
 		if err := decodeInto(r, &req); err != nil {
-			s.writeError(w, err)
+			writeError(w, err)
 			return
 		}
 		resp, err := call(r, req)
 		if err != nil {
-			s.writeError(w, err)
+			writeError(w, err)
 			return
 		}
 		writeJSON(w, http.StatusOK, resp)
@@ -366,28 +352,33 @@ func handle[Req, Resp any](s *Service, ep endpoint, call func(*http.Request, Req
 }
 
 // requestCtx applies the per-request deadline.
-func (s *Service) requestCtx(r *http.Request, deadlineMS int64) (context.Context, context.CancelFunc) {
-	d := s.cfg.DefaultDeadline
+func requestCtx(r *http.Request, deadlineMS int64) (context.Context, context.CancelFunc) {
+	d := defaultDeadline
 	if deadlineMS > 0 {
-		d = time.Duration(deadlineMS) * time.Millisecond
-	}
-	if d > time.Minute {
-		d = time.Minute
+		d = time.Duration(min(deadlineMS, maxDeadlineMS)) * time.Millisecond
 	}
 	return context.WithTimeout(r.Context(), d)
 }
 
-// writeJSON writes v with the given status.
+// writeJSON writes v with the given status. It encodes before it sends
+// the header, so a value encoding/json refuses (a non-finite number) is
+// a 500 with an error body, never a bare 200.
 func writeJSON(w http.ResponseWriter, status int, v any) {
+	body, err := json.Marshal(v)
+	if err != nil {
+		metrics.Load().errors.Inc()
+		status = http.StatusInternalServerError
+		body, _ = json.Marshal(errorResponse{Error: "encoding response: " + err.Error()})
+	}
 	w.Header().Set("Content-Type", "application/json")
 	w.WriteHeader(status)
-	_ = json.NewEncoder(w).Encode(v)
+	_, _ = w.Write(append(body, '\n'))
 }
 
 // writeError maps the service's typed errors onto status codes: 400
 // for client mistakes, 429 + Retry-After for backpressure, 503 while
 // shutting down, 504 for expired deadlines, 500 otherwise.
-func (s *Service) writeError(w http.ResponseWriter, err error) {
+func writeError(w http.ResponseWriter, err error) {
 	m := metrics.Load()
 	status := http.StatusInternalServerError
 	var bad *badRequestError
@@ -396,11 +387,7 @@ func (s *Service) writeError(w http.ResponseWriter, err error) {
 		status = http.StatusBadRequest
 	case errors.Is(err, ErrOverloaded):
 		status = http.StatusTooManyRequests
-		secs := int(math.Ceil(s.cfg.RetryAfter.Seconds()))
-		if secs < 1 {
-			secs = 1
-		}
-		w.Header().Set("Retry-After", strconv.Itoa(secs))
+		w.Header().Set("Retry-After", retryAfter)
 	case errors.Is(err, ErrShuttingDown):
 		status = http.StatusServiceUnavailable
 	case errors.Is(err, context.DeadlineExceeded), errors.Is(err, context.Canceled):
@@ -454,8 +441,9 @@ func decodeInto(r *http.Request, dst any) error {
 		if v == "" || into[i] == nil {
 			continue
 		}
+		// ParseFloat accepts NaN and Inf, and no range check holds for NaN.
 		f, err := strconv.ParseFloat(v, 64)
-		if err != nil {
+		if err != nil || math.IsNaN(f) || math.IsInf(f, 0) {
 			return &badRequestError{msg: "bad " + name + ": " + v}
 		}
 		*into[i] = f
@@ -470,6 +458,16 @@ func validateCommon(arch string, buyPct float64) error {
 	}
 	if buyPct < 0 || buyPct > 100 {
 		return &badRequestError{msg: fmt.Sprintf("buy_pct %v outside [0,100]", buyPct)}
+	}
+	return nil
+}
+
+// answerable rejects a finite question so large that the model's answer
+// overflows: JSON cannot carry the answer, and the mistake is the
+// client's.
+func answerable(param string, asked, answer float64) error {
+	if math.IsNaN(answer) || math.IsInf(answer, 0) {
+		return &badRequestError{msg: fmt.Sprintf("%s %v is beyond the model's range", param, asked)}
 	}
 	return nil
 }
@@ -617,7 +615,7 @@ func (s *Service) Predict(r *http.Request, req PredictRequest) (*PredictResponse
 	if mt.meansOnly && req.Percentile > 0 {
 		return nil, &badRequestError{msg: "method " + req.Method + " predicts means only (no percentile support)"}
 	}
-	ctx, cancel := s.requestCtx(r, req.DeadlineMS)
+	ctx, cancel := requestCtx(r, req.DeadlineMS)
 	defer cancel()
 
 	q := &query{s: s, ctx: ctx, method: req.Method, buyPct: req.BuyPct}
@@ -645,6 +643,9 @@ func (s *Service) Predict(r *http.Request, req PredictRequest) (*PredictResponse
 			return nil, err
 		}
 	}
+	if err := answerable("clients", req.Clients, rt); err != nil {
+		return nil, err
+	}
 	return &PredictResponse{
 		Arch: req.Arch, Clients: req.Clients, BuyPct: req.BuyPct,
 		Method: req.Method, Percentile: req.Percentile,
@@ -667,12 +668,15 @@ func (s *Service) Capacity(r *http.Request, req CapacityRequest) (*CapacityRespo
 	if _, err := methodFor(&req.Method); err != nil {
 		return nil, err
 	}
-	ctx, cancel := s.requestCtx(r, req.DeadlineMS)
+	ctx, cancel := requestCtx(r, req.DeadlineMS)
 	defer cancel()
 
 	q := &query{s: s, ctx: ctx, method: req.Method, buyPct: req.BuyPct}
 	n, err := q.MaxClients(req.Arch, req.GoalRTS)
 	if err != nil {
+		return nil, err
+	}
+	if err := answerable("goal_rt_s", req.GoalRTS, n); err != nil {
 		return nil, err
 	}
 	return &CapacityResponse{
@@ -693,7 +697,7 @@ func (s *Service) Allocate(r *http.Request, req AllocateRequest) (*AllocateRespo
 	if req.BuyPct < 0 || req.BuyPct > 100 {
 		return nil, &badRequestError{msg: fmt.Sprintf("buy_pct %v outside [0,100]", req.BuyPct)}
 	}
-	ctx, cancel := s.requestCtx(r, req.DeadlineMS)
+	ctx, cancel := requestCtx(r, req.DeadlineMS)
 	defer cancel()
 
 	classes := make([]rm.Class, len(req.Classes))

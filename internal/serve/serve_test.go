@@ -176,7 +176,7 @@ func TestServedRegressTierMatchesOffline(t *testing.T) {
 		Archs:         []workload.ServerArch{arch},
 		BuyFracs:      []float64{0},
 		SamplesPerMix: 8,
-		Seed:          1, // the service's default CalibrationSeed
+		Seed:          1, // the service's calibrationSeed
 		Opt:           trade.MeasureOptions{WarmUp: 1, Duration: 4},
 		Fit:           regress.FitConfig{Degree: 2},
 	})
@@ -934,7 +934,7 @@ func TestCalibrateScaleMatchesMergedSamples(t *testing.T) {
 			DB:       s.cfg.DB,
 			Demands:  s.cfg.Demands,
 			Load:     workload.MixLoad(int(1.4*sm.SaturationClients()), buyFrac),
-			Seed:     s.cfg.CalibrationSeed,
+			Seed:     calibrationSeed,
 			WarmUp:   s.cfg.CalibrationSimSeconds / 4,
 			Duration: s.cfg.CalibrationSimSeconds,
 		})

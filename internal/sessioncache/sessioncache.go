@@ -169,11 +169,9 @@ func SolveWithCache(server workload.ServerArch, db workload.DBServer, demands ma
 	miss := EqualAccessMissRate(clients, meanSessionBytes, capacityBytes) // initial guess
 
 	// The model structure never changes across the fixed point — only
-	// the effective demands do. Build it once, then retune the entry
-	// demands in place each round and let a warm-started solver reuse
-	// its cached resolution and previous queue lengths, instead of
-	// rebuilding, re-validating and re-resolving the whole model every
-	// iteration.
+	// the effective demands do: one sweep, retuned in place each round,
+	// instead of rebuilding, re-validating and re-resolving the whole
+	// model every iteration.
 	adjusted := make(map[workload.RequestType]workload.Demand, len(demands))
 	retune := func() error {
 		for rt, d := range demands {
@@ -188,12 +186,10 @@ func SolveWithCache(server workload.ServerArch, db workload.DBServer, demands ma
 	if err := retune(); err != nil {
 		return nil, err
 	}
-	model, err := lqn.NewTradeModel(server, db, adjusted, load)
+	sweep, err := lqn.NewTradeSweep(server, db, adjusted, load, opt)
 	if err != nil {
 		return nil, err
 	}
-	solver := lqn.NewSolver()
-	solver.WarmStart = true
 
 	var res *lqn.Result
 	const maxOuter = 100
@@ -205,13 +201,12 @@ func SolveWithCache(server workload.ServerArch, db workload.DBServer, demands ma
 			if err := retune(); err != nil {
 				return nil, err
 			}
-			if err := lqn.RetuneTradeModel(model, adjusted); err != nil {
+			if err := sweep.Retune(adjusted); err != nil {
 				return nil, err
 			}
-			solver.InvalidateDemands()
 			rebuilds++
 		}
-		res, err = solver.Solve(model, opt)
+		res, err = sweep.Solve(load)
 		if err != nil {
 			return nil, err
 		}

@@ -52,7 +52,7 @@ func TestSplitIsOrderIndependent(t *testing.T) {
 		forward = append(forward, drain(a.Split(i), 8))
 	}
 	b := NewStream(99)
-	drain(b, 100) // consuming the parent must not matter
+	drain(b, 100)             // consuming the parent must not matter
 	for i := 3; i >= 0; i-- { // nor the split order
 		got := drain(b.Split(uint64(i)), 8)
 		for j := range got {

@@ -50,8 +50,3 @@ func Accuracy(predicted, actual []float64) float64 {
 	}
 	return acc
 }
-
-// PointAccuracy is the single-pair form of Accuracy.
-func PointAccuracy(predicted, actual float64) float64 {
-	return Accuracy([]float64{predicted}, []float64{actual})
-}

@@ -70,7 +70,7 @@ func TestTQuantile(t *testing.T) {
 		{0.95, 1000, 1.960}, // beyond the table: normal approximation
 		{0.90, 5, 2.015},
 		{0.99, 10, 3.169},
-		{0.80, 5, 2.571}, // unknown level falls back to 0.95
+		{0.80, 5, 2.571},  // unknown level falls back to 0.95
 		{0.95, 0, 12.706}, // df floor
 	}
 	for _, c := range cases {

@@ -95,7 +95,6 @@ func TestAccuracyMetric(t *testing.T) {
 	near(t, Accuracy([]float64{110}, []float64{100}), 90, 1e-12, "overprediction symmetric")
 	// Gross mispredictions floor at zero rather than going negative.
 	near(t, Accuracy([]float64{1000}, []float64{100}), 0, 0, "floor at 0")
-	near(t, PointAccuracy(89.1, 100), 89.1, 1e-9, "point accuracy")
 	// Zero-actual handling.
 	if !math.IsInf(RelativeError(1, 0), 1) {
 		t.Fatal("RelativeError(1,0) should be +Inf")

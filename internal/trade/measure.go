@@ -3,7 +3,6 @@ package trade
 import (
 	"context"
 	"fmt"
-	"math"
 
 	"perfpred/internal/parallel"
 	"perfpred/internal/workload"
@@ -129,12 +128,4 @@ func MeasureCurve(server workload.ServerArch, clientCounts []int, buyFraction fl
 		points[i] = CurvePoint{Clients: clientCounts[i], Res: res}
 	}
 	return points, nil
-}
-
-// SaturationClients estimates the client population at which the
-// server reaches max throughput, from the benchmark and think time:
-// N* ≈ Xmax × (Z + R₀) with R₀ the light-load response time. It is the
-// population the historical method's lower/upper split keys on.
-func SaturationClients(maxThroughput, thinkTime, lightLoadRT float64) int {
-	return int(math.Ceil(maxThroughput * (thinkTime + lightLoadRT)))
 }

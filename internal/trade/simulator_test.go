@@ -238,11 +238,3 @@ func TestMeasureCurveShape(t *testing.T) {
 		t.Fatal("zero clients in curve should fail")
 	}
 }
-
-func TestSaturationClients(t *testing.T) {
-	got := SaturationClients(186, 7, 0.1)
-	want := int(math.Ceil(186 * 7.1))
-	if got != want {
-		t.Fatalf("SaturationClients = %d, want %d", got, want)
-	}
-}

@@ -33,10 +33,6 @@ const (
 	// requests a buy client makes before logging off (§3.1), giving
 	// the mean portfolio size of 5.5.
 	BuyRequestsPerSession = 10
-
-	// StandardBuyFraction is Trade's standard 10% purchase share used
-	// by the resource-management study (§9.1).
-	StandardBuyFraction = 0.10
 )
 
 // Ground-truth demands on the reference architecture (AppServF). The
