@@ -6,12 +6,14 @@
 #                    study goldens, the predserve end-to-end smoke).
 #   make race      — the concurrent Suite, worker pool, event core,
 #                    multi-shard fleet, service and scenario paths under
-#                    the race detector (short).
+#                    the race detector (short); the window barrier and
+#                    everything above it at 1, 2 and 4 processors.
 #   make benchmark — the repo's one benchmark (BENCHMARK.json): five
 #                    end-to-end workloads and the per-layer metrics, every
 #                    host timing the repo reports. See benchmark/README.md.
 #   make bench     — go test -bench micro-benchmarks for measuring while
-#                    you work: event core and calendar queue, shard window,
+#                    you work: barrier hand-off floor, event core and
+#                    calendar queue, shard window,
 #                    simulator sweep and request loop, LQN solver, hybrid
 #                    build. Allocation counts are machine-independent.
 #   make metrics-smoke — run two quick experiments with -report and assert
@@ -28,11 +30,11 @@ test:
 	$(GO) build ./... && $(GO) test ./...
 
 race:
-	$(GO) test -race ./internal/parallel
+	$(GO) test -race -cpu 1,2,4 ./internal/parallel
 	$(GO) test -race -run 'TestSuiteConcurrent|TestSuiteParallelHybrid|TestFigure2ShapeHolds|TestWorkerCountInvariance' ./internal/bench
 	$(GO) test -race -run 'TestEngine|TestStation|TestCalendar|TestReschedule|TestMeasureCurve' ./internal/sim ./internal/trade
-	$(GO) test -race -run 'TestCoordinator|TestSharded' ./internal/sim ./internal/trade
-	$(GO) test -race -run 'TestFleet' ./internal/fleet
+	$(GO) test -race -cpu 1,2,4 -run 'TestCoordinator|TestSharded' ./internal/sim ./internal/trade
+	$(GO) test -race -cpu 1,2,4 -run 'TestFleet' ./internal/fleet
 	$(GO) test -race -run 'TestConcurrentServing|TestColdStampedeBuildsOnce|TestOverloadShedsNotCollapses|TestGracefulShutdownDrains|TestBuildWorkersBoundAllMethods' ./internal/serve
 	$(GO) test -race ./internal/scenario
 	$(GO) test -race -run 'TestScenario|TestFleetScenario' ./internal/trade ./internal/fleet
@@ -42,6 +44,7 @@ benchmark:
 	$(GO) run ./benchmark -workload all
 
 bench:
+	$(GO) test -run '^$$' -bench BenchmarkPoolRun -benchmem ./internal/parallel
 	$(GO) test -run '^$$' -bench 'BenchmarkSchedule|BenchmarkRunDrain|BenchmarkStation|BenchmarkCalendar|BenchmarkShard' -benchmem ./internal/sim
 	$(GO) test -run '^$$' -bench BenchmarkMeasureCurve -benchtime 2x ./internal/trade
 	$(GO) test -run '^$$' -bench 'BenchmarkRequestLoop|BenchmarkCollect|BenchmarkWindows|BenchmarkRunBackend' -benchmem ./internal/trade

@@ -137,6 +137,12 @@ type Result struct {
 	Decisions, Remote uint64
 	// Barriers counts executed window barriers (sync + hook runs).
 	Barriers uint64
+	// Parks counts the barrier waits that outlasted the worker pool's
+	// spin-and-yield budget and put a goroutine to sleep. It is the one
+	// host-dependent figure here besides Wall: Parks near Barriers means
+	// the hand-off has degenerated into sleeping (an oversubscribed or
+	// throttled machine), Parks ≪ Barriers that the cores stayed awake.
+	Parks uint64
 	// Replans counts plans cut; ReplanLatencies holds each plan's
 	// wall-clock solve time in cut order.
 	Replans         int
@@ -234,6 +240,7 @@ func Run(cfg Config) (*Result, error) {
 		Decisions: decisions,
 		Remote:    remotes,
 		Barriers:  barriers,
+		Parks:     run.Parks(),
 		Wall:      time.Since(start),
 	}
 	if rs != nil {

@@ -141,12 +141,21 @@ func TestFleetDeterministicAcrossShards(t *testing.T) {
 		if ref.Decisions == 0 {
 			t.Fatalf("%s: no routing decisions recorded", scorer.Name())
 		}
+		if ref.Parks != 0 {
+			t.Errorf("%s: %d parks on one shard, which waits for nobody", scorer.Name(), ref.Parks)
+		}
 		for _, shards := range []int{2, 4} {
 			got, err := Run(testConfig(4, shards, scorer))
 			if err != nil {
 				t.Fatal(err)
 			}
 			sameFleetResult(t, scorer.Name(), ref, got)
+			// Parks is the host's figure and deliberately not compared;
+			// its bound is one sleep per goroutine per window.
+			if limit := uint64(shards) * (got.Barriers + 1); got.Parks > limit {
+				t.Errorf("%s: %d parks over %d barriers on %d shards, limit %d",
+					scorer.Name(), got.Parks, got.Barriers, shards, limit)
+			}
 		}
 	}
 }

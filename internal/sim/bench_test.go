@@ -162,6 +162,7 @@ func BenchmarkShardWindow(b *testing.B) {
 		until += lookahead
 		c.Run(until)
 	}
+	b.StopTimer() // the deferred Close waits for the workers to exit: not a window's cost
 }
 
 // BenchmarkStationSubmit measures one processor-sharing service cycle

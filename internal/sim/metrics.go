@@ -16,6 +16,8 @@ type engineMetrics struct {
 	reuses   *obs.Counter  // Schedule calls served from the free list
 	allocs   *obs.Counter  // Schedule calls that allocated a new event
 	heapHigh *obs.MaxGauge // event-heap depth high-water mark
+	windows  *obs.Counter  // coordinator windows fanned out to the pool
+	parks    *obs.Counter  // barrier waits that put a goroutine to sleep
 }
 
 var metrics atomic.Pointer[engineMetrics]
@@ -33,6 +35,8 @@ func EnableMetrics(r *obs.Registry) {
 		reuses:   r.Counter("sim_event_reuses"),
 		allocs:   r.Counter("sim_event_allocs"),
 		heapHigh: r.MaxGauge("sim_heap_depth_high_water"),
+		windows:  r.Counter("sim_coordinator_windows"),
+		parks:    r.Counter("sim_coordinator_parks"),
 	})
 }
 
@@ -50,4 +54,17 @@ func (e *Engine) flushMetrics() {
 	m.allocs.Add(e.allocs - e.flushedAllocs)
 	e.flushedAllocs = e.allocs
 	m.heapHigh.Observe(int64(e.heapMax))
+}
+
+// flushMetrics publishes the worker pool's counters the way engines
+// publish theirs: deltas since the last flush, at the end of Run.
+func (c *Coordinator) flushMetrics() {
+	m := metrics.Load()
+	if m == nil {
+		return
+	}
+	st := c.pool.Stats()
+	m.windows.Add(st.Runs - c.flushed.Runs)
+	m.parks.Add(st.Parks - c.flushed.Parks)
+	c.flushed = st
 }

@@ -61,3 +61,43 @@ func TestCoordinatorHeapHighWater(t *testing.T) {
 		t.Fatalf("coordinator high water = %d, want 12 (max shard, not sum)", got)
 	}
 }
+
+// The coordinator publishes its pool's counters at the end of Run:
+// windows is a property of the event population (the final clamp and
+// skipped idle stretches fan nothing out), parks is the host's
+// business and only bounded — at most one per goroutine per window,
+// plus the workers' sleep before the first.
+func TestCoordinatorWindowMetrics(t *testing.T) {
+	r := obs.NewRegistry()
+	EnableMetrics(r)
+	defer EnableMetrics(nil)
+
+	const shards, windows = 2, 50
+	c := NewCoordinator(shards, 1)
+	defer c.Close()
+	for i := 0; i < shards; i++ {
+		eng := c.Shard(i).Eng
+		var tick func()
+		tick = func() {
+			if eng.Now() < windows-1 {
+				eng.Schedule(1, tick)
+			}
+		}
+		eng.Schedule(0.5, tick) // one event per shard per window
+	}
+	c.Run(windows)
+	c.Run(windows + 1000) // nothing pending: one inline clamp, no window
+	for i := 0; i < shards; i++ {
+		if now := c.Shard(i).Eng.Now(); now != windows+1000 {
+			t.Fatalf("shard %d clock %v after the clamp, want %v", i, now, windows+1000)
+		}
+	}
+	snap := r.Snapshot()
+	if got := snap.Counters["sim_coordinator_windows"]; got != windows {
+		t.Fatalf("sim_coordinator_windows = %d, want %d", got, windows)
+	}
+	parks := snap.Counters["sim_coordinator_parks"]
+	if parks > c.Parks() || c.Parks() > shards*(windows+1) {
+		t.Fatalf("sim_coordinator_parks = %d, Parks() = %d, want flushed ≤ live ≤ %d", parks, c.Parks(), shards*(windows+1))
+	}
+}

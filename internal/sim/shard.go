@@ -86,7 +86,8 @@ func (sh *Shard) Send(dst int, origin, seq uint64, delay float64, fn func()) {
 
 // Coordinator advances a set of shard engines in lockstep through
 // conservative time windows of length lookahead. Within a window the
-// shards run concurrently on a persistent worker pool; at each window
+// shards run concurrently on a persistent worker pool, the calling
+// goroutine working as one of its workers; at each window
 // barrier the coordinator routes every outbox message to its
 // destination inbox, sorts inboxes by (time, origin, seq), and the
 // next window begins by scheduling those deliveries at their exact
@@ -97,7 +98,8 @@ func (sh *Shard) Send(dst int, origin, seq uint64, delay float64, fn func()) {
 //
 // With one shard the pool degenerates to an inline call on the calling
 // goroutine: no goroutines, no barriers, bit-identical to driving the
-// engine directly.
+// engine directly. On one processor it is a loop over the shards on
+// the calling goroutine, for the same trajectory as any other mapping.
 type Coordinator struct {
 	shards    []*Shard
 	pool      *parallel.Pool
@@ -107,6 +109,8 @@ type Coordinator struct {
 	// barrierHook runs on the coordinator goroutine at every executed
 	// window barrier, after exchange; see SetBarrierHook.
 	barrierHook func(now float64)
+	// flushed is the pool's counters as of the last metrics flush.
+	flushed parallel.PoolStats
 }
 
 // NewCoordinator builds nshards calendar-queue engines coordinated
@@ -267,10 +271,13 @@ func (c *Coordinator) Run(until float64) uint64 {
 	for c.now < until {
 		gmin := c.nextEventTime()
 		if gmin > until {
-			// Nothing left to fire before until: one final window just
-			// clamps every engine's clock.
+			// Nothing left to fire before until: the final step only
+			// moves every quiescent engine's clock, which is not worth
+			// a fan-out.
 			c.windowEnd = until
-			c.pool.Run()
+			for i := range c.shards {
+				c.runOne(i)
+			}
 			c.now = until
 			break
 		}
@@ -291,8 +298,16 @@ func (c *Coordinator) Run(until float64) uint64 {
 			c.barrierHook(end)
 		}
 	}
+	c.flushMetrics()
 	return c.Fired() - startFired
 }
+
+// Parks returns how many times a goroutine of the worker pool has gone
+// to sleep at a window barrier so far. Unlike everything else the
+// coordinator reports it depends on the host, not on the model: it is
+// the answer to "did the hand-off degenerate into sleeping?", to be
+// read beside the window count and never gated on.
+func (c *Coordinator) Parks() uint64 { return c.pool.Stats().Parks }
 
 // Close releases the coordinator's worker pool. The coordinator must
 // not Run afterwards.

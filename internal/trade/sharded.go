@@ -176,6 +176,11 @@ func (r *ShardedRun) Advance(until float64) uint64 { return r.coord.Run(until) }
 // Now returns the fleet clock.
 func (r *ShardedRun) Now() float64 { return r.coord.Now() }
 
+// Parks returns how often the coordinator's worker pool has put a
+// goroutine to sleep at a window barrier (sim.Coordinator.Parks): a
+// host-dependent report, never part of a result's fingerprint.
+func (r *ShardedRun) Parks() uint64 { return r.coord.Parks() }
+
 // BeginMeasurement discards everything observed so far and starts the
 // measured window. Call it exactly once, at the configured WarmUp
 // boundary: Collect divides by Config.Duration, so the measured window
