@@ -16,15 +16,15 @@
 #                    calendar queue, shard window,
 #                    simulator sweep and request loop, LQN solver, hybrid
 #                    build. Allocation counts are machine-independent.
-#   make metrics-smoke — run two quick experiments with -report and assert
-#                    the snapshot parses and the solver, simulator and
-#                    cache counters moved.
+#   make fuzz      — each native fuzz target for 10 s:
+#                    the scenario, LQN-model and history-store parsers and
+#                    the predserve query handlers.
 #
 # Result tables come from cmd/experiments (-list names them).
 
 GO ?= go
 
-.PHONY: test race benchmark bench metrics-smoke
+.PHONY: test race benchmark bench fuzz
 
 test:
 	$(GO) build ./... && $(GO) test ./...
@@ -51,9 +51,8 @@ bench:
 	$(GO) test -run '^$$' -bench 'BenchmarkSolve' -benchmem ./internal/lqn
 	$(GO) test -run '^$$' -bench 'BenchmarkHybridBuild|BenchmarkBuildRelationship3' -benchmem ./internal/hybrid
 
-metrics-smoke:
-	$(GO) run ./cmd/experiments -report /tmp/perfpred-metrics.json gradient cache > /dev/null
-	$(GO) run ./cmd/obscheck -in /tmp/perfpred-metrics.json \
-		lqn_solver_solves lqn_solver_mva_iterations \
-		sim_events_fired trade_requests_completed \
-		sessioncache_solves trade_cache_hits
+fuzz:
+	$(GO) test -run '^$$' -fuzz FuzzParse -fuzztime 10s ./internal/scenario
+	$(GO) test -run '^$$' -fuzz FuzzReadModel -fuzztime 10s ./internal/lqn
+	$(GO) test -run '^$$' -fuzz FuzzStoreLoad -fuzztime 10s ./internal/hist
+	$(GO) test -run '^$$' -fuzz FuzzQueryHandlers -fuzztime 10s ./internal/serve

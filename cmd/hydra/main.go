@@ -19,6 +19,7 @@ package main
 import (
 	"flag"
 	"fmt"
+	"math"
 	"os"
 
 	"perfpred/internal/hist"
@@ -38,6 +39,9 @@ func main() {
 	goal := fs.Float64("goal", 0.3, "SLA mean response-time goal, seconds")
 	storePath := fs.String("store", "", "HYDRA store file for persistent calibration data")
 	if err := fs.Parse(os.Args[2:]); err != nil {
+		fatal(err)
+	}
+	if err := checkQuery(*clients, *goal); err != nil {
 		fatal(err)
 	}
 
@@ -77,6 +81,19 @@ func main() {
 	default:
 		usage()
 	}
+}
+
+// checkQuery validates the numbers the command line supplies before any
+// measurement is paid for: the closed forms answer a negative
+// population with a negative throughput, and NaN with NaN.
+func checkQuery(clients, goal float64) error {
+	if !(clients > 0) || math.IsInf(clients, 0) {
+		return fmt.Errorf("-clients %v: want a positive finite population", clients)
+	}
+	if !(goal > 0) || math.IsInf(goal, 0) {
+		return fmt.Errorf("-goal %v: want a positive finite number of seconds", goal)
+	}
+	return nil
 }
 
 // loadOrCalibrate returns per-architecture models, preferring a

@@ -1,6 +1,7 @@
 package main
 
 import (
+	"math"
 	"path/filepath"
 	"testing"
 
@@ -66,6 +67,20 @@ func TestStoreRoundTripThroughCLIPipeline(t *testing.T) {
 		}
 		if a.CL != b.CL || a.LambdaL != b.LambdaL || a.MaxThroughput != b.MaxThroughput {
 			t.Fatalf("%s differs after store round trip: %+v vs %+v", name, a, b)
+		}
+	}
+}
+
+// Flag values are numbers from outside: `hydra predict -clients -1`
+// used to print a negative throughput.
+func TestCheckQuery(t *testing.T) {
+	if err := checkQuery(500, 0.3); err != nil {
+		t.Fatal(err)
+	}
+	for _, bad := range [][2]float64{{-1, 0.3}, {0, 0.3}, {math.NaN(), 0.3}, {math.Inf(1), 0.3},
+		{500, 0}, {500, -0.3}, {500, math.NaN()}, {500, math.Inf(1)}} {
+		if err := checkQuery(bad[0], bad[1]); err == nil {
+			t.Errorf("clients %v, goal %v accepted", bad[0], bad[1])
 		}
 	}
 }

@@ -15,6 +15,7 @@ package main
 import (
 	"flag"
 	"fmt"
+	"math"
 	"os"
 	"runtime"
 	"runtime/pprof"
@@ -142,6 +143,11 @@ func parseGoal(s string) (string, float64, error) {
 	goal, err := strconv.ParseFloat(parts[1], 64)
 	if err != nil {
 		return "", 0, fmt.Errorf("bad goal in %q: %w", s, err)
+	}
+	// ParseFloat accepts NaN and Inf, and NaN fails every comparison in
+	// the search: it would come back as capacity 0.
+	if !(goal > 0) || math.IsInf(goal, 0) {
+		return "", 0, fmt.Errorf("goal in %q must be a positive finite number of seconds", s)
 	}
 	return parts[0], goal, nil
 }

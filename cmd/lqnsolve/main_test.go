@@ -18,8 +18,10 @@ func TestParseGoal(t *testing.T) {
 	if _, _, err := parseGoal("browse"); err == nil {
 		t.Fatal("missing goal should fail")
 	}
-	if _, _, err := parseGoal("browse:abc"); err == nil {
-		t.Fatal("non-numeric goal should fail")
+	for _, bad := range []string{"browse:abc", "browse:NaN", "browse:Inf", "browse:0", "browse:-0.3"} {
+		if _, _, err := parseGoal(bad); err == nil {
+			t.Fatalf("%q should fail", bad)
+		}
 	}
 }
 

@@ -86,7 +86,7 @@ func main() {
 
 	switch cmd {
 	case "sweep":
-		points, err := rm.SweepLoad(rm.CaseStudyShares(), servers, pred, truth, *slack, loads, opts, rm.EvalOptions{})
+		points, err := rm.SweepLoad(rm.CaseStudyShares(), servers, pred, truth, *slack, loads, opts)
 		if err != nil {
 			fatal(err)
 		}
@@ -95,11 +95,11 @@ func main() {
 			fmt.Printf("%7d  %5.1f  %6.1f\n", p.TotalClients, p.SLAFailurePct, p.ServerUsagePct)
 		}
 	case "slacks":
-		var slacks []float64
-		for v := *from; v >= *to-1e-9; v -= *step {
-			slacks = append(slacks, v)
+		slacks, err := slackLevels(*from, *to, *step)
+		if err != nil {
+			fatal(err)
 		}
-		points, err := rm.SweepSlack(rm.CaseStudyShares(), servers, pred, truth, slacks, loads, opts, rm.EvalOptions{})
+		points, err := rm.SweepSlack(rm.CaseStudyShares(), servers, pred, truth, slacks, loads, opts)
 		if err != nil {
 			fatal(err)
 		}
@@ -109,7 +109,7 @@ func main() {
 		}
 	case "minzero":
 		slacks := []float64{1.0, 1.025, 1.05, 1.075, 1.1, 1.15, 1.2, 1.3}
-		s, err := rm.MinZeroFailureSlack(rm.CaseStudyShares(), servers, pred, truth, slacks, loads, opts, rm.EvalOptions{})
+		s, err := rm.MinZeroFailureSlack(rm.CaseStudyShares(), servers, pred, truth, slacks, loads, opts)
 		if err != nil {
 			fatal(err)
 		}
@@ -119,11 +119,7 @@ func main() {
 		// architecture mix within the caps, capacity per Algorithm 1
 		// with the calibrated planner, $/req as a first-class axis.
 		points, err := rm.CostFrontier(casePrices(*costS, *costF, *costVF, *maxPer), pred,
-			workload.ThinkTimeMean, rm.FrontierOptions{
-				Shares:     rm.CaseStudyShares(),
-				Slack:      *slack,
-				MaxServers: *maxServers,
-			})
+			workload.ThinkTimeMean, rm.FrontierOptions{Slack: *slack, MaxServers: *maxServers})
 		if err != nil {
 			fatal(err)
 		}
@@ -141,6 +137,22 @@ func main() {
 	default:
 		usage()
 	}
+}
+
+// slackLevels lists the slack multipliers from `from` down to `to` in
+// steps of `step`. All three are flag values, and a step that is not
+// positive never reaches `to`.
+func slackLevels(from, to, step float64) ([]float64, error) {
+	const maxLevels = 1000
+	if n := (from - to) / step; !(step > 0 && n >= 0 && n <= maxLevels) { // NaN fails every comparison
+		return nil, fmt.Errorf("slacks: want -from >= -to and a positive -step giving at most %d levels, got -from %v -to %v -step %v",
+			maxLevels, from, to, step)
+	}
+	var slacks []float64
+	for v := from; v >= to-1e-9; v -= step {
+		slacks = append(slacks, v)
+	}
+	return slacks, nil
 }
 
 // casePrices prices the three case-study architectures for the

@@ -108,7 +108,6 @@ func main() {
 		cfg.Cache = &trade.CacheConfig{
 			SizeBytes:        *cacheBytes,
 			SessionBytesMean: *sessionBytes,
-			MissExtraDBCalls: 1,
 		}
 	}
 	res, err := trade.Run(cfg)

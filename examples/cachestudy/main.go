@@ -30,7 +30,6 @@ func main() {
 			Cache: &perfpred.SimCacheConfig{
 				SizeBytes:        int64(capacity),
 				SessionBytesMean: sessionBytes,
-				MissExtraDBCalls: 1,
 			},
 		}
 		res, err := perfpred.RunSim(cfg)
@@ -63,7 +62,7 @@ func main() {
 		naive := perfpred.EqualAccessMissRate(clients, sessionBytes, capacity)
 		fp, err := perfpred.SolveLQNWithCache(perfpred.AppServF(), perfpred.CaseStudyDB(),
 			perfpred.CaseStudyDemands(), perfpred.TypicalWorkload(clients),
-			capacity, sessionBytes, 1, 0, perfpred.LQNOptions{})
+			capacity, sessionBytes, perfpred.LQNOptions{})
 		check(err)
 		fmt.Printf("%5.0f%%  %8.3f  %10.3f  %12.3f  %15.3f\n",
 			f*100, meas.CacheMissRate, histMiss, naive, fp.MissRate)
@@ -72,7 +71,7 @@ func main() {
 	// The point of §7.2: what the layered attempt had to assume.
 	fp, err := perfpred.SolveLQNWithCache(perfpred.AppServF(), perfpred.CaseStudyDB(),
 		perfpred.CaseStudyDemands(), perfpred.TypicalWorkload(clients),
-		0.3*workingSet, sessionBytes, 1, 0, perfpred.LQNOptions{})
+		0.3*workingSet, sessionBytes, perfpred.LQNOptions{})
 	check(err)
 	fmt.Printf("\nlayered fixed point converged=%v in %d iterations\n", fp.Converged, fp.Iterations)
 	fmt.Printf("assumption it needed: %s\n", fp.AssumptionNote)
@@ -81,7 +80,7 @@ func main() {
 	// demands and re-solve — the modelling route all three methods can
 	// share once a miss rate is known.
 	eff, err := perfpred.EffectiveDemand(perfpred.CaseStudyDemands()[perfpred.Browse],
-		missModel.Predict(0.3*workingSet), 1, 0)
+		missModel.Predict(0.3*workingSet))
 	check(err)
 	fmt.Printf("\neffective browse demand at 30%% cache: %.2f db calls/request (vs 1.14 uncached)\n",
 		eff.DBCallsPerRequest)

@@ -67,7 +67,8 @@ func main() {
 	res, err := perfpred.RunSim(cfg)
 	check(err)
 	fmt.Println("\nmixed workload (2000 closed clients + 150 req/s open stream, least-busy):")
-	for name, c := range res.PerClass {
+	for _, name := range []string{"api-stream", "browse"} { // not the map's order, which varies run to run
+		c := res.PerClass[name]
 		fmt.Printf("  %-10s  RT %7.1fms  X %6.1f/s  (n=%d)\n", name, c.MeanRT*1000, c.Throughput, c.Completed)
 	}
 	fmt.Printf("  db utilisation %.2f\n", res.DBUtilization)

@@ -25,8 +25,7 @@ func main() {
 	// Figures 5-6 in miniature: one load sweep at slack 1.1.
 	fmt.Println("load sweep at slack 1.1 (plan with hybrid, reality via historical):")
 	fmt.Println("clients  fail%  usage%")
-	points, err := perfpred.SweepLoad(shares, servers, pred, truth, 1.1, loads,
-		perfpred.RMOptions{}, perfpred.RMEvalOptions{})
+	points, err := perfpred.SweepLoad(shares, servers, pred, truth, 1.1, loads, perfpred.RMOptions{})
 	check(err)
 	for _, p := range points {
 		fmt.Printf("%7d  %5.1f  %6.1f\n", p.TotalClients, p.SLAFailurePct, p.ServerUsagePct)
@@ -37,8 +36,7 @@ func main() {
 	for v := 1.1; v >= 0.59; v -= 0.1 {
 		slacks = append(slacks, v)
 	}
-	slackPoints, err := perfpred.SweepSlack(shares, servers, pred, truth, slacks, loads,
-		perfpred.RMOptions{}, perfpred.RMEvalOptions{})
+	slackPoints, err := perfpred.SweepSlack(shares, servers, pred, truth, slacks, loads, perfpred.RMOptions{})
 	check(err)
 	fmt.Println("\nslack sweep:")
 	fmt.Println("slack  avg-fail%  avg-saving%")

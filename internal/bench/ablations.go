@@ -196,11 +196,11 @@ func (s *Suite) AblationLastServer() (*Table, error) {
 		return nil, err
 	}
 	loads := []int{2000, 5000, 8000, 11000}
-	withPts, err := rm.SweepLoad(rm.CaseStudyShares(), servers, pred, truth, 1.1, loads, rm.Options{}, rm.EvalOptions{})
+	withPts, err := rm.SweepLoad(rm.CaseStudyShares(), servers, pred, truth, 1.1, loads, rm.Options{})
 	if err != nil {
 		return nil, err
 	}
-	withoutPts, err := rm.SweepLoad(rm.CaseStudyShares(), servers, pred, truth, 1.1, loads, rm.Options{DisableLastServerRule: true}, rm.EvalOptions{})
+	withoutPts, err := rm.SweepLoad(rm.CaseStudyShares(), servers, pred, truth, 1.1, loads, rm.Options{DisableLastServerRule: true})
 	if err != nil {
 		return nil, err
 	}

@@ -279,6 +279,9 @@ func TestExperimentsListMatchesRun(t *testing.T) {
 		if err != nil {
 			t.Fatalf("experiment %s failed: %v", name, err)
 		}
+		if len(tab.Rows) == 0 {
+			t.Errorf("experiment %s produced no rows", name)
+		}
 		if got := fmt.Sprintf("== %s: %s ==", tab.ID, tab.Title); got != sections[i] {
 			t.Errorf("experiment %d (%s) prints %q, section %d of experiments_output.txt is %q", i, name, got, i, sections[i])
 		}

@@ -84,7 +84,6 @@ func (s *Suite) CacheStudy() (*Table, error) {
 		cfgs[i].Cache = &trade.CacheConfig{
 			SizeBytes:        int64(f * workingSet),
 			SessionBytesMean: sessionBytes,
-			MissExtraDBCalls: 1,
 		}
 	}
 	results, err := runConfigs(s, cfgs)
@@ -104,7 +103,7 @@ func (s *Suite) CacheStudy() (*Table, error) {
 		histMiss := missModel.Predict(f * workingSet)
 		fp, err := sessioncache.SolveWithCache(workload.AppServF(), workload.CaseStudyDB(),
 			demands, workload.TypicalWorkload(clients),
-			f*workingSet, sessionBytes, 1, 0, s.LQNOpt)
+			f*workingSet, sessionBytes, s.LQNOpt)
 		if err != nil {
 			return nil, err
 		}

@@ -73,7 +73,7 @@ func (s *Suite) Figure5and6() (*Table, error) {
 		func(_ context.Context, i int) ([]rm.SweepPoint, error) {
 			// The study sweeps slack below 1 deliberately (figure 5's
 			// 0.9 line), which Allocate otherwise rejects.
-			return rm.SweepLoad(rm.CaseStudyShares(), servers, pred, truth, slacks[i], studyLoads(), rm.Options{AllowDeflation: true}, rm.EvalOptions{})
+			return rm.SweepLoad(rm.CaseStudyShares(), servers, pred, truth, slacks[i], studyLoads(), rm.Options{AllowDeflation: true})
 		})
 	if err != nil {
 		return nil, err
@@ -105,7 +105,7 @@ func (s *Suite) Figure7() (*Table, error) {
 		slacks = append(slacks, v)
 	}
 	slacks = append(slacks, 0)
-	points, err := rm.SweepSlack(rm.CaseStudyShares(), servers, pred, truth, slacks, studyLoads(), rm.Options{AllowDeflation: true}, rm.EvalOptions{})
+	points, err := rm.SweepSlack(rm.CaseStudyShares(), servers, pred, truth, slacks, studyLoads(), rm.Options{AllowDeflation: true})
 	if err != nil {
 		return nil, err
 	}
@@ -132,7 +132,7 @@ func (s *Suite) Figure8() (*Table, error) {
 	for v := 1.10; v >= 0.899; v -= 0.025 {
 		slacks = append(slacks, v)
 	}
-	points, err := rm.SweepSlack(rm.CaseStudyShares(), servers, pred, truth, slacks, studyLoads(), rm.Options{AllowDeflation: true}, rm.EvalOptions{})
+	points, err := rm.SweepSlack(rm.CaseStudyShares(), servers, pred, truth, slacks, studyLoads(), rm.Options{AllowDeflation: true})
 	if err != nil {
 		return nil, err
 	}
@@ -160,11 +160,11 @@ func (s *Suite) UniformInaccuracy() (*Table, error) {
 	for _, y := range []float64{0.9, 1.0, 1.1, 1.2, 1.3} {
 		pred := rm.Biased{Base: truthSet, Y: y}
 		// slack = y dips below 1 at y = 0.9.
-		compensated, err := rm.SweepLoad(rm.CaseStudyShares(), servers, pred, truthSet, y, loads, rm.Options{AllowDeflation: true}, rm.EvalOptions{})
+		compensated, err := rm.SweepLoad(rm.CaseStudyShares(), servers, pred, truthSet, y, loads, rm.Options{AllowDeflation: true})
 		if err != nil {
 			return nil, err
 		}
-		uncompensated, err := rm.SweepLoad(rm.CaseStudyShares(), servers, pred, truthSet, 1.0, loads, rm.Options{}, rm.EvalOptions{})
+		uncompensated, err := rm.SweepLoad(rm.CaseStudyShares(), servers, pred, truthSet, 1.0, loads, rm.Options{})
 		if err != nil {
 			return nil, err
 		}
@@ -206,7 +206,7 @@ func (s *Suite) Provider() (*Table, error) {
 		{Name: "shop", Shares: rm.CaseStudyShares(), LoadPerEpoch: shopLoad},
 		{Name: "bank", Shares: rm.CaseStudyShares(), LoadPerEpoch: bankLoad},
 	}
-	results, err := rm.RunProvider(apps, servers, pred, truth, rm.ProviderOptions{Slack: 1.1})
+	results, err := rm.RunProvider(apps, servers, pred, truth, 1.1)
 	if err != nil {
 		return nil, err
 	}

@@ -3,6 +3,7 @@ package lqn
 import (
 	"errors"
 	"fmt"
+	"slices"
 
 	"perfpred/internal/sla"
 	"perfpred/internal/workload"
@@ -32,11 +33,7 @@ func NewTradeModel(server workload.ServerArch, db workload.DBServer, demands map
 	for rt := range demands {
 		types = append(types, rt)
 	}
-	for i := 1; i < len(types); i++ {
-		for j := i; j > 0 && types[j] < types[j-1]; j-- {
-			types[j], types[j-1] = types[j-1], types[j]
-		}
-	}
+	slices.Sort(types)
 
 	appTask := &Task{Name: "appserver", Processor: "appcpu", Mult: server.MPL}
 	dbTask := &Task{Name: "dbserver", Processor: "dbcpu", Mult: db.MPL}
@@ -201,11 +198,7 @@ func RetuneTradeModel(m *Model, demands map[workload.RequestType]workload.Demand
 	for rt := range demands {
 		types = append(types, rt)
 	}
-	for i := 1; i < len(types); i++ {
-		for j := i; j > 0 && types[j] < types[j-1]; j-- {
-			types[j], types[j-1] = types[j-1], types[j]
-		}
-	}
+	slices.Sort(types)
 	for _, rt := range types {
 		d := demands[rt]
 		if err := d.Validate(); err != nil {

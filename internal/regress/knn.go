@@ -3,11 +3,11 @@ package regress
 import "sort"
 
 // knnPredict returns the inverse-distance-weighted mean response time
-// of the k nearest training samples in standardized feature space.
+// of the knnK nearest training samples in standardized feature space.
 // Ordering is fully deterministic: distances tie-break on the training
 // sample's index, and the weighted sum is accumulated in that sorted
 // order. An exact feature match returns that sample's target directly.
-func knnPredict(af *archFit, query []float64, k int) float64 {
+func knnPredict(af *archFit, query []float64) float64 {
 	type cand struct {
 		idx  int
 		dist float64
@@ -27,9 +27,7 @@ func knnPredict(af *archFit, query []float64, k int) float64 {
 		}
 		return cands[a].idx < cands[b].idx
 	})
-	if k > len(cands) {
-		k = len(cands)
-	}
+	k := min(knnK, len(cands))
 	if cands[0].dist == 0 {
 		return af.samples[cands[0].idx].MeanRT
 	}

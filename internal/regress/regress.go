@@ -44,53 +44,31 @@ type Sample struct {
 type FitConfig struct {
 	// Degree is the polynomial degree on the load feature (default 3).
 	Degree int
-	// Lambda is the ridge penalty on non-intercept weights (default
-	// 1e-6; 0 is permitted and falls back to ordinary least squares,
-	// which the normal equations solve identically).
-	Lambda float64
-	// K is the neighbour count for the k-NN fallback (default 3; 0
-	// disables the fallback entirely).
-	K int
-	// Target selects the regression target: "logrt" (default) fits
-	// log response time — positivity comes for free and least squares
-	// then minimises relative error, which keeps the fit honest on
-	// both sides of the saturation knee where response times span
-	// orders of magnitude — while "rt" fits the raw seconds (exact
-	// recovery of polynomial truth curves).
-	Target string
 }
+
+// The rest of the fit is the one configuration the four-family
+// comparison scores. The target is log response time: positivity comes
+// for free and least squares then minimises relative error, which keeps
+// the fit honest on both sides of the saturation knee where response
+// times span orders of magnitude.
+const (
+	// ridgeLambda is the ridge penalty on non-intercept weights.
+	ridgeLambda = 1e-6
+	// knnK is the neighbour count of the k-NN fallback.
+	knnK = 3
+)
 
 func (c FitConfig) withDefaults() FitConfig {
 	if c.Degree == 0 {
 		c.Degree = 3
 	}
-	if c.Lambda == 0 {
-		c.Lambda = 1e-6
-	}
-	if c.K == 0 {
-		c.K = 3
-	}
-	if c.Target == "" {
-		c.Target = "logrt"
-	}
 	return c
 }
 
-// logTarget reports whether the fit runs in log-response-time space.
-func (c FitConfig) logTarget() bool { return c.Target != "rt" }
-
 // Validate reports the first structural problem.
 func (c FitConfig) Validate() error {
-	c = c.withDefaults()
-	switch {
-	case c.Degree < 1 || c.Degree > 6:
+	if c = c.withDefaults(); c.Degree < 1 || c.Degree > 6 {
 		return fmt.Errorf("regress: degree %d outside [1,6]", c.Degree)
-	case c.Lambda < 0:
-		return fmt.Errorf("regress: negative ridge penalty %v", c.Lambda)
-	case c.K < 0:
-		return fmt.Errorf("regress: negative neighbour count %d", c.K)
-	case c.Target != "logrt" && c.Target != "rt":
-		return fmt.Errorf("regress: unknown target %q (want logrt or rt)", c.Target)
 	}
 	return nil
 }
@@ -156,7 +134,6 @@ type archFit struct {
 	samples []Sample // fixed training order, retained for k-NN
 	feats   [][]float64
 	maxPop  float64 // largest trained population
-	maxRT   float64 // largest trained response time
 }
 
 // Model is a fitted regression predictor family over one or more
@@ -248,12 +225,7 @@ func fitArch(tr archTraits, group []Sample, cfg FitConfig) (*archFit, error) {
 	af.feats = make([][]float64, len(group))
 	for i, s := range group {
 		af.feats[i] = encode(tr, float64(s.Clients), s.BuyFrac, cfg.Degree, make([]float64, 0, nf))
-		if float64(s.Clients) > af.maxPop {
-			af.maxPop = float64(s.Clients)
-		}
-		if s.MeanRT > af.maxRT {
-			af.maxRT = s.MeanRT
-		}
+		af.maxPop = max(af.maxPop, float64(s.Clients))
 	}
 	// Standardize non-intercept columns: ridge penalties only make
 	// sense on comparable scales, and the k-NN metric needs them too.
@@ -282,13 +254,9 @@ func fitArch(tr archTraits, group []Sample, cfg FitConfig) (*archFit, error) {
 	}
 	y := make([]float64, len(group))
 	for i, s := range group {
-		if cfg.logTarget() {
-			y[i] = math.Log(s.MeanRT)
-		} else {
-			y[i] = s.MeanRT
-		}
+		y[i] = math.Log(s.MeanRT)
 	}
-	beta, err := ridgeSolve(af.feats, y, cfg.Lambda)
+	beta, err := ridgeSolve(af.feats, y, ridgeLambda)
 	if err != nil {
 		return nil, err
 	}
@@ -307,24 +275,15 @@ func (m *Model) predictArch(af *archFit, clients, buyFrac float64) float64 {
 	for j := range raw {
 		std[j] = (raw[j] - af.mean[j]) / af.scale[j]
 	}
-	var rt float64
+	var logRT float64
 	for j, b := range af.beta {
-		rt += b * std[j]
+		logRT += b * std[j]
 	}
-	if m.cfg.logTarget() {
-		rt = math.Exp(rt)
-	}
+	rt := math.Exp(logRT)
 	if clients <= af.maxPop && rt > 0 && !math.IsNaN(rt) && !math.IsInf(rt, 0) {
 		return rt
 	}
-	if m.cfg.K <= 0 {
-		// No fallback: clamp into the trained response range.
-		if rt <= 0 || math.IsNaN(rt) || math.IsInf(rt, 0) {
-			return af.maxRT
-		}
-		return rt
-	}
-	knnRT := knnPredict(af, std, m.cfg.K)
+	knnRT := knnPredict(af, std)
 	if clients > af.maxPop {
 		// Beyond the grid the neighbour estimate flattens at the edge
 		// of the data. Response time past saturation grows linearly in

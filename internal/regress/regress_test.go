@@ -31,29 +31,24 @@ func syntheticSamples(arch workload.ServerArch, base, slope float64, pops []int)
 	return out
 }
 
-// A ridge fit with a vanishing penalty on exactly linear data must
-// recover the generating line: near-zero error at training points and
-// at interior queries the model never saw.
+// A ridge solve with a vanishing penalty on exactly linear data must
+// recover the generating line. The fit's own penalty and log target
+// are fixed, so the solver is called directly with its own λ.
 func TestRidgeRecoversSyntheticLinear(t *testing.T) {
-	arch := testArch()
-	pops := []int{5, 12, 20, 31, 44, 58, 71, 85, 92, 100}
 	const base, slope = 0.080, 2.5
-	samples := syntheticSamples(arch, base, slope, pops)
-	m, err := Fit(samples, []workload.ServerArch{arch}, workload.CaseStudyDemands(), workload.ThinkTimeMean,
-		FitConfig{Degree: 3, Lambda: 1e-9, Target: "rt"})
+	var X [][]float64
+	var y []float64
+	for _, x := range []float64{-1.4, -1.1, -0.7, -0.2, 0.1, 0.5, 0.8, 1.2, 1.5, 1.9} {
+		X = append(X, []float64{1, x, x * x, x * x * x})
+		y = append(y, base+slope*x)
+	}
+	beta, err := ridgeSolve(X, y, 1e-9)
 	if err != nil {
 		t.Fatal(err)
 	}
-	demands := workload.CaseStudyDemands()
-	appD := demands[workload.Browse].AppServerTime / arch.Speed
-	for _, n := range []float64{5, 17, 26, 50, 63, 88, 100} {
-		want := base + slope*n*appD
-		got, err := m.Predict(arch.Name, n)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if math.Abs(got-want)/want > 1e-6 {
-			t.Errorf("n=%v: predicted %v, want %v", n, got, want)
+	for j, want := range []float64{base, slope, 0, 0} {
+		if math.Abs(beta[j]-want) > 1e-6 {
+			t.Errorf("weight %d = %v, want %v", j, beta[j], want)
 		}
 	}
 }
@@ -65,11 +60,11 @@ func TestMaxClientsInvertsPredict(t *testing.T) {
 	pops := []int{5, 12, 20, 31, 44, 58, 71, 85, 92, 100}
 	samples := syntheticSamples(arch, 0.080, 2.5, pops)
 	m, err := Fit(samples, []workload.ServerArch{arch}, workload.CaseStudyDemands(), workload.ThinkTimeMean,
-		FitConfig{Degree: 2, Lambda: 1e-9, Target: "rt"})
+		FitConfig{Degree: 2})
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, goal := range []float64{0.5, 1.0, 5.0} {
+	for _, goal := range []float64{2.0, 5.0, 20.0} {
 		capN, err := m.MaxClients(arch.Name, goal)
 		if err != nil {
 			t.Fatal(err)
@@ -100,7 +95,7 @@ func TestKNNFallback(t *testing.T) {
 		{Arch: arch.Name, Clients: 70, MeanRT: 0.7},
 		{Arch: arch.Name, Clients: 80, MeanRT: 0.8},
 	}
-	m, err := Fit(samples, []workload.ServerArch{arch}, workload.CaseStudyDemands(), workload.ThinkTimeMean, FitConfig{Degree: 2, K: 3})
+	m, err := Fit(samples, []workload.ServerArch{arch}, workload.CaseStudyDemands(), workload.ThinkTimeMean, FitConfig{Degree: 2})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -109,7 +104,7 @@ func TestKNNFallback(t *testing.T) {
 	for j := range raw {
 		raw[j] = (raw[j] - af.mean[j]) / af.scale[j]
 	}
-	if got := knnPredict(af, raw, 3); got != 0.3 {
+	if got := knnPredict(af, raw); got != 0.3 {
 		t.Errorf("exact-match k-NN = %v, want 0.3", got)
 	}
 	// Past the trained range the model extrapolates via the k-NN edge
@@ -193,17 +188,11 @@ func TestFitValidation(t *testing.T) {
 	if err := (FitConfig{Degree: 9}).Validate(); err == nil {
 		t.Error("degree 9 accepted")
 	}
-	if err := (FitConfig{Lambda: -1}).Validate(); err == nil {
-		t.Error("negative lambda accepted")
-	}
-	if err := (FitConfig{Target: "sqrt"}).Validate(); err == nil {
-		t.Error("unknown target accepted")
-	}
 }
 
-// The default log-response-time target must exactly recover data that
-// is log-linear in the load feature — the regime the raw-seconds fit
-// cannot represent — and always predict positive times.
+// The log-response-time target must recover data that is log-linear in
+// the load feature, to within the fixed ridge penalty's shrinkage, and
+// always predict positive times.
 func TestLogTargetRecoversExponential(t *testing.T) {
 	arch := testArch()
 	demands := workload.CaseStudyDemands()
@@ -219,7 +208,7 @@ func TestLogTargetRecoversExponential(t *testing.T) {
 		})
 	}
 	m, err := Fit(samples, []workload.ServerArch{arch}, demands, workload.ThinkTimeMean,
-		FitConfig{Degree: 3, Lambda: 1e-9})
+		FitConfig{Degree: 3})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -232,7 +221,7 @@ func TestLogTargetRecoversExponential(t *testing.T) {
 		if got <= 0 {
 			t.Fatalf("n=%v: non-positive prediction %v", n, got)
 		}
-		if math.Abs(got-want)/want > 1e-6 {
+		if math.Abs(got-want)/want > 1e-4 {
 			t.Errorf("n=%v: predicted %v, want %v", n, got, want)
 		}
 	}

@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"slices"
 	"time"
 
 	"perfpred/internal/parallel"
@@ -75,11 +76,7 @@ func drawPopulations(arch workload.ServerArch, cell uint64, cfg TrainConfig) []i
 		pops = append(pops, p)
 	}
 	// Ascending order fixes the sample order the fit sees.
-	for i := 1; i < len(pops); i++ {
-		for j := i; j > 0 && pops[j] < pops[j-1]; j-- {
-			pops[j], pops[j-1] = pops[j-1], pops[j]
-		}
-	}
+	slices.Sort(pops)
 	return pops
 }
 

@@ -9,19 +9,6 @@ import (
 	"perfpred/internal/sla"
 )
 
-// EvalOptions tunes the runtime evaluation of a plan.
-type EvalOptions struct {
-	// RejectThreshold scales the goal at which a server starts
-	// rejecting clients at runtime: servers "reject clients at runtime
-	// if response times are within a threshold of missing SLA goals"
-	// (§9). 0 selects 1.0 (reject exactly at the goal).
-	RejectThreshold float64
-	// DisableRuntimeOptimization turns off the re-placement of
-	// rejected clients onto real spare capacity — the optimisation
-	// responsible for the spiky figure-5 lines.
-	DisableRuntimeOptimization bool
-}
-
 // Result is the runtime outcome of a plan under the real system's
 // behaviour.
 type Result struct {
@@ -39,19 +26,15 @@ type Result struct {
 // Evaluate plays a plan out against the real system, represented by
 // the truth predictor: real clients are distributed pro-rata over the
 // planned (slack-inflated) allocations, each server rejects the
-// clients beyond its *actual* capacity, and — unless disabled — the
-// runtime optimisation re-places rejected clients on servers with real
-// spare capacity. The two §9.1 cost metrics come back in Result.
-func Evaluate(plan *Plan, classes []Class, servers []Server, truth Predictor, opts EvalOptions) (*Result, error) {
+// clients beyond its *actual* capacity — "servers reject clients at
+// runtime if response times are within a threshold of missing SLA
+// goals" (§9), here exactly at the goal — and the runtime optimisation
+// (the one responsible for the spiky figure-5 lines) re-places rejected
+// clients on servers with real spare capacity. The two §9.1 cost
+// metrics come back in Result.
+func Evaluate(plan *Plan, classes []Class, servers []Server, truth Predictor) (*Result, error) {
 	if plan == nil {
 		return nil, errors.New("rm: nil plan")
-	}
-	threshold := opts.RejectThreshold
-	if threshold == 0 {
-		threshold = 1.0
-	}
-	if threshold <= 0 {
-		return nil, fmt.Errorf("rm: invalid reject threshold %v", threshold)
 	}
 	if mm := metrics.Load(); mm != nil {
 		mm.evaluateCalls.Inc()
@@ -150,12 +133,10 @@ func Evaluate(plan *Plan, classes []Class, servers []Server, truth Predictor, op
 		minGoal := math.Inf(1)
 		total := 0
 		for _, i := range idxs {
-			if placements[i].goal < minGoal {
-				minGoal = placements[i].goal
-			}
+			minGoal = min(minGoal, placements[i].goal)
 			total += placements[i].real
 		}
-		capReal, err := realCapacity(truth, srv.Arch, minGoal*threshold, capMemo)
+		capReal, err := realCapacity(truth, srv.Arch, minGoal, capMemo)
 		if err != nil {
 			return nil, err
 		}
@@ -169,10 +150,7 @@ func Evaluate(plan *Plan, classes []Class, servers []Server, truth Predictor, op
 				if over <= 0 {
 					break
 				}
-				drop := placements[i].real
-				if drop > over {
-					drop = over
-				}
+				drop := min(placements[i].real, over)
 				placements[i].real -= drop
 				pool[placements[i].class] += drop
 				over -= drop
@@ -189,47 +167,37 @@ func Evaluate(plan *Plan, classes []Class, servers []Server, truth Predictor, op
 	// tightest-goal classes first. Servers outside the plan stay
 	// untouched; workload that still finds no room is an SLA failure
 	// (the paper's second set of accept-all servers).
-	if !opts.DisableRuntimeOptimization && len(pool) > 0 {
-		classNames := make([]string, 0, len(pool))
-		for name := range pool {
-			classNames = append(classNames, name)
-		}
-		sort.Slice(classNames, func(i, j int) bool {
-			return classByName[classNames[i]].GoalRT < classByName[classNames[j]].GoalRT
-		})
-		for _, cname := range classNames {
-			goal := classByName[cname].GoalRT
-			for _, s := range servers {
-				if pool[cname] == 0 {
-					break
-				}
-				mg, used := serverMinGoal[s.Name]
-				if !used {
-					continue // the optimisation only touches planned servers
-				}
-				g := goal
-				if mg < g {
-					g = mg
-				}
-				capReal, err := realCapacity(truth, s.Arch, g*threshold, capMemo)
-				if err != nil {
-					return nil, err
-				}
-				spare := capReal - serverLoad[s.Name]
-				if spare <= 0 {
-					continue
-				}
-				take := spare
-				if take > pool[cname] {
-					take = pool[cname]
-				}
-				serverLoad[s.Name] += take
-				if mg, ok := serverMinGoal[s.Name]; !ok || goal < mg {
-					serverMinGoal[s.Name] = goal
-				}
-				pool[cname] -= take
-				tracker.Serve(cname, take)
+	classNames := make([]string, 0, len(pool))
+	for name := range pool {
+		classNames = append(classNames, name)
+	}
+	sort.Slice(classNames, func(i, j int) bool {
+		return classByName[classNames[i]].GoalRT < classByName[classNames[j]].GoalRT
+	})
+	for _, cname := range classNames {
+		goal := classByName[cname].GoalRT
+		for _, s := range servers {
+			if pool[cname] == 0 {
+				break
 			}
+			mg, used := serverMinGoal[s.Name]
+			if !used {
+				continue // the optimisation only touches planned servers
+			}
+			g := min(goal, mg) // the tightest goal the server would then serve
+			capReal, err := realCapacity(truth, s.Arch, g, capMemo)
+			if err != nil {
+				return nil, err
+			}
+			spare := capReal - serverLoad[s.Name]
+			if spare <= 0 {
+				continue
+			}
+			take := min(spare, pool[cname])
+			serverLoad[s.Name] += take
+			serverMinGoal[s.Name] = g
+			pool[cname] -= take
+			tracker.Serve(cname, take)
 		}
 	}
 

@@ -22,17 +22,10 @@ type ArchPrice struct {
 
 // FrontierOptions tunes the cost-performance frontier sweep.
 type FrontierOptions struct {
-	// Shares is the class mix placed on every candidate fleet (nil =
-	// the §9.1 case-study shares).
-	Shares []ClassShare
 	// Slack is Algorithm 1's workload inflation (default 1).
 	Slack float64
 	// MaxServers caps the fleet size across architectures.
 	MaxServers int
-	// MaxClients caps the per-mix capacity search (default 1<<18).
-	MaxClients int
-	// AllocOpts forwards to Allocate.
-	AllocOpts Options
 }
 
 // FrontierPoint is one architecture mix's evaluation: how many
@@ -80,14 +73,8 @@ func CostFrontier(prices []ArchPrice, pred Predictor, think float64, opt Frontie
 			return nil, fmt.Errorf("rm: architecture %q has negative max count", p.Arch.Name)
 		}
 	}
-	if opt.Shares == nil {
-		opt.Shares = CaseStudyShares()
-	}
 	if opt.Slack == 0 {
 		opt.Slack = 1
-	}
-	if opt.MaxClients == 0 {
-		opt.MaxClients = maxOracleClients
 	}
 	if opt.MaxServers <= 0 {
 		return nil, errors.New("rm: frontier needs a positive server cap")
@@ -106,7 +93,7 @@ func CostFrontier(prices []ArchPrice, pred Predictor, think float64, opt Frontie
 			if used == 0 {
 				return nil
 			}
-			pt, err := evalMix(counts, prices, pred, think, opt)
+			pt, err := evalMix(counts, prices, pred, think, opt.Slack)
 			if err != nil {
 				return err
 			}
@@ -166,9 +153,10 @@ func lexLess(a, b []int) bool {
 }
 
 // evalMix prices one architecture mix and finds its capacity: the
-// largest total population Algorithm 1 plans with no rejections, by the
-// shared search over the monotone "does N fully place?" predicate.
-func evalMix(counts []int, prices []ArchPrice, pred Predictor, think float64, opt FrontierOptions) (FrontierPoint, error) {
+// largest total population of the §9.1 case-study mix Algorithm 1 plans
+// with no rejections, by the shared search over the monotone "does N
+// fully place?" predicate.
+func evalMix(counts []int, prices []ArchPrice, pred Predictor, think, slack float64) (FrontierPoint, error) {
 	pt := FrontierPoint{Counts: append([]int(nil), counts...)}
 	var servers []Server
 	for i, c := range counts {
@@ -182,24 +170,25 @@ func evalMix(counts []int, prices []ArchPrice, pred Predictor, think float64, op
 			})
 		}
 	}
+	shares := CaseStudyShares()
 	fits := func(total int) (bool, error) {
-		classes, err := SplitLoad(total, opt.Shares)
+		classes, err := SplitLoad(total, shares)
 		if err != nil {
 			return false, err
 		}
-		plan, err := Allocate(classes, servers, pred, opt.Slack, opt.AllocOpts)
+		plan, err := Allocate(classes, servers, pred, slack, Options{})
 		if err != nil {
 			return false, err
 		}
 		return len(plan.RejectedPlanned) == 0, nil
 	}
-	capN, err := sla.MaxClients(opt.MaxClients, fits)
+	capN, err := sla.MaxClients(maxOracleClients, fits)
 	if err != nil {
 		return pt, err
 	}
 	pt.Capacity = capN
 	if capN > 0 {
-		classes, err := SplitLoad(capN, opt.Shares)
+		classes, err := SplitLoad(capN, shares)
 		if err != nil {
 			return pt, err
 		}

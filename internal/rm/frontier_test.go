@@ -36,11 +36,7 @@ func frontierPrices() []ArchPrice {
 // never leave a dominated mix unmarked (or mark a non-dominated one).
 func TestCostFrontierDominanceProperty(t *testing.T) {
 	pred := tablePred{"CheapSlow": 80, "Mid": 190, "FastDear": 330}
-	points, err := CostFrontier(frontierPrices(), pred, workload.ThinkTimeMean, FrontierOptions{
-		Shares:     CaseStudyShares(),
-		MaxServers: 6,
-		MaxClients: 4096,
-	})
+	points, err := CostFrontier(frontierPrices(), pred, workload.ThinkTimeMean, FrontierOptions{MaxServers: 6})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -130,7 +126,7 @@ func TestCostFrontierValidation(t *testing.T) {
 	if _, err := CostFrontier(bad, pred, 7, FrontierOptions{MaxServers: 2}); err == nil {
 		t.Error("free architecture accepted")
 	}
-	points, err := CostFrontier(prices, pred, workload.ThinkTimeMean, FrontierOptions{MaxServers: 2, MaxClients: 2048})
+	points, err := CostFrontier(prices, pred, workload.ThinkTimeMean, FrontierOptions{MaxServers: 2})
 	if err != nil {
 		t.Fatal(err)
 	}

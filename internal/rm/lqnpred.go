@@ -2,7 +2,6 @@ package rm
 
 import (
 	"fmt"
-	"math"
 
 	"perfpred/internal/lqn"
 	"perfpred/internal/sla"
@@ -56,7 +55,11 @@ func (p *LQNPredictor) Predict(arch string, n float64) (float64, error) {
 	if !ok {
 		return 0, fmt.Errorf("rm: no architecture %q in LQN predictor", arch)
 	}
-	p.load[0].Clients = max(1, int(math.Round(n)))
+	clients, err := population(n)
+	if err != nil {
+		return 0, err
+	}
+	p.load[0].Clients = clients
 	res, err := sw.Solve(p.load)
 	if err != nil {
 		return 0, err

@@ -14,6 +14,17 @@ import (
 // architecture holds this many clients within any sane SLA goal.
 const maxOracleClients = 1 << 18
 
+// population rounds a predictor's client-count argument to the nearest
+// population ≥ 1. It refuses one beyond the capacity search's limit
+// (and NaN): the float→int conversion of 1e19 wraps negative, and one
+// client's response time would answer for it.
+func population(n float64) (int, error) {
+	if !(n <= maxOracleClients) {
+		return 0, fmt.Errorf("rm: population %v is beyond the model's range (max %d)", n, maxOracleClients)
+	}
+	return max(1, int(math.Round(n))), nil
+}
+
 // SimOracle is a Predictor backed by the simulated testbed itself: each
 // Predict runs (and memoizes) a trade measurement of the architecture
 // at the requested population, and MaxClients searches the population
@@ -54,9 +65,9 @@ func (o *SimOracle) Predict(arch string, n float64) (float64, error) {
 	if !ok {
 		return 0, fmt.Errorf("rm: no architecture %q in oracle", arch)
 	}
-	clients := int(math.Round(n))
-	if clients < 1 {
-		clients = 1
+	clients, err := population(n)
+	if err != nil {
+		return 0, err
 	}
 	return o.memo.Do(simProbe{arch: arch, clients: clients}, func() (float64, error) {
 		res, err := trade.Measure(a, workload.TypicalWorkload(clients), o.opt)

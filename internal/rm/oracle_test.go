@@ -1,8 +1,10 @@
 package rm
 
 import (
+	"math"
 	"testing"
 
+	"perfpred/internal/lqn"
 	"perfpred/internal/trade"
 	"perfpred/internal/workload"
 )
@@ -111,5 +113,23 @@ func TestSimOracleAsEvaluationTruth(t *testing.T) {
 	}
 	if capF <= capS {
 		t.Fatalf("the faster architecture should hold more clients: F=%v S=%v", capF, capS)
+	}
+}
+
+// A population whose float→int conversion overflows must be refused,
+// not answered with one client's response time: int(math.Round(1e19))
+// wraps negative and the ≥ 1 clamp made it 1.
+func TestPredictorsRefuseOverflowingPopulation(t *testing.T) {
+	lq, err := NewLQNPredictor([]workload.ServerArch{workload.AppServF()}, workload.CaseStudyDB(),
+		workload.CaseStudyDemands(), workload.BrowseClass(0.300), lqn.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for name, p := range map[string]Predictor{"lqn": lq, "oracle": testOracle()} {
+		for _, n := range []float64{1e19, maxOracleClients + 1, math.Inf(1), math.NaN()} {
+			if rt, err := p.Predict("AppServF", n); err == nil {
+				t.Errorf("%s: population %v answered %v s, want an error", name, n, rt)
+			}
+		}
 	}
 }

@@ -12,7 +12,7 @@ import (
 func TestEvaluateConservesClientsProperty(t *testing.T) {
 	truth := truthModels()
 	servers := CaseStudyServers()
-	f := func(loadRaw uint16, slackRaw, biasRaw uint8, disableOpt bool) bool {
+	f := func(loadRaw uint16, slackRaw, biasRaw uint8) bool {
 		total := int(loadRaw%20000) + 1
 		slack := 0.5 + float64(slackRaw%16)/10 // 0.5 .. 2.0
 		bias := 0.7 + float64(biasRaw%14)/10   // 0.7 .. 2.0
@@ -25,7 +25,7 @@ func TestEvaluateConservesClientsProperty(t *testing.T) {
 		if err != nil {
 			return false
 		}
-		res, err := Evaluate(plan, classes, servers, truth, EvalOptions{DisableRuntimeOptimization: disableOpt})
+		res, err := Evaluate(plan, classes, servers, truth)
 		if err != nil {
 			return false
 		}

@@ -60,22 +60,14 @@ type EpochResult struct {
 	UsagePct        float64
 }
 
-// ProviderOptions tunes the provider loop.
-type ProviderOptions struct {
-	// Slack is Algorithm 1's workload inflation within applications.
-	Slack float64
-	// Alloc and Eval pass through to Allocate/Evaluate.
-	Alloc Options
-	Eval  EvalOptions
-}
-
 // RunProvider simulates the service provider across epochs: at each
 // epoch the applications' predicted server needs are computed, servers
 // are transferred between applications (need-proportional, whole
 // servers, preferring to keep a server where it is to minimise
 // transfers), and each application's workload is placed and evaluated.
-// pred plans; truth plays the role of the real system.
-func RunProvider(apps []Application, servers []Server, pred, truth Predictor, opt ProviderOptions) ([]EpochResult, error) {
+// pred plans; truth plays the role of the real system; slack is
+// Algorithm 1's workload inflation within applications (≤ 0 selects 1).
+func RunProvider(apps []Application, servers []Server, pred, truth Predictor, slack float64) ([]EpochResult, error) {
 	if len(apps) == 0 || len(servers) == 0 {
 		return nil, errors.New("rm: provider needs applications and servers")
 	}
@@ -88,8 +80,8 @@ func RunProvider(apps []Application, servers []Server, pred, truth Predictor, op
 			return nil, fmt.Errorf("rm: application %q has %d epochs, want %d", a.Name, len(a.LoadPerEpoch), epochs)
 		}
 	}
-	if opt.Slack <= 0 {
-		opt.Slack = 1.0
+	if slack <= 0 {
+		slack = 1.0
 	}
 
 	var totalPower float64
@@ -107,7 +99,7 @@ func RunProvider(apps []Application, servers []Server, pred, truth Predictor, op
 		need := make(map[string]float64, len(apps))
 		var needTotal float64
 		for _, a := range apps {
-			n := float64(a.LoadPerEpoch[epoch]) * opt.Slack
+			n := float64(a.LoadPerEpoch[epoch]) * slack
 			// Power need ≈ offered request rate; with the case-study
 			// think time the gradient converts clients to requests/s.
 			need[a.Name] = n
@@ -195,11 +187,11 @@ func RunProvider(apps []Application, servers []Server, pred, truth Predictor, op
 			if err != nil {
 				return nil, err
 			}
-			plan, err := Allocate(classes, appServers, pred, opt.Slack, opt.Alloc)
+			plan, err := Allocate(classes, appServers, pred, slack, Options{})
 			if err != nil {
 				return nil, err
 			}
-			ev, err := Evaluate(plan, classes, appServers, truth, opt.Eval)
+			ev, err := Evaluate(plan, classes, appServers, truth)
 			if err != nil {
 				return nil, err
 			}

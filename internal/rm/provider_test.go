@@ -14,22 +14,22 @@ func twoApps(loadA, loadB []int) []Application {
 func TestProviderValidation(t *testing.T) {
 	truth := truthModels()
 	servers := CaseStudyServers()
-	if _, err := RunProvider(nil, servers, truth, truth, ProviderOptions{}); err == nil {
+	if _, err := RunProvider(nil, servers, truth, truth, 0); err == nil {
 		t.Fatal("no apps should fail")
 	}
-	if _, err := RunProvider(twoApps([]int{100}, []int{100}), nil, truth, truth, ProviderOptions{}); err == nil {
+	if _, err := RunProvider(twoApps([]int{100}, []int{100}), nil, truth, truth, 0); err == nil {
 		t.Fatal("no servers should fail")
 	}
-	if _, err := RunProvider(twoApps([]int{100, 200}, []int{100}), servers, truth, truth, ProviderOptions{}); err == nil {
+	if _, err := RunProvider(twoApps([]int{100, 200}, []int{100}), servers, truth, truth, 0); err == nil {
 		t.Fatal("mismatched epoch counts should fail")
 	}
 	bad := twoApps([]int{100}, []int{100})
 	bad[0].Name = ""
-	if _, err := RunProvider(bad, servers, truth, truth, ProviderOptions{}); err == nil {
+	if _, err := RunProvider(bad, servers, truth, truth, 0); err == nil {
 		t.Fatal("unnamed app should fail")
 	}
 	bad = twoApps([]int{-1}, []int{100})
-	if _, err := RunProvider(bad, servers, truth, truth, ProviderOptions{}); err == nil {
+	if _, err := RunProvider(bad, servers, truth, truth, 0); err == nil {
 		t.Fatal("negative load should fail")
 	}
 }
@@ -40,7 +40,7 @@ func TestProviderIsolatesApplications(t *testing.T) {
 	truth := truthModels()
 	servers := CaseStudyServers()
 	apps := twoApps([]int{3000, 3000}, []int{3000, 3000})
-	results, err := RunProvider(apps, servers, truth, truth, ProviderOptions{Slack: 1.0})
+	results, err := RunProvider(apps, servers, truth, truth, 1.0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -69,7 +69,7 @@ func TestProviderTransfersFollowLoadShift(t *testing.T) {
 	truth := truthModels()
 	servers := CaseStudyServers()
 	apps := twoApps([]int{6000, 500}, []int{500, 6000})
-	results, err := RunProvider(apps, servers, truth, truth, ProviderOptions{Slack: 1.0})
+	results, err := RunProvider(apps, servers, truth, truth, 1.0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -108,7 +108,7 @@ func TestProviderStableLoadAvoidsTransfers(t *testing.T) {
 	truth := truthModels()
 	servers := CaseStudyServers()
 	apps := twoApps([]int{4000, 4000, 4000}, []int{2000, 2000, 2000})
-	results, err := RunProvider(apps, servers, truth, truth, ProviderOptions{Slack: 1.0})
+	results, err := RunProvider(apps, servers, truth, truth, 1.0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -123,7 +123,7 @@ func TestProviderZeroLoadApplication(t *testing.T) {
 	truth := truthModels()
 	servers := CaseStudyServers()
 	apps := twoApps([]int{5000}, []int{0})
-	results, err := RunProvider(apps, servers, truth, truth, ProviderOptions{Slack: 1.0})
+	results, err := RunProvider(apps, servers, truth, truth, 1.0)
 	if err != nil {
 		t.Fatal(err)
 	}

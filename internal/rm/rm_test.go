@@ -190,7 +190,7 @@ func TestEvaluatePerfectPredictorZeroFailures(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := Evaluate(plan, classes, servers, truth, EvalOptions{})
+	res, err := Evaluate(plan, classes, servers, truth)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -216,7 +216,7 @@ func TestEvaluateOverpredictionCausesFailures(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := Evaluate(plan, classes, servers, truth, EvalOptions{DisableRuntimeOptimization: true})
+	res, err := Evaluate(plan, classes, servers, truth)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -235,7 +235,7 @@ func TestUniformInaccuracyCompensatedBySlack(t *testing.T) {
 	var usages []float64
 	for _, y := range []float64{1.0, 1.15, 1.3} {
 		pred := Biased{Base: truth, Y: y}
-		points, err := SweepLoad(CaseStudyShares(), servers, pred, truth, y, loads, Options{}, EvalOptions{})
+		points, err := SweepLoad(CaseStudyShares(), servers, pred, truth, y, loads, Options{})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -254,28 +254,46 @@ func TestUniformInaccuracyCompensatedBySlack(t *testing.T) {
 	}
 }
 
+// The runtime optimisation re-places clients a server sheds on the real
+// spare capacity of the other servers the plan uses, and on no server
+// outside the plan. tablePred holds exactly its table value at goal
+// 0.1, so the placement is computable by hand: the planner believes a
+// and b hold 100 each and puts 180 clients on them as 100 + 80; a
+// really holds 60 and sheds 40.
 func TestRuntimeOptimizationReducesFailures(t *testing.T) {
-	truth := truthModels()
-	optimistic := Biased{Base: truth, Y: 1.4}
-	servers := CaseStudyServers()
-	classes, err := SplitLoad(7000, CaseStudyShares())
+	servers := []Server{
+		{Name: "a", Arch: "A", Power: 1},
+		{Name: "b", Arch: "B", Power: 1},
+		{Name: "idle", Arch: "B", Power: 1},
+	}
+	classes := []Class{{Name: "c", GoalRT: 0.1, Clients: 180}}
+	plan, err := Allocate(classes, servers, tablePred{"A": 100, "B": 100}, 1.0, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	plan, err := Allocate(classes, servers, optimistic, 1.0, Options{})
-	if err != nil {
-		t.Fatal(err)
+	if len(plan.Allocations) != 2 || plan.Allocations[0] != (Allocation{"a", "c", 100}) || plan.Allocations[1] != (Allocation{"b", "c", 80}) {
+		t.Fatalf("plan = %+v, want a:100 b:80", plan.Allocations)
 	}
-	with, err := Evaluate(plan, classes, servers, truth, EvalOptions{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	without, err := Evaluate(plan, classes, servers, truth, EvalOptions{DisableRuntimeOptimization: true})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if with.SLAFailurePct > without.SLAFailurePct {
-		t.Fatalf("optimisation increased failures: %v vs %v", with.SLAFailurePct, without.SLAFailurePct)
+	for _, tc := range []struct {
+		realB    float64
+		rejected int // of the 40 clients a sheds
+	}{
+		{realB: 130, rejected: 0},  // b has 50 spare: all 40 re-placed
+		{realB: 100, rejected: 20}, // b has 20 spare; idle's 100 stay untouched
+	} {
+		res, err := Evaluate(plan, classes, servers, tablePred{"A": 60, "B": tc.realB})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got := res.Tracker.ClassRejected("c"); got != tc.rejected {
+			t.Errorf("real B capacity %v: %d clients rejected, want %d", tc.realB, got, tc.rejected)
+		}
+		if got := res.Tracker.ClassServed("c"); got != 180-tc.rejected {
+			t.Errorf("real B capacity %v: %d clients served, want %d", tc.realB, got, 180-tc.rejected)
+		}
+		if want := 100 * float64(tc.rejected) / 180; math.Abs(res.SLAFailurePct-want) > 1e-9 {
+			t.Errorf("real B capacity %v: %v%% failures, want %v%%", tc.realB, res.SLAFailurePct, want)
+		}
 	}
 }
 
@@ -287,7 +305,7 @@ func TestSweepSlackTradeOff(t *testing.T) {
 	servers := CaseStudyServers()
 	loads := []int{2000, 4000, 6000, 8000}
 	slacks := []float64{1.1, 0.9, 0.7, 0.5}
-	points, err := SweepSlack(CaseStudyShares(), servers, pred, truth, slacks, loads, Options{AllowDeflation: true}, EvalOptions{})
+	points, err := SweepSlack(CaseStudyShares(), servers, pred, truth, slacks, loads, Options{AllowDeflation: true})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -313,7 +331,7 @@ func TestMinZeroFailureSlack(t *testing.T) {
 	servers := CaseStudyServers()
 	loads := []int{2000, 4000, 6000}
 	slacks := []float64{0.9, 1.0, 1.1, 1.2, 1.3}
-	got, err := MinZeroFailureSlack(CaseStudyShares(), servers, pred, truth, slacks, loads, Options{AllowDeflation: true}, EvalOptions{})
+	got, err := MinZeroFailureSlack(CaseStudyShares(), servers, pred, truth, slacks, loads, Options{AllowDeflation: true})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -388,36 +406,6 @@ func TestCheapestSlack(t *testing.T) {
 	}
 	if _, _, err := CheapestSlack(points, sla.CostModel{}); err == nil {
 		t.Fatal("invalid cost model should fail")
-	}
-}
-
-func TestEvaluateRejectThreshold(t *testing.T) {
-	// A runtime rejection threshold below 1 makes servers shed clients
-	// earlier (they reject when response times are merely *near* the
-	// goal), so failures cannot decrease as the threshold tightens.
-	truth := truthModels()
-	servers := CaseStudyServers()
-	classes, err := SplitLoad(12000, CaseStudyShares())
-	if err != nil {
-		t.Fatal(err)
-	}
-	plan, err := Allocate(classes, servers, truth, 1.0, Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	loose, err := Evaluate(plan, classes, servers, truth, EvalOptions{RejectThreshold: 1.0, DisableRuntimeOptimization: true})
-	if err != nil {
-		t.Fatal(err)
-	}
-	tight, err := Evaluate(plan, classes, servers, truth, EvalOptions{RejectThreshold: 0.8, DisableRuntimeOptimization: true})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if tight.SLAFailurePct < loose.SLAFailurePct {
-		t.Fatalf("tighter threshold reduced failures: %v vs %v", tight.SLAFailurePct, loose.SLAFailurePct)
-	}
-	if _, err := Evaluate(plan, classes, servers, truth, EvalOptions{RejectThreshold: -1}); err == nil {
-		t.Fatal("negative threshold should fail")
 	}
 }
 

@@ -99,7 +99,7 @@ type SweepPoint struct {
 
 // SweepLoad runs the full plan/evaluate cycle at each load level with
 // a fixed slack — one line of figures 5 and 6.
-func SweepLoad(shares []ClassShare, servers []Server, pred, truth Predictor, slack float64, loads []int, allocOpts Options, evalOpts EvalOptions) ([]SweepPoint, error) {
+func SweepLoad(shares []ClassShare, servers []Server, pred, truth Predictor, slack float64, loads []int, allocOpts Options) ([]SweepPoint, error) {
 	points := make([]SweepPoint, 0, len(loads))
 	for _, total := range loads {
 		classes, err := SplitLoad(total, shares)
@@ -110,7 +110,7 @@ func SweepLoad(shares []ClassShare, servers []Server, pred, truth Predictor, sla
 		if err != nil {
 			return nil, err
 		}
-		res, err := Evaluate(plan, classes, servers, truth, evalOpts)
+		res, err := Evaluate(plan, classes, servers, truth)
 		if err != nil {
 			return nil, err
 		}
@@ -174,7 +174,7 @@ type SlackPoint struct {
 // anchoring. The set of loads averaged over is fixed by the anchor
 // slack (its loads prior to 100% server usage), so every slack level's
 // averages cover the same loads.
-func SweepSlack(shares []ClassShare, servers []Server, pred, truth Predictor, slacks []float64, loads []int, allocOpts Options, evalOpts EvalOptions) ([]SlackPoint, error) {
+func SweepSlack(shares []ClassShare, servers []Server, pred, truth Predictor, slacks []float64, loads []int, allocOpts Options) ([]SlackPoint, error) {
 	if len(slacks) == 0 {
 		return nil, errors.New("rm: no slack levels")
 	}
@@ -184,7 +184,7 @@ func SweepSlack(shares []ClassShare, servers []Server, pred, truth Predictor, sl
 	// exactly as in the serial loop, applied after the fan-out.
 	series, err := parallel.Map(context.Background(), 0, len(slacks),
 		func(_ context.Context, i int) ([]SweepPoint, error) {
-			return SweepLoad(shares, servers, pred, truth, slacks[i], loads, allocOpts, evalOpts)
+			return SweepLoad(shares, servers, pred, truth, slacks[i], loads, allocOpts)
 		})
 	if err != nil {
 		return nil, err
@@ -242,9 +242,9 @@ func CheapestSlack(points []SlackPoint, cost sla.CostModel) (SlackPoint, float64
 // the smallest one with zero SLA failures at every load before 100%
 // server usage — the paper's 1.1 for its non-uniform hybrid
 // predictions.
-func MinZeroFailureSlack(shares []ClassShare, servers []Server, pred, truth Predictor, slacks []float64, loads []int, allocOpts Options, evalOpts EvalOptions) (float64, error) {
+func MinZeroFailureSlack(shares []ClassShare, servers []Server, pred, truth Predictor, slacks []float64, loads []int, allocOpts Options) (float64, error) {
 	for _, slack := range slacks {
-		points, err := SweepLoad(shares, servers, pred, truth, slack, loads, allocOpts, evalOpts)
+		points, err := SweepLoad(shares, servers, pred, truth, slack, loads, allocOpts)
 		if err != nil {
 			return 0, err
 		}

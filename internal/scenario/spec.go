@@ -227,6 +227,12 @@ func (s *Spec) Validate() error {
 	return nil
 }
 
+// minDwellGaps is the shortest mean dwell an MMPP state may have, in
+// mean arrival gaps of the chain's fastest state. Arrivals cannot see a
+// shorter state, and a generator walks the chain one state at a time:
+// at mean_dwell 1e-300 a single Gen.Next never returns.
+const minDwellGaps = 1e-3
+
 func (c *CohortSpec) validate() error {
 	if c.Name == "" {
 		return errors.New("scenario: cohort needs a name")
@@ -284,6 +290,12 @@ func (c *CohortSpec) validate() error {
 		}
 		if maxRate == 0 {
 			return fmt.Errorf("scenario: mmpp cohort %q needs at least one state with positive rate", c.Name)
+		}
+		for i, st := range a.States {
+			if st.MeanDwell*maxRate < minDwellGaps {
+				return fmt.Errorf("scenario: mmpp cohort %q state %d: mean_dwell %v is under %v of the fastest state's mean arrival gap (1/%v s)",
+					c.Name, i, st.MeanDwell, minDwellGaps, maxRate)
+			}
 		}
 		if a.Clients != 0 || a.Rate != 0 || a.Trace != "" {
 			return fmt.Errorf("scenario: mmpp cohort %q must not set clients/rate/trace", c.Name)

@@ -156,7 +156,7 @@ func (b *batcher) run(sweeps *sessioncache.LRU[modelKey, *lqn.TradeSweep], job *
 	}
 	buyFrac := job.key.buyFrac()
 	if job.goalRT > 0 {
-		n, evals, err := sw.MaxClients(job.goalRT, 1<<20, func(n int) workload.Workload {
+		n, evals, err := sw.MaxClients(job.goalRT, maxSolveClients, func(n int) workload.Workload {
 			return workload.MixLoad(n, buyFrac)
 		})
 		m.batchSolves.Add(uint64(evals))

@@ -15,7 +15,8 @@ import (
 // accepts and no range check catches (every comparison with NaN is
 // false): each used to answer 200 with an empty body — the encoder
 // refused the non-finite answer after the header had gone — except
-// buy_pct=NaN, a 500 out of int(NaN) in makeKey.
+// buy_pct=NaN, a 500 out of int(NaN) in makeKey. The last is finite but
+// overflows int: it used to answer 200 with one client's response time.
 var nonFiniteProbes = []struct{ path, query, want string }{
 	{"/v1/predict", "clients=NaN", "bad clients: NaN"},
 	{"/v1/predict", "clients=Inf", "bad clients: Inf"},
@@ -25,6 +26,7 @@ var nonFiniteProbes = []struct{ path, query, want string }{
 	{"/v1/capacity", "goal_rt_s=NaN", "bad goal_rt_s: NaN"},
 	{"/v1/capacity", "goal_rt_s=Inf", "bad goal_rt_s: Inf"},
 	{"/v1/capacity", "goal_rt_s=Inf&method=lqn", "bad goal_rt_s: Inf"},
+	{"/v1/predict", "clients=1e19&method=lqn", "clients 1e+19 is beyond the model's range"},
 }
 
 // get drives the handler in-process. The request is assembled by hand:

@@ -467,9 +467,13 @@ func validateCommon(arch string, buyPct float64) error {
 // client's.
 func answerable(param string, asked, answer float64) error {
 	if math.IsNaN(answer) || math.IsInf(answer, 0) {
-		return &badRequestError{msg: fmt.Sprintf("%s %v is beyond the model's range", param, asked)}
+		return beyondRange(param, asked)
 	}
 	return nil
+}
+
+func beyondRange(param string, asked float64) error {
+	return &badRequestError{msg: fmt.Sprintf("%s %v is beyond the model's range", param, asked)}
 }
 
 // ---- endpoints ----
@@ -564,12 +568,16 @@ type batchPredictor struct {
 	key modelKey
 }
 
+// maxSolveClients is the largest population a layered solve is asked
+// about: the capacity search's limit, and what Predict refuses beyond —
+// int(1e19) wraps negative, and one client would answer for it.
+const maxSolveClients = 1 << 20
+
 func (b batchPredictor) Predict(_ string, n float64) (float64, error) {
-	clients := int(n + 0.5)
-	if clients < 1 {
-		clients = 1
+	if !(n <= maxSolveClients) {
+		return 0, beyondRange("clients", n)
 	}
-	out, err := b.solve(&solveJob{n: clients})
+	out, err := b.solve(&solveJob{n: max(1, int(n+0.5))})
 	return out.rt, err
 }
 

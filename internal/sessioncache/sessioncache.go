@@ -114,27 +114,15 @@ func (m *MissRateModel) Predict(capacityBytes float64) float64 {
 }
 
 // EffectiveDemand folds a predicted miss rate into a request type's
-// demand: each miss adds extraCalls database calls of missCallTime
-// seconds each (0 keeps the type's own per-call time). The result can
-// be handed to any of the three methods' demand inputs.
-func EffectiveDemand(d workload.Demand, missRate, extraCalls, missCallTime float64) (workload.Demand, error) {
+// demand: each miss adds workload.CacheMissDBCalls database calls of
+// the type's own per-call time, so only the call count grows. The
+// result can be handed to any of the three methods' demand inputs.
+func EffectiveDemand(d workload.Demand, missRate float64) (workload.Demand, error) {
 	if missRate < 0 || missRate > 1 {
 		return workload.Demand{}, fmt.Errorf("sessioncache: miss rate %v outside [0,1]", missRate)
 	}
-	if extraCalls < 0 {
-		return workload.Demand{}, errors.New("sessioncache: negative extra calls")
-	}
-	if missCallTime == 0 {
-		missCallTime = d.DBTimePerCall
-	}
-	extra := missRate * extraCalls
-	out := d
-	totalTime := d.TotalDBTime() + extra*missCallTime
-	out.DBCallsPerRequest = d.DBCallsPerRequest + extra
-	if out.DBCallsPerRequest > 0 {
-		out.DBTimePerCall = totalTime / out.DBCallsPerRequest
-	}
-	return out, nil
+	d.DBCallsPerRequest += missRate * workload.CacheMissDBCalls
+	return d, nil
 }
 
 // CacheSolveResult is the outcome of the layered fixed-point attempt.
@@ -161,7 +149,7 @@ type CacheSolveResult struct {
 // derivable from the solution (missRate × throughput × meanSession ×
 // inter-request time), so an exponential shape is assumed — the
 // unsupported extrapolation the paper identifies.
-func SolveWithCache(server workload.ServerArch, db workload.DBServer, demands map[workload.RequestType]workload.Demand, load workload.Workload, capacityBytes, meanSessionBytes, extraCalls, missCallTime float64, opt lqn.Options) (*CacheSolveResult, error) {
+func SolveWithCache(server workload.ServerArch, db workload.DBServer, demands map[workload.RequestType]workload.Demand, load workload.Workload, capacityBytes, meanSessionBytes float64, opt lqn.Options) (*CacheSolveResult, error) {
 	if capacityBytes <= 0 || meanSessionBytes <= 0 {
 		return nil, errors.New("sessioncache: capacity and session size must be positive")
 	}
@@ -175,7 +163,7 @@ func SolveWithCache(server workload.ServerArch, db workload.DBServer, demands ma
 	adjusted := make(map[workload.RequestType]workload.Demand, len(demands))
 	retune := func() error {
 		for rt, d := range demands {
-			eff, err := EffectiveDemand(d, miss, extraCalls, missCallTime)
+			eff, err := EffectiveDemand(d, miss)
 			if err != nil {
 				return err
 			}

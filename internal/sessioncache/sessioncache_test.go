@@ -82,7 +82,7 @@ func TestFitMissRateModelFromSimulator(t *testing.T) {
 			Seed:     11,
 			WarmUp:   40,
 			Duration: 120,
-			Cache:    &trade.CacheConfig{SizeBytes: capacity, SessionBytesMean: sessionBytes, MissExtraDBCalls: 1},
+			Cache:    &trade.CacheConfig{SizeBytes: capacity, SessionBytesMean: sessionBytes},
 		}
 		res, err := trade.Run(cfg)
 		if err != nil {
@@ -110,8 +110,8 @@ func TestFitMissRateModelFromSimulator(t *testing.T) {
 
 func TestEffectiveDemand(t *testing.T) {
 	d := workload.Demand{AppServerTime: 0.005, DBTimePerCall: 0.001, DBCallsPerRequest: 1}
-	// 50% miss rate, 1 extra call per miss → +0.5 calls per request.
-	eff, err := EffectiveDemand(d, 0.5, 1, 0)
+	// 50% miss rate, one extra call per miss → +0.5 calls per request.
+	eff, err := EffectiveDemand(d, 0.5)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -125,18 +125,15 @@ func TestEffectiveDemand(t *testing.T) {
 		t.Fatal("app demand must be unchanged")
 	}
 	// Zero miss rate is identity.
-	same, err := EffectiveDemand(d, 0, 1, 0)
+	same, err := EffectiveDemand(d, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if same.TotalDBTime() != d.TotalDBTime() {
 		t.Fatal("zero miss rate should not change demand")
 	}
-	if _, err := EffectiveDemand(d, 1.5, 1, 0); err == nil {
+	if _, err := EffectiveDemand(d, 1.5); err == nil {
 		t.Fatal("miss rate > 1 should fail")
-	}
-	if _, err := EffectiveDemand(d, 0.5, -1, 0); err == nil {
-		t.Fatal("negative extra calls should fail")
 	}
 }
 
@@ -146,7 +143,7 @@ func TestSolveWithCacheFixedPoint(t *testing.T) {
 	run := func(capacity float64) *CacheSolveResult {
 		res, err := SolveWithCache(workload.AppServF(), workload.CaseStudyDB(),
 			workload.CaseStudyDemands(), workload.TypicalWorkload(clients),
-			capacity, sessionBytes, 1, 0, lqn.Options{})
+			capacity, sessionBytes, lqn.Options{})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -180,7 +177,7 @@ func TestSolveWithCacheFixedPoint(t *testing.T) {
 	}
 	if _, err := SolveWithCache(workload.AppServF(), workload.CaseStudyDB(),
 		workload.CaseStudyDemands(), workload.TypicalWorkload(clients),
-		0, sessionBytes, 1, 0, lqn.Options{}); err == nil {
+		0, sessionBytes, lqn.Options{}); err == nil {
 		t.Fatal("zero capacity should fail")
 	}
 }
@@ -190,14 +187,14 @@ func TestSolveWithCacheFixedPoint(t *testing.T) {
 // iteration — the behaviour SolveWithCache had before it reused the
 // resolved topology. The optimised loop must stay on the same fixed
 // point.
-func naiveSolveWithCache(t *testing.T, server workload.ServerArch, db workload.DBServer, demands map[workload.RequestType]workload.Demand, load workload.Workload, capacityBytes, meanSessionBytes, extraCalls, missCallTime float64, opt lqn.Options) (missRate float64, res *lqn.Result) {
+func naiveSolveWithCache(t *testing.T, server workload.ServerArch, db workload.DBServer, demands map[workload.RequestType]workload.Demand, load workload.Workload, capacityBytes, meanSessionBytes float64, opt lqn.Options) (missRate float64, res *lqn.Result) {
 	t.Helper()
 	clients := load.TotalClients()
 	miss := EqualAccessMissRate(clients, meanSessionBytes, capacityBytes)
 	for iter := 0; iter < 100; iter++ {
 		adjusted := make(map[workload.RequestType]workload.Demand, len(demands))
 		for rt, d := range demands {
-			eff, err := EffectiveDemand(d, miss, extraCalls, missCallTime)
+			eff, err := EffectiveDemand(d, miss)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -230,13 +227,13 @@ func TestSolveWithCacheMatchesNaiveRebuild(t *testing.T) {
 		capacity := frac * clients * sessionBytes
 		got, err := SolveWithCache(workload.AppServF(), workload.CaseStudyDB(),
 			workload.CaseStudyDemands(), workload.TypicalWorkload(clients),
-			capacity, sessionBytes, 1, 0, lqn.Options{})
+			capacity, sessionBytes, lqn.Options{})
 		if err != nil {
 			t.Fatal(err)
 		}
 		wantMiss, wantRes := naiveSolveWithCache(t, workload.AppServF(), workload.CaseStudyDB(),
 			workload.CaseStudyDemands(), workload.TypicalWorkload(clients),
-			capacity, sessionBytes, 1, 0, lqn.Options{})
+			capacity, sessionBytes, lqn.Options{})
 		if d := math.Abs(got.MissRate - wantMiss); d > 1e-4 {
 			t.Fatalf("capacity %.2f: miss rate %v, reference %v (Δ=%v)", frac, got.MissRate, wantMiss, d)
 		}

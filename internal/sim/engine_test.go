@@ -251,25 +251,6 @@ func TestStreamChoose(t *testing.T) {
 	}()
 }
 
-func TestStreamGeometric(t *testing.T) {
-	s := NewStream(11)
-	// Mean of the counting distribution is p/(1-p); the buy class's 10
-	// sequential buys implies p = 10/11.
-	const p = 10.0 / 11.0
-	var sum float64
-	const n = 100000
-	for i := 0; i < n; i++ {
-		sum += float64(s.Geometric(p))
-	}
-	got := sum / n
-	if math.Abs(got-10)/10 > 0.03 {
-		t.Fatalf("geometric mean %v, want ≈10", got)
-	}
-	if s.Geometric(0) != 0 {
-		t.Fatal("p=0 should draw 0")
-	}
-}
-
 func TestStreamDerive(t *testing.T) {
 	parent := NewStream(42)
 	a := parent.Derive(1)

@@ -122,21 +122,3 @@ func (s *Stream) Choose(weights []float64) int {
 	}
 	return len(weights) - 1
 }
-
-// Geometric returns a draw of the number of trials until first failure
-// with continue-probability p in [0,1): 0 with probability 1-p, k with
-// probability (1-p)p^k. The Trade buy class uses it for the number of
-// sequential buy requests before logoff (§3.1).
-func (s *Stream) Geometric(p float64) int {
-	if p <= 0 {
-		return 0
-	}
-	if p >= 1 {
-		panic("sim: geometric continue-probability must be < 1")
-	}
-	n := 0
-	for s.r.Float64() < p {
-		n++
-	}
-	return n
-}

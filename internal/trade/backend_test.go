@@ -89,7 +89,7 @@ func TestBackendsAgree(t *testing.T) {
 		{"1500 clients", base(workload.TypicalWorkload(1500))},
 		{"mixed classes", base(workload.MixedWorkload(900, 0.25))},
 		{"cache", with(base(workload.TypicalWorkload(400)), func(c *Config) {
-			c.Cache = &CacheConfig{SizeBytes: 400 * 4096 / 3, SessionBytesMean: 4096, MissExtraDBCalls: 1}
+			c.Cache = &CacheConfig{SizeBytes: 400 * 4096 / 3, SessionBytesMean: 4096}
 		})},
 		{"critical section", with(base(workload.TypicalWorkload(1100)), func(c *Config) {
 			c.CriticalSection = &CriticalSectionConfig{MeanTime: 0.010, Fraction: 0.30}

@@ -173,7 +173,6 @@ func TestClusterCachePerServer(t *testing.T) {
 		cfg.Cache = &CacheConfig{
 			SizeBytes:        8 * 1024 * 1024,
 			SessionBytesMean: 4096,
-			MissExtraDBCalls: 1,
 		}
 		return cfg
 	}

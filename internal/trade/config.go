@@ -19,6 +19,7 @@ package trade
 import (
 	"errors"
 	"fmt"
+	"math"
 
 	"perfpred/internal/scenario"
 	"perfpred/internal/workload"
@@ -26,8 +27,8 @@ import (
 
 // CacheConfig enables the §7.2 indirect-persistence variant, in which
 // the application server's main memory caches per-client session data:
-// a request that misses the cache pays an extra database call to read
-// its session back.
+// a request that misses the cache pays workload.CacheMissDBCalls extra
+// database calls to read its session back.
 type CacheConfig struct {
 	// SizeBytes is the memory available for session data.
 	SizeBytes int64
@@ -35,9 +36,6 @@ type CacheConfig struct {
 	// per-client sizes are sampled exponentially around it, giving the
 	// variable session-size distribution the paper describes.
 	SessionBytesMean float64
-	// MissExtraDBCalls is the number of additional database calls a
-	// cache miss costs (1 in the paper: one session read).
-	MissExtraDBCalls float64
 }
 
 // Validate reports the first structural problem with the cache
@@ -48,8 +46,6 @@ func (c CacheConfig) Validate() error {
 		return errors.New("trade: cache size must be positive")
 	case c.SessionBytesMean <= 0:
 		return errors.New("trade: session size mean must be positive")
-	case c.MissExtraDBCalls < 0:
-		return errors.New("trade: miss extra db calls must be non-negative")
 	}
 	return nil
 }
@@ -160,8 +156,8 @@ type Config struct {
 	// Pools times, each replica carrying the configured Load with its
 	// own random streams split from Seed by stable pool index
 	// (sim.SplitSeed), so the fleet's trajectory is identical at any
-	// shard count. 0 or 1 with Shards ≤ 1 selects the legacy
-	// single-engine path, which is bit-identical to previous releases.
+	// shard count. 0 or 1 with Shards ≤ 1 selects the single-engine
+	// path the paper's experiments run on.
 	// Pools defaults to Shards when unset in a sharded run.
 	Pools int
 	// Shards is the number of engine shards the pools are partitioned
@@ -208,8 +204,8 @@ const DefaultMaxRTSamples = 200000
 const ShardLatency = 0.005
 
 // sharded reports whether the configuration selects the fleet model
-// (shard coordinator + pool replicas) rather than the legacy
-// single-engine simulator.
+// (shard coordinator + pool replicas) rather than the single-engine
+// simulator.
 func (c Config) sharded() bool { return c.Pools > 1 || c.Shards > 1 }
 
 // effectivePools resolves the replica count of a sharded run: Pools,
@@ -312,8 +308,9 @@ func (c Config) Validate() error {
 			}
 		}
 	}
-	if c.WarmUp < 0 || c.Duration <= 0 {
-		return errors.New("trade: need non-negative warm-up and positive duration")
+	// Written so that NaN fails too (NaN <= 0 is false), and the run ends.
+	if !(c.WarmUp >= 0 && c.Duration > 0) || math.IsInf(c.WarmUp+c.Duration, 0) {
+		return errors.New("trade: need finite non-negative warm-up and positive duration")
 	}
 	if c.Cache != nil {
 		if err := c.Cache.Validate(); err != nil {

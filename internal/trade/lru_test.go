@@ -118,7 +118,7 @@ func TestCacheVariantDegradesWhenWorkingSetExceedsCache(t *testing.T) {
 	}
 
 	big := base
-	big.Cache = &CacheConfig{SizeBytes: 1 << 40, SessionBytesMean: 4096, MissExtraDBCalls: 1}
+	big.Cache = &CacheConfig{SizeBytes: 1 << 40, SessionBytesMean: 4096}
 	bigRes, err := Run(big)
 	if err != nil {
 		t.Fatal(err)
@@ -129,7 +129,7 @@ func TestCacheVariantDegradesWhenWorkingSetExceedsCache(t *testing.T) {
 
 	small := base
 	// Room for only ~10% of the 400 sessions.
-	small.Cache = &CacheConfig{SizeBytes: 40 * 4096, SessionBytesMean: 4096, MissExtraDBCalls: 1}
+	small.Cache = &CacheConfig{SizeBytes: 40 * 4096, SessionBytesMean: 4096}
 	smallRes, err := Run(small)
 	if err != nil {
 		t.Fatal(err)

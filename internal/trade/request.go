@@ -2,18 +2,18 @@ package trade
 
 import "perfpred/internal/workload"
 
-// reqState is one in-flight request's lifecycle record. The legacy
-// implementation chained fresh closures for every stage of every
-// request (thread grant → CPU segments → database calls → response),
-// allocating a handful of funcs and captured frames per request. A
-// reqState instead carries the stage data in plain fields and a set of
-// continuations bound once, when the record is first allocated; retired
-// records return to a per-simulator free list, so the steady-state
-// request loop allocates nothing.
+// reqState is one in-flight request's lifecycle record (thread grant →
+// CPU segments → database calls → response). It carries the stage data
+// in plain fields and a set of continuations bound once, when the
+// record is first allocated; retired records return to a per-simulator
+// free list, so the steady-state request loop allocates nothing.
 //
-// The continuation methods fire at exactly the simulated instants the
-// old closures did, and make their random draws in the same order on
-// the same streams, so per-seed results are unchanged.
+// Draw order is part of the contract: every per-seed result depends on
+// which stage draws from s.serve when. Each stage draws at the instant
+// its resource is granted, never ahead of it — call count and total CPU
+// demand at the thread grant, the locked burst at the lock grant, a
+// database call's CPU time at the agent grant, its latency at the
+// call's completion, the think time after the thread is released.
 type reqState struct {
 	s   *simulator
 	c   *client   // nil for open-stream arrivals
@@ -87,7 +87,7 @@ func (r *reqState) slotGranted() {
 	if r.app.cache != nil && r.c != nil {
 		size := s.sessionBytes[r.c.id]
 		if !r.app.cache.touch(r.c.id, size) {
-			r.dbCalls += s.sampleCalls(s.cfg.Cache.MissExtraDBCalls)
+			r.dbCalls += workload.CacheMissDBCalls
 		}
 	}
 	totalCPU := s.serve.Exp(r.d.AppServerTime) // reference-scale demand; CPU speed scales service
@@ -102,7 +102,7 @@ func (r *reqState) slotGranted() {
 }
 
 // csGranted runs when the critical-section lock is granted: the locked
-// CPU burst's length is drawn now, as the legacy path did.
+// CPU burst's length is drawn now, not when the request queued for it.
 func (r *reqState) csGranted() {
 	r.app.cpu.Submit(r.s.serve.Exp(r.s.cfg.CriticalSection.MeanTime), r.onCSDone)
 }
@@ -126,7 +126,7 @@ func (r *reqState) segDone() {
 }
 
 // dbGranted runs when a database agent is granted; the call's CPU time
-// is drawn at grant time, exactly where the legacy closure drew it.
+// is drawn at grant time, so requests draw in the order they are served.
 func (r *reqState) dbGranted() {
 	s := r.s
 	s.dbCPU.Submit(s.serve.Exp(r.d.DBTimePerCall), r.onDBDone)
@@ -158,8 +158,7 @@ func (r *reqState) latDone() {
 // the next queued request), records the response time, and — for a
 // closed client — schedules the next request after a think time. The
 // think-time draw deliberately happens after the thread release, so a
-// synchronously admitted request makes its draws first, exactly as the
-// legacy nested closures ordered them.
+// synchronously admitted request makes its draws first.
 func (r *reqState) finish() {
 	s := r.s
 	if s.router != nil {

@@ -1,6 +1,8 @@
 package trade
 
 import (
+	"slices"
+
 	"perfpred/internal/sim"
 	"perfpred/internal/workload"
 )
@@ -8,9 +10,8 @@ import (
 // typeSampler resolves a service class's request-type mix once per run:
 // the mix's types in deterministic order, their demands pre-looked-up
 // from the demand table, and — for multi-type mixes — a Walker/Vose
-// alias table so each pick costs one uniform draw and no sort. The old
-// per-request path rebuilt the sorted type list and scanned a CDF on
-// every pick; this sampler does that work exactly once per Config.
+// alias table so each pick costs one uniform draw and no sort; the
+// sorting and table building happen exactly once per Config.
 //
 // Draw discipline: a single-type mix consumes no draws (the invariant
 // every golden output relies on); a multi-type mix consumes exactly one
@@ -61,10 +62,6 @@ func orderedTypes(m workload.Mix) []workload.RequestType {
 	for rt := range m {
 		out = append(out, rt)
 	}
-	for i := 1; i < len(out); i++ {
-		for j := i; j > 0 && out[j] < out[j-1]; j-- {
-			out[j], out[j-1] = out[j-1], out[j]
-		}
-	}
+	slices.Sort(out)
 	return out
 }

@@ -69,7 +69,7 @@ func (g *scenGen) pull() {
 }
 
 // doArrive admits one scenario arrival: schedule the successor first
-// (matching the legacy open-stream ordering, so admitting the request
+// (as Config.Load's open streams do, so admitting the request
 // synchronously cannot perturb the arrival clock), then run the
 // request like any open arrival, with a mix-sampled or trace-recorded
 // type.

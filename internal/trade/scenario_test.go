@@ -245,7 +245,7 @@ func TestScenarioConfigValidation(t *testing.T) {
 		t.Fatalf("Scenario+DetailedOperations accepted: %v", err)
 	}
 	cfg = scenarioConfig(sc)
-	cfg.Cache = &CacheConfig{SizeBytes: 1 << 20, SessionBytesMean: 1024, MissExtraDBCalls: 1}
+	cfg.Cache = &CacheConfig{SizeBytes: 1 << 20, SessionBytesMean: 1024}
 	if _, err := Run(cfg); err == nil || !strings.Contains(err.Error(), "session cache") {
 		t.Fatalf("Scenario+Cache accepted: %v", err)
 	}

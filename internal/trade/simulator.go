@@ -46,7 +46,7 @@ type simulator struct {
 	choose *sim.Stream
 	route  *sim.Stream
 
-	// Sharded-fleet wiring (nil/zero on the legacy single-engine path):
+	// Sharded-fleet wiring (nil/zero on the single-engine path):
 	// the pool's shard, its stable pool index, references to sibling
 	// pools and a free list of cross-pool request records.
 	shard   *sim.Shard
@@ -142,15 +142,15 @@ type client struct {
 	detailBrowse bool           // detailed-operations browse client
 	sampler      *typeSampler   // the class's resolved request-type mix
 	acc          *classAcc      // the class's response-time accumulator
-	think        *scenario.Dist // scenario think-time distribution (nil = legacy exponential)
+	think        *scenario.Dist // scenario think-time distribution (nil = exponential)
 	issue        func()         // bound once: begin the next request
 }
 
 // thinkDelay draws the client's next think time: the scenario
-// cohort's declared distribution when one is attached, the legacy
+// cohort's declared distribution when one is attached, the class's
 // exponential otherwise. Both draw from the simulator's think stream,
 // and a scenario cohort declaring an exponential think makes the
-// exact draw the legacy path would, so the two modes stay comparable
+// exact draw a Config.Load class would, so the two modes stay comparable
 // seed-for-seed.
 func (s *simulator) thinkDelay(c *client) float64 {
 	if c.think != nil {
@@ -295,9 +295,9 @@ func newSimulator(cfg Config, opt simOptions) *simulator {
 		s.sessionBytes = make([]int64, totalClients)
 	}
 
-	// Registration order, and the draw order within it, exactly match
-	// the legacy construction: per closed client a sticky-route draw,
-	// a session-size draw (cache variant) and a think-time draw, in
+	// Registration order, and the draw order within it, are what every
+	// seeded result rests on: per closed client a sticky-route draw, a
+	// session-size draw (cache variant) and a think-time draw, in
 	// population order; open streams draw their first inter-arrival gap
 	// in place.
 	id, sessID := 0, 0
@@ -353,8 +353,8 @@ func newSimulator(cfg Config, opt simOptions) *simulator {
 		}
 	}
 	// Bind accumulators in a second pass: with duplicate class names the
-	// last registration wins for every client of that name, matching the
-	// legacy record-time map lookup.
+	// last registration wins for every client of that name, so one name
+	// is one accumulator.
 	for i := range s.clients {
 		s.clients[i].acc = s.acc[s.clients[i].class.Name]
 	}

@@ -26,6 +26,15 @@ func TestConfigValidate(t *testing.T) {
 	if err := bad.Validate(); err == nil {
 		t.Fatal("zero duration should fail")
 	}
+	// NaN passes every ordered comparison and an infinite run never
+	// returns: `tradebench -duration NaN` used to hang.
+	for _, h := range [][2]float64{{0, math.NaN()}, {math.NaN(), 1}, {0, math.Inf(1)}, {math.Inf(1), 1}} {
+		bad = good
+		bad.WarmUp, bad.Duration = h[0], h[1]
+		if err := bad.Validate(); err == nil {
+			t.Fatalf("warm-up %v, duration %v should fail", h[0], h[1])
+		}
+	}
 	bad = good
 	bad.Demands = map[workload.RequestType]workload.Demand{}
 	if err := bad.Validate(); err == nil {

@@ -33,6 +33,12 @@ const (
 	// requests a buy client makes before logging off (§3.1), giving
 	// the mean portfolio size of 5.5.
 	BuyRequestsPerSession = 10
+
+	// CacheMissDBCalls is what a session-cache miss costs (§7.2): one
+	// more database call, of the request type's own per-call time, to
+	// read the session back. The simulator charges it and the models
+	// fold it into their demands.
+	CacheMissDBCalls = 1
 )
 
 // Ground-truth demands on the reference architecture (AppServF). The

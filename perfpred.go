@@ -274,10 +274,8 @@ type (
 	RMServer = rm.Server
 	// RMPlan is Algorithm 1's output.
 	RMPlan = rm.Plan
-	// RMOptions and RMEvalOptions tune planning and runtime
-	// evaluation.
-	RMOptions     = rm.Options
-	RMEvalOptions = rm.EvalOptions
+	// RMOptions tunes planning.
+	RMOptions = rm.Options
 	// RMResult carries the §9.1 cost metrics.
 	RMResult = rm.Result
 	// ModelSet adapts historical models to the Predictor interface.
@@ -290,10 +288,9 @@ type (
 	SweepPoint = rm.SweepPoint
 	SlackPoint = rm.SlackPoint
 	// Application and EpochResult drive the §2 multi-application
-	// provider loop; ProviderOptions tunes it.
-	Application     = rm.Application
-	EpochResult     = rm.EpochResult
-	ProviderOptions = rm.ProviderOptions
+	// provider loop.
+	Application = rm.Application
+	EpochResult = rm.EpochResult
 )
 
 // Resource-management operations.

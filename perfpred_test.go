@@ -81,7 +81,7 @@ func TestFacadeQuickstart(t *testing.T) {
 	if len(plan.Allocations) == 0 {
 		t.Fatal("empty plan")
 	}
-	res, err := EvaluatePlan(plan, classes, RMCaseStudyServers(), hyb, RMEvalOptions{})
+	res, err := EvaluatePlan(plan, classes, RMCaseStudyServers(), hyb)
 	if err != nil {
 		t.Fatal(err)
 	}
