@@ -58,9 +58,9 @@ func run(args []string, stop <-chan os.Signal, stderr io.Writer) error {
 	fs.SetOutput(stderr)
 	addr := fs.String("addr", ":8089", "listen address (use 127.0.0.1:0 with -addr-file for an ephemeral port)")
 	addrFile := fs.String("addr-file", "", "write the bound address to this file once listening")
-	cacheCap := fs.Int("cache-cap", 256, "model store capacity in (method, architecture, mix) entries, all methods together; 0 = unbounded")
+	cacheCap := fs.Int("cache-cap", 256, "model store capacity in (method, architecture, mix) entries, all methods together; 0 = unbounded. Bounds assembled models; measured evidence is kept per key")
 	points := fs.Int("points", 0, "hybrid pseudo data points per equation (0 = paper's 4)")
-	laplaceB := fs.Float64("laplace-b", 0, "fixed Laplace percentile scale in seconds; 0 calibrates per key from a fixed-seed simulator run")
+	laplaceB := fs.Float64("laplace-b", 0, "fixed Laplace percentile scale in seconds; 0 calibrates per key from a fixed-seed simulator run, once per key")
 	calibSeconds := fs.Float64("calib-seconds", 40, "simulated seconds per percentile calibration run")
 	regressSeconds := fs.Float64("regress-seconds", 20, "simulated seconds per regress training run")
 	buildWorkers := fs.Int("build-workers", 2, "concurrent cold model builds, all methods together")

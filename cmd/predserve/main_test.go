@@ -115,4 +115,9 @@ func TestServeColdWarmDrain(t *testing.T) {
 	if snap.Counters["serve_cache_hits"] < 3 {
 		t.Fatalf("-report counts %d cache hits, want the three warm requests", snap.Counters["serve_cache_hits"])
 	}
+	// The start-up delay in simulated seconds: one 10 s calibration run
+	// and its quarter of warm-up, rounded to whole seconds.
+	if runs, secs := snap.Counters["serve_simulator_runs"], snap.Counters["serve_simulated_seconds"]; runs != 1 || secs != 13 {
+		t.Fatalf("-report counts %d simulator runs over %d simulated seconds, want 1 over 13", runs, secs)
+	}
 }

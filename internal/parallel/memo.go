@@ -93,6 +93,14 @@ func (m *Memo[K, V]) Forget(key K) {
 	}
 }
 
+// Len reports how many keys the table holds: memoised values plus
+// flights still in progress.
+func (m *Memo[K, V]) Len() int {
+	m.mu.Lock()
+	defer m.mu.Unlock()
+	return len(m.m)
+}
+
 // Once memoises a single computed value: Memo with one key. It is the
 // done-flag replacement for zero-value sentinels like
 // `if s.gradient != 0 { return s.gradient }`, which misread a

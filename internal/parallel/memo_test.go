@@ -64,6 +64,26 @@ func TestMemoErrorsRetry(t *testing.T) {
 	}
 }
 
+// Len counts what the table retains: successes stay, failures and
+// forgotten keys do not.
+func TestMemoLen(t *testing.T) {
+	var m Memo[string, int]
+	if n := m.Len(); n != 0 {
+		t.Fatalf("zero Memo holds %d keys", n)
+	}
+	for _, k := range []string{"a", "b", "a"} {
+		_, _ = m.Do(k, func() (int, error) { return 1, nil })
+	}
+	_, _ = m.Do("bad", func() (int, error) { return 0, errors.New("boom") })
+	if n := m.Len(); n != 2 {
+		t.Fatalf("Len = %d after two successes and a failure, want 2", n)
+	}
+	m.Forget("a")
+	if n := m.Len(); n != 1 {
+		t.Fatalf("Len = %d after Forget, want 1", n)
+	}
+}
+
 // TestMemoStampede is the serving-cache contract: a thundering herd of
 // cold requests for one key runs the underlying build exactly once,
 // and every caller — leader and waiters alike — receives that build's

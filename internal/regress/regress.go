@@ -11,7 +11,9 @@
 //
 // Training data comes from `trade` simulator runs (Train) or from any
 // externally measured samples (Fit) — e.g. the obs layer's response
-// time aggregates. Training is deterministic: the feature order is
+// time aggregates. Train is Measure then FitMeasured, so a caller that
+// keeps the measured samples (the prediction service does, per key) can
+// refit without simulating again. Training is deterministic: the feature order is
 // fixed, sample populations are drawn from seeded streams before any
 // parallelism starts, measurements fan out over workers with one
 // seeded run per sample, and the fit itself is a serial pass in fixed

@@ -167,6 +167,65 @@ func TestTrainDeterministicAcrossWorkers(t *testing.T) {
 }
 
 // Fit must reject malformed inputs loudly.
+// Train is Measure then FitMeasured and nothing else: a refit over
+// samples measured separately — at either worker count — must reproduce
+// Train's model coefficient for coefficient, and its Stats must report
+// what the original measurement cost, not what the refit did.
+func TestTrainEqualsFitOverMeasuredSamples(t *testing.T) {
+	cfg := TrainConfig{
+		Archs:         []workload.ServerArch{testArch()},
+		BuyFracs:      []float64{0.1},
+		SamplesPerMix: 8,
+		Seed:          41,
+		Opt:           trade.MeasureOptions{WarmUp: 2, Duration: 6, Workers: 1},
+		Fit:           FitConfig{Degree: 2},
+	}
+	trained, err := Train(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := trained.Weights("TestServ")
+	wantRT, _ := trained.Predict("TestServ", 120)
+	for _, workers := range []int{1, 4} {
+		cfg.Opt.Workers = workers
+		samples, err := Measure(cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		kept := append([]Sample(nil), samples...)
+		for refit := 0; refit < 2; refit++ { // the samples outlive a fit unchanged
+			m, err := FitMeasured(cfg, samples)
+			if err != nil {
+				t.Fatal(err)
+			}
+			got := m.Weights("TestServ")
+			if len(got) == 0 || len(got) != len(want) {
+				t.Fatalf("workers %d: weight vectors %d vs %d", workers, len(got), len(want))
+			}
+			for i := range want {
+				if math.Float64bits(got[i]) != math.Float64bits(want[i]) {
+					t.Errorf("workers %d refit %d: weight %d = %v, Train fitted %v", workers, refit, i, got[i], want[i])
+				}
+			}
+			if rt, _ := m.Predict("TestServ", 120); rt != wantRT || m.QueryBuyFrac != trained.QueryBuyFrac {
+				t.Errorf("workers %d: refit predicts %v at mix %v, Train %v at %v", workers, rt, m.QueryBuyFrac, wantRT, trained.QueryBuyFrac)
+			}
+			if m.Stats.Samples != 8 || m.Stats.SimSeconds != 8*(2+6) ||
+				m.Stats.Samples != trained.Stats.Samples || m.Stats.SimSeconds != trained.Stats.SimSeconds {
+				t.Errorf("workers %d: refit stats %+v, Train's %+v", workers, m.Stats, trained.Stats)
+			}
+			if m.Stats.WallSeconds <= 0 {
+				t.Errorf("workers %d: refit recorded no wall time", workers)
+			}
+		}
+		for i := range kept {
+			if samples[i] != kept[i] {
+				t.Fatalf("workers %d: FitMeasured changed sample %d: %+v → %+v", workers, i, kept[i], samples[i])
+			}
+		}
+	}
+}
+
 func TestFitValidation(t *testing.T) {
 	arch := testArch()
 	if _, err := Fit(nil, []workload.ServerArch{arch}, workload.CaseStudyDemands(), workload.ThinkTimeMean, FitConfig{}); err == nil {

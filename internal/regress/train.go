@@ -80,11 +80,30 @@ func drawPopulations(arch workload.ServerArch, cell uint64, cfg TrainConfig) []i
 	return pops
 }
 
-// Train measures a seeded grid of simulator runs and fits the model.
-// The startup cost (simulated seconds, wall seconds, sample count) is
-// recorded in Model.Stats — the number the four-family comparison
-// holds against hybrid's calibration runs.
+// Train measures a seeded grid of simulator runs and fits the model:
+// Measure, then FitMeasured. The startup cost (simulated seconds, wall
+// seconds, sample count) is recorded in Model.Stats — the number the
+// four-family comparison holds against hybrid's calibration runs.
 func Train(cfg TrainConfig) (*Model, error) {
+	start := time.Now()
+	samples, err := Measure(cfg)
+	if err != nil {
+		return nil, err
+	}
+	m, err := FitMeasured(cfg, samples)
+	if err != nil {
+		return nil, err
+	}
+	m.Stats.WallSeconds = time.Since(start).Seconds()
+	return m, nil
+}
+
+// Measure is the simulator-backed part of Train: it lays out the seeded
+// sample grid and measures every point, returning the samples in the
+// order the fit consumes them. The result is a pure function of cfg (at
+// any Opt.Workers), so a caller may keep it and refit with FitMeasured
+// instead of simulating again.
+func Measure(cfg TrainConfig) ([]Sample, error) {
 	cfg = cfg.withDefaults()
 	if len(cfg.Archs) == 0 {
 		return nil, errors.New("regress: no architectures to train")
@@ -94,20 +113,19 @@ func Train(cfg TrainConfig) (*Model, error) {
 			return nil, fmt.Errorf("regress: buy fraction %v outside [0,1]", f)
 		}
 	}
-	start := time.Now()
 
-	// Phase 1 (serial, seeded): lay out the full sample grid.
-	type spec struct {
-		arch    workload.ServerArch
-		buyFrac float64
-		clients int
-	}
-	var specs []spec
+	// Phase 1 (serial, seeded): lay out the full sample grid, in the
+	// fixed order the fit will see.
+	var (
+		samples []Sample
+		archs   []workload.ServerArch // archs[i] is samples[i]'s architecture
+	)
 	cell := uint64(0)
 	for _, arch := range cfg.Archs {
 		for _, bf := range cfg.BuyFracs {
 			for _, n := range drawPopulations(arch, cell, cfg) {
-				specs = append(specs, spec{arch: arch, buyFrac: bf, clients: n})
+				samples = append(samples, Sample{Arch: arch.Name, Clients: n, BuyFrac: bf})
+				archs = append(archs, arch)
 			}
 			cell++
 		}
@@ -116,13 +134,11 @@ func Train(cfg TrainConfig) (*Model, error) {
 	// Phase 2 (parallel): measure each grid point in its own seeded
 	// run. Each cell's seed depends only on its grid index, so the
 	// measurements are bit-identical at any worker count.
-	opt := cfg.Opt
-	results, err := parallel.Map(context.Background(), cfg.Opt.Workers, len(specs),
+	results, err := parallel.Map(context.Background(), cfg.Opt.Workers, len(samples),
 		func(_ context.Context, i int) (float64, error) {
-			sp := specs[i]
-			o := opt
+			o := cfg.Opt
 			o.Seed = sim.SplitSeed(cfg.Seed, uint64(1_000_003+i))
-			res, err := trade.Measure(sp.arch, workload.MixLoad(sp.clients, sp.buyFrac), o)
+			res, err := trade.Measure(archs[i], workload.MixLoad(samples[i].Clients, samples[i].BuyFrac), o)
 			if err != nil {
 				return 0, err
 			}
@@ -131,30 +147,42 @@ func Train(cfg TrainConfig) (*Model, error) {
 	if err != nil {
 		return nil, err
 	}
-
-	// Phase 3 (serial, fixed order): assemble samples and fit.
-	samples := make([]Sample, len(specs))
-	for i, sp := range specs {
-		samples[i] = Sample{Arch: sp.arch.Name, Clients: sp.clients, BuyFrac: sp.buyFrac, MeanRT: results[i]}
+	for i := range samples {
+		samples[i].MeanRT = results[i]
 	}
+	return samples, nil
+}
+
+// FitMeasured is the rest of Train (serial, fixed order): it fits the
+// model Train(cfg) returns from the samples Measure(cfg) returned, now
+// or earlier. Stats report the measurement those samples cost — sample
+// count and simulated seconds — and the wall time of this fit alone.
+func FitMeasured(cfg TrainConfig, samples []Sample) (*Model, error) {
+	cfg = cfg.withDefaults()
+	start := time.Now()
 	m, err := Fit(samples, cfg.Archs, workload.CaseStudyDemands(), workload.ThinkTimeMean, cfg.Fit)
 	if err != nil {
 		return nil, err
 	}
 	m.QueryBuyFrac = cfg.BuyFracs[0]
-	// Simulated seconds per sample mirror trade's measurement defaults
-	// (60 s warm-up, 240 s horizon) when the options leave them zero.
-	warm, dur := cfg.Opt.WarmUp, cfg.Opt.Duration
+	m.Stats = TrainStats{
+		Samples:     len(samples),
+		SimSeconds:  cfg.SimSeconds(len(samples)),
+		WallSeconds: time.Since(start).Seconds(),
+	}
+	return m, nil
+}
+
+// SimSeconds is what measuring n samples under cfg costs in simulated
+// seconds (warm-up + measured horizon each). Zero options mirror trade's
+// measurement defaults: 60 s warm-up, 240 s horizon.
+func (c TrainConfig) SimSeconds(n int) float64 {
+	warm, dur := c.Opt.WarmUp, c.Opt.Duration
 	if warm == 0 {
 		warm = 60
 	}
 	if dur == 0 {
 		dur = 240
 	}
-	m.Stats = TrainStats{
-		Samples:     len(samples),
-		SimSeconds:  float64(len(samples)) * (warm + dur),
-		WallSeconds: time.Since(start).Seconds(),
-	}
-	return m, nil
+	return float64(n) * (warm + dur)
 }

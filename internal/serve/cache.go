@@ -43,12 +43,27 @@ type modelEntry struct {
 	// sm and laplaceB carry the hybrid tier's §7.1 percentile conversion
 	// (unset on other tiers): the model whose saturation boundary picks
 	// the distribution, and the Laplace scale — the configured constant
-	// or calibrated from a fixed-seed simulator run during the build.
+	// or the key's evidence, calibrated from a fixed-seed simulator run
+	// during the key's first build.
 	sm       *hist.ServerModel
 	laplaceB float64
 	// buildWall is the build's wall-clock cost (the §8.5 start-up
 	// delay this entry amortises across warm predictions).
 	buildWall time.Duration
+}
+
+// evidence is what one key's cold build took from the simulator — the
+// measured part of its model; everything else in a modelEntry is solves
+// and fits over it, microseconds against the simulator's milliseconds.
+// It is deterministic in the key (fixed seed, fixed horizon), so keeping
+// it (Service.evidence) changes when a number is computed, never which
+// number is served.
+type evidence struct {
+	// laplaceB is a hybrid key's calibrated §7.1 percentile scale.
+	laplaceB float64
+	// samples are a regress key's training measurements, in fit order.
+	// Fits read them and never write.
+	samples []regress.Sample
 }
 
 // modelStore is the service's one stampede-proof model store, shared
@@ -57,8 +72,9 @@ type modelEntry struct {
 // singleflight collapses a thundering herd of cold requests for one key
 // into exactly one build. Completed flights are immediately forgotten
 // so the LRU is the single source of truth — after an eviction the next
-// request misses and rebuilds, and during a rebuild Forget's done-only
-// semantics guarantee no duplicate build can start.
+// request misses and rebuilds (from the key's kept evidence, without
+// the simulator), and during a rebuild Forget's done-only semantics
+// guarantee no duplicate build can start.
 //
 // Builds are admission-controlled across all methods together: at most
 // workers builds run concurrently, at most queued more may wait for a
@@ -92,7 +108,7 @@ func newModelStore(capacity, workers, maxQueued int, build func(modelKey) (*mode
 // get returns the entry for key, building it on a miss. cold reports
 // whether this request had to wait on a build (shared or its own).
 // The returned error is ErrOverloaded when the build queue is full and
-// ctx.Err() when the caller's deadline expired while waiting.
+// ctx.Err() when the caller's own deadline expired while waiting.
 func (c *modelStore) get(ctx context.Context, key modelKey) (e *modelEntry, cold bool, err error) {
 	m := metrics.Load()
 	if e, ok := c.lru.Get(key); ok {
@@ -100,7 +116,28 @@ func (c *modelStore) get(ctx context.Context, key modelKey) (e *modelEntry, cold
 		return e, false, nil
 	}
 	m.cacheMisses.Inc()
-	e, err = c.flights.DoCtx(ctx, key, func() (*modelEntry, error) {
+	e, err = c.flight(ctx, key)
+	// A flight fails with a context error when its leader gave up
+	// waiting for a build slot. That deadline was the leader's: a joiner
+	// whose own still stands goes round again, leading the next flight
+	// if nobody else does.
+	for isContextErr(err) && ctx.Err() == nil {
+		e, err = c.flight(ctx, key)
+	}
+	if err != nil {
+		return nil, true, err
+	}
+	// The value now lives in the LRU; dropping the completed flight
+	// makes eviction → rebuild work (Forget leaves in-progress flights
+	// alone, so this is safe against concurrent rebuilds).
+	c.flights.Forget(key)
+	return e, true, nil
+}
+
+// flight joins the build of key in progress, or leads one: admission to
+// a worker slot on the leader's ctx, the build, the LRU insert.
+func (c *modelStore) flight(ctx context.Context, key modelKey) (*modelEntry, error) {
+	return c.flights.DoCtx(ctx, key, func() (*modelEntry, error) {
 		defer c.track(-1) // counted from acquireBuildSlot's admission to the build's end
 		if err := c.acquireBuildSlot(ctx); err != nil {
 			return nil, err
@@ -118,14 +155,6 @@ func (c *modelStore) get(ctx context.Context, key modelKey) (e *modelEntry, cold
 		c.lru.Put(key, entry)
 		return entry, nil
 	})
-	if err != nil {
-		return nil, true, err
-	}
-	// The value now lives in the LRU; dropping the completed flight
-	// makes eviction → rebuild work (Forget leaves in-progress flights
-	// alone, so this is safe against concurrent rebuilds).
-	c.flights.Forget(key)
-	return e, true, nil
 }
 
 // acquireBuildSlot counts the flight leader in and admits it to a build
@@ -155,14 +184,17 @@ func (c *modelStore) track(d int64) int64 {
 	return c.queued.Add(d)
 }
 
-// buildEntry is the store's cold path: resolve the key's architecture
-// and run the cold build of the key's method.
+// buildEntry is the store's cold path, first build and rebuild alike:
+// resolve the key's architecture and run the build of the key's method.
+// Each build is two steps — measure, which takes the key's evidence from
+// Service.evidence and so runs the simulator only the first time the
+// key is ever built, and assemble, which solves and fits around it.
 func (s *Service) buildEntry(key modelKey) (*modelEntry, error) {
 	arch, err := s.arch(key.arch)
 	if err != nil {
 		return nil, err
 	}
-	return methods[key.method].build(s, arch, key.buyFrac())
+	return methods[key.method].build(s, key, arch)
 }
 
 // arch resolves a request's architecture name.
@@ -175,42 +207,47 @@ func (s *Service) arch(name string) (workload.ServerArch, error) {
 }
 
 // buildHybrid is the hybrid method's cold path: generate the hybrid
-// model for the (architecture, mix) from warm-started layered solves,
-// then fix the percentile scale — either the configured constant or a
-// calibration against a fixed-seed simulator run at a saturated
-// population under the same mix, the §7.1 procedure the offline suite
-// uses.
-func (s *Service) buildHybrid(arch workload.ServerArch, buyFrac float64) (*modelEntry, error) {
+// model for the key from warm-started layered solves, then fix the
+// percentile scale — either the configured constant or the key's
+// evidence: a calibration against a fixed-seed simulator run at the
+// model's saturated population under the same mix, the §7.1 procedure
+// the offline suite uses.
+func (s *Service) buildHybrid(key modelKey, arch workload.ServerArch) (*modelEntry, error) {
 	cfg := hybrid.Config{
 		DB:                s.cfg.DB,
 		Demands:           s.cfg.Demands,
 		PointsPerEquation: s.cfg.PointsPerEquation,
 		LQN:               s.cfg.LQN,
 	}
-	sm, _, err := hybrid.BuildServerMix(cfg, arch, buyFrac)
+	sm, _, err := hybrid.BuildServerMix(cfg, arch, key.buyFrac())
 	if err != nil {
 		return nil, err
 	}
 	b := s.cfg.LaplaceB
 	if b == 0 {
-		if b, err = s.calibrateScale(arch, buyFrac, sm); err != nil {
+		ev, err := s.evidence.Do(key, func() (evidence, error) {
+			b, err := s.calibrateScale(arch, key.buyFrac(), sm)
+			return evidence{laplaceB: b}, err
+		})
+		if err != nil {
 			return nil, err
 		}
+		b = ev.laplaceB
 	}
 	return &modelEntry{pred: rm.ModelSet{arch.Name: sm}, sm: sm, laplaceB: b}, nil
 }
 
-// buildRegress is the cheap tier's cold path: train a black-box
-// regression model for the (architecture, mix) from a handful of short
+// buildRegress is the cheap tier's cold path: fit a black-box
+// regression model for the key to its evidence, a handful of short
 // seeded simulator runs. No layered solves, no calibration run — the
 // start-up cost the four-family comparison shows is a fraction of
 // hybrid's, traded against polynomial rather than model-based
 // accuracy. The training seed is fixed, so equal keys always serve
 // bit-identical fits.
-func (s *Service) buildRegress(arch workload.ServerArch, buyFrac float64) (*modelEntry, error) {
-	m, err := regress.Train(regress.TrainConfig{
+func (s *Service) buildRegress(key modelKey, arch workload.ServerArch) (*modelEntry, error) {
+	cfg := regress.TrainConfig{
 		Archs:         []workload.ServerArch{arch},
-		BuyFracs:      []float64{buyFrac},
+		BuyFracs:      []float64{key.buyFrac()},
 		SamplesPerMix: regressTrainSamples,
 		Seed:          calibrationSeed,
 		Opt: trade.MeasureOptions{
@@ -218,7 +255,19 @@ func (s *Service) buildRegress(arch workload.ServerArch, buyFrac float64) (*mode
 			Duration: s.cfg.RegressSimSeconds,
 		},
 		Fit: regress.FitConfig{Degree: regressDegree},
+	}
+	ev, err := s.evidence.Do(key, func() (evidence, error) {
+		samples, err := regress.Measure(cfg)
+		if err != nil {
+			return evidence{}, err
+		}
+		metrics.Load().simulated(len(samples), cfg.SimSeconds(len(samples)))
+		return evidence{samples: samples}, nil
 	})
+	if err != nil {
+		return nil, err
+	}
+	m, err := regress.FitMeasured(cfg, ev.samples)
 	if err != nil {
 		return nil, err
 	}
@@ -235,7 +284,7 @@ func (s *Service) calibrateScale(arch workload.ServerArch, buyFrac float64, sm *
 	if n < 1 {
 		n = 1
 	}
-	res, err := trade.Run(trade.Config{
+	cfg := trade.Config{
 		Server:   arch,
 		DB:       s.cfg.DB,
 		Demands:  s.cfg.Demands,
@@ -243,10 +292,12 @@ func (s *Service) calibrateScale(arch workload.ServerArch, buyFrac float64, sm *
 		Seed:     calibrationSeed,
 		WarmUp:   s.cfg.CalibrationSimSeconds / 4,
 		Duration: s.cfg.CalibrationSimSeconds,
-	})
+	}
+	res, err := trade.Run(cfg)
 	if err != nil {
 		return 0, err
 	}
+	metrics.Load().simulated(1, cfg.WarmUp+cfg.Duration)
 	// Hand over the per-class samples in sorted class order:
 	// CalibrateScale sums deviations in the order given, and float
 	// addition is not associative, so map-iteration order would perturb

@@ -8,8 +8,9 @@ import (
 
 // serveMetrics instrument the prediction service's hot path: request
 // counts and latency per endpoint, model-cache traffic, cold-build
-// cost and queue pressure, batch-solver coalescing, and the admission
-// controller's rejection counters. They follow the repo convention:
+// cost and queue pressure, what the builds took from the simulator,
+// batch-solver coalescing, and the admission controller's rejection
+// counters. They follow the repo convention:
 // registered once via EnableMetrics, nil-safe, zero-allocation on the
 // request path.
 type serveMetrics struct {
@@ -24,6 +25,13 @@ type serveMetrics struct {
 	buildSeconds    *obs.Histogram
 	buildQueueDepth *obs.Gauge
 	buildQueueHigh  *obs.MaxGauge
+
+	// The §8.5 start-up delay in the currency the families study prints:
+	// simulator runs the cold builds paid for and the simulated seconds
+	// they covered (warm-up included; each measurement rounded to whole
+	// seconds). A key pays once, so neither moves on a rebuild.
+	simulatorRuns    *obs.Counter
+	simulatedSeconds *obs.Counter
 
 	batchSolves     *obs.Counter
 	batchSize       *obs.Histogram
@@ -90,6 +98,9 @@ func EnableMetrics(r *obs.Registry) {
 		buildQueueDepth: r.Gauge("serve_build_queue_depth"),
 		buildQueueHigh:  r.MaxGauge("serve_build_queue_high_water"),
 
+		simulatorRuns:    r.Counter("serve_simulator_runs"),
+		simulatedSeconds: r.Counter("serve_simulated_seconds"),
+
 		batchSolves:     r.Counter("serve_batch_solves"),
 		batchSize:       r.Histogram("serve_batch_size", batch...),
 		solveQueueDepth: r.Gauge("serve_solve_queue_depth"),
@@ -100,4 +111,11 @@ func EnableMetrics(r *obs.Registry) {
 		deadlineExpired:  r.Counter("serve_deadline_expired"),
 		errors:           r.Counter("serve_errors"),
 	})
+}
+
+// simulated accounts for one measurement: runs simulator runs covering
+// simSeconds simulated seconds between them.
+func (m *serveMetrics) simulated(runs int, simSeconds float64) {
+	m.simulatorRuns.Add(uint64(runs))
+	m.simulatedSeconds.Add(uint64(simSeconds + 0.5))
 }

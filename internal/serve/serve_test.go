@@ -954,3 +954,250 @@ func TestCalibrateScaleMatchesMergedSamples(t *testing.T) {
 		}
 	}
 }
+
+// A flight whose leader gives up waiting for a build slot fails with the
+// leader's context error. That deadline is not the joiners': with both
+// worker slots held, a short-deadline leader must come back 504 while
+// the joiner behind it, whose own five seconds stand, takes the build
+// over and is answered 200 — and only the real expiry is counted.
+func TestJoinerKeepsItsOwnDeadline(t *testing.T) {
+	reg := obs.NewRegistry()
+	EnableMetrics(reg)
+	defer EnableMetrics(nil)
+
+	s, srv := newTestServer(t, nil) // two build workers
+	client := srv.Client()
+	started := make(chan struct{}, 3)
+	release := make(chan struct{})
+	orig := s.store.build
+	s.store.build = func(k modelKey) (*modelEntry, error) {
+		started <- struct{}{}
+		<-release
+		return orig(k)
+	}
+	var wg sync.WaitGroup
+	get := func(query string) *int {
+		code := new(int)
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			resp, err := client.Get(srv.URL + "/v1/predict?clients=500&arch=" + query)
+			if err != nil {
+				t.Error(err)
+				return
+			}
+			resp.Body.Close()
+			*code = resp.StatusCode
+		}()
+		return code
+	}
+	waitFor := func(what string, cond func() bool) {
+		t.Helper()
+		for deadline := time.Now().Add(10 * time.Second); !cond(); time.Sleep(time.Millisecond) {
+			if time.Now().After(deadline) {
+				close(release)
+				t.Fatalf("timed out waiting for %s", what)
+			}
+		}
+	}
+
+	holders := []*int{get("AppServS"), get("AppServVF")}
+	<-started
+	<-started // both worker slots are now held
+	leader := get("AppServF&deadline_ms=250")
+	waitFor("the leader to queue for a slot", func() bool { return s.store.queued.Load() == 3 })
+	joiner := get("AppServF")
+	waitFor("the joiner to miss the cache", func() bool { return reg.Counter("serve_cache_misses").Value() == 4 })
+	waitFor("the leader's deadline", func() bool { return reg.Counter("serve_deadline_expired").Value() >= 1 })
+	close(release)
+	wg.Wait()
+
+	if *leader != http.StatusGatewayTimeout {
+		t.Errorf("leader with a 250 ms deadline behind busy workers got %d, want 504", *leader)
+	}
+	if *joiner != http.StatusOK {
+		t.Errorf("joiner with its own deadline intact got %d, want 200", *joiner)
+	}
+	for _, code := range holders {
+		if *code != http.StatusOK {
+			t.Errorf("slot-holding request got %d, want 200", *code)
+		}
+	}
+	if n := reg.Counter("serve_deadline_expired").Value(); n != 1 {
+		t.Errorf("serve_deadline_expired = %d, want 1 (the leader's only)", n)
+	}
+}
+
+// TestRebuildRunsNoSimulation is the gate on "a key pays the simulator
+// once", in counts so it can fail on any machine: what a key's first
+// build measured outlives the key's eviction, a rebuild is solves and
+// fits alone, and what a rebuilt model serves is bit for bit what the
+// first build served.
+func TestRebuildRunsNoSimulation(t *testing.T) {
+	reg := obs.NewRegistry()
+	EnableMetrics(reg)
+	defer EnableMetrics(nil)
+	runs, simSeconds := reg.Counter("serve_simulator_runs"), reg.Counter("serve_simulated_seconds")
+
+	const calibSeconds, regressSeconds = 4, 2
+	s := newTestService(t, func(c *Config) {
+		c.CacheCapacity = 1
+		c.LaplaceB = 0 // calibrate: every hybrid cold build wants the simulator
+		c.CalibrationSimSeconds = calibSeconds
+		c.RegressSimSeconds = regressSeconds
+	})
+	httpReq := httptest.NewRequest(http.MethodGet, "/v1/predict", nil)
+	predict := func(req PredictRequest) *PredictResponse {
+		t.Helper()
+		resp, err := s.Predict(httpReq, req)
+		if err != nil {
+			t.Fatalf("%+v: %v", req, err)
+		}
+		return resp
+	}
+
+	t.Run("cycle", func(t *testing.T) {
+		perTier := map[string]int{}
+		orig := s.store.build
+		s.store.build = func(k modelKey) (*modelEntry, error) {
+			perTier[k.method]++
+			return orig(k)
+		}
+		defer func() { s.store.build = orig }()
+
+		type answers struct{ laplaceB, mean, percentile, capacity float64 }
+		// visit builds the key (capacity 1: the key before it was another)
+		// and asks the built entry everything it can answer.
+		visit := func(method, arch string, buyPct float64) answers {
+			t.Helper()
+			first := predict(PredictRequest{Arch: arch, Clients: 300, BuyPct: buyPct, Method: method})
+			if !first.Cold {
+				t.Fatalf("%s %s: visit did not build", method, arch)
+			}
+			e, cold, err := s.store.get(context.Background(), makeKey(method, arch, buyPct))
+			if err != nil || cold {
+				t.Fatalf("%s %s: entry not resident after its build (cold %v, err %v)", method, arch, cold, err)
+			}
+			a := answers{laplaceB: e.laplaceB, mean: first.ResponseTimeS}
+			if method == "hybrid" {
+				a.percentile = predict(PredictRequest{Arch: arch, Clients: 300, BuyPct: buyPct, Method: method, Percentile: 0.9}).ResponseTimeS
+			}
+			c, err := s.Capacity(httpReq, CapacityRequest{Arch: arch, GoalRTS: 0.5, BuyPct: buyPct, Method: method})
+			if err != nil {
+				t.Fatalf("%s %s capacity: %v", method, arch, err)
+			}
+			a.capacity = c.MaxClients
+			return a
+		}
+		keys := []struct {
+			arch   string
+			buyPct float64
+		}{{"AppServS", 0}, {"AppServF", 12.5}, {"AppServVF", 30}}
+		const cycles = 3
+		firstBuild := map[modelKey]answers{}
+		for cycle := 0; cycle < cycles; cycle++ {
+			for _, method := range []string{"hybrid", "regress"} {
+				for _, k := range keys {
+					got := visit(method, k.arch, k.buyPct)
+					key := makeKey(method, k.arch, k.buyPct)
+					if cycle == 0 {
+						if method == "hybrid" && got.laplaceB <= 0 {
+							t.Fatalf("%v: calibrated scale %v", key, got.laplaceB)
+						}
+						firstBuild[key] = got
+					} else if want := firstBuild[key]; got != want {
+						t.Errorf("%v rebuilt in cycle %d answers %+v, first build %+v", key, cycle, got, want)
+					}
+				}
+			}
+		}
+		K := uint64(len(keys))
+		if got, want := runs.Value(), K+regressTrainSamples*K; got != want {
+			t.Errorf("serve_simulator_runs = %d after %d builds of %d keys a tier, want %d: one calibration a hybrid key, %d runs a regress key, none on a rebuild",
+				got, cycles, K, want, regressTrainSamples)
+		}
+		if got, want := simSeconds.Value(), K*5*calibSeconds/4+regressTrainSamples*K*5*regressSeconds/4; got != want {
+			t.Errorf("serve_simulated_seconds = %d, want %d", got, want)
+		}
+		if got := reg.Counter("serve_builds").Value(); got != 2*cycles*K {
+			t.Errorf("serve_builds = %d, want %d: the cache must behave as before", got, 2*cycles*K)
+		}
+		if perTier["hybrid"] != cycles*len(keys) || perTier["regress"] != cycles*len(keys) {
+			t.Errorf("builds per tier = %v, want %d each", perTier, cycles*len(keys))
+		}
+		if got := s.evidence.Len(); got != 2*len(keys) {
+			t.Errorf("evidence kept for %d keys, want %d", got, 2*len(keys))
+		}
+	})
+
+	t.Run("herd", func(t *testing.T) {
+		// Two never-seen keys at once, 32 requests each: their builders
+		// share the evidence table and, at capacity 1, evict each other.
+		before := runs.Value()
+		var wg sync.WaitGroup
+		for i := 0; i < 64; i++ {
+			wg.Add(1)
+			go func(arch string) {
+				defer wg.Done()
+				if _, err := s.Predict(httpReq, PredictRequest{Arch: arch, Clients: 500, BuyPct: 77}); err != nil {
+					t.Error(err)
+				}
+			}([]string{"AppServF", "AppServVF"}[i%2])
+		}
+		wg.Wait()
+		if got := runs.Value() - before; got != 2 {
+			t.Errorf("herds of 32 on two never-seen keys ran the simulator %d times, want once each", got)
+		}
+	})
+
+	t.Run("failure is not kept", func(t *testing.T) {
+		before, kept := runs.Value(), s.evidence.Len()
+		req := PredictRequest{Arch: "AppServS", Clients: 200, BuyPct: 41}
+		s.cfg.CalibrationSimSeconds = -1 // the simulator refuses the horizon
+		if _, err := s.Predict(httpReq, req); err == nil {
+			t.Fatal("calibration over a negative horizon succeeded")
+		}
+		if runs.Value() != before || s.evidence.Len() != kept {
+			t.Fatalf("a failed calibration left a trace: %d runs, %d keys kept", runs.Value()-before, s.evidence.Len()-kept)
+		}
+		s.cfg.CalibrationSimSeconds = calibSeconds
+		if resp := predict(req); !resp.Cold {
+			t.Error("retry after the failure did not build")
+		}
+		if got := runs.Value() - before; got != 1 {
+			t.Errorf("retry after the failure ran the simulator %d times, want 1", got)
+		}
+	})
+
+	// No knob bounds the evidence table because the key does: whatever
+	// float a payload carries, the mix lands on one of 1 001 values.
+	t.Run("bounded by key quantisation", func(t *testing.T) {
+		mixes := map[int]bool{}
+		for i := 0; i <= 100_000; i++ {
+			mixes[makeKey("hybrid", "AppServS", float64(i)/1000).buyPctTenth] = true
+		}
+		if len(mixes) != 1001 {
+			t.Fatalf("buy_pct in [0,100] quantises to %d mixes, want 1001", len(mixes))
+		}
+		simulated := 0
+		for _, mt := range methods {
+			if mt.build != nil {
+				simulated++
+			}
+		}
+		bound := len(s.cfg.Archs) * len(mixes) * simulated
+
+		bases := []float64{0.2, 12.5, 50, 99.9}
+		before := s.evidence.Len()
+		for i := 0; i < 200; i++ {
+			jitter := 0.04 * math.Sin(float64(i)) // stays inside the base's tenth
+			predict(PredictRequest{Arch: "AppServS", Clients: 100, BuyPct: bases[i%len(bases)] + jitter})
+		}
+		if got := s.evidence.Len() - before; got != len(bases) {
+			t.Errorf("200 jittered mixes around %d values kept %d keys of evidence", len(bases), got)
+		}
+		if got := s.evidence.Len(); got > bound {
+			t.Errorf("evidence table holds %d keys, over its bound %d", got, bound)
+		}
+	})
+}
