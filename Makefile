@@ -19,12 +19,14 @@
 #   make fuzz      — each native fuzz target for 10 s:
 #                    the scenario, LQN-model and history-store parsers and
 #                    the predserve query handlers.
+#   make examples  — run each program under examples/ to completion; one
+#                    that exits non-zero fails the target (a few seconds in all).
 #
 # Result tables come from cmd/experiments (-list names them).
 
 GO ?= go
 
-.PHONY: test race benchmark bench fuzz
+.PHONY: test race benchmark bench fuzz examples
 
 test:
 	$(GO) build ./... && $(GO) test ./...
@@ -56,3 +58,8 @@ fuzz:
 	$(GO) test -run '^$$' -fuzz FuzzReadModel -fuzztime 10s ./internal/lqn
 	$(GO) test -run '^$$' -fuzz FuzzStoreLoad -fuzztime 10s ./internal/hist
 	$(GO) test -run '^$$' -fuzz FuzzQueryHandlers -fuzztime 10s ./internal/serve
+
+examples:
+	for e in quickstart capacityplan cluster cachestudy slatuning; do \
+		$(GO) run ./examples/$$e >/dev/null || { echo "examples/$$e failed"; exit 1; }; \
+	done

@@ -13,7 +13,8 @@
 // With -store, calibration data (gradient, benchmarks, data points)
 // persists to a HYDRA store file: the first invocation measures and
 // records, later invocations recalibrate from the stored history
-// without touching the servers — the paper's §2 recalibration service.
+// without touching the servers — the paper's §2 recalibration service —
+// and measure only what a store is missing.
 package main
 
 import (
@@ -68,11 +69,7 @@ func main() {
 		fmt.Printf("%s at %.0f clients: mean RT %.2f ms, throughput %.1f req/s (saturated=%v)\n",
 			*server, *clients, rt*1000, x, m.Saturated(*clients))
 	case "capacity":
-		m, ok := models[*server]
-		if !ok {
-			fatal(fmt.Errorf("unknown server %q", *server))
-		}
-		n, err := m.MaxClients(*goal)
+		n, err := models.MaxClients(*server, *goal)
 		if err != nil {
 			fatal(err)
 		}
@@ -96,133 +93,96 @@ func checkQuery(clients, goal float64) error {
 	return nil
 }
 
-// loadOrCalibrate returns per-architecture models, preferring a
-// populated store over fresh measurement. When a store path is given,
-// freshly measured data is recorded back to it.
-func loadOrCalibrate(seed int64, storePath string) (map[string]*hist.ServerModel, error) {
+// loadOrCalibrate returns the case-study model set, calibrated from the
+// store's history. Whatever the chain needs and the store lacks is
+// measured and recorded first, so a first run measures everything, a
+// complete store measures nothing, and a store with a gap pays for the
+// gap alone. With a store path, new measurements are saved back.
+func loadOrCalibrate(seed int64, storePath string) (hist.ModelSet, error) {
 	store := hist.NewStore()
 	if storePath != "" {
 		if err := store.LoadFile(storePath); err != nil {
 			return nil, err
 		}
-		if models, err := modelsFromStore(store); err == nil {
-			return models, nil
-		}
-		// Fall through to measurement on an incomplete store.
 	}
-	models, err := calibrateAll(seed, store)
+	measured, err := fillStore(seed, store)
 	if err != nil {
 		return nil, err
 	}
-	if storePath != "" {
+	if measured && storePath != "" {
 		if err := store.SaveFile(storePath); err != nil {
 			return nil, err
 		}
 	}
-	return models, nil
-}
-
-// modelsFromStore rebuilds all three models from recorded history:
-// the established servers calibrate directly; the new server comes
-// from relationship 2 and its stored benchmark.
-func modelsFromStore(store *hist.Store) (map[string]*hist.ServerModel, error) {
-	models := make(map[string]*hist.ServerModel, 3)
-	var established []*hist.ServerModel
-	for _, arch := range []workload.ServerArch{workload.AppServF(), workload.AppServVF()} {
-		m, err := store.Calibrate(arch, hist.TypicalWorkloadKey)
-		if err != nil {
-			return nil, err
+	var histories []hist.ServerHistory
+	for _, arch := range workload.CaseStudyServers() {
+		h := hist.ServerHistory{Arch: arch}
+		h.MaxThroughput, _ = store.MaxThroughput(arch.Name, hist.TypicalWorkloadKey)
+		if arch.Established { // the new server is predicted from its benchmark alone
+			h.Points = store.Points(arch.Name, hist.TypicalWorkloadKey)
 		}
-		models[arch.Name] = m
-		established = append(established, m)
+		histories = append(histories, h)
 	}
-	rel2, err := hist.FitRelationship2(established)
-	if err != nil {
-		return nil, err
-	}
-	sArch := workload.AppServS()
-	xMaxS, ok := store.MaxThroughput(sArch.Name, hist.TypicalWorkloadKey)
-	if !ok {
-		return nil, fmt.Errorf("hydra: no stored benchmark for %s", sArch.Name)
-	}
-	sModel, err := rel2.NewServerModel(sArch, xMaxS)
-	if err != nil {
-		return nil, err
-	}
-	models[sArch.Name] = sModel
-	return models, nil
+	models, _, err := hist.CalibrateSet(store.Gradient(), histories)
+	return models, err
 }
 
-// calibrateAll reproduces the §4 pipeline: measure the established
-// servers, calibrate them, fit relationship 2, extrapolate the new
-// server from its max-throughput benchmark. Measurements are recorded
-// into the store as they happen.
-func calibrateAll(seed int64, store *hist.Store) (map[string]*hist.ServerModel, error) {
+// fillStore measures what the §4 chain needs and the store lacks, and
+// records it: each case-study server's max-throughput benchmark, four
+// data points on each established server, and the shared gradient from
+// the below-saturation throughputs of the first established server's
+// curve. It reports whether anything was measured.
+func fillStore(seed int64, store *hist.Store) (bool, error) {
+	measured := false
 	opt := trade.MeasureOptions{Seed: seed, WarmUp: 30, Duration: 120}
-	models := make(map[string]*hist.ServerModel, 3)
-	var established []*hist.ServerModel
-	var gradient float64
-	for _, arch := range []workload.ServerArch{workload.AppServF(), workload.AppServVF()} {
-		xMax, err := trade.MaxThroughput(arch, 0, opt)
-		if err != nil {
-			return nil, err
+	const key = hist.TypicalWorkloadKey
+	for _, arch := range workload.CaseStudyServers() {
+		xMax, ok := store.MaxThroughput(arch.Name, key)
+		if !ok {
+			var err error
+			if xMax, err = trade.MaxThroughput(arch, 0, opt); err != nil {
+				return false, err
+			}
+			measured = true
+			if err := store.RecordMaxThroughput(arch.Name, key, xMax); err != nil {
+				return false, err
+			}
 		}
-		if err := store.RecordMaxThroughput(arch.Name, hist.TypicalWorkloadKey, xMax); err != nil {
-			return nil, err
+		needPoints := arch.Established && len(store.Points(arch.Name, key)) == 0
+		needGradient := arch.Established && store.Gradient() == 0
+		if !needPoints && !needGradient {
+			continue
 		}
 		nStar := xMax / 0.14
 		counts := []int{int(0.25 * nStar), int(0.55 * nStar), int(1.2 * nStar), int(1.6 * nStar)}
 		curve, err := trade.MeasureCurve(arch, counts, 0, opt)
 		if err != nil {
-			return nil, err
+			return false, err
 		}
-		var dps []hist.DataPoint
+		measured = true
 		var tps []hist.ThroughputPoint
 		for _, p := range curve {
-			dp := hist.DataPoint{Clients: float64(p.Clients), MeanRT: p.Res.MeanRT}
-			dps = append(dps, dp)
-			if err := store.RecordPoint(arch.Name, hist.TypicalWorkloadKey, dp); err != nil {
-				return nil, err
+			if needPoints {
+				dp := hist.DataPoint{Clients: float64(p.Clients), MeanRT: p.Res.MeanRT}
+				if err := store.RecordPoint(arch.Name, key, dp); err != nil {
+					return false, err
+				}
 			}
 			if float64(p.Clients) < 0.66*nStar {
 				tps = append(tps, hist.ThroughputPoint{Clients: float64(p.Clients), Throughput: p.Res.Throughput})
 			}
 		}
-		if gradient == 0 {
+		if needGradient {
 			m, err := hist.CalibrateGradient(tps)
 			if err != nil {
-				return nil, err
+				return false, err
 			}
-			gradient = m
 			if err := store.RecordGradient(m); err != nil {
-				return nil, err
+				return false, err
 			}
 		}
-		model, err := hist.CalibrateServer(arch, xMax, gradient, dps)
-		if err != nil {
-			return nil, err
-		}
-		models[arch.Name] = model
-		established = append(established, model)
 	}
-	rel2, err := hist.FitRelationship2(established)
-	if err != nil {
-		return nil, err
-	}
-	sArch := workload.AppServS()
-	xMaxS, err := trade.MaxThroughput(sArch, 0, opt)
-	if err != nil {
-		return nil, err
-	}
-	if err := store.RecordMaxThroughput(sArch.Name, hist.TypicalWorkloadKey, xMaxS); err != nil {
-		return nil, err
-	}
-	sModel, err := rel2.NewServerModel(sArch, xMaxS)
-	if err != nil {
-		return nil, err
-	}
-	models[sArch.Name] = sModel
-	return models, nil
+	return measured, nil
 }
 
 func usage() {

@@ -16,11 +16,10 @@ import (
 func main() {
 	opt := perfpred.MeasureOptions{Seed: 9, WarmUp: 30, Duration: 120}
 
-	// Calibrate established servers (as a production system would have
-	// already done from its monitoring history).
+	// Gather the established servers' history (as a production system
+	// would already hold from its monitoring).
 	fmt.Println("calibrating established servers from history...")
-	models := map[string]*perfpred.HistoricalModel{}
-	var est []*perfpred.HistoricalModel
+	var histories []perfpred.ServerHistory
 	var gradient float64
 	for _, arch := range []perfpred.ServerArch{perfpred.AppServF(), perfpred.AppServVF()} {
 		xMax, err := perfpred.MeasureMaxThroughput(arch, 0, opt)
@@ -29,10 +28,10 @@ func main() {
 		counts := []int{int(0.3 * nStar), int(0.55 * nStar), int(1.2 * nStar), int(1.5 * nStar)}
 		curve, err := perfpred.MeasureCurve(arch, counts, 0, opt)
 		check(err)
-		var dps []perfpred.DataPoint
+		h := perfpred.ServerHistory{Arch: arch, MaxThroughput: xMax}
 		var tps []perfpred.ThroughputPoint
 		for _, p := range curve {
-			dps = append(dps, perfpred.DataPoint{Clients: float64(p.Clients), MeanRT: p.Res.MeanRT})
+			h.Points = append(h.Points, perfpred.DataPoint{Clients: float64(p.Clients), MeanRT: p.Res.MeanRT})
 			if float64(p.Clients) < 0.66*nStar {
 				tps = append(tps, perfpred.ThroughputPoint{Clients: float64(p.Clients), Throughput: p.Res.Throughput})
 			}
@@ -41,20 +40,16 @@ func main() {
 			gradient, err = perfpred.CalibrateGradient(tps)
 			check(err)
 		}
-		m, err := perfpred.CalibrateHistorical(arch, xMax, gradient, dps)
-		check(err)
-		models[arch.Name] = m
-		est = append(est, m)
+		histories = append(histories, h)
 	}
-	rel2, err := perfpred.FitRelationship2(est)
-	check(err)
 
-	// The upgrade candidate arrives as a one-number benchmark.
+	// The upgrade candidate arrives as a one-number benchmark; the §4
+	// chain extrapolates its model through relationship 2.
 	xS, err := perfpred.MeasureMaxThroughput(perfpred.AppServS(), 0, opt)
 	check(err)
-	sModel, err := rel2.NewServerModel(perfpred.AppServS(), xS)
+	histories = append(histories, perfpred.ServerHistory{Arch: perfpred.AppServS(), MaxThroughput: xS})
+	models, rel2, err := perfpred.CalibrateSet(gradient, histories)
 	check(err)
-	models["AppServS"] = sModel
 	fmt.Printf("candidate AppServS benchmarked at %.0f req/s\n\n", xS)
 
 	// Heterogeneous workload: relationship 3 re-anchors max throughput

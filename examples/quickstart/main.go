@@ -26,34 +26,38 @@ func main() {
 	check(err)
 	fmt.Printf("  AppServF=%.0f  AppServVF=%.0f  AppServS(new)=%.0f req/s\n", xF, xVF, xS)
 
-	// Step 2 — historical method: calibrate the established servers
-	// from four measured data points each, fit relationship 2, and
-	// extrapolate the new server.
-	calibrate := func(arch perfpred.ServerArch, xMax float64) *perfpred.HistoricalModel {
-		nStar := xMax / 0.14
+	// Step 2 — historical method: four measured data points on each
+	// established server and the shared gradient from the first one's
+	// below-saturation throughputs; one call then runs the §4 chain —
+	// relationship 1 per established server, relationship 2 across
+	// them, the new server extrapolated from its benchmark.
+	histories := []perfpred.ServerHistory{
+		{Arch: perfpred.AppServF(), MaxThroughput: xF},
+		{Arch: perfpred.AppServVF(), MaxThroughput: xVF},
+		{Arch: perfpred.AppServS(), MaxThroughput: xS}, // new: the benchmark is all there is
+	}
+	var gradient float64
+	for i := range histories[:2] {
+		h := &histories[i]
+		nStar := h.MaxThroughput / 0.14
 		counts := []int{int(0.25 * nStar), int(0.55 * nStar), int(1.2 * nStar), int(1.6 * nStar)}
-		curve, err := perfpred.MeasureCurve(arch, counts, 0, opt)
+		curve, err := perfpred.MeasureCurve(h.Arch, counts, 0, opt)
 		check(err)
-		var dps []perfpred.DataPoint
 		var tps []perfpred.ThroughputPoint
 		for _, p := range curve {
-			dps = append(dps, perfpred.DataPoint{Clients: float64(p.Clients), MeanRT: p.Res.MeanRT})
+			h.Points = append(h.Points, perfpred.DataPoint{Clients: float64(p.Clients), MeanRT: p.Res.MeanRT})
 			if float64(p.Clients) < 0.66*nStar {
 				tps = append(tps, perfpred.ThroughputPoint{Clients: float64(p.Clients), Throughput: p.Res.Throughput})
 			}
 		}
-		m, err := perfpred.CalibrateGradient(tps)
-		check(err)
-		model, err := perfpred.CalibrateHistorical(arch, xMax, m, dps)
-		check(err)
-		return model
+		if gradient == 0 {
+			gradient, err = perfpred.CalibrateGradient(tps)
+			check(err)
+		}
 	}
-	histF := calibrate(perfpred.AppServF(), xF)
-	histVF := calibrate(perfpred.AppServVF(), xVF)
-	rel2, err := perfpred.FitRelationship2([]*perfpred.HistoricalModel{histF, histVF})
+	models, _, err := perfpred.CalibrateSet(gradient, histories)
 	check(err)
-	histS, err := rel2.NewServerModel(perfpred.AppServS(), xS)
-	check(err)
+	histS := models["AppServS"]
 
 	// Step 3 — hybrid method: one build call generates the layered
 	// pseudo data and calibrates everything.
@@ -76,7 +80,7 @@ func main() {
 		lq, err := perfpred.PredictTrade(perfpred.AppServS(), perfpred.CaseStudyDemands(),
 			perfpred.TypicalWorkload(n), perfpred.LQNOptions{})
 		check(err)
-		hy, err := hyb.Predict("AppServS", float64(n))
+		hy, err := hyb.Servers.Predict("AppServS", float64(n))
 		check(err)
 		fmt.Printf("%7d  %7.1fms  %9.1fms  %7.1fms  %7.1fms\n",
 			n, meas.MeanRT*1000, histS.Predict(float64(n))*1000,

@@ -36,7 +36,9 @@ func main() {
 	for v := 1.1; v >= 0.59; v -= 0.1 {
 		slacks = append(slacks, v)
 	}
-	slackPoints, err := perfpred.SweepSlack(shares, servers, pred, truth, slacks, loads, perfpred.RMOptions{})
+	// Slack below 1 plans for less load than is offered; the resource
+	// manager wants that opted into.
+	slackPoints, err := perfpred.SweepSlack(shares, servers, pred, truth, slacks, loads, perfpred.RMOptions{AllowDeflation: true})
 	check(err)
 	fmt.Println("\nslack sweep:")
 	fmt.Println("slack  avg-fail%  avg-saving%")

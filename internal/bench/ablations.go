@@ -1,6 +1,7 @@
 package bench
 
 import (
+	"math"
 	"time"
 
 	"perfpred/internal/lqn"
@@ -20,15 +21,15 @@ func (s *Suite) AblationTransition() (*Table, error) {
 		Title:  "Historical accuracy through the knee: transition phase-in vs hard switch",
 		Header: []string{"Server", "Clients", "Measured (ms)", "With transition (ms)", "Hard switch (ms)"},
 	}
-	hms, err := s.caseStudyModels()
+	hms, err := s.HistSet()
 	if err != nil {
 		return nil, err
 	}
 	// Populations inside the transition band, where the variants differ.
 	fracs := []float64{0.7, 0.85, 1.0, 1.05}
 	var cells []measureCell
-	for i, arch := range workload.CaseStudyServers() {
-		cells = append(cells, cellsAt(arch, hms[i].SaturationClients(), fracs)...)
+	for _, arch := range workload.CaseStudyServers() {
+		cells = append(cells, cellsAt(arch, hms[arch.Name].SaturationClients(), fracs)...)
 	}
 	results, err := measureCells(s, cells)
 	if err != nil {
@@ -36,7 +37,7 @@ func (s *Suite) AblationTransition() (*Table, error) {
 	}
 	var wPred, hPred, acts []float64
 	for k, c := range cells {
-		hm, n := hms[k/len(fracs)], float64(c.clients)
+		hm, n := hms[c.arch.Name], float64(c.clients)
 		with := hm.Predict(n)
 		hard := hm.Upper(n)
 		if n < hm.SaturationClients() {
@@ -85,7 +86,7 @@ func (s *Suite) AblationMVA() (*Table, error) {
 		e := exact.MeanResponseTime()
 		delta := 0.0
 		if e > 0 {
-			delta = 100 * abs(a-e) / e
+			delta = 100 * math.Abs(a-e) / e
 		}
 		t.AddRow(itoa(n), ms(a), ms(e), f2(delta), approxTime.String(), exactTime.String())
 	}
@@ -122,7 +123,7 @@ func (s *Suite) AblationConvergence() (*Table, error) {
 		}
 		c := coarse.MeanResponseTime()
 		f := fine.MeanResponseTime()
-		t.AddRow(itoa(n), ms(c), ms(f), ms(abs(c-f)), itoa(coarse.Iterations), itoa(fine.Iterations))
+		t.AddRow(itoa(n), ms(c), ms(f), ms(math.Abs(c-f)), itoa(coarse.Iterations), itoa(fine.Iterations))
 	}
 	t.AddNote("a coarse criterion can make close populations' predictions cross — the paper's figure-3 difficulty below x≈30 clients")
 	return t, nil

@@ -128,11 +128,11 @@ func (s *Suite) LQNMaxClientsCost() (*Table, error) {
 	if err != nil {
 		return nil, err
 	}
+	hms, err := s.HistSet()
+	if err != nil {
+		return nil, err
+	}
 	for _, arch := range workload.CaseStudyServers() {
-		hm, err := s.HistModelFor(arch)
-		if err != nil {
-			return nil, err
-		}
 		for _, goal := range []float64{0.150, 0.300, 0.600} {
 			model, err := lqn.NewTradeModel(arch, workload.CaseStudyDB(), demands, workload.TypicalWorkload(1))
 			if err != nil {
@@ -142,7 +142,7 @@ func (s *Suite) LQNMaxClientsCost() (*Table, error) {
 			if err != nil {
 				return nil, err
 			}
-			hN, err := hm.MaxClients(goal)
+			hN, err := hms.MaxClients(arch.Name, goal)
 			if err != nil {
 				return nil, err
 			}

@@ -137,14 +137,14 @@ func (s *Suite) PercentileDirect() (*Table, error) {
 	}
 	// One fan-out: the historical calibration's own points on the
 	// established servers, then the evaluation points on the new one.
-	established := []workload.ServerArch{workload.AppServF(), workload.AppServVF()}
-	xMaxes := make([]float64, len(established))
+	histories := []hist.ServerHistory{{Arch: workload.AppServF()}, {Arch: workload.AppServVF()}, {Arch: sArch, MaxThroughput: sMax}}
 	var cells []measureCell
-	for i, arch := range established {
-		if xMaxes[i], err = s.MaxThroughput(arch); err != nil {
+	for i := range histories[:2] {
+		h := &histories[i]
+		if h.MaxThroughput, err = s.MaxThroughput(h.Arch); err != nil {
 			return nil, err
 		}
-		cells = append(cells, cellsAt(arch, xMaxes[i]/gradient, calibrationFracs)...)
+		cells = append(cells, cellsAt(h.Arch, h.MaxThroughput/gradient, calibrationFracs)...)
 	}
 	nCal := len(cells)
 	cells = append(cells, cellsAt(sArch, sMax/gradient, []float64{0.3, 0.5, 1.3, 1.6})...)
@@ -152,28 +152,17 @@ func (s *Suite) PercentileDirect() (*Table, error) {
 	if err != nil {
 		return nil, err
 	}
-	// Direct p90 models for the established servers, then
-	// relationship 2 for the new one.
-	var est []*hist.PercentileModel
-	for i, arch := range established {
-		var pts []hist.DataPoint
-		for k := i * len(calibrationFracs); k < (i+1)*len(calibrationFracs); k++ {
-			pts = append(pts, hist.DataPoint{Clients: float64(cells[k].clients), MeanRT: results[k].OverallPercentile(90)})
-		}
-		pm, err := hist.CalibratePercentile(arch, xMaxes[i], gradient, 0.9, pts)
-		if err != nil {
-			return nil, err
-		}
-		est = append(est, pm)
+	// The direct route is the §4 chain itself, fed the p90 each
+	// calibration run recorded instead of its mean.
+	for k, c := range cells[:nCal] {
+		h := &histories[k/len(calibrationFracs)]
+		h.Points = append(h.Points, hist.DataPoint{Clients: float64(c.clients), MeanRT: results[k].OverallPercentile(90)})
 	}
-	rel2p, err := hist.PercentileRelationship2(est)
+	directSet, _, err := hist.CalibrateSet(gradient, histories)
 	if err != nil {
 		return nil, err
 	}
-	direct, err := hist.NewPercentileModel(rel2p, sArch, sMax, 0.9)
-	if err != nil {
-		return nil, err
-	}
+	direct := directSet[sArch.Name]
 	meanModel, err := s.HistNewServer()
 	if err != nil {
 		return nil, err

@@ -36,13 +36,13 @@ func (s *Suite) figure2Walk() ([]figure2Point, error) {
 	if err != nil {
 		return nil, err
 	}
-	hms, err := s.caseStudyModels()
+	hms, err := s.HistSet()
 	if err != nil {
 		return nil, err
 	}
 	var cells []measureCell
-	for i, arch := range workload.CaseStudyServers() {
-		for _, c := range cellsAt(arch, hms[i].SaturationClients(), figure2Fractions) {
+	for _, arch := range workload.CaseStudyServers() {
+		for _, c := range cellsAt(arch, hms[arch.Name].SaturationClients(), figure2Fractions) {
 			c.clients = max(c.clients, 1)
 			cells = append(cells, c)
 		}
@@ -63,7 +63,7 @@ func (s *Suite) figure2Walk() ([]figure2Point, error) {
 		}
 		points[k] = figure2Point{
 			arch: c.arch, clients: c.clients, group: group, meas: results[k],
-			hist: hms[k/len(figure2Fractions)], hybrid: hyb.Servers[c.arch.Name], lqn: lq,
+			hist: hms[c.arch.Name], hybrid: hyb.Servers[c.arch.Name], lqn: lq,
 		}
 	}
 	return points, nil
@@ -261,7 +261,7 @@ func (s *Suite) Figure3() (*Table, error) {
 	// calibrateAt builds the new-server model from data points spaced
 	// xFrac·N* apart, generated under the given solver options.
 	calibrateAt := func(xFrac float64, opt lqn.Options) (lowerAcc, upperAcc float64, err error) {
-		var estModels []*hist.ServerModel
+		histories := []hist.ServerHistory{{Arch: newAnchor.arch, MaxThroughput: newAnchor.xMax}}
 		for _, a := range anchors[:2] { // established: F and VF
 			// Lower: one point fixed at the 66% anchor, the other
 			// xFrac·N* below it. Upper: fixed at 110%, other above.
@@ -280,20 +280,13 @@ func (s *Suite) Figure3() (*Table, error) {
 				}
 				pts = append(pts, hist.DataPoint{Clients: n, MeanRT: rt})
 			}
-			m, err := hist.CalibrateServer(a.arch, a.xMax, gradient, pts)
-			if err != nil {
-				return 0, 0, err
-			}
-			estModels = append(estModels, m)
+			histories = append(histories, hist.ServerHistory{Arch: a.arch, MaxThroughput: a.xMax, Points: pts})
 		}
-		rel2, err := hist.FitRelationship2(estModels)
+		set, _, err := hist.CalibrateSet(gradient, histories)
 		if err != nil {
 			return 0, 0, err
 		}
-		newModel, err := rel2.NewServerModel(newAnchor.arch, newAnchor.xMax)
-		if err != nil {
-			return 0, 0, err
-		}
+		newModel := set[newAnchor.arch.Name]
 		lowerAcc, _, _ = hist.EvaluateEquationAccuracy(newModel, lowerEval)
 		_, upperAcc, _ = hist.EvaluateEquationAccuracy(newModel, upperEval)
 		return lowerAcc, upperAcc, nil

@@ -1,9 +1,8 @@
 package bench
 
 import (
-	"fmt"
-
 	"perfpred/internal/hist"
+	"perfpred/internal/hybrid"
 	"perfpred/internal/stats"
 	"perfpred/internal/workload"
 )
@@ -45,7 +44,7 @@ func (s *Suite) DataQuantity() (*Table, error) {
 	first := make([]int, len(perEqs)) // each setting's first calibration cell
 	for pi, perEq := range perEqs {
 		first[pi] = len(cells)
-		fracs := append(spreadFracs(0.20, 0.60, perEq), spreadFracs(1.15, 1.65, perEq)...)
+		fracs := append(hybrid.Spread(0.20, 0.60, perEq), hybrid.Spread(1.15, 1.65, perEq)...)
 		for i, arch := range established {
 			cells = append(cells, cellsAt(arch, xMaxes[i]/gradient, fracs)...)
 		}
@@ -64,7 +63,7 @@ func (s *Suite) DataQuantity() (*Table, error) {
 	// keeping ns samples per point. Its error is a calibration or fit
 	// the reduced data cannot support.
 	quantityModel := func(lo, perEq, ns int) (*hist.ServerModel, error) {
-		var est []*hist.ServerModel
+		histories := []hist.ServerHistory{{Arch: sArch, MaxThroughput: sMax}}
 		for i, arch := range established {
 			pts := make([]hist.DataPoint, 2*perEq)
 			for j := range pts {
@@ -75,17 +74,10 @@ func (s *Suite) DataQuantity() (*Table, error) {
 					Samples: ns,
 				}
 			}
-			m, err := hist.CalibrateServer(arch, xMaxes[i], gradient, pts)
-			if err != nil {
-				return nil, fmt.Errorf("calibration of %s: %w", arch.Name, err)
-			}
-			est = append(est, m)
+			histories = append(histories, hist.ServerHistory{Arch: arch, MaxThroughput: xMaxes[i], Points: pts})
 		}
-		rel2, err := hist.FitRelationship2(est)
-		if err != nil {
-			return nil, err
-		}
-		return rel2.NewServerModel(sArch, sMax)
+		set, _, err := hist.CalibrateSet(gradient, histories)
+		return set[sArch.Name], err
 	}
 	for pi, perEq := range perEqs {
 		for _, ns := range []int{25, 50, 200, 0} { // 0 = all samples
@@ -126,15 +118,4 @@ func truncatedMean(samples []float64, ns int) float64 {
 		sum += samples[i*stride]
 	}
 	return sum / float64(ns)
-}
-
-func spreadFracs(lo, hi float64, count int) []float64 {
-	if count == 1 {
-		return []float64{(lo + hi) / 2}
-	}
-	out := make([]float64, count)
-	for i := range out {
-		out[i] = lo + (hi-lo)*float64(i)/float64(count-1)
-	}
-	return out
 }

@@ -16,7 +16,7 @@ import (
 // represent the real system response times, and the hybrid model ...
 // as the less accurate predictions".
 func (s *Suite) RMSetup() (pred, truth rm.Predictor, servers []rm.Server, err error) {
-	truthSet, err := s.truthSet()
+	truthSet, err := s.HistSet()
 	if err != nil {
 		return nil, nil, nil, err
 	}
@@ -24,21 +24,7 @@ func (s *Suite) RMSetup() (pred, truth rm.Predictor, servers []rm.Server, err er
 	if err != nil {
 		return nil, nil, nil, err
 	}
-	return hyb, truthSet, rm.CaseStudyServers(), nil
-}
-
-// truthSet is the §9.1 stand-in for the real system: the historical
-// model of every architecture in the 16-server case-study pool.
-func (s *Suite) truthSet() (rm.ModelSet, error) {
-	hms, err := s.caseStudyModels()
-	if err != nil {
-		return nil, err
-	}
-	set := rm.ModelSet{}
-	for i, arch := range workload.CaseStudyServers() {
-		set[arch.Name] = hms[i]
-	}
-	return set, nil
+	return hyb.Servers, truthSet, rm.CaseStudyServers(), nil
 }
 
 // studyLoads sweeps the offered load like figures 5 and 6, up to and
@@ -151,7 +137,7 @@ func (s *Suite) UniformInaccuracy() (*Table, error) {
 		Title:  "Uniform predictive inaccuracy compensated by slack = y",
 		Header: []string{"y", "Max fail % (slack=y)", "Avg usage % (slack=y)", "Max fail % (slack=1)"},
 	}
-	truthSet, err := s.truthSet()
+	truthSet, err := s.HistSet()
 	if err != nil {
 		return nil, err
 	}
@@ -257,7 +243,7 @@ func (s *Suite) PredictionDelay() (*Table, error) {
 	}
 	start = time.Now()
 	for i := 0; i < reps; i++ {
-		if _, err := hyb.Predict("AppServF", float64(100+i)); err != nil {
+		if _, err := hyb.Servers.Predict("AppServF", float64(100+i)); err != nil {
 			return nil, err
 		}
 	}

@@ -191,7 +191,7 @@ func (s *Suite) ScenarioWindows(sc *scenario.Compiled, window, duration float64)
 	}
 	closed := sc.Workload().TotalClients()
 	hybridRT := func(n float64) float64 {
-		rt, err := hyb.Predict(arch.Name, n)
+		rt, err := hyb.Servers.Predict(arch.Name, n)
 		if err != nil {
 			return math.NaN()
 		}

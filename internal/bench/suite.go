@@ -187,19 +187,19 @@ func (s *Suite) HistModelFor(arch workload.ServerArch) (*hist.ServerModel, error
 	return s.HistNewServer()
 }
 
-// caseStudyModels returns HistModelFor every case-study server, in
-// CaseStudyServers order. The new server comes first and its
-// relationship-2 fit calibrates the established pair concurrently.
-func (s *Suite) caseStudyModels() ([]*hist.ServerModel, error) {
-	archs := workload.CaseStudyServers()
-	hms := make([]*hist.ServerModel, len(archs))
-	for i, arch := range archs {
+// HistSet returns HistModelFor every case-study server — the §9.1
+// stand-in for the real system. The new server comes first in
+// CaseStudyServers order, and its relationship-2 fit calibrates the
+// established pair concurrently.
+func (s *Suite) HistSet() (hist.ModelSet, error) {
+	set := hist.ModelSet{}
+	for _, arch := range workload.CaseStudyServers() {
 		var err error
-		if hms[i], err = s.HistModelFor(arch); err != nil {
+		if set[arch.Name], err = s.HistModelFor(arch); err != nil {
 			return nil, err
 		}
 	}
-	return hms, nil
+	return set, nil
 }
 
 // LQNDemands calibrates (and memoises) the per-request-type demands on

@@ -1,6 +1,10 @@
 package bench
 
-import "perfpred/internal/workload"
+import (
+	"math"
+
+	"perfpred/internal/workload"
+)
 
 // Table1 regenerates the paper's Table 1: the historical method's
 // relationship-1 parameters per server. Established servers carry the
@@ -11,11 +15,12 @@ func (s *Suite) Table1() (*Table, error) {
 		Title:  "Historical method relationship parameters",
 		Header: []string{"Server", "cL (ms)", "lambdaL", "lambdaU (ms/client)", "cU (ms)", "m", "Xmax (req/s)"},
 	}
+	models, err := s.HistSet()
+	if err != nil {
+		return nil, err
+	}
 	for _, arch := range workload.CaseStudyServers() {
-		m, err := s.HistModelFor(arch)
-		if err != nil {
-			return nil, err
-		}
+		m := models[arch.Name]
 		t.AddRow(arch.Name, f1(m.CL*1000), g3(m.LambdaL), g3(m.LambdaU*1000), f1(m.CU*1000), f3(m.M), f1(m.MaxThroughput))
 	}
 	t.AddNote("paper (Table 1, ms): S cL=138.9 λL=4e-06, F cL=84.1 λL=1e-04, VF cL=10.7 λL=9e-04")
@@ -59,7 +64,7 @@ func (s *Suite) ThroughputGradient() (*Table, error) {
 	if err != nil {
 		return nil, err
 	}
-	models, err := s.caseStudyModels()
+	models, err := s.HistSet()
 	if err != nil {
 		return nil, err
 	}
@@ -67,7 +72,7 @@ func (s *Suite) ThroughputGradient() (*Table, error) {
 	archs := workload.CaseStudyServers()
 	cells := make([]measureCell, len(archs))
 	for i, arch := range archs {
-		cells[i] = measureCell{arch: arch, clients: int(0.4 * models[i].MaxThroughput / mShared)}
+		cells[i] = measureCell{arch: arch, clients: int(0.4 * models[arch.Name].MaxThroughput / mShared)}
 	}
 	results, err := measureCells(s, cells)
 	if err != nil {
@@ -75,9 +80,9 @@ func (s *Suite) ThroughputGradient() (*Table, error) {
 	}
 	var worst float64 = 100
 	for i, c := range cells {
-		xMax := models[i].MaxThroughput
+		xMax := models[c.arch.Name].MaxThroughput
 		mServer := results[i].Throughput / float64(c.clients)
-		acc := 100 * (1 - abs(mServer-mShared)/mShared)
+		acc := 100 * (1 - math.Abs(mServer-mShared)/mShared)
 		if acc < worst {
 			worst = acc
 		}
@@ -86,11 +91,4 @@ func (s *Suite) ThroughputGradient() (*Table, error) {
 	t.AddRow("shared fit", f3(mShared), "-", "-")
 	t.AddNote("cross-server gradient agreement: worst-case %.1f%% (paper: m=0.14, 1.3%% error)", 100-worst)
 	return t, nil
-}
-
-func abs(v float64) float64 {
-	if v < 0 {
-		return -v
-	}
-	return v
 }

@@ -8,90 +8,6 @@ import (
 	"perfpred/internal/workload"
 )
 
-// p90Points measures p90 response times at the given populations.
-func p90Points(t *testing.T, arch workload.ServerArch, counts []int, opt trade.MeasureOptions) []DataPoint {
-	t.Helper()
-	var pts []DataPoint
-	for _, n := range counts {
-		res, err := trade.Measure(arch, workload.TypicalWorkload(n), opt)
-		if err != nil {
-			t.Fatal(err)
-		}
-		pts = append(pts, DataPoint{Clients: float64(n), MeanRT: res.OverallPercentile(90)})
-	}
-	return pts
-}
-
-func TestCalibratePercentileValidation(t *testing.T) {
-	truth := caseModelF()
-	pts := syntheticPoints(truth, 2, 2)
-	if _, err := CalibratePercentile(truth.Arch, truth.MaxThroughput, truth.M, 0, pts); err == nil {
-		t.Fatal("p=0 should fail")
-	}
-	if _, err := CalibratePercentile(truth.Arch, truth.MaxThroughput, truth.M, 1, pts); err == nil {
-		t.Fatal("p=1 should fail")
-	}
-	pm, err := CalibratePercentile(truth.Arch, truth.MaxThroughput, truth.M, 0.9, pts)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if pm.P != 0.9 {
-		t.Fatalf("P = %v", pm.P)
-	}
-	// Predict and MaxClients delegate to the fitted equations.
-	n, err := pm.MaxClients(0.3)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if rt := pm.Predict(n); rt > 0.3*1.001 {
-		t.Fatalf("RT at capacity = %v", rt)
-	}
-}
-
-func TestPercentileRelationship2MixedP(t *testing.T) {
-	truth := caseModelF()
-	pts := syntheticPoints(truth, 2, 2)
-	a, err := CalibratePercentile(truth.Arch, truth.MaxThroughput, truth.M, 0.9, pts)
-	if err != nil {
-		t.Fatal(err)
-	}
-	vfTruth := caseModelF()
-	vfTruth.MaxThroughput = 320
-	vfPts := syntheticPoints(vfTruth, 2, 2)
-	b, err := CalibratePercentile(vfTruth.Arch, 320, vfTruth.M, 0.95, vfPts)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := PercentileRelationship2([]*PercentileModel{a, b}); err == nil {
-		t.Fatal("mixed percentiles should fail")
-	}
-	if _, err := PercentileRelationship2([]*PercentileModel{a}); err == nil {
-		t.Fatal("single model should fail")
-	}
-	if _, err := PercentileRelationship2([]*PercentileModel{a, nil}); err == nil {
-		t.Fatal("nil model should fail")
-	}
-	// A matched pair fits and extrapolates.
-	b2, err := CalibratePercentile(vfTruth.Arch, 320, vfTruth.M, 0.9, vfPts)
-	if err != nil {
-		t.Fatal(err)
-	}
-	rel2, err := PercentileRelationship2([]*PercentileModel{a, b2})
-	if err != nil {
-		t.Fatal(err)
-	}
-	s, err := NewPercentileModel(rel2, truth.Arch, 86, 0.9)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if s.P != 0.9 || s.Model.MaxThroughput != 86 {
-		t.Fatalf("extrapolated model = %+v", s)
-	}
-	if _, err := NewPercentileModel(rel2, truth.Arch, 86, 0); err == nil {
-		t.Fatal("p=0 should fail")
-	}
-}
-
 // TestDirectPercentileBeatsExtrapolation reproduces the §8.2 claim:
 // fitting the percentile directly avoids the accuracy loss of
 // extrapolating percentiles from mean predictions through the §7.1
@@ -101,38 +17,44 @@ func TestDirectPercentileBeatsExtrapolation(t *testing.T) {
 		t.Skip("simulator-backed comparison")
 	}
 	opt := trade.MeasureOptions{Seed: 41, WarmUp: 40, Duration: 140}
-	arch := workload.AppServF()
-	xMax, err := trade.MaxThroughput(arch, 0, opt)
-	if err != nil {
-		t.Fatal(err)
-	}
 	const m = 0.14
-	nStar := xMax / m
-	calCounts := []int{int(0.25 * nStar), int(0.55 * nStar), int(1.2 * nStar), int(1.6 * nStar)}
+	arch := workload.AppServF()
 
-	// Direct percentile model from measured p90s.
-	direct, err := CalibratePercentile(arch, xMax, m, 0.9, p90Points(t, arch, calCounts, opt))
-	if err != nil {
-		t.Fatal(err)
-	}
-
-	// Mean model + §7.1 extrapolation with the paper's b.
-	var meanPts []DataPoint
-	for _, n := range calCounts {
-		res, err := trade.Measure(arch, workload.TypicalWorkload(n), opt)
+	// The same chain twice over the same runs: once on the p90 each run
+	// recorded (the direct model), once on its mean (extrapolated below
+	// with the paper's b).
+	var p90s, means []ServerHistory
+	for _, a := range []workload.ServerArch{arch, workload.AppServVF()} {
+		xMax, err := trade.MaxThroughput(a, 0, opt)
 		if err != nil {
 			t.Fatal(err)
 		}
-		meanPts = append(meanPts, DataPoint{Clients: float64(n), MeanRT: res.MeanRT})
+		n := xMax / m
+		p90, mean := ServerHistory{Arch: a, MaxThroughput: xMax}, ServerHistory{Arch: a, MaxThroughput: xMax}
+		for _, c := range []int{int(0.25 * n), int(0.55 * n), int(1.2 * n), int(1.6 * n)} {
+			res, err := trade.Measure(a, workload.TypicalWorkload(c), opt)
+			if err != nil {
+				t.Fatal(err)
+			}
+			p90.Points = append(p90.Points, DataPoint{Clients: float64(c), MeanRT: res.OverallPercentile(90)})
+			mean.Points = append(mean.Points, DataPoint{Clients: float64(c), MeanRT: res.MeanRT})
+		}
+		p90s, means = append(p90s, p90), append(means, mean)
 	}
-	meanModel, err := CalibrateServer(arch, xMax, m, meanPts)
+	directSet, _, err := CalibrateSet(m, p90s)
 	if err != nil {
 		t.Fatal(err)
 	}
+	meanSet, _, err := CalibrateSet(m, means)
+	if err != nil {
+		t.Fatal(err)
+	}
+	direct, meanModel := directSet[arch.Name], meanSet[arch.Name]
 
 	// Fresh evaluation measurements.
 	evalOpt := opt
 	evalOpt.Seed = 91
+	nStar := meanModel.SaturationClients()
 	evalCounts := []int{int(0.35 * nStar), int(0.5 * nStar), int(1.3 * nStar), int(1.5 * nStar)}
 	var directErr, extrapErr float64
 	for _, n := range evalCounts {

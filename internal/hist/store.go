@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"io"
 	"os"
+	"path/filepath"
 	"sort"
 	"sync"
 
@@ -202,14 +203,29 @@ func (s *Store) Load(r io.Reader) error {
 	return nil
 }
 
-// SaveFile persists the store to path (0644).
+// SaveFile persists the store to path (0644). The document goes to a
+// temporary file beside the target, is flushed, and is renamed over
+// it, so a failed or interrupted save leaves the previous file intact.
 func (s *Store) SaveFile(path string) error {
-	f, err := os.Create(path)
+	f, err := os.CreateTemp(filepath.Dir(path), filepath.Base(path)+".tmp*")
 	if err != nil {
 		return err
 	}
-	defer f.Close()
-	return s.Save(f)
+	defer os.Remove(f.Name()) // fails, harmlessly, once renamed
+	err = s.Save(f)
+	if err == nil {
+		err = f.Chmod(0o644)
+	}
+	if err == nil {
+		err = f.Sync()
+	}
+	if cerr := f.Close(); err == nil {
+		err = cerr
+	}
+	if err != nil {
+		return err
+	}
+	return os.Rename(f.Name(), path)
 }
 
 // LoadFile reads a store from path; a missing file yields an empty

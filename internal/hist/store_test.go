@@ -2,6 +2,8 @@ package hist
 
 import (
 	"bytes"
+	"math"
+	"os"
 	"path/filepath"
 	"strings"
 	"testing"
@@ -153,5 +155,62 @@ func TestStoreFilePersistence(t *testing.T) {
 	}
 	if len(fresh.Servers()) != 0 {
 		t.Fatal("fresh store should be empty")
+	}
+}
+
+// A save that fails part-way must not cost the history already on
+// disk: the previous file survives byte for byte, no temporary file is
+// left beside it, and a later good save replaces it with a document
+// that loads back to the same store.
+func TestSaveFileFailureKeepsPreviousFile(t *testing.T) {
+	dir := t.TempDir()
+	path := filepath.Join(dir, "hydra.json")
+	s := populatedStore(t)
+	if err := s.SaveFile(path); err != nil {
+		t.Fatal(err)
+	}
+	before, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	broken := populatedStore(t)
+	broken.data.Gradient = math.NaN() // JSON cannot encode it: Save fails mid-document
+	if err := broken.SaveFile(path); err == nil {
+		t.Fatal("saving an unencodable store should fail")
+	}
+	after, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(before, after) {
+		t.Fatalf("failed save changed the stored history: %d bytes, was %d", len(after), len(before))
+	}
+	if entries, _ := os.ReadDir(dir); len(entries) != 1 {
+		t.Fatalf("failed save left %d files in the directory, want the store alone", len(entries))
+	}
+
+	if err := s.RecordMaxThroughput("AppServS", TypicalWorkloadKey, 86); err != nil {
+		t.Fatal(err)
+	}
+	if err := s.SaveFile(path); err != nil {
+		t.Fatal(err)
+	}
+	back := NewStore()
+	if err := back.LoadFile(path); err != nil {
+		t.Fatal(err)
+	}
+	var want, got bytes.Buffer
+	if err := s.Save(&want); err != nil {
+		t.Fatal(err)
+	}
+	if err := back.Save(&got); err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(want.Bytes(), got.Bytes()) {
+		t.Fatal("store differs after a save and load through the file")
+	}
+	if info, err := os.Stat(path); err != nil || info.Mode().Perm() != 0o644 {
+		t.Fatalf("saved store mode = %v (%v), want 0644", info.Mode().Perm(), err)
 	}
 }

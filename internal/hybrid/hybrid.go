@@ -58,9 +58,10 @@ func (c Config) withDefaults() Config {
 // Model is a calibrated hybrid model: one historical server model per
 // architecture, all calibrated from layered-queuing pseudo data.
 type Model struct {
-	// Servers maps architecture name to its calibrated historical
-	// model.
-	Servers map[string]*hist.ServerModel
+	// Servers holds each architecture's calibrated historical model;
+	// predictions, capacities and percentiles are asked of it by name
+	// and are closed-form — no layered solve happens after start-up.
+	Servers hist.ModelSet
 	// StartupDelay is the total time spent generating pseudo
 	// historical data and calibrating — the §6/§8.5 one-off cost
 	// before the first prediction.
@@ -82,14 +83,14 @@ func Build(cfg Config, servers []workload.ServerArch) (*Model, error) {
 		return nil, errors.New("hybrid: no server architectures")
 	}
 	start := time.Now()
-	m := &Model{Servers: make(map[string]*hist.ServerModel, len(servers))}
+	m := &Model{Servers: make(hist.ModelSet, len(servers))}
 	type built struct {
 		sm    *hist.ServerModel
 		evals int
 	}
 	results, err := parallel.Map(context.Background(), cfg.Workers, len(servers),
 		func(_ context.Context, i int) (built, error) {
-			sm, evals, err := buildServer(cfg, servers[i])
+			sm, evals, err := buildServerMix(cfg, servers[i], 0)
 			if err != nil {
 				return built{}, fmt.Errorf("hybrid: building %s: %w", servers[i].Name, err)
 			}
@@ -108,10 +109,6 @@ func Build(cfg Config, servers []workload.ServerArch) (*Model, error) {
 		mm.evaluations.Add(uint64(m.Evaluations))
 	}
 	return m, nil
-}
-
-func buildServer(cfg Config, arch workload.ServerArch) (*hist.ServerModel, int, error) {
-	return buildServerMix(cfg, arch, 0)
 }
 
 // BuildServerMix builds one architecture's hybrid server model under a
@@ -173,7 +170,7 @@ func buildServerMix(cfg Config, arch workload.ServerArch, buyFrac float64) (*his
 	}
 
 	// Gradient: one light-load solve; m = X/N well below saturation.
-	nLight := maxInt(1, int(0.2*float64(estSat)))
+	nLight := max(1, int(0.2*float64(estSat)))
 	phase = mm.phaseStart()
 	res, err = solveTypical(nLight)
 	if err != nil {
@@ -192,7 +189,7 @@ func buildServerMix(cfg Config, arch workload.ServerArch, buyFrac float64) (*his
 	var points []hist.DataPoint
 	gen := func(fracs []float64) error {
 		for _, f := range fracs {
-			n := maxInt(1, int(f*nStar))
+			n := max(1, int(f*nStar))
 			r, err := solveTypical(n)
 			if err != nil {
 				return err
@@ -207,10 +204,10 @@ func buildServerMix(cfg Config, arch workload.ServerArch, buyFrac float64) (*his
 		return nil
 	}
 	phase = mm.phaseStart()
-	if err := gen(spread(0.20, 0.62, cfg.PointsPerEquation)); err != nil {
+	if err := gen(Spread(0.20, 0.62, cfg.PointsPerEquation)); err != nil {
 		return nil, evals, err
 	}
-	if err := gen(spread(1.15, 1.70, cfg.PointsPerEquation)); err != nil {
+	if err := gen(Spread(1.15, 1.70, cfg.PointsPerEquation)); err != nil {
 		return nil, evals, err
 	}
 	mm.phaseEnd(pickData, phase)
@@ -223,8 +220,9 @@ func buildServerMix(cfg Config, arch workload.ServerArch, buyFrac float64) (*his
 	return sm, evals, nil
 }
 
-// spread returns count values evenly spaced across [lo, hi].
-func spread(lo, hi float64, count int) []float64 {
+// Spread returns count values evenly spaced across [lo, hi] — where
+// calibration points sit, as fractions of the saturation population.
+func Spread(lo, hi float64, count int) []float64 {
 	if count == 1 {
 		return []float64{(lo + hi) / 2}
 	}
@@ -233,45 +231,6 @@ func spread(lo, hi float64, count int) []float64 {
 		out[i] = lo + (hi-lo)*float64(i)/float64(count-1)
 	}
 	return out
-}
-
-func maxInt(a, b int) int {
-	if a > b {
-		return a
-	}
-	return b
-}
-
-// Predict returns the hybrid mean response time prediction for the
-// named architecture at n clients. After start-up this is closed-form:
-// no layered solves happen here.
-func (m *Model) Predict(server string, n float64) (float64, error) {
-	sm, ok := m.Servers[server]
-	if !ok {
-		return 0, fmt.Errorf("hybrid: no model for server %q", server)
-	}
-	return sm.Predict(n), nil
-}
-
-// PredictPercentile converts the mean prediction into a percentile
-// prediction via the §7.1 distributions, like the historical method.
-func (m *Model) PredictPercentile(server string, n, p, b float64) (float64, error) {
-	sm, ok := m.Servers[server]
-	if !ok {
-		return 0, fmt.Errorf("hybrid: no model for server %q", server)
-	}
-	return sm.PredictPercentile(n, p, b)
-}
-
-// MaxClients inverts the named server's model for an SLA goal — the
-// hybrid method inherits the historical method's closed-form
-// inversion (§8.2).
-func (m *Model) MaxClients(server string, goalRT float64) (float64, error) {
-	sm, ok := m.Servers[server]
-	if !ok {
-		return 0, fmt.Errorf("hybrid: no model for server %q", server)
-	}
-	return sm.MaxClients(goalRT)
 }
 
 // BuildRelationship3 generates relationship 3 (buy% → max throughput)

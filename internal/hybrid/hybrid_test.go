@@ -75,14 +75,14 @@ func TestPredictAfterStartupIsClosedForm(t *testing.T) {
 	}
 	evalsAfterBuild := m.Evaluations
 	for n := 100.0; n <= 2500; n += 100 {
-		if _, err := m.Predict("AppServF", n); err != nil {
+		if _, err := m.Servers.Predict("AppServF", n); err != nil {
 			t.Fatal(err)
 		}
 	}
 	if m.Evaluations != evalsAfterBuild {
 		t.Fatal("Predict must not run the layered solver")
 	}
-	if _, err := m.Predict("ghost", 100); err == nil {
+	if _, err := m.Servers.Predict("ghost", 100); err == nil {
 		t.Fatal("unknown server should fail")
 	}
 }
@@ -106,7 +106,7 @@ func TestHybridAccuracyAgainstSimulator(t *testing.T) {
 		}
 		var preds, acts []float64
 		for _, p := range points {
-			pr, err := m.Predict(arch.Name, float64(p.Clients))
+			pr, err := m.Servers.Predict(arch.Name, float64(p.Clients))
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -131,35 +131,35 @@ func TestPercentileAndMaxClients(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	mean, err := m.Predict("AppServF", 2000)
+	mean, err := m.Servers.Predict("AppServF", 2000)
 	if err != nil {
 		t.Fatal(err)
 	}
-	p90, err := m.PredictPercentile("AppServF", 2000, 0.90, 0.2041)
+	p90, err := m.Servers.PredictPercentile("AppServF", 2000, 0.90, 0.2041)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if p90 <= mean {
 		t.Fatalf("p90 %v should exceed mean %v", p90, mean)
 	}
-	n, err := m.MaxClients("AppServF", 0.3)
+	n, err := m.Servers.MaxClients("AppServF", 0.3)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if n <= 0 {
 		t.Fatalf("max clients = %v", n)
 	}
-	rt, err := m.Predict("AppServF", n)
+	rt, err := m.Servers.Predict("AppServF", n)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if rt > 0.3*1.001 {
 		t.Fatalf("RT at max clients = %v > goal", rt)
 	}
-	if _, err := m.PredictPercentile("ghost", 100, 0.9, 0.2); err == nil {
+	if _, err := m.Servers.PredictPercentile("ghost", 100, 0.9, 0.2); err == nil {
 		t.Fatal("unknown server should fail")
 	}
-	if _, err := m.MaxClients("ghost", 0.3); err == nil {
+	if _, err := m.Servers.MaxClients("ghost", 0.3); err == nil {
 		t.Fatal("unknown server should fail")
 	}
 }
@@ -189,14 +189,14 @@ func TestBuildRelationship3(t *testing.T) {
 }
 
 func TestSpread(t *testing.T) {
-	got := spread(0.2, 0.6, 3)
+	got := Spread(0.2, 0.6, 3)
 	want := []float64{0.2, 0.4, 0.6}
 	for i := range want {
 		if math.Abs(got[i]-want[i]) > 1e-12 {
 			t.Fatalf("spread = %v, want %v", got, want)
 		}
 	}
-	if one := spread(1, 2, 1); len(one) != 1 || one[0] != 1.5 {
+	if one := Spread(1, 2, 1); len(one) != 1 || one[0] != 1.5 {
 		t.Fatalf("spread count 1 = %v", one)
 	}
 }

@@ -17,9 +17,7 @@ type Result struct {
 	// ServerUsagePct is the planned % server usage (the processing
 	// power committed to the application).
 	ServerUsagePct float64
-	// RejectedByClass maps class name to rejected real clients.
-	RejectedByClass map[string]int
-	// Tracker carries the underlying served/rejected accounting.
+	// Tracker carries the served/rejected accounting, per class.
 	Tracker *sla.Tracker
 }
 
@@ -59,13 +57,11 @@ func Evaluate(plan *Plan, classes []Class, servers []Server, truth Predictor) (*
 	}
 	var placements []placement
 	tracker := sla.NewTracker()
-	rejected := make(map[string]int)
 
 	for _, c := range classes {
 		planned := plan.PlannedFor(c.Name)
 		if planned == 0 {
 			if c.Clients > 0 {
-				rejected[c.Name] += c.Clients
 				tracker.Reject(c.Name, c.Clients)
 			}
 			continue
@@ -208,16 +204,14 @@ func Evaluate(plan *Plan, classes []Class, servers []Server, truth Predictor) (*
 	}
 	for cname, n := range pool {
 		if n > 0 {
-			rejected[cname] += n
 			tracker.Reject(cname, n)
 		}
 	}
 
 	return &Result{
-		SLAFailurePct:   tracker.FailurePct(),
-		ServerUsagePct:  plan.UsagePct,
-		RejectedByClass: rejected,
-		Tracker:         tracker,
+		SLAFailurePct:  tracker.FailurePct(),
+		ServerUsagePct: plan.UsagePct,
+		Tracker:        tracker,
 	}, nil
 }
 

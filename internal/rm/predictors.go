@@ -6,32 +6,9 @@ import (
 	"perfpred/internal/hist"
 )
 
-// ModelSet adapts per-architecture historical server models to the
-// Predictor interface. Both the historical method's models (calibrated
-// from measurements) and the hybrid method's (calibrated from layered
-// pseudo data) slot in here; the hybrid package's Model satisfies
-// Predictor directly as well.
-type ModelSet map[string]*hist.ServerModel
-
-// Predict returns the architecture's predicted mean response time at n
-// clients.
-func (m ModelSet) Predict(arch string, n float64) (float64, error) {
-	sm, ok := m[arch]
-	if !ok {
-		return 0, fmt.Errorf("rm: no model for architecture %q", arch)
-	}
-	return sm.Predict(n), nil
-}
-
-// MaxClients returns the architecture's predicted capacity under the
-// goal.
-func (m ModelSet) MaxClients(arch string, goalRT float64) (float64, error) {
-	sm, ok := m[arch]
-	if !ok {
-		return 0, fmt.Errorf("rm: no model for architecture %q", arch)
-	}
-	return sm.MaxClients(goalRT)
-}
+// ModelSet is the historical and hybrid methods' model set, which
+// answers as a Predictor by architecture name.
+type ModelSet = hist.ModelSet
 
 // Biased wraps a Predictor with the §9.1 uniform predictive
 // inaccuracy: "multiplying the actual number of clients by y gives the

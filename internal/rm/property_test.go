@@ -33,7 +33,7 @@ func TestEvaluateConservesClientsProperty(t *testing.T) {
 		rejected := 0
 		for _, c := range classes {
 			accounted += res.Tracker.ClassServed(c.Name) + res.Tracker.ClassRejected(c.Name)
-			rejected += res.RejectedByClass[c.Name]
+			rejected += res.Tracker.ClassRejected(c.Name)
 		}
 		if accounted != total {
 			return false

@@ -195,8 +195,7 @@ func TestEvaluatePerfectPredictorZeroFailures(t *testing.T) {
 		t.Fatal(err)
 	}
 	if res.SLAFailurePct != 0 {
-		t.Fatalf("perfect predictions should give 0%% failures, got %v (rejected %v)",
-			res.SLAFailurePct, res.RejectedByClass)
+		t.Fatalf("perfect predictions should give 0%% failures, got %v", res.SLAFailurePct)
 	}
 	if res.ServerUsagePct <= 0 || res.ServerUsagePct > 100 {
 		t.Fatalf("usage = %v", res.ServerUsagePct)

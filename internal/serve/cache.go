@@ -234,7 +234,7 @@ func (s *Service) buildHybrid(key modelKey, arch workload.ServerArch) (*modelEnt
 		}
 		b = ev.laplaceB
 	}
-	return &modelEntry{pred: rm.ModelSet{arch.Name: sm}, sm: sm, laplaceB: b}, nil
+	return &modelEntry{pred: hist.ModelSet{arch.Name: sm}, sm: sm, laplaceB: b}, nil
 }
 
 // buildRegress is the cheap tier's cold path: fit a black-box

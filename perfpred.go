@@ -84,9 +84,13 @@ type (
 	Relationship3 = hist.Relationship3
 	// BuyPoint is one (buy %, max throughput) observation.
 	BuyPoint = hist.BuyPoint
-	// PercentileModel predicts percentile response times directly from
-	// percentile measurements (§8.2).
-	PercentileModel = hist.PercentileModel
+	// ModelSet is a set of calibrated historical models keyed by
+	// architecture name; it answers as a Predictor. The historical and
+	// hybrid methods both produce one.
+	ModelSet = hist.ModelSet
+	// ServerHistory is one server's benchmark and recorded data points
+	// (none for a new server) — CalibrateSet's input.
+	ServerHistory = hist.ServerHistory
 	// StabilisationModel captures cold-start settling toward steady
 	// state (§8.2).
 	StabilisationModel = hist.StabilisationModel
@@ -110,12 +114,9 @@ var (
 	FitRelationship3         = hist.FitRelationship3
 	EvaluateAccuracy         = hist.EvaluateAccuracy
 	EvaluateEquationAccuracy = hist.EvaluateEquationAccuracy
-	// CalibratePercentile fits a direct percentile model (§8.2).
-	CalibratePercentile = hist.CalibratePercentile
-	// PercentileRelationship2 and NewPercentileModel extrapolate direct
-	// percentile models onto new architectures.
-	PercentileRelationship2 = hist.PercentileRelationship2
-	NewPercentileModel      = hist.NewPercentileModel
+	// CalibrateSet runs the whole §4 chain over server histories; fed
+	// percentile data points it yields §8.2's direct percentile models.
+	CalibrateSet = hist.CalibrateSet
 	// FitStabilisation fits the cold-start settling model (§8.2).
 	FitStabilisation = hist.FitStabilisation
 	// PredictGradient and RescaleGradient derive the
@@ -278,8 +279,6 @@ type (
 	RMOptions = rm.Options
 	// RMResult carries the §9.1 cost metrics.
 	RMResult = rm.Result
-	// ModelSet adapts historical models to the Predictor interface.
-	ModelSet = rm.ModelSet
 	// Biased wraps a predictor with uniform inaccuracy y.
 	Biased = rm.Biased
 	// ClassShare defines a class as a fraction of total load.

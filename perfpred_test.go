@@ -56,7 +56,7 @@ func TestFacadeQuickstart(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := hyb.Predict("AppServS", 400); err != nil {
+	if _, err := hyb.Servers.Predict("AppServS", 400); err != nil {
 		t.Fatal(err)
 	}
 
@@ -74,14 +74,14 @@ func TestFacadeQuickstart(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	plan, err := Allocate(classes, RMCaseStudyServers(), hyb, 1.1, RMOptions{})
+	plan, err := Allocate(classes, RMCaseStudyServers(), hyb.Servers, 1.1, RMOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if len(plan.Allocations) == 0 {
 		t.Fatal("empty plan")
 	}
-	res, err := EvaluatePlan(plan, classes, RMCaseStudyServers(), hyb)
+	res, err := EvaluatePlan(plan, classes, RMCaseStudyServers(), hyb.Servers)
 	if err != nil {
 		t.Fatal(err)
 	}
