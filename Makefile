@@ -14,11 +14,13 @@
 #   make bench     — go test -bench micro-benchmarks for measuring while
 #                    you work: barrier hand-off floor, event core and
 #                    calendar queue, shard window,
-#                    simulator sweep and request loop, LQN solver, hybrid
-#                    build. Allocation counts are machine-independent.
+#                    simulator sweep and request loop, fleet routing
+#                    decision, LQN solver, hybrid build. Allocation
+#                    counts are machine-independent.
 #   make fuzz      — each native fuzz target for 10 s:
-#                    the scenario, LQN-model and history-store parsers and
-#                    the predserve query handlers.
+#                    the scenario, LQN-model and history-store parsers,
+#                    the predserve query handlers and the fleet router's
+#                    tree picks against the full scan.
 #   make examples  — run each program under examples/ to completion; one
 #                    that exits non-zero fails the target (a few seconds in all).
 #
@@ -36,7 +38,7 @@ race:
 	$(GO) test -race -run 'TestSuiteConcurrent|TestSuiteParallelHybrid|TestFigure2ShapeHolds|TestWorkerCountInvariance' ./internal/bench
 	$(GO) test -race -run 'TestEngine|TestStation|TestCalendar|TestReschedule|TestMeasureCurve' ./internal/sim ./internal/trade
 	$(GO) test -race -cpu 1,2,4 -run 'TestCoordinator|TestSharded' ./internal/sim ./internal/trade
-	$(GO) test -race -cpu 1,2,4 -run 'TestFleet' ./internal/fleet
+	$(GO) test -race -cpu 1,2,4 -run 'TestFleet|TestRoute|TestOriginState|FuzzPickMatchesScan' ./internal/fleet
 	$(GO) test -race -run 'TestConcurrentServing|TestColdStampedeBuildsOnce|TestOverloadShedsNotCollapses|TestGracefulShutdownDrains|TestBuildWorkersBoundAllMethods|TestJoinerKeepsItsOwnDeadline|TestRebuildRunsNoSimulation' ./internal/serve
 	$(GO) test -race ./internal/scenario
 	$(GO) test -race -run 'TestScenario|TestFleetScenario' ./internal/trade ./internal/fleet
@@ -50,6 +52,7 @@ bench:
 	$(GO) test -run '^$$' -bench 'BenchmarkSchedule|BenchmarkRunDrain|BenchmarkStation|BenchmarkCalendar|BenchmarkShard' -benchmem ./internal/sim
 	$(GO) test -run '^$$' -bench BenchmarkMeasureCurve -benchtime 2x ./internal/trade
 	$(GO) test -run '^$$' -bench 'BenchmarkRequestLoop|BenchmarkCollect|BenchmarkWindows|BenchmarkRunBackend' -benchmem ./internal/trade
+	$(GO) test -run '^$$' -bench BenchmarkRoute -benchmem ./internal/fleet
 	$(GO) test -run '^$$' -bench 'BenchmarkSolve' -benchmem ./internal/lqn
 	$(GO) test -run '^$$' -bench 'BenchmarkHybridBuild|BenchmarkBuildRelationship3' -benchmem ./internal/hybrid
 
@@ -58,6 +61,7 @@ fuzz:
 	$(GO) test -run '^$$' -fuzz FuzzReadModel -fuzztime 10s ./internal/lqn
 	$(GO) test -run '^$$' -fuzz FuzzStoreLoad -fuzztime 10s ./internal/hist
 	$(GO) test -run '^$$' -fuzz FuzzQueryHandlers -fuzztime 10s ./internal/serve
+	$(GO) test -run '^$$' -fuzz FuzzPickMatchesScan -fuzztime 10s ./internal/fleet
 
 examples:
 	for e in quickstart capacityplan cluster cachestudy slatuning; do \

@@ -10,7 +10,9 @@
 // the zero-allocation hot path: O(1) counters on arrival/completion,
 // flat index-addressed arrays, and scorers that read only barrier-
 // synced snapshots plus origin-local in-window corrections, so seeded
-// runs stay bit-identical at any shard count. The replanState runs at
+// runs stay bit-identical at any shard count; a pick descends a
+// per-class tournament tree built at the barrier instead of scanning
+// every pool. The replanState runs at
 // window barriers: it estimates live per-class client totals by
 // Little's law, snapshots the pools, cuts a plan via rm.Replanner
 // (Algorithm 1 over retained warm-started LQN solves) and phases the
@@ -135,6 +137,10 @@ type Result struct {
 	// Decisions counts routing decisions (closed-client requests that
 	// consulted the scorer); Remote of them left the origin pool.
 	Decisions, Remote uint64
+	// Visited counts the tournament-tree nodes the decisions examined
+	// (a full scan would examine Pools per decision; Static examines
+	// none). Like Decisions it is a function of the seeded trajectory.
+	Visited uint64
 	// Barriers counts executed window barriers (sync + hook runs).
 	Barriers uint64
 	// Parks counts the barrier waits that outlasted the worker pool's
@@ -239,6 +245,7 @@ func Run(cfg Config) (*Result, error) {
 		Scorer:    scorer.Name(),
 		Decisions: decisions,
 		Remote:    remotes,
+		Visited:   router.visitedTotal(),
 		Barriers:  barriers,
 		Parks:     run.Parks(),
 		Wall:      time.Since(start),

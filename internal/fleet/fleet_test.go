@@ -77,8 +77,9 @@ func sameFleetResult(t *testing.T, label string, a, b *Result) {
 				label, name, ca.Completed, ca.MeanRT, cb.Completed, cb.MeanRT)
 		}
 	}
-	if a.Decisions != b.Decisions || a.Remote != b.Remote {
-		t.Errorf("%s: decisions %d/%d vs %d/%d", label, a.Decisions, a.Remote, b.Decisions, b.Remote)
+	if a.Decisions != b.Decisions || a.Remote != b.Remote || a.Visited != b.Visited {
+		t.Errorf("%s: decisions/remote/visited %d/%d/%d vs %d/%d/%d",
+			label, a.Decisions, a.Remote, a.Visited, b.Decisions, b.Remote, b.Visited)
 	}
 	if a.Barriers != b.Barriers {
 		t.Errorf("%s: barriers %d vs %d", label, a.Barriers, b.Barriers)
@@ -130,7 +131,7 @@ func TestFleetConfigValidation(t *testing.T) {
 // the same seeded config produces bit-identical results at 1, 2 and 4
 // shards, for every scorer.
 func TestFleetDeterministicAcrossShards(t *testing.T) {
-	for _, scorer := range []Scorer{Static{}, QueueDepth{}, LeastRT{}, ClassAffinity{}, DefaultWeighted()} {
+	for _, scorer := range []Scorer{Static{}, QueueDepth{}, LeastRT{}, ClassAffinity{}, Weighted{}} {
 		ref, err := Run(testConfig(4, 1, scorer))
 		if err != nil {
 			t.Fatal(err)
@@ -182,7 +183,7 @@ func TestFleetReplanDeterministicAcrossShards(t *testing.T) {
 
 // Re-running the identical config must be exactly reproducible.
 func TestFleetRunReproducible(t *testing.T) {
-	cfg := withReplanning(t, testConfig(3, 3, DefaultWeighted()))
+	cfg := withReplanning(t, testConfig(3, 3, Weighted{}))
 	a, err := Run(cfg)
 	if err != nil {
 		t.Fatal(err)

@@ -14,6 +14,7 @@ import (
 type fleetMetrics struct {
 	decisions       *obs.Counter   // routing decisions made
 	remoteRoutes    *obs.Counter   // decisions that left the origin pool
+	poolsVisited    *obs.Counter   // tree nodes the decisions examined
 	barriers        *obs.Counter   // window barriers executed
 	replans         *obs.Counter   // resource-manager plans cut in-loop
 	affinityChanges *obs.Counter   // affinity edits applied after warm-up/drain
@@ -33,6 +34,7 @@ func EnableMetrics(r *obs.Registry) {
 	metrics.Store(&fleetMetrics{
 		decisions:       r.Counter("fleet_routing_decisions"),
 		remoteRoutes:    r.Counter("fleet_remote_routes"),
+		poolsVisited:    r.Counter("fleet_pools_visited"),
 		barriers:        r.Counter("fleet_barriers"),
 		replans:         r.Counter("fleet_replans"),
 		affinityChanges: r.Counter("fleet_affinity_changes"),
@@ -49,6 +51,7 @@ func flushMetrics(res *Result) {
 	}
 	m.decisions.Add(res.Decisions)
 	m.remoteRoutes.Add(res.Remote)
+	m.poolsVisited.Add(res.Visited)
 	m.barriers.Add(res.Barriers)
 	m.replans.Add(uint64(res.Replans))
 	m.affinityChanges.Add(uint64(res.AffinityChanges))

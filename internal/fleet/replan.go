@@ -90,7 +90,7 @@ func newReplanState(rp *rm.Replanner, router *Router, cfg *Config, archNames []s
 	return rs
 }
 
-// step runs at every window barrier, after Router.sync: matured
+// step runs at every window barrier, after Router.Sync: matured
 // affinity changes apply, then a due replan fires (one per barrier —
 // the barrier cadence lower-bounds the effective period).
 func (rs *replanState) step(now float64) {
@@ -192,7 +192,7 @@ func (rs *replanState) sweep(now float64) {
 	kept := rs.pending[:0]
 	for _, pc := range rs.pending {
 		if pc.at <= now+timeEps {
-			rs.router.view.Allowed[pc.class*rs.router.npools+pc.pool] = pc.allow
+			rs.router.setAllowed(pc.class, pc.pool, pc.allow)
 			rs.pendingApplied++
 		} else {
 			kept = append(kept, pc)

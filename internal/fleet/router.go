@@ -1,25 +1,29 @@
 package fleet
 
-import "perfpred/internal/trade"
+import (
+	"math"
+
+	"perfpred/internal/trade"
+)
 
 // rtAlpha is the EWMA weight of the latest barrier window's mean
 // response time in the per-pool smoothed RT.
 const rtAlpha = 0.3
 
-// View is the routing state a Scorer reads. Every field except
-// Assigned is written only at window barriers (Router.sync, on the
-// coordinator goroutine while all shards are quiescent) and read during
-// windows, so scorers on every shard see the identical snapshot — the
-// property that keeps routing decisions invariant under the
-// pool→shard mapping. Assigned is the one in-window layer: each origin
-// pool's own row of the matrix, counting the decisions that origin has
-// made since the last barrier so its scorers don't herd onto the pool
-// the stale snapshot calls idle. A pool's own event order is
-// mapping-invariant, so origin-local state is legal; reading another
-// origin's live row would not be.
-type View struct {
-	// NPools and NClasses are the matrix dimensions.
-	NPools, NClasses int
+// view is the routing state the scorers read. Every field except
+// Assigned is written only at window barriers (Router.Sync and the
+// replanner's setAllowed, on the coordinator goroutine while all shards
+// are quiescent) and read during windows, so scorers on every shard see
+// the identical snapshot — the property that keeps routing decisions
+// invariant under the pool→shard mapping. Assigned is the one in-window
+// layer: each origin pool's own row of the matrix, counting the
+// decisions that origin has made since the last barrier so its scorers
+// don't herd onto the pool the stale snapshot calls idle. A pool's own
+// event order is mapping-invariant, so origin-local state is legal;
+// reading another origin's live row would not be.
+type view struct {
+	// NPools is the matrix dimension.
+	NPools int
 	// InFlight is the barrier snapshot of requests in service or queued
 	// per pool (started − completed).
 	InFlight []int
@@ -28,7 +32,7 @@ type View struct {
 	RT []float64
 	// Capacity is each pool's servlet-thread multiplicity (MPL) — the
 	// static weight that makes load comparisons across heterogeneous
-	// pools relative, not absolute.
+	// pools relative, not absolute. Positive.
 	Capacity []int
 	// Allowed is the nclasses×npools class-affinity matrix (row-major
 	// by class): 1 when the resource manager's current plan places the
@@ -44,7 +48,7 @@ type View struct {
 // relLoad is the scorers' shared load signal for pool p as seen by
 // origin: the barrier in-flight snapshot plus the origin's own
 // in-window assignments, relative to the pool's thread capacity.
-func (v *View) relLoad(origin, p int) float64 {
+func (v *view) relLoad(origin, p int) float64 {
 	return float64(v.InFlight[p]+int(v.Assigned[origin*v.NPools+p])) / float64(v.Capacity[p])
 }
 
@@ -60,26 +64,30 @@ type classCount struct {
 // origins on different shards never write-share. dirty lists the
 // Assigned-row slots the origin touched this window; clearing only
 // those at the barrier keeps barrier cost proportional to decisions,
-// not npools².
+// not npools². visited counts the tree nodes the origin's picks
+// examined.
 type originState struct {
 	routes  uint64
 	remotes uint64
+	visited uint64
 	dirty   []int32
-	_       [3]uint64 // pad to 64 bytes
+	_       [2]uint64 // pad to 64 bytes
 }
 
 // Router is the fleet's trade.PoolRouter: incrementally maintained
-// per-pool state behind a pluggable Scorer. All hot-path methods
-// (Route/Started/Completed) are O(1) counter updates or flat
-// index-addressed scans with zero heap allocation; cross-pool state
-// moves only at window barriers via sync.
+// per-pool state behind a Scorer. Route/Started/Completed are counter
+// updates plus, for every scorer but Static, a branch-and-bound
+// descent of a tournament tree rebuilt at each barrier (tree.go) —
+// a handful of nodes per decision where a scan reads every pool — with
+// zero heap allocation; cross-pool state moves only at window barriers
+// via Sync.
 type Router struct {
-	scorer   Scorer
+	policy   policy
 	npools   int
 	nclasses int
 	stride   int // classCounts per pool row, padded to a 64-byte multiple
 
-	view View
+	view view
 
 	cc      []classCount // npools×stride, row-major by pool
 	origins []originState
@@ -87,30 +95,39 @@ type Router struct {
 	// Per-pool RT-window baselines for the barrier EWMA.
 	prevRTSum   []float64
 	prevRTCount []uint64
+
+	// The tournament trees and the barrier values their keys share:
+	// all spans every pool (queue, leastrt, affinity's fallback);
+	// byClass has one tree per class (affinity, weighted). Static has
+	// neither.
+	load    []float64 // barrier relative load per pool
+	maxRT   float64   // barrier max of view.RT (weighted)
+	all     tree
+	byClass []tree
 }
 
 var _ trade.PoolRouter = (*Router)(nil)
 
 // NewRouter builds a router over len(capacities) pools with the given
-// per-pool thread capacities (MPLs). Run builds one internally; the
-// constructor is exported so benchmarks and callers wiring their own
-// trade.Config can drive the hot path directly — install the router as
-// trade.Config.Router and call Sync from the BarrierHook.
+// per-pool thread capacities (MPLs, positive). Run builds one
+// internally; the constructor is exported so benchmarks and callers
+// wiring their own trade.Config can drive the hot path directly —
+// install the router as trade.Config.Router and call Sync from the
+// BarrierHook.
 func NewRouter(scorer Scorer, capacities []int, nclasses int) *Router {
 	npools := len(capacities)
 	// Round the per-pool classCount row up to a whole number of 64-byte
 	// lines (2 entries) so pools on different shards never write-share.
 	stride := (nclasses + 1) &^ 1
 	r := &Router{
-		scorer:   scorer,
+		policy:   scorer.policy(),
 		npools:   npools,
 		nclasses: nclasses,
 		stride:   stride,
 		cc:       make([]classCount, npools*stride),
 		origins:  make([]originState, npools),
-		view: View{
+		view: view{
 			NPools:   npools,
-			NClasses: nclasses,
 			InFlight: make([]int, npools),
 			RT:       make([]float64, npools),
 			Capacity: capacities,
@@ -126,6 +143,27 @@ func NewRouter(scorer Scorer, capacities []int, nclasses int) *Router {
 	for i := range r.origins {
 		r.origins[i].dirty = make([]int32, 0, npools)
 	}
+	switch r.policy {
+	case policyQueue:
+		r.all = newTree(keyLoad, 0, npools)
+	case policyLeastRT:
+		r.all = newTree(keyLeastRT, 0, npools)
+	case policyAffinity:
+		r.all = newTree(keyLoad, 0, npools)
+		r.byClass = make([]tree, nclasses)
+		for c := range r.byClass {
+			r.byClass[c] = newTree(keyAffinity, c, npools)
+		}
+	case policyWeighted:
+		r.byClass = make([]tree, nclasses)
+		for c := range r.byClass {
+			r.byClass[c] = newTree(keyWeighted, c, npools)
+		}
+	}
+	if r.policy != policyStatic {
+		r.load = make([]float64, npools)
+		r.rebuild()
+	}
 	return r
 }
 
@@ -133,10 +171,8 @@ func NewRouter(scorer Scorer, capacities []int, nclasses int) *Router {
 func (r *Router) Route(origin, class int) int {
 	o := &r.origins[origin]
 	o.routes++
-	dst := r.scorer.Pick(&r.view, origin, class)
-	if dst < 0 || dst >= r.npools {
-		dst = origin
-	}
+	dst, visited := r.pick(origin, class)
+	o.visited += uint64(visited)
 	slot := origin*r.npools + dst
 	if r.view.Assigned[slot] == 0 {
 		o.dirty = append(o.dirty, int32(dst)) // cap preallocated: no alloc
@@ -146,6 +182,24 @@ func (r *Router) Route(origin, class int) int {
 		o.remotes++
 	}
 	return dst
+}
+
+// pick is the scorer's choice for one decision and the tree nodes it
+// examined.
+func (r *Router) pick(origin, class int) (int, int) {
+	switch r.policy {
+	case policyStatic:
+		return origin, 0
+	case policyQueue, policyLeastRT:
+		return r.search(&r.all, origin)
+	}
+	t := &r.byClass[class]
+	if r.policy == policyAffinity && math.IsInf(t.key[t.win[1]], 1) {
+		// The plan allows the class nowhere: plan-oblivious fallback.
+		dst, visited := r.search(&r.all, origin)
+		return dst, visited + 1
+	}
+	return r.search(t, origin)
 }
 
 // Started records a service-side admission (trade.PoolRouter).
@@ -163,9 +217,9 @@ func (r *Router) Completed(pool, class int, rt float64) {
 
 // Sync publishes the barrier snapshot: per-pool in-flight counts and
 // the RT EWMA from this window's completions, then clears every
-// origin's in-window assignment row via its dirty list. Call it only
-// while all shards are quiescent — Run invokes it from the window
-// barrier hook on the coordinator goroutine.
+// origin's in-window assignment row via its dirty list and rebuilds
+// the trees. Call it only while all shards are quiescent — Run invokes
+// it from the window barrier hook on the coordinator goroutine.
 func (r *Router) Sync() {
 	for p := 0; p < r.npools; p++ {
 		base := p * r.stride
@@ -197,6 +251,37 @@ func (r *Router) Sync() {
 			r.view.Assigned[row+int(dst)] = 0
 		}
 		o.dirty = o.dirty[:0]
+	}
+	if r.policy != policyStatic {
+		r.rebuild()
+	}
+}
+
+// rebuild takes the barrier loads and the fleet's max RT from the
+// snapshot and rebuilds every tree from them.
+func (r *Router) rebuild() {
+	r.maxRT = 0
+	for p := range r.load {
+		r.load[p] = float64(r.view.InFlight[p]) / float64(r.view.Capacity[p])
+		if r.view.RT[p] > r.maxRT {
+			r.maxRT = r.view.RT[p]
+		}
+	}
+	if r.all.win != nil {
+		r.build(&r.all)
+	}
+	for c := range r.byClass {
+		r.build(&r.byClass[c])
+	}
+}
+
+// setAllowed writes one cell of the class-affinity matrix and re-keys
+// the pool in the class's tree, so a plan change applied at a barrier
+// steers the very next window. Coordinator goroutine only.
+func (r *Router) setAllowed(class, pool int, allow uint8) {
+	r.view.Allowed[class*r.npools+pool] = allow
+	if r.byClass != nil {
+		r.rescore(&r.byClass[class], pool)
 	}
 }
 
@@ -236,4 +321,13 @@ func (r *Router) Totals() (decisions, remotes uint64) {
 		remotes += r.origins[i].remotes
 	}
 	return decisions, remotes
+}
+
+// visitedTotal returns the tree nodes all picks examined. Call only
+// while the fleet is quiescent.
+func (r *Router) visitedTotal() (visited uint64) {
+	for i := range r.origins {
+		visited += r.origins[i].visited
+	}
+	return visited
 }
