@@ -11,17 +11,17 @@ import (
 	"perfpred/internal/workload"
 )
 
-// AblationTransition quantifies the §4.1 transition relationship: the
+// ablationTransition quantifies the §4.1 transition relationship: the
 // historical model's accuracy through the saturation knee with the
 // exponential phase-in versus a hard switch between the lower and
 // upper equations at N*.
-func (s *Suite) AblationTransition() (*Table, error) {
+func (s *Suite) ablationTransition() (*Table, error) {
 	t := &Table{
 		ID:     "Ablation: transition",
 		Title:  "Historical accuracy through the knee: transition phase-in vs hard switch",
 		Header: []string{"Server", "Clients", "Measured (ms)", "With transition (ms)", "Hard switch (ms)"},
 	}
-	hms, err := s.HistSet()
+	hms, err := s.histSet()
 	if err != nil {
 		return nil, err
 	}
@@ -46,22 +46,22 @@ func (s *Suite) AblationTransition() (*Table, error) {
 		wPred = append(wPred, with)
 		hPred = append(hPred, hard)
 		acts = append(acts, results[k].MeanRT)
-		t.AddRow(c.arch.Name, itoa(c.clients), ms(results[k].MeanRT), ms(with), ms(hard))
+		t.addRow(c.arch.Name, itoa(c.clients), ms(results[k].MeanRT), ms(with), ms(hard))
 	}
-	t.AddNote("knee accuracy: transition %.1f%% vs hard switch %.1f%%",
+	t.addNote("knee accuracy: transition %.1f%% vs hard switch %.1f%%",
 		stats.Accuracy(wPred, acts), stats.Accuracy(hPred, acts))
 	return t, nil
 }
 
-// AblationMVA compares the Schweitzer approximation against the exact
+// ablationMVA compares the Schweitzer approximation against the exact
 // single-class MVA recursion on the typical-workload trade model.
-func (s *Suite) AblationMVA() (*Table, error) {
+func (s *Suite) ablationMVA() (*Table, error) {
 	t := &Table{
 		ID:     "Ablation: MVA",
 		Title:  "Schweitzer AMVA vs exact MVA (single class, AppServF)",
 		Header: []string{"Clients", "Approx RT (ms)", "Exact RT (ms)", "Delta %", "Approx time", "Exact time"},
 	}
-	demands, err := s.LQNDemands()
+	demands, err := s.lqnDemands()
 	if err != nil {
 		return nil, err
 	}
@@ -88,23 +88,23 @@ func (s *Suite) AblationMVA() (*Table, error) {
 		if e > 0 {
 			delta = 100 * math.Abs(a-e) / e
 		}
-		t.AddRow(itoa(n), ms(a), ms(e), f2(delta), approxTime.String(), exactTime.String())
+		t.addRow(itoa(n), ms(a), ms(e), f2(delta), approxTime.String(), exactTime.String())
 	}
-	t.AddNote("exact MVA costs O(N) recursion steps; Schweitzer converges in a few sweeps regardless of N")
+	t.addNote("exact MVA costs O(N) recursion steps; Schweitzer converges in a few sweeps regardless of N")
 	return t, nil
 }
 
-// AblationConvergence shows the effect of the solver convergence
+// ablationConvergence shows the effect of the solver convergence
 // criterion (the paper's 20 ms vs a tight 1 µs): iterations, solve
 // time and the response-time wobble that produces figure 3's
 // small-spacing noise.
-func (s *Suite) AblationConvergence() (*Table, error) {
+func (s *Suite) ablationConvergence() (*Table, error) {
 	t := &Table{
 		ID:     "Ablation: convergence",
 		Title:  "LQN convergence criterion: paper's 20ms vs tight 1e-6s",
 		Header: []string{"Clients", "RT@20ms (ms)", "RT@1e-6 (ms)", "Delta (ms)", "Iters@20ms", "Iters@1e-6"},
 	}
-	demands, err := s.LQNDemands()
+	demands, err := s.lqnDemands()
 	if err != nil {
 		return nil, err
 	}
@@ -123,19 +123,19 @@ func (s *Suite) AblationConvergence() (*Table, error) {
 		}
 		c := coarse.MeanResponseTime()
 		f := fine.MeanResponseTime()
-		t.AddRow(itoa(n), ms(c), ms(f), ms(math.Abs(c-f)), itoa(coarse.Iterations), itoa(fine.Iterations))
+		t.addRow(itoa(n), ms(c), ms(f), ms(math.Abs(c-f)), itoa(coarse.Iterations), itoa(fine.Iterations))
 	}
-	t.AddNote("a coarse criterion can make close populations' predictions cross — the paper's figure-3 difficulty below x≈30 clients")
+	t.addNote("a coarse criterion can make close populations' predictions cross — the paper's figure-3 difficulty below x≈30 clients")
 	return t, nil
 }
 
-// AblationTaskLayering compares the flattened (processor-only) solver
+// ablationTaskLayering compares the flattened (processor-only) solver
 // against the task-layered one on a scenario where the application
 // server's thread pool is the bottleneck: a 5-thread pool gating
 // requests that spend ~200 ms per request blocked on database latency
 // while every CPU idles. Only the layered solution sees the software
 // queue.
-func (s *Suite) AblationTaskLayering() (*Table, error) {
+func (s *Suite) ablationTaskLayering() (*Table, error) {
 	t := &Table{
 		ID:     "Ablation: task layering",
 		Title:  "Thread-pool bottleneck: flattened vs task-layered solving (5-thread pool, latency-bound DB)",
@@ -176,17 +176,17 @@ func (s *Suite) AblationTaskLayering() (*Table, error) {
 		if err != nil {
 			return nil, err
 		}
-		t.AddRow(itoa(n), ms(meas.MeanRT),
+		t.addRow(itoa(n), ms(meas.MeanRT),
 			ms(flat.Classes["browse"].ResponseTime), ms(layered.Classes["browse"].ResponseTime),
 			f1(meas.Throughput), f1(layered.Classes["browse"].Throughput))
 	}
-	t.AddNote("the flattened solver models only processors and misses queues at software servers; task layering (the 'layered' in LQN) recovers them")
+	t.addNote("the flattened solver models only processors and misses queues at software servers; task layering (the 'layered' in LQN) recovers them")
 	return t, nil
 }
 
-// AblationLastServer measures Algorithm 1's smallest-feasible-server
+// ablationLastServer measures Algorithm 1's smallest-feasible-server
 // exception: planned server usage with and without the rule.
-func (s *Suite) AblationLastServer() (*Table, error) {
+func (s *Suite) ablationLastServer() (*Table, error) {
 	t := &Table{
 		ID:     "Ablation: last-server rule",
 		Title:  "Algorithm 1 with vs without the smallest-feasible-last-server exception",
@@ -206,10 +206,10 @@ func (s *Suite) AblationLastServer() (*Table, error) {
 		return nil, err
 	}
 	for i, load := range loads {
-		t.AddRow(itoa(load),
+		t.addRow(itoa(load),
 			f1(withPts[i].ServerUsagePct), f1(withoutPts[i].ServerUsagePct),
 			f1(withPts[i].SLAFailurePct), f1(withoutPts[i].SLAFailurePct))
 	}
-	t.AddNote("the rule avoids burning a large server on a small remainder, lowering %% server usage at light load")
+	t.addNote("the rule avoids burning a large server on a small remainder, lowering %% server usage at light load")
 	return t, nil
 }

@@ -1,9 +1,6 @@
 package bench
 
-import (
-	"fmt"
-	"io"
-)
+import "fmt"
 
 // experiment is one named result table. The paper's experiments come
 // first, in paper order; the studies after them are this repository's
@@ -15,36 +12,36 @@ type experiment struct {
 }
 
 var experiments = []experiment{
-	{"table1", true, (*Suite).Table1},
-	{"table2", true, (*Suite).Table2},
-	{"gradient", true, (*Suite).ThroughputGradient},
-	{"data-quantity", true, (*Suite).DataQuantity},
-	{"figure2", true, (*Suite).Figure2},
-	{"figure3", true, (*Suite).Figure3},
-	{"figure4", true, (*Suite).Figure4},
-	{"percentiles", true, (*Suite).Percentiles},
-	{"percentile-direct", true, (*Suite).PercentileDirect},
-	{"cache", true, (*Suite).CacheStudy},
-	{"search", true, (*Suite).LQNMaxClientsCost},
-	{"stabilisation", true, (*Suite).Stabilisation},
-	{"cluster", true, (*Suite).ClusterStudy},
-	{"open", true, (*Suite).OpenWorkload},
-	{"bottleneck", true, (*Suite).Bottleneck},
-	{"provider", true, (*Suite).Provider},
-	{"figure5-6", true, (*Suite).Figure5and6},
-	{"figure7", true, (*Suite).Figure7},
-	{"figure8", true, (*Suite).Figure8},
-	{"uniform", true, (*Suite).UniformInaccuracy},
-	{"delay", true, (*Suite).PredictionDelay},
-	{"matrix", true, (*Suite).EvaluationMatrix},
-	{"ablation-transition", true, (*Suite).AblationTransition},
-	{"ablation-mva", true, (*Suite).AblationMVA},
-	{"ablation-convergence", true, (*Suite).AblationConvergence},
-	{"ablation-lastserver", true, (*Suite).AblationLastServer},
-	{"ablation-layers", true, (*Suite).AblationTaskLayering},
+	{"table1", true, (*Suite).table1},
+	{"table2", true, (*Suite).table2},
+	{"gradient", true, (*Suite).throughputGradient},
+	{"data-quantity", true, (*Suite).dataQuantity},
+	{"figure2", true, func(s *Suite) (*Table, error) { t, _, err := s.figure2(); return t, err }},
+	{"figure3", true, (*Suite).figure3},
+	{"figure4", true, (*Suite).figure4},
+	{"percentiles", true, (*Suite).percentiles},
+	{"percentile-direct", true, (*Suite).percentileDirect},
+	{"cache", true, (*Suite).cacheStudy},
+	{"search", true, (*Suite).lqnMaxClientsCost},
+	{"stabilisation", true, (*Suite).stabilisation},
+	{"cluster", true, (*Suite).clusterStudy},
+	{"open", true, (*Suite).openWorkload},
+	{"bottleneck", true, (*Suite).bottleneck},
+	{"provider", true, (*Suite).provider},
+	{"figure5-6", true, (*Suite).figure5and6},
+	{"figure7", true, (*Suite).figure7},
+	{"figure8", true, (*Suite).figure8},
+	{"uniform", true, (*Suite).uniformInaccuracy},
+	{"delay", true, (*Suite).predictionDelay},
+	{"matrix", true, (*Suite).evaluationMatrix},
+	{"ablation-transition", true, (*Suite).ablationTransition},
+	{"ablation-mva", true, (*Suite).ablationMVA},
+	{"ablation-convergence", true, (*Suite).ablationConvergence},
+	{"ablation-lastserver", true, (*Suite).ablationLastServer},
+	{"ablation-layers", true, (*Suite).ablationTaskLayering},
 
-	{"families", false, (*Suite).Families},
-	{"fleet-ab", false, (*Suite).FleetAB},
+	{"families", false, (*Suite).families},
+	{"fleet-ab", false, (*Suite).fleetAB},
 }
 
 // Run executes one named experiment or study.
@@ -73,16 +70,3 @@ func Experiments() []string { return names(true) }
 // Studies returns the names of the studies beyond the paper. The third
 // study, ScenarioWindows, takes a workload spec and so has no name here.
 func Studies() []string { return names(false) }
-
-// RunAll executes every paper experiment in paper order, printing each
-// table to w as it completes.
-func (s *Suite) RunAll(w io.Writer) error {
-	for _, name := range Experiments() {
-		t, err := s.Run(name)
-		if err != nil {
-			return fmt.Errorf("bench: experiment %s: %w", name, err)
-		}
-		t.Fprint(w)
-	}
-	return nil
-}

@@ -12,7 +12,7 @@ import (
 var sharedSuite = NewSuite(17)
 
 func TestTable1Shape(t *testing.T) {
-	tab, err := sharedSuite.Table1()
+	tab, err := sharedSuite.table1()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -30,14 +30,14 @@ func TestTable1Shape(t *testing.T) {
 }
 
 func TestTable2MatchesGroundTruthRatios(t *testing.T) {
-	tab, err := sharedSuite.Table2()
+	tab, err := sharedSuite.table2()
 	if err != nil {
 		t.Fatal(err)
 	}
 	if len(tab.Rows) != 2 {
 		t.Fatalf("Table 2 rows = %d, want 2 request types", len(tab.Rows))
 	}
-	demands, err := sharedSuite.LQNDemands()
+	demands, err := sharedSuite.lqnDemands()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -52,14 +52,14 @@ func TestTable2MatchesGroundTruthRatios(t *testing.T) {
 }
 
 func TestGradientExperiment(t *testing.T) {
-	tab, err := sharedSuite.ThroughputGradient()
+	tab, err := sharedSuite.throughputGradient()
 	if err != nil {
 		t.Fatal(err)
 	}
 	if len(tab.Rows) != 4 { // 3 servers + shared fit
 		t.Fatalf("gradient rows = %d", len(tab.Rows))
 	}
-	m, err := sharedSuite.Gradient()
+	m, err := sharedSuite.gradient()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -77,7 +77,7 @@ func TestDataQuantitySurvivesFailedFit(t *testing.T) {
 	if testing.Short() {
 		t.Skip("calibrates a fresh suite")
 	}
-	tab, err := NewSuite(37).DataQuantity()
+	tab, err := NewSuite(37).dataQuantity()
 	if err != nil {
 		t.Fatalf("seed 37: %v", err)
 	}
@@ -102,9 +102,13 @@ func TestDataQuantitySurvivesFailedFit(t *testing.T) {
 }
 
 func TestFigure2ShapeHolds(t *testing.T) {
-	accs, err := sharedSuite.Figure2Accuracies()
+	_, acc, err := sharedSuite.figure2()
 	if err != nil {
 		t.Fatal(err)
+	}
+	accs := map[string][2]float64{}
+	for _, method := range []string{"historical", "lqn", "hybrid"} {
+		accs[method] = acc.of(method)
 	}
 	for method, pair := range accs {
 		for i, group := range []string{"established", "new"} {
@@ -126,7 +130,7 @@ func TestFigure2ShapeHolds(t *testing.T) {
 }
 
 func TestFigure3LowerImprovesWithSpacing(t *testing.T) {
-	tab, err := sharedSuite.Figure3()
+	tab, err := sharedSuite.figure3()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -150,7 +154,7 @@ func TestFigure3LowerImprovesWithSpacing(t *testing.T) {
 }
 
 func TestFigure4Heterogeneous(t *testing.T) {
-	tab, err := sharedSuite.Figure4()
+	tab, err := sharedSuite.figure4()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -160,7 +164,7 @@ func TestFigure4Heterogeneous(t *testing.T) {
 }
 
 func TestPercentilesExperiment(t *testing.T) {
-	tab, err := sharedSuite.Percentiles()
+	tab, err := sharedSuite.percentiles()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -177,14 +181,14 @@ func TestPercentilesExperiment(t *testing.T) {
 }
 
 func TestRMStudyFigures(t *testing.T) {
-	tab, err := sharedSuite.Figure5and6()
+	tab, err := sharedSuite.figure5and6()
 	if err != nil {
 		t.Fatal(err)
 	}
 	if len(tab.Rows) != 22 {
 		t.Fatalf("figure 5-6 rows = %d", len(tab.Rows))
 	}
-	f7, err := sharedSuite.Figure7()
+	f7, err := sharedSuite.figure7()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -197,7 +201,7 @@ func TestRMStudyFigures(t *testing.T) {
 	if fail < 99.9 {
 		t.Fatalf("slack-0 average failures = %v, want 100", fail)
 	}
-	f8, err := sharedSuite.Figure8()
+	f8, err := sharedSuite.figure8()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -207,7 +211,7 @@ func TestRMStudyFigures(t *testing.T) {
 }
 
 func TestUniformAndDelayAndSearch(t *testing.T) {
-	tab, err := sharedSuite.UniformInaccuracy()
+	tab, err := sharedSuite.uniformInaccuracy()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -220,14 +224,14 @@ func TestUniformAndDelayAndSearch(t *testing.T) {
 			t.Fatalf("slack=y left %v%% failures for y=%s", maxFail, row[0])
 		}
 	}
-	delay, err := sharedSuite.PredictionDelay()
+	delay, err := sharedSuite.predictionDelay()
 	if err != nil {
 		t.Fatal(err)
 	}
 	if len(delay.Rows) != 3 {
 		t.Fatalf("delay rows = %d", len(delay.Rows))
 	}
-	search, err := sharedSuite.LQNMaxClientsCost()
+	search, err := sharedSuite.lqnMaxClientsCost()
 	if err != nil {
 		t.Fatal(err)
 	}

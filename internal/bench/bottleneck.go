@@ -18,20 +18,20 @@ const (
 	csFraction = 0.30
 )
 
-// Bottleneck reproduces the §8.1 implicit-queue discussion: a critical
+// bottleneck reproduces the §8.1 implicit-queue discussion: a critical
 // section creates a serialisation queue no model declares. The
 // historical method calibrates straight over the measurements and
 // absorbs it; the naive layered model misses it entirely; the profiled
 // layered model (lock added as an explicit station) recovers most of
 // it.
-func (s *Suite) Bottleneck() (*Table, error) {
+func (s *Suite) bottleneck() (*Table, error) {
 	t := &Table{
 		ID:     "Section 8.1 (bottleneck)",
 		Title:  "Implicit critical-section queue: measured vs historical vs naive/profiled LQN",
 		Header: []string{"Clients", "Measured (ms)", "Historical (ms)", "Naive LQN (ms)", "Profiled LQN (ms)"},
 	}
 	arch := workload.AppServF()
-	demands, err := s.LQNDemands()
+	demands, err := s.lqnDemands()
 	if err != nil {
 		return nil, err
 	}
@@ -51,7 +51,7 @@ func (s *Suite) Bottleneck() (*Table, error) {
 		return nil, err
 	}
 	xMax := csMax.Throughput
-	gradient, err := s.Gradient()
+	gradient, err := s.gradient()
 	if err != nil {
 		return nil, err
 	}
@@ -108,10 +108,10 @@ func (s *Suite) Bottleneck() (*Table, error) {
 		naiveP = append(naiveP, naive)
 		profP = append(profP, prof)
 		acts = append(acts, meas.MeanRT)
-		t.AddRow(itoa(n), ms(meas.MeanRT), ms(h), ms(naive), ms(prof))
+		t.addRow(itoa(n), ms(meas.MeanRT), ms(h), ms(naive), ms(prof))
 	}
-	t.AddNote("accuracy: historical %.1f%%, naive LQN %.1f%%, profiled LQN %.1f%%",
+	t.addNote("accuracy: historical %.1f%%, naive LQN %.1f%%, profiled LQN %.1f%%",
 		stats.Accuracy(histP, acts), stats.Accuracy(naiveP, acts), stats.Accuracy(profP, acts))
-	t.AddNote("bottleneck ceiling ≈%.0f req/s vs the unconstrained 186; the historical method absorbs implicit queues from data, the layered method needs them profiled into the model (§8.1)", xMax)
+	t.addNote("bottleneck ceiling ≈%.0f req/s vs the unconstrained 186; the historical method absorbs implicit queues from data, the layered method needs them profiled into the model (§8.1)", xMax)
 	return t, nil
 }

@@ -8,11 +8,11 @@ import (
 	"perfpred/internal/workload"
 )
 
-// Percentiles regenerates the §7.1 experiment: every figure-2 mean
+// percentiles regenerates the §7.1 experiment: every figure-2 mean
 // prediction converted to a 90th-percentile prediction via the
 // exponential/Laplace distributions, scored against the measured 90th
 // percentiles.
-func (s *Suite) Percentiles() (*Table, error) {
+func (s *Suite) percentiles() (*Table, error) {
 	t := &Table{
 		ID:     "Section 7.1",
 		Title:  "90th-percentile response time predictions from mean predictions",
@@ -46,22 +46,22 @@ func (s *Suite) Percentiles() (*Table, error) {
 		acc.record("historical", pt.group, histP, measured)
 		acc.record("lqn", pt.group, lqP, measured)
 		acc.record("hybrid", pt.group, hyP, measured)
-		t.AddRow(pt.arch.Name, itoa(pt.clients), ms(measured), ms(histP), ms(lqP), ms(hyP))
+		t.addRow(pt.arch.Name, itoa(pt.clients), ms(measured), ms(histP), ms(lqP), ms(hyP))
 	}
 	for _, method := range []string{"historical", "lqn", "hybrid"} {
 		pair := acc.of(method)
-		t.AddNote("%s p90 accuracy: %.1f%% established / %.1f%% new", method, pair[0], pair[1])
+		t.addNote("%s p90 accuracy: %.1f%% established / %.1f%% new", method, pair[0], pair[1])
 	}
-	t.AddNote("calibrated Laplace scale b = %.1f ms (paper: 204.1 ms on its testbed)", b*1000)
-	t.AddNote("paper: historical 88%%/80%%, LQN 69%%/77%%, hybrid 70%%/77%% (est/new); at most 4.6%% below the mean-RT accuracies")
+	t.addNote("calibrated Laplace scale b = %.1f ms (paper: 204.1 ms on its testbed)", b*1000)
+	t.addNote("paper: historical 88%%/80%%, LQN 69%%/77%%, hybrid 70%%/77%% (est/new); at most 4.6%% below the mean-RT accuracies")
 	return t, nil
 }
 
-// CacheStudy regenerates the §7.2 investigation: the real LRU's miss
+// cacheStudy regenerates the §7.2 investigation: the real LRU's miss
 // rate and response time across cache sizes, the historical method's
 // fitted cache-size model, and the layered fixed-point attempt with
 // its distributional assumption.
-func (s *Suite) CacheStudy() (*Table, error) {
+func (s *Suite) cacheStudy() (*Table, error) {
 	t := &Table{
 		ID:     "Section 7.2",
 		Title:  "Session-cache modelling: measured vs historical fit vs layered fixed point",
@@ -70,7 +70,7 @@ func (s *Suite) CacheStudy() (*Table, error) {
 	const clients = 400
 	const sessionBytes = 4096
 	workingSet := float64(clients) * sessionBytes
-	demands, err := s.LQNDemands()
+	demands, err := s.lqnDemands()
 	if err != nil {
 		return nil, err
 	}
@@ -107,28 +107,28 @@ func (s *Suite) CacheStudy() (*Table, error) {
 		if err != nil {
 			return nil, err
 		}
-		t.AddRow(f1(f*100), f2(meas.CacheMissRate), f2(histMiss), f2(fp.MissRate),
+		t.addRow(f1(f*100), f2(meas.CacheMissRate), f2(histMiss), f2(fp.MissRate),
 			ms(meas.MeanRT), ms(fp.Result.MeanResponseTime()))
 	}
-	t.AddNote("historical method records cache size as a variable and fits the trend (works)")
-	t.AddNote("layered fixed point needs an assumed replacement-volume distribution the solver cannot predict (§7.2's difficulty); its miss-rate estimates are structurally rough")
+	t.addNote("historical method records cache size as a variable and fits the trend (works)")
+	t.addNote("layered fixed point needs an assumed replacement-volume distribution the solver cannot predict (§7.2's difficulty); its miss-rate estimates are structurally rough")
 	return t, nil
 }
 
-// LQNMaxClientsCost reports the §8.2/§8.5 search-cost experiment: the
+// lqnMaxClientsCost reports the §8.2/§8.5 search-cost experiment: the
 // solver evaluations needed to find a server's SLA capacity by search,
 // versus the historical method's single closed-form inversion.
-func (s *Suite) LQNMaxClientsCost() (*Table, error) {
+func (s *Suite) lqnMaxClientsCost() (*Table, error) {
 	t := &Table{
 		ID:     "Section 8.2",
 		Title:  "Cost of SLA capacity queries: layered search vs historical inversion",
 		Header: []string{"Server", "Goal (ms)", "LQN max clients", "LQN solver evals", "Historical max clients"},
 	}
-	demands, err := s.LQNDemands()
+	demands, err := s.lqnDemands()
 	if err != nil {
 		return nil, err
 	}
-	hms, err := s.HistSet()
+	hms, err := s.histSet()
 	if err != nil {
 		return nil, err
 	}
@@ -146,9 +146,9 @@ func (s *Suite) LQNMaxClientsCost() (*Table, error) {
 			if err != nil {
 				return nil, err
 			}
-			t.AddRow(arch.Name, f1(goal*1000), itoa(n), itoa(evals), f1(hN))
+			t.addRow(arch.Name, f1(goal*1000), itoa(n), itoa(evals), f1(hN))
 		}
 	}
-	t.AddNote("the layered method must search (multiple solver evaluations per query, §8.2); the historical method inverts its equations in closed form")
+	t.addNote("the layered method must search (multiple solver evaluations per query, §8.2); the historical method inverts its equations in closed form")
 	return t, nil
 }

@@ -8,11 +8,11 @@ import (
 	"perfpred/internal/workload"
 )
 
-// Stabilisation exercises the §8.2 historical-only capability of
+// stabilisation exercises the §8.2 historical-only capability of
 // modelling the time a server takes to settle toward steady state: a
 // cold-start transient is measured on the simulated testbed and the
 // exponential settling model fitted to it.
-func (s *Suite) Stabilisation() (*Table, error) {
+func (s *Suite) stabilisation() (*Table, error) {
 	t := &Table{
 		ID:     "Section 8.2 (stabilisation)",
 		Title:  "Cold-start settling: measured trajectory vs fitted stabilisation model",
@@ -36,20 +36,20 @@ func (s *Suite) Stabilisation() (*Table, error) {
 	}
 	for i, p := range pts {
 		if i%2 == 0 { // thin the table
-			t.AddRow(f1(p.Time), ms(p.MeanRT), ms(model.At(p.Time)))
+			t.addRow(f1(p.Time), ms(p.MeanRT), ms(model.At(p.Time)))
 		}
 	}
-	t.AddNote("fitted: steady %.0f ms, tau %.0f s; within 5%% of steady after %.0f s",
+	t.addNote("fitted: steady %.0f ms, tau %.0f s; within 5%% of steady after %.0f s",
 		model.Steady*1000, model.Tau, model.TimeToSteady(0.05))
-	t.AddNote("the layered queuing method makes only steady-state predictions (§8.2); the historical method records stabilisation as a variable")
+	t.addNote("the layered queuing method makes only steady-state predictions (§8.2); the historical method records stabilisation as a variable")
 	return t, nil
 }
 
-// ClusterStudy exercises the §2 system model's application-server
+// clusterStudy exercises the §2 system model's application-server
 // tier: a heterogeneous three-server tier under the workload-manager
 // routing policies, validating that the database's per-server FIFO
 // queues and the tier's aggregate capacity behave.
-func (s *Suite) ClusterStudy() (*Table, error) {
+func (s *Suite) clusterStudy() (*Table, error) {
 	t := &Table{
 		ID:     "Section 2 (tier)",
 		Title:  "Heterogeneous application tier under workload-manager routing policies",
@@ -67,24 +67,24 @@ func (s *Suite) ClusterStudy() (*Table, error) {
 		return nil, err
 	}
 	for i, res := range results {
-		t.AddRow(string(routings[i]), ms(res.MeanRT), f1(res.Throughput),
+		t.addRow(string(routings[i]), ms(res.MeanRT), f1(res.Throughput),
 			f2(res.PerServer[0].Utilization), f2(res.PerServer[1].Utilization), f2(res.PerServer[2].Utilization))
 	}
-	t.AddNote("tier capacity ≈ 86+186+320 = 592 req/s; speed-blind round robin overloads the slow member")
+	t.addNote("tier capacity ≈ 86+186+320 = 592 req/s; speed-blind round robin overloads the slow member")
 	return t, nil
 }
 
-// OpenWorkload validates the mixed-network extension (§8.1 "clients
+// openWorkload validates the mixed-network extension (§8.1 "clients
 // sending requests at a constant rate"): open-stream response times
 // from the simulator versus the layered solver across arrival rates.
-func (s *Suite) OpenWorkload() (*Table, error) {
+func (s *Suite) openWorkload() (*Table, error) {
 	t := &Table{
 		ID:     "Section 8.1 (open)",
 		Title:  "Constant-rate (open) workload: measured vs layered queuing",
 		Header: []string{"Rate (req/s)", "Measured RT (ms)", "LQN RT (ms)"},
 	}
 	class := workload.ServiceClass{Name: "stream", Mix: workload.Mix{workload.Browse: 1}}
-	demands, err := s.LQNDemands()
+	demands, err := s.lqnDemands()
 	if err != nil {
 		return nil, err
 	}
@@ -106,23 +106,23 @@ func (s *Suite) OpenWorkload() (*Table, error) {
 		p := pred.Classes["stream"].ResponseTime
 		preds = append(preds, p)
 		acts = append(acts, results[i].MeanRT)
-		t.AddRow(f1(rate), ms(results[i].MeanRT), ms(p))
+		t.addRow(f1(rate), ms(results[i].MeanRT), ms(p))
 	}
-	t.AddNote("open-workload LQN accuracy: %.1f%%", stats.Accuracy(preds, acts))
+	t.addNote("open-workload LQN accuracy: %.1f%%", stats.Accuracy(preds, acts))
 	return t, nil
 }
 
-// PercentileDirect compares the historical method's two routes to a
+// percentileDirect compares the historical method's two routes to a
 // percentile prediction on the new server: direct fitting of p90 data
 // (§8.2) versus extrapolation from the mean through the §7.1
 // distributions.
-func (s *Suite) PercentileDirect() (*Table, error) {
+func (s *Suite) percentileDirect() (*Table, error) {
 	t := &Table{
 		ID:     "Section 8.2 (direct percentile)",
 		Title:  "New-server p90: direct historical fit vs extrapolation from mean",
 		Header: []string{"Clients", "Measured p90 (ms)", "Direct fit (ms)", "From mean (ms)"},
 	}
-	gradient, err := s.Gradient()
+	gradient, err := s.gradient()
 	if err != nil {
 		return nil, err
 	}
@@ -131,7 +131,7 @@ func (s *Suite) PercentileDirect() (*Table, error) {
 		return nil, err
 	}
 	sArch := workload.AppServS()
-	sMax, err := s.MaxThroughput(sArch)
+	sMax, err := s.maxThroughput(sArch)
 	if err != nil {
 		return nil, err
 	}
@@ -141,7 +141,7 @@ func (s *Suite) PercentileDirect() (*Table, error) {
 	var cells []measureCell
 	for i := range histories[:2] {
 		h := &histories[i]
-		if h.MaxThroughput, err = s.MaxThroughput(h.Arch); err != nil {
+		if h.MaxThroughput, err = s.maxThroughput(h.Arch); err != nil {
 			return nil, err
 		}
 		cells = append(cells, cellsAt(h.Arch, h.MaxThroughput/gradient, calibrationFracs)...)
@@ -163,7 +163,7 @@ func (s *Suite) PercentileDirect() (*Table, error) {
 		return nil, err
 	}
 	direct := directSet[sArch.Name]
-	meanModel, err := s.HistNewServer()
+	meanModel, err := s.histNewServer()
 	if err != nil {
 		return nil, err
 	}
@@ -179,9 +179,9 @@ func (s *Suite) PercentileDirect() (*Table, error) {
 		dPreds = append(dPreds, dp)
 		ePreds = append(ePreds, ep)
 		acts = append(acts, actual)
-		t.AddRow(itoa(n), ms(actual), ms(dp), ms(ep))
+		t.addRow(itoa(n), ms(actual), ms(dp), ms(ep))
 	}
-	t.AddNote("accuracy: direct %.1f%% vs from-mean %.1f%% (paper: direct recording avoids the ≤4.6%% extrapolation loss)",
+	t.addNote("accuracy: direct %.1f%% vs from-mean %.1f%% (paper: direct recording avoids the ≤4.6%% extrapolation loss)",
 		stats.Accuracy(dPreds, acts), stats.Accuracy(ePreds, acts))
 	return t, nil
 }

@@ -36,7 +36,7 @@ func (s *Suite) figure2Walk() ([]figure2Point, error) {
 	if err != nil {
 		return nil, err
 	}
-	hms, err := s.HistSet()
+	hms, err := s.histSet()
 	if err != nil {
 		return nil, err
 	}
@@ -53,7 +53,7 @@ func (s *Suite) figure2Walk() ([]figure2Point, error) {
 	}
 	points := make([]figure2Point, len(cells))
 	for k, c := range cells {
-		lq, err := s.LQNPredict(c.arch, workload.TypicalWorkload(c.clients))
+		lq, err := s.lqnPredict(c.arch, workload.TypicalWorkload(c.clients))
 		if err != nil {
 			return nil, err
 		}
@@ -92,29 +92,11 @@ func (a accuracies) of(method string) [2]float64 {
 	return out
 }
 
-// Figure2 regenerates the paper's figure 2: measured mean response
+// figure2 regenerates the paper's figure 2: measured mean response
 // time versus the historical, layered queuing and hybrid predictions
 // across client populations for all three servers, plus the per-method
-// accuracy summary for established and new servers.
-func (s *Suite) Figure2() (*Table, error) {
-	t, _, err := s.figure2()
-	return t, err
-}
-
-// Figure2Accuracies returns the per-method mean-RT accuracy pairs
-// (established, new) without formatting, for tests.
-func (s *Suite) Figure2Accuracies() (map[string][2]float64, error) {
-	_, acc, err := s.figure2()
-	if err != nil {
-		return nil, err
-	}
-	out := map[string][2]float64{}
-	for _, method := range []string{"historical", "lqn", "hybrid"} {
-		out[method] = acc.of(method)
-	}
-	return out, nil
-}
-
+// accuracy summary for established and new servers, which it also
+// returns unformatted.
 func (s *Suite) figure2() (*Table, accuracies, error) {
 	t := &Table{
 		ID:     "Figure 2",
@@ -133,36 +115,36 @@ func (s *Suite) figure2() (*Table, accuracies, error) {
 		acc.record("lqn", p.group, lqRT, p.meas.MeanRT)
 		acc.record("hybrid", p.group, hyRT, p.meas.MeanRT)
 		acc.record("lqn-throughput", p.group, p.lqn.TotalThroughput(), p.meas.Throughput)
-		t.AddRow(p.arch.Name, itoa(p.clients), ms(p.meas.MeanRT), ms(histRT), ms(lqRT), ms(hyRT),
+		t.addRow(p.arch.Name, itoa(p.clients), ms(p.meas.MeanRT), ms(histRT), ms(lqRT), ms(hyRT),
 			f1(p.meas.Throughput), f1(p.lqn.TotalThroughput()))
 	}
 	for _, method := range []string{"historical", "lqn", "hybrid", "lqn-throughput"} {
 		pair := acc.of(method)
-		t.AddNote("%s accuracy (established servers): %.1f%%", method, pair[0])
-		t.AddNote("%s accuracy (new servers): %.1f%%", method, pair[1])
+		t.addNote("%s accuracy (established servers): %.1f%%", method, pair[0])
+		t.addNote("%s accuracy (new servers): %.1f%%", method, pair[1])
 	}
-	t.AddNote("paper: historical 89.1%%/83%% (est/new), LQN RT 68.8%%/73.4%%, LQN X 97.8%%/97.1%%, hybrid 67.1%%/74.9%%")
+	t.addNote("paper: historical 89.1%%/83%% (est/new), LQN RT 68.8%%/73.4%%, LQN X 97.8%%/97.1%%, hybrid 67.1%%/74.9%%")
 	return t, acc, nil
 }
 
-// Figure3 regenerates the paper's figure 3: the predictive accuracy on
+// figure3 regenerates the paper's figure 3: the predictive accuracy on
 // the new server architecture as the number of clients x between the
 // two historical data points grows. As in the paper, LQNS (here: the
 // lqn package) generates both the calibration points for the
 // established servers and the evaluation data for the new server, and
 // x scales with machine speed so the % of the max-throughput load
 // between the points is constant.
-func (s *Suite) Figure3() (*Table, error) {
+func (s *Suite) figure3() (*Table, error) {
 	t := &Table{
 		ID:     "Figure 3",
 		Title:  "Accuracy vs clients between historical data points (LQN-generated data)",
 		Header: []string{"x (AppServF clients)", "Lower-eq accuracy (%)", "Upper-eq accuracy (%)", "Lower @20ms conv (%)", "Upper @20ms conv (%)"},
 	}
-	demands, err := s.LQNDemands()
+	demands, err := s.lqnDemands()
 	if err != nil {
 		return nil, err
 	}
-	gradient, err := s.Gradient()
+	gradient, err := s.gradient()
 	if err != nil {
 		return nil, err
 	}
@@ -303,26 +285,26 @@ func (s *Suite) Figure3() (*Table, error) {
 			// The paper's difficulty made literal: closely spaced
 			// points under the coarse criterion can come back
 			// non-monotone and fail calibration.
-			t.AddRow(f1(xFrac*fNStar), f1(lowerAcc), f1(upperAcc), "unusable", "unusable")
+			t.addRow(f1(xFrac*fNStar), f1(lowerAcc), f1(upperAcc), "unusable", "unusable")
 			continue
 		}
-		t.AddRow(f1(xFrac*fNStar), f1(lowerAcc), f1(upperAcc), f1(lowerC), f1(upperC))
+		t.addRow(f1(xFrac*fNStar), f1(lowerAcc), f1(upperAcc), f1(lowerC), f1(upperC))
 	}
-	t.AddNote("paper: lower-equation accuracy rises roughly linearly with x; upper-equation accuracy levels off; x below ~30 clients is unusable under a 20ms convergence criterion")
+	t.addNote("paper: lower-equation accuracy rises roughly linearly with x; upper-equation accuracy levels off; x below ~30 clients is unusable under a 20ms convergence criterion")
 	return t, nil
 }
 
-// Figure4 regenerates the paper's figure 4: heterogeneous-workload
+// figure4 regenerates the paper's figure 4: heterogeneous-workload
 // (buy-mix) mean response time predictions for the new server, built
 // from relationship 3 with LQN-generated calibration data (the paper's
 // AppServF points are 189 and 158 req/s at 0% and 25% buy).
-func (s *Suite) Figure4() (*Table, error) {
+func (s *Suite) figure4() (*Table, error) {
 	t := &Table{
 		ID:     "Figure 4",
 		Title:  "Heterogeneous workload mean RT predictions for the new server (AppServS)",
 		Header: []string{"Buy %", "Clients", "Measured (ms)", "Historical rel-3 (ms)"},
 	}
-	demands, err := s.LQNDemands()
+	demands, err := s.lqnDemands()
 	if err != nil {
 		return nil, err
 	}
@@ -334,11 +316,11 @@ func (s *Suite) Figure4() (*Table, error) {
 	if err != nil {
 		return nil, err
 	}
-	rel2, err := s.Rel2()
+	rel2, err := s.rel2()
 	if err != nil {
 		return nil, err
 	}
-	base, err := s.HistNewServer()
+	base, err := s.histNewServer()
 	if err != nil {
 		return nil, err
 	}
@@ -371,10 +353,10 @@ func (s *Suite) Figure4() (*Table, error) {
 		pred := models[i].Predict(float64(c.clients))
 		preds = append(preds, pred)
 		acts = append(acts, results[k].MeanRT)
-		t.AddRow(f1(buyPcts[i]), itoa(c.clients), ms(results[k].MeanRT), ms(pred))
+		t.addRow(f1(buyPcts[i]), itoa(c.clients), ms(results[k].MeanRT), ms(pred))
 	}
-	t.AddNote("accuracy across buy mixes: %.1f%%", stats.Accuracy(preds, acts))
-	t.AddNote("paper: good shape agreement; LQNS anchor points 189/158 req/s at 0%%/25%% buy on AppServF")
+	t.addNote("accuracy across buy mixes: %.1f%%", stats.Accuracy(preds, acts))
+	t.addNote("paper: good shape agreement; LQNS anchor points 189/158 req/s at 0%%/25%% buy on AppServF")
 	return t, nil
 }
 

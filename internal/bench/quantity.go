@@ -7,30 +7,30 @@ import (
 	"perfpred/internal/workload"
 )
 
-// DataQuantity reproduces the §4.2 claim that "accurate predictions
+// dataQuantity reproduces the §4.2 claim that "accurate predictions
 // can be made even when nudp and nldp are both reduced to 2 and ns is
 // reduced to 50": it calibrates the established servers with varying
 // numbers of data points per equation and varying samples per data
 // point, then scores the relationship-2 prediction of the new server.
-func (s *Suite) DataQuantity() (*Table, error) {
+func (s *Suite) dataQuantity() (*Table, error) {
 	t := &Table{
 		ID:     "Section 4.2 (data quantity)",
 		Title:  "New-server accuracy vs quantity of historical data",
 		Header: []string{"Points/equation", "Samples/point (ns)", "New-server accuracy (%)"},
 	}
-	gradient, err := s.Gradient()
+	gradient, err := s.gradient()
 	if err != nil {
 		return nil, err
 	}
 	sArch := workload.AppServS()
-	sMax, err := s.MaxThroughput(sArch)
+	sMax, err := s.maxThroughput(sArch)
 	if err != nil {
 		return nil, err
 	}
 	established := []workload.ServerArch{workload.AppServF(), workload.AppServVF()}
 	xMaxes := make([]float64, len(established))
 	for i, arch := range established {
-		if xMaxes[i], err = s.MaxThroughput(arch); err != nil {
+		if xMaxes[i], err = s.maxThroughput(arch); err != nil {
 			return nil, err
 		}
 	}
@@ -89,14 +89,14 @@ func (s *Suite) DataQuantity() (*Table, error) {
 			if fitErr != nil {
 				// What too little data does is the experiment's subject: a
 				// fit it breaks is a result, not a reason to stop.
-				t.AddRow(itoa(perEq), nsLabel, "fit failed")
-				t.AddNote("%d points/equation, ns=%s: %v", perEq, nsLabel, fitErr)
+				t.addRow(itoa(perEq), nsLabel, "fit failed")
+				t.addNote("%d points/equation, ns=%s: %v", perEq, nsLabel, fitErr)
 				continue
 			}
-			t.AddRow(itoa(perEq), nsLabel, f1(hist.EvaluateAccuracy(sModel, evalPts)))
+			t.addRow(itoa(perEq), nsLabel, f1(hist.EvaluateAccuracy(sModel, evalPts)))
 		}
 	}
-	t.AddNote("paper: accuracy holds with nldp=nudp=2 and ns=50; recording 50 samples took at most 4.5s below and 2.2min above max throughput")
+	t.addNote("paper: accuracy holds with nldp=nudp=2 and ns=50; recording 50 samples took at most 4.5s below and 2.2min above max throughput")
 	return t, nil
 }
 

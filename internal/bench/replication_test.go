@@ -23,12 +23,12 @@ func TestFigure2AccuracyStableAcrossSeeds(t *testing.T) {
 	}
 	for _, seed := range []int64{101, 202, 303} {
 		s := NewSuite(seed)
-		pairs, err := s.Figure2Accuracies()
+		_, acc, err := s.figure2()
 		if err != nil {
 			t.Fatal(err)
 		}
 		for _, m := range methods {
-			accs[m].Add(pairs[m][1]) // new-server accuracy
+			accs[m].Add(acc.of(m)[1]) // new-server accuracy
 		}
 	}
 	for _, m := range methods {
@@ -51,8 +51,8 @@ func TestTableJSONOutput(t *testing.T) {
 		Title:  "t",
 		Header: []string{"a", "b"},
 	}
-	tab.AddRow("1", "2")
-	tab.AddNote("n=%d", 1)
+	tab.addRow("1", "2")
+	tab.addNote("n=%d", 1)
 	var buf bytes.Buffer
 	if err := tab.FprintJSON(&buf); err != nil {
 		t.Fatal(err)

@@ -16,7 +16,7 @@ import (
 // represent the real system response times, and the hybrid model ...
 // as the less accurate predictions".
 func (s *Suite) RMSetup() (pred, truth rm.Predictor, servers []rm.Server, err error) {
-	truthSet, err := s.HistSet()
+	truthSet, err := s.histSet()
 	if err != nil {
 		return nil, nil, nil, err
 	}
@@ -40,9 +40,9 @@ func studyLoads() []int {
 	return loads
 }
 
-// Figure5and6 regenerates figures 5 and 6: % SLA failures and % server
+// figure5and6 regenerates figures 5 and 6: % SLA failures and % server
 // usage versus total clients at three slack levels.
-func (s *Suite) Figure5and6() (*Table, error) {
+func (s *Suite) figure5and6() (*Table, error) {
 	t := &Table{
 		ID:     "Figures 5-6",
 		Title:  "Resource manager cost metrics vs load at different slack levels",
@@ -65,18 +65,18 @@ func (s *Suite) Figure5and6() (*Table, error) {
 		return nil, err
 	}
 	for j, load := range studyLoads() {
-		t.AddRow(itoa(load),
+		t.addRow(itoa(load),
 			f1(series[0][j].SLAFailurePct), f1(series[0][j].ServerUsagePct),
 			f1(series[1][j].SLAFailurePct), f1(series[1][j].ServerUsagePct),
 			f1(series[2][j].SLAFailurePct), f1(series[2][j].ServerUsagePct))
 	}
-	t.AddNote("paper: slack 1.1 is the minimum with 0%% SLA failures before 100%% usage (SUmax=62.7%%); lower slack trades failures for usage")
+	t.addNote("paper: slack 1.1 is the minimum with 0%% SLA failures before 100%% usage (SUmax=62.7%%); lower slack trades failures for usage")
 	return t, nil
 }
 
-// Figure7 regenerates figure 7: the averaged cost metrics as the slack
+// figure7 regenerates figure 7: the averaged cost metrics as the slack
 // is reduced from 1.1 to 0.
-func (s *Suite) Figure7() (*Table, error) {
+func (s *Suite) figure7() (*Table, error) {
 	t := &Table{
 		ID:     "Figure 7",
 		Title:  "Average % SLA failures and % server usage saving, slack 1.1 -> 0",
@@ -96,15 +96,15 @@ func (s *Suite) Figure7() (*Table, error) {
 		return nil, err
 	}
 	for _, p := range points {
-		t.AddRow(f2(p.Slack), f1(p.AvgFailPct), f1(p.AvgUsagePct), f1(p.AvgUsageSavingPct))
+		t.addRow(f2(p.Slack), f1(p.AvgFailPct), f1(p.AvgUsagePct), f1(p.AvgUsageSavingPct))
 	}
-	t.AddNote("paper: saving initially outpaces failures (first 0.1 of slack), the rates match between 1.0 and 0.9, then failures dominate toward 100%% at slack 0")
+	t.addNote("paper: saving initially outpaces failures (first 0.1 of slack), the rates match between 1.0 and 0.9, then failures dominate toward 100%% at slack 0")
 	return t, nil
 }
 
-// Figure8 regenerates figure 8: the fine-grained failure/saving
+// figure8 regenerates figure 8: the fine-grained failure/saving
 // trade-off between slack 1.1 and 0.9.
-func (s *Suite) Figure8() (*Table, error) {
+func (s *Suite) figure8() (*Table, error) {
 	t := &Table{
 		ID:     "Figure 8",
 		Title:  "SLA failures vs server usage saving, slack 1.1 -> 0.9",
@@ -123,21 +123,21 @@ func (s *Suite) Figure8() (*Table, error) {
 		return nil, err
 	}
 	for _, p := range points {
-		t.AddRow(f3(p.Slack), f2(p.AvgFailPct), f2(p.AvgUsageSavingPct))
+		t.addRow(f3(p.Slack), f2(p.AvgFailPct), f2(p.AvgUsageSavingPct))
 	}
 	return t, nil
 }
 
-// UniformInaccuracy regenerates the §9.1 uniform-error experiment:
+// uniformInaccuracy regenerates the §9.1 uniform-error experiment:
 // with predictions that are y times reality, slack = y restores 0% SLA
 // failures at a y-independent server usage.
-func (s *Suite) UniformInaccuracy() (*Table, error) {
+func (s *Suite) uniformInaccuracy() (*Table, error) {
 	t := &Table{
 		ID:     "Section 9.1 (uniform)",
 		Title:  "Uniform predictive inaccuracy compensated by slack = y",
 		Header: []string{"y", "Max fail % (slack=y)", "Avg usage % (slack=y)", "Max fail % (slack=1)"},
 	}
-	truthSet, err := s.HistSet()
+	truthSet, err := s.histSet()
 	if err != nil {
 		return nil, err
 	}
@@ -167,16 +167,16 @@ func (s *Suite) UniformInaccuracy() (*Table, error) {
 			}
 		}
 		_, usage := rm.AverageMetrics(compensated)
-		t.AddRow(f2(y), f2(maxFail), f1(usage), f2(maxFailRaw))
+		t.addRow(f2(y), f2(maxFail), f1(usage), f2(maxFailRaw))
 	}
-	t.AddNote("paper: slack = y gives 0%% SLA failures below 100%% usage and a constant %% server usage at any uniform accuracy")
+	t.addNote("paper: slack = y gives 0%% SLA failures below 100%% usage and a constant %% server usage at any uniform accuracy")
 	return t, nil
 }
 
-// Provider exercises the §2 outer loop: a service provider hosting
+// provider exercises the §2 outer loop: a service provider hosting
 // two applications with shifting loads, the resource manager
 // transferring isolated servers between them epoch by epoch.
-func (s *Suite) Provider() (*Table, error) {
+func (s *Suite) provider() (*Table, error) {
 	t := &Table{
 		ID:     "Section 2 (provider)",
 		Title:  "Multi-application provider: server transfers as load shifts between applications",
@@ -197,23 +197,23 @@ func (s *Suite) Provider() (*Table, error) {
 		return nil, err
 	}
 	for i, r := range results {
-		t.AddRow(itoa(r.Epoch), itoa(shopLoad[i]), itoa(bankLoad[i]), itoa(r.Transfers),
+		t.addRow(itoa(r.Epoch), itoa(shopLoad[i]), itoa(bankLoad[i]), itoa(r.Transfers),
 			itoa(len(r.ServersByApp["shop"])), itoa(len(r.ServersByApp["bank"])),
 			f1(r.FailurePctByApp["shop"]), f1(r.FailurePctByApp["bank"]))
 	}
-	t.AddNote("§2: 'a resource manager that controls the transfer of application servers between those applications'; servers are whole-unit isolated and follow the load")
+	t.addNote("§2: 'a resource manager that controls the transfer of application servers between those applications'; servers are whole-unit isolated and follow the load")
 	return t, nil
 }
 
-// PredictionDelay regenerates the §8.5 comparison: per-prediction
+// predictionDelay regenerates the §8.5 comparison: per-prediction
 // evaluation delay for each method, plus the hybrid start-up delay.
-func (s *Suite) PredictionDelay() (*Table, error) {
+func (s *Suite) predictionDelay() (*Table, error) {
 	t := &Table{
 		ID:     "Section 8.5",
 		Title:  "Prediction evaluation delay per method",
 		Header: []string{"Method", "Per-prediction", "One-off start-up"},
 	}
-	hm, err := s.HistModel(workload.AppServF())
+	hm, err := s.histModel(workload.AppServF())
 	if err != nil {
 		return nil, err
 	}
@@ -224,7 +224,7 @@ func (s *Suite) PredictionDelay() (*Table, error) {
 	}
 	histPer := time.Since(start) / reps
 
-	demands, err := s.LQNDemands()
+	demands, err := s.lqnDemands()
 	if err != nil {
 		return nil, err
 	}
@@ -249,15 +249,15 @@ func (s *Suite) PredictionDelay() (*Table, error) {
 	}
 	hybridPer := time.Since(start) / reps
 
-	t.AddRow("historical", histPer.String(), "none")
-	t.AddRow("layered queuing", lqnPer.String(), "none")
-	t.AddRow("hybrid", hybridPer.String(), hyb.StartupDelay.String())
-	t.AddNote("paper (Athlon 1.4GHz): LQNS up to 3s per solve; historical ≈instant; hybrid 11s start-up then ≈instant — the ordering, not the absolute times, is the reproducible claim")
+	t.addRow("historical", histPer.String(), "none")
+	t.addRow("layered queuing", lqnPer.String(), "none")
+	t.addRow("hybrid", hybridPer.String(), hyb.StartupDelay.String())
+	t.addNote("paper (Athlon 1.4GHz): LQNS up to 3s per solve; historical ≈instant; hybrid 11s start-up then ≈instant — the ordering, not the absolute times, is the reproducible claim")
 	return t, nil
 }
 
 func lqnPredictOnce(demands map[workload.RequestType]workload.Demand, n int, s *Suite) (float64, error) {
-	res, err := s.LQNPredict(workload.AppServF(), workload.TypicalWorkload(n))
+	res, err := s.lqnPredict(workload.AppServF(), workload.TypicalWorkload(n))
 	if err != nil {
 		return 0, err
 	}

@@ -18,20 +18,20 @@ import (
 // under transient load. Every cell is simulated or solved, none is a
 // host timing, so each table is a function of the suite's seed alone.
 
-// Families scores the four predictor families — historical (HYDRA),
+// families scores the four predictor families — historical (HYDRA),
 // layered queuing, hybrid and black-box regression — against one
 // simulated-truth oracle on one probe grid, next to what each consumed
 // of the testbed before its first answer. The regress/N rows retrain
 // the regression family on N samples per architecture: its accuracy
 // against training-set size.
-func (s *Suite) Families() (*Table, error) {
+func (s *Suite) families() (*Table, error) {
 	archs := workload.CaseStudyServers()
 	// The hybrid model and the historical models of all three servers.
 	hyb, hydra, _, err := s.RMSetup()
 	if err != nil {
 		return nil, err
 	}
-	demands, err := s.LQNDemands()
+	demands, err := s.lqnDemands()
 	if err != nil {
 		return nil, err
 	}
@@ -93,21 +93,21 @@ func (s *Suite) Families() (*Table, error) {
 		Header: []string{"family", "meanRTerr%", "maxRTerr%", "meanCapErr%", "maxCapErr%", "RTprobes", "capProbes", "runs", "sim-s"},
 	}
 	for i, sc := range scores {
-		t.AddRow(sc.Name, f2(sc.MeanAbsRTErrPct), f2(sc.MaxAbsRTErrPct), f2(sc.MeanAbsCapErrPct), f2(sc.MaxAbsCapErrPct),
+		t.addRow(sc.Name, f2(sc.MeanAbsRTErrPct), f2(sc.MaxAbsRTErrPct), f2(sc.MeanAbsCapErrPct), f2(sc.MaxAbsCapErrPct),
 			fmt.Sprint(sc.RTProbes), fmt.Sprint(sc.CapProbes), fmt.Sprint(runs[i]), fmt.Sprintf("%.0f", sc.StartupSimSeconds))
 	}
-	t.AddNote("probes: populations at 0.3/0.6/0.9/1.2 x each server's knee, capacities at 0.5 s and 1.5 s goals; errors are |predicted-measured|/measured")
-	t.AddNote("runs and sim-s: testbed measurements and simulated seconds a family consumes before its first answer (regress trains on %.0f s runs, the rest calibrate on %.0f s runs)",
+	t.addNote("probes: populations at 0.3/0.6/0.9/1.2 x each server's knee, capacities at 0.5 s and 1.5 s goals; errors are |predicted-measured|/measured")
+	t.addNote("runs and sim-s: testbed measurements and simulated seconds a family consumes before its first answer (regress trains on %.0f s runs, the rest calibrate on %.0f s runs)",
 		(s.Opt.WarmUp+s.Opt.Duration)/3, perRun)
-	t.AddNote("regress/N: the regression family retrained on N samples per server")
+	t.addNote("regress/N: the regression family retrained on N samples per server")
 	return t, nil
 }
 
-// FleetAB routes one seeded fleet with each scorer in turn while
+// fleetAB routes one seeded fleet with each scorer in turn while
 // Algorithm 1 replans the class→pool affinity from inside the run, so
 // the routing policy is the only variable between rows. The fleet runs
 // its shards concurrently, so the rows run one after another.
-func (s *Suite) FleetAB() (*Table, error) {
+func (s *Suite) fleetAB() (*Table, error) {
 	const pools, shards, perPool, replanPeriod = 8, 4, 500, 2.0
 	archs := workload.CaseStudyServers()
 	duration := s.Opt.Duration / 2
@@ -155,11 +155,11 @@ func (s *Suite) FleetAB() (*Table, error) {
 		if res.Decisions > 0 {
 			remote = 100 * float64(res.Remote) / float64(res.Decisions)
 		}
-		t.AddRow(name, f1(res.Trade.MeanRT*1000), f1(res.Trade.Throughput), fmt.Sprint(res.Decisions),
+		t.addRow(name, f1(res.Trade.MeanRT*1000), f1(res.Trade.Throughput), fmt.Sprint(res.Decisions),
 			f1(remote), fmt.Sprint(res.Replans), fmt.Sprint(res.AffinityChanges))
 	}
-	t.AddNote("per pool: 10%% buy clients with a 150 ms goal, 90%% browse with 300 ms; pools cycle AppServS/F/VF; seed %d", s.Opt.Seed)
-	t.AddNote("static keeps every request on its own pool; affinity follows the replanner's plan; weighted blends queue, response time and plan 1:1:2")
+	t.addNote("per pool: 10%% buy clients with a 150 ms goal, 90%% browse with 300 ms; pools cycle AppServS/F/VF; seed %d", s.Opt.Seed)
+	t.addNote("static keeps every request on its own pool; affinity follows the replanner's plan; weighted blends queue, response time and plan 1:1:2")
 	return t, nil
 }
 
@@ -170,7 +170,7 @@ func (s *Suite) FleetAB() (*Table, error) {
 // overload and drain.
 func (s *Suite) ScenarioWindows(sc *scenario.Compiled, window, duration float64) (*Table, error) {
 	arch := workload.AppServF()
-	histM, err := s.HistModel(arch)
+	histM, err := s.histModel(arch)
 	if err != nil {
 		return nil, err
 	}
@@ -205,18 +205,18 @@ func (s *Suite) ScenarioWindows(sc *scenario.Compiled, window, duration float64)
 			layered = errCell(s.predictLQN(arch, sc.WorkloadOver(p.Start, p.End)), p.MeanRT)
 			hybrid = errCell(predictFixedPoint(closed, offered, hybridRT), p.MeanRT)
 		}
-		t.AddRow(fmt.Sprintf("[%.0f,%.0f)", p.Start, p.End), f1(offered), fmt.Sprint(p.Completed),
+		t.addRow(fmt.Sprintf("[%.0f,%.0f)", p.Start, p.End), f1(offered), fmt.Sprint(p.Completed),
 			f1(p.Throughput), f1(p.MeanRT*1000), hydra, layered, hybrid)
 	}
-	t.AddNote("cold start (no warm-up discard); offered/s is the spec's open-cohort rate, so closed cohorts contribute 0")
-	t.AddNote("seed %d, window %.0fs, horizon %.0fs on AppServF + case-study DB", s.Opt.Seed, window, duration)
-	t.AddNote("hydra/lqn/hybrid: error of the steady-state prediction at the window's mean offered load against the window's measured mean RT; sat = the model has no steady state there")
+	t.addNote("cold start (no warm-up discard); offered/s is the spec's open-cohort rate, so closed cohorts contribute 0")
+	t.addNote("seed %d, window %.0fs, horizon %.0fs on AppServF + case-study DB", s.Opt.Seed, window, duration)
+	t.addNote("hydra/lqn/hybrid: error of the steady-state prediction at the window's mean offered load against the window's measured mean RT; sat = the model has no steady state there")
 	for _, r := range scenario.SelfCheck(sc, s.Opt.Seed, duration) {
 		verdict := "ok"
 		if !r.OK {
 			verdict = "FAIL: " + r.Reason
 		}
-		t.AddNote("self-check %s (%s): %d arrivals, %.1f/s generated vs %.1f/s declared, CV2 %.2f, IDC %.2f: %s",
+		t.addNote("self-check %s (%s): %d arrivals, %.1f/s generated vs %.1f/s declared, CV2 %.2f, IDC %.2f: %s",
 			r.Cohort, r.Kind, r.Arrivals, r.MeanRate, r.WantRate, r.CV2, r.IDC, verdict)
 	}
 	return t, nil
@@ -259,7 +259,7 @@ func predictFixedPoint(closed int, lambda float64, rt func(float64) float64) flo
 // as streams. NaN when the solver refuses the load or does not
 // converge.
 func (s *Suite) predictLQN(arch workload.ServerArch, load workload.Workload) float64 {
-	res, err := s.LQNPredict(arch, load)
+	res, err := s.lqnPredict(arch, load)
 	if err != nil || !res.Converged || res.MeanResponseTime() <= 0 {
 		return math.NaN()
 	}

@@ -34,16 +34,16 @@ type Suite struct {
 	Opt    trade.MeasureOptions
 	LQNOpt lqn.Options
 
-	maxThroughput parallel.Memo[string, float64] // arch name -> measured Xmax (typical)
-	benchmarked   parallel.Once[struct{}]        // the case-study servers' Xmax fan-out
-	gradient      parallel.Once[float64]
-	histModels    parallel.Memo[string, *hist.ServerModel] // established archs
-	rel2          parallel.Once[*hist.Relationship2]
-	histNew       parallel.Once[*hist.ServerModel] // AppServS via relationship 2
-	lqnDemands    parallel.Once[map[workload.RequestType]workload.Demand]
-	lqnPredicts   parallel.Memo[string, *lqn.Result] // arch+workload signature -> solution
-	hybridModel   parallel.Once[*hybrid.Model]
-	laplaceScale  parallel.Once[float64]
+	maxThroughputs parallel.Memo[string, float64] // arch name -> measured Xmax (typical)
+	benchmarked    parallel.Once[struct{}]        // the case-study servers' Xmax fan-out
+	gradientOnce   parallel.Once[float64]
+	histModels     parallel.Memo[string, *hist.ServerModel] // established archs
+	rel2Once       parallel.Once[*hist.Relationship2]
+	histNew        parallel.Once[*hist.ServerModel] // AppServS via relationship 2
+	lqnDemandsOnce parallel.Once[map[workload.RequestType]workload.Demand]
+	lqnPredicts    parallel.Memo[string, *lqn.Result] // arch+workload signature -> solution
+	hybridModel    parallel.Once[*hybrid.Model]
+	laplaceScale   parallel.Once[float64]
 
 	// fannedRuns counts the simulator runs started from inside a
 	// fan-out. The simulator counts every run; the difference is what
@@ -62,14 +62,14 @@ func NewSuite(seed int64) *Suite {
 	}
 }
 
-// MaxThroughput benchmarks (and memoises) an architecture's typical
+// maxThroughput benchmarks (and memoises) an architecture's typical
 // max throughput on the simulated testbed. The first call benchmarks
 // all three case-study servers in one fan-out, longest run first:
 // they head every calibration chain, and one at a time the new
 // server's run would find the other workers idle.
-func (s *Suite) MaxThroughput(arch workload.ServerArch) (float64, error) {
+func (s *Suite) maxThroughput(arch workload.ServerArch) (float64, error) {
 	benchmark := func(a workload.ServerArch) (float64, error) {
-		return s.maxThroughput.Do(a.Name, func() (float64, error) {
+		return s.maxThroughputs.Do(a.Name, func() (float64, error) {
 			return trade.MaxThroughput(a, 0, s.Opt)
 		})
 	}
@@ -84,11 +84,11 @@ func (s *Suite) MaxThroughput(arch workload.ServerArch) (float64, error) {
 	return benchmark(arch)
 }
 
-// Gradient calibrates (and memoises) the shared clients→throughput
+// gradient calibrates (and memoises) the shared clients→throughput
 // gradient m from below-saturation measurements on AppServF.
-func (s *Suite) Gradient() (float64, error) {
-	return s.gradient.Do(func() (float64, error) {
-		xMax, err := s.MaxThroughput(workload.AppServF())
+func (s *Suite) gradient() (float64, error) {
+	return s.gradientOnce.Do(func() (float64, error) {
+		xMax, err := s.maxThroughput(workload.AppServF())
 		if err != nil {
 			return 0, err
 		}
@@ -120,15 +120,15 @@ func (s *Suite) calibrationCurve(arch workload.ServerArch, nStar float64, fracs 
 // the paper's minimal nldp = nudp = 2.
 var calibrationFracs = []float64{0.25, 0.55, 1.2, 1.6}
 
-// HistModel calibrates (and memoises) the historical model for an
+// histModel calibrates (and memoises) the historical model for an
 // established architecture from measurements at calibrationFracs.
-func (s *Suite) HistModel(arch workload.ServerArch) (*hist.ServerModel, error) {
+func (s *Suite) histModel(arch workload.ServerArch) (*hist.ServerModel, error) {
 	return s.histModels.Do(arch.Name, func() (*hist.ServerModel, error) {
-		xMax, err := s.MaxThroughput(arch)
+		xMax, err := s.maxThroughput(arch)
 		if err != nil {
 			return nil, err
 		}
-		m, err := s.Gradient()
+		m, err := s.gradient()
 		if err != nil {
 			return nil, err
 		}
@@ -144,14 +144,14 @@ func (s *Suite) HistModel(arch workload.ServerArch) (*hist.ServerModel, error) {
 	})
 }
 
-// Rel2 fits (and memoises) relationship 2 across the established
+// rel2 fits (and memoises) relationship 2 across the established
 // servers AppServF and AppServVF.
-func (s *Suite) Rel2() (*hist.Relationship2, error) {
-	return s.rel2.Do(func() (*hist.Relationship2, error) {
+func (s *Suite) rel2() (*hist.Relationship2, error) {
+	return s.rel2Once.Do(func() (*hist.Relationship2, error) {
 		established := []workload.ServerArch{workload.AppServF(), workload.AppServVF()}
 		models, err := parallel.Map(context.Background(), s.Opt.Workers, len(established),
 			func(_ context.Context, i int) (*hist.ServerModel, error) {
-				return s.HistModel(established[i])
+				return s.histModel(established[i])
 			})
 		if err != nil {
 			return nil, err
@@ -160,16 +160,16 @@ func (s *Suite) Rel2() (*hist.Relationship2, error) {
 	})
 }
 
-// HistNewServer predicts (and memoises) the new architecture's
+// histNewServer predicts (and memoises) the new architecture's
 // (AppServS) historical model from its max-throughput benchmark via
 // relationship 2.
-func (s *Suite) HistNewServer() (*hist.ServerModel, error) {
+func (s *Suite) histNewServer() (*hist.ServerModel, error) {
 	return s.histNew.Do(func() (*hist.ServerModel, error) {
-		rel2, err := s.Rel2()
+		rel2, err := s.rel2()
 		if err != nil {
 			return nil, err
 		}
-		xMax, err := s.MaxThroughput(workload.AppServS())
+		xMax, err := s.maxThroughput(workload.AppServS())
 		if err != nil {
 			return nil, err
 		}
@@ -182,16 +182,16 @@ func (s *Suite) HistNewServer() (*hist.ServerModel, error) {
 // new one.
 func (s *Suite) HistModelFor(arch workload.ServerArch) (*hist.ServerModel, error) {
 	if arch.Established {
-		return s.HistModel(arch)
+		return s.histModel(arch)
 	}
-	return s.HistNewServer()
+	return s.histNewServer()
 }
 
-// HistSet returns HistModelFor every case-study server — the §9.1
+// histSet returns HistModelFor every case-study server — the §9.1
 // stand-in for the real system. The new server comes first in
 // CaseStudyServers order, and its relationship-2 fit calibrates the
 // established pair concurrently.
-func (s *Suite) HistSet() (hist.ModelSet, error) {
+func (s *Suite) histSet() (hist.ModelSet, error) {
 	set := hist.ModelSet{}
 	for _, arch := range workload.CaseStudyServers() {
 		var err error
@@ -202,11 +202,11 @@ func (s *Suite) HistSet() (hist.ModelSet, error) {
 	return set, nil
 }
 
-// LQNDemands calibrates (and memoises) the per-request-type demands on
+// lqnDemands calibrates (and memoises) the per-request-type demands on
 // AppServF per §5: one single-request-type measurement per type,
 // demands from the utilisation law.
-func (s *Suite) LQNDemands() (map[workload.RequestType]workload.Demand, error) {
-	return s.lqnDemands.Do(func() (map[workload.RequestType]workload.Demand, error) {
+func (s *Suite) lqnDemands() (map[workload.RequestType]workload.Demand, error) {
+	return s.lqnDemandsOnce.Do(func() (map[workload.RequestType]workload.Demand, error) {
 		truth := workload.CaseStudyDemands()
 		types := []workload.RequestType{workload.Browse, workload.Buy}
 		calibrated, err := simulateAll(s, len(types), func(i int) (workload.Demand, error) {
@@ -244,16 +244,16 @@ func (s *Suite) LQNDemands() (map[workload.RequestType]workload.Demand, error) {
 	})
 }
 
-// LQNPredict solves (and memoises) the layered model for an
+// lqnPredict solves (and memoises) the layered model for an
 // architecture and workload using the calibrated demands. Several
 // experiments revisit the same (architecture, workload) cells —
 // figure 2, its accuracy table and the percentile study share a grid —
 // so repeats are served from the memo. Each miss is solved cold and
 // independently, so a cell's value never depends on which experiment
 // asked first. Callers share the cached result and must not mutate it.
-func (s *Suite) LQNPredict(arch workload.ServerArch, load workload.Workload) (*lqn.Result, error) {
+func (s *Suite) lqnPredict(arch workload.ServerArch, load workload.Workload) (*lqn.Result, error) {
 	return s.lqnPredicts.Do(lqnKey(arch, load), func() (*lqn.Result, error) {
-		demands, err := s.LQNDemands()
+		demands, err := s.lqnDemands()
 		if err != nil {
 			return nil, err
 		}
@@ -261,7 +261,7 @@ func (s *Suite) LQNPredict(arch workload.ServerArch, load workload.Workload) (*l
 	})
 }
 
-// lqnKey is the memo key for LQNPredict: the architecture plus every
+// lqnKey is the memo key for lqnPredict: the architecture plus every
 // workload parameter the trade model reads.
 func lqnKey(arch workload.ServerArch, load workload.Workload) string {
 	key := arch.Name
@@ -284,7 +284,7 @@ func lqnKey(arch workload.ServerArch, load workload.Workload) string {
 // the suite's worker pool.
 func (s *Suite) Hybrid() (*hybrid.Model, error) {
 	return s.hybridModel.Do(func() (*hybrid.Model, error) {
-		demands, err := s.LQNDemands()
+		demands, err := s.lqnDemands()
 		if err != nil {
 			return nil, err
 		}
@@ -301,11 +301,11 @@ func (s *Suite) Hybrid() (*hybrid.Model, error) {
 // Laplace scale b from one saturated measurement on AppServF.
 func (s *Suite) LaplaceScale() (float64, error) {
 	return s.laplaceScale.Do(func() (float64, error) {
-		xMax, err := s.MaxThroughput(workload.AppServF())
+		xMax, err := s.maxThroughput(workload.AppServF())
 		if err != nil {
 			return 0, err
 		}
-		m, err := s.Gradient()
+		m, err := s.gradient()
 		if err != nil {
 			return 0, err
 		}

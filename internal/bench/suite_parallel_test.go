@@ -33,12 +33,12 @@ func TestSuiteConcurrentCalibration(t *testing.T) {
 			defer wg.Done()
 			switch g % 4 {
 			case 0:
-				if _, err := concurrent.Gradient(); err != nil {
-					t.Errorf("Gradient: %v", err)
+				if _, err := concurrent.gradient(); err != nil {
+					t.Errorf("gradient: %v", err)
 				}
 			case 1:
-				if _, err := concurrent.MaxThroughput(archs[g%len(archs)]); err != nil {
-					t.Errorf("MaxThroughput: %v", err)
+				if _, err := concurrent.maxThroughput(archs[g%len(archs)]); err != nil {
+					t.Errorf("maxThroughput: %v", err)
 				}
 			case 2:
 				if _, err := concurrent.HistModelFor(archs[g%len(archs)]); err != nil {
@@ -54,11 +54,11 @@ func TestSuiteConcurrentCalibration(t *testing.T) {
 	wg.Wait()
 
 	serial := shortSuite(1)
-	wantGrad, err := serial.Gradient()
+	wantGrad, err := serial.gradient()
 	if err != nil {
 		t.Fatal(err)
 	}
-	gotGrad, err := concurrent.Gradient()
+	gotGrad, err := concurrent.gradient()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -66,11 +66,11 @@ func TestSuiteConcurrentCalibration(t *testing.T) {
 		t.Fatalf("concurrent gradient %v != serial %v", gotGrad, wantGrad)
 	}
 	for _, arch := range archs {
-		want, err := serial.MaxThroughput(arch)
+		want, err := serial.maxThroughput(arch)
 		if err != nil {
 			t.Fatal(err)
 		}
-		got, err := concurrent.MaxThroughput(arch)
+		got, err := concurrent.maxThroughput(arch)
 		if err != nil {
 			t.Fatal(err)
 		}

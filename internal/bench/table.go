@@ -24,13 +24,13 @@ type Table struct {
 	Notes  []string
 }
 
-// AddRow appends a row of already-formatted cells.
-func (t *Table) AddRow(cells ...string) {
+// addRow appends a row of already-formatted cells.
+func (t *Table) addRow(cells ...string) {
 	t.Rows = append(t.Rows, cells)
 }
 
-// AddNote appends a note line.
-func (t *Table) AddNote(format string, args ...any) {
+// addNote appends a note line.
+func (t *Table) addNote(format string, args ...any) {
 	t.Notes = append(t.Notes, fmt.Sprintf(format, args...))
 }
 

@@ -239,7 +239,7 @@ func Run(cfg Config) (*Result, error) {
 	}
 	tres := run.Collect()
 
-	decisions, remotes := router.Totals()
+	decisions, remotes := router.totals()
 	res := &Result{
 		Trade:     tres,
 		Scorer:    scorer.Name(),

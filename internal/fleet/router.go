@@ -313,9 +313,9 @@ func (r *Router) classTotals(c int) (completed uint64, rtSum float64, rtCount ui
 	return completed, rtSum, rtCount
 }
 
-// Totals returns the fleet-wide routing decision and remote-decision
+// totals returns the fleet-wide routing decision and remote-decision
 // counts. Call only while the fleet is quiescent.
-func (r *Router) Totals() (decisions, remotes uint64) {
+func (r *Router) totals() (decisions, remotes uint64) {
 	for i := range r.origins {
 		decisions += r.origins[i].routes
 		remotes += r.origins[i].remotes

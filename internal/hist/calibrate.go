@@ -45,40 +45,6 @@ func CalibrateGradient(points []ThroughputPoint) (float64, error) {
 	return m, nil
 }
 
-// PredictGradient returns the clients→throughput gradient for a given
-// mean client think time: below saturation a closed client cycles
-// through one think and one response per request, so X = N/(Z + R₀)
-// and m = 1/(Z + R₀) with R₀ the light-load response time. This is
-// §4.1's observation that m "depends on and can be predicted from the
-// mean client think-time, but does not vary due to different server
-// CPU speeds" — which lets one server's gradient transfer to another,
-// and a 7-second-think gradient rescale to any other think time.
-func PredictGradient(thinkTime, lightLoadRT float64) (float64, error) {
-	if thinkTime < 0 || lightLoadRT < 0 || thinkTime+lightLoadRT <= 0 {
-		return 0, errors.New("hist: think time and light-load RT must be non-negative and not both zero")
-	}
-	return 1 / (thinkTime + lightLoadRT), nil
-}
-
-// RescaleGradient converts a gradient calibrated at one think time to
-// another think time, holding the light-load response time implied by
-// the original calibration: if m = 1/(Z+R₀) then R₀ = 1/m − Z.
-func RescaleGradient(m, oldThink, newThink float64) (float64, error) {
-	if m <= 0 {
-		return 0, errors.New("hist: gradient must be positive")
-	}
-	r0 := 1/m - oldThink
-	if r0 < 0 {
-		// Sampling noise can push a measured gradient a hair past the
-		// 1/Z ceiling; tolerate up to 2% and clamp, reject more.
-		if r0 < -0.02/m {
-			return 0, fmt.Errorf("hist: gradient %v is impossible for think time %v", m, oldThink)
-		}
-		r0 = 0
-	}
-	return PredictGradient(newThink, r0)
-}
-
 // CalibrateServer fits relationship 1 for one server from historical
 // data points. The lower exponential equation is fitted (least
 // squares on the log) to points at or below 66% of the max-throughput

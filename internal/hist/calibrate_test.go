@@ -220,10 +220,10 @@ func TestRelationship3(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got := rel3.EstablishedMaxThroughput(0); math.Abs(got-189) > 1e-9 {
+	if got := rel3.line.Eval(0); math.Abs(got-189) > 1e-9 {
 		t.Fatalf("X_E(0) = %v", got)
 	}
-	if got := rel3.EstablishedMaxThroughput(25); math.Abs(got-158) > 1e-9 {
+	if got := rel3.line.Eval(25); math.Abs(got-158) > 1e-9 {
 		t.Fatalf("X_E(25) = %v", got)
 	}
 	// Equation 5 for the new server with X_N(0) = 86.

@@ -15,7 +15,7 @@ func FuzzStoreLoad(f *testing.F) {
 	_ = s.RecordGradient(0.14)
 	_ = s.RecordMaxThroughput("AppServF", TypicalWorkloadKey, 186)
 	_ = s.RecordPoint("AppServF", TypicalWorkloadKey, DataPoint{Clients: 100, MeanRT: 0.01, Samples: 50})
-	_ = s.Save(&seedBuf)
+	_ = s.save(&seedBuf)
 	f.Add(seedBuf.String())
 	f.Add(`{}`)
 	f.Add(`{"gradient": -1}`)
@@ -24,20 +24,20 @@ func FuzzStoreLoad(f *testing.F) {
 
 	f.Fuzz(func(t *testing.T, doc string) {
 		st := NewStore()
-		if err := st.Load(strings.NewReader(doc)); err != nil {
+		if err := st.load(strings.NewReader(doc)); err != nil {
 			return
 		}
 		// Loaded stores must be queryable and round-trip.
-		for _, srv := range st.Servers() {
+		for srv := range st.data.Servers {
 			_ = st.Points(srv, TypicalWorkloadKey)
 			_, _ = st.MaxThroughput(srv, TypicalWorkloadKey)
 		}
 		var buf bytes.Buffer
-		if err := st.Save(&buf); err != nil {
+		if err := st.save(&buf); err != nil {
 			t.Fatalf("loaded store fails to save: %v", err)
 		}
 		again := NewStore()
-		if err := again.Load(&buf); err != nil {
+		if err := again.load(&buf); err != nil {
 			t.Fatalf("saved store fails to re-load: %v", err)
 		}
 	})

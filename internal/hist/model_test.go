@@ -144,6 +144,12 @@ func TestPredictPercentileAboveMean(t *testing.T) {
 		if p90 <= mean {
 			t.Fatalf("p90 %v should exceed mean %v at n=%v", p90, mean, n)
 		}
+		// p is a fraction; the conversion rejects rather than clamps.
+		for _, p := range []float64{90, 0, 1, math.NaN()} {
+			if x, err := m.PredictPercentile(n, p, 0.2041); err == nil {
+				t.Fatalf("PredictPercentile(%v, p=%v) = %v, want an error", n, p, x)
+			}
+		}
 	}
 }
 

@@ -57,12 +57,6 @@ func FitRelationship3(points []BuyPoint) (*Relationship3, error) {
 	return &Relationship3{line: line, xE0: xE0}, nil
 }
 
-// EstablishedMaxThroughput extrapolates the established server's max
-// throughput at the given buy percentage.
-func (r *Relationship3) EstablishedMaxThroughput(buyPct float64) float64 {
-	return r.line.Eval(buyPct)
-}
-
 // NewServerMaxThroughput applies equation (5): the new server's max
 // throughput at buyPct is the established trend scaled by the ratio of
 // the servers' typical-workload (0% buy) max throughputs.

@@ -41,16 +41,6 @@ func (s ModelSet) MaxClients(arch string, goalRT float64) (float64, error) {
 	return sm.MaxClients(goalRT)
 }
 
-// PredictPercentile converts the architecture's mean prediction into a
-// percentile prediction via the §7.1 distributions.
-func (s ModelSet) PredictPercentile(arch string, n, p, b float64) (float64, error) {
-	sm, err := s.model(arch)
-	if err != nil {
-		return 0, err
-	}
-	return sm.PredictPercentile(n, p, b)
-}
-
 // ServerHistory is what the method holds about one server under one
 // workload: its max-throughput benchmark and its recorded data points.
 // A server without data points is a new one (§4.2).

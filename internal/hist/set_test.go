@@ -37,7 +37,7 @@ func sameBits(a, b *ServerModel) bool {
 
 // The set adds a name lookup and nothing else: every answer is the
 // named model's own, bit for bit, and an unknown name is an error from
-// all three methods.
+// both methods.
 func TestModelSetAnswersAsItsModels(t *testing.T) {
 	set := ModelSet{"AppServF": caseModelF(), "AppServVF": caseModelVF()}
 	for name, sm := range set {
@@ -46,14 +46,6 @@ func TestModelSetAnswersAsItsModels(t *testing.T) {
 			if err != nil || math.Float64bits(got) != math.Float64bits(sm.Predict(n)) {
 				t.Errorf("%s Predict(%v) = %v, %v; the model says %v", name, n, got, err, sm.Predict(n))
 			}
-			want, wantErr := sm.PredictPercentile(n, 0.9, 0.2041)
-			got, err = set.PredictPercentile(name, n, 0.9, 0.2041)
-			if (err == nil) != (wantErr == nil) || math.Float64bits(got) != math.Float64bits(want) {
-				t.Errorf("%s PredictPercentile(%v) = %v, %v; the model says %v, %v", name, n, got, err, want, wantErr)
-			}
-		}
-		if _, err := set.PredictPercentile(name, 4000, 0.9, -1); err == nil {
-			t.Errorf("%s: the model's own error (Laplace scale -1) was swallowed", name)
 		}
 		for _, goal := range []float64{0.05, 0.3, 2, -1} {
 			want, wantErr := sm.MaxClients(goal)
@@ -68,9 +60,6 @@ func TestModelSetAnswersAsItsModels(t *testing.T) {
 	}
 	if _, err := set.MaxClients("AppServS", 0.3); err == nil {
 		t.Error("MaxClients answered for an architecture not in the set")
-	}
-	if _, err := set.PredictPercentile("AppServS", 100, 0.9, 0.2041); err == nil {
-		t.Error("PredictPercentile answered for an architecture not in the set")
 	}
 }
 

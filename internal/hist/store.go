@@ -9,8 +9,6 @@ import (
 	"path/filepath"
 	"sort"
 	"sync"
-
-	"perfpred/internal/workload"
 )
 
 // Store is HYDRA's historical performance data store: measured data
@@ -145,40 +143,8 @@ func (s *Store) Points(server, workloadKey string) []DataPoint {
 	return out
 }
 
-// Servers lists the architectures with any recorded data, sorted.
-func (s *Store) Servers() []string {
-	s.mu.RLock()
-	defer s.mu.RUnlock()
-	out := make([]string, 0, len(s.data.Servers))
-	for name := range s.data.Servers {
-		out = append(out, name)
-	}
-	sort.Strings(out)
-	return out
-}
-
-// Calibrate builds a ServerModel for the architecture from the
-// store's recorded data points, benchmark and gradient under the
-// workload signature — the recalibration path §2's first supporting
-// service describes.
-func (s *Store) Calibrate(arch workload.ServerArch, workloadKey string) (*ServerModel, error) {
-	x, ok := s.MaxThroughput(arch.Name, workloadKey)
-	if !ok {
-		return nil, fmt.Errorf("hist: no max-throughput benchmark stored for %s/%s", arch.Name, workloadKey)
-	}
-	m := s.Gradient()
-	if m <= 0 {
-		return nil, errors.New("hist: no gradient stored")
-	}
-	pts := s.Points(arch.Name, workloadKey)
-	if len(pts) == 0 {
-		return nil, fmt.Errorf("hist: no data points stored for %s/%s", arch.Name, workloadKey)
-	}
-	return CalibrateServer(arch, x, m, pts)
-}
-
-// Save writes the store as indented JSON.
-func (s *Store) Save(w io.Writer) error {
+// save writes the store as indented JSON.
+func (s *Store) save(w io.Writer) error {
 	s.mu.RLock()
 	defer s.mu.RUnlock()
 	enc := json.NewEncoder(w)
@@ -186,9 +152,9 @@ func (s *Store) Save(w io.Writer) error {
 	return enc.Encode(s.data)
 }
 
-// Load replaces the store's contents from a JSON document previously
+// load replaces the store's contents from a JSON document previously
 // written by Save.
-func (s *Store) Load(r io.Reader) error {
+func (s *Store) load(r io.Reader) error {
 	var data storeData
 	dec := json.NewDecoder(r)
 	if err := dec.Decode(&data); err != nil {
@@ -212,7 +178,7 @@ func (s *Store) SaveFile(path string) error {
 		return err
 	}
 	defer os.Remove(f.Name()) // fails, harmlessly, once renamed
-	err = s.Save(f)
+	err = s.save(f)
 	if err == nil {
 		err = f.Chmod(0o644)
 	}
@@ -239,5 +205,5 @@ func (s *Store) LoadFile(path string) error {
 		return err
 	}
 	defer f.Close()
-	return s.Load(f)
+	return s.load(f)
 }

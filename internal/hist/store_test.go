@@ -53,9 +53,6 @@ func TestStoreRecordAndQuery(t *testing.T) {
 			t.Fatal("points not sorted by clients")
 		}
 	}
-	if got := s.Servers(); len(got) != 1 || got[0] != "AppServF" {
-		t.Fatalf("servers = %v", got)
-	}
 	if s.Points("ghost", TypicalWorkloadKey) != nil {
 		t.Fatal("missing server points should be nil")
 	}
@@ -80,10 +77,20 @@ func TestStoreValidation(t *testing.T) {
 	}
 }
 
+// calibrateFromStore fits relationship 1 for AppServF from what the
+// store holds: its benchmark, the gradient and its data points.
+func calibrateFromStore(s *Store) (*ServerModel, error) {
+	x, _ := s.MaxThroughput("AppServF", TypicalWorkloadKey)
+	return CalibrateServer(workload.AppServF(), x, s.Gradient(), s.Points("AppServF", TypicalWorkloadKey))
+}
+
+// The store holds everything the recalibration path §2's first
+// supporting service describes needs: the calibrated model is the
+// one the points were drawn from.
 func TestStoreCalibrate(t *testing.T) {
 	s := populatedStore(t)
 	truth := caseModelF()
-	model, err := s.Calibrate(workload.AppServF(), TypicalWorkloadKey)
+	model, err := calibrateFromStore(s)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -95,33 +102,16 @@ func TestStoreCalibrate(t *testing.T) {
 			t.Fatalf("store-calibrated predict(%v) = %v, want %v", n, got, want)
 		}
 	}
-	// Missing pieces produce targeted errors.
-	empty := NewStore()
-	if _, err := empty.Calibrate(workload.AppServF(), TypicalWorkloadKey); err == nil {
-		t.Fatal("missing benchmark should fail")
-	}
-	if err := empty.RecordMaxThroughput("AppServF", TypicalWorkloadKey, 186); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := empty.Calibrate(workload.AppServF(), TypicalWorkloadKey); err == nil {
-		t.Fatal("missing gradient should fail")
-	}
-	if err := empty.RecordGradient(0.14); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := empty.Calibrate(workload.AppServF(), TypicalWorkloadKey); err == nil {
-		t.Fatal("missing points should fail")
-	}
 }
 
 func TestStoreSaveLoadRoundTrip(t *testing.T) {
 	s := populatedStore(t)
 	var buf bytes.Buffer
-	if err := s.Save(&buf); err != nil {
+	if err := s.save(&buf); err != nil {
 		t.Fatal(err)
 	}
 	back := NewStore()
-	if err := back.Load(&buf); err != nil {
+	if err := back.load(&buf); err != nil {
 		t.Fatal(err)
 	}
 	if back.Gradient() != s.Gradient() {
@@ -130,7 +120,7 @@ func TestStoreSaveLoadRoundTrip(t *testing.T) {
 	if len(back.Points("AppServF", TypicalWorkloadKey)) != 4 {
 		t.Fatal("points lost in round trip")
 	}
-	if err := back.Load(strings.NewReader("not json")); err == nil {
+	if err := back.load(strings.NewReader("not json")); err == nil {
 		t.Fatal("garbage should fail to load")
 	}
 }
@@ -145,7 +135,7 @@ func TestStoreFilePersistence(t *testing.T) {
 	if err := back.LoadFile(path); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := back.Calibrate(workload.AppServF(), TypicalWorkloadKey); err != nil {
+	if _, err := calibrateFromStore(back); err != nil {
 		t.Fatalf("calibrate from reloaded store: %v", err)
 	}
 	// Missing files bootstrap silently.
@@ -153,7 +143,7 @@ func TestStoreFilePersistence(t *testing.T) {
 	if err := fresh.LoadFile(filepath.Join(t.TempDir(), "missing.json")); err != nil {
 		t.Fatal(err)
 	}
-	if len(fresh.Servers()) != 0 {
+	if len(fresh.data.Servers) != 0 {
 		t.Fatal("fresh store should be empty")
 	}
 }
@@ -201,10 +191,10 @@ func TestSaveFileFailureKeepsPreviousFile(t *testing.T) {
 		t.Fatal(err)
 	}
 	var want, got bytes.Buffer
-	if err := s.Save(&want); err != nil {
+	if err := s.save(&want); err != nil {
 		t.Fatal(err)
 	}
-	if err := back.Save(&got); err != nil {
+	if err := back.save(&got); err != nil {
 		t.Fatal(err)
 	}
 	if !bytes.Equal(want.Bytes(), got.Bytes()) {

@@ -135,7 +135,7 @@ func TestPercentileAndMaxClients(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	p90, err := m.Servers.PredictPercentile("AppServF", 2000, 0.90, 0.2041)
+	p90, err := m.Servers["AppServF"].PredictPercentile(2000, 0.90, 0.2041)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -156,9 +156,6 @@ func TestPercentileAndMaxClients(t *testing.T) {
 	if rt > 0.3*1.001 {
 		t.Fatalf("RT at max clients = %v > goal", rt)
 	}
-	if _, err := m.Servers.PredictPercentile("ghost", 100, 0.9, 0.2); err == nil {
-		t.Fatal("unknown server should fail")
-	}
 	if _, err := m.Servers.MaxClients("ghost", 0.3); err == nil {
 		t.Fatal("unknown server should fail")
 	}
@@ -172,8 +169,16 @@ func TestBuildRelationship3(t *testing.T) {
 	if evals != 2 {
 		t.Fatalf("evaluations = %d, want 2", evals)
 	}
-	x0 := rel3.EstablishedMaxThroughput(0)
-	x25 := rel3.EstablishedMaxThroughput(25)
+	// Equation 5 scales the established trend to a server's 0%-buy
+	// benchmark, so the relative drop is the trend's at any benchmark.
+	x0, err := rel3.NewServerMaxThroughput(189, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	x25, err := rel3.NewServerMaxThroughput(189, 25)
+	if err != nil {
+		t.Fatal(err)
+	}
 	if x25 >= x0 {
 		t.Fatalf("buy mix must lower max throughput: %v vs %v", x25, x0)
 	}

@@ -55,18 +55,3 @@ func CalibrateDemand(run CalibrationRun) (workload.Demand, error) {
 	}
 	return d, nil
 }
-
-// ScaleDemandToServer rescales established-server demands onto a new
-// architecture using the benchmarked request-processing-speed ratio
-// (§5: "multiplying the mean processing times on an established server
-// by the established/new server request processing speed ratio").
-// Only the application-server time scales; the shared database server
-// is unchanged.
-func ScaleDemandToServer(d workload.Demand, establishedSpeed, newSpeed float64) (workload.Demand, error) {
-	if establishedSpeed <= 0 || newSpeed <= 0 {
-		return workload.Demand{}, errors.New("lqn: speeds must be positive")
-	}
-	scaled := d
-	scaled.AppServerTime = d.AppServerTime * establishedSpeed / newSpeed
-	return scaled, nil
-}

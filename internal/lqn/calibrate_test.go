@@ -53,23 +53,6 @@ func TestCalibrateDemandErrors(t *testing.T) {
 	}
 }
 
-func TestScaleDemandToServer(t *testing.T) {
-	d := workload.Demand{AppServerTime: 0.004, DBTimePerCall: 0.001, DBCallsPerRequest: 2}
-	scaled, err := ScaleDemandToServer(d, 1.0, 0.5)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if math.Abs(scaled.AppServerTime-0.008) > 1e-12 {
-		t.Fatalf("scaled app time = %v, want 0.008 (half-speed server)", scaled.AppServerTime)
-	}
-	if scaled.DBTimePerCall != d.DBTimePerCall || scaled.DBCallsPerRequest != d.DBCallsPerRequest {
-		t.Fatal("db demand must be unchanged by app-server scaling")
-	}
-	if _, err := ScaleDemandToServer(d, 0, 1); err == nil {
-		t.Fatal("expected error for zero speed")
-	}
-}
-
 // TestCalibrateFromSimulator closes the loop of §5: run the simulated
 // testbed with a single request type, calibrate demands from the
 // observed throughput and utilisations, and verify the recovered

@@ -41,7 +41,7 @@ import (
 // solver's scope.
 func layeredApplicable(m *Model, r *resolved) error {
 	for _, cl := range m.Classes {
-		if cl.Open() {
+		if cl.open() {
 			return errors.New("lqn: layered solving does not support open classes")
 		}
 		if cl.Priority != 0 {

@@ -131,8 +131,8 @@ type Class struct {
 	Calls []Call
 }
 
-// Open reports whether the class is an open arrival stream.
-func (c *Class) Open() bool { return c.ArrivalRate > 0 }
+// open reports whether the class is an open arrival stream.
+func (c *Class) open() bool { return c.ArrivalRate > 0 }
 
 // Model is a complete layered queuing network.
 type Model struct {
@@ -254,7 +254,7 @@ func (m *Model) resolve() (*resolved, error) {
 		if cl.ArrivalRate < 0 {
 			return nil, fmt.Errorf("lqn: class %q has negative arrival rate", cl.Name)
 		}
-		if cl.Open() && cl.Population != 0 {
+		if cl.open() && cl.Population != 0 {
 			return nil, fmt.Errorf("lqn: class %q is open (arrival rate %v) but also has population %d", cl.Name, cl.ArrivalRate, cl.Population)
 		}
 		for _, c := range cl.Calls {

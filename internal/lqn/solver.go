@@ -28,8 +28,8 @@ import (
 // Mutating a model's structure — tasks, entries, calls, the set of
 // classes, or a class switching between open and closed — between
 // solves on the same pointer requires Reset (or a fresh Solver).
-// Changing entry demands or call means in place (see RetuneTradeModel)
-// requires InvalidateDemands. Population, Think, ArrivalRate and
+// Changing entry demands or call means in place (see retuneTradeModel)
+// requires invalidateDemands. Population, Think, ArrivalRate and
 // Priority edits need nothing: they are re-read on every solve.
 //
 // The returned *Result is owned by the Solver and overwritten by the
@@ -83,12 +83,12 @@ func (s *Solver) Reset() {
 	s.ws.invalidateWarm()
 }
 
-// InvalidateDemands drops the cached demand folding — visit ratios and
+// invalidateDemands drops the cached demand folding — visit ratios and
 // station demand matrices — while keeping the validated topology. Call
 // it after changing entry demands or call means in place (e.g. via
-// RetuneTradeModel); it is what makes fixed-point loops that re-tune
+// retuneTradeModel); it is what makes fixed-point loops that re-tune
 // demands every iteration cheap.
-func (s *Solver) InvalidateDemands() { s.plan = nil }
+func (s *Solver) invalidateDemands() { s.plan = nil }
 
 // prepare ensures the cached resolution and plan match the model.
 func (s *Solver) prepare(m *Model) error {
@@ -103,7 +103,7 @@ func (s *Solver) prepare(m *Model) error {
 		// A class flipping between open and closed changes the network
 		// shape; rebuild rather than mis-solve.
 		for c, cl := range m.Classes {
-			if cl.Open() != s.plan.isOpen[c] {
+			if cl.open() != s.plan.isOpen[c] {
 				s.plan = nil
 				break
 			}
@@ -123,8 +123,8 @@ func buildPlan(m *Model, r *resolved) *solvePlan {
 		demandsOf: make(map[string]classDemands, len(m.Classes)),
 	}
 	for c, cl := range m.Classes {
-		p.isOpen[c] = cl.Open()
-		if cl.Open() {
+		p.isOpen[c] = cl.open()
+		if cl.open() {
 			p.open = append(p.open, cl)
 		} else {
 			p.closed = append(p.closed, cl)

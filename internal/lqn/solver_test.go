@@ -221,7 +221,7 @@ func TestSolverWarmStartSweep(t *testing.T) {
 	t.Logf("sweep iterations: warm %d vs cold %d (%.0f%% saved)", warmIters, coldIters, 100*(1-float64(warmIters)/float64(coldIters)))
 }
 
-// InvalidateDemands after an in-place retune must match a from-scratch
+// invalidateDemands after an in-place retune must match a from-scratch
 // rebuild bit for bit.
 func TestSolverInvalidateDemandsMatchesRebuild(t *testing.T) {
 	demands := workload.CaseStudyDemands()
@@ -237,10 +237,10 @@ func TestSolverInvalidateDemandsMatchesRebuild(t *testing.T) {
 		d.DBCallsPerRequest *= 0.9
 		scaled[rt] = d
 	}
-	if err := RetuneTradeModel(m, scaled); err != nil {
+	if err := retuneTradeModel(m, scaled); err != nil {
 		t.Fatal(err)
 	}
-	s.InvalidateDemands()
+	s.invalidateDemands()
 	got, err := s.Solve(m, Options{})
 	if err != nil {
 		t.Fatal(err)
@@ -257,7 +257,7 @@ func TestSolverInvalidateDemandsMatchesRebuild(t *testing.T) {
 	requireSameResult(t, got, want)
 }
 
-// Without InvalidateDemands the solver keeps serving the cached
+// Without invalidateDemands the solver keeps serving the cached
 // folding — the documented contract for in-place demand edits.
 func TestSolverStaleWithoutInvalidate(t *testing.T) {
 	m := tinyModel()
@@ -273,15 +273,15 @@ func TestSolverStaleWithoutInvalidate(t *testing.T) {
 		t.Fatal(err)
 	}
 	if stale.Classes["users"].ResponseTime != beforeRT {
-		t.Fatal("demand edit visible without InvalidateDemands; cache is not being exercised")
+		t.Fatal("demand edit visible without invalidateDemands; cache is not being exercised")
 	}
-	s.InvalidateDemands()
+	s.invalidateDemands()
 	after, err := s.Solve(m, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if after.Classes["users"].ResponseTime <= beforeRT {
-		t.Fatal("InvalidateDemands did not pick up the demand edit")
+		t.Fatal("invalidateDemands did not pick up the demand edit")
 	}
 }
 
@@ -361,14 +361,14 @@ func TestRetuneTradeModelRejectsStructureChanges(t *testing.T) {
 	noLat := map[workload.RequestType]workload.Demand{
 		workload.Browse: {AppServerTime: 0.005, DBTimePerCall: 0.001, DBCallsPerRequest: 1},
 	}
-	if err := RetuneTradeModel(m, noLat); err == nil || !strings.Contains(err.Error(), "latency structure") {
+	if err := retuneTradeModel(m, noLat); err == nil || !strings.Contains(err.Error(), "latency structure") {
 		t.Fatalf("want latency-structure error, got %v", err)
 	}
 	// Unknown request types need a rebuild.
 	extra := map[workload.RequestType]workload.Demand{
 		workload.Buy: {AppServerTime: 0.005, DBTimePerCall: 0.001, DBCallsPerRequest: 1},
 	}
-	if err := RetuneTradeModel(m, extra); err == nil || !strings.Contains(err.Error(), "rebuild") {
+	if err := retuneTradeModel(m, extra); err == nil || !strings.Contains(err.Error(), "rebuild") {
 		t.Fatalf("want rebuild error, got %v", err)
 	}
 	// Critical sections fold work into entry demands; retuning would
@@ -377,7 +377,7 @@ func TestRetuneTradeModelRejectsStructureChanges(t *testing.T) {
 	if err := AddCriticalSection(m2, workload.AppServF().Speed, 0.001, 0.1); err != nil {
 		t.Fatal(err)
 	}
-	if err := RetuneTradeModel(m2, workload.CaseStudyDemands()); err == nil || !strings.Contains(err.Error(), "critical section") {
+	if err := retuneTradeModel(m2, workload.CaseStudyDemands()); err == nil || !strings.Contains(err.Error(), "critical section") {
 		t.Fatalf("want critical-section error, got %v", err)
 	}
 }

@@ -107,7 +107,7 @@ func NewTradeModel(server workload.ServerArch, db workload.DBServer, demands map
 // predictions, §6's pseudo data, §8.2's capacity search). It owns the
 // trade model, a retained warm-started Solver and the options of every
 // solve, and with them the Solver's mutate-in-place contract: the same
-// *Model every time, InvalidateDemands after a retune, and a *Result
+// *Model every time, invalidateDemands after a retune, and a *Result
 // that is the solver's until the next Solve (Clone it to retain). Not
 // for concurrent use.
 type TradeSweep struct {
@@ -144,14 +144,14 @@ func (t *TradeSweep) Solve(load workload.Workload) (*Result, error) {
 	return t.solver.Solve(t.Model, t.opt)
 }
 
-// Retune rewrites the model's demands in place (see RetuneTradeModel)
+// Retune rewrites the model's demands in place (see retuneTradeModel)
 // and drops the solver's cached demand folding, keeping the resolved
 // topology and the warm start.
 func (t *TradeSweep) Retune(demands map[workload.RequestType]workload.Demand) error {
-	if err := RetuneTradeModel(t.Model, demands); err != nil {
+	if err := retuneTradeModel(t.Model, demands); err != nil {
 		return err
 	}
-	t.solver.InvalidateDemands()
+	t.solver.invalidateDemands()
 	return nil
 }
 
@@ -173,10 +173,10 @@ func (t *TradeSweep) MaxClients(goalRT float64, limit int, load func(n int) work
 	return clients, evals, err
 }
 
-// RetuneTradeModel updates, in place, the entry demands and call means
+// retuneTradeModel updates, in place, the entry demands and call means
 // of a model built by NewTradeModel to a new demand map — the
 // structure-preserving half of a rebuild. A retained Solver must be
-// told (InvalidateDemands); TradeSweep.Retune does both.
+// told (invalidateDemands); TradeSweep.Retune does both.
 //
 // The demand map must cover the same request types the model was built
 // with, and each type's latency term must stay on the same side of
@@ -184,7 +184,7 @@ func (t *TradeSweep) MaxClients(goalRT float64, limit int, load func(n int) work
 // changes the model structure and needs a rebuild. Models augmented by
 // AddCriticalSection cannot be retuned: the section's CPU inflation is
 // folded into the entry demands and would be lost.
-func RetuneTradeModel(m *Model, demands map[workload.RequestType]workload.Demand) error {
+func retuneTradeModel(m *Model, demands map[workload.RequestType]workload.Demand) error {
 	entries := make(map[string]*Entry, 8)
 	for _, t := range m.Tasks {
 		if t.Name == "critsec" {

@@ -98,8 +98,8 @@ func (m *MaxGauge) Observe(v int64) {
 	}
 }
 
-// Value returns the high-water mark (0 on a nil receiver).
-func (m *MaxGauge) Value() int64 {
+// value returns the high-water mark (0 on a nil receiver).
+func (m *MaxGauge) value() int64 {
 	if m == nil {
 		return 0
 	}
@@ -112,16 +112,16 @@ func (m *MaxGauge) Value() int64 {
 // Observe performs no allocation — a branchless-ish linear scan over a
 // small bound slice plus two atomic adds.
 type Histogram struct {
-	bounds []float64       // ascending upper bounds
-	counts []atomic.Uint64 // len(bounds)+1; last = overflow
-	n      atomic.Uint64
-	sum    atomic.Uint64 // float64 bits, CAS-accumulated
+	bounds  []float64       // ascending upper bounds
+	counts  []atomic.Uint64 // len(bounds)+1; last = overflow
+	n       atomic.Uint64
+	sumBits atomic.Uint64 // float64 bits, CAS-accumulated
 }
 
-// NewHistogram builds a histogram over the given ascending upper
+// newHistogram builds a histogram over the given ascending upper
 // bounds. It panics on unsorted or empty bounds — histogram shapes are
 // compile-time decisions, never data-dependent.
-func NewHistogram(bounds ...float64) *Histogram {
+func newHistogram(bounds ...float64) *Histogram {
 	if len(bounds) == 0 {
 		panic("obs: histogram needs at least one bucket bound")
 	}
@@ -155,26 +155,26 @@ func (h *Histogram) Observe(v float64) {
 	h.counts[i].Add(1)
 	h.n.Add(1)
 	for {
-		cur := h.sum.Load()
+		cur := h.sumBits.Load()
 		next := math.Float64bits(math.Float64frombits(cur) + v)
-		if h.sum.CompareAndSwap(cur, next) {
+		if h.sumBits.CompareAndSwap(cur, next) {
 			return
 		}
 	}
 }
 
-// Count returns the number of observations (0 on a nil receiver).
-func (h *Histogram) Count() uint64 {
+// count returns the number of observations (0 on a nil receiver).
+func (h *Histogram) count() uint64 {
 	if h == nil {
 		return 0
 	}
 	return h.n.Load()
 }
 
-// Sum returns the sum of observations (0 on a nil receiver).
-func (h *Histogram) Sum() float64 {
+// sum returns the sum of observations (0 on a nil receiver).
+func (h *Histogram) sum() float64 {
 	if h == nil {
 		return 0
 	}
-	return math.Float64frombits(h.sum.Load())
+	return math.Float64frombits(h.sumBits.Load())
 }

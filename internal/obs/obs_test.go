@@ -29,12 +29,12 @@ func TestNilSafety(t *testing.T) {
 	}
 	var m *MaxGauge
 	m.Observe(7)
-	if m.Value() != 0 {
+	if m.value() != 0 {
 		t.Fatal("nil max gauge must read 0")
 	}
 	var h *Histogram
 	h.Observe(1.5)
-	if h.Count() != 0 || h.Sum() != 0 {
+	if h.count() != 0 || h.sum() != 0 {
 		t.Fatal("nil histogram must read 0")
 	}
 
@@ -66,7 +66,7 @@ func TestRegisterOrGet(t *testing.T) {
 }
 
 func TestHistogramBuckets(t *testing.T) {
-	h := NewHistogram(1, 10, 100)
+	h := newHistogram(1, 10, 100)
 	for _, v := range []float64{0.5, 1, 5, 10, 50, 100, 500} {
 		h.Observe(v)
 	}
@@ -80,11 +80,11 @@ func TestHistogramBuckets(t *testing.T) {
 	if of := h.counts[3].Load(); of != 1 {
 		t.Fatalf("overflow: got %d want 1", of)
 	}
-	if h.Count() != 7 {
-		t.Fatalf("count: got %d want 7", h.Count())
+	if h.count() != 7 {
+		t.Fatalf("count: got %d want 7", h.count())
 	}
-	if math.Abs(h.Sum()-666.5) > 1e-9 {
-		t.Fatalf("sum: got %v want 666.5", h.Sum())
+	if math.Abs(h.sum()-666.5) > 1e-9 {
+		t.Fatalf("sum: got %v want 666.5", h.sum())
 	}
 }
 
@@ -93,8 +93,8 @@ func TestMaxGauge(t *testing.T) {
 	m.Observe(5)
 	m.Observe(3)
 	m.Observe(9)
-	if m.Value() != 9 {
-		t.Fatalf("got %d want 9", m.Value())
+	if m.value() != 9 {
+		t.Fatalf("got %d want 9", m.value())
 	}
 }
 
@@ -167,17 +167,17 @@ func TestConcurrentUpdates(t *testing.T) {
 	if got := r.Counter("n").Value(); got != workers*per {
 		t.Fatalf("counter lost updates: got %d want %d", got, workers*per)
 	}
-	if got := r.Histogram("v").Count(); got != workers*per {
+	if got := r.Histogram("v").count(); got != workers*per {
 		t.Fatalf("histogram lost updates: got %d want %d", got, workers*per)
 	}
-	if got := r.MaxGauge("hw").Value(); got != workers*per-1 {
+	if got := r.MaxGauge("hw").value(); got != workers*per-1 {
 		t.Fatalf("max gauge wrong: got %d want %d", got, workers*per-1)
 	}
 	perWorkerSum := 0.0
 	for i := 0; i < per; i++ {
 		perWorkerSum += float64(i%3) / 2
 	}
-	if sum := r.Histogram("v").Sum(); math.Abs(sum-float64(workers)*perWorkerSum) > 1e-6 {
+	if sum := r.Histogram("v").sum(); math.Abs(sum-float64(workers)*perWorkerSum) > 1e-6 {
 		t.Fatalf("histogram sum lost updates: got %v want %v", sum, float64(workers)*perWorkerSum)
 	}
 }

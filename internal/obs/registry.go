@@ -99,7 +99,7 @@ func (r *Registry) Histogram(name string, bounds ...float64) *Histogram {
 	defer r.mu.Unlock()
 	h, ok := r.histograms[name]
 	if !ok {
-		h = NewHistogram(bounds...)
+		h = newHistogram(bounds...)
 		r.histograms[name] = h
 	}
 	return h
@@ -146,14 +146,14 @@ func (r *Registry) Snapshot() Snapshot {
 		s.Gauges[name] = g.Value()
 	}
 	for name, m := range r.maxGauges {
-		s.MaxGauges[name] = m.Value()
+		s.MaxGauges[name] = m.value()
 	}
 	for name, h := range r.histograms {
 		hs := HistogramSnapshot{
 			Bounds:  append([]float64(nil), h.bounds...),
 			Buckets: make([]uint64, len(h.bounds)),
-			Count:   h.Count(),
-			Sum:     h.Sum(),
+			Count:   h.count(),
+			Sum:     h.sum(),
 		}
 		for i := range h.bounds {
 			hs.Buckets[i] = h.counts[i].Load()

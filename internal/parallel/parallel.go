@@ -26,11 +26,11 @@ import (
 	"sync/atomic"
 )
 
-// Workers normalises a worker-count knob: values <= 0 select
+// resolveWorkers normalises a worker-count knob: values <= 0 select
 // runtime.GOMAXPROCS(0), anything else passes through. Sweeps expose
 // the raw knob (0 = all cores, 1 = serial) and call this at the point
 // of use.
-func Workers(n int) int {
+func resolveWorkers(n int) int {
 	if n <= 0 {
 		return runtime.GOMAXPROCS(0)
 	}
@@ -53,7 +53,7 @@ func Map[T any](ctx context.Context, workers, n int, fn func(ctx context.Context
 	if n <= 0 {
 		return nil, ctx.Err()
 	}
-	workers = Workers(workers)
+	workers = resolveWorkers(workers)
 	if workers > n {
 		workers = n
 	}

@@ -113,10 +113,10 @@ func TestMapEmpty(t *testing.T) {
 }
 
 func TestWorkersNormalisation(t *testing.T) {
-	if Workers(0) < 1 || Workers(-3) < 1 {
+	if resolveWorkers(0) < 1 || resolveWorkers(-3) < 1 {
 		t.Fatal("non-positive worker counts must normalise to >= 1")
 	}
-	if Workers(7) != 7 {
-		t.Fatalf("Workers(7) = %d", Workers(7))
+	if resolveWorkers(7) != 7 {
+		t.Fatalf("resolveWorkers(7) = %d", resolveWorkers(7))
 	}
 }

@@ -67,8 +67,8 @@ func (c FitConfig) withDefaults() FitConfig {
 	return c
 }
 
-// Validate reports the first structural problem.
-func (c FitConfig) Validate() error {
+// validate reports the first structural problem.
+func (c FitConfig) validate() error {
 	if c = c.withDefaults(); c.Degree < 1 || c.Degree > 6 {
 		return fmt.Errorf("regress: degree %d outside [1,6]", c.Degree)
 	}
@@ -166,13 +166,13 @@ type TrainStats struct {
 	WallSeconds float64
 }
 
-// Fit builds a Model from externally measured samples. Samples are
+// fit builds a Model from externally measured samples. Samples are
 // grouped by architecture; each architecture needs at least
 // featureCount(degree)+1 observations. The fit is a serial pass in the
 // given sample order — callers wanting bit-reproducibility must
 // present samples in a deterministic order (Train does).
-func Fit(samples []Sample, archs []workload.ServerArch, demands map[workload.RequestType]workload.Demand, think float64, cfg FitConfig) (*Model, error) {
-	if err := cfg.Validate(); err != nil {
+func fit(samples []Sample, archs []workload.ServerArch, demands map[workload.RequestType]workload.Demand, think float64, cfg FitConfig) (*Model, error) {
+	if err := cfg.validate(); err != nil {
 		return nil, err
 	}
 	cfg = cfg.withDefaults()
@@ -310,16 +310,6 @@ func (m *Model) Predict(arch string, n float64) (float64, error) {
 		n = 1
 	}
 	return m.predictArch(af, n, m.QueryBuyFrac), nil
-}
-
-// Archs lists the trained architectures in sorted order.
-func (m *Model) Archs() []string {
-	names := make([]string, 0, len(m.archs))
-	for name := range m.archs {
-		names = append(names, name)
-	}
-	sort.Strings(names)
-	return names
 }
 
 // Weights returns a copy of the fitted (standardized-feature) weights

@@ -59,7 +59,7 @@ func TestMaxClientsInvertsPredict(t *testing.T) {
 	arch := testArch()
 	pops := []int{5, 12, 20, 31, 44, 58, 71, 85, 92, 100}
 	samples := syntheticSamples(arch, 0.080, 2.5, pops)
-	m, err := Fit(samples, []workload.ServerArch{arch}, workload.CaseStudyDemands(), workload.ThinkTimeMean,
+	m, err := fit(samples, []workload.ServerArch{arch}, workload.CaseStudyDemands(), workload.ThinkTimeMean,
 		FitConfig{Degree: 2})
 	if err != nil {
 		t.Fatal(err)
@@ -95,7 +95,7 @@ func TestKNNFallback(t *testing.T) {
 		{Arch: arch.Name, Clients: 70, MeanRT: 0.7},
 		{Arch: arch.Name, Clients: 80, MeanRT: 0.8},
 	}
-	m, err := Fit(samples, []workload.ServerArch{arch}, workload.CaseStudyDemands(), workload.ThinkTimeMean, FitConfig{Degree: 2})
+	m, err := fit(samples, []workload.ServerArch{arch}, workload.CaseStudyDemands(), workload.ThinkTimeMean, FitConfig{Degree: 2})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -228,23 +228,23 @@ func TestTrainEqualsFitOverMeasuredSamples(t *testing.T) {
 
 func TestFitValidation(t *testing.T) {
 	arch := testArch()
-	if _, err := Fit(nil, []workload.ServerArch{arch}, workload.CaseStudyDemands(), workload.ThinkTimeMean, FitConfig{}); err == nil {
+	if _, err := fit(nil, []workload.ServerArch{arch}, workload.CaseStudyDemands(), workload.ThinkTimeMean, FitConfig{}); err == nil {
 		t.Error("empty sample set accepted")
 	}
 	few := syntheticSamples(arch, 0.1, 1, []int{5, 10, 15})
-	if _, err := Fit(few, []workload.ServerArch{arch}, workload.CaseStudyDemands(), workload.ThinkTimeMean, FitConfig{Degree: 3}); err == nil {
+	if _, err := fit(few, []workload.ServerArch{arch}, workload.CaseStudyDemands(), workload.ThinkTimeMean, FitConfig{Degree: 3}); err == nil {
 		t.Error("underdetermined fit accepted")
 	}
 	bad := []Sample{{Arch: arch.Name, Clients: 0, MeanRT: 0.1}}
-	if _, err := Fit(bad, []workload.ServerArch{arch}, workload.CaseStudyDemands(), workload.ThinkTimeMean, FitConfig{}); err == nil {
+	if _, err := fit(bad, []workload.ServerArch{arch}, workload.CaseStudyDemands(), workload.ThinkTimeMean, FitConfig{}); err == nil {
 		t.Error("non-positive population accepted")
 	}
 	unknown := syntheticSamples(workload.ServerArch{Name: "Ghost", Speed: 1, MPL: 1, MaxThroughputTypical: 1}, 0.1, 1,
 		[]int{5, 10, 15, 20, 25, 30, 35, 40})
-	if _, err := Fit(unknown, []workload.ServerArch{arch}, workload.CaseStudyDemands(), workload.ThinkTimeMean, FitConfig{}); err == nil {
+	if _, err := fit(unknown, []workload.ServerArch{arch}, workload.CaseStudyDemands(), workload.ThinkTimeMean, FitConfig{}); err == nil {
 		t.Error("unknown architecture accepted")
 	}
-	if err := (FitConfig{Degree: 9}).Validate(); err == nil {
+	if err := (FitConfig{Degree: 9}).validate(); err == nil {
 		t.Error("degree 9 accepted")
 	}
 }
@@ -266,7 +266,7 @@ func TestLogTargetRecoversExponential(t *testing.T) {
 			MeanRT:  math.Exp(a + b*float64(n)*appD),
 		})
 	}
-	m, err := Fit(samples, []workload.ServerArch{arch}, demands, workload.ThinkTimeMean,
+	m, err := fit(samples, []workload.ServerArch{arch}, demands, workload.ThinkTimeMean,
 		FitConfig{Degree: 3})
 	if err != nil {
 		t.Fatal(err)

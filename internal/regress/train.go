@@ -160,7 +160,7 @@ func Measure(cfg TrainConfig) ([]Sample, error) {
 func FitMeasured(cfg TrainConfig, samples []Sample) (*Model, error) {
 	cfg = cfg.withDefaults()
 	start := time.Now()
-	m, err := Fit(samples, cfg.Archs, workload.CaseStudyDemands(), workload.ThinkTimeMean, cfg.Fit)
+	m, err := fit(samples, cfg.Archs, workload.CaseStudyDemands(), workload.ThinkTimeMean, cfg.Fit)
 	if err != nil {
 		return nil, err
 	}

@@ -21,7 +21,7 @@ type Result struct {
 	Tracker *sla.Tracker
 }
 
-// Evaluate plays a plan out against the real system, represented by
+// evaluate plays a plan out against the real system, represented by
 // the truth predictor: real clients are distributed pro-rata over the
 // planned (slack-inflated) allocations, each server rejects the
 // clients beyond its *actual* capacity — "servers reject clients at
@@ -30,7 +30,7 @@ type Result struct {
 // (the one responsible for the spiky figure-5 lines) re-places rejected
 // clients on servers with real spare capacity. The two §9.1 cost
 // metrics come back in Result.
-func Evaluate(plan *Plan, classes []Class, servers []Server, truth Predictor) (*Result, error) {
+func evaluate(plan *Plan, classes []Class, servers []Server, truth Predictor) (*Result, error) {
 	if plan == nil {
 		return nil, errors.New("rm: nil plan")
 	}
@@ -59,7 +59,7 @@ func Evaluate(plan *Plan, classes []Class, servers []Server, truth Predictor) (*
 	tracker := sla.NewTracker()
 
 	for _, c := range classes {
-		planned := plan.PlannedFor(c.Name)
+		planned := plan.plannedFor(c.Name)
 		if planned == 0 {
 			if c.Clients > 0 {
 				tracker.Reject(c.Name, c.Clients)

@@ -25,7 +25,7 @@ func TestEvaluateConservesClientsProperty(t *testing.T) {
 		if err != nil {
 			return false
 		}
-		res, err := Evaluate(plan, classes, servers, truth)
+		res, err := evaluate(plan, classes, servers, truth)
 		if err != nil {
 			return false
 		}

@@ -28,8 +28,8 @@ type Application struct {
 	LoadPerEpoch []int
 }
 
-// Validate reports the first structural problem.
-func (a Application) Validate() error {
+// validate reports the first structural problem.
+func (a Application) validate() error {
 	if a.Name == "" {
 		return errors.New("rm: application needs a name")
 	}
@@ -73,7 +73,7 @@ func RunProvider(apps []Application, servers []Server, pred, truth Predictor, sl
 	}
 	epochs := len(apps[0].LoadPerEpoch)
 	for _, a := range apps {
-		if err := a.Validate(); err != nil {
+		if err := a.validate(); err != nil {
 			return nil, err
 		}
 		if len(a.LoadPerEpoch) != epochs {
@@ -191,7 +191,7 @@ func RunProvider(apps []Application, servers []Server, pred, truth Predictor, sl
 			if err != nil {
 				return nil, err
 			}
-			ev, err := Evaluate(plan, classes, appServers, truth)
+			ev, err := evaluate(plan, classes, appServers, truth)
 			if err != nil {
 				return nil, err
 			}

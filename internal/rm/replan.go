@@ -62,7 +62,6 @@ type Replanner struct {
 	Opts Options
 
 	servers []Server // retained scratch rebuilt only on pool-count change
-	replans uint64
 }
 
 // Replan runs Algorithm 1 against the snapshot and returns the plan.
@@ -81,9 +80,5 @@ func (rp *Replanner) Replan(snap *FleetSnapshot) (*Plan, error) {
 	if slack == 0 {
 		slack = 1
 	}
-	rp.replans++
 	return Allocate(snap.Classes, rp.servers, rp.Pred, slack, rp.Opts)
 }
-
-// Replans returns how many plans this replanner has cut.
-func (rp *Replanner) Replans() uint64 { return rp.replans }

@@ -72,8 +72,8 @@ type Plan struct {
 	UsagePct float64
 }
 
-// PlannedFor returns the total planned clients for a class.
-func (p *Plan) PlannedFor(class string) int {
+// plannedFor returns the total planned clients for a class.
+func (p *Plan) plannedFor(class string) int {
 	total := 0
 	for _, a := range p.Allocations {
 		if a.Class == class {

@@ -88,8 +88,8 @@ func TestAllocateRespectsPriorityOrder(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if plan.PlannedFor("tight") != 100 {
-		t.Fatalf("tight class planned %d of 100", plan.PlannedFor("tight"))
+	if plan.plannedFor("tight") != 100 {
+		t.Fatalf("tight class planned %d of 100", plan.plannedFor("tight"))
 	}
 	if plan.RejectedPlanned["loose"] == 0 {
 		t.Fatal("loose class should bear the rejection")
@@ -132,7 +132,7 @@ func TestAllocateSlackInflatesPlan(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got := plan.PlannedFor("c"); got != 1100 {
+	if got := plan.plannedFor("c"); got != 1100 {
 		t.Fatalf("planned = %d, want 1100 (slack-inflated)", got)
 	}
 }
@@ -190,7 +190,7 @@ func TestEvaluatePerfectPredictorZeroFailures(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := Evaluate(plan, classes, servers, truth)
+	res, err := evaluate(plan, classes, servers, truth)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -215,7 +215,7 @@ func TestEvaluateOverpredictionCausesFailures(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := Evaluate(plan, classes, servers, truth)
+	res, err := evaluate(plan, classes, servers, truth)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -280,7 +280,7 @@ func TestRuntimeOptimizationReducesFailures(t *testing.T) {
 		{realB: 130, rejected: 0},  // b has 50 spare: all 40 re-placed
 		{realB: 100, rejected: 20}, // b has 20 spare; idle's 100 stay untouched
 	} {
-		res, err := Evaluate(plan, classes, servers, tablePred{"A": 60, "B": tc.realB})
+		res, err := evaluate(plan, classes, servers, tablePred{"A": 60, "B": tc.realB})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -457,7 +457,7 @@ func TestAllocateRejectsSubUnitySlack(t *testing.T) {
 	if plan, err = Allocate(classes, servers, truth, 0.9, Options{AllowDeflation: true}); err != nil {
 		t.Fatal(err)
 	}
-	if got := plan.PlannedFor("c"); got != 900 {
+	if got := plan.plannedFor("c"); got != 900 {
 		t.Fatalf("slack 0.9 planned %d, want 900", got)
 	}
 }
@@ -486,13 +486,13 @@ func TestAllocateRejectionStopsLowerPriorityClasses(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got := plan.PlannedFor("tight"); got != 100 {
+	if got := plan.plannedFor("tight"); got != 100 {
 		t.Fatalf("tight planned %d, want 100 (all of S)", got)
 	}
 	if plan.RejectedPlanned["tight"] != 50 {
 		t.Fatalf("tight rejected %d, want 50", plan.RejectedPlanned["tight"])
 	}
-	if got := plan.PlannedFor("loose"); got != 0 {
+	if got := plan.plannedFor("loose"); got != 0 {
 		t.Fatalf("loose planned %d, want 0: lower-priority workload is rejected once a higher class overflows", got)
 	}
 	if plan.RejectedPlanned["loose"] != 40 {
@@ -517,7 +517,7 @@ func TestAllocateRejectionStopsLowerPriorityClasses(t *testing.T) {
 	if len(plan.RejectedPlanned) != 0 {
 		t.Fatalf("fitting load should reject nothing: %+v", plan.RejectedPlanned)
 	}
-	if got := plan.PlannedFor("loose"); got != 40 {
+	if got := plan.plannedFor("loose"); got != 40 {
 		t.Fatalf("loose planned %d, want 40", got)
 	}
 }

@@ -110,7 +110,7 @@ func SweepLoad(shares []ClassShare, servers []Server, pred, truth Predictor, sla
 		if err != nil {
 			return nil, err
 		}
-		res, err := Evaluate(plan, classes, servers, truth)
+		res, err := evaluate(plan, classes, servers, truth)
 		if err != nil {
 			return nil, err
 		}
@@ -134,13 +134,13 @@ func AverageMetrics(points []SweepPoint) (avgFailPct, avgUsagePct float64) {
 		}
 		n++
 	}
-	return AverageMetricsN(points, n)
+	return averageMetricsN(points, n)
 }
 
-// AverageMetricsN averages the first n sweep points. SweepSlack uses
+// averageMetricsN averages the first n sweep points. SweepSlack uses
 // it with a fixed n across slack levels so the averages compare the
 // same loads.
-func AverageMetricsN(points []SweepPoint, n int) (avgFailPct, avgUsagePct float64) {
+func averageMetricsN(points []SweepPoint, n int) (avgFailPct, avgUsagePct float64) {
 	if n > len(points) {
 		n = len(points)
 	}
@@ -202,7 +202,7 @@ func SweepSlack(shares []ClassShare, servers []Server, pred, truth Predictor, sl
 	var suMax float64
 	out := make([]SlackPoint, 0, len(slacks))
 	for i, slack := range slacks {
-		fail, usage := AverageMetricsN(series[i], cutoff)
+		fail, usage := averageMetricsN(series[i], cutoff)
 		if i == 0 {
 			suMax = usage
 		}

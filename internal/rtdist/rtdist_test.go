@@ -7,129 +7,170 @@ import (
 	"testing/quick"
 )
 
-func TestExponentialBasics(t *testing.T) {
-	d, err := NewExponential(100)
+// quantile is PercentileFromMean for inputs the test knows are valid.
+func quantile(t *testing.T, rp float64, saturated bool, b, p float64) float64 {
+	t.Helper()
+	x, err := PercentileFromMean(rp, saturated, b, p)
 	if err != nil {
-		t.Fatal(err)
+		t.Fatalf("PercentileFromMean(%v, %v, %v, %v): %v", rp, saturated, b, p, err)
 	}
-	if d.Mean() != 100 {
-		t.Fatalf("mean = %v, want 100", d.Mean())
+	return x
+}
+
+// The CDFs of equations (6) and (7), the references the quantiles
+// invert.
+func exponentialCDF(rp, x float64) float64 {
+	if x <= 0 {
+		return 0
 	}
-	if got := d.CDF(0); got != 0 {
-		t.Fatalf("CDF(0) = %v, want 0", got)
+	return 1 - math.Exp(-x/rp)
+}
+
+func laplaceCDF(a, b, x float64) float64 {
+	if x < a {
+		return 0.5 * math.Exp((x-a)/b)
 	}
-	if got := d.CDF(-5); got != 0 {
-		t.Fatalf("CDF(-5) = %v, want 0", got)
-	}
+	return 1 - 0.5*math.Exp(-(x-a)/b)
+}
+
+func TestExponentialBasics(t *testing.T) {
 	// Median of exponential = mean * ln 2.
-	if got, want := d.Quantile(0.5), 100*math.Ln2; math.Abs(got-want) > 1e-9 {
+	if got, want := quantile(t, 100, false, PaperScaleB, 0.5), 100*math.Ln2; math.Abs(got-want) > 1e-9 {
 		t.Fatalf("median = %v, want %v", got, want)
 	}
 	// 90th percentile of the SLA form used in §7.1.
-	if got, want := d.Quantile(0.9), -100*math.Log(0.1); math.Abs(got-want) > 1e-9 {
+	if got, want := quantile(t, 100, false, PaperScaleB, 0.9), -100*math.Log(0.1); math.Abs(got-want) > 1e-9 {
 		t.Fatalf("p90 = %v, want %v", got, want)
 	}
-	if _, err := NewExponential(0); err == nil {
+	// Below saturation b plays no part, so any b is accepted.
+	if _, err := PercentileFromMean(100, false, 0, 0.9); err != nil {
+		t.Fatalf("pre-saturation conversion rejected b = 0: %v", err)
+	}
+	if _, err := PercentileFromMean(0, false, PaperScaleB, 0.9); err == nil {
 		t.Fatal("expected error for rp=0")
 	}
-	if _, err := NewExponential(-1); err == nil {
+	if _, err := PercentileFromMean(-1, false, PaperScaleB, 0.9); err == nil {
 		t.Fatal("expected error for rp<0")
 	}
 }
 
 func TestLaplaceBasics(t *testing.T) {
-	d, err := NewLaplace(600, PaperScaleB)
-	if err != nil {
-		t.Fatal(err)
+	// Symmetry: the median is exactly the location.
+	if got := quantile(t, 600, true, PaperScaleB, 0.5); got != 600 {
+		t.Fatalf("median = %v, want 600", got)
 	}
-	if d.Mean() != 600 || d.Scale() != PaperScaleB {
-		t.Fatalf("mean/scale = %v/%v", d.Mean(), d.Scale())
-	}
-	// Symmetry: CDF at the location is exactly 1/2.
-	if got := d.CDF(600); math.Abs(got-0.5) > 1e-12 {
-		t.Fatalf("CDF(a) = %v, want 0.5", got)
-	}
-	// Symmetric tails: P(X <= a-t) == 1 - P(X <= a+t).
-	for _, tail := range []float64{10, 100, 500} {
-		lo, hi := d.CDF(600-tail), d.CDF(600+tail)
-		if math.Abs(lo-(1-hi)) > 1e-12 {
-			t.Fatalf("asymmetric tails at %v: %v vs %v", tail, lo, 1-hi)
+	// Symmetric tails: x(p) − a == a − x(1−p).
+	for _, p := range []float64{0.01, 0.1, 0.3} {
+		lo, hi := quantile(t, 600, true, PaperScaleB, p), quantile(t, 600, true, PaperScaleB, 1-p)
+		if math.Abs((600-lo)-(hi-600)) > 1e-9 {
+			t.Fatalf("asymmetric tails at %v: %v vs %v", p, 600-lo, hi-600)
 		}
 	}
-	if _, err := NewLaplace(600, 0); err == nil {
+	if _, err := PercentileFromMean(600, true, 0, 0.9); err == nil {
 		t.Fatal("expected error for b=0")
 	}
-	if _, err := NewLaplace(0, 10); err == nil {
+	if _, err := PercentileFromMean(0, true, 10, 0.9); err == nil {
 		t.Fatal("expected error for rp=0")
 	}
 }
 
 func TestQuantileCDFRoundTrip(t *testing.T) {
-	exp, _ := NewExponential(250)
-	lap, _ := NewLaplace(250, 204.1)
-	for _, d := range []Distribution{exp, lap} {
-		for _, p := range []float64{0.01, 0.1, 0.25, 0.5, 0.75, 0.9, 0.95, 0.99} {
-			x := d.Quantile(p)
-			if got := d.CDF(x); math.Abs(got-p) > 1e-9 {
-				t.Fatalf("CDF(Quantile(%v)) = %v", p, got)
-			}
+	for _, p := range []float64{0.01, 0.1, 0.25, 0.5, 0.75, 0.9, 0.95, 0.99} {
+		if got := exponentialCDF(250, quantile(t, 250, false, 204.1, p)); math.Abs(got-p) > 1e-9 {
+			t.Fatalf("exponential CDF(quantile(%v)) = %v", p, got)
+		}
+		if got := laplaceCDF(250, 204.1, quantile(t, 250, true, 204.1, p)); math.Abs(got-p) > 1e-9 {
+			t.Fatalf("Laplace CDF(quantile(%v)) = %v", p, got)
 		}
 	}
 }
 
+// p inside (0,1) but within 1e-12 of either end is held there, so the
+// logarithms stay finite; p at or beyond the ends is an error.
 func TestQuantileClamping(t *testing.T) {
-	d, _ := NewExponential(100)
-	if q := d.Quantile(0); math.IsInf(q, 0) || math.IsNaN(q) {
-		t.Fatalf("Quantile(0) not clamped: %v", q)
-	}
-	if q := d.Quantile(1); math.IsInf(q, 0) || math.IsNaN(q) {
-		t.Fatalf("Quantile(1) not clamped: %v", q)
-	}
-	if d.Quantile(0.2) >= d.Quantile(0.8) {
-		t.Fatal("quantile not monotone")
+	for _, saturated := range []bool{false, true} {
+		for _, p := range []float64{1e-15, 1 - 1e-15} {
+			if q := quantile(t, 100, saturated, PaperScaleB, p); math.IsInf(q, 0) || math.IsNaN(q) {
+				t.Fatalf("saturated=%v quantile(%v) not clamped: %v", saturated, p, q)
+			}
+		}
+		if quantile(t, 100, saturated, PaperScaleB, 0.2) >= quantile(t, 100, saturated, PaperScaleB, 0.8) {
+			t.Fatal("quantile not monotone")
+		}
 	}
 }
 
 func TestForMeanPrediction(t *testing.T) {
-	pre, err := ForMeanPrediction(120, false, PaperScaleB)
-	if err != nil {
-		t.Fatal(err)
+	// The saturated flag selects the distribution: exponential below
+	// saturation, Laplace(rp, b) at or above it.
+	if got, want := quantile(t, 120, false, PaperScaleB, 0.9), -120*math.Log(0.1); math.Abs(got-want) > 1e-9 {
+		t.Fatalf("pre-saturation p90 = %v, want the exponential's %v", got, want)
 	}
-	if _, ok := pre.(Exponential); !ok {
-		t.Fatalf("pre-saturation distribution is %T, want Exponential", pre)
+	if got, want := quantile(t, 800, true, PaperScaleB, 0.9), 800-PaperScaleB*math.Log(0.2); math.Abs(got-want) > 1e-9 {
+		t.Fatalf("post-saturation p90 = %v, want the Laplace's %v", got, want)
 	}
-	post, err := ForMeanPrediction(800, true, PaperScaleB)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, ok := post.(Laplace); !ok {
-		t.Fatalf("post-saturation distribution is %T, want Laplace", post)
-	}
-	if _, err := ForMeanPrediction(-1, false, PaperScaleB); err == nil {
+	if _, err := PercentileFromMean(-1, false, PaperScaleB, 0.9); err == nil {
 		t.Fatal("expected error for negative mean")
 	}
 }
 
 func TestPercentileFromMean(t *testing.T) {
 	// §7.1 converts figure-2 mean predictions to p=90% metrics.
-	got, err := PercentileFromMean(100, false, PaperScaleB, 0.9)
-	if err != nil {
-		t.Fatal(err)
-	}
+	got := quantile(t, 100, false, PaperScaleB, 0.9)
 	want := -100 * math.Log(0.1)
 	if math.Abs(got-want) > 1e-9 {
 		t.Fatalf("pre-saturation p90 = %v, want %v", got, want)
 	}
-	got, err = PercentileFromMean(700, true, PaperScaleB, 0.9)
-	if err != nil {
-		t.Fatal(err)
-	}
+	got = quantile(t, 700, true, PaperScaleB, 0.9)
 	want = 700 - PaperScaleB*math.Log(2*0.1)
 	if math.Abs(got-want) > 1e-9 {
 		t.Fatalf("post-saturation p90 = %v, want %v", got, want)
 	}
 	if got <= 700 {
 		t.Fatal("p90 of a saturated server must exceed the mean")
+	}
+
+	// Exact bits of both quantile formulas at the scale the simulator
+	// substrate uses (seconds): served percentiles and the goldens are
+	// compared byte for byte, so reordering the arithmetic is a change.
+	for _, tc := range []struct {
+		rp        float64
+		saturated bool
+		p         float64
+		bits      uint64
+	}{
+		{0.017, false, 0.01, 0x3f2664f75e8e26f2},
+		{0.017, false, 0.5, 0x3f8821f2e02adec7},
+		{0.017, false, 0.9, 0x3fa40aace4cd7b4c},
+		{0.017, false, 0.99, 0x3fb40aace4cd7b49},
+		{1.55, false, 0.01, 0x3f8fe75e872d568a},
+		{1.55, false, 0.5, 0x3ff130a71f352019},
+		{1.55, false, 0.9, 0x400c8d537c8c43e2},
+		{1.55, false, 0.99, 0x401c8d537c8c43df},
+		{0.017, true, 0.01, 0xbfe90196a0cdf154},
+		{0.017, true, 0.5, 0x3f916872b020c49c},
+		{0.017, true, 0.9, 0x3fd61c727a3aaaae},
+		{0.017, true, 0.99, 0x3fea181dcbcffd9c},
+		{1.55, true, 0.01, 0x3fe80cbf634aa221},
+		{1.55, true, 0.5, 0x3ff8cccccccccccd},
+		{1.55, true, 0.9, 0x3ffe0e47a09af466},
+		{1.55, true, 0.99, 0x4002c99cf3fa2444},
+	} {
+		got := quantile(t, tc.rp, tc.saturated, PaperScaleB/1000, tc.p)
+		if math.Float64bits(got) != tc.bits {
+			t.Errorf("PercentileFromMean(%v, %v, b, %v) = %v (%#016x), want %v (%#016x)",
+				tc.rp, tc.saturated, tc.p, got, math.Float64bits(got), math.Float64frombits(tc.bits), tc.bits)
+		}
+	}
+
+	// p is a fraction: 90 meant as "90 %", the ends and NaN are errors,
+	// not clamped answers.
+	for _, saturated := range []bool{false, true} {
+		for _, p := range []float64{90, 1, 0, -0.1, math.NaN(), math.Inf(1)} {
+			if x, err := PercentileFromMean(0.1, saturated, PaperScaleB/1000, p); err == nil {
+				t.Errorf("saturated=%v p=%v: got %v, want an error", saturated, p, x)
+			}
+		}
 	}
 }
 
@@ -166,31 +207,23 @@ func TestCalibrateScale(t *testing.T) {
 	}
 }
 
-// Property: both CDFs are monotone non-decreasing and bounded in [0,1].
-func TestCDFMonotoneProperty(t *testing.T) {
-	f := func(rp, b, x1, x2 float64) bool {
+// Property: the quantile is monotone non-decreasing in p on both
+// sides of saturation — equivalently, both CDFs are monotone.
+func TestQuantileMonotoneProperty(t *testing.T) {
+	f := func(rp, b, p1, p2 float64, saturated bool) bool {
 		rp = 1 + math.Mod(math.Abs(rp), 1000)
 		b = 1 + math.Mod(math.Abs(b), 500)
-		x1 = math.Mod(x1, 5000)
-		x2 = math.Mod(x2, 5000)
-		if math.IsNaN(x1) || math.IsNaN(x2) {
+		p1 = 0.001 + 0.998*math.Mod(math.Abs(p1), 1)
+		p2 = 0.001 + 0.998*math.Mod(math.Abs(p2), 1)
+		if math.IsNaN(p1) || math.IsNaN(p2) {
 			return true
 		}
-		if x1 > x2 {
-			x1, x2 = x2, x1
+		if p1 > p2 {
+			p1, p2 = p2, p1
 		}
-		exp, err1 := NewExponential(rp)
-		lap, err2 := NewLaplace(rp, b)
-		if err1 != nil || err2 != nil {
-			return false
-		}
-		for _, d := range []Distribution{exp, lap} {
-			c1, c2 := d.CDF(x1), d.CDF(x2)
-			if c1 > c2 || c1 < 0 || c2 > 1 {
-				return false
-			}
-		}
-		return true
+		x1, err1 := PercentileFromMean(rp, saturated, b, p1)
+		x2, err2 := PercentileFromMean(rp, saturated, b, p2)
+		return err1 == nil && err2 == nil && x1 <= x2
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 300}); err != nil {
 		t.Fatal(err)

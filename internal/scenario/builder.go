@@ -86,7 +86,7 @@ func (b *Builder) Spec() *Spec { return &b.spec }
 // Compile validates and compiles the assembled spec; baseDir anchors
 // relative trace paths.
 func (b *Builder) Compile(baseDir string) (*Compiled, error) {
-	return b.spec.Compile(baseDir)
+	return b.spec.compile(baseDir)
 }
 
 // Exponential returns an exponential DistSpec with the given mean.

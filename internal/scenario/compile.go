@@ -33,7 +33,7 @@ type Cohort struct {
 	// Trace is the loaded replay trace (trace cohorts only).
 	Trace *Trace
 	// MeanRate is the stationary mean arrival rate in requests/second
-	// for open cohorts (pattern-free; multiply by Pattern.MeanScale for
+	// for open cohorts (pattern-free; multiply by Pattern.meanScale for
 	// a horizon-specific mean). 0 for closed cohorts.
 	MeanRate float64
 	// MaxRate bounds the instantaneous arrival rate — the thinning
@@ -41,23 +41,23 @@ type Cohort struct {
 	MaxRate float64
 }
 
-// Open reports whether the cohort is an open arrival stream.
-func (c *Cohort) Open() bool { return c.Kind != ProcClosed }
+// open reports whether the cohort is an open arrival stream.
+func (c *Cohort) open() bool { return c.Kind != ProcClosed }
 
-// RateAt returns the cohort's expected instantaneous arrival rate at
+// rateAt returns the cohort's expected instantaneous arrival rate at
 // time t: the pattern-modulated base rate for poisson, the
 // pattern-modulated stationary rate for mmpp (the modulation states
 // average out in expectation), and the trace's local empirical rate
 // for trace cohorts. 0 for closed cohorts, whose rate is
 // load-dependent.
-func (c *Cohort) RateAt(t float64) float64 {
+func (c *Cohort) rateAt(t float64) float64 {
 	switch c.Kind {
 	case ProcPoisson:
-		return c.BaseRate * c.Pattern.Scale(t)
+		return c.BaseRate * c.Pattern.scale(t)
 	case ProcMMPP:
-		return c.MeanRate * c.Pattern.Scale(t)
+		return c.MeanRate * c.Pattern.scale(t)
 	case ProcTrace:
-		return c.Trace.RateAt(t)
+		return c.Trace.rateAt(t)
 	}
 	return 0
 }
@@ -80,18 +80,18 @@ func Load(path string) (*Compiled, error) {
 	if err != nil {
 		return nil, fmt.Errorf("scenario: reading spec: %w", err)
 	}
-	s, err := Parse(data)
+	s, err := parse(data)
 	if err != nil {
 		return nil, err
 	}
-	return s.Compile(filepath.Dir(path))
+	return s.compile(filepath.Dir(path))
 }
 
-// Compile validates the spec and resolves it into a Compiled
+// compile validates the spec and resolves it into a Compiled
 // scenario. baseDir anchors relative trace paths ("" means the
 // current directory).
-func (s *Spec) Compile(baseDir string) (*Compiled, error) {
-	if err := s.Validate(); err != nil {
+func (s *Spec) compile(baseDir string) (*Compiled, error) {
+	if err := s.validate(); err != nil {
 		return nil, err
 	}
 	out := &Compiled{Name: s.Name, Source: s}
@@ -115,7 +115,7 @@ func (s *Spec) Compile(baseDir string) (*Compiled, error) {
 		case ProcPoisson:
 			c.BaseRate = cs.Arrival.Rate
 			c.MeanRate = cs.Arrival.Rate
-			c.MaxRate = cs.Arrival.Rate * c.Pattern.MaxScale()
+			c.MaxRate = cs.Arrival.Rate * c.Pattern.maxScale()
 		case ProcMMPP:
 			c.States = append([]MMPPStateSpec(nil), cs.Arrival.States...)
 			var area, dwell, maxRate float64
@@ -127,20 +127,20 @@ func (s *Spec) Compile(baseDir string) (*Compiled, error) {
 				}
 			}
 			c.MeanRate = area / dwell
-			c.MaxRate = maxRate * c.Pattern.MaxScale()
+			c.MaxRate = maxRate * c.Pattern.maxScale()
 		case ProcTrace:
 			path := cs.Arrival.Trace
 			if !filepath.IsAbs(path) && baseDir != "" {
 				path = filepath.Join(baseDir, path)
 			}
-			tr, err := LoadTrace(path, cs.Arrival.Loop, cs.Arrival.CycleSeconds)
+			tr, err := loadTrace(path, cs.Arrival.Loop, cs.Arrival.CycleSeconds)
 			if err != nil {
 				return nil, fmt.Errorf("scenario: cohort %q: %w", cs.Name, err)
 			}
 			c.Trace = tr
-			c.Class.Mix = tr.Mix()
-			c.MeanRate = tr.MeanRate()
-			c.MaxRate = tr.PeakRate()
+			c.Class.Mix = tr.mix()
+			c.MeanRate = tr.meanRate()
+			c.MaxRate = tr.peakRate()
 		}
 		out.Cohorts = append(out.Cohorts, c)
 	}
@@ -169,7 +169,7 @@ func (c *Compiled) Workload() workload.Workload {
 	w := make(workload.Workload, 0, len(c.Cohorts))
 	for _, co := range c.Cohorts {
 		p := workload.Population{Class: co.Class}
-		if co.Open() {
+		if co.open() {
 			p.ArrivalRate = co.MeanRate
 		} else {
 			p.Clients = co.Clients
@@ -188,7 +188,7 @@ func (c *Cohort) meanRate(t0, t1 float64) float64 {
 	dt := (t1 - t0) / steps
 	var sum float64
 	for i := 0; i < steps; i++ {
-		sum += c.RateAt(t0 + (float64(i)+0.5)*dt)
+		sum += c.rateAt(t0 + (float64(i)+0.5)*dt)
 	}
 	return sum / steps
 }
@@ -211,7 +211,7 @@ func (c *Compiled) MeanOfferedRate(t0, t1 float64) float64 {
 func (c *Compiled) WorkloadOver(t0, t1 float64) workload.Workload {
 	w := c.Workload()
 	for i, co := range c.Cohorts {
-		if co.Open() {
+		if co.open() {
 			w[i].ArrivalRate = co.meanRate(t0, t1)
 		}
 	}

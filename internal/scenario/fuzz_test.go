@@ -35,7 +35,7 @@ func FuzzParse(f *testing.F) {
 	f.Add([]byte(tinyDwellSpec))
 
 	f.Fuzz(func(t *testing.T, data []byte) {
-		spec, err := Parse(data)
+		spec, err := parse(data)
 		if err != nil {
 			return
 		}
@@ -44,7 +44,7 @@ func FuzzParse(f *testing.F) {
 				t.Skip("the harness opens no file an input names")
 			}
 		}
-		comp, err := spec.Compile(exampleSpecs)
+		comp, err := spec.compile(exampleSpecs)
 		if err != nil {
 			return
 		}
@@ -52,11 +52,11 @@ func FuzzParse(f *testing.F) {
 		if err != nil {
 			t.Fatalf("compiled spec does not re-emit: %v", err)
 		}
-		if _, err := Parse(out); err != nil {
+		if _, err := parse(out); err != nil {
 			t.Fatalf("re-emitted spec does not parse: %v\n%s", err, out)
 		}
 		for i, co := range comp.Cohorts {
-			if !co.Open() || !affordable(co) {
+			if !co.open() || !affordable(co) {
 				continue
 			}
 			g := NewGen(co, sim.NewStream(sim.SplitSeed(1, uint64(2*i))), sim.NewStream(sim.SplitSeed(1, uint64(2*i+1))))

@@ -41,7 +41,7 @@ type Gen struct {
 // panics on a closed cohort — closed populations are driven by their
 // clients' think loops, not by a generator.
 func NewGen(c *Cohort, arr, state *sim.Stream) *Gen {
-	if !c.Open() {
+	if !c.open() {
 		panic("scenario: NewGen on closed cohort " + c.Class.Name)
 	}
 	g := &Gen{c: c, arr: arr, state: state}
@@ -106,7 +106,7 @@ func (g *Gen) instRate(t float64) float64 {
 		}
 		base = g.c.States[g.stateIdx].Rate
 	}
-	return base * g.c.Pattern.Scale(t)
+	return base * g.c.Pattern.scale(t)
 }
 
 func (g *Gen) nextTrace() (float64, workload.RequestType, bool) {

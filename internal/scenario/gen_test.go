@@ -16,57 +16,57 @@ func TestPatternScales(t *testing.T) {
 	for _, tc := range []struct{ t, want float64 }{
 		{0, 1}, {99, 1}, {105, 3}, {110, 5}, {125, 5}, {130, 5}, {150, 3}, {170, 1}, {1000, 1},
 	} {
-		if got := flash.Scale(tc.t); math.Abs(got-tc.want) > 1e-9 {
+		if got := flash.scale(tc.t); math.Abs(got-tc.want) > 1e-9 {
 			t.Errorf("flash Scale(%v) = %v, want %v", tc.t, got, tc.want)
 		}
 	}
-	if flash.MaxScale() != 5 {
-		t.Errorf("flash MaxScale = %v, want 5", flash.MaxScale())
+	if flash.maxScale() != 5 {
+		t.Errorf("flash maxScale = %v, want 5", flash.maxScale())
 	}
 
 	di := compilePattern(&PatternSpec{Kind: PatternDiurnal, Period: 100, Amplitude: 0.4})
-	if got := di.Scale(25); math.Abs(got-1.4) > 1e-9 {
+	if got := di.scale(25); math.Abs(got-1.4) > 1e-9 {
 		t.Errorf("diurnal peak Scale = %v, want 1.4", got)
 	}
-	if got := di.Scale(75); math.Abs(got-0.6) > 1e-9 {
+	if got := di.scale(75); math.Abs(got-0.6) > 1e-9 {
 		t.Errorf("diurnal trough Scale = %v, want 0.6", got)
 	}
-	if got := di.MeanScale(1000); math.Abs(got-1) > 1e-9 {
-		t.Errorf("diurnal whole-cycle MeanScale = %v, want 1", got)
+	if got := di.meanScale(1000); math.Abs(got-1) > 1e-9 {
+		t.Errorf("diurnal whole-cycle meanScale = %v, want 1", got)
 	}
-	if got := di.MeanScale(25); got < 1.2 {
-		t.Errorf("diurnal quarter-cycle MeanScale = %v, want > 1.2 (rising half)", got)
+	if got := di.meanScale(25); got < 1.2 {
+		t.Errorf("diurnal quarter-cycle meanScale = %v, want > 1.2 (rising half)", got)
 	}
 
 	pw := compilePattern(&PatternSpec{Kind: PatternPiecewise, Cycle: true,
 		Periods: []PeriodSpec{{Duration: 10, Scale: 2}, {Duration: 30, Scale: 0.5}}})
-	if got := pw.Scale(5); got != 2 {
+	if got := pw.scale(5); got != 2 {
 		t.Errorf("piecewise Scale(5) = %v, want 2", got)
 	}
-	if got := pw.Scale(45); got != 2 { // wrapped into second cycle
+	if got := pw.scale(45); got != 2 { // wrapped into second cycle
 		t.Errorf("piecewise Scale(45) = %v, want 2", got)
 	}
 	want := (10*2 + 30*0.5) / 40
-	if got := pw.MeanScale(4000); math.Abs(got-want) > 1e-9 {
-		t.Errorf("piecewise MeanScale = %v, want %v", got, want)
+	if got := pw.meanScale(4000); math.Abs(got-want) > 1e-9 {
+		t.Errorf("piecewise meanScale = %v, want %v", got, want)
 	}
 
 	once := compilePattern(&PatternSpec{Kind: PatternPiecewise,
 		Periods: []PeriodSpec{{Duration: 10, Scale: 3}}})
-	if got := once.Scale(11); got != 1 {
+	if got := once.scale(11); got != 1 {
 		t.Errorf("finished schedule Scale = %v, want 1 (base-rate tail)", got)
 	}
-	if got := once.MaxScale(); got != 3 {
-		t.Errorf("finished schedule MaxScale = %v, want 3", got)
+	if got := once.maxScale(); got != 3 {
+		t.Errorf("finished schedule maxScale = %v, want 3", got)
 	}
 
 	var nilPat *Pattern
-	if nilPat.Scale(42) != 1 || nilPat.MaxScale() != 1 || nilPat.MeanScale(10) != 1 {
+	if nilPat.scale(42) != 1 || nilPat.maxScale() != 1 || nilPat.meanScale(10) != 1 {
 		t.Error("nil pattern must be the constant 1")
 	}
 }
 
-// Regression: flash MeanScale previously approximated a horizon that
+// Regression: flash meanScale previously approximated a horizon that
 // cuts mid-ramp or mid-decay by crediting half the *full* triangle
 // instead of integrating the clipped slope. The trapezoid integral is
 // closed-form; pin it.
@@ -75,26 +75,26 @@ func TestFlashMeanScaleExact(t *testing.T) {
 
 	// Horizon at the ramp midpoint: the clipped ramp triangle has area
 	// (peak−1)·ramp/8 = 4·10/8 = 5 above the base line, so
-	// MeanScale(105) = (105 + 5)/105. The old linear split credited
+	// meanScale(105) = (105 + 5)/105. The old linear split credited
 	// (peak−1)/2 · 5 = 10 instead.
-	if got, want := flash.MeanScale(105), 110.0/105; math.Abs(got-want) > 1e-12 {
-		t.Errorf("mid-ramp MeanScale = %v, want %v", got, want)
+	if got, want := flash.meanScale(105), 110.0/105; math.Abs(got-want) > 1e-12 {
+		t.Errorf("mid-ramp meanScale = %v, want %v", got, want)
 	}
 
 	// Horizon 15 s into the decay (s2 = 130): extra = full ramp 20 +
 	// full hold 80 + 4·(15 − 15²/80) = 148.75.
-	if got, want := flash.MeanScale(145), (145+148.75)/145; math.Abs(got-want) > 1e-12 {
-		t.Errorf("mid-decay MeanScale = %v, want %v", got, want)
+	if got, want := flash.meanScale(145), (145+148.75)/145; math.Abs(got-want) > 1e-12 {
+		t.Errorf("mid-decay meanScale = %v, want %v", got, want)
 	}
 
 	// Horizons that cover phases fully or not at all must match the old
 	// half-triangle arithmetic exactly — the committed scenario goldens
 	// depend on these.
-	if got, want := flash.MeanScale(100), 1.0; math.Abs(got-want) > 1e-12 {
-		t.Errorf("pre-flash MeanScale = %v, want %v", got, want)
+	if got, want := flash.meanScale(100), 1.0; math.Abs(got-want) > 1e-12 {
+		t.Errorf("pre-flash meanScale = %v, want %v", got, want)
 	}
-	if got, want := flash.MeanScale(200), (200+20+80+80)/200.0; math.Abs(got-want) > 1e-12 {
-		t.Errorf("whole-flash MeanScale = %v, want %v", got, want)
+	if got, want := flash.meanScale(200), (200+20+80+80)/200.0; math.Abs(got-want) > 1e-12 {
+		t.Errorf("whole-flash meanScale = %v, want %v", got, want)
 	}
 
 	// Numerical cross-check on an awkward horizon: midpoint Riemann sum
@@ -104,23 +104,23 @@ func TestFlashMeanScaleExact(t *testing.T) {
 		dt := horizon / steps
 		var area float64
 		for i := 0; i < steps; i++ {
-			area += flash.Scale((float64(i) + 0.5) * dt)
+			area += flash.scale((float64(i) + 0.5) * dt)
 		}
-		got := flash.MeanScale(horizon)
+		got := flash.meanScale(horizon)
 		if want := area / steps; math.Abs(got-want) > 1e-6 {
-			t.Errorf("MeanScale(%v) = %v, Riemann sum %v", horizon, got, want)
+			t.Errorf("meanScale(%v) = %v, Riemann sum %v", horizon, got, want)
 		}
 	}
 
 	// Spec validation allows a zero ramp or decay (instant rise/drop);
 	// the trapezoid terms must not divide by zero.
 	step := compilePattern(&PatternSpec{Kind: PatternFlash, Start: 10, Ramp: 0, Hold: 5, Decay: 5, Peak: 3})
-	if got, want := step.MeanScale(12), (12+2*2.0)/12; math.Abs(got-want) > 1e-12 {
-		t.Errorf("zero-ramp MeanScale = %v, want %v", got, want)
+	if got, want := step.meanScale(12), (12+2*2.0)/12; math.Abs(got-want) > 1e-12 {
+		t.Errorf("zero-ramp meanScale = %v, want %v", got, want)
 	}
 	drop := compilePattern(&PatternSpec{Kind: PatternFlash, Start: 10, Ramp: 4, Hold: 6, Decay: 0, Peak: 3})
-	if got, want := drop.MeanScale(30), (30+2*4/2.0+2*6)/30; math.Abs(got-want) > 1e-12 {
-		t.Errorf("zero-decay MeanScale = %v, want %v", got, want)
+	if got, want := drop.meanScale(30), (30+2*4/2.0+2*6)/30; math.Abs(got-want) > 1e-12 {
+		t.Errorf("zero-decay meanScale = %v, want %v", got, want)
 	}
 }
 
@@ -262,14 +262,14 @@ func writeTrace(t *testing.T, lines string) string {
 
 func TestTraceReplay(t *testing.T) {
 	path := writeTrace(t, "time,type\n0.5,browse\n1.0,buy\n2.5,browse\n# comment\n4.0,browse\n")
-	tr, err := LoadTrace(path, false, 0)
+	tr, err := loadTrace(path, false, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if len(tr.Events) != 4 {
 		t.Fatalf("got %d events, want 4", len(tr.Events))
 	}
-	mix := tr.Mix()
+	mix := tr.mix()
 	if mix[workload.Browse] != 0.75 || mix[workload.Buy] != 0.25 {
 		t.Fatalf("trace mix %v, want browse 0.75 / buy 0.25", mix)
 	}
@@ -291,7 +291,7 @@ func TestTraceReplay(t *testing.T) {
 
 func TestTraceLoopKeepsRate(t *testing.T) {
 	path := writeTrace(t, "0.0,browse\n1.0,browse\n2.0,browse\n3.0,browse\n")
-	tr, err := LoadTrace(path, true, 0)
+	tr, err := loadTrace(path, true, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -321,19 +321,19 @@ func TestTraceLoopKeepsRate(t *testing.T) {
 }
 
 func TestTraceErrors(t *testing.T) {
-	if _, err := LoadTrace(writeTrace(t, "1.0,browse\n0.5,buy\n"), false, 0); err == nil {
+	if _, err := loadTrace(writeTrace(t, "1.0,browse\n0.5,buy\n"), false, 0); err == nil {
 		t.Fatal("out-of-order trace accepted")
 	}
-	if _, err := LoadTrace(writeTrace(t, "# nothing\n"), false, 0); err == nil {
+	if _, err := loadTrace(writeTrace(t, "# nothing\n"), false, 0); err == nil {
 		t.Fatal("empty trace accepted")
 	}
-	if _, err := LoadTrace(writeTrace(t, "abc\n"), false, 0); err == nil {
+	if _, err := loadTrace(writeTrace(t, "abc\n"), false, 0); err == nil {
 		t.Fatal("malformed line accepted")
 	}
-	if _, err := LoadTrace(writeTrace(t, "1.0,\n"), false, 0); err == nil {
+	if _, err := loadTrace(writeTrace(t, "1.0,\n"), false, 0); err == nil {
 		t.Fatal("empty type accepted")
 	}
-	if _, err := LoadTrace(writeTrace(t, "0,browse\n5,browse\n"), true, 3); err == nil {
+	if _, err := loadTrace(writeTrace(t, "0,browse\n5,browse\n"), true, 3); err == nil {
 		t.Fatal("cycle shorter than trace accepted")
 	}
 }

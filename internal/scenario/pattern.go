@@ -3,8 +3,8 @@ package scenario
 import "math"
 
 // Pattern is a compiled temporal rate-multiplier curve. Scale(t)
-// multiplies a cohort's base arrival rate; MaxScale bounds it (the
-// thinning envelope) and MeanScale is the long-run average (the
+// multiplies a cohort's base arrival rate; maxScale bounds it (the
+// thinning envelope) and meanScale is the long-run average (the
 // stationary rate predictors calibrate against). A nil *Pattern means
 // the constant curve Scale ≡ 1.
 type Pattern struct {
@@ -44,9 +44,9 @@ func compilePattern(p *PatternSpec) *Pattern {
 	return c
 }
 
-// Scale returns the rate multiplier at time t (seconds from run
+// scale returns the rate multiplier at time t (seconds from run
 // start). A nil pattern scales by 1 everywhere.
-func (p *Pattern) Scale(t float64) float64 {
+func (p *Pattern) scale(t float64) float64 {
 	if p == nil {
 		return 1
 	}
@@ -89,9 +89,9 @@ func (p *Pattern) Scale(t float64) float64 {
 	return 1
 }
 
-// MaxScale returns the supremum of Scale over all t — the thinning
+// maxScale returns the supremum of Scale over all t — the thinning
 // bound for time-varying arrival generation.
-func (p *Pattern) MaxScale() float64 {
+func (p *Pattern) maxScale() float64 {
 	if p == nil {
 		return 1
 	}
@@ -116,11 +116,11 @@ func (p *Pattern) MaxScale() float64 {
 	return 1
 }
 
-// MeanScale returns the long-run average multiplier over the given
+// meanScale returns the long-run average multiplier over the given
 // horizon (seconds). Cyclic patterns average over whole cycles;
 // transient ones (flash, finished piecewise schedules) dilute into
 // their scale-1 tail as the horizon grows.
-func (p *Pattern) MeanScale(horizon float64) float64 {
+func (p *Pattern) meanScale(horizon float64) float64 {
 	if p == nil || horizon <= 0 {
 		return 1
 	}

@@ -45,7 +45,7 @@ type BurstReport struct {
 func SelfCheck(c *Compiled, seed int64, horizon float64) []BurstReport {
 	var out []BurstReport
 	for i, co := range c.Cohorts {
-		if !co.Open() {
+		if !co.open() {
 			continue
 		}
 		arr := sim.NewStream(sim.SplitSeed(seed, uint64(3*i)))
@@ -66,10 +66,10 @@ func SelfCheck(c *Compiled, seed int64, horizon float64) []BurstReport {
 
 func checkCohort(co *Cohort, times []float64, horizon float64) BurstReport {
 	r := BurstReport{Cohort: co.Class.Name, Kind: co.Kind, Arrivals: len(times), OK: true}
-	r.WantRate = co.MeanRate * co.Pattern.MeanScale(horizon)
-	if co.Kind == ProcTrace && !co.Trace.Loop && co.Trace.Span() < horizon {
+	r.WantRate = co.MeanRate * co.Pattern.meanScale(horizon)
+	if co.Kind == ProcTrace && !co.Trace.Loop && co.Trace.span() < horizon {
 		// A finite trace stops early; rate it over its own span.
-		r.WantRate = co.MeanRate * co.Trace.Span() / horizon
+		r.WantRate = co.MeanRate * co.Trace.span() / horizon
 	}
 	r.MeanRate = float64(len(times)) / horizon
 	if r.WantRate > 0 {

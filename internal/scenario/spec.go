@@ -176,10 +176,10 @@ type PeriodSpec struct {
 	Scale float64 `json:"scale"`
 }
 
-// Parse decodes a JSON spec. Unknown fields are rejected, so typos in
+// parse decodes a JSON spec. Unknown fields are rejected, so typos in
 // spec files fail loudly instead of silently configuring nothing.
 // Parse does not validate; Validate and Compile do.
-func Parse(data []byte) (*Spec, error) {
+func parse(data []byte) (*Spec, error) {
 	dec := json.NewDecoder(strings.NewReader(string(data)))
 	dec.DisallowUnknownFields()
 	var s Spec
@@ -203,10 +203,10 @@ func (s *Spec) JSON() ([]byte, error) {
 	return append(out, '\n'), nil
 }
 
-// Validate reports the first structural problem with the spec. It
+// validate reports the first structural problem with the spec. It
 // checks everything that does not need the demand table or the trace
 // files; Compile re-runs it and adds those.
-func (s *Spec) Validate() error {
+func (s *Spec) validate() error {
 	if s.Name == "" {
 		return errors.New("scenario: spec needs a name")
 	}

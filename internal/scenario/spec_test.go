@@ -20,14 +20,14 @@ func validSpec() *Spec {
 
 func TestSpecRoundTrip(t *testing.T) {
 	s := validSpec()
-	if err := s.Validate(); err != nil {
+	if err := s.validate(); err != nil {
 		t.Fatalf("valid spec rejected: %v", err)
 	}
 	out, err := s.JSON()
 	if err != nil {
 		t.Fatalf("emit: %v", err)
 	}
-	back, err := Parse(out)
+	back, err := parse(out)
 	if err != nil {
 		t.Fatalf("re-parse: %v", err)
 	}
@@ -45,14 +45,14 @@ func TestSpecRoundTrip(t *testing.T) {
 }
 
 func TestParseRejectsUnknownFields(t *testing.T) {
-	_, err := Parse([]byte(`{"name":"x","cohorts":[],"surprise":1}`))
+	_, err := parse([]byte(`{"name":"x","cohorts":[],"surprise":1}`))
 	if err == nil || !strings.Contains(err.Error(), "surprise") {
 		t.Fatalf("unknown field not rejected: %v", err)
 	}
 }
 
 func TestParseRejectsTrailingData(t *testing.T) {
-	_, err := Parse([]byte(`{"name":"x","cohorts":[]} {"again":true}`))
+	_, err := parse([]byte(`{"name":"x","cohorts":[]} {"again":true}`))
 	if err == nil {
 		t.Fatal("trailing data not rejected")
 	}
@@ -103,7 +103,7 @@ func TestValidateErrorPaths(t *testing.T) {
 		t.Run(tc.name, func(t *testing.T) {
 			s := validSpec()
 			tc.mut(s)
-			err := s.Validate()
+			err := s.validate()
 			if err == nil {
 				t.Fatalf("mutation %q passed validation", tc.name)
 			}
@@ -116,27 +116,27 @@ func TestValidateErrorPaths(t *testing.T) {
 
 func TestCompileTraceCohortRules(t *testing.T) {
 	s := New("t").AddTrace("replay", "does-not-exist.csv", false).Spec()
-	if err := s.Validate(); err != nil {
+	if err := s.validate(); err != nil {
 		t.Fatalf("trace spec rejected structurally: %v", err)
 	}
-	if _, err := s.Compile(t.TempDir()); err == nil {
+	if _, err := s.compile(t.TempDir()); err == nil {
 		t.Fatal("missing trace file not rejected at compile")
 	}
 	// A trace cohort declaring its own mix is contradictory.
 	s.Cohorts[0].Mix = browseMix()
-	if err := s.Validate(); err == nil || !strings.Contains(err.Error(), "must not declare a mix") {
+	if err := s.validate(); err == nil || !strings.Contains(err.Error(), "must not declare a mix") {
 		t.Fatalf("trace cohort with mix: %v", err)
 	}
 	// cycle_seconds without loop is meaningless.
 	s2 := New("t2").AddTrace("replay", "x.csv", false).Spec()
 	s2.Cohorts[0].Arrival.CycleSeconds = 10
-	if err := s2.Validate(); err == nil || !strings.Contains(err.Error(), "without loop") {
+	if err := s2.validate(); err == nil || !strings.Contains(err.Error(), "without loop") {
 		t.Fatalf("cycle_seconds without loop: %v", err)
 	}
 }
 
 func TestCompileDerivedQuantities(t *testing.T) {
-	c, err := validSpec().Compile("")
+	c, err := validSpec().compile("")
 	if err != nil {
 		t.Fatalf("compile: %v", err)
 	}
@@ -144,13 +144,13 @@ func TestCompileDerivedQuantities(t *testing.T) {
 		t.Fatalf("got %d cohorts, want 3", len(c.Cohorts))
 	}
 	closed, pois, mmpp := c.Cohorts[0], c.Cohorts[1], c.Cohorts[2]
-	if closed.Open() || closed.Clients != 400 {
+	if closed.open() || closed.Clients != 400 {
 		t.Fatalf("closed cohort compiled wrong: %+v", closed)
 	}
 	if got := closed.Class.ThinkTimeMean; got < 6.999 || got > 7.001 {
 		t.Fatalf("closed think mean %v, want 7", got)
 	}
-	if !pois.Open() || pois.MeanRate != 40 {
+	if !pois.open() || pois.MeanRate != 40 {
 		t.Fatalf("poisson cohort: mean rate %v, want 40", pois.MeanRate)
 	}
 	if pois.MaxRate < 59.9 || pois.MaxRate > 60.1 {

@@ -28,12 +28,12 @@ type Trace struct {
 	Cycle float64
 }
 
-// LoadTrace parses a CSV arrival trace: one "time_seconds,request_type"
+// loadTrace parses a CSV arrival trace: one "time_seconds,request_type"
 // pair per line, ascending times, with #-comment lines and an optional
 // non-numeric header skipped. cycle overrides the loop period; 0
 // derives it from the last arrival plus the mean recorded gap, so a
 // looped replay keeps the trace's average rate across the seam.
-func LoadTrace(path string, loop bool, cycle float64) (*Trace, error) {
+func loadTrace(path string, loop bool, cycle float64) (*Trace, error) {
 	data, err := os.ReadFile(path)
 	if err != nil {
 		return nil, fmt.Errorf("reading trace: %w", err)
@@ -96,8 +96,8 @@ func parseTraceLine(line string) (float64, workload.RequestType, error) {
 	return t, workload.RequestType(typ), nil
 }
 
-// Mix derives the request mix from the trace's composition.
-func (tr *Trace) Mix() workload.Mix {
+// mix derives the request mix from the trace's composition.
+func (tr *Trace) mix() workload.Mix {
 	counts := make(map[workload.RequestType]int)
 	for _, ev := range tr.Events {
 		counts[ev.Type]++
@@ -109,29 +109,29 @@ func (tr *Trace) Mix() workload.Mix {
 	return mix
 }
 
-// Span is the recorded duration: the loop cycle for looping traces,
+// span is the recorded duration: the loop cycle for looping traces,
 // the last arrival time otherwise.
-func (tr *Trace) Span() float64 {
+func (tr *Trace) span() float64 {
 	if tr.Loop {
 		return tr.Cycle
 	}
 	return tr.Events[len(tr.Events)-1].T
 }
 
-// MeanRate is the trace's average arrival rate over its span.
-func (tr *Trace) MeanRate() float64 {
-	span := tr.Span()
+// meanRate is the trace's average arrival rate over its span.
+func (tr *Trace) meanRate() float64 {
+	span := tr.span()
 	if span <= 0 {
 		return 0
 	}
 	return float64(len(tr.Events)) / span
 }
 
-// PeakRate estimates the trace's maximum local rate: the highest
+// peakRate estimates the trace's maximum local rate: the highest
 // arrival count in any 1-second sliding window anchored at an arrival
 // (falling back to the mean rate for sub-second traces).
-func (tr *Trace) PeakRate() float64 {
-	peak := tr.MeanRate()
+func (tr *Trace) peakRate() float64 {
+	peak := tr.meanRate()
 	lo := 0
 	for hi := range tr.Events {
 		for tr.Events[hi].T-tr.Events[lo].T > 1 {
@@ -144,12 +144,12 @@ func (tr *Trace) PeakRate() float64 {
 	return peak
 }
 
-// RateAt returns the trace's local empirical rate around time t:
+// rateAt returns the trace's local empirical rate around time t:
 // arrivals within ±w/2 of t over w, with w sized to ~32 events at the
 // mean rate so the estimate is stable but still tracks bursts.
 // Looping traces wrap t into the cycle.
-func (tr *Trace) RateAt(t float64) float64 {
-	span := tr.Span()
+func (tr *Trace) rateAt(t float64) float64 {
+	span := tr.span()
 	if span <= 0 {
 		return 0
 	}
@@ -160,7 +160,7 @@ func (tr *Trace) RateAt(t float64) float64 {
 	} else if t > span {
 		return 0
 	}
-	w := 32 / tr.MeanRate()
+	w := 32 / tr.meanRate()
 	if w > span {
 		w = span
 	}

@@ -349,7 +349,7 @@ func (s *Service) Handler() http.Handler {
 	mux := http.NewServeMux()
 	mux.HandleFunc("/v1/predict", handle(epPredict, s.Predict))
 	mux.HandleFunc("/v1/capacity", handle(epCapacity, s.Capacity))
-	mux.HandleFunc("/v1/allocate", handle(epAllocate, s.Allocate))
+	mux.HandleFunc("/v1/allocate", handle(epAllocate, s.allocate))
 	mux.HandleFunc("/healthz", s.handleHealth)
 	return mux
 }
@@ -520,7 +520,7 @@ type method struct {
 	meansOnly bool
 }
 
-// methods is the one method table Predict, Capacity and Allocate look
+// methods is the one method table Predict, Capacity and allocate look
 // up: "hybrid" (default; cached closed-form model), "lqn" (exact
 // layered solve through the coalescing batcher) and "regress"
 // (cheap-tier black-box regression, means only).
@@ -724,9 +724,9 @@ func (s *Service) Capacity(r *http.Request, req CapacityRequest) (*CapacityRespo
 	}, nil
 }
 
-// Allocate answers an AllocateRequest: Algorithm 1 over the cached
+// allocate answers an AllocateRequest: Algorithm 1 over the cached
 // per-(architecture, mix) models.
-func (s *Service) Allocate(r *http.Request, req AllocateRequest) (*AllocateResponse, error) {
+func (s *Service) allocate(r *http.Request, req AllocateRequest) (*AllocateResponse, error) {
 	if s.closed.Load() {
 		return nil, ErrShuttingDown
 	}

@@ -33,9 +33,9 @@ import (
 	"perfpred/internal/workload"
 )
 
-// WorkingSetBytes is the expected total session data for a client
+// workingSetBytes is the expected total session data for a client
 // population.
-func WorkingSetBytes(clients int, meanSessionBytes float64) float64 {
+func workingSetBytes(clients int, meanSessionBytes float64) float64 {
 	if clients < 0 || meanSessionBytes < 0 {
 		return 0
 	}
@@ -231,7 +231,7 @@ func estimateMissRate(miss, x, r float64, clients int, meanSession, capacity flo
 	if clients <= 0 || x <= 0 {
 		return 0
 	}
-	if WorkingSetBytes(clients, meanSession) <= capacity {
+	if workingSetBytes(clients, meanSession) <= capacity {
 		return 0 // everything fits; no replacement pressure
 	}
 	think := 0.0

@@ -10,10 +10,10 @@ import (
 )
 
 func TestWorkingSetBytes(t *testing.T) {
-	if got := WorkingSetBytes(100, 4096); got != 409600 {
+	if got := workingSetBytes(100, 4096); got != 409600 {
 		t.Fatalf("working set = %v", got)
 	}
-	if WorkingSetBytes(-1, 10) != 0 || WorkingSetBytes(10, -1) != 0 {
+	if workingSetBytes(-1, 10) != 0 || workingSetBytes(10, -1) != 0 {
 		t.Fatal("invalid inputs should yield 0")
 	}
 }

@@ -19,7 +19,7 @@ func BenchmarkSchedule(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		e.Schedule(float64(i%64), nop)
-		if e.Pending() > 2*pending {
+		if e.pending() > 2*pending {
 			e.Run(e.Now()+16, 0)
 		}
 	}
@@ -103,7 +103,7 @@ func BenchmarkCalendarHold(b *testing.B) {
 		think := func() { e.Schedule(rng.Exp(7), request) }
 		request = func() {
 			h := e.Schedule(rng.Exp(0.005), think)
-			e.Reschedule(h, rng.Exp(0.005), think)
+			e.reschedule(h, rng.Exp(0.005), think)
 		}
 		for i := 0; i < pending; i++ {
 			e.Schedule(rng.Exp(7), request)

@@ -39,11 +39,11 @@ func TestCalendarMatchesHeapProperty(t *testing.T) {
 				case x < 0.2:
 					ev.Cancel()
 				case x < 0.4:
-					ev = e.Reschedule(ev, rng.Exp(float64(1+rng.Intn(50))), act)
+					ev = e.reschedule(ev, rng.Exp(float64(1+rng.Intn(50))), act)
 				case x < 0.5:
 					// Move whatever was held last — resident for a while,
 					// or fired or cancelled meanwhile — and hold this one.
-					e.Reschedule(held, rng.Exp(5), act)
+					e.reschedule(held, rng.Exp(5), act)
 					held = ev
 				}
 				if rng.Float64() < 0.3 {
@@ -63,7 +63,7 @@ func TestCalendarMatchesHeapProperty(t *testing.T) {
 		}
 		// Advance in small increments so the until-boundary and clock
 		// clamping paths are exercised too.
-		for e.Pending() > 0 && len(order) < n+50 {
+		for e.pending() > 0 && len(order) < n+50 {
 			e.Run(e.Now()+3, 0)
 		}
 		return order
@@ -113,8 +113,8 @@ func TestCalendarResizeKeepsOrder(t *testing.T) {
 		e.Schedule(rng.Float64()*0.01, record)
 	}
 	e.Run(1e9, 0)
-	if e.Pending() != 0 {
-		t.Fatalf("pending %d after full drain", e.Pending())
+	if e.pending() != 0 {
+		t.Fatalf("pending %d after full drain", e.pending())
 	}
 	if fired != n+n/2 {
 		t.Fatalf("fired %d, want %d", fired, n+n/2)
@@ -137,7 +137,7 @@ func TestCalendarChainStaysShortUnderSkew(t *testing.T) {
 	request = func() {
 		// A service completion that a second arrival pushes back once.
 		h := e.Schedule(rng.Exp(0.005), next)
-		e.Reschedule(h, rng.Exp(0.005), next)
+		e.reschedule(h, rng.Exp(0.005), next)
 	}
 	for i := 0; i < clients; i++ {
 		e.Schedule(rng.Exp(think), request)
@@ -182,33 +182,33 @@ func TestCalendarRefitAllocatesNothing(t *testing.T) {
 	}
 }
 
-// PeekTime must agree between backends and report +Inf when drained.
+// peekTime must agree between backends and report +Inf when drained.
 func TestPeekTime(t *testing.T) {
 	for _, mk := range []func() *Engine{NewEngine, NewEngineCalendar} {
 		e := mk()
-		if !math.IsInf(e.PeekTime(), 1) {
-			t.Fatalf("empty engine PeekTime = %v, want +Inf", e.PeekTime())
+		if !math.IsInf(e.peekTime(), 1) {
+			t.Fatalf("empty engine peekTime = %v, want +Inf", e.peekTime())
 		}
 		e.Schedule(5, func() {})
 		e.Schedule(2, func() {})
-		if got := e.PeekTime(); got != 2 {
-			t.Fatalf("PeekTime = %v, want 2", got)
+		if got := e.peekTime(); got != 2 {
+			t.Fatalf("peekTime = %v, want 2", got)
 		}
 		e.Run(10, 0)
-		if !math.IsInf(e.PeekTime(), 1) {
-			t.Fatalf("drained engine PeekTime = %v, want +Inf", e.PeekTime())
+		if !math.IsInf(e.peekTime(), 1) {
+			t.Fatalf("drained engine peekTime = %v, want +Inf", e.peekTime())
 		}
 	}
 }
 
-// ScheduleAt places events at absolute times and panics on times in
+// scheduleAt places events at absolute times and panics on times in
 // the past, on both backends.
 func TestScheduleAt(t *testing.T) {
 	for _, mk := range []func() *Engine{NewEngine, NewEngineCalendar} {
 		e := mk()
 		var order []int
 		e.Schedule(3, func() { order = append(order, 1) })
-		e.ScheduleAt(2, func() { order = append(order, 0) })
+		e.scheduleAt(2, func() { order = append(order, 0) })
 		e.Run(10, 0)
 		if len(order) != 2 || order[0] != 0 || order[1] != 1 {
 			t.Fatalf("order = %v, want [0 1]", order)
@@ -216,10 +216,10 @@ func TestScheduleAt(t *testing.T) {
 		func() {
 			defer func() {
 				if recover() == nil {
-					t.Fatal("ScheduleAt in the past did not panic")
+					t.Fatal("scheduleAt in the past did not panic")
 				}
 			}()
-			e.ScheduleAt(e.Now()-1, func() {})
+			e.scheduleAt(e.Now()-1, func() {})
 		}()
 	}
 }

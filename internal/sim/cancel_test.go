@@ -41,7 +41,7 @@ func TestStaleCancelNeverHitsReusedSlotProperty(t *testing.T) {
 			}
 		}
 		steps := 0
-		for e.Pending() > 0 {
+		for e.pending() > 0 {
 			e.Run(e.Now()+0.5, 0)
 			steps++
 			// Replay every stale handle: fired events' slots are by now

@@ -31,7 +31,7 @@ import (
 // handle.
 //
 // Handles stay safe across event reuse: the engine recycles fired
-// events through a free list, and each reuse (and each Reschedule)
+// events through a free list, and each reuse (and each reschedule)
 // bumps a generation counter, so a Cancel through a stale handle
 // (after the event fired, was discarded or was moved) is a no-op
 // rather than a cancellation of whatever the slot now holds.
@@ -106,20 +106,20 @@ func (e *Engine) Now() float64 { return e.now }
 // and liveness metric for long runs.
 func (e *Engine) Fired() uint64 { return e.fired }
 
-// Pending returns the number of events currently scheduled (including
-// cancelled events not yet discarded; an event moved by Reschedule
+// pending returns the number of events currently scheduled (including
+// cancelled events not yet discarded; an event moved by reschedule
 // leaves nothing behind).
-func (e *Engine) Pending() int {
+func (e *Engine) pending() int {
 	if e.cal != nil {
 		return e.cal.size
 	}
 	return len(e.queue)
 }
 
-// PeekTime returns the fire time of the earliest pending event, or
+// peekTime returns the fire time of the earliest pending event, or
 // +Inf when the queue is empty. The shard coordinator uses it to skip
 // idle synchronisation windows.
-func (e *Engine) PeekTime() float64 {
+func (e *Engine) peekTime() float64 {
 	if e.cal != nil {
 		if ev := e.cal.peek(); ev != nil {
 			return ev.time
@@ -132,12 +132,12 @@ func (e *Engine) PeekTime() float64 {
 	return math.Inf(1)
 }
 
-// HeapHighWater returns the maximum number of simultaneously pending
+// heapHighWater returns the maximum number of simultaneously pending
 // events observed over the engine's lifetime. Per-shard engines each
 // track their own high water; aggregation across shards goes through
 // obs max-gauge semantics (or Coordinator.HeapHighWater) rather than
 // summing, since the marks are concurrent-depth measurements.
-func (e *Engine) HeapHighWater() int { return e.heapMax }
+func (e *Engine) heapHighWater() int { return e.heapMax }
 
 // Schedule runs action after delay units of simulated time. It panics
 // on negative or NaN delays — those are always modelling bugs, never
@@ -149,10 +149,10 @@ func (e *Engine) Schedule(delay float64, action func()) Event {
 	return e.enqueue(e.now+delay, action)
 }
 
-// ScheduleAt runs action at absolute simulated time t. It panics when
+// scheduleAt runs action at absolute simulated time t. It panics when
 // t is in the past or NaN. The shard coordinator uses it to deliver
 // cross-shard messages at their precomputed fire times.
-func (e *Engine) ScheduleAt(t float64, action func()) Event {
+func (e *Engine) scheduleAt(t float64, action func()) Event {
 	if t < e.now || math.IsNaN(t) {
 		panic(fmt.Sprintf("sim: invalid fire time %v (now %v)", t, e.now))
 	}
@@ -185,7 +185,7 @@ func (e *Engine) enqueue(t float64, action func()) Event {
 	return Event{ev: ev, gen: ev.gen, time: ev.time}
 }
 
-// Reschedule moves the still-pending event behind h to now+delay with
+// reschedule moves the still-pending event behind h to now+delay with
 // a new action, in place, and returns its new handle; h and every copy
 // of it go stale. It is order-equivalent to h.Cancel() followed by
 // Schedule(delay, action) — it consumes the one sequence number that
@@ -194,7 +194,7 @@ func (e *Engine) enqueue(t float64, action func()) Event {
 // instead of a push now and a pop later. Through a zero, fired or
 // otherwise stale handle it is exactly Schedule. It panics on negative
 // or NaN delays like Schedule.
-func (e *Engine) Reschedule(h Event, delay float64, action func()) Event {
+func (e *Engine) reschedule(h Event, delay float64, action func()) Event {
 	if delay < 0 || math.IsNaN(delay) {
 		panic(fmt.Sprintf("sim: invalid delay %v", delay))
 	}
@@ -278,9 +278,9 @@ func (e *Engine) fire(until float64, limit uint64) uint64 {
 // nothing is left to fire at or before until, the clock moves to until.
 func (e *Engine) Run(until float64, limit uint64) uint64 {
 	fired := e.fire(until, limit)
-	// Pending is asked first because PeekTime's +Inf for an empty queue
+	// pending is asked first because peekTime's +Inf for an empty queue
 	// does not exceed an infinite until.
-	if e.now < until && (e.Pending() == 0 || e.PeekTime() > until) {
+	if e.now < until && (e.pending() == 0 || e.peekTime() > until) {
 		e.now = until
 	}
 	e.flushMetrics()
@@ -327,7 +327,7 @@ func (e *Engine) pop() *event {
 
 // up stores ev, notionally at heap position i, after sifting it
 // towards the root. Every move records the moved event's position so
-// Reschedule can find it again.
+// reschedule can find it again.
 func (e *Engine) up(ev *event, i int) {
 	q := e.queue
 	for i > 0 {

@@ -82,7 +82,7 @@ func TestEngineEventReuse(t *testing.T) {
 	for i := 0; i < 1000; i++ {
 		e.Schedule(1, func() {})
 		e.Run(e.Now()+2, 0)
-		if total := e.Pending() + countFree(); total > allocated {
+		if total := e.pending() + countFree(); total > allocated {
 			allocated = total
 		}
 	}

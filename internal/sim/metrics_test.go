@@ -38,8 +38,8 @@ func TestHeapHighWaterAggregatesAcrossEngines(t *testing.T) {
 		t.Fatalf("aggregated high water = %d, want 17 (max across engines)", got)
 	}
 	for i, e := range engines {
-		if e.HeapHighWater() != depths[i] {
-			t.Fatalf("engine %d HeapHighWater = %d, want %d", i, e.HeapHighWater(), depths[i])
+		if e.heapHighWater() != depths[i] {
+			t.Fatalf("engine %d HeapHighWater = %d, want %d", i, e.heapHighWater(), depths[i])
 		}
 	}
 }

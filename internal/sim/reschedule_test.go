@@ -7,7 +7,7 @@ import (
 	"unsafe"
 )
 
-// Property: Reschedule is order-equivalent to Cancel followed by
+// Property: reschedule is order-equivalent to Cancel followed by
 // Schedule — the same firing sequence at the same times and the same
 // number of sequence numbers consumed — on both backends and through
 // every kind of handle: pending, cancelled but not yet discarded,
@@ -19,7 +19,7 @@ import (
 func TestRescheduleMatchesCancelSchedule(t *testing.T) {
 	type mover func(e *Engine, h Event, delay float64, action func()) Event
 	inPlace := func(e *Engine, h Event, delay float64, action func()) Event {
-		return e.Reschedule(h, delay, action)
+		return e.reschedule(h, delay, action)
 	}
 	cancelSchedule := func(e *Engine, h Event, delay float64, action func()) Event {
 		h.Cancel()
@@ -107,7 +107,7 @@ func TestRescheduleMatchesCancelSchedule(t *testing.T) {
 	}
 }
 
-// A moved event leaves nothing behind: Pending counts it once, the old
+// A moved event leaves nothing behind: pending counts it once, the old
 // handle is dead, and the new one cancels it.
 func TestRescheduleMovesInPlace(t *testing.T) {
 	for _, mk := range []func() *Engine{NewEngine, NewEngineCalendar} {
@@ -116,9 +116,9 @@ func TestRescheduleMovesInPlace(t *testing.T) {
 		act := func() { fired++ }
 		e.Schedule(1, func() {})
 		h0 := e.Schedule(5, act)
-		h1 := e.Reschedule(h0, 2, act)
-		if e.Pending() != 2 {
-			t.Fatalf("Pending = %d after a move, want 2", e.Pending())
+		h1 := e.reschedule(h0, 2, act)
+		if e.pending() != 2 {
+			t.Fatalf("pending = %d after a move, want 2", e.pending())
 		}
 		if h1.Time() != 2 {
 			t.Fatalf("moved handle Time = %v, want 2", h1.Time())
@@ -128,7 +128,7 @@ func TestRescheduleMovesInPlace(t *testing.T) {
 		if fired != 1 {
 			t.Fatalf("moved event fired %d times by t=3, want 1", fired)
 		}
-		h2 := e.Reschedule(h1, 1, act) // h1 fired: plain schedule
+		h2 := e.reschedule(h1, 1, act) // h1 fired: plain schedule
 		h2.Cancel()
 		e.Run(10, 0)
 		if fired != 1 {
@@ -140,12 +140,12 @@ func TestRescheduleMovesInPlace(t *testing.T) {
 					t.Fatal("negative delay did not panic")
 				}
 			}()
-			e.Reschedule(Event{}, -1, act)
+			e.reschedule(Event{}, -1, act)
 		}()
 	}
 }
 
-// Reschedule is the station's per-event primitive; it must not
+// reschedule is the station's per-event primitive; it must not
 // allocate on either backend, whether the event moves earlier or later.
 func TestRescheduleAllocatesNothing(t *testing.T) {
 	for _, mk := range []func() *Engine{NewEngine, NewEngineCalendar} {
@@ -158,10 +158,10 @@ func TestRescheduleAllocatesNothing(t *testing.T) {
 		}
 		i := 0
 		if a := testing.AllocsPerRun(1000, func() {
-			hs[i] = e.Reschedule(hs[i], rng.Exp(7), nop)
+			hs[i] = e.reschedule(hs[i], rng.Exp(7), nop)
 			i = (i + 1) % len(hs)
 		}); a != 0 {
-			t.Fatalf("Reschedule allocated %v times per call", a)
+			t.Fatalf("reschedule allocated %v times per call", a)
 		}
 	}
 }

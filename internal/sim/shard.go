@@ -170,7 +170,7 @@ func (c *Coordinator) Fired() uint64 {
 func (c *Coordinator) HeapHighWater() int {
 	max := 0
 	for _, sh := range c.shards {
-		if hw := sh.Eng.HeapHighWater(); hw > max {
+		if hw := sh.Eng.heapHighWater(); hw > max {
 			max = hw
 		}
 	}
@@ -187,7 +187,7 @@ func (c *Coordinator) runOne(i int) {
 	if len(sh.inbox) > 0 {
 		for j := range sh.inbox {
 			m := &sh.inbox[j]
-			sh.Eng.ScheduleAt(m.time, m.fn)
+			sh.Eng.scheduleAt(m.time, m.fn)
 			m.fn = nil
 		}
 		sh.inbox = sh.inbox[:0]
@@ -235,7 +235,7 @@ func (c *Coordinator) exchange() {
 func (c *Coordinator) nextEventTime() float64 {
 	min := math.Inf(1)
 	for _, sh := range c.shards {
-		if t := sh.Eng.PeekTime(); t < min {
+		if t := sh.Eng.peekTime(); t < min {
 			min = t
 		}
 		if sh.inboxMin < min {

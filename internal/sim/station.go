@@ -127,7 +127,7 @@ func (s *Station) scheduleNext(minRemaining float64) {
 	if minRemaining < 0 {
 		minRemaining = 0
 	}
-	s.completion = s.eng.Reschedule(s.completion, minRemaining*float64(n)/s.speed, s.onComp)
+	s.completion = s.eng.reschedule(s.completion, minRemaining*float64(n)/s.speed, s.onComp)
 }
 
 // onCompletion retires every job whose demand is exhausted and then

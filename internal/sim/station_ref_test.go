@@ -142,7 +142,7 @@ func TestStationFusedMatchesReference(t *testing.T) {
 				}
 			}
 			if e.nextSq != re.nextSq {
-				return false // Reschedule must consume what Cancel+Schedule did
+				return false // reschedule must consume what Cancel+Schedule did
 			}
 		}
 		return len(want) >= n/2

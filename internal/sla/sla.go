@@ -20,8 +20,8 @@ type Goal struct {
 	Percentile float64
 }
 
-// Validate reports the first structural problem with the goal.
-func (g Goal) Validate() error {
+// validate reports the first structural problem with the goal.
+func (g Goal) validate() error {
 	if g.MaxRT <= 0 {
 		return errors.New("sla: goal needs positive max response time")
 	}
@@ -31,10 +31,10 @@ func (g Goal) Validate() error {
 	return nil
 }
 
-// Met reports whether an observed response time satisfies the goal.
+// met reports whether an observed response time satisfies the goal.
 // For percentile goals, rt should be the observed response time at the
 // goal percentile.
-func (g Goal) Met(rt float64) bool { return rt <= g.MaxRT }
+func (g Goal) met(rt float64) bool { return rt <= g.MaxRT }
 
 // CostModel maps the study's two cost metrics onto a single monetary
 // scale — the cost-function extension §9.1 closes with ("the y-axis of
@@ -163,11 +163,11 @@ func MaxClients(limit int, meets func(n int) (bool, error)) (int, error) {
 // whose response time rtAt(n) meets the goal (0 when one client already
 // misses it), by the shared MaxClients search.
 func (g Goal) MaxClients(limit int, rtAt func(n float64) (float64, error)) (int, error) {
-	if err := g.Validate(); err != nil {
+	if err := g.validate(); err != nil {
 		return 0, err
 	}
 	return MaxClients(limit, func(n int) (bool, error) {
 		rt, err := rtAt(float64(n))
-		return g.Met(rt), err
+		return g.met(rt), err
 	})
 }

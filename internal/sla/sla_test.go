@@ -6,29 +6,29 @@ import (
 )
 
 func TestGoalValidate(t *testing.T) {
-	if err := (Goal{MaxRT: 0.3}).Validate(); err != nil {
+	if err := (Goal{MaxRT: 0.3}).validate(); err != nil {
 		t.Fatal(err)
 	}
-	if err := (Goal{MaxRT: 0.3, Percentile: 0.9}).Validate(); err != nil {
+	if err := (Goal{MaxRT: 0.3, Percentile: 0.9}).validate(); err != nil {
 		t.Fatal(err)
 	}
-	if err := (Goal{MaxRT: 0}).Validate(); err == nil {
+	if err := (Goal{MaxRT: 0}).validate(); err == nil {
 		t.Fatal("zero MaxRT should fail")
 	}
-	if err := (Goal{MaxRT: 0.3, Percentile: 1}).Validate(); err == nil {
+	if err := (Goal{MaxRT: 0.3, Percentile: 1}).validate(); err == nil {
 		t.Fatal("percentile 1 should fail")
 	}
-	if err := (Goal{MaxRT: 0.3, Percentile: -0.1}).Validate(); err == nil {
+	if err := (Goal{MaxRT: 0.3, Percentile: -0.1}).validate(); err == nil {
 		t.Fatal("negative percentile should fail")
 	}
 }
 
 func TestGoalMet(t *testing.T) {
 	g := Goal{MaxRT: 0.3}
-	if !g.Met(0.3) || !g.Met(0.1) {
+	if !g.met(0.3) || !g.met(0.1) {
 		t.Fatal("goal should be met at or below the bound")
 	}
-	if g.Met(0.31) {
+	if g.met(0.31) {
 		t.Fatal("goal should be missed above the bound")
 	}
 }

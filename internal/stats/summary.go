@@ -46,9 +46,9 @@ func (a *Accumulator) Sum() float64 { return a.sum }
 // Mean returns the sample mean, or 0 when no samples have been added.
 func (a *Accumulator) Mean() float64 { return a.mean }
 
-// Variance returns the unbiased sample variance, or 0 with fewer than
+// variance returns the unbiased sample variance, or 0 with fewer than
 // two samples.
-func (a *Accumulator) Variance() float64 {
+func (a *Accumulator) variance() float64 {
 	if a.n < 2 {
 		return 0
 	}
@@ -56,7 +56,7 @@ func (a *Accumulator) Variance() float64 {
 }
 
 // StdDev returns the unbiased sample standard deviation.
-func (a *Accumulator) StdDev() float64 { return math.Sqrt(a.Variance()) }
+func (a *Accumulator) StdDev() float64 { return math.Sqrt(a.variance()) }
 
 // Min returns the smallest sample, or 0 when empty.
 func (a *Accumulator) Min() float64 { return a.min }

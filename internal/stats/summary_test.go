@@ -11,7 +11,7 @@ import (
 
 func TestAccumulatorBasics(t *testing.T) {
 	var a Accumulator
-	if a.Count() != 0 || a.Mean() != 0 || a.Variance() != 0 {
+	if a.Count() != 0 || a.Mean() != 0 || a.variance() != 0 {
 		t.Fatal("zero accumulator should report zeros")
 	}
 	for _, x := range []float64{2, 4, 4, 4, 5, 5, 7, 9} {
@@ -19,7 +19,7 @@ func TestAccumulatorBasics(t *testing.T) {
 	}
 	near(t, a.Mean(), 5, 1e-12, "mean")
 	near(t, a.Sum(), 40, 1e-12, "sum")
-	near(t, a.Variance(), 32.0/7.0, 1e-12, "variance")
+	near(t, a.variance(), 32.0/7.0, 1e-12, "variance")
 	near(t, a.Min(), 2, 0, "min")
 	near(t, a.Max(), 9, 0, "max")
 	if a.Count() != 8 {
@@ -31,7 +31,7 @@ func TestAccumulatorSingleSample(t *testing.T) {
 	var a Accumulator
 	a.Add(3.5)
 	near(t, a.Mean(), 3.5, 0, "mean")
-	near(t, a.Variance(), 0, 0, "variance of one sample")
+	near(t, a.variance(), 0, 0, "variance of one sample")
 	near(t, a.Min(), 3.5, 0, "min")
 	near(t, a.Max(), 3.5, 0, "max")
 }
@@ -50,7 +50,7 @@ func TestAccumulatorMerge(t *testing.T) {
 	}
 	left.Merge(&right)
 	near(t, left.Mean(), all.Mean(), 1e-9, "merged mean")
-	near(t, left.Variance(), all.Variance(), 1e-9, "merged variance")
+	near(t, left.variance(), all.variance(), 1e-9, "merged variance")
 	near(t, left.Min(), all.Min(), 0, "merged min")
 	near(t, left.Max(), all.Max(), 0, "merged max")
 	if left.Count() != all.Count() {
@@ -96,12 +96,12 @@ func TestAccuracyMetric(t *testing.T) {
 	// Gross mispredictions floor at zero rather than going negative.
 	near(t, Accuracy([]float64{1000}, []float64{100}), 0, 0, "floor at 0")
 	// Zero-actual handling.
-	if !math.IsInf(RelativeError(1, 0), 1) {
-		t.Fatal("RelativeError(1,0) should be +Inf")
+	if !math.IsInf(relativeError(1, 0), 1) {
+		t.Fatal("relativeError(1,0) should be +Inf")
 	}
-	near(t, RelativeError(0, 0), 0, 0, "exact zero prediction")
-	near(t, MAPE(nil, nil), 0, 0, "empty MAPE")
-	near(t, MAPE([]float64{0, 50}, []float64{0, 100}), 0.5, 1e-12, "zero pairs skipped")
+	near(t, relativeError(0, 0), 0, 0, "exact zero prediction")
+	near(t, mape(nil, nil), 0, 0, "empty mape")
+	near(t, mape([]float64{0, 50}, []float64{0, 100}), 0.5, 1e-12, "zero pairs skipped")
 }
 
 // Property: the streaming accumulator matches a direct two-pass
@@ -129,7 +129,7 @@ func TestAccumulatorMatchesTwoPassProperty(t *testing.T) {
 		}
 		variance := ss / float64(len(xs)-1)
 		tol := 1e-6 * (1 + math.Abs(mean) + variance)
-		return math.Abs(a.Mean()-mean) < tol && math.Abs(a.Variance()-variance) < tol
+		return math.Abs(a.Mean()-mean) < tol && math.Abs(a.variance()-variance) < tol
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 200}); err != nil {
 		t.Fatal(err)

@@ -56,7 +56,7 @@ func runAdaptive(cfg Config, ctl RunControl, opt simOptions) (*Result, error) {
 	if cfg.sharded() {
 		return nil, errors.New("trade: adaptive runs are not supported on sharded configurations")
 	}
-	if err := cfg.Validate(); err != nil {
+	if err := cfg.validate(); err != nil {
 		return nil, err
 	}
 	conf := ctl.Confidence

@@ -13,7 +13,7 @@ import (
 // only the steady-state path.
 func steadySim(t testing.TB, cfg Config) (*simulator, float64) {
 	t.Helper()
-	if err := cfg.Validate(); err != nil {
+	if err := cfg.validate(); err != nil {
 		t.Fatal(err)
 	}
 	s := newSimulator(cfg, simOptions{})

@@ -35,15 +35,15 @@ func clusterConfig(servers []workload.ServerArch, clients int, routing RoutingPo
 
 func TestClusterValidation(t *testing.T) {
 	dup := clusterConfig([]workload.ServerArch{workload.AppServF(), workload.AppServF()}, 100, RouteSticky)
-	if err := dup.Validate(); err == nil {
+	if err := dup.validate(); err == nil {
 		t.Fatal("duplicate server names should fail")
 	}
 	bad := clusterConfig(tierOf(workload.AppServF(), 2), 100, "random")
-	if err := bad.Validate(); err == nil {
+	if err := bad.validate(); err == nil {
 		t.Fatal("unknown routing policy should fail")
 	}
 	ok := clusterConfig(tierOf(workload.AppServF(), 2), 100, RouteLeastBusy)
-	if err := ok.Validate(); err != nil {
+	if err := ok.validate(); err != nil {
 		t.Fatal(err)
 	}
 }

@@ -38,9 +38,9 @@ type CacheConfig struct {
 	SessionBytesMean float64
 }
 
-// Validate reports the first structural problem with the cache
+// validate reports the first structural problem with the cache
 // configuration.
-func (c CacheConfig) Validate() error {
+func (c CacheConfig) validate() error {
 	switch {
 	case c.SizeBytes <= 0:
 		return errors.New("trade: cache size must be positive")
@@ -77,8 +77,8 @@ type CriticalSectionConfig struct {
 	Fraction float64
 }
 
-// Validate reports the first structural problem.
-func (c CriticalSectionConfig) Validate() error {
+// validate reports the first structural problem.
+func (c CriticalSectionConfig) validate() error {
 	if c.MeanTime <= 0 {
 		return errors.New("trade: critical section needs positive mean time")
 	}
@@ -248,9 +248,9 @@ func (c Config) effectiveLoad() workload.Workload {
 	return c.Load
 }
 
-// Validate reports the first structural problem with the run
+// validate reports the first structural problem with the run
 // configuration.
-func (c Config) Validate() error {
+func (c Config) validate() error {
 	seen := make(map[string]bool)
 	for _, s := range c.tier() {
 		if err := s.Validate(); err != nil {
@@ -313,12 +313,12 @@ func (c Config) Validate() error {
 		return errors.New("trade: need finite non-negative warm-up and positive duration")
 	}
 	if c.Cache != nil {
-		if err := c.Cache.Validate(); err != nil {
+		if err := c.Cache.validate(); err != nil {
 			return err
 		}
 	}
 	if c.CriticalSection != nil {
-		if err := c.CriticalSection.Validate(); err != nil {
+		if err := c.CriticalSection.validate(); err != nil {
 			return err
 		}
 	}

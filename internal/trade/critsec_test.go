@@ -22,18 +22,18 @@ func csConfig(clients int, cs *CriticalSectionConfig) Config {
 
 func TestCriticalSectionValidation(t *testing.T) {
 	bad := csConfig(100, &CriticalSectionConfig{MeanTime: 0, Fraction: 0.5})
-	if err := bad.Validate(); err == nil {
+	if err := bad.validate(); err == nil {
 		t.Fatal("zero mean time should fail")
 	}
 	bad = csConfig(100, &CriticalSectionConfig{MeanTime: 0.01, Fraction: 0})
-	if err := bad.Validate(); err == nil {
+	if err := bad.validate(); err == nil {
 		t.Fatal("zero fraction should fail")
 	}
 	bad = csConfig(100, &CriticalSectionConfig{MeanTime: 0.01, Fraction: 1.5})
-	if err := bad.Validate(); err == nil {
+	if err := bad.validate(); err == nil {
 		t.Fatal("fraction > 1 should fail")
 	}
-	if err := csConfig(100, &CriticalSectionConfig{MeanTime: 0.01, Fraction: 1}).Validate(); err != nil {
+	if err := csConfig(100, &CriticalSectionConfig{MeanTime: 0.01, Fraction: 1}).validate(); err != nil {
 		t.Fatal(err)
 	}
 }

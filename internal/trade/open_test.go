@@ -54,7 +54,7 @@ func TestOpenWorkloadValidation(t *testing.T) {
 		Load:    workload.Workload{{Class: workload.BrowseClass(0)}},
 		WarmUp:  1, Duration: 1,
 	}
-	if err := empty.Validate(); err == nil {
+	if err := empty.validate(); err == nil {
 		t.Fatal("no clients and no streams should fail")
 	}
 }

@@ -37,12 +37,12 @@ type Operation struct {
 	Weight float64
 }
 
-// BrowseOperations returns the browse class's operation mix, with
+// browseOperations returns the browse class's operation mix, with
 // weights shaped like Trade's representative browse behaviour and
 // demand scales that average to exactly the browse request type's
 // demand (so the coarse two-type model and the operation-level model
 // agree in aggregate).
-func BrowseOperations() []Operation {
+func browseOperations() []Operation {
 	return []Operation{
 		{Name: "home", Type: workload.Browse, DemandScale: 0.70, DBCalls: 1.0, Weight: 0.20},
 		{Name: "quote", Type: workload.Browse, DemandScale: 0.80, DBCalls: 1.0, Weight: 0.40},
@@ -51,10 +51,10 @@ func BrowseOperations() []Operation {
 	}
 }
 
-// BuySessionOperations returns the buy class's session operations.
+// buySessionOperations returns the buy class's session operations.
 // The buy operation's demand grows with the client's current
 // portfolio size through PortfolioDemandSlope.
-func BuySessionOperations() (register, buy, logoff Operation) {
+func buySessionOperations() (register, buy, logoff Operation) {
 	register = Operation{Name: "register-login", Type: workload.Buy, DemandScale: 0.85, DBCalls: 2, Weight: 0}
 	buy = Operation{Name: "buy", Type: workload.Buy, DemandScale: 1.0, DBCalls: 2, Weight: 0}
 	logoff = Operation{Name: "logoff", Type: workload.Buy, DemandScale: 0.45, DBCalls: 1, Weight: 0}
@@ -67,9 +67,6 @@ func BuySessionOperations() (register, buy, logoff Operation) {
 // base demand. The default keeps the session-average buy demand equal
 // to the coarse model's at the mean portfolio size of 5.5.
 const PortfolioDemandSlope = 0.04
-
-// MeanPortfolioSize is the buy session's mean holdings count (§3.1).
-const MeanPortfolioSize = 5.5
 
 // portfolioScale returns the demand multiplier for a buy with n
 // holdings already owned, normalised so a full 10-buy session averages
@@ -92,7 +89,7 @@ type OperationResult struct {
 // demand scales average to ~1; exposed for tests.
 func meanBrowseScale() float64 {
 	var wSum, sSum float64
-	for _, op := range BrowseOperations() {
+	for _, op := range browseOperations() {
 		wSum += op.Weight
 		sSum += op.Weight * op.DemandScale
 	}

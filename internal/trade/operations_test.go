@@ -8,7 +8,7 @@ import (
 )
 
 func TestBrowseOperationsTableSane(t *testing.T) {
-	ops := BrowseOperations()
+	ops := browseOperations()
 	if err := validateOperations(ops); err != nil {
 		t.Fatal(err)
 	}
@@ -88,7 +88,7 @@ func TestDetailedBrowseOperationMix(t *testing.T) {
 		byName[op.Operation] = op
 	}
 	// Frequencies track the weights.
-	for _, op := range BrowseOperations() {
+	for _, op := range browseOperations() {
 		got := float64(byName[op.Name].Completed) / float64(total)
 		if math.Abs(got-op.Weight) > 0.02 {
 			t.Fatalf("%s frequency = %v, want ≈%v", op.Name, got, op.Weight)

@@ -123,7 +123,7 @@ func windows(cfg Config, window float64, opt simOptions) ([]WindowPoint, error) 
 	if cfg.sharded() {
 		return nil, errors.New("trade: windowed runs are not supported on sharded configurations")
 	}
-	if err := cfg.Validate(); err != nil {
+	if err := cfg.validate(); err != nil {
 		return nil, err
 	}
 	n := int(math.Ceil(cfg.Duration / window))

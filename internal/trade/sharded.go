@@ -129,7 +129,7 @@ func NewSharded(cfg Config) (*ShardedRun, error) {
 	if !cfg.sharded() {
 		return nil, fmt.Errorf("trade: NewSharded needs a sharded configuration (Pools or Shards > 1)")
 	}
-	if err := cfg.Validate(); err != nil {
+	if err := cfg.validate(); err != nil {
 		return nil, err
 	}
 	nPools := cfg.effectivePools()

@@ -231,16 +231,16 @@ func TestShardedConfigValidation(t *testing.T) {
 	for i, mutate := range bad {
 		cfg := shardedConfig(4, 2, 4)
 		mutate(&cfg)
-		if err := cfg.Validate(); err == nil {
+		if err := cfg.validate(); err == nil {
 			t.Errorf("case %d: invalid sharded config passed validation", i)
 		}
 	}
 	// A router with a single effective pool cannot forward anywhere.
 	cfg := shardedConfig(1, 2, 4) // shards clamp to pools; still one replica
-	if err := cfg.Validate(); err == nil {
+	if err := cfg.validate(); err == nil {
 		t.Error("Router with one pool passed validation")
 	}
-	if err := shardedConfig(4, 2, 4).Validate(); err != nil {
+	if err := shardedConfig(4, 2, 4).validate(); err != nil {
 		t.Errorf("valid sharded config rejected: %v", err)
 	}
 }

@@ -187,7 +187,7 @@ func Run(cfg Config) (*Result, error) {
 
 // run is the single-engine Run under the given constructor variant.
 func run(cfg Config, opt simOptions) (*Result, error) {
-	if err := cfg.Validate(); err != nil {
+	if err := cfg.validate(); err != nil {
 		return nil, err
 	}
 	s := newSimulator(cfg, opt)
@@ -266,12 +266,12 @@ func newSimulator(cfg Config, opt simOptions) *simulator {
 	}
 	if cfg.DetailedOperations {
 		s.ops = newOpAccumulators(cfg.MaxRTSamples, root.Derive(7))
-		s.browseOps = BrowseOperations()
+		s.browseOps = browseOperations()
 		s.browseWeights = make([]float64, len(s.browseOps))
 		for i, op := range s.browseOps {
 			s.browseWeights[i] = op.Weight
 		}
-		s.opRegister, s.opBuy, s.opLogoff = BuySessionOperations()
+		s.opRegister, s.opBuy, s.opLogoff = buySessionOperations()
 	}
 	sampleRNG := root.Derive(4)
 	arrivals := root.Derive(6)

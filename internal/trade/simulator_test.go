@@ -13,17 +13,17 @@ func measureOpts() MeasureOptions {
 
 func TestConfigValidate(t *testing.T) {
 	good := baseConfig(workload.AppServF(), workload.TypicalWorkload(100), measureOpts())
-	if err := good.Validate(); err != nil {
+	if err := good.validate(); err != nil {
 		t.Fatal(err)
 	}
 	bad := good
 	bad.Load = workload.TypicalWorkload(0)
-	if err := bad.Validate(); err == nil {
+	if err := bad.validate(); err == nil {
 		t.Fatal("zero clients should fail")
 	}
 	bad = good
 	bad.Duration = 0
-	if err := bad.Validate(); err == nil {
+	if err := bad.validate(); err == nil {
 		t.Fatal("zero duration should fail")
 	}
 	// NaN passes every ordered comparison and an infinite run never
@@ -31,25 +31,25 @@ func TestConfigValidate(t *testing.T) {
 	for _, h := range [][2]float64{{0, math.NaN()}, {math.NaN(), 1}, {0, math.Inf(1)}, {math.Inf(1), 1}} {
 		bad = good
 		bad.WarmUp, bad.Duration = h[0], h[1]
-		if err := bad.Validate(); err == nil {
+		if err := bad.validate(); err == nil {
 			t.Fatalf("warm-up %v, duration %v should fail", h[0], h[1])
 		}
 	}
 	bad = good
 	bad.Demands = map[workload.RequestType]workload.Demand{}
-	if err := bad.Validate(); err == nil {
+	if err := bad.validate(); err == nil {
 		t.Fatal("empty demands should fail")
 	}
 	bad = good
 	bad.Demands = map[workload.RequestType]workload.Demand{
 		workload.Buy: workload.CaseStudyDemands()[workload.Buy],
 	}
-	if err := bad.Validate(); err == nil {
+	if err := bad.validate(); err == nil {
 		t.Fatal("missing demand for used request type should fail")
 	}
 	bad = good
 	bad.Cache = &CacheConfig{SizeBytes: 0, SessionBytesMean: 1}
-	if err := bad.Validate(); err == nil {
+	if err := bad.validate(); err == nil {
 		t.Fatal("invalid cache config should fail")
 	}
 }

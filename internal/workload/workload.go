@@ -72,9 +72,9 @@ func (d Demand) TotalDBTime() float64 { return d.DBCallsPerRequest * d.DBTimePer
 // class's traffic. Fractions must be positive and sum to 1.
 type Mix map[RequestType]float64
 
-// Validate checks the mix sums to 1 (within tolerance) with no
+// validate checks the mix sums to 1 (within tolerance) with no
 // negative entries.
-func (m Mix) Validate() error {
+func (m Mix) validate() error {
 	if len(m) == 0 {
 		return errors.New("workload: empty mix")
 	}
@@ -111,8 +111,8 @@ type ServiceClass struct {
 	GoalPercentile float64
 }
 
-// Validate reports the first structural problem with the class.
-func (c ServiceClass) Validate() error {
+// validate reports the first structural problem with the class.
+func (c ServiceClass) validate() error {
 	if c.Name == "" {
 		return errors.New("workload: service class needs a name")
 	}
@@ -124,7 +124,7 @@ func (c ServiceClass) Validate() error {
 			return fmt.Errorf("workload: class %q percentile %v outside [0,1)", c.Name, c.GoalPercentile)
 		}
 	}
-	return c.Mix.Validate()
+	return c.Mix.validate()
 }
 
 // Population is an amount of workload for one service class: either a
@@ -157,63 +157,6 @@ func (w Workload) TotalClients() int {
 	return total
 }
 
-// trafficWeight is the population's share weight: the client count for
-// a closed population, the arrival rate for an open stream. Open
-// streams used to weigh 0 here, so a workload whose traffic arrived
-// entirely through open streams reported every fraction as 0. The
-// exact client-equivalent of an open stream is ArrivalRate × (RT +
-// think) by Little's law, but a static workload description has no RT,
-// so the convention is deliberately (RT+think)-free: a pure-closed
-// workload reduces to the legacy client share, a pure-open workload to
-// the arrival-rate share, and a mixed workload blends the two weights
-// directly (clients alongside requests/second — a best-effort share,
-// not a calibrated one).
-func (p Population) trafficWeight() float64 {
-	if p.Open() {
-		return p.ArrivalRate
-	}
-	return float64(p.Clients)
-}
-
-// ClassFraction returns the named class's share of the offered
-// traffic: its client count for closed populations, its arrival rate
-// for open streams, over the workload's total weight (0 for an unknown
-// class or an empty workload). Duplicate class names accumulate.
-func (w Workload) ClassFraction(name string) float64 {
-	var total, class float64
-	for _, p := range w {
-		wt := p.trafficWeight()
-		total += wt
-		if p.Class.Name == name {
-			class += wt
-		}
-	}
-	if total == 0 {
-		return 0
-	}
-	return class / total
-}
-
-// RequestFraction returns the expected fraction of requests of type rt
-// across the whole workload, weighting each class's mix by its traffic
-// share — client share for closed populations (with homogeneous think
-// times the client share equals the request share), arrival-rate share
-// for open streams.
-func (w Workload) RequestFraction(rt RequestType) float64 {
-	var total float64
-	for _, p := range w {
-		total += p.trafficWeight()
-	}
-	if total == 0 {
-		return 0
-	}
-	var f float64
-	for _, p := range w {
-		f += p.trafficWeight() / total * p.Class.Mix.Fraction(rt)
-	}
-	return f
-}
-
 // Validate checks every population.
 func (w Workload) Validate() error {
 	for _, p := range w {
@@ -226,7 +169,7 @@ func (w Workload) Validate() error {
 		if p.Open() && p.Clients > 0 {
 			return fmt.Errorf("workload: class %q is both open (rate %v) and closed (%d clients)", p.Class.Name, p.ArrivalRate, p.Clients)
 		}
-		if err := p.Class.Validate(); err != nil {
+		if err := p.Class.validate(); err != nil {
 			return err
 		}
 	}
