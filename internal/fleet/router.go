@@ -41,7 +41,8 @@ type view struct {
 	// Assigned is the npools×npools in-window decision matrix
 	// (row-major by origin): Assigned[origin*NPools+dst] counts the
 	// requests origin has routed to dst since the last barrier. Scorers
-	// may read only their own origin's row.
+	// may read only their own origin's row. Nil under Static, which
+	// reads nothing.
 	Assigned []int32
 }
 
@@ -132,7 +133,6 @@ func NewRouter(scorer Scorer, capacities []int, nclasses int) *Router {
 			RT:       make([]float64, npools),
 			Capacity: capacities,
 			Allowed:  make([]uint8, nclasses*npools),
-			Assigned: make([]int32, npools*npools),
 		},
 		prevRTSum:   make([]float64, npools),
 		prevRTCount: make([]uint64, npools),
@@ -140,8 +140,11 @@ func NewRouter(scorer Scorer, capacities []int, nclasses int) *Router {
 	for i := range r.view.Allowed {
 		r.view.Allowed[i] = 1 // everything allowed until a plan lands
 	}
-	for i := range r.origins {
-		r.origins[i].dirty = make([]int32, 0, npools)
+	if r.policy != policyStatic {
+		r.view.Assigned = make([]int32, npools*npools)
+		for i := range r.origins {
+			r.origins[i].dirty = make([]int32, 0, npools)
+		}
 	}
 	switch r.policy {
 	case policyQueue:
@@ -171,6 +174,9 @@ func NewRouter(scorer Scorer, capacities []int, nclasses int) *Router {
 func (r *Router) Route(origin, class int) int {
 	o := &r.origins[origin]
 	o.routes++
+	if r.policy == policyStatic {
+		return origin
+	}
 	dst, visited := r.pick(origin, class)
 	o.visited += uint64(visited)
 	slot := origin*r.npools + dst
@@ -188,8 +194,6 @@ func (r *Router) Route(origin, class int) int {
 // examined.
 func (r *Router) pick(origin, class int) (int, int) {
 	switch r.policy {
-	case policyStatic:
-		return origin, 0
 	case policyQueue, policyLeastRT:
 		return r.search(&r.all, origin)
 	}

@@ -18,6 +18,7 @@ type engineMetrics struct {
 	heapHigh *obs.MaxGauge // event-heap depth high-water mark
 	windows  *obs.Counter  // coordinator windows fanned out to the pool
 	parks    *obs.Counter  // barrier waits that put a goroutine to sleep
+	seeded   *obs.Counter  // random streams that drew and so built a generator
 }
 
 var metrics atomic.Pointer[engineMetrics]
@@ -37,7 +38,16 @@ func EnableMetrics(r *obs.Registry) {
 		heapHigh: r.MaxGauge("sim_heap_depth_high_water"),
 		windows:  r.Counter("sim_coordinator_windows"),
 		parks:    r.Counter("sim_coordinator_parks"),
+		seeded:   r.Counter("sim_streams_seeded"),
 	})
+}
+
+// recordSeeded counts one stream's first draw. Once per stream, never
+// per draw.
+func recordSeeded() {
+	if m := metrics.Load(); m != nil {
+		m.seeded.Inc()
+	}
 }
 
 // flushMetrics publishes the deltas accumulated since the last flush.

@@ -10,14 +10,38 @@ import (
 // a simulation (think times, service demands, operation selection)
 // should each own a Stream derived from the run seed, so changing how
 // one component consumes randomness does not perturb the others.
+//
+// A stream is seeded on its first draw. Creating one (NewStream,
+// Derive, Split) only records the seed; the generator — math/rand's
+// 607-word lagged Fibonacci state, about 5 KB — is built from it when
+// the stream first draws. A component that never draws (the sticky-route
+// stream of a one-server tier, the open-arrival stream of a closed
+// workload, a root that is only Split) costs a few words, and every
+// stream that does draw yields exactly the sequence it would have if
+// seeded at creation.
 type Stream struct {
-	r    *rand.Rand
+	r    *rand.Rand // nil until the first draw
 	seed int64
 }
 
 // NewStream returns a stream seeded deterministically from seed.
 func NewStream(seed int64) *Stream {
-	return &Stream{r: rand.New(rand.NewSource(seed)), seed: seed}
+	return &Stream{seed: seed}
+}
+
+// rng returns the stream's generator, seeding it on the first draw.
+func (s *Stream) rng() *rand.Rand {
+	if s.r == nil {
+		s.seedNow()
+	}
+	return s.r
+}
+
+// seedNow builds the generator from the recorded seed. It is rng's
+// cold half, kept apart so the draw path inlines.
+func (s *Stream) seedNow() {
+	s.r = rand.New(rand.NewSource(s.seed))
+	recordSeeded()
 }
 
 // Seed returns the seed the stream was created with. Split keys off it,
@@ -44,7 +68,7 @@ func (s *Stream) Derive(component uint64) *Stream {
 	z = (z ^ (z >> 30)) * 0xbf58476d1ce4e5b9
 	z = (z ^ (z >> 27)) * 0x94d049bb133111eb
 	z ^= z >> 31
-	return NewStream(int64(z) ^ s.r.Int63())
+	return NewStream(int64(z) ^ s.rng().Int63())
 }
 
 // SplitSeed maps (seed, stream) to a child seed as a pure function:
@@ -76,11 +100,11 @@ func (s *Stream) Split(stream uint64) *Stream {
 }
 
 // Float64 returns a uniform draw in [0,1).
-func (s *Stream) Float64() float64 { return s.r.Float64() }
+func (s *Stream) Float64() float64 { return s.rng().Float64() }
 
 // Intn returns a uniform draw in [0,n). It panics if n <= 0, matching
 // math/rand.
-func (s *Stream) Intn(n int) int { return s.r.Intn(n) }
+func (s *Stream) Intn(n int) int { return s.rng().Intn(n) }
 
 // Exp returns an exponentially distributed draw with the given mean.
 // The paper's think times and service demands are exponential (§3.1,
@@ -90,13 +114,13 @@ func (s *Stream) Exp(mean float64) float64 {
 	if mean <= 0 {
 		return 0
 	}
-	return -mean * math.Log(1-s.r.Float64())
+	return -mean * math.Log(1-s.rng().Float64())
 }
 
 // Norm returns a standard normal draw (mean 0, standard deviation 1)
 // from the stream's underlying generator. The scenario layer's
 // lognormal think-time distributions exponentiate it.
-func (s *Stream) Norm() float64 { return s.r.NormFloat64() }
+func (s *Stream) Norm() float64 { return s.rng().NormFloat64() }
 
 // Choose returns an index in [0,len(weights)) drawn with the given
 // relative weights, used to pick a client's next operation from the
@@ -113,7 +137,7 @@ func (s *Stream) Choose(weights []float64) int {
 	if len(weights) == 0 || total <= 0 {
 		panic("sim: Choose requires positive total weight")
 	}
-	u := s.r.Float64() * total
+	u := s.rng().Float64() * total
 	for i, w := range weights {
 		u -= w
 		if u < 0 {

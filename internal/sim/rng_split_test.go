@@ -1,6 +1,12 @@
 package sim
 
-import "testing"
+import (
+	"math"
+	"math/rand"
+	"testing"
+
+	"perfpred/internal/obs"
+)
 
 // Re-sharding must never silently reuse a random stream: for a fixed
 // run seed, SplitSeed over a stable logical index is injective
@@ -101,5 +107,83 @@ func TestSplitSiblingsDecorrelated(t *testing.T) {
 		if matches > 2 {
 			t.Fatalf("streams %d and %d share %d/%d identical draws", idx-1, idx, matches, n)
 		}
+	}
+}
+
+// A stream is seeded on its first draw, and that must be invisible in
+// the draws: every helper yields math/rand's sequence for the recorded
+// seed, and Derive's child seed is the splitmix of the component xored
+// with the parent's next Int63, as when streams were seeded at
+// creation. The reference below seeds eagerly and is checked draw for
+// draw against a tree of streams derived, split and drawn in an
+// interleaved order.
+func TestLazySeedingKeepsEveryDraw(t *testing.T) {
+	derivedSeed := func(parent *rand.Rand, component uint64) int64 {
+		z := component + 0x9e3779b97f4a7c15
+		z = (z ^ (z >> 30)) * 0xbf58476d1ce4e5b9
+		z = (z ^ (z >> 27)) * 0x94d049bb133111eb
+		z ^= z >> 31
+		return int64(z) ^ parent.Int63()
+	}
+	weights := []float64{0.2, 0.5, 0.3}
+	draws := func(s *Stream) []float64 {
+		return []float64{s.Float64(), float64(s.Intn(1000)), s.Exp(7), s.Norm(), float64(s.Choose(weights))}
+	}
+	eager := func(r *rand.Rand) []float64 {
+		out := []float64{r.Float64(), float64(r.Intn(1000)), -7 * math.Log(1-r.Float64()), r.NormFloat64()}
+		u := r.Float64()
+		pick := len(weights) - 1
+		for i, w := range weights {
+			if u -= w; u < 0 {
+				pick = i
+				break
+			}
+		}
+		return append(out, float64(pick))
+	}
+	for _, seed := range []int64{0, 17, -5, 1 << 50} {
+		root := NewStream(seed).Split(3)
+		refRoot := rand.New(rand.NewSource(SplitSeed(seed, 3)))
+		a, b := root.Derive(1), root.Derive(2) // b draws first, a later
+		refA := rand.New(rand.NewSource(derivedSeed(refRoot, 1)))
+		refB := rand.New(rand.NewSource(derivedSeed(refRoot, 2)))
+		grand := b.Derive(9) // a child of a stream that has not drawn yet
+		refGrand := rand.New(rand.NewSource(derivedSeed(refB, 9)))
+		got := [][]float64{draws(b), draws(grand), draws(a), draws(root)}
+		want := [][]float64{eager(refB), eager(refGrand), eager(refA), eager(refRoot)}
+		for i := range got {
+			for j := range got[i] {
+				if got[i][j] != want[i][j] {
+					t.Fatalf("seed %d stream %d draw %d: %v, eager reference %v", seed, i, j, got[i][j], want[i][j])
+				}
+			}
+		}
+	}
+}
+
+// Only a draw builds a generator: creating, deriving from (which draws
+// from the parent, not the child) and splitting streams counts nothing
+// on sim_streams_seeded, and each stream counts once however often it
+// draws.
+func TestStreamSeedsOnFirstDrawOnly(t *testing.T) {
+	r := obs.NewRegistry()
+	EnableMetrics(r)
+	defer EnableMetrics(nil)
+	seeded := func() uint64 { return r.Snapshot().Counters["sim_streams_seeded"] }
+
+	root := NewStream(1)
+	pool := root.Split(0)
+	if got := seeded(); got != 0 {
+		t.Fatalf("NewStream and Split seeded %d streams, want 0", got)
+	}
+	kids := []*Stream{pool.Derive(1), pool.Derive(2), pool.Derive(3)}
+	if got := seeded(); got != 1 {
+		t.Fatalf("three Derive calls seeded %d streams, want 1 (the parent they draw from)", got)
+	}
+	for i := 0; i < 100; i++ {
+		kids[1].Float64()
+	}
+	if got := seeded(); got != 2 {
+		t.Fatalf("100 draws on one child seeded %d streams in all, want 2", got)
 	}
 }

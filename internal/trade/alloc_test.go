@@ -1,9 +1,12 @@
 package trade
 
 import (
+	"math"
+	"runtime"
 	"testing"
 
 	"perfpred/internal/obs"
+	"perfpred/internal/sim"
 	"perfpred/internal/workload"
 )
 
@@ -131,5 +134,84 @@ func BenchmarkWindows(b *testing.B) {
 		if _, err := Windows(cfg, 10); err != nil {
 			b.Fatal(err)
 		}
+	}
+}
+
+// TestClosedClientBytes pins what one closed client costs at
+// construction: its issue slot and the bound continuation behind it,
+// 32 bytes, with no per-client array a fleet configuration does not
+// read (sticky homes on a one-server tier, buy sessions without
+// detailed operations, session sizes without a cache). The pending
+// think event every client schedules belongs to the engine, so the
+// bytes an engine spends on the same number of bare events are
+// subtracted; differencing two client counts cancels the fixed costs.
+// A stray runtime allocation can only add bytes, so each figure is the
+// least of three builds.
+func TestClosedClientBytes(t *testing.T) {
+	allocated := func(f func() any) uint64 {
+		least := uint64(math.MaxUint64)
+		for i := 0; i < 3; i++ {
+			var before, after runtime.MemStats
+			runtime.GC()
+			runtime.ReadMemStats(&before)
+			keep := f()
+			runtime.ReadMemStats(&after)
+			runtime.KeepAlive(keep)
+			least = min(least, after.TotalAlloc-before.TotalAlloc)
+		}
+		return least
+	}
+	build := func(n int) uint64 {
+		cfg := allocConfig()
+		cfg.Load = workload.MixedWorkload(n, 0.1)
+		return allocated(func() any { return newSimulator(cfg, simOptions{}) })
+	}
+	events := func(n int) uint64 {
+		return allocated(func() any {
+			eng := sim.NewEngineCalendar()
+			for i := 0; i < n; i++ {
+				eng.Schedule(float64(i), func() {})
+			}
+			return eng
+		})
+	}
+	const n = 4096
+	perClient := (float64(build(2*n)) - float64(build(n)) - (float64(events(2*n)) - float64(events(n)))) / n
+	t.Logf("%.1f bytes per closed client", perClient)
+	if perClient > 32 {
+		t.Fatalf("a closed client costs %.1f bytes, want ≤ 32 (its issue slot and continuation)", perClient)
+	}
+}
+
+// TestPoolSeedsOnlyStreamsItDraws counts the random streams a static
+// fleet builds a generator for. A pool of one application server under
+// two closed single-type classes draws from its split root (to derive
+// its children), the think and serve streams, the sampling parent and
+// the two reservoir streams once the buffers overflow: six. The fleet
+// root is only split, and the route, choose and open-arrival streams
+// and the unused single-engine root never draw.
+func TestPoolSeedsOnlyStreamsItDraws(t *testing.T) {
+	reg := obs.NewRegistry()
+	sim.EnableMetrics(reg)
+	defer sim.EnableMetrics(nil)
+	const pools = 4
+	cfg := Config{
+		Server: workload.AppServF(), PoolArchs: workload.CaseStudyServers(),
+		DB: workload.CaseStudyDB(), Demands: workload.CaseStudyDemands(),
+		Load: workload.MixedWorkload(100, 0.1),
+		Seed: 3, WarmUp: 2, Duration: 20, MaxRTSamples: 16,
+		Pools: pools, Shards: 2,
+	}
+	res, err := Run(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for name, cr := range res.PerClass {
+		if cr.Completed <= pools*cfg.MaxRTSamples {
+			t.Fatalf("class %s completed %d requests: too few to overflow every pool's reservoir", name, cr.Completed)
+		}
+	}
+	if got := reg.Snapshot().Counters["sim_streams_seeded"]; got != 6*pools {
+		t.Fatalf("sim_streams_seeded = %d, want %d (six per pool)", got, 6*pools)
 	}
 }

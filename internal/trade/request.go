@@ -15,9 +15,9 @@ import "perfpred/internal/workload"
 // database call's CPU time at the agent grant, its latency at the
 // call's completion, the think time after the thread is released.
 type reqState struct {
-	s   *simulator
-	c   *client   // nil for open-stream arrivals
-	acc *classAcc // response-time accumulator for the request's class
+	s      *simulator
+	client int32     // the issuing closed client's index; -1 for open and hop-delivered requests
+	acc    *classAcc // response-time accumulator for the request's class
 
 	app     *appServer
 	srv     int
@@ -67,7 +67,6 @@ func (s *simulator) getReq() *reqState {
 
 // putReq retires a finished request record to the free list.
 func (s *simulator) putReq(r *reqState) {
-	r.c = nil
 	r.acc = nil
 	r.app = nil
 	r.opName = ""
@@ -84,15 +83,15 @@ func (s *simulator) putReq(r *reqState) {
 func (r *reqState) slotGranted() {
 	s := r.s
 	r.dbCalls = s.sampleCalls(r.d.DBCallsPerRequest)
-	if r.app.cache != nil && r.c != nil {
-		size := s.sessionBytes[r.c.id]
-		if !r.app.cache.touch(r.c.id, size) {
+	if r.app.cache != nil && r.client >= 0 {
+		size := s.sessionBytes[r.client]
+		if !r.app.cache.touch(int(r.client), size) {
 			r.dbCalls += workload.CacheMissDBCalls
 		}
 	}
 	totalCPU := s.serve.Exp(r.d.AppServerTime) // reference-scale demand; CPU speed scales service
 	r.segment = totalCPU / float64(r.dbCalls+1)
-	if cs := s.cfg.CriticalSection; cs != nil && r.c != nil && s.serve.Float64() < cs.Fraction {
+	if cs := s.cfg.CriticalSection; cs != nil && r.client >= 0 && s.serve.Float64() < cs.Fraction {
 		// The request must hold the server-global lock while executing
 		// the protected section — the implicit queue of §8.1.
 		r.app.csLock.Acquire(0, r.onCS)
@@ -194,8 +193,8 @@ func (r *reqState) finish() {
 		}
 		r.app.completed++
 	}
-	if c := r.c; c != nil {
-		s.eng.Schedule(s.thinkDelay(c), c.issue)
+	if r.client >= 0 {
+		s.eng.Schedule(s.thinkDelay(r.cls), s.issue[r.client])
 	}
 	s.putReq(r)
 }

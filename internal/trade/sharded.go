@@ -28,9 +28,8 @@ import (
 type xreq struct {
 	s       *simulator // origin pool
 	dst     *simulator
-	c       *client
-	acc     *classAcc
-	cls     int // Config.Load index of the client's class (router key)
+	client  int32 // the origin's closed-client index
+	cls     int   // Config.Load index of the client's class (router key)
 	d       workload.Demand
 	arrival float64 // origin-pool issue time; rt includes both hops
 	// homeShard is the origin's shard index, the Send destination for
@@ -63,25 +62,22 @@ func (s *simulator) getXreq() *xreq {
 // putXreq retires a completed cross-pool record.
 func (s *simulator) putXreq(xr *xreq) {
 	xr.dst = nil
-	xr.c = nil
-	xr.acc = nil
 	xr.next = s.xFree
 	s.xFree = xr
 }
 
-// issueRemoteTo forwards one client request to pool idx, the fleet
-// router's decision. The demand is drawn origin-side (on the origin's
-// own streams, keeping every stream pool-local); the destination only
-// executes it. The hop delay equals the coordinator lookahead, so the
-// send is always legal.
-func (s *simulator) issueRemoteTo(c *client, idx int) {
+// issueRemoteTo forwards closed client c's request to pool idx, the
+// fleet router's decision. The demand is drawn origin-side (on the
+// origin's own streams, keeping every stream pool-local); the
+// destination only executes it. The hop delay equals the coordinator
+// lookahead, so the send is always legal.
+func (s *simulator) issueRemoteTo(c, cls int32, idx int) {
 	dst := s.pools[idx]
-	d, _ := s.nextRequest(c)
+	d, _ := s.nextRequest(c, cls)
 	xr := s.getXreq()
 	xr.dst = dst
-	xr.c = c
-	xr.acc = c.acc
-	xr.cls = c.classIdx
+	xr.client = c
+	xr.cls = int(cls)
 	xr.d = d
 	xr.arrival = s.eng.Now()
 	s.sendSeq++
@@ -100,10 +96,9 @@ func (xr *xreq) doReturn() {
 	s := xr.s
 	rt := s.eng.Now() - xr.arrival
 	if s.measuring {
-		xr.acc.record(rt)
+		s.classes[xr.cls].acc.record(rt)
 	}
-	c := xr.c
-	s.eng.Schedule(s.thinkDelay(c), c.issue)
+	s.eng.Schedule(s.thinkDelay(xr.cls), s.issue[xr.client])
 	s.putXreq(xr)
 }
 

@@ -29,10 +29,11 @@ type appServer struct {
 // each request visits; the database server keeps one FIFO queue per
 // application server (sim.PerSourceFIFO keyed by server index).
 //
-// All per-request state is pooled: clients live in one slice, request
-// lifecycles in a free list of reqStates, and the per-class mixes are
-// pre-resolved into typeSamplers — the steady-state request loop
-// performs no heap allocation.
+// All per-request state is pooled: closed clients are indices into
+// per-client arrays, request lifecycles live in a free list of
+// reqStates, and each population's mix, accumulator and think
+// distribution are resolved once into a classState — the steady-state
+// request loop performs no heap allocation.
 type simulator struct {
 	cfg  Config
 	eng  *sim.Engine
@@ -58,11 +59,19 @@ type simulator struct {
 
 	rrNext        int
 	stickyWeights []float64 // server speeds, hoisted for assignSticky
-	sessionBytes  []int64   // per-client session size (cache variant)
 
-	clients  []client     // closed clients, pooled in one slice
-	sessions []buySession // detailed buy sessions, pooled in one slice
-	reqFree  *reqState    // retired request records for reuse
+	// Per-client arrays. issue[i] is closed client i's continuation,
+	// bound once at registration; it captures the simulator, i and the
+	// client's Config.Load index, so a fleet client costs its slot here
+	// plus that 24-byte closure — 32 bytes. The other arrays exist only
+	// in the variants that read them.
+	issue        []func()
+	home         []int32      // sticky home server; nil on a one-server tier or dynamic routing
+	sessions     []buySession // detailed-operations buy sessions
+	sessionBytes []int64      // session size (cache variant)
+	classes      []classState // per Config.Load population
+
+	reqFree *reqState // retired request records for reuse
 
 	// Plain instrumentation counters (a simulator is single-goroutine);
 	// flushMetrics publishes them to the process-wide atomics at collect.
@@ -129,34 +138,30 @@ func (a *classAcc) record(rt float64) {
 	}
 }
 
-// client is one closed-loop request generator. home is the application
-// server a sticky workload manager assigned it to (-1 when requests
-// are routed dynamically).
-type client struct {
-	id       int
-	class    workload.ServiceClass
-	classIdx int // index of the client's population in Config.Load (routing key)
-	home     int
-	session  *buySession // non-nil for detailed buy clients
-
-	detailBrowse bool           // detailed-operations browse client
-	sampler      *typeSampler   // the class's resolved request-type mix
-	acc          *classAcc      // the class's response-time accumulator
-	think        *scenario.Dist // scenario think-time distribution (nil = exponential)
-	issue        func()         // bound once: begin the next request
+// classState is what every client of one Config.Load population
+// shares, resolved once per run.
+type classState struct {
+	sampler   *typeSampler   // the resolved request-type mix
+	acc       *classAcc      // the response-time accumulator
+	think     *scenario.Dist // scenario think-time distribution (nil = exponential)
+	thinkMean float64        // the exponential think mean
+	// Detailed operations (§3.1): a buy population runs register → buys
+	// → logoff sessions, a browse population picks browse operations.
+	buySessions, detailBrowse bool
 }
 
-// thinkDelay draws the client's next think time: the scenario
+// thinkDelay draws a class-cls client's next think time: the scenario
 // cohort's declared distribution when one is attached, the class's
 // exponential otherwise. Both draw from the simulator's think stream,
 // and a scenario cohort declaring an exponential think makes the
 // exact draw a Config.Load class would, so the two modes stay comparable
 // seed-for-seed.
-func (s *simulator) thinkDelay(c *client) float64 {
-	if c.think != nil {
-		return c.think.Sample(s.think)
+func (s *simulator) thinkDelay(cls int) float64 {
+	k := &s.classes[cls]
+	if k.think != nil {
+		return k.think.Sample(s.think)
 	}
-	return s.think.Exp(c.class.ThinkTimeMean)
+	return s.think.Exp(k.thinkMean)
 }
 
 // buySession tracks a detailed buy client's place in its
@@ -276,21 +281,32 @@ func newSimulator(cfg Config, opt simOptions) *simulator {
 	sampleRNG := root.Derive(4)
 	arrivals := root.Derive(6)
 
-	// Pool the closed clients and detailed buy sessions in single
-	// slices before registration, so per-client state never escapes to
-	// individual heap objects.
-	totalClients, totalSessions := 0, 0
-	for _, pop := range cfg.Load {
-		if pop.Open() {
-			continue
+	// Resolve the per-class table and size the per-client arrays before
+	// registration, allocating only the arrays this configuration reads.
+	totalClients := 0
+	s.classes = make([]classState, len(cfg.Load))
+	for pi, pop := range cfg.Load {
+		k := &s.classes[pi]
+		k.sampler = newTypeSampler(pop.Class.Mix, cfg.Demands)
+		k.thinkMean = pop.Class.ThinkTimeMean
+		if cohorts != nil {
+			k.think = cohorts[pi].Think
 		}
-		totalClients += pop.Clients
-		if cfg.DetailedOperations && pop.Class.Mix.Fraction(workload.Buy) == 1 {
-			totalSessions += pop.Clients
+		if cfg.DetailedOperations {
+			k.buySessions = pop.Class.Mix.Fraction(workload.Buy) == 1
+			k.detailBrowse = !k.buySessions && pop.Class.Mix.Fraction(workload.Browse) == 1
+		}
+		if !pop.Open() {
+			totalClients += pop.Clients
 		}
 	}
-	s.clients = make([]client, totalClients)
-	s.sessions = make([]buySession, totalSessions)
+	s.issue = make([]func(), totalClients)
+	if (cfg.Routing == RouteSticky || cfg.Routing == "") && len(s.apps) > 1 {
+		s.home = make([]int32, totalClients)
+	}
+	if cfg.DetailedOperations {
+		s.sessions = make([]buySession, totalClients)
+	}
 	if cfg.Cache != nil {
 		s.sessionBytes = make([]int64, totalClients)
 	}
@@ -300,9 +316,9 @@ func newSimulator(cfg Config, opt simOptions) *simulator {
 	// session-size draw (cache variant) and a think-time draw, in
 	// population order; open streams draw their first inter-arrival gap
 	// in place.
-	id, sessID := 0, 0
+	id := 0
 	for pi, pop := range cfg.Load {
-		sampler := newTypeSampler(pop.Class.Mix, cfg.Demands)
+		sampler := s.classes[pi].sampler
 		s.acc[pop.Class.Name] = &classAcc{maxSample: cfg.MaxRTSamples, rng: sampleRNG.Derive(uint64(len(s.acc)))}
 		if pop.Open() {
 			// Open stream: spec-defined generator for scenario cohorts
@@ -318,45 +334,29 @@ func newSimulator(cfg Config, opt simOptions) *simulator {
 			continue
 		}
 		for i := 0; i < pop.Clients; i++ {
-			c := &s.clients[id]
-			c.id = id
-			c.class = pop.Class
-			c.classIdx = pi
-			c.home = -1
-			c.sampler = sampler
-			if cohorts != nil {
-				c.think = cohorts[pi].Think
+			if s.home != nil {
+				s.home[id] = int32(s.assignSticky())
 			}
-			if cfg.Routing == RouteSticky || cfg.Routing == "" {
-				c.home = s.assignSticky()
-			}
-			if cfg.DetailedOperations {
-				if pop.Class.Mix.Fraction(workload.Buy) == 1 {
-					c.session = &s.sessions[sessID]
-					sessID++
-				} else if pop.Class.Mix.Fraction(workload.Browse) == 1 {
-					c.detailBrowse = true
-				}
-			}
-			id++
 			if s.sessionBytes != nil {
 				size := int64(s.serve.Exp(cfg.Cache.SessionBytesMean))
 				if size < 1 {
 					size = 1
 				}
-				s.sessionBytes[c.id] = size
+				s.sessionBytes[id] = size
 			}
-			c.issue = func() { s.issueRequest(c) }
+			c, cls := int32(id), int32(pi)
+			s.issue[id] = func() { s.issueRequest(c, cls) }
 			// Stagger initial arrivals across one think time so the
 			// run does not start with a synchronized burst.
-			eng.Schedule(s.thinkDelay(c), c.issue)
+			eng.Schedule(s.thinkDelay(pi), s.issue[id])
+			id++
 		}
 	}
 	// Bind accumulators in a second pass: with duplicate class names the
-	// last registration wins for every client of that name, so one name
-	// is one accumulator.
-	for i := range s.clients {
-		s.clients[i].acc = s.acc[s.clients[i].class.Name]
+	// last registration wins for every population of that name, so one
+	// name is one accumulator.
+	for pi, pop := range cfg.Load {
+		s.classes[pi].acc = s.acc[pop.Class.Name]
 	}
 	s.classNames = make([]string, 0, len(s.acc))
 	for name := range s.acc {
@@ -378,11 +378,10 @@ func newSimulator(cfg Config, opt simOptions) *simulator {
 // state that open requests do not carry.
 func (s *simulator) startOpenStream(pop workload.Population, classIdx int, sampler *typeSampler, rng *sim.Stream) {
 	mean := 1 / pop.ArrivalRate
-	name := pop.Class.Name
 	var arrive func()
 	arrive = func() {
 		s.eng.Schedule(rng.Exp(mean), arrive)
-		s.admitOpen(s.acc[name], classIdx, sampler.sample(s.choose), nil)
+		s.admitOpen(s.classes[classIdx].acc, classIdx, sampler.sample(s.choose), nil)
 	}
 	s.eng.Schedule(rng.Exp(mean), arrive)
 }
@@ -395,6 +394,7 @@ func (s *simulator) startOpenStream(pop workload.Population, classIdx int, sampl
 // bypasses the session cache and the critical section.
 func (s *simulator) admitOpen(acc *classAcc, classIdx int, d workload.Demand, xr *xreq) {
 	r := s.getReq()
+	r.client = -1
 	r.acc = acc
 	r.cls = classIdx
 	r.d = d
@@ -470,54 +470,59 @@ func (s *simulator) beginMeasurement() {
 	s.dbSlots.ResetStats()
 }
 
-// issueRequest begins one request: pick the operation (or coarse
-// request type) for this client, route it to an application server,
-// queue for a thread, process, respond, then think and repeat. The
-// whole lifecycle runs on a pooled reqState — no per-request closures.
-func (s *simulator) issueRequest(c *client) {
+// issueRequest begins one request of closed client c, of class cls:
+// pick the operation (or coarse request type), route it to an
+// application server, queue for a thread, process, respond, then think
+// and repeat. The whole lifecycle runs on a pooled reqState — no
+// per-request closures.
+func (s *simulator) issueRequest(c, cls int32) {
 	if s.router != nil {
 		// Per-request fleet routing: the router picks the serving pool;
 		// anything but the client's own pool rides the cross-pool hop.
-		if dst := s.router.Route(int(s.poolID), c.classIdx); dst != int(s.poolID) {
-			s.issueRemoteTo(c, dst)
+		if dst := s.router.Route(int(s.poolID), int(cls)); dst != int(s.poolID) {
+			s.issueRemoteTo(c, cls, dst)
 			return
 		}
-		s.router.Started(int(s.poolID), c.classIdx)
+		s.router.Started(int(s.poolID), int(cls))
 	}
-	d, opName := s.nextRequest(c)
+	d, opName := s.nextRequest(c, cls)
 	r := s.getReq()
-	r.c = c
-	r.acc = c.acc
-	r.cls = c.classIdx
+	r.client = c
+	r.acc = s.classes[cls].acc
+	r.cls = int(cls)
 	r.d = d
 	r.opName = opName
 	r.arrival = s.eng.Now()
-	r.srv = s.pickServerFor(c.home)
+	home := 0
+	if s.home != nil {
+		home = int(s.home[c])
+	}
+	r.srv = s.pickServerFor(home)
 	r.app = s.apps[r.srv]
 	r.app.slots.Acquire(0, r.onSlot)
 }
 
-// nextRequest resolves the client's next request to a demand and,
+// nextRequest resolves closed client c's next request to a demand and,
 // under DetailedOperations, the Trade operation behind it.
-func (s *simulator) nextRequest(c *client) (workload.Demand, string) {
-	d := c.sampler.sample(s.choose)
+func (s *simulator) nextRequest(c, cls int32) (workload.Demand, string) {
+	k := &s.classes[cls]
+	d := k.sampler.sample(s.choose)
 	if !s.cfg.DetailedOperations {
 		return d, ""
 	}
-	if c.session != nil {
-		return s.nextBuyOperation(c, d)
+	if k.buySessions {
+		return s.nextBuyOperation(&s.sessions[c], d)
 	}
-	if c.detailBrowse {
+	if k.detailBrowse {
 		op := s.browseOps[s.choose.Choose(s.browseWeights)]
 		return applyOperation(d, op), op.Name
 	}
 	return d, ""
 }
 
-// nextBuyOperation advances the client's buy session: register/login,
-// a run of buys with a growing portfolio, then logoff (§3.1).
-func (s *simulator) nextBuyOperation(c *client, d workload.Demand) (workload.Demand, string) {
-	sess := c.session
+// nextBuyOperation advances a buy session: register/login, a run of
+// buys with a growing portfolio, then logoff (§3.1).
+func (s *simulator) nextBuyOperation(sess *buySession, d workload.Demand) (workload.Demand, string) {
 	switch sess.phase {
 	case 0:
 		sess.phase = 1
