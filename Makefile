@@ -8,6 +8,12 @@
 #                    multi-shard fleet, service and scenario paths under
 #                    the race detector (short); the window barrier and
 #                    everything above it at 1, 2 and 4 processors.
+#   make race-list — every go test line of `make race` and `make bench`
+#                    selects something: per package, the line's -bench
+#                    (else -run) pattern lists at least one test,
+#                    benchmark or fuzz target, and so does each of its
+#                    |-alternatives over the line's packages. A pattern
+#                    that matches nothing would otherwise pass silently.
 #   make benchmark — the repo's one benchmark (BENCHMARK.json): five
 #                    end-to-end workloads and the per-layer metrics, every
 #                    host timing the repo reports. See benchmark/README.md.
@@ -28,7 +34,7 @@
 
 GO ?= go
 
-.PHONY: test race benchmark bench fuzz examples
+.PHONY: test race race-list benchmark bench fuzz examples
 
 test:
 	$(GO) build ./... && $(GO) test ./...
@@ -43,6 +49,33 @@ race:
 	$(GO) test -race ./internal/scenario
 	$(GO) test -race -run 'TestScenario|TestFleetScenario' ./internal/trade ./internal/fleet
 	$(GO) test -race -run 'TestTrainDeterministicAcrossWorkers|TestTrainEqualsFitOverMeasuredSamples' ./internal/regress
+
+race-list:
+	@$(MAKE) -s -n race bench | grep ' test ' | { \
+	fail=0; \
+	while read -r line; do \
+		eval "set -- $$line"; \
+		run=.; bench=; pkgs=; \
+		while [ $$# -gt 0 ]; do \
+			case "$$1" in \
+			-run) run=$$2; shift ;; \
+			-bench) bench=$$2; shift ;; \
+			./*) pkgs="$$pkgs $$1" ;; \
+			esac; \
+			shift; \
+		done; \
+		pat=$${bench:-$$run}; \
+		for pkg in $$pkgs; do \
+			n=$$($(GO) test -list "$$pat" $$pkg | grep -cE '^(Test|Benchmark|Fuzz|Example)') || true; \
+			printf '%4d  %s  %s\n' "$$n" "$$pkg" "$$pat"; \
+			[ "$$n" -gt 0 ] || { echo "    ^ matches nothing"; fail=1; }; \
+		done; \
+		for alt in $$(echo "$$pat" | tr '|' ' '); do \
+			n=$$($(GO) test -list "$$alt" $$pkgs | grep -cE '^(Test|Benchmark|Fuzz|Example)') || true; \
+			[ "$$n" -gt 0 ] || { echo "    alternative $$alt matches nothing in$$pkgs"; fail=1; }; \
+		done; \
+	done; \
+	exit $$fail; }
 
 benchmark:
 	$(GO) run ./benchmark -workload all

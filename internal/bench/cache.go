@@ -42,15 +42,10 @@ func cellsAt(arch workload.ServerArch, nStar float64, fracs []float64) []measure
 }
 
 // cellKey is the cache key: the cell plus every MeasureOptions field
-// that changes the result (Workers does not). The run-control fields
-// only count when adaptive control is on.
+// that changes the result (Workers does not).
 func (s *Suite) cellKey(c measureCell) string {
 	o := s.Opt
-	key := fmt.Sprintf("%s/%d/%.4f/%d/%g/%g", c.arch.Name, c.clients, c.buyFrac, o.Seed, o.WarmUp, o.Duration)
-	if o.TargetRelErr > 0 {
-		key += fmt.Sprintf("/adaptive:%g,%g,%g", o.TargetRelErr, o.Confidence, o.MaxDuration)
-	}
-	return key
+	return fmt.Sprintf("%s/%d/%.4f/%d/%g/%g", c.arch.Name, c.clients, c.buyFrac, o.Seed, o.WarmUp, o.Duration)
 }
 
 // measure runs the cell's simulation, uncached.

@@ -88,8 +88,8 @@ func TestSerialSimulationCount(t *testing.T) {
 
 // The measurement cache is process-wide, so its key must hold every
 // option that changes a result: two suites at one seed that differ in
-// such an option (all are exported through Suite.Opt) used to share
-// runs — the adaptive suite below got the plain one's fixed horizon.
+// such an option (all are exported through Suite.Opt) must not share
+// runs — the longer suite below must not get the plain one's horizon.
 func TestMeasurementCacheKeyCoversOptions(t *testing.T) {
 	cell := []measureCell{{arch: workload.AppServF(), clients: 300}}
 	suite := func(set func(*trade.MeasureOptions)) *Suite {
@@ -107,25 +107,24 @@ func TestMeasurementCacheKeyCoversOptions(t *testing.T) {
 		return res[0]
 	}
 	plain := measure(suite(func(*trade.MeasureOptions) {}))
-	if plain.Batches != 0 || len(plain.PerClass["browse"].Samples) == 0 {
-		t.Fatal("plain run should keep sample buffers and a fixed horizon")
+	if plain.Duration != 20 || len(plain.PerClass["browse"].Samples) == 0 {
+		t.Fatal("plain run should keep sample buffers and its fixed horizon")
 	}
-	adaptive := measure(suite(func(o *trade.MeasureOptions) { o.TargetRelErr = 0.05 }))
-	if adaptive.Batches == 0 {
-		t.Fatal("adaptive suite was served a fixed-horizon run")
+	if longer := measure(suite(func(o *trade.MeasureOptions) { o.Duration = 30 })); longer.Duration != 30 {
+		t.Fatalf("30 s suite was served a %v s run", longer.Duration)
 	}
 	keys := map[string]bool{}
 	for _, set := range []func(*trade.MeasureOptions){
 		func(*trade.MeasureOptions) {},
-		func(o *trade.MeasureOptions) { o.TargetRelErr = 0.05 },
-		func(o *trade.MeasureOptions) { o.TargetRelErr, o.Confidence = 0.05, 0.99 },
-		func(o *trade.MeasureOptions) { o.TargetRelErr, o.MaxDuration = 0.05, 500 },
+		func(o *trade.MeasureOptions) { o.Seed++ },
 		func(o *trade.MeasureOptions) { o.WarmUp = 5.4 },
+		func(o *trade.MeasureOptions) { o.Duration = 30 },
+		func(o *trade.MeasureOptions) { o.Workers = 3 }, // does not change a result
 	} {
 		keys[suite(set).cellKey(cell[0])] = true
 	}
-	if len(keys) != 5 {
-		t.Fatalf("5 result-changing option sets made %d distinct keys: %v", len(keys), keys)
+	if len(keys) != 4 {
+		t.Fatalf("4 distinct result-changing option sets made %d distinct keys: %v", len(keys), keys)
 	}
 	// The default options keep the key they always had.
 	if got, want := NewSuite(17).cellKey(cell[0]), "AppServF/300/0.0000/17/30/120"; got != want {

@@ -12,7 +12,7 @@ import (
 func testOracle() *SimOracle {
 	return NewSimOracle(
 		[]workload.ServerArch{workload.AppServS(), workload.AppServF()},
-		trade.MeasureOptions{Seed: 7, WarmUp: 5, Duration: 20, TargetRelErr: 0.1},
+		trade.MeasureOptions{Seed: 7, WarmUp: 5, Duration: 20},
 	)
 }
 

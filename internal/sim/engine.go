@@ -135,8 +135,8 @@ func (e *Engine) peekTime() float64 {
 // heapHighWater returns the maximum number of simultaneously pending
 // events observed over the engine's lifetime. Per-shard engines each
 // track their own high water; aggregation across shards goes through
-// obs max-gauge semantics (or Coordinator.HeapHighWater) rather than
-// summing, since the marks are concurrent-depth measurements.
+// obs max-gauge semantics rather than summing, since the marks are
+// concurrent-depth measurements.
 func (e *Engine) heapHighWater() int { return e.heapMax }
 
 // Schedule runs action after delay units of simulated time. It panics

@@ -39,14 +39,18 @@ func TestHeapHighWaterAggregatesAcrossEngines(t *testing.T) {
 	}
 	for i, e := range engines {
 		if e.heapHighWater() != depths[i] {
-			t.Fatalf("engine %d HeapHighWater = %d, want %d", i, e.heapHighWater(), depths[i])
+			t.Fatalf("engine %d high water = %d, want %d", i, e.heapHighWater(), depths[i])
 		}
 	}
 }
 
-// The coordinator's high-water view is the max over its shards, not
+// A coordinator's published high water is the max over its shards, not
 // the sum: the marks are concurrent queue depths of separate engines.
 func TestCoordinatorHeapHighWater(t *testing.T) {
+	r := obs.NewRegistry()
+	EnableMetrics(r)
+	defer EnableMetrics(nil)
+
 	c := NewCoordinator(3, 1)
 	defer c.Close()
 	for i := 0; i < c.Shards(); i++ {
@@ -57,7 +61,7 @@ func TestCoordinatorHeapHighWater(t *testing.T) {
 		}
 	}
 	c.Run(100)
-	if got := c.HeapHighWater(); got != 12 {
+	if got := r.Snapshot().MaxGauges["sim_heap_depth_high_water"]; got != 12 {
 		t.Fatalf("coordinator high water = %d, want 12 (max shard, not sum)", got)
 	}
 }

@@ -164,19 +164,6 @@ func (c *Coordinator) Fired() uint64 {
 	return n
 }
 
-// HeapHighWater returns the largest per-shard pending-event high-water
-// mark — the max across shards, not the sum, because each mark is a
-// concurrent queue depth on its own engine.
-func (c *Coordinator) HeapHighWater() int {
-	max := 0
-	for _, sh := range c.shards {
-		if hw := sh.Eng.heapHighWater(); hw > max {
-			max = hw
-		}
-	}
-	return max
-}
-
 // runOne is the per-window shard body, executed by the worker pool: it
 // delivers the shard's sorted inbox at exact fire times, then runs the
 // engine to the window end. Bound once at construction; reads the

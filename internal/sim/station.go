@@ -31,11 +31,9 @@ type Station struct {
 	onComp     func() // onCompletion, bound once so scheduling allocates nothing
 
 	// accumulated statistics
-	statsSince   float64
-	busyTime     float64
-	areaActive   float64
-	completed    uint64
-	totalService float64
+	statsSince float64
+	busyTime   float64
+	completed  uint64
 }
 
 // NewStation creates a station attached to eng. speed is the service
@@ -84,8 +82,8 @@ func (s *Station) Submit(demand float64, done func()) {
 // InService returns the number of jobs currently being time-shared.
 func (s *Station) InService() int { return len(s.active) }
 
-// accrue advances the time-weighted statistics to the engine's
-// current time and returns the service each job in service received
+// accrue advances the busy-time statistic to the engine's current
+// time and returns the service each job in service received
 // since the last call; charge is false when there is nothing to
 // subtract (no time passed, or nothing in service).
 func (s *Station) accrue() (perJob float64, charge bool) {
@@ -96,8 +94,6 @@ func (s *Station) accrue() (perJob float64, charge bool) {
 			perJob = elapsed * s.speed / float64(n)
 			charge = true
 			s.busyTime += elapsed
-			s.areaActive += elapsed * float64(n)
-			s.totalService += elapsed * s.speed
 		}
 	}
 	s.lastUpdate = now
@@ -202,9 +198,7 @@ func (s *Station) ResetStats() {
 	s.update()
 	s.statsSince = s.eng.Now()
 	s.busyTime = 0
-	s.areaActive = 0
 	s.completed = 0
-	s.totalService = 0
 }
 
 // Utilization returns the fraction of time since the last stats reset
@@ -216,17 +210,6 @@ func (s *Station) Utilization() float64 {
 		return 0
 	}
 	return s.busyTime / elapsed
-}
-
-// MeanInService returns the time-average number of jobs in service
-// since the last stats reset.
-func (s *Station) MeanInService() float64 {
-	s.update()
-	elapsed := s.eng.Now() - s.statsSince
-	if elapsed <= 0 {
-		return 0
-	}
-	return s.areaActive / elapsed
 }
 
 // Completed returns the number of jobs finished since the last stats

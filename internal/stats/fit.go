@@ -26,15 +26,6 @@ type LinearModel struct {
 // Eval returns the model's estimate of y at x.
 func (m LinearModel) Eval(x float64) float64 { return m.Slope*x + m.Intercept }
 
-// InvertY returns the x at which the model predicts y. It returns an
-// error when the line is horizontal (slope 0), where no unique x exists.
-func (m LinearModel) InvertY(y float64) (float64, error) {
-	if m.Slope == 0 {
-		return 0, fmt.Errorf("stats: cannot invert horizontal line y=%g", m.Intercept)
-	}
-	return (y - m.Intercept) / m.Slope, nil
-}
-
 // FitLinear computes the ordinary least-squares line through the points
 // (xs[i], ys[i]). The slices must be the same length and contain at
 // least two distinct x values.
@@ -73,20 +64,6 @@ type ExponentialModel struct {
 
 // Eval returns the model's estimate of y at x.
 func (m ExponentialModel) Eval(x float64) float64 { return m.Coeff * math.Exp(m.Rate*x) }
-
-// InvertY returns the x at which the model predicts y. The historical
-// method uses this to answer "how many clients can this server hold
-// below a response-time goal" (§8.2). y and Coeff must be positive and
-// Rate non-zero.
-func (m ExponentialModel) InvertY(y float64) (float64, error) {
-	if y <= 0 || m.Coeff <= 0 {
-		return 0, ErrNonPositive
-	}
-	if m.Rate == 0 {
-		return 0, fmt.Errorf("stats: cannot invert constant exponential y=%g", m.Coeff)
-	}
-	return math.Log(y/m.Coeff) / m.Rate, nil
-}
 
 // FitExponential fits y = c*e^(λx) by ordinary least squares on
 // (x, ln y). All ys must be strictly positive.

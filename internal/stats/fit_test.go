@@ -42,18 +42,6 @@ func TestFitLinearNoisy(t *testing.T) {
 	}
 }
 
-func TestFitLinearInvert(t *testing.T) {
-	m := LinearModel{Slope: 2, Intercept: -4}
-	x, err := m.InvertY(10)
-	if err != nil {
-		t.Fatal(err)
-	}
-	near(t, x, 7, 1e-12, "inverted x")
-	if _, err := (LinearModel{Slope: 0, Intercept: 1}).InvertY(5); err == nil {
-		t.Fatal("expected error inverting horizontal line")
-	}
-}
-
 func TestFitLinearErrors(t *testing.T) {
 	if _, err := FitLinear([]float64{1}, []float64{2}); err == nil {
 		t.Fatal("expected error for single point")
@@ -98,22 +86,6 @@ func TestFitExponentialRejectsNonPositive(t *testing.T) {
 	}
 	if _, err := FitExponential([]float64{1, 2}, []float64{0, 1}); err == nil {
 		t.Fatal("expected error for zero y")
-	}
-}
-
-func TestExponentialInvert(t *testing.T) {
-	m := ExponentialModel{Coeff: 84.1, Rate: 0.0001}
-	// Round trip: number of clients giving a 300ms mean response time.
-	x, err := m.InvertY(300)
-	if err != nil {
-		t.Fatal(err)
-	}
-	near(t, m.Eval(x), 300, 1e-9, "round trip")
-	if _, err := m.InvertY(-5); err == nil {
-		t.Fatal("expected error for negative target")
-	}
-	if _, err := (ExponentialModel{Coeff: 2, Rate: 0}).InvertY(5); err == nil {
-		t.Fatal("expected error for zero rate")
 	}
 }
 
@@ -171,29 +143,6 @@ func TestFitLinearRecoversLineProperty(t *testing.T) {
 		}
 		tol := 1e-6 * (1 + math.Abs(slope) + math.Abs(intercept))
 		return math.Abs(m.Slope-slope) <= tol && math.Abs(m.Intercept-intercept) <= tol
-	}
-	if err := quick.Check(f, nil); err != nil {
-		t.Fatal(err)
-	}
-}
-
-// Property: exponential Eval/InvertY are mutual inverses on the
-// positive domain.
-func TestExponentialRoundTripProperty(t *testing.T) {
-	f := func(coeff, rate, x float64) bool {
-		coeff = 1 + math.Mod(math.Abs(coeff), 500)   // (1, 501)
-		rate = 1e-5 + math.Mod(math.Abs(rate), 0.01) // small positive
-		x = math.Mod(math.Abs(x), 2000)              // client counts
-		if math.IsNaN(coeff) || math.IsNaN(rate) || math.IsNaN(x) {
-			return true
-		}
-		m := ExponentialModel{Coeff: coeff, Rate: rate}
-		y := m.Eval(x)
-		back, err := m.InvertY(y)
-		if err != nil {
-			return false
-		}
-		return math.Abs(back-x) < 1e-6*(1+x)
 	}
 	if err := quick.Check(f, nil); err != nil {
 		t.Fatal(err)

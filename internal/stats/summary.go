@@ -90,26 +90,60 @@ func (a *Accumulator) Merge(b *Accumulator) {
 	}
 }
 
-// MeanCI returns the sample mean and the half-width of its normal
+// MeanCI returns the sample mean and the half-width of its Student-t
 // confidence interval at the given confidence level (0.90, 0.95 or
-// 0.99; other levels fall back to 0.95). With fewer than two samples
-// the half-width is 0. Experiments use it to report accuracy spread
-// across replicated seeds.
+// 0.99; other levels fall back to 0.95). Past 31 samples the quantile
+// is the normal one. With fewer than two samples the half-width is 0.
+// Experiments use it to report accuracy spread across replicated seeds.
 func (a *Accumulator) MeanCI(level float64) (mean, halfWidth float64) {
 	mean = a.Mean()
 	if a.n < 2 {
 		return mean, 0
 	}
+	return mean, tQuantile(level, a.n-1) * a.StdDev() / math.Sqrt(float64(a.n))
+}
+
+// tTable95 holds two-sided Student-t quantiles t_{0.975,df} for
+// df = 1..30; larger dfs use the normal approximation.
+var tTable95 = [...]float64{
+	12.706, 4.303, 3.182, 2.776, 2.571, 2.447, 2.365, 2.306, 2.262, 2.228,
+	2.201, 2.179, 2.160, 2.145, 2.131, 2.120, 2.110, 2.101, 2.093, 2.086,
+	2.080, 2.074, 2.069, 2.064, 2.060, 2.056, 2.052, 2.048, 2.045, 2.042,
+}
+
+var tTable90 = [...]float64{
+	6.314, 2.920, 2.353, 2.132, 2.015, 1.943, 1.895, 1.860, 1.833, 1.812,
+	1.796, 1.782, 1.771, 1.761, 1.753, 1.746, 1.740, 1.734, 1.729, 1.725,
+	1.721, 1.717, 1.714, 1.711, 1.708, 1.706, 1.703, 1.701, 1.699, 1.697,
+}
+
+var tTable99 = [...]float64{
+	63.657, 9.925, 5.841, 4.604, 4.032, 3.707, 3.499, 3.355, 3.250, 3.169,
+	3.106, 3.055, 3.012, 2.977, 2.947, 2.921, 2.898, 2.878, 2.861, 2.845,
+	2.831, 2.819, 2.807, 2.797, 2.787, 2.779, 2.771, 2.763, 2.756, 2.750,
+}
+
+// tQuantile returns the two-sided Student-t critical value for the
+// given confidence level and degrees of freedom. Levels other than
+// 0.90, 0.95 and 0.99 fall back to 0.95.
+func tQuantile(level float64, df int) float64 {
+	if df < 1 {
+		df = 1
+	}
+	var table []float64
 	var z float64
 	switch level {
 	case 0.90:
-		z = 1.645
+		table, z = tTable90[:], 1.645
 	case 0.99:
-		z = 2.576
+		table, z = tTable99[:], 2.576
 	default:
-		z = 1.960
+		table, z = tTable95[:], 1.960
 	}
-	return mean, z * a.StdDev() / math.Sqrt(float64(a.n))
+	if df <= len(table) {
+		return table[df-1]
+	}
+	return z
 }
 
 // Mean returns the arithmetic mean of xs, or 0 for an empty slice.

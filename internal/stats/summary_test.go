@@ -266,6 +266,16 @@ func TestMeanCI(t *testing.T) {
 	if _, hw := a.MeanCI(0.95); hw != 0 {
 		t.Fatalf("single-sample half-width = %v, want 0", hw)
 	}
+	// Five replications {3,1,2,4,5}: mean 3, sample sd √2.5, and the
+	// Student-t quantile for 4 degrees of freedom, not the normal 1.96.
+	a = Accumulator{}
+	for _, x := range []float64{3, 1, 2, 4, 5} {
+		a.Add(x)
+	}
+	want := 2.776 * math.Sqrt(2.5) / math.Sqrt(5)
+	if mean, hw := a.MeanCI(0.95); mean != 3 || math.Abs(hw-want) > 1e-9 {
+		t.Fatalf("n=5: mean ± half-width = %v ± %v, want 3 ± %v", mean, hw, want)
+	}
 	rng := rand.New(rand.NewSource(8))
 	a = Accumulator{}
 	for i := 0; i < 400; i++ {
@@ -287,5 +297,26 @@ func TestMeanCI(t *testing.T) {
 	// Unknown levels fall back to 95%.
 	if _, hw := a.MeanCI(0.5); hw != hw95 {
 		t.Fatalf("fallback half-width = %v, want %v", hw, hw95)
+	}
+}
+
+func TestTQuantile(t *testing.T) {
+	cases := []struct {
+		level float64
+		df    int
+		want  float64
+	}{
+		{0.95, 1, 12.706},
+		{0.95, 30, 2.042},
+		{0.95, 1000, 1.960}, // beyond the table: normal approximation
+		{0.90, 5, 2.015},
+		{0.99, 10, 3.169},
+		{0.80, 5, 2.571},  // unknown level falls back to 0.95
+		{0.95, 0, 12.706}, // df floor
+	}
+	for _, c := range cases {
+		if got := tQuantile(c.level, c.df); got != c.want {
+			t.Errorf("tQuantile(%v, %d) = %v, want %v", c.level, c.df, got, c.want)
+		}
 	}
 }

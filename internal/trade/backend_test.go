@@ -19,8 +19,7 @@ func bitsDiffer(a, b float64) bool { return math.Float64bits(a) != math.Float64b
 
 // sameRun requires two results to be the same run: as many events, the
 // headline statistics equal bit for bit, and everything else (per-class
-// sample buffers, per-server and per-operation records, stopping
-// state) deeply equal.
+// sample buffers, per-server and per-operation records) deeply equal.
 func sameRun(t *testing.T, heap, cal *Result) {
 	t.Helper()
 	if heap.EventsFired != cal.EventsFired {
@@ -125,18 +124,6 @@ func TestBackendsAgree(t *testing.T) {
 			sameRun(t, heap, cal)
 		})
 	}
-	t.Run("RunAdaptive", func(t *testing.T) {
-		ctl := RunControl{TargetRelErr: 0.05}
-		heap, err := runAdaptive(adaptiveConfig(3), ctl, onHeap)
-		if err != nil {
-			t.Fatal(err)
-		}
-		cal, err := RunAdaptive(adaptiveConfig(3), ctl)
-		if err != nil {
-			t.Fatal(err)
-		}
-		sameRun(t, heap, cal)
-	})
 	t.Run("TransientCurve", func(t *testing.T) { // the cold-start transient, in Windows
 		cfg := base(workload.TypicalWorkload(1900))
 		heap, err := windows(cfg, 5, onHeap)

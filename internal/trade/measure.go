@@ -21,20 +21,6 @@ type MeasureOptions struct {
 	// worker count; the knob only trades wall-clock for cores.
 	// 0 selects runtime.GOMAXPROCS(0); 1 runs the exact serial loop.
 	Workers int
-
-	// TargetRelErr, when positive, switches every measurement to
-	// adaptive run-length control (RunAdaptive): Duration becomes the
-	// minimum window and the run extends in batches until the mean
-	// response time's relative confidence-interval half-width drops
-	// under the target. Zero keeps the fixed horizon — the default and
-	// the golden-output path.
-	TargetRelErr float64
-	// Confidence is the adaptive stopping rule's confidence level
-	// (0 selects 0.95). Ignored for fixed-horizon runs.
-	Confidence float64
-	// MaxDuration caps an adaptive run's measured window (0 selects
-	// 8×Duration). Ignored for fixed-horizon runs.
-	MaxDuration float64
 }
 
 func (o MeasureOptions) withDefaults() MeasureOptions {
@@ -63,18 +49,9 @@ func baseConfig(server workload.ServerArch, load workload.Workload, opt MeasureO
 }
 
 // Measure runs one measurement of the given server under the given
-// workload with case-study demands. A positive opt.TargetRelErr runs
-// under adaptive run-length control; zero keeps the fixed horizon.
+// workload with case-study demands over the fixed horizon.
 func Measure(server workload.ServerArch, load workload.Workload, opt MeasureOptions) (*Result, error) {
-	cfg := baseConfig(server, load, opt)
-	if opt.TargetRelErr > 0 {
-		return RunAdaptive(cfg, RunControl{
-			TargetRelErr: opt.TargetRelErr,
-			Confidence:   opt.Confidence,
-			MaxDuration:  opt.MaxDuration,
-		})
-	}
-	return Run(cfg)
+	return Run(baseConfig(server, load, opt))
 }
 
 // MaxThroughput benchmarks the server's max throughput under the given

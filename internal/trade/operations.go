@@ -1,7 +1,6 @@
 package trade
 
 import (
-	"fmt"
 	"sort"
 
 	"perfpred/internal/sim"
@@ -85,17 +84,6 @@ type OperationResult struct {
 	MeanRT    float64
 }
 
-// meanBrowseScale verifies at construction time that the browse mix's
-// demand scales average to ~1; exposed for tests.
-func meanBrowseScale() float64 {
-	var wSum, sSum float64
-	for _, op := range browseOperations() {
-		wSum += op.Weight
-		sSum += op.Weight * op.DemandScale
-	}
-	return sSum / wSum
-}
-
 // opAccumulators collects per-operation response times. It owns its
 // reservoir stream and lazily creates one accumulator per operation
 // name, deriving each from the operation's registration order — the
@@ -135,23 +123,4 @@ func (o *opAccumulators) results() []OperationResult {
 		})
 	}
 	return out
-}
-
-// validateOperations sanity-checks an operation table.
-func validateOperations(ops []Operation) error {
-	if len(ops) == 0 {
-		return fmt.Errorf("trade: empty operation table")
-	}
-	for _, op := range ops {
-		if op.Name == "" {
-			return fmt.Errorf("trade: unnamed operation")
-		}
-		if op.DemandScale <= 0 {
-			return fmt.Errorf("trade: operation %q needs positive demand scale", op.Name)
-		}
-		if op.DBCalls < 0 || op.Weight < 0 {
-			return fmt.Errorf("trade: operation %q has negative db calls or weight", op.Name)
-		}
-	}
-	return nil
 }

@@ -1,6 +1,7 @@
 package trade
 
 import (
+	"fmt"
 	"math"
 	"testing"
 
@@ -154,4 +155,34 @@ func TestDetailedAggregatesMatchCoarseModel(t *testing.T) {
 	if len(coarse.PerOperation) != 0 {
 		t.Fatal("coarse run must not report operations")
 	}
+}
+
+// meanBrowseScale returns the browse mix's weight-averaged demand
+// scale, which the table keeps at ~1.
+func meanBrowseScale() float64 {
+	var wSum, sSum float64
+	for _, op := range browseOperations() {
+		wSum += op.Weight
+		sSum += op.Weight * op.DemandScale
+	}
+	return sSum / wSum
+}
+
+// validateOperations sanity-checks an operation table.
+func validateOperations(ops []Operation) error {
+	if len(ops) == 0 {
+		return fmt.Errorf("trade: empty operation table")
+	}
+	for _, op := range ops {
+		if op.Name == "" {
+			return fmt.Errorf("trade: unnamed operation")
+		}
+		if op.DemandScale <= 0 {
+			return fmt.Errorf("trade: operation %q needs positive demand scale", op.Name)
+		}
+		if op.DBCalls < 0 || op.Weight < 0 {
+			return fmt.Errorf("trade: operation %q has negative db calls or weight", op.Name)
+		}
+	}
+	return nil
 }

@@ -73,22 +73,12 @@ type Result struct {
 	// CacheMissRate is the observed session-cache miss fraction (0
 	// when the cache variant is disabled).
 	CacheMissRate float64
-	// Duration is the measurement window in simulated seconds. Fixed
-	// runs report Config.Duration; adaptive runs report the window the
-	// stopping rule actually measured.
+	// Duration is the measurement window in simulated seconds.
 	Duration float64
 	// EventsFired is the total number of simulation events executed
 	// over the whole run (warm-up included; all shards in sharded
 	// runs) — the denominator for events/sec benchmarking.
 	EventsFired uint64
-	// Converged, Batches and AchievedRelErr describe an adaptive run's
-	// stopping state (RunAdaptive / MeasureOptions.TargetRelErr):
-	// whether the relative confidence-interval half-width of the mean
-	// response time reached the target, over how many batches, and the
-	// half-width finally achieved. Zero-valued on fixed-horizon runs.
-	Converged      bool
-	Batches        int
-	AchievedRelErr float64
 }
 
 // OverallPercentile returns the p-th percentile response time across

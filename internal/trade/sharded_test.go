@@ -245,13 +245,9 @@ func TestShardedConfigValidation(t *testing.T) {
 	}
 }
 
-// Adaptive and windowed cold-start studies stay on the single engine.
+// Windowed cold-start studies stay on the single engine.
 func TestShardedGuards(t *testing.T) {
-	cfg := shardedConfig(2, 2, 0)
-	if _, err := RunAdaptive(cfg, RunControl{TargetRelErr: 0.05}); err == nil {
-		t.Error("RunAdaptive accepted a sharded config")
-	}
-	if _, err := Windows(cfg, 10); err == nil {
+	if _, err := Windows(shardedConfig(2, 2, 0), 10); err == nil {
 		t.Error("Windows accepted a sharded config")
 	}
 }

@@ -203,8 +203,8 @@ func run(cfg Config, opt simOptions) (*Result, error) {
 }
 
 // newSimulator builds the network, registers every population and
-// schedules the initial arrivals. Every entry point (Run, RunAdaptive,
-// Windows, NewSharded) validates cfg once and then builds on it, so
+// schedules the initial arrivals. Every entry point (Run, Windows,
+// NewSharded) validates cfg once and then builds on it, so
 // cold-start studies honour the full Config (caches, critical sections,
 // multi-server tiers) with the same per-seed draw sequences.
 func newSimulator(cfg Config, opt simOptions) *simulator {
@@ -572,8 +572,8 @@ func (s *simulator) sampleCalls(mean float64) int {
 }
 
 // measuredTotals returns the running response-time sum and completion
-// count across classes, in sorted-name order so batch-mean extraction
-// is deterministic regardless of map layout.
+// count across classes, in sorted-name order so the sum is
+// deterministic regardless of map layout.
 func (s *simulator) measuredTotals() (sum float64, count int) {
 	for _, name := range s.classNames {
 		acc := s.acc[name]
