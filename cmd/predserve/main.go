@@ -1,8 +1,8 @@
 // Command predserve runs the long-lived prediction service: the
 // paper's predictor stack (hybrid, layered-queuing, resource-manager
 // allocation) behind a concurrent HTTP/JSON API with per-(architecture,
-// mix) model caching, request-coalescing batch solves and admission
-// control. See internal/serve for the serving architecture.
+// mix) model caching, warm-started layered solves in bounded solver
+// slots and admission control. See internal/serve for the serving architecture.
 //
 // Endpoints:
 //
@@ -14,9 +14,10 @@
 //	GET      /debug/...    expvar + pprof
 //
 // On SIGTERM/SIGINT predserve drains: the HTTP server stops accepting
-// and finishes in-flight requests, the batch workers answer everything
-// already queued, and a final obs snapshot is flushed to stderr so the
-// run leaves evidence even without a scraper.
+// and finishes in-flight requests (each solves or builds on its own
+// goroutine, so finishing them answers everything accepted), and a
+// final obs snapshot is flushed to stderr so the run leaves evidence
+// even without a scraper.
 //
 // Usage:
 //
@@ -65,7 +66,7 @@ func run(args []string, stop <-chan os.Signal, stderr io.Writer) error {
 	regressSeconds := fs.Float64("regress-seconds", 20, "simulated seconds per regress training run")
 	buildWorkers := fs.Int("build-workers", 2, "concurrent cold model builds, all methods together")
 	maxQueuedBuilds := fs.Int("max-queued-builds", 8, "cold builds allowed to wait beyond the workers before 429")
-	solveWorkers := fs.Int("solve-workers", 0, "batch solver workers (0 = GOMAXPROCS)")
+	solveWorkers := fs.Int("solve-workers", 0, "concurrent method=lqn solves, each slot keeping warm solver state (0 = GOMAXPROCS)")
 	report := fs.String("report", "", "write a final obs snapshot (JSON) here on shutdown")
 	if err := fs.Parse(args); err != nil {
 		return err
@@ -124,8 +125,7 @@ func run(args []string, stop <-chan os.Signal, stderr io.Writer) error {
 	}
 
 	// Drain order matters: stop accepting and finish in-flight HTTP
-	// requests first, then stop the batch workers (close answers
-	// everything they had queued), then flush the evidence.
+	// requests first, then close the service, then flush the evidence.
 	ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
 	defer cancel()
 	if err := srv.Shutdown(ctx); err != nil {

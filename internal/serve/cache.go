@@ -87,17 +87,14 @@ type modelStore struct {
 
 	build func(modelKey) (*modelEntry, error)
 
-	sem     chan struct{}
-	queued  atomic.Int64 // admitted builds, waiting for a slot or running
-	maxWait int64        // builds allowed to wait beyond the worker slots
+	slots *admission[struct{}]
 }
 
 func newModelStore(capacity, workers, maxQueued int, build func(modelKey) (*modelEntry, error)) *modelStore {
 	c := &modelStore{
-		lru:     sessioncache.NewLRU[modelKey, *modelEntry](capacity),
-		build:   build,
-		sem:     make(chan struct{}, workers),
-		maxWait: int64(maxQueued),
+		lru:   sessioncache.NewLRU[modelKey, *modelEntry](capacity),
+		build: build,
+		slots: newAdmission(buildQueue, make([]struct{}, workers), maxQueued),
 	}
 	c.lru.OnEvict(func(modelKey, *modelEntry) {
 		metrics.Load().cacheEvicts.Inc()
@@ -138,11 +135,11 @@ func (c *modelStore) get(ctx context.Context, key modelKey) (e *modelEntry, cold
 // a worker slot on the leader's ctx, the build, the LRU insert.
 func (c *modelStore) flight(ctx context.Context, key modelKey) (*modelEntry, error) {
 	return c.flights.DoCtx(ctx, key, func() (*modelEntry, error) {
-		defer c.track(-1) // counted from acquireBuildSlot's admission to the build's end
-		if err := c.acquireBuildSlot(ctx); err != nil {
+		slot, err := c.slots.acquire(ctx)
+		if err != nil {
 			return nil, err
 		}
-		defer func() { <-c.sem }()
+		defer c.slots.release(slot)
 		start := time.Now()
 		entry, err := c.build(key)
 		if err != nil {
@@ -157,31 +154,63 @@ func (c *modelStore) flight(ctx context.Context, key modelKey) (*modelEntry, err
 	})
 }
 
-// acquireBuildSlot counts the flight leader in and admits it to a build
-// worker slot, rejecting immediately when the workers are busy and the
-// queue behind them is full, and abandoning the wait when the leader's
-// own deadline expires.
-func (c *modelStore) acquireBuildSlot(ctx context.Context) error {
+// admission bounds one kind of work, builds or layered solves: at most
+// len(slots) callers hold a slot at once, at most maxWait more wait for
+// one, and anything beyond that is rejected with ErrOverloaded. A slot
+// is a value the holder works with — nothing for a build, a solver's
+// warm state for a solve — handed back on release.
+type admission[T any] struct {
+	slots   chan T       // the idle slots
+	queued  atomic.Int64 // admitted callers, waiting for a slot or holding one
+	maxWait int64
+	queue   queue // whose depth and high-water gauges queued moves
+}
+
+func newAdmission[T any](q queue, slots []T, maxWait int) *admission[T] {
+	a := &admission[T]{slots: make(chan T, len(slots)), maxWait: int64(maxWait), queue: q}
+	for _, s := range slots {
+		a.slots <- s
+	}
+	return a
+}
+
+// acquire counts the caller in and hands it a slot, rejecting at once
+// when the slots are taken and the wait behind them is full, and giving
+// up with ctx's error when the caller's deadline passes first — or had
+// already passed, so a dead request never takes a slot.
+func (a *admission[T]) acquire(ctx context.Context) (T, error) {
+	var none T
+	if err := ctx.Err(); err != nil {
+		return none, err
+	}
 	m := metrics.Load()
-	q := c.track(1)
-	m.buildQueueHigh.Observe(q)
-	if q > int64(cap(c.sem))+c.maxWait {
+	q := a.track(1)
+	m.queueHigh[a.queue].Observe(q)
+	if q > int64(cap(a.slots))+a.maxWait {
+		a.track(-1)
 		m.rejectedOverload.Inc()
-		return ErrOverloaded
+		return none, ErrOverloaded
 	}
 	select {
-	case c.sem <- struct{}{}:
-		return nil
+	case s := <-a.slots:
+		return s, nil
 	case <-ctx.Done():
-		return ctx.Err()
+		a.track(-1)
+		return none, ctx.Err()
 	}
 }
 
-// track moves the count of builds waiting or running by d and keeps
-// serve_build_queue_depth in step with it.
-func (c *modelStore) track(d int64) int64 {
-	metrics.Load().buildQueueDepth.Add(d)
-	return c.queued.Add(d)
+// release hands a slot back and counts its holder out.
+func (a *admission[T]) release(s T) {
+	a.slots <- s
+	a.track(-1)
+}
+
+// track moves the count of callers waiting or holding a slot by d and
+// keeps the queue's depth gauge in step with it.
+func (a *admission[T]) track(d int64) int64 {
+	metrics.Load().queueDepth[a.queue].Add(d)
+	return a.queued.Add(d)
 }
 
 // buildEntry is the store's cold path, first build and rebuild alike:

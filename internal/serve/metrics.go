@@ -8,8 +8,8 @@ import (
 
 // serveMetrics instrument the prediction service's hot path: request
 // counts and latency per endpoint, model-cache traffic, cold-build
-// cost and queue pressure, what the builds took from the simulator,
-// batch-solver coalescing, and the admission controller's rejection
+// cost, what the builds took from the simulator, layered solves, the
+// build and solve queues, and the admission controller's rejection
 // counters. They follow the repo convention:
 // registered once via EnableMetrics, nil-safe, zero-allocation on the
 // request path.
@@ -21,10 +21,8 @@ type serveMetrics struct {
 	cacheMisses *obs.Counter
 	cacheEvicts *obs.Counter
 
-	builds          *obs.Counter
-	buildSeconds    *obs.Histogram
-	buildQueueDepth *obs.Gauge
-	buildQueueHigh  *obs.MaxGauge
+	builds       *obs.Counter
+	buildSeconds *obs.Histogram
 
 	// The §8.5 start-up delay in the currency the families study prints:
 	// simulator runs the cold builds paid for and the simulated seconds
@@ -33,10 +31,13 @@ type serveMetrics struct {
 	simulatorRuns    *obs.Counter
 	simulatedSeconds *obs.Counter
 
-	batchSolves     *obs.Counter
-	batchSize       *obs.Histogram
-	solveQueueDepth *obs.Gauge
-	solveQueueHigh  *obs.MaxGauge
+	// layeredSolves counts method=lqn solves, one per probe of a capacity
+	// search; exported as serve_batch_solves.
+	layeredSolves *obs.Counter
+
+	// Per admission queue: callers waiting for a slot or holding one.
+	queueDepth [numQueues]*obs.Gauge
+	queueHigh  [numQueues]*obs.MaxGauge
 
 	inflight         *obs.Gauge
 	rejectedOverload *obs.Counter
@@ -53,6 +54,15 @@ const (
 	epCapacity
 	epAllocate
 	numEndpoints
+)
+
+// queue indexes the admission queues' depth and high-water gauges.
+type queue int
+
+const (
+	buildQueue queue = iota
+	solveQueue
+	numQueues
 )
 
 var metrics atomic.Pointer[serveMetrics]
@@ -76,7 +86,6 @@ func EnableMetrics(r *obs.Registry) {
 	// a warm cache, so the serving histograms get a finer bottom end:
 	// 10µs up to 10s.
 	lat := []float64{1e-5, 3e-5, 1e-4, 3e-4, 1e-3, 3e-3, 1e-2, 3e-2, 0.1, 0.3, 1, 3, 10}
-	batch := []float64{1, 2, 4, 8, 16, 32, 64, 128}
 	metrics.Store(&serveMetrics{
 		requests: [numEndpoints]*obs.Counter{
 			epPredict:  r.Counter("serve_predict_requests"),
@@ -93,18 +102,21 @@ func EnableMetrics(r *obs.Registry) {
 		cacheMisses: r.Counter("serve_cache_misses"),
 		cacheEvicts: r.Counter("serve_cache_evictions"),
 
-		builds:          r.Counter("serve_builds"),
-		buildSeconds:    r.Histogram("serve_build_seconds", d...),
-		buildQueueDepth: r.Gauge("serve_build_queue_depth"),
-		buildQueueHigh:  r.MaxGauge("serve_build_queue_high_water"),
+		builds:       r.Counter("serve_builds"),
+		buildSeconds: r.Histogram("serve_build_seconds", d...),
 
 		simulatorRuns:    r.Counter("serve_simulator_runs"),
 		simulatedSeconds: r.Counter("serve_simulated_seconds"),
 
-		batchSolves:     r.Counter("serve_batch_solves"),
-		batchSize:       r.Histogram("serve_batch_size", batch...),
-		solveQueueDepth: r.Gauge("serve_solve_queue_depth"),
-		solveQueueHigh:  r.MaxGauge("serve_solve_queue_high_water"),
+		layeredSolves: r.Counter("serve_batch_solves"),
+		queueDepth: [numQueues]*obs.Gauge{
+			buildQueue: r.Gauge("serve_build_queue_depth"),
+			solveQueue: r.Gauge("serve_solve_queue_depth"),
+		},
+		queueHigh: [numQueues]*obs.MaxGauge{
+			buildQueue: r.MaxGauge("serve_build_queue_high_water"),
+			solveQueue: r.MaxGauge("serve_solve_queue_high_water"),
+		},
 
 		inflight:         r.Gauge("serve_inflight_requests"),
 		rejectedOverload: r.Counter("serve_rejected_overload"),

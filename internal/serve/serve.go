@@ -5,7 +5,7 @@
 // Witt et al. (arXiv:1805.11877) argue performance prediction must
 // reach to pay for itself.
 //
-// The serving architecture has five load-bearing pieces:
+// The serving architecture has four load-bearing pieces:
 //
 //   - one per-(method, architecture, mix) model store: finished hybrid
 //     and regress models live in one bounded sessioncache.LRU, and a
@@ -25,13 +25,12 @@
 //   - async build workers: cold builds of every method run under one
 //     bounded worker semaphore, so build cost is paid off the
 //     steady-state request path and bounded in concurrency;
-//   - a request-coalescing batch solver for exact layered queries:
-//     queued solves are drained in batches, grouped by model and
-//     sorted by population, so N adjacent-population requests become
-//     one warm-start sweep instead of N cold solves;
-//   - admission control: bounded queues everywhere, per-request
-//     deadlines, and typed backpressure — overload degrades to fast
-//     429s with Retry-After, never to collapse.
+//   - admission control: one slot-and-queue controller in front of
+//     builds and of exact layered solves alike (a layered query solves
+//     on its own request goroutine, holding one of SolveWorkers solver
+//     slots whose warm state carries over between the slot's solves),
+//     per-request deadlines, and typed backpressure — overload degrades
+//     to fast 429s with Retry-After, never to collapse.
 //
 // Every stage is wired into the obs registry (per-endpoint latency
 // histograms, cache traffic, queue depths and high-water marks, the
@@ -56,6 +55,7 @@ import (
 	"perfpred/internal/parallel"
 	"perfpred/internal/rm"
 	"perfpred/internal/rtdist"
+	"perfpred/internal/sessioncache"
 	"perfpred/internal/workload"
 )
 
@@ -90,7 +90,8 @@ type Config struct {
 	// Demands are the calibrated per-request-type demands on the
 	// reference architecture.
 	Demands map[workload.RequestType]workload.Demand
-	// LQN tunes every layered solve (builds, batch solves, searches).
+	// LQN tunes every layered solve (builds, method=lqn solves,
+	// searches).
 	LQN lqn.Options
 	// PointsPerEquation is the hybrid build fidelity (0 selects the
 	// paper's 4).
@@ -125,8 +126,9 @@ type Config struct {
 	// the running ones; more cold keys than this reject with 429
 	// (default 8).
 	MaxQueuedBuilds int
-	// SolveWorkers is the batch solver's worker count (default
-	// GOMAXPROCS).
+	// SolveWorkers bounds concurrent method=lqn solves (default
+	// GOMAXPROCS); each solver slot keeps warm solver state for the
+	// keys it solved last.
 	SolveWorkers int
 }
 
@@ -139,10 +141,11 @@ const (
 	// polynomial degree (the cheap tier favours robustness over fit).
 	regressTrainSamples = 8
 	regressDegree       = 2
-	// maxQueuedSolves bounds the batch solver's queue; maxBatch caps how
-	// many queued solves one worker drains into a single sweep.
+	// maxQueuedSolves bounds layered solves waiting for a solver slot
+	// beyond the running ones; sweepsPerSlot bounds the keys whose warm
+	// solver state one slot keeps.
 	maxQueuedSolves = 256
-	maxBatch        = 64
+	sweepsPerSlot   = 32
 	// defaultDeadline applies to requests that carry no deadline_ms;
 	// maxDeadlineMS caps the ones that do.
 	defaultDeadline = 5 * time.Second
@@ -171,8 +174,8 @@ func positiveOr[T int | float64](v *T, def T) {
 
 // Service is the long-lived prediction service. Create with New,
 // mount Handler on an HTTP server, and Close after the HTTP server
-// has drained (Close stops the batch workers only once their queue is
-// empty, so every accepted request still gets its answer).
+// has drained. Every request runs on its caller's goroutine, so one
+// accepted before Close still gets its answer.
 type Service struct {
 	cfg   Config
 	archs map[string]workload.ServerArch
@@ -187,12 +190,15 @@ type Service struct {
 	// case-study catalogue 3 003 scales of 8 bytes and 3 003 sets of
 	// eight samples, about 2.4 MB with the map around them.
 	evidence parallel.Memo[modelKey, evidence]
-	batch    *batcher
+	// solves admits method=lqn solves. A slot is a solver's warm state:
+	// the least-recently-solved keys drop theirs and rebuild on next
+	// use, so a key churn cannot pin unbounded models.
+	solves *admission[*sessioncache.LRU[modelKey, *lqn.TradeSweep]]
 
 	closed atomic.Bool
 }
 
-// New validates the configuration and starts the batch workers.
+// New validates the configuration.
 func New(cfg Config) (*Service, error) {
 	cfg = cfg.withDefaults()
 	if len(cfg.Archs) == 0 {
@@ -215,25 +221,42 @@ func New(cfg Config) (*Service, error) {
 		s.archs[a.Name] = a
 	}
 	s.store = newModelStore(cfg.CacheCapacity, cfg.BuildWorkers, cfg.MaxQueuedBuilds, s.buildEntry)
-	s.batch = newBatcher(cfg.SolveWorkers, s.makeSweep)
+	slots := make([]*sessioncache.LRU[modelKey, *lqn.TradeSweep], cfg.SolveWorkers)
+	for i := range slots {
+		slots[i] = sessioncache.NewLRU[modelKey, *lqn.TradeSweep](sweepsPerSlot)
+	}
+	s.solves = newAdmission(solveQueue, slots, maxQueuedSolves)
 	return s, nil
 }
 
-// Close drains and stops the batch workers. Call it only after the
-// HTTP server has shut down: accepted requests still queued are
-// answered before the workers exit.
+// Close marks the service closed: requests that arrive after it are
+// refused with ErrShuttingDown, while those already accepted run to
+// their answer.
 func (s *Service) Close() {
 	s.closed.Store(true)
-	s.batch.close()
 }
 
-// makeSweep builds a batch worker's warm solving context for one key.
-func (s *Service) makeSweep(key modelKey) (*lqn.TradeSweep, error) {
-	arch, err := s.arch(key.arch)
+// withSweep runs fn in a solver slot on the slot's warm solving context
+// for key — the key's trade model on a retained warm-started solver —
+// building that context on the slot's first solve of the key.
+func (s *Service) withSweep(ctx context.Context, key modelKey, fn func(*lqn.TradeSweep) error) error {
+	sweeps, err := s.solves.acquire(ctx)
 	if err != nil {
-		return nil, err
+		return err
 	}
-	return lqn.NewTradeSweep(arch, s.cfg.DB, s.cfg.Demands, workload.MixLoad(1, key.buyFrac()), s.cfg.LQN)
+	defer s.solves.release(sweeps)
+	sw, ok := sweeps.Get(key)
+	if !ok {
+		arch, err := s.arch(key.arch)
+		if err != nil {
+			return err
+		}
+		if sw, err = lqn.NewTradeSweep(arch, s.cfg.DB, s.cfg.Demands, workload.MixLoad(1, key.buyFrac()), s.cfg.LQN); err != nil {
+			return err
+		}
+		sweeps.Put(key, sw)
+	}
+	return fn(sw)
 }
 
 // ---- request/response schema ----
@@ -514,7 +537,7 @@ func beyondRange(param string, asked float64) error {
 // clients, max clients under a goal (§8.2) — as an rm.Predictor.
 type method struct {
 	// build is the cold path of the method's store tier; nil for a
-	// method whose questions go to the batcher as exact layered solves.
+	// method whose questions are exact layered solves.
 	build func(s *Service, key modelKey, arch workload.ServerArch) (*modelEntry, error)
 	// meansOnly rejects percentile requests before any build is paid.
 	meansOnly bool
@@ -522,7 +545,7 @@ type method struct {
 
 // methods is the one method table Predict, Capacity and allocate look
 // up: "hybrid" (default; cached closed-form model), "lqn" (exact
-// layered solve through the coalescing batcher) and "regress"
+// layered solve in a solver slot) and "regress"
 // (cheap-tier black-box regression, means only).
 var methods = map[string]method{
 	"hybrid":  {build: (*Service).buildHybrid},
@@ -563,7 +586,7 @@ type query struct {
 func (q *query) model(arch string) (rm.Predictor, *modelEntry, error) {
 	key := makeKey(q.method, arch, q.buyPct)
 	if methods[q.method].build == nil {
-		return batchPredictor{q, key}, nil, nil
+		return solvePredictor{q, key}, nil, nil
 	}
 	e, cold, err := q.s.store.get(q.ctx, key)
 	if err != nil {
@@ -592,9 +615,9 @@ func (q *query) MaxClients(arch string, goalRT float64) (float64, error) {
 	return pred.MaxClients(arch, goalRT)
 }
 
-// batchPredictor answers a query's questions about one key with exact
-// layered solves routed through the coalescing batcher.
-type batchPredictor struct {
+// solvePredictor answers a query's questions about one key with exact
+// layered solves on the request's own goroutine.
+type solvePredictor struct {
 	q   *query
 	key modelKey
 }
@@ -604,31 +627,39 @@ type batchPredictor struct {
 // int(1e19) wraps negative, and one client would answer for it.
 const maxSolveClients = 1 << 20
 
-func (b batchPredictor) Predict(_ string, n float64) (float64, error) {
+func (p solvePredictor) Predict(_ string, n float64) (float64, error) {
 	if !(n <= maxSolveClients) {
 		return 0, beyondRange("clients", n)
 	}
-	out, err := b.solve(&solveJob{n: max(1, int(n+0.5))})
-	return out.rt, err
+	var rt float64
+	err := p.q.s.withSweep(p.q.ctx, p.key, func(sw *lqn.TradeSweep) error {
+		res, err := sw.Solve(workload.MixLoad(max(1, int(n+0.5)), p.key.buyFrac()))
+		if err != nil {
+			return err
+		}
+		metrics.Load().layeredSolves.Inc()
+		rt = res.MeanResponseTime()
+		return nil
+	})
+	return rt, err
 }
 
-func (b batchPredictor) MaxClients(_ string, goalRT float64) (float64, error) {
-	out, err := b.solve(&solveJob{goalRT: goalRT})
-	b.q.evals = out.evals
-	return float64(out.n), err
-}
-
-func (b batchPredictor) solve(job *solveJob) (solveOut, error) {
-	job.key, job.ctx, job.resp = b.key, b.q.ctx, make(chan solveOut, 1)
-	if err := b.q.s.batch.submit(job); err != nil {
-		return solveOut{}, err
-	}
-	select {
-	case out := <-job.resp:
-		return out, out.err
-	case <-b.q.ctx.Done():
-		return solveOut{}, b.q.ctx.Err()
-	}
+// MaxClients is the §8.2 search generalised to a fixed mix (each probe
+// splits its total population exactly as Predict does); the sweep runs
+// it on a fresh solver, so the answer never depends on what the slot
+// happened to solve before it.
+func (p solvePredictor) MaxClients(_ string, goalRT float64) (float64, error) {
+	var n int
+	err := p.q.s.withSweep(p.q.ctx, p.key, func(sw *lqn.TradeSweep) error {
+		buyFrac := p.key.buyFrac()
+		var err error
+		n, p.q.evals, err = sw.MaxClients(goalRT, maxSolveClients, func(n int) workload.Workload {
+			return workload.MixLoad(n, buyFrac)
+		})
+		metrics.Load().layeredSolves.Add(uint64(p.q.evals))
+		return err
+	})
+	return float64(n), err
 }
 
 // Predict answers a PredictRequest; it is exported so in-process

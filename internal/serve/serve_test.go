@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"io"
 	"math"
@@ -230,7 +231,7 @@ func TestServedRegressTierMatchesOffline(t *testing.T) {
 }
 
 // TestServedLQNMatchesOffline checks the exact layered path: the
-// batcher's warm-started solves must agree with a cold offline solve
+// solver slots' warm-started solves must agree with a cold offline solve
 // to well within the solver's convergence tolerance, and repeating the
 // identical query must reproduce the identical number.
 func TestServedLQNMatchesOffline(t *testing.T) {
@@ -258,7 +259,7 @@ func TestServedLQNMatchesOffline(t *testing.T) {
 		t.Fatalf("served lqn RT %v vs offline %v (rel %v)", first.ResponseTimeS, want, rel)
 	}
 	// A repeat of the identical query warm-starts from the previous
-	// solution — that history-dependence is the coalescing design — so
+	// solution — that history-dependence is the solver slot's design — so
 	// repeats agree to the solver's convergence tolerance, not bitwise.
 	var second PredictResponse
 	getJSON(t, client, url, &second)
@@ -266,7 +267,7 @@ func TestServedLQNMatchesOffline(t *testing.T) {
 		t.Fatalf("identical lqn queries disagreed beyond tolerance: %v vs %v", first.ResponseTimeS, second.ResponseTimeS)
 	}
 
-	// Capacity through the batcher: deterministic across repeats, and
+	// Capacity through a solver slot: deterministic across repeats, and
 	// the returned population really does straddle the goal.
 	goal := 2 * want
 	capURL := fmt.Sprintf("%s/v1/capacity?arch=%s&goal_rt_s=%v&method=lqn", srv.URL, arch.Name, goal)
@@ -747,23 +748,128 @@ func TestHealthz(t *testing.T) {
 	}
 }
 
-// TestCancelledClientContext covers the batcher's queued-but-dead
-// path: a job whose context dies in the queue is skipped, not solved.
+// TestCancelledClientContext covers a layered request that is dead on
+// arrival: it gets its context's error and no solve runs for it.
 func TestCancelledClientContext(t *testing.T) {
+	reg := obs.NewRegistry()
+	EnableMetrics(reg)
+	defer EnableMetrics(nil)
+
 	s := newTestService(t, nil)
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	job := &solveJob{key: makeKey("lqn", "AppServF", 0), n: 100, ctx: ctx, resp: make(chan solveOut, 1)}
-	if err := s.batch.submit(job); err != nil {
+	req := httptest.NewRequest(http.MethodGet, "/v1/predict", nil).WithContext(ctx)
+	_, err := s.Predict(req, PredictRequest{Arch: "AppServF", Clients: 100, Method: "lqn"})
+	if !errors.Is(err, context.Canceled) {
+		t.Fatalf("cancelled lqn predict: %v, want context.Canceled", err)
+	}
+	if n := reg.Counter("serve_batch_solves").Value(); n != 0 {
+		t.Fatalf("serve_batch_solves = %d for a cancelled request, want 0", n)
+	}
+}
+
+// holdSolveSlot takes the service's only solver slot (SolveWorkers 1)
+// as a running solve would, and returns its release.
+func holdSolveSlot(t *testing.T, s *Service) func() {
+	t.Helper()
+	slot, err := s.solves.acquire(context.Background())
+	if err != nil {
 		t.Fatal(err)
 	}
-	select {
-	case out := <-job.resp:
-		if out.err == nil {
-			t.Fatal("cancelled job was solved anyway")
+	var once sync.Once
+	release := func() { once.Do(func() { s.solves.release(slot) }) }
+	t.Cleanup(release)
+	return release
+}
+
+// A layered request whose deadline passes while it waits for a solver
+// slot is a 504, counted once in serve_deadline_expired, and solves
+// nothing.
+func TestSolveDeadlineCountedOnce(t *testing.T) {
+	reg := obs.NewRegistry()
+	EnableMetrics(reg)
+	defer EnableMetrics(nil)
+
+	s, srv := newTestServer(t, func(c *Config) { c.SolveWorkers = 1 })
+	release := holdSolveSlot(t, s)
+	expired, solves := reg.Counter("serve_deadline_expired"), reg.Counter("serve_batch_solves")
+	url := srv.URL + "/v1/predict?arch=AppServF&clients=500&method=lqn&deadline_ms=5"
+	if code := getJSON(t, srv.Client(), url, nil); code != http.StatusGatewayTimeout {
+		t.Fatalf("lqn predict behind a held slot: status %d, want 504", code)
+	}
+	if n := expired.Value(); n != 1 {
+		t.Errorf("serve_deadline_expired = %d after one expired request, want 1", n)
+	}
+	if n := solves.Value(); n != 0 {
+		t.Errorf("serve_batch_solves = %d, want 0: the expired request must not solve", n)
+	}
+	release()
+	if code := getJSON(t, srv.Client(), url, nil); code != http.StatusOK {
+		t.Fatalf("lqn predict with the slot free: status %d, want 200", code)
+	}
+}
+
+// TestSolveAdmissionSheds fills the solve queue: with the only solver
+// slot held and maxQueuedSolves callers waiting behind it, the next
+// layered request is refused at once with ErrOverloaded (429 and
+// Retry-After over HTTP), and freeing the slot answers every waiter.
+func TestSolveAdmissionSheds(t *testing.T) {
+	reg := obs.NewRegistry()
+	EnableMetrics(reg)
+	defer EnableMetrics(nil)
+
+	s, srv := newTestServer(t, func(c *Config) { c.SolveWorkers = 1 })
+	release := holdSolveSlot(t, s)
+	rejected := reg.Counter("serve_rejected_overload")
+	httpReq := httptest.NewRequest(http.MethodGet, "/v1/predict", nil)
+	req := PredictRequest{Arch: "AppServF", Clients: 500, Method: "lqn", DeadlineMS: maxDeadlineMS}
+
+	errs := make(chan error, maxQueuedSolves)
+	for i := 0; i < maxQueuedSolves; i++ {
+		go func() {
+			_, err := s.Predict(httpReq, req)
+			errs <- err
+		}()
+	}
+	for deadline := time.Now().Add(10 * time.Second); s.solves.queued.Load() != 1+maxQueuedSolves; time.Sleep(time.Millisecond) {
+		if time.Now().After(deadline) {
+			release()
+			t.Fatalf("%d callers admitted, want the slot's holder and %d waiters", s.solves.queued.Load(), maxQueuedSolves)
 		}
-	case <-time.After(10 * time.Second):
-		t.Fatal("cancelled job never answered")
+	}
+
+	if _, err := s.Predict(httpReq, req); !errors.Is(err, ErrOverloaded) {
+		t.Errorf("predict past a full solve queue: %v, want ErrOverloaded", err)
+	}
+	if n := rejected.Value(); n != 1 {
+		t.Errorf("serve_rejected_overload = %d after one refusal, want 1", n)
+	}
+	resp, err := srv.Client().Get(srv.URL + "/v1/predict?arch=AppServF&clients=500&method=lqn")
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusTooManyRequests || resp.Header.Get("Retry-After") == "" {
+		t.Errorf("HTTP predict past a full solve queue: status %d, Retry-After %q; want 429 with Retry-After",
+			resp.StatusCode, resp.Header.Get("Retry-After"))
+	}
+	if n := rejected.Value(); n != 2 {
+		t.Errorf("serve_rejected_overload = %d after two refusals, want 2", n)
+	}
+
+	release()
+	for i := 0; i < maxQueuedSolves; i++ {
+		select {
+		case err := <-errs:
+			if err != nil {
+				t.Fatalf("waiter %d: %v", i, err)
+			}
+		case <-time.After(30 * time.Second):
+			t.Fatalf("%d of %d waiters unanswered after the slot was freed", maxQueuedSolves-i, maxQueuedSolves)
+		}
+	}
+	if n := s.solves.queued.Load(); n != 0 {
+		t.Fatalf("%d callers still counted in the solve queue, want 0", n)
 	}
 }
 
@@ -1005,7 +1111,7 @@ func TestJoinerKeepsItsOwnDeadline(t *testing.T) {
 	<-started
 	<-started // both worker slots are now held
 	leader := get("AppServF&deadline_ms=250")
-	waitFor("the leader to queue for a slot", func() bool { return s.store.queued.Load() == 3 })
+	waitFor("the leader to queue for a slot", func() bool { return s.store.slots.queued.Load() == 3 })
 	joiner := get("AppServF")
 	waitFor("the joiner to miss the cache", func() bool { return reg.Counter("serve_cache_misses").Value() == 4 })
 	waitFor("the leader's deadline", func() bool { return reg.Counter("serve_deadline_expired").Value() >= 1 })
