@@ -12,7 +12,10 @@ import (
 // EnableAll must reach the hot paths, not just compile: two quick
 // experiments move the solver, simulator and session-cache counters on
 // a private registry, and the snapshot survives the JSON round trip a
-// -report file makes.
+// -report file makes. The event core's counters must also agree with
+// each other: every fired event was scheduled on a recycled or a fresh
+// one, and the deepest queue never held more events than were ever
+// carved fresh.
 func TestEnableAllReachesHotPaths(t *testing.T) {
 	reg := obs.NewRegistry()
 	EnableAll(reg)
@@ -43,5 +46,12 @@ func TestEnableAllReachesHotPaths(t *testing.T) {
 		} else if v == 0 {
 			t.Errorf("counter %q is zero", name)
 		}
+	}
+	fired, reuses, allocs := snap.Counters["sim_events_fired"], snap.Counters["sim_event_reuses"], snap.Counters["sim_event_allocs"]
+	if fired > reuses+allocs {
+		t.Errorf("sim_events_fired = %d exceeds sim_event_reuses + sim_event_allocs = %d + %d", fired, reuses, allocs)
+	}
+	if high := snap.MaxGauges["sim_heap_depth_high_water"]; high <= 0 || uint64(high) > allocs {
+		t.Errorf("sim_heap_depth_high_water = %d, want in (0, sim_event_allocs = %d]", high, allocs)
 	}
 }

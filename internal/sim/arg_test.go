@@ -1,0 +1,101 @@
+package sim
+
+import "testing"
+
+// Every action sees its own event's argument, also when it schedules
+// another event with a different one first, and a plain Schedule fires
+// with 0 even right after an event that carried an argument.
+func TestArgReachesItsAction(t *testing.T) {
+	for _, mk := range []func() *Engine{NewEngine, NewEngineCalendar} {
+		e := mk()
+		var got []int32
+		var record func()
+		record = func() {
+			a := e.Arg()
+			if a == 7 {
+				e.ScheduleArg(1, record, 8)
+			}
+			got = append(got, a, e.Arg())
+		}
+		e.ScheduleArg(2, record, 7)
+		e.ScheduleArg(1, record, -3)
+		e.Schedule(2.5, record)
+		e.Run(10, 0)
+		want := []int32{-3, -3, 7, 7, 0, 0, 8, 8}
+		if len(got) != len(want) {
+			t.Fatalf("fired %v, want %v", got, want)
+		}
+		for i := range want {
+			if got[i] != want[i] {
+				t.Fatalf("fired %v, want %v", got, want)
+			}
+		}
+	}
+}
+
+// The cancelled flag is the low bit of the generation: Cancel through a
+// stale handle never reaches the slot's new tenant, a second Cancel
+// changes nothing, and reschedule through a cancelled handle moves the
+// event in place and un-cancels it.
+func TestCancelBit(t *testing.T) {
+	for _, mk := range []func() *Engine{NewEngine, NewEngineCalendar} {
+		e := mk()
+		fired := map[string]int{}
+		act := func(name string) func() { return func() { fired[name]++ } }
+
+		stale := e.Schedule(1, act("first"))
+		e.Run(2, 0)
+		tenant := e.Schedule(1, act("tenant"))
+		if tenant.ev != stale.ev {
+			t.Fatal("free list did not reuse the fired slot")
+		}
+		stale.Cancel()
+		if tenant.ev.gen != tenant.gen {
+			t.Fatalf("stale Cancel marked the new tenant (gen %d, handle %d)", tenant.ev.gen, tenant.gen)
+		}
+
+		tenant.Cancel()
+		tenant.Cancel()
+		if tenant.ev.gen != tenant.gen|cancelledBit {
+			t.Fatalf("gen after two Cancels = %d, want %d", tenant.ev.gen, tenant.gen|cancelledBit)
+		}
+
+		moved := e.reschedule(tenant, 2, act("moved"))
+		if moved.ev != tenant.ev || e.pending() != 1 {
+			t.Fatalf("reschedule of a cancelled event did not move it in place (pending %d)", e.pending())
+		}
+		if moved.gen != tenant.gen+2 || moved.ev.gen != moved.gen {
+			t.Fatalf("moved gen = %d (event %d), want %d with the bit clear", moved.gen, moved.ev.gen, tenant.gen+2)
+		}
+		e.Run(10, 0)
+		if fired["first"] != 1 || fired["tenant"] != 0 || fired["moved"] != 1 {
+			t.Fatalf("fired %v, want first and moved once, tenant never", fired)
+		}
+	}
+}
+
+// Fresh events come from slabs: the first slabEvents enqueues on a new
+// engine make one allocation between them, and the next one another.
+// The heap backend's queue is sized up front so only events count.
+func TestFirstSlabIsOneAllocation(t *testing.T) {
+	nop := func() {}
+	enqueues := func(n int) float64 {
+		engines := make([]*Engine, 2) // AllocsPerRun calls f once more than runs
+		for i := range engines {
+			engines[i] = &Engine{queue: make([]*event, 0, slabEvents+1)}
+		}
+		return testing.AllocsPerRun(1, func() {
+			e := engines[0]
+			engines = engines[1:]
+			for i := 0; i < n; i++ {
+				e.Schedule(float64(i), nop)
+			}
+		})
+	}
+	if a := enqueues(slabEvents); a != 1 {
+		t.Fatalf("%d enqueues on a fresh engine made %v allocations, want 1", slabEvents, a)
+	}
+	if a := enqueues(slabEvents + 1); a != 2 {
+		t.Fatalf("%d enqueues on a fresh engine made %v allocations, want 2", slabEvents+1, a)
+	}
+}

@@ -13,7 +13,8 @@
 //
 // The event core is allocation-free in steady state: fired and
 // discarded events return to a per-engine free list and are reused by
-// later Schedule calls, and the priority queue is a concrete-typed
+// later Schedule calls, fresh events are carved from slabs rather than
+// allocated one by one, and the priority queue is a concrete-typed
 // binary heap rather than container/heap, so no interface boxing or
 // dynamic dispatch happens per event. One Engine is strictly
 // single-goroutine; concurrency lives a level up, where independent
@@ -32,9 +33,11 @@ import (
 //
 // Handles stay safe across event reuse: the engine recycles fired
 // events through a free list, and each reuse (and each reschedule)
-// bumps a generation counter, so a Cancel through a stale handle
+// steps a generation counter, so a Cancel through a stale handle
 // (after the event fired, was discarded or was moved) is a no-op
-// rather than a cancellation of whatever the slot now holds.
+// rather than a cancellation of whatever the slot now holds. A handle
+// holds an even generation; the event's low generation bit is its
+// cancelled flag.
 type Event struct {
 	ev   *event
 	gen  uint64
@@ -45,8 +48,8 @@ type Event struct {
 // arrives. Cancelling an already-fired, already-cancelled or zero
 // event is a no-op.
 func (e Event) Cancel() {
-	if e.ev != nil && e.ev.gen == e.gen {
-		e.ev.cancelled = true
+	if e.ev != nil && e.ev.gen&^cancelledBit == e.gen {
+		e.ev.gen |= cancelledBit
 	}
 }
 
@@ -55,14 +58,26 @@ func (e Event) Time() float64 { return e.time }
 
 // event is the pooled scheduler entry behind an Event handle.
 type event struct {
-	time      float64
-	seq       uint64
-	gen       uint64
-	action    func()
-	cancelled bool
-	index     int32  // position in the heap; lives in cancelled's padding, so the struct stays 48 bytes
-	next      *event // free-list link, or calendar bucket chain; nil while heap-queued
+	time   float64
+	seq    uint64
+	gen    uint64 // generation, stepped by 2; the low bit is cancelledBit
+	action func()
+	arg    int32  // the action's argument, read back through Engine.Arg
+	index  int32  // position in the heap; arg and index share one word, so the struct stays 48 bytes
+	next   *event // free-list link, or calendar bucket chain; nil while heap-queued
 }
+
+// cancelledBit is the low bit of event.gen: set by Cancel, cleared by
+// the generation step of release and reschedule.
+const cancelledBit = 1
+
+// slabEvents is how many fresh events one allocation carves out when
+// the free list is empty. A fleet build schedules one think timer per
+// client, so a malloc per event would dominate its cost.
+const slabEvents = 128
+
+// nextGen is the generation after g with the cancelled bit cleared.
+func nextGen(g uint64) uint64 { return g&^cancelledBit + 2 }
 
 // Engine is a sequential discrete-event scheduler. Events fire in
 // non-decreasing time order; ties break in scheduling order, which
@@ -72,9 +87,11 @@ type Engine struct {
 	now    float64
 	queue  []*event // concrete binary heap ordered by (time, seq)
 	cal    *calendarQueue
-	free   *event // recycled events
+	free   *event  // recycled events
+	slab   []event // fresh events not yet handed out
 	nextSq uint64
 	fired  uint64
+	arg    int32 // the firing event's argument
 
 	// Plain instrumentation counters (the engine is single-goroutine);
 	// flushMetrics publishes deltas to the process-wide atomics.
@@ -139,14 +156,25 @@ func (e *Engine) peekTime() float64 {
 // concurrent-depth measurements.
 func (e *Engine) heapHighWater() int { return e.heapMax }
 
+// Arg returns the argument of the event whose action is running: the
+// arg given to ScheduleArg, 0 for Schedule. One action bound once can
+// so serve many occurrences, told apart by their arguments.
+func (e *Engine) Arg() int32 { return e.arg }
+
 // Schedule runs action after delay units of simulated time. It panics
 // on negative or NaN delays — those are always modelling bugs, never
 // recoverable conditions.
 func (e *Engine) Schedule(delay float64, action func()) Event {
+	return e.ScheduleArg(delay, action, 0)
+}
+
+// ScheduleArg is Schedule with an argument that Arg returns while
+// action runs.
+func (e *Engine) ScheduleArg(delay float64, action func(), arg int32) Event {
 	if delay < 0 || math.IsNaN(delay) {
 		panic(fmt.Sprintf("sim: invalid delay %v", delay))
 	}
-	return e.enqueue(e.now+delay, action)
+	return e.enqueue(e.now+delay, action, arg)
 }
 
 // scheduleAt runs action at absolute simulated time t. It panics when
@@ -156,23 +184,27 @@ func (e *Engine) scheduleAt(t float64, action func()) Event {
 	if t < e.now || math.IsNaN(t) {
 		panic(fmt.Sprintf("sim: invalid fire time %v (now %v)", t, e.now))
 	}
-	return e.enqueue(t, action)
+	return e.enqueue(t, action, 0)
 }
 
-func (e *Engine) enqueue(t float64, action func()) Event {
+func (e *Engine) enqueue(t float64, action func(), arg int32) Event {
 	ev := e.free
 	if ev != nil {
 		e.free = ev.next
 		ev.next = nil
 		e.reuses++
 	} else {
-		ev = &event{}
+		if len(e.slab) == 0 {
+			e.slab = make([]event, slabEvents)
+		}
+		ev = &e.slab[0]
+		e.slab = e.slab[1:]
 		e.allocs++
 	}
 	ev.time = t
 	ev.seq = e.nextSq
 	ev.action = action
-	ev.cancelled = false
+	ev.arg = arg
 	e.nextSq++
 	if e.cal != nil {
 		e.cal.push(ev)
@@ -199,8 +231,8 @@ func (e *Engine) reschedule(h Event, delay float64, action func()) Event {
 		panic(fmt.Sprintf("sim: invalid delay %v", delay))
 	}
 	ev := h.ev
-	if ev == nil || ev.gen != h.gen {
-		return e.enqueue(e.now+delay, action)
+	if ev == nil || ev.gen&^cancelledBit != h.gen {
+		return e.enqueue(e.now+delay, action, 0)
 	}
 	if e.cal != nil {
 		e.cal.remove(ev)
@@ -208,8 +240,8 @@ func (e *Engine) reschedule(h Event, delay float64, action func()) Event {
 	ev.time = e.now + delay
 	ev.seq = e.nextSq
 	ev.action = action
-	ev.cancelled = false
-	ev.gen++
+	ev.arg = 0
+	ev.gen = nextGen(ev.gen)
 	e.nextSq++
 	if e.cal != nil {
 		e.cal.push(ev)
@@ -225,8 +257,7 @@ func (e *Engine) reschedule(h Event, delay float64, action func()) Event {
 // outstanding handles to it.
 func (e *Engine) release(ev *event) {
 	ev.action = nil
-	ev.cancelled = false
-	ev.gen++
+	ev.gen = nextGen(ev.gen)
 	ev.next = e.free
 	e.free = ev
 }
@@ -255,11 +286,12 @@ func (e *Engine) fire(until float64, limit uint64) uint64 {
 		if next == nil {
 			break
 		}
-		if next.cancelled {
+		if next.gen&cancelledBit != 0 {
 			e.release(next)
 			continue
 		}
 		e.now = next.time
+		e.arg = next.arg
 		action := next.action
 		e.release(next) // before the action, so it can reuse the slot
 		action()

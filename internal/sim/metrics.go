@@ -14,7 +14,7 @@ import (
 type engineMetrics struct {
 	fired    *obs.Counter  // events executed
 	reuses   *obs.Counter  // Schedule calls served from the free list
-	allocs   *obs.Counter  // Schedule calls that allocated a new event
+	allocs   *obs.Counter  // Schedule calls that took a fresh event from a slab
 	heapHigh *obs.MaxGauge // event-heap depth high-water mark
 	windows  *obs.Counter  // coordinator windows fanned out to the pool
 	parks    *obs.Counter  // barrier waits that put a goroutine to sleep

@@ -166,9 +166,10 @@ func TestRescheduleAllocatesNothing(t *testing.T) {
 	}
 }
 
-// The heap index lives in the padding after event.cancelled: a fleet
-// shard holds one pooled event per idle client, so a wider struct would
-// show up directly in peak memory.
+// The action's argument and the heap index share one word, and the
+// cancelled flag is a generation bit: a fleet shard holds one pooled
+// event per idle client, so a wider struct would show up directly in
+// peak memory.
 func TestEventStaysSixWords(t *testing.T) {
 	if unsafe.Sizeof(uintptr(0)) != 8 {
 		t.Skip("the padding argument is about 64-bit layouts")

@@ -137,49 +137,97 @@ func BenchmarkWindows(b *testing.B) {
 	}
 }
 
-// TestClosedClientBytes pins what one closed client costs at
-// construction: its issue slot and the bound continuation behind it,
-// 32 bytes, with no per-client array a fleet configuration does not
-// read (sticky homes on a one-server tier, buy sessions without
-// detailed operations, session sizes without a cache). The pending
-// think event every client schedules belongs to the engine, so the
-// bytes an engine spends on the same number of bare events are
-// subtracted; differencing two client counts cancels the fixed costs.
-// A stray runtime allocation can only add bytes, so each figure is the
-// least of three builds.
-func TestClosedClientBytes(t *testing.T) {
-	allocated := func(f func() any) uint64 {
-		least := uint64(math.MaxUint64)
-		for i := 0; i < 3; i++ {
-			var before, after runtime.MemStats
-			runtime.GC()
-			runtime.ReadMemStats(&before)
-			keep := f()
-			runtime.ReadMemStats(&after)
-			runtime.KeepAlive(keep)
-			least = min(least, after.TotalAlloc-before.TotalAlloc)
-		}
-		return least
+// buildCost returns the least bytes and the least mallocs that three
+// calls of f allocate. A stray runtime allocation can only add to
+// either, so the least is the build's own.
+func buildCost(f func() any) (bytes, mallocs uint64) {
+	bytes, mallocs = math.MaxUint64, math.MaxUint64
+	for i := 0; i < 3; i++ {
+		var before, after runtime.MemStats
+		runtime.GC()
+		runtime.ReadMemStats(&before)
+		keep := f()
+		runtime.ReadMemStats(&after)
+		runtime.KeepAlive(keep)
+		bytes = min(bytes, after.TotalAlloc-before.TotalAlloc)
+		mallocs = min(mallocs, after.Mallocs-before.Mallocs)
 	}
+	return bytes, mallocs
+}
+
+// TestClosedClientBytes pins what one closed client costs at
+// construction: nothing but its pending think event, whose argument
+// is the client's index, with no per-client array a fleet
+// configuration does not read (sticky homes on a one-server tier, buy
+// sessions without detailed operations, session sizes without a
+// cache). That event belongs to the engine, so the bytes an engine
+// spends on the same number of bare events are subtracted; differencing
+// two client counts cancels the fixed costs.
+func TestClosedClientBytes(t *testing.T) {
 	build := func(n int) uint64 {
 		cfg := allocConfig()
 		cfg.Load = workload.MixedWorkload(n, 0.1)
-		return allocated(func() any { return newSimulator(cfg, simOptions{}) })
+		bytes, _ := buildCost(func() any { return newSimulator(cfg, simOptions{}) })
+		return bytes
 	}
 	events := func(n int) uint64 {
-		return allocated(func() any {
+		bytes, _ := buildCost(func() any {
 			eng := sim.NewEngineCalendar()
 			for i := 0; i < n; i++ {
 				eng.Schedule(float64(i), func() {})
 			}
 			return eng
 		})
+		return bytes
 	}
 	const n = 4096
 	perClient := (float64(build(2*n)) - float64(build(n)) - (float64(events(2*n)) - float64(events(n)))) / n
 	t.Logf("%.1f bytes per closed client", perClient)
-	if perClient > 32 {
-		t.Fatalf("a closed client costs %.1f bytes, want ≤ 32 (its issue slot and continuation)", perClient)
+	if perClient > 8 {
+		t.Fatalf("a closed client costs %.1f bytes, want ≤ 8 (its think event is all it owns)", perClient)
+	}
+}
+
+// TestShardedBuildMallocs counts the heap objects a fleet build makes
+// per closed client: its think event comes from a slab the engine
+// carves many events from, so the count is a small fraction, not one
+// object per client. Differencing two fleet sizes cancels the fixed
+// costs.
+func TestShardedBuildMallocs(t *testing.T) {
+	const pools = 4
+	build := func(n int) uint64 {
+		cfg := shardedConfig(pools, 2, 0)
+		cfg.Load = workload.MixedWorkload(n, 0.1)
+		_, mallocs := buildCost(func() any {
+			r, err := NewSharded(cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			r.Close()
+			return r
+		})
+		return mallocs
+	}
+	const n = 4096
+	perClient := (float64(build(2*n)) - float64(build(n))) / (pools * n)
+	t.Logf("%.3f mallocs per closed client", perClient)
+	if perClient > 0.05 {
+		t.Fatalf("a fleet build makes %.3f mallocs per closed client, want ≤ 0.05", perClient)
+	}
+}
+
+// BenchmarkShardedBuild reports what building a static fleet costs:
+// 64 pools of 400 closed clients, constructed and closed, never run.
+func BenchmarkShardedBuild(b *testing.B) {
+	cfg := shardedConfig(64, 2, 0)
+	cfg.Load = workload.MixedWorkload(400, 0.1)
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		r, err := NewSharded(cfg)
+		if err != nil {
+			b.Fatal(err)
+		}
+		r.Close()
 	}
 }
 

@@ -194,7 +194,7 @@ func (r *reqState) finish() {
 		r.app.completed++
 	}
 	if r.client >= 0 {
-		s.eng.Schedule(s.thinkDelay(r.cls), s.issue[r.client])
+		s.eng.ScheduleArg(s.thinkDelay(r.cls), s.onThink, r.client)
 	}
 	s.putReq(r)
 }

@@ -98,7 +98,7 @@ func (xr *xreq) doReturn() {
 	if s.measuring {
 		s.classes[xr.cls].acc.record(rt)
 	}
-	s.eng.Schedule(s.thinkDelay(xr.cls), s.issue[xr.client])
+	s.eng.ScheduleArg(s.thinkDelay(xr.cls), s.onThink, xr.client)
 	s.putXreq(xr)
 }
 

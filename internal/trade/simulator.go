@@ -29,11 +29,11 @@ type appServer struct {
 // each request visits; the database server keeps one FIFO queue per
 // application server (sim.PerSourceFIFO keyed by server index).
 //
-// All per-request state is pooled: closed clients are indices into
-// per-client arrays, request lifecycles live in a free list of
-// reqStates, and each population's mix, accumulator and think
-// distribution are resolved once into a classState — the steady-state
-// request loop performs no heap allocation.
+// All per-request state is pooled: a closed client is an index, carried
+// as its pending think event's argument, request lifecycles live in a
+// free list of reqStates, and each population's mix, accumulator and
+// think distribution are resolved once into a classState — the
+// steady-state request loop performs no heap allocation.
 type simulator struct {
 	cfg  Config
 	eng  *sim.Engine
@@ -60,12 +60,12 @@ type simulator struct {
 	rrNext        int
 	stickyWeights []float64 // server speeds, hoisted for assignSticky
 
-	// Per-client arrays. issue[i] is closed client i's continuation,
-	// bound once at registration; it captures the simulator, i and the
-	// client's Config.Load index, so a fleet client costs its slot here
-	// plus that 24-byte closure — 32 bytes. The other arrays exist only
+	// onThink is every closed client's think-time continuation, bound
+	// once: the client is its pending event's argument (sim.Engine.Arg)
+	// and its class follows from classState.clientEnd, so a fleet client
+	// costs nothing beyond that event. The per-client arrays exist only
 	// in the variants that read them.
-	issue        []func()
+	onThink      func()
 	home         []int32      // sticky home server; nil on a one-server tier or dynamic routing
 	sessions     []buySession // detailed-operations buy sessions
 	sessionBytes []int64      // session size (cache variant)
@@ -145,6 +145,10 @@ type classState struct {
 	acc       *classAcc      // the response-time accumulator
 	think     *scenario.Dist // scenario think-time distribution (nil = exponential)
 	thinkMean float64        // the exponential think mean
+	// clientEnd is one past the class's last closed-client index:
+	// clients register in population order, so class k owns
+	// [classes[k-1].clientEnd, clientEnd).
+	clientEnd int32
 	// Detailed operations (§3.1): a buy population runs register → buys
 	// → logoff sessions, a browse population picks browse operations.
 	buySessions, detailBrowse bool
@@ -299,8 +303,9 @@ func newSimulator(cfg Config, opt simOptions) *simulator {
 		if !pop.Open() {
 			totalClients += pop.Clients
 		}
+		k.clientEnd = int32(totalClients)
 	}
-	s.issue = make([]func(), totalClients)
+	s.onThink = s.thinkDone
 	if (cfg.Routing == RouteSticky || cfg.Routing == "") && len(s.apps) > 1 {
 		s.home = make([]int32, totalClients)
 	}
@@ -344,11 +349,9 @@ func newSimulator(cfg Config, opt simOptions) *simulator {
 				}
 				s.sessionBytes[id] = size
 			}
-			c, cls := int32(id), int32(pi)
-			s.issue[id] = func() { s.issueRequest(c, cls) }
 			// Stagger initial arrivals across one think time so the
 			// run does not start with a synchronized burst.
-			eng.Schedule(s.thinkDelay(pi), s.issue[id])
+			eng.ScheduleArg(s.thinkDelay(pi), s.onThink, int32(id))
 			id++
 		}
 	}
@@ -468,6 +471,17 @@ func (s *simulator) beginMeasurement() {
 	}
 	s.dbCPU.ResetStats()
 	s.dbSlots.ResetStats()
+}
+
+// thinkDone is onThink: the closed client the firing event carries has
+// finished thinking, so it issues its next request.
+func (s *simulator) thinkDone() {
+	c := s.eng.Arg()
+	cls := 0
+	for s.classes[cls].clientEnd <= c {
+		cls++
+	}
+	s.issueRequest(c, int32(cls))
 }
 
 // issueRequest begins one request of closed client c, of class cls:
