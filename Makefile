@@ -45,7 +45,7 @@ race:
 	$(GO) test -race -run 'TestEngine|TestStation|TestCalendar|TestReschedule|TestMeasureCurve' ./internal/sim ./internal/trade
 	$(GO) test -race -cpu 1,2,4 -run 'TestCoordinator|TestSharded' ./internal/sim ./internal/trade
 	$(GO) test -race -cpu 1,2,4 -run 'TestFleet|TestRoute|TestOriginState|FuzzPickMatchesScan' ./internal/fleet
-	$(GO) test -race -run 'TestConcurrentServing|TestColdStampedeBuildsOnce|TestOverloadShedsNotCollapses|TestGracefulShutdownDrains|TestBuildWorkersBoundAllMethods|TestJoinerKeepsItsOwnDeadline|TestRebuildRunsNoSimulation|TestSolveDeadlineCountedOnce|TestSolveAdmissionSheds' ./internal/serve
+	$(GO) test -race -run 'TestConcurrentServing|TestColdStampedeBuildsOnce|TestOverloadShedsNotCollapses|TestGracefulShutdownDrains|TestBuildWorkersBoundAllMethods|TestJoinerKeepsItsOwnDeadline|TestRebuildRunsNoSimulation|TestSolveDeadlineCountedOnce|TestSolveAdmissionSheds|TestPercentileCalibrationAdmission' ./internal/serve
 	$(GO) test -race ./internal/scenario
 	$(GO) test -race -run 'TestScenario|TestFleetScenario' ./internal/trade ./internal/fleet
 	$(GO) test -race -run 'TestTrainDeterministicAcrossWorkers|TestTrainEqualsFitOverMeasuredSamples' ./internal/regress

@@ -61,11 +61,11 @@ func run(args []string, stop <-chan os.Signal, stderr io.Writer) error {
 	addrFile := fs.String("addr-file", "", "write the bound address to this file once listening")
 	cacheCap := fs.Int("cache-cap", 256, "model store capacity in (method, architecture, mix) entries, all methods together; 0 = unbounded. Bounds assembled models; measured evidence is kept per key")
 	points := fs.Int("points", 0, "hybrid pseudo data points per equation (0 = paper's 4)")
-	laplaceB := fs.Float64("laplace-b", 0, "fixed Laplace percentile scale in seconds; 0 calibrates per key from a fixed-seed simulator run, once per key")
-	calibSeconds := fs.Float64("calib-seconds", 40, "simulated seconds per percentile calibration run")
+	laplaceB := fs.Float64("laplace-b", 0, "fixed Laplace percentile scale in seconds; 0 calibrates per key from a fixed-seed simulator run on the key's first percentile request, once per key")
+	calibSeconds := fs.Float64("calib-seconds", 40, "simulated seconds per percentile calibration run (paid by a key's first percentile request)")
 	regressSeconds := fs.Float64("regress-seconds", 20, "simulated seconds per regress training run")
-	buildWorkers := fs.Int("build-workers", 2, "concurrent cold model builds, all methods together")
-	maxQueuedBuilds := fs.Int("max-queued-builds", 8, "cold builds allowed to wait beyond the workers before 429")
+	buildWorkers := fs.Int("build-workers", 2, "concurrent cold model builds and percentile calibrations, all methods together")
+	maxQueuedBuilds := fs.Int("max-queued-builds", 8, "cold builds and calibrations allowed to wait beyond the workers before 429")
 	solveWorkers := fs.Int("solve-workers", 0, "concurrent method=lqn solves, each slot keeping warm solver state (0 = GOMAXPROCS)")
 	report := fs.String("report", "", "write a final obs snapshot (JSON) here on shutdown")
 	if err := fs.Parse(args); err != nil {

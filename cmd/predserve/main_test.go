@@ -17,8 +17,10 @@ import (
 
 // TestServeColdWarmDrain is the service's end-to-end smoke: bring
 // predserve up on an ephemeral port, pay one cold build, see warm
-// requests hit the model cache on /metrics, and require the stop
-// signal to drain to a clean return and a report that parses.
+// requests hit the model cache on /metrics without simulating, pay the
+// key's percentile calibration on its first percentile request, and
+// require the stop signal to drain to a clean return and a report that
+// parses.
 func TestServeColdWarmDrain(t *testing.T) {
 	dir := t.TempDir()
 	addrFile, report := filepath.Join(dir, "addr"), filepath.Join(dir, "report.json")
@@ -55,21 +57,21 @@ func TestServeColdWarmDrain(t *testing.T) {
 		}
 		return body
 	}
-	predict := func() (cold bool, rt float64) {
+	predict := func(query string) (cold bool, rt float64) {
 		t.Helper()
 		var pr struct {
 			ResponseTimeS float64 `json:"response_time_s"`
 			Cold          bool    `json:"cold"`
 		}
-		if err := json.Unmarshal(get("/v1/predict?arch=AppServF&clients=500"), &pr); err != nil {
+		if err := json.Unmarshal(get("/v1/predict?arch=AppServF&clients=500"+query), &pr); err != nil {
 			t.Fatal(err)
 		}
 		return pr.Cold, pr.ResponseTimeS
 	}
-	cacheHits := func() int64 {
+	counter := func(name string) int64 {
 		t.Helper()
 		for _, ln := range strings.Split(string(get("/metrics")), "\n") {
-			if f := strings.Fields(ln); len(f) == 2 && f[0] == "serve_cache_hits" {
+			if f := strings.Fields(ln); len(f) == 2 && f[0] == name {
 				n, err := strconv.ParseInt(f[1], 10, 64)
 				if err != nil {
 					t.Fatal(err)
@@ -77,22 +79,33 @@ func TestServeColdWarmDrain(t *testing.T) {
 				return n
 			}
 		}
-		t.Fatal("serve_cache_hits not in the /metrics dump")
+		t.Fatalf("%s not in the /metrics dump", name)
 		return 0
 	}
 
 	get("/healthz")
-	if cold, rt := predict(); !cold || rt <= 0 {
+	if cold, rt := predict(""); !cold || rt <= 0 {
 		t.Fatalf("first predict: cold=%v rt=%v, want a cold build and a positive response time", cold, rt)
 	}
-	hits := cacheHits()
+	hits := counter("serve_cache_hits")
 	for i := 0; i < 3; i++ {
-		if cold, rt := predict(); cold || rt <= 0 {
+		if cold, rt := predict(""); cold || rt <= 0 {
 			t.Fatalf("warm predict %d: cold=%v rt=%v", i, cold, rt)
 		}
 	}
-	if after := cacheHits(); after < hits+3 {
+	if after := counter("serve_cache_hits"); after < hits+3 {
 		t.Fatalf("serve_cache_hits went %d -> %d over three warm requests", hits, after)
+	}
+	// Means never read the percentile scale, so nothing has simulated;
+	// the key's first percentile pays for its calibration run.
+	if runs := counter("serve_simulator_runs"); runs != 0 {
+		t.Fatalf("mean requests ran the simulator %d times, want 0", runs)
+	}
+	if cold, rt := predict("&percentile=0.9"); !cold || rt <= 0 {
+		t.Fatalf("first percentile: cold=%v rt=%v, want a cold calibration and a positive response time", cold, rt)
+	}
+	if runs, secs := counter("serve_simulator_runs"), counter("serve_simulated_seconds"); runs != 1 || secs != 13 {
+		t.Fatalf("first percentile: %d simulator runs over %d simulated seconds, want 1 over 13", runs, secs)
 	}
 
 	stop <- syscall.SIGTERM

@@ -3,6 +3,7 @@ package instrument
 import (
 	"bytes"
 	"encoding/json"
+	"strings"
 	"testing"
 
 	"perfpred/internal/bench"
@@ -12,10 +13,15 @@ import (
 // EnableAll must reach the hot paths, not just compile: two quick
 // experiments move the solver, simulator and session-cache counters on
 // a private registry, and the snapshot survives the JSON round trip a
-// -report file makes. The event core's counters must also agree with
-// each other: every fired event was scheduled on a recycled or a fresh
-// one, and the deepest queue never held more events than were ever
-// carved fresh.
+// -report file makes. Each layer's counters must also agree with each
+// other: every fired event was scheduled on a recycled or a fresh one,
+// and the deepest queue never held more events than were ever carved
+// fresh; warm-start hits and misses, and convergence failures, are
+// solves, and a solve takes at least one MVA iteration; a session-cache
+// rebuild is an iteration and a non-converged solve a solve; and every
+// completed request came from the request pool, recycled or fresh.
+// trade_cache_evicts ≤ trade_cache_misses does not hold: the
+// byte-bounded LRU may evict several entries to insert one.
 func TestEnableAllReachesHotPaths(t *testing.T) {
 	reg := obs.NewRegistry()
 	EnableAll(reg)
@@ -53,5 +59,28 @@ func TestEnableAllReachesHotPaths(t *testing.T) {
 	}
 	if high := snap.MaxGauges["sim_heap_depth_high_water"]; high <= 0 || uint64(high) > allocs {
 		t.Errorf("sim_heap_depth_high_water = %d, want in (0, sim_event_allocs = %d]", high, allocs)
+	}
+	sum := func(names []string) uint64 {
+		var n uint64
+		for _, name := range names {
+			v, ok := snap.Counters[name]
+			if !ok {
+				t.Errorf("counter %q missing from the snapshot", name)
+			}
+			n += v
+		}
+		return n
+	}
+	for _, r := range []struct{ small, large []string }{
+		{[]string{"lqn_solver_warm_hits", "lqn_solver_warm_misses"}, []string{"lqn_solver_solves"}},
+		{[]string{"lqn_solver_solves"}, []string{"lqn_solver_mva_iterations"}},
+		{[]string{"lqn_solver_convergence_failures"}, []string{"lqn_solver_solves"}},
+		{[]string{"sessioncache_rebuilds"}, []string{"sessioncache_iterations"}},
+		{[]string{"sessioncache_nonconverged"}, []string{"sessioncache_solves"}},
+		{[]string{"trade_requests_completed"}, []string{"trade_request_pool_reuses", "trade_request_pool_allocs"}},
+	} {
+		if small, large := sum(r.small), sum(r.large); small > large {
+			t.Errorf("%s = %d exceeds %s = %d", strings.Join(r.small, " + "), small, strings.Join(r.large, " + "), large)
+		}
 	}
 }

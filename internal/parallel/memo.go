@@ -93,6 +93,28 @@ func (m *Memo[K, V]) Forget(key K) {
 	}
 }
 
+// Lookup returns key's memoised value without running or joining a
+// flight: ok is false while key has no finished, successful one.
+func (m *Memo[K, V]) Lookup(key K) (v V, ok bool) {
+	m.mu.Lock()
+	f, found := m.m[key]
+	m.mu.Unlock()
+	if !found {
+		return v, false
+	}
+	select {
+	case <-f.done:
+		// A failed flight is deleted before done closes, but a Lookup
+		// that found it in the table may still see it finish.
+		if f.err != nil {
+			return v, false
+		}
+		return f.val, true
+	default:
+		return v, false
+	}
+}
+
 // Len reports how many keys the table holds: memoised values plus
 // flights still in progress.
 func (m *Memo[K, V]) Len() int {

@@ -84,6 +84,38 @@ func TestMemoLen(t *testing.T) {
 	}
 }
 
+// Lookup reports only finished successes: not a key never asked, not
+// a flight still running, not a failure.
+func TestMemoLookup(t *testing.T) {
+	var m Memo[string, int]
+	if _, ok := m.Lookup("k"); ok {
+		t.Fatal("Lookup hit on an empty Memo")
+	}
+	_, _ = m.Do("bad", func() (int, error) { return 0, errors.New("boom") })
+	if _, ok := m.Lookup("bad"); ok {
+		t.Fatal("Lookup hit on a failed flight")
+	}
+	started, release := make(chan struct{}), make(chan struct{})
+	done := make(chan struct{})
+	go func() {
+		defer close(done)
+		_, _ = m.Do("k", func() (int, error) {
+			close(started)
+			<-release
+			return 7, nil
+		})
+	}()
+	<-started
+	if _, ok := m.Lookup("k"); ok {
+		t.Error("Lookup hit on a flight still running")
+	}
+	close(release)
+	<-done
+	if v, ok := m.Lookup("k"); !ok || v != 7 {
+		t.Fatalf("Lookup after the flight = (%d, %v), want (7, true)", v, ok)
+	}
+}
+
 // TestMemoStampede is the serving-cache contract: a thundering herd of
 // cold requests for one key runs the underlying build exactly once,
 // and every caller — leader and waiters alike — receives that build's

@@ -40,27 +40,28 @@ type modelEntry struct {
 	// pred answers the two mean-value questions: the hybrid-calibrated
 	// historical model, or the cheap tier's black-box regression model.
 	pred rm.Predictor
-	// sm and laplaceB carry the hybrid tier's §7.1 percentile conversion
-	// (unset on other tiers): the model whose saturation boundary picks
-	// the distribution, and the Laplace scale — the configured constant
-	// or the key's evidence, calibrated from a fixed-seed simulator run
-	// during the key's first build.
-	sm       *hist.ServerModel
-	laplaceB float64
+	// sm is the hybrid tier's model (unset on other tiers): its
+	// saturation boundary picks the §7.1 distribution a percentile is
+	// read from, at the scale Service.laplaceScale gives the key.
+	sm *hist.ServerModel
 	// buildWall is the build's wall-clock cost (the §8.5 start-up
 	// delay this entry amortises across warm predictions).
 	buildWall time.Duration
 }
 
-// evidence is what one key's cold build took from the simulator — the
-// measured part of its model; everything else in a modelEntry is solves
-// and fits over it, microseconds against the simulator's milliseconds.
-// It is deterministic in the key (fixed seed, fixed horizon), so keeping
-// it (Service.evidence) changes when a number is computed, never which
+// evidence is what one key took from the simulator — the measured part
+// of what it serves; everything else is solves and fits over it,
+// microseconds against the simulator's milliseconds. It is
+// deterministic in the key (fixed seed, fixed horizon), so keeping it
+// (Service.evidence) changes when a number is computed, never which
 // number is served.
 type evidence struct {
-	// laplaceB is a hybrid key's calibrated §7.1 percentile scale.
-	laplaceB float64
+	// laplaceB is a hybrid key's calibrated §7.1 percentile scale,
+	// measured on the key's first percentile request; calibration is
+	// that run's wall time, reported to the request that waited on it
+	// and part of no served number.
+	laplaceB    float64
+	calibration time.Duration
 	// samples are a regress key's training measurements, in fit order.
 	// Fits read them and never write.
 	samples []regress.Sample
@@ -113,14 +114,7 @@ func (c *modelStore) get(ctx context.Context, key modelKey) (e *modelEntry, cold
 		return e, false, nil
 	}
 	m.cacheMisses.Inc()
-	e, err = c.flight(ctx, key)
-	// A flight fails with a context error when its leader gave up
-	// waiting for a build slot. That deadline was the leader's: a joiner
-	// whose own still stands goes round again, leading the next flight
-	// if nobody else does.
-	for isContextErr(err) && ctx.Err() == nil {
-		e, err = c.flight(ctx, key)
-	}
+	e, err = shareFlight(ctx, func() (*modelEntry, error) { return c.flight(ctx, key) })
 	if err != nil {
 		return nil, true, err
 	}
@@ -152,6 +146,19 @@ func (c *modelStore) flight(ctx context.Context, key modelKey) (*modelEntry, err
 		c.lru.Put(key, entry)
 		return entry, nil
 	})
+}
+
+// shareFlight runs flight, a singleflight call made on ctx, until it
+// ends in anything but a context error that is not ctx's own. A flight
+// fails with a context error when its leader gave up waiting for a
+// build slot. That deadline was the leader's: a joiner whose own still
+// stands goes round again, leading the next flight if nobody else does.
+func shareFlight[V any](ctx context.Context, flight func() (V, error)) (V, error) {
+	v, err := flight()
+	for isContextErr(err) && ctx.Err() == nil {
+		v, err = flight()
+	}
+	return v, err
 }
 
 // admission bounds one kind of work, builds or layered solves: at most
@@ -215,9 +222,11 @@ func (a *admission[T]) track(d int64) int64 {
 
 // buildEntry is the store's cold path, first build and rebuild alike:
 // resolve the key's architecture and run the build of the key's method.
-// Each build is two steps — measure, which takes the key's evidence from
-// Service.evidence and so runs the simulator only the first time the
-// key is ever built, and assemble, which solves and fits around it.
+// A regress build is two steps — measure, which takes the key's
+// evidence from Service.evidence and so runs the simulator only the
+// first time the key is ever built, and assemble, which fits around it.
+// A hybrid build is solves alone: its evidence waits for the key's
+// first percentile request (Service.laplaceScale).
 func (s *Service) buildEntry(key modelKey) (*modelEntry, error) {
 	arch, err := s.arch(key.arch)
 	if err != nil {
@@ -236,11 +245,9 @@ func (s *Service) arch(name string) (workload.ServerArch, error) {
 }
 
 // buildHybrid is the hybrid method's cold path: generate the hybrid
-// model for the key from warm-started layered solves, then fix the
-// percentile scale — either the configured constant or the key's
-// evidence: a calibration against a fixed-seed simulator run at the
-// model's saturated population under the same mix, the §7.1 procedure
-// the offline suite uses.
+// model for the key from warm-started layered solves. Means,
+// capacities and allocations read nothing else, so the build runs no
+// simulation.
 func (s *Service) buildHybrid(key modelKey, arch workload.ServerArch) (*modelEntry, error) {
 	cfg := hybrid.Config{
 		DB:                s.cfg.DB,
@@ -252,18 +259,41 @@ func (s *Service) buildHybrid(key modelKey, arch workload.ServerArch) (*modelEnt
 	if err != nil {
 		return nil, err
 	}
-	b := s.cfg.LaplaceB
-	if b == 0 {
-		ev, err := s.evidence.Do(key, func() (evidence, error) {
-			b, err := s.calibrateScale(arch, key.buyFrac(), sm)
-			return evidence{laplaceB: b}, err
-		})
-		if err != nil {
-			return nil, err
-		}
-		b = ev.laplaceB
+	return &modelEntry{pred: hist.ModelSet{arch.Name: sm}, sm: sm}, nil
+}
+
+// laplaceScale returns the §7.1 percentile scale of the hybrid key
+// whose model is sm: the configured constant, or the key's evidence — a
+// calibration against a fixed-seed simulator run at the model's
+// saturated population under the same mix, the §7.1 procedure the
+// offline suite uses. The key's first percentile request pays for that
+// run and the scale is kept for the life of the Service. Like a build,
+// the run holds a build slot, one flight a key; a kept scale takes
+// neither. cold reports whether this request waited on the run.
+func (s *Service) laplaceScale(ctx context.Context, key modelKey, sm *hist.ServerModel) (ev evidence, cold bool, err error) {
+	if s.cfg.LaplaceB != 0 {
+		return evidence{laplaceB: s.cfg.LaplaceB}, false, nil
 	}
-	return &modelEntry{pred: hist.ModelSet{arch.Name: sm}, sm: sm, laplaceB: b}, nil
+	if ev, ok := s.evidence.Lookup(key); ok {
+		return ev, false, nil
+	}
+	arch, err := s.arch(key.arch)
+	if err != nil {
+		return ev, true, err
+	}
+	ev, err = shareFlight(ctx, func() (evidence, error) {
+		return s.evidence.DoCtx(ctx, key, func() (evidence, error) {
+			slot, err := s.store.slots.acquire(ctx)
+			if err != nil {
+				return evidence{}, err
+			}
+			defer s.store.slots.release(slot)
+			start := time.Now()
+			b, err := s.calibrateScale(arch, key.buyFrac(), sm)
+			return evidence{laplaceB: b, calibration: time.Since(start)}, err
+		})
+	})
+	return ev, true, err
 }
 
 // buildRegress is the cheap tier's cold path: fit a black-box

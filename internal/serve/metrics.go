@@ -8,7 +8,7 @@ import (
 
 // serveMetrics instrument the prediction service's hot path: request
 // counts and latency per endpoint, model-cache traffic, cold-build
-// cost, what the builds took from the simulator, layered solves, the
+// cost, what the keys took from the simulator, layered solves, the
 // build and solve queues, and the admission controller's rejection
 // counters. They follow the repo convention:
 // registered once via EnableMetrics, nil-safe, zero-allocation on the
@@ -25,7 +25,8 @@ type serveMetrics struct {
 	buildSeconds *obs.Histogram
 
 	// The §8.5 start-up delay in the currency the families study prints:
-	// simulator runs the cold builds paid for and the simulated seconds
+	// simulator runs the keys paid for — a regress key's first build, a
+	// hybrid key's first percentile request — and the simulated seconds
 	// they covered (warm-up included; each measurement rounded to whole
 	// seconds). A key pays once, so neither moves on a rebuild.
 	simulatorRuns    *obs.Counter

@@ -11,20 +11,22 @@
 //     and regress models live in one bounded sessioncache.LRU, and a
 //     parallel.Memo singleflight collapses a thundering herd of cold
 //     requests for one key into exactly one build (stampede control);
-//   - builds split into measure and assemble: what a build takes from
-//     the simulator (hybrid's calibrated percentile scale, regress's
-//     eight training samples) is a few bytes that cost milliseconds,
-//     the model around it microseconds of solves and fits. The LRU
-//     evicts assembled models; the measured evidence stays in a per-key
-//     table for the life of the Service, so a key pays the paper's
-//     start-up delay (§8.5) once and every rebuild is assembly alone —
-//     the same two steps as the first build, the first one answered
-//     from the table. No knob bounds that table because the key does:
+//   - what a key takes from the simulator is measured once, when first
+//     needed, and kept apart from the models: regress's eight training
+//     samples by the key's first build, hybrid's calibrated percentile
+//     scale by the key's first percentile request (a mean, a capacity
+//     or an allocation never reads it). That evidence is a few bytes
+//     that cost milliseconds, the model around it microseconds of
+//     solves and fits. The LRU evicts assembled models; the evidence
+//     stays in a per-key table for the life of the Service, so a key
+//     pays the paper's start-up delay (§8.5) once and every rebuild is
+//     assembly alone. No knob bounds that table because the key does:
 //     mixes are quantised to 0.1%, so it cannot pass architectures ×
 //     1 001 keys a method (about 2.4 MB for the case-study catalogue);
-//   - async build workers: cold builds of every method run under one
-//     bounded worker semaphore, so build cost is paid off the
-//     steady-state request path and bounded in concurrency;
+//   - async build workers: cold builds of every method and percentile
+//     calibrations run under one bounded worker semaphore, so build
+//     cost is paid off the steady-state request path and bounded in
+//     concurrency;
 //   - admission control: one slot-and-queue controller in front of
 //     builds and of exact layered solves alike (a layered query solves
 //     on its own request goroutine, holding one of SolveWorkers solver
@@ -34,7 +36,7 @@
 //
 // Every stage is wired into the obs registry (per-endpoint latency
 // histograms, cache traffic, queue depths and high-water marks, the
-// simulator runs and simulated seconds the cold builds paid for); the
+// simulator runs and simulated seconds the keys paid for); the
 // benchmark's serve_warm and serve_churn workloads drive the service
 // end to end and report those counters as serve.* metrics.
 package serve
@@ -99,18 +101,17 @@ type Config struct {
 
 	// CacheCapacity bounds the model store in entries, all methods
 	// together; 0 = unbounded. It bounds assembled models only: what a
-	// key's first build measured on the simulator is kept per key for
-	// the life of the Service, so an evicted key rebuilds in
-	// microseconds.
+	// key measured on the simulator is kept per key for the life of the
+	// Service, so an evicted key rebuilds in microseconds.
 	CacheCapacity int
 
 	// LaplaceB fixes the §7.1 percentile scale in seconds. 0 means
 	// calibrate per (architecture, mix) from a fixed-seed simulator
-	// run during the key's first cold build — a slower first build,
-	// honest tails; the calibrated scale outlives eviction.
+	// run on the key's first percentile request — a slower first
+	// percentile, honest tails; the calibrated scale outlives eviction.
 	LaplaceB float64
-	// CalibrationSimSeconds is the calibration run's simulated horizon
-	// (default 40; a quarter of it is warm-up).
+	// CalibrationSimSeconds is the percentile calibration run's
+	// simulated horizon (default 40; a quarter of it is warm-up).
 	CalibrationSimSeconds float64
 
 	// RegressSimSeconds is each regress training run's simulated
@@ -119,12 +120,12 @@ type Config struct {
 	// seconds — the knob that keeps the tier cheap.
 	RegressSimSeconds float64
 
-	// BuildWorkers bounds concurrent cold builds, all methods together
-	// (default 2).
+	// BuildWorkers bounds concurrent cold builds, all methods together,
+	// and percentile calibrations (default 2).
 	BuildWorkers int
-	// MaxQueuedBuilds bounds builds waiting for a worker slot beyond
-	// the running ones; more cold keys than this reject with 429
-	// (default 8).
+	// MaxQueuedBuilds bounds builds and calibrations waiting for a
+	// worker slot beyond the running ones; more cold keys than this
+	// reject with 429 (default 8).
 	MaxQueuedBuilds int
 	// SolveWorkers bounds concurrent method=lqn solves (default
 	// GOMAXPROCS); each solver slot keeps warm solver state for the
@@ -182,12 +183,13 @@ type Service struct {
 	// store holds every method's cached models behind one LRU, one
 	// singleflight and one build admission controller.
 	store *modelStore
-	// evidence keeps what each key's first build took from the
-	// simulator, so a rebuild after eviction is solves and fits alone.
+	// evidence keeps what each key took from the simulator, so a
+	// rebuild after eviction is solves and fits alone and a rebuilt
+	// hybrid key's next percentile runs no simulation.
 	// Nothing evicts it and no knob bounds it, because the key does:
 	// makeKey quantises the mix to 1 001 values, so the table tops out
 	// at architectures × 1 001 keys a simulator-backed method — for the
-	// case-study catalogue 3 003 scales of 8 bytes and 3 003 sets of
+	// case-study catalogue 3 003 scales of 16 bytes and 3 003 sets of
 	// eight samples, about 2.4 MB with the map around them.
 	evidence parallel.Memo[modelKey, evidence]
 	// solves admits method=lqn solves. A slot is a solver's warm state:
@@ -698,18 +700,27 @@ func (s *Service) Predict(r *http.Request, req PredictRequest) (*PredictResponse
 		return nil, err
 	}
 	if req.Percentile > 0 {
+		hk := makeKey("hybrid", req.Arch, req.BuyPct)
 		if e == nil {
 			// The layered solver predicts only means; the conversion
 			// borrows the cached hybrid entry's saturation boundary and
 			// Laplace scale, exactly as the offline comparison does.
 			// Waiting on that build marks the reply cold, no more.
 			var cold bool
-			if e, cold, err = s.store.get(ctx, makeKey("hybrid", req.Arch, req.BuyPct)); err != nil {
+			if e, cold, err = s.store.get(ctx, hk); err != nil {
 				return nil, err
 			}
 			q.cold = cold
 		}
-		if rt, err = rtdist.PercentileFromMean(rt, e.sm.Saturated(req.Clients), e.laplaceB, req.Percentile); err != nil {
+		ev, cold, err := s.laplaceScale(ctx, hk, e.sm)
+		if err != nil {
+			return nil, err
+		}
+		if cold {
+			q.cold = true
+			q.buildMS += float64(ev.calibration) / float64(time.Millisecond)
+		}
+		if rt, err = rtdist.PercentileFromMean(rt, e.sm.Saturated(req.Clients), ev.laplaceB, req.Percentile); err != nil {
 			return nil, err
 		}
 	}

@@ -21,6 +21,7 @@ import (
 	"perfpred/internal/obs"
 	"perfpred/internal/regress"
 	"perfpred/internal/rm"
+	"perfpred/internal/rtdist"
 	"perfpred/internal/trade"
 	"perfpred/internal/workload"
 )
@@ -1134,11 +1135,189 @@ func TestJoinerKeepsItsOwnDeadline(t *testing.T) {
 	}
 }
 
+// holdBuildSlots takes every build slot, as running builds would, and
+// returns their release.
+func holdBuildSlots(t *testing.T, s *Service) func() {
+	t.Helper()
+	for i := 0; i < s.cfg.BuildWorkers; i++ {
+		if _, err := s.store.slots.acquire(context.Background()); err != nil {
+			t.Fatal(err)
+		}
+	}
+	var once sync.Once
+	release := func() {
+		once.Do(func() {
+			for i := 0; i < s.cfg.BuildWorkers; i++ {
+				s.store.slots.release(struct{}{})
+			}
+		})
+	}
+	t.Cleanup(release)
+	return release
+}
+
+// A hybrid key's percentile calibration is admitted like a build, on a
+// resident key with no configured scale: past the build slots and their
+// queue the first percentile request is refused; a leader whose
+// deadline passes while it waits for a slot is a 504, counted once, and
+// the joiner behind it calibrates in its place; and once the scale is
+// kept, a percentile takes no slot at all.
+func TestPercentileCalibrationAdmission(t *testing.T) {
+	reg := obs.NewRegistry()
+	EnableMetrics(reg)
+	defer EnableMetrics(nil)
+
+	s, srv := newTestServer(t, func(c *Config) {
+		c.LaplaceB = 0
+		c.CalibrationSimSeconds = 4
+		c.MaxQueuedBuilds = 1
+	})
+	client := srv.Client()
+	runs, expired := reg.Counter("serve_simulator_runs"), reg.Counter("serve_deadline_expired")
+	const url = "/v1/predict?arch=AppServF&clients=500"
+	if code := getJSON(t, client, srv.URL+url, nil); code != http.StatusOK {
+		t.Fatalf("mean predict: status %d", code)
+	}
+	if n := runs.Value(); n != 0 {
+		t.Fatalf("a mean request ran the simulator %d times", n)
+	}
+	waitFor := func(what string, cond func() bool) {
+		t.Helper()
+		for deadline := time.Now().Add(10 * time.Second); !cond(); time.Sleep(time.Millisecond) {
+			if time.Now().After(deadline) {
+				t.Fatalf("timed out waiting for %s", what)
+			}
+		}
+	}
+	queued := func(n int64) func() bool { return func() bool { return s.store.slots.queued.Load() == n } }
+
+	release := holdBuildSlots(t, s)
+	qctx, cancelQueued := context.WithCancel(context.Background())
+	waiting := make(chan error, 1)
+	go func() {
+		_, err := s.store.slots.acquire(qctx)
+		waiting <- err
+	}()
+	waitFor("the build queue to fill", queued(3))
+	pct := PredictRequest{Arch: "AppServF", Clients: 500, Percentile: 0.9}
+	if _, err := s.Predict(httptest.NewRequest(http.MethodGet, "/v1/predict", nil), pct); !errors.Is(err, ErrOverloaded) {
+		t.Fatalf("percentile past full build slots and queue: %v, want ErrOverloaded", err)
+	}
+	if n := reg.Counter("serve_rejected_overload").Value(); n != 1 {
+		t.Errorf("serve_rejected_overload = %d, want 1", n)
+	}
+	cancelQueued()
+	if err := <-waiting; !errors.Is(err, context.Canceled) {
+		t.Fatalf("queued acquire: %v, want context.Canceled", err)
+	}
+
+	var wg sync.WaitGroup
+	get := func(query string) (*int, *PredictResponse) {
+		code, resp := new(int), new(PredictResponse)
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			*code = getJSON(t, client, srv.URL+url+"&percentile=0.9"+query, resp)
+		}()
+		return code, resp
+	}
+	leader, _ := get("&deadline_ms=250")
+	waitFor("the leader to queue for a slot", queued(3))
+	joiner, joined := get("")
+	waitFor("the joiner to arrive", func() bool { return reg.Counter("serve_predict_requests").Value() == 3 })
+	waitFor("the leader's deadline", func() bool { return expired.Value() >= 1 })
+	release()
+	wg.Wait()
+	if *leader != http.StatusGatewayTimeout {
+		t.Errorf("leader with a 250 ms deadline behind busy slots got %d, want 504", *leader)
+	}
+	if *joiner != http.StatusOK || !joined.Cold || joined.BuildMS <= 0 {
+		t.Errorf("joiner: status %d, cold %v, build_ms %v; want 200, cold, the calibration's wall time",
+			*joiner, joined.Cold, joined.BuildMS)
+	}
+	if n := expired.Value(); n != 1 {
+		t.Errorf("serve_deadline_expired = %d, want 1 (the leader's only)", n)
+	}
+	if n := runs.Value(); n != 1 {
+		t.Errorf("serve_simulator_runs = %d, want 1: the joiner calibrates once", n)
+	}
+
+	holdBuildSlots(t, s)
+	var warm PredictResponse
+	if code := getJSON(t, client, srv.URL+url+"&percentile=0.9&deadline_ms=250", &warm); code != http.StatusOK {
+		t.Fatalf("repeat percentile with every build slot held: status %d, want 200", code)
+	}
+	if warm.Cold || warm.BuildMS != 0 || warm.ResponseTimeS != joined.ResponseTimeS {
+		t.Errorf("repeat percentile: cold %v, build_ms %v, rt %v; want warm, 0, %v",
+			warm.Cold, warm.BuildMS, warm.ResponseTimeS, joined.ResponseTimeS)
+	}
+	if n := runs.Value(); n != 1 {
+		t.Errorf("serve_simulator_runs = %d after a repeat, want 1", n)
+	}
+}
+
+// A scale calibrated lazily is the scale the eager path fitted: for
+// each case-study architecture at buy 0 % and 12.5 %, the served p90 of
+// the hybrid and the layered path equals, bit for bit, the §7.1
+// conversion of that path's mean at calibrateScale's fit to the offline
+// model. Each path is the first percentile on one of the two mixes.
+func TestLazyPercentileMatchesEagerScale(t *testing.T) {
+	s := newTestService(t, func(c *Config) {
+		c.LaplaceB, c.CalibrationSimSeconds = 0, 8
+		c.SolveWorkers = 1 // a key's first layered solve is on a fresh sweep
+	})
+	httpReq := httptest.NewRequest(http.MethodGet, "/v1/predict", nil)
+	const n, p = 600, 0.9
+	for _, arch := range workload.CaseStudyServers() {
+		for i, buyPct := range []float64{0, 12.5} {
+			buyFrac := buyPct / 100
+			sm, _, err := hybrid.BuildServerMix(hybrid.Config{DB: s.cfg.DB, Demands: s.cfg.Demands}, arch, buyFrac)
+			if err != nil {
+				t.Fatal(err)
+			}
+			b, err := s.calibrateScale(arch, buyFrac, sm)
+			if err != nil {
+				t.Fatal(err)
+			}
+			sw, err := lqn.NewTradeSweep(arch, s.cfg.DB, s.cfg.Demands, workload.MixLoad(1, buyFrac), s.cfg.LQN)
+			if err != nil {
+				t.Fatal(err)
+			}
+			res, err := sw.Solve(workload.MixLoad(n, buyFrac))
+			if err != nil {
+				t.Fatal(err)
+			}
+			means := map[string]float64{"hybrid": sm.Predict(n), "lqn": res.MeanResponseTime()}
+			order := []string{"hybrid", "lqn"}
+			if i == 1 {
+				order[0], order[1] = order[1], order[0]
+			}
+			for j, method := range order {
+				resp, err := s.Predict(httpReq, PredictRequest{Arch: arch.Name, Clients: n, BuyPct: buyPct, Percentile: p, Method: method})
+				if err != nil {
+					t.Fatalf("%s %s buy %v%%: %v", method, arch.Name, buyPct, err)
+				}
+				if resp.Cold != (j == 0) {
+					t.Errorf("%s %s buy %v%%: cold = %v, want %v", method, arch.Name, buyPct, resp.Cold, j == 0)
+				}
+				want, err := rtdist.PercentileFromMean(means[method], sm.Saturated(n), b, p)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if math.Float64bits(resp.ResponseTimeS) != math.Float64bits(want) {
+					t.Errorf("%s %s buy %v%%: served p90 %v, eager %v", method, arch.Name, buyPct, resp.ResponseTimeS, want)
+				}
+			}
+		}
+	}
+}
+
 // TestRebuildRunsNoSimulation is the gate on "a key pays the simulator
-// once", in counts so it can fail on any machine: what a key's first
-// build measured outlives the key's eviction, a rebuild is solves and
-// fits alone, and what a rebuilt model serves is bit for bit what the
-// first build served.
+// once, and only for what it is asked", in counts so it can fail on any
+// machine: a hybrid key calibrates on its first percentile request and
+// never for a mean, what a key measured outlives the key's eviction, a
+// rebuild is solves and fits alone, and what a rebuilt model serves is
+// bit for bit what the first build served.
 func TestRebuildRunsNoSimulation(t *testing.T) {
 	reg := obs.NewRegistry()
 	EnableMetrics(reg)
@@ -1148,7 +1327,7 @@ func TestRebuildRunsNoSimulation(t *testing.T) {
 	const calibSeconds, regressSeconds = 4, 2
 	s := newTestService(t, func(c *Config) {
 		c.CacheCapacity = 1
-		c.LaplaceB = 0 // calibrate: every hybrid cold build wants the simulator
+		c.LaplaceB = 0 // calibrate: a hybrid key's first percentile wants the simulator
 		c.CalibrationSimSeconds = calibSeconds
 		c.RegressSimSeconds = regressSeconds
 	})
@@ -1180,13 +1359,18 @@ func TestRebuildRunsNoSimulation(t *testing.T) {
 			if !first.Cold {
 				t.Fatalf("%s %s: visit did not build", method, arch)
 			}
-			e, cold, err := s.store.get(context.Background(), makeKey(method, arch, buyPct))
-			if err != nil || cold {
+			key := makeKey(method, arch, buyPct)
+			if _, cold, err := s.store.get(context.Background(), key); err != nil || cold {
 				t.Fatalf("%s %s: entry not resident after its build (cold %v, err %v)", method, arch, cold, err)
 			}
-			a := answers{laplaceB: e.laplaceB, mean: first.ResponseTimeS}
+			a := answers{mean: first.ResponseTimeS}
 			if method == "hybrid" {
 				a.percentile = predict(PredictRequest{Arch: arch, Clients: 300, BuyPct: buyPct, Method: method, Percentile: 0.9}).ResponseTimeS
+				ev, ok := s.evidence.Lookup(key)
+				if !ok {
+					t.Fatalf("%s %s: no scale kept after a percentile request", method, arch)
+				}
+				a.laplaceB = ev.laplaceB
 			}
 			c, err := s.Capacity(httpReq, CapacityRequest{Arch: arch, GoalRTS: 0.5, BuyPct: buyPct, Method: method})
 			if err != nil {
@@ -1236,29 +1420,62 @@ func TestRebuildRunsNoSimulation(t *testing.T) {
 		}
 	})
 
-	t.Run("herd", func(t *testing.T) {
-		// Two never-seen keys at once, 32 requests each: their builders
-		// share the evidence table and, at capacity 1, evict each other.
+	// herd sends 64 requests, 32 on each of two never-seen hybrid keys,
+	// all at once: their builds and calibrations share the evidence
+	// table and, at capacity 1, the keys evict each other. It returns the
+	// simulator runs they made.
+	herd := func(buyPct, percentile float64) uint64 {
 		before := runs.Value()
 		var wg sync.WaitGroup
 		for i := 0; i < 64; i++ {
 			wg.Add(1)
 			go func(arch string) {
 				defer wg.Done()
-				if _, err := s.Predict(httpReq, PredictRequest{Arch: arch, Clients: 500, BuyPct: 77}); err != nil {
+				if _, err := s.Predict(httpReq, PredictRequest{Arch: arch, Clients: 500, BuyPct: buyPct, Percentile: percentile}); err != nil {
 					t.Error(err)
 				}
 			}([]string{"AppServF", "AppServVF"}[i%2])
 		}
 		wg.Wait()
-		if got := runs.Value() - before; got != 2 {
-			t.Errorf("herds of 32 on two never-seen keys ran the simulator %d times, want once each", got)
+		return runs.Value() - before
+	}
+
+	t.Run("herd", func(t *testing.T) {
+		if got := herd(77, 0.9); got != 2 {
+			t.Errorf("percentile herds of 32 on two never-seen keys ran the simulator %d times, want once each", got)
+		}
+	})
+
+	// Means, capacities and allocations read the hybrid model alone, so
+	// a key nobody asks a percentile of never simulates.
+	t.Run("means never calibrate", func(t *testing.T) {
+		before, kept := runs.Value(), s.evidence.Len()
+		if got := herd(78, 0); got != 0 {
+			t.Errorf("mean herds of 32 on two never-seen keys ran the simulator %d times, want 0", got)
+		}
+		for _, arch := range []string{"AppServF", "AppServVF"} {
+			if _, err := s.Capacity(httpReq, CapacityRequest{Arch: arch, GoalRTS: 0.5, BuyPct: 78}); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if _, err := s.allocate(httpReq, AllocateRequest{
+			Classes: []AllocClass{{Name: "gold", GoalRTS: 0.1, Clients: 500}},
+			Servers: []AllocServer{{Name: "f", Arch: "AppServF", Power: 1}, {Name: "vf", Arch: "AppServVF", Power: 1}},
+			Slack:   1, BuyPct: 78,
+		}); err != nil {
+			t.Fatal(err)
+		}
+		if got := runs.Value() - before; got != 0 {
+			t.Errorf("means, capacities and an allocation ran the simulator %d times, want 0", got)
+		}
+		if got := s.evidence.Len() - kept; got != 0 {
+			t.Errorf("means, capacities and an allocation kept %d keys of evidence, want 0", got)
 		}
 	})
 
 	t.Run("failure is not kept", func(t *testing.T) {
 		before, kept := runs.Value(), s.evidence.Len()
-		req := PredictRequest{Arch: "AppServS", Clients: 200, BuyPct: 41}
+		req := PredictRequest{Arch: "AppServS", Clients: 200, BuyPct: 41, Percentile: 0.9}
 		s.cfg.CalibrationSimSeconds = -1 // the simulator refuses the horizon
 		if _, err := s.Predict(httpReq, req); err == nil {
 			t.Fatal("calibration over a negative horizon succeeded")
@@ -1268,7 +1485,7 @@ func TestRebuildRunsNoSimulation(t *testing.T) {
 		}
 		s.cfg.CalibrationSimSeconds = calibSeconds
 		if resp := predict(req); !resp.Cold {
-			t.Error("retry after the failure did not build")
+			t.Error("retry after the failure did not calibrate")
 		}
 		if got := runs.Value() - before; got != 1 {
 			t.Errorf("retry after the failure ran the simulator %d times, want 1", got)
@@ -1297,7 +1514,7 @@ func TestRebuildRunsNoSimulation(t *testing.T) {
 		before := s.evidence.Len()
 		for i := 0; i < 200; i++ {
 			jitter := 0.04 * math.Sin(float64(i)) // stays inside the base's tenth
-			predict(PredictRequest{Arch: "AppServS", Clients: 100, BuyPct: bases[i%len(bases)] + jitter})
+			predict(PredictRequest{Arch: "AppServS", Clients: 100, BuyPct: bases[i%len(bases)] + jitter, Percentile: 0.9})
 		}
 		if got := s.evidence.Len() - before; got != len(bases) {
 			t.Errorf("200 jittered mixes around %d values kept %d keys of evidence", len(bases), got)
