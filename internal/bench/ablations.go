@@ -46,7 +46,7 @@ func (s *Suite) ablationTransition() (*Table, error) {
 		wPred = append(wPred, with)
 		hPred = append(hPred, hard)
 		acts = append(acts, results[k].MeanRT)
-		t.addRow(c.arch.Name, itoa(c.clients), ms(results[k].MeanRT), ms(with), ms(hard))
+		t.addRow(label(c.arch.Name), itoa(c.clients), ms(results[k].MeanRT), ms(with), ms(hard))
 	}
 	t.addNote("knee accuracy: transition %.1f%% vs hard switch %.1f%%",
 		stats.Accuracy(wPred, acts), stats.Accuracy(hPred, acts))
@@ -88,7 +88,7 @@ func (s *Suite) ablationMVA() (*Table, error) {
 		if e > 0 {
 			delta = 100 * math.Abs(a-e) / e
 		}
-		t.addRow(itoa(n), ms(a), ms(e), f2(delta), approxTime.String(), exactTime.String())
+		t.addRow(itoa(n), ms(a), ms(e), f2(delta), host(approxTime), host(exactTime))
 	}
 	t.addNote("exact MVA costs O(N) recursion steps; Schweitzer converges in a few sweeps regardless of N")
 	return t, nil

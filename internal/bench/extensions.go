@@ -46,7 +46,7 @@ func (s *Suite) percentiles() (*Table, error) {
 		acc.record("historical", pt.group, histP, measured)
 		acc.record("lqn", pt.group, lqP, measured)
 		acc.record("hybrid", pt.group, hyP, measured)
-		t.addRow(pt.arch.Name, itoa(pt.clients), ms(measured), ms(histP), ms(lqP), ms(hyP))
+		t.addRow(label(pt.arch.Name), itoa(pt.clients), ms(measured), ms(histP), ms(lqP), ms(hyP))
 	}
 	for _, method := range []string{"historical", "lqn", "hybrid"} {
 		pair := acc.of(method)
@@ -146,7 +146,7 @@ func (s *Suite) lqnMaxClientsCost() (*Table, error) {
 			if err != nil {
 				return nil, err
 			}
-			t.addRow(arch.Name, f1(goal*1000), itoa(n), itoa(evals), f1(hN))
+			t.addRow(label(arch.Name), f1(goal*1000), itoa(n), itoa(evals), f1(hN))
 		}
 	}
 	t.addNote("the layered method must search (multiple solver evaluations per query, §8.2); the historical method inverts its equations in closed form")

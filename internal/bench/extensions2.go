@@ -67,7 +67,7 @@ func (s *Suite) clusterStudy() (*Table, error) {
 		return nil, err
 	}
 	for i, res := range results {
-		t.addRow(string(routings[i]), ms(res.MeanRT), f1(res.Throughput),
+		t.addRow(label(string(routings[i])), ms(res.MeanRT), f1(res.Throughput),
 			f2(res.PerServer[0].Utilization), f2(res.PerServer[1].Utilization), f2(res.PerServer[2].Utilization))
 	}
 	t.addNote("tier capacity ≈ 86+186+320 = 592 req/s; speed-blind round robin overloads the slow member")

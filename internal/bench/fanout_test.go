@@ -14,14 +14,9 @@ import (
 // emptied first every simulation below really runs.
 const fanoutSeed = 2003
 
-// hostTimed names, per experiment, the first column that prints host
-// timings (0: the whole table) — the columns benchmark/paper.go leaves
-// out of its golden comparison.
-var hostTimed = map[string]int{"delay": 0, "ablation-mva": 4}
-
 // renderAll runs all 27 experiments in paper order on one fresh
 // short-window suite with a cold measurement cache. It returns each
-// table's text without its host-timed columns, and per experiment the
+// table's text with its host timings blanked, and per experiment the
 // number of simulator runs started outside a fan-out: the simulator's
 // own run count minus the runs the suite's fan-outs started.
 func renderAll(t *testing.T, workers int) (text map[string]string, serial map[string]int) {
@@ -42,9 +37,11 @@ func renderAll(t *testing.T, workers int) (text map[string]string, serial map[st
 			t.Fatalf("%s at %d workers: %v", name, workers, err)
 		}
 		serial[name] = int(runs.Value()-runs0) - int(s.fannedRuns.Load()-fanned0)
-		if col, timed := hostTimed[name]; timed {
-			for i, row := range tab.Rows {
-				tab.Rows[i] = row[:col]
+		for _, row := range tab.Rows {
+			for i := range row {
+				if row[i].Host {
+					row[i] = Cell{}
+				}
 			}
 		}
 		var buf bytes.Buffer

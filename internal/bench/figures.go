@@ -1,8 +1,6 @@
 package bench
 
 import (
-	"strconv"
-
 	"perfpred/internal/hist"
 	"perfpred/internal/hybrid"
 	"perfpred/internal/lqn"
@@ -115,7 +113,7 @@ func (s *Suite) figure2() (*Table, accuracies, error) {
 		acc.record("lqn", p.group, lqRT, p.meas.MeanRT)
 		acc.record("hybrid", p.group, hyRT, p.meas.MeanRT)
 		acc.record("lqn-throughput", p.group, p.lqn.TotalThroughput(), p.meas.Throughput)
-		t.addRow(p.arch.Name, itoa(p.clients), ms(p.meas.MeanRT), ms(histRT), ms(lqRT), ms(hyRT),
+		t.addRow(label(p.arch.Name), itoa(p.clients), ms(p.meas.MeanRT), ms(histRT), ms(lqRT), ms(hyRT),
 			f1(p.meas.Throughput), f1(p.lqn.TotalThroughput()))
 	}
 	for _, method := range []string{"historical", "lqn", "hybrid", "lqn-throughput"} {
@@ -285,7 +283,7 @@ func (s *Suite) figure3() (*Table, error) {
 			// The paper's difficulty made literal: closely spaced
 			// points under the coarse criterion can come back
 			// non-monotone and fail calibration.
-			t.addRow(f1(xFrac*fNStar), f1(lowerAcc), f1(upperAcc), "unusable", "unusable")
+			t.addRow(f1(xFrac*fNStar), f1(lowerAcc), f1(upperAcc), label("unusable"), label("unusable"))
 			continue
 		}
 		t.addRow(f1(xFrac*fNStar), f1(lowerAcc), f1(upperAcc), f1(lowerC), f1(upperC))
@@ -359,5 +357,3 @@ func (s *Suite) figure4() (*Table, error) {
 	t.addNote("paper: good shape agreement; LQNS anchor points 189/158 req/s at 0%%/25%% buy on AppServF")
 	return t, nil
 }
-
-func itoa(n int) string { return strconv.Itoa(n) }

@@ -9,30 +9,30 @@ func (s *Suite) evaluationMatrix() (*Table, error) {
 		Title:  "Method evaluation matrix (paper's qualitative comparison)",
 		Header: []string{"Criterion", "Historical", "Layered queuing", "Hybrid"},
 	}
-	t.addRow("Systems modelled",
-		"any recordable trend (incl. caching)",
-		"queuing structures only; caching fixed point unsupported",
-		"as layered")
-	t.addRow("Metrics predicted",
-		"means, percentiles (direct), stabilisation",
-		"steady-state means only",
-		"as layered, via pseudo data")
-	t.addRow("Model creation",
-		"harder: choose+validate relationships",
-		"easy: declare the queuing network",
-		"hardest to build, easiest to calibrate")
-	t.addRow("Recalibration",
-		"2 points/equation, tens of samples",
-		"dedicated single-server runs per request type",
-		"layered solves only (no measurements)")
-	t.addRow("Capacity queries",
-		"closed-form inversion",
-		"search: ~20+ solver evaluations",
-		"closed-form inversion")
-	t.addRow("Prediction delay",
-		"~ns",
-		"µs-s per solve",
-		"one-off start-up, then ~ns")
+	t.addRow(label("Systems modelled"),
+		label("any recordable trend (incl. caching)"),
+		label("queuing structures only; caching fixed point unsupported"),
+		label("as layered"))
+	t.addRow(label("Metrics predicted"),
+		label("means, percentiles (direct), stabilisation"),
+		label("steady-state means only"),
+		label("as layered, via pseudo data"))
+	t.addRow(label("Model creation"),
+		label("harder: choose+validate relationships"),
+		label("easy: declare the queuing network"),
+		label("hardest to build, easiest to calibrate"))
+	t.addRow(label("Recalibration"),
+		label("2 points/equation, tens of samples"),
+		label("dedicated single-server runs per request type"),
+		label("layered solves only (no measurements)"))
+	t.addRow(label("Capacity queries"),
+		label("closed-form inversion"),
+		label("search: ~20+ solver evaluations"),
+		label("closed-form inversion"))
+	t.addRow(label("Prediction delay"),
+		label("~ns"),
+		label("µs-s per solve"),
+		label("one-off start-up, then ~ns"))
 	t.addNote("evidence: 'cache' (§7.2), 'percentiles'/'percentile-direct' (§7.1, §8.2), 'stabilisation' (§8.2), 'data-quantity' (§4.2), 'search' (§8.2), 'delay' (§8.5)")
 	return t, nil
 }

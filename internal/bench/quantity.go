@@ -81,7 +81,7 @@ func (s *Suite) dataQuantity() (*Table, error) {
 	}
 	for pi, perEq := range perEqs {
 		for _, ns := range []int{25, 50, 200, 0} { // 0 = all samples
-			nsLabel := "all"
+			nsLabel := label("all")
 			if ns > 0 {
 				nsLabel = itoa(ns)
 			}
@@ -89,8 +89,8 @@ func (s *Suite) dataQuantity() (*Table, error) {
 			if fitErr != nil {
 				// What too little data does is the experiment's subject: a
 				// fit it breaks is a result, not a reason to stop.
-				t.addRow(itoa(perEq), nsLabel, "fit failed")
-				t.addNote("%d points/equation, ns=%s: %v", perEq, nsLabel, fitErr)
+				t.addRow(itoa(perEq), nsLabel, label("fit failed"))
+				t.addNote("%d points/equation, ns=%s: %v", perEq, nsLabel.Text, fitErr)
 				continue
 			}
 			t.addRow(itoa(perEq), nsLabel, f1(hist.EvaluateAccuracy(sModel, evalPts)))

@@ -46,27 +46,25 @@ func TestFigure2AccuracyStableAcrossSeeds(t *testing.T) {
 }
 
 func TestTableJSONOutput(t *testing.T) {
-	tab := &Table{
-		ID:     "X",
-		Title:  "t",
-		Header: []string{"a", "b"},
-	}
-	tab.addRow("1", "2")
+	tab := &Table{ID: "X", Title: "t", Header: []string{"a", "b"}}
+	tab.addRow(label("0"), f1(0))
 	tab.addNote("n=%d", 1)
 	var buf bytes.Buffer
 	if err := tab.FprintJSON(&buf); err != nil {
 		t.Fatal(err)
 	}
+	// The label "0" carries no number; the number 0 does.
 	var decoded struct {
-		ID     string     `json:"id"`
-		Header []string   `json:"header"`
-		Rows   [][]string `json:"rows"`
-		Notes  []string   `json:"notes"`
+		ID    string             `json:"id"`
+		Rows  [][]map[string]any `json:"rows"`
+		Notes []string           `json:"notes"`
 	}
 	if err := json.Unmarshal(buf.Bytes(), &decoded); err != nil {
 		t.Fatal(err)
 	}
-	if decoded.ID != "X" || len(decoded.Rows) != 1 || decoded.Rows[0][1] != "2" || decoded.Notes[0] != "n=1" {
-		t.Fatalf("decoded = %+v", decoded)
+	lbl, n := decoded.Rows[0][0], decoded.Rows[0][1]
+	if decoded.ID != "X" || decoded.Notes[0] != "n=1" || lbl["text"] != "0" || lbl["num"] != false ||
+		n["text"] != "0.0" || n["value"] != 0.0 || n["num"] != true || n["host"] != false {
+		t.Fatalf("decoded %s", buf.Bytes())
 	}
 }

@@ -249,9 +249,9 @@ func (s *Suite) predictionDelay() (*Table, error) {
 	}
 	hybridPer := time.Since(start) / reps
 
-	t.addRow("historical", histPer.String(), "none")
-	t.addRow("layered queuing", lqnPer.String(), "none")
-	t.addRow("hybrid", hybridPer.String(), hyb.StartupDelay.String())
+	t.addRow(label("historical"), host(histPer), label("none"))
+	t.addRow(label("layered queuing"), host(lqnPer), label("none"))
+	t.addRow(label("hybrid"), host(hybridPer), host(hyb.StartupDelay))
 	t.addNote("paper (Athlon 1.4GHz): LQNS up to 3s per solve; historical ≈instant; hybrid 11s start-up then ≈instant — the ordering, not the absolute times, is the reproducible claim")
 	return t, nil
 }

@@ -93,8 +93,8 @@ func (s *Suite) families() (*Table, error) {
 		Header: []string{"family", "meanRTerr%", "maxRTerr%", "meanCapErr%", "maxCapErr%", "RTprobes", "capProbes", "runs", "sim-s"},
 	}
 	for i, sc := range scores {
-		t.addRow(sc.Name, f2(sc.MeanAbsRTErrPct), f2(sc.MaxAbsRTErrPct), f2(sc.MeanAbsCapErrPct), f2(sc.MaxAbsCapErrPct),
-			fmt.Sprint(sc.RTProbes), fmt.Sprint(sc.CapProbes), fmt.Sprint(runs[i]), fmt.Sprintf("%.0f", sc.StartupSimSeconds))
+		t.addRow(label(sc.Name), f2(sc.MeanAbsRTErrPct), f2(sc.MaxAbsRTErrPct), f2(sc.MeanAbsCapErrPct), f2(sc.MaxAbsCapErrPct),
+			itoa(sc.RTProbes), itoa(sc.CapProbes), itoa(runs[i]), f0(sc.StartupSimSeconds))
 	}
 	t.addNote("probes: populations at 0.3/0.6/0.9/1.2 x each server's knee, capacities at 0.5 s and 1.5 s goals; errors are |predicted-measured|/measured")
 	t.addNote("runs and sim-s: testbed measurements and simulated seconds a family consumes before its first answer (regress trains on %.0f s runs, the rest calibrate on %.0f s runs)",
@@ -155,8 +155,8 @@ func (s *Suite) fleetAB() (*Table, error) {
 		if res.Decisions > 0 {
 			remote = 100 * float64(res.Remote) / float64(res.Decisions)
 		}
-		t.addRow(name, f1(res.Trade.MeanRT*1000), f1(res.Trade.Throughput), fmt.Sprint(res.Decisions),
-			f1(remote), fmt.Sprint(res.Replans), fmt.Sprint(res.AffinityChanges))
+		t.addRow(label(name), f1(res.Trade.MeanRT*1000), f1(res.Trade.Throughput), itoa(int(res.Decisions)),
+			f1(remote), itoa(res.Replans), itoa(res.AffinityChanges))
 	}
 	t.addNote("per pool: 10%% buy clients with a 150 ms goal, 90%% browse with 300 ms; pools cycle AppServS/F/VF; seed %d", s.Opt.Seed)
 	t.addNote("static keeps every request on its own pool; affinity follows the replanner's plan; weighted blends queue, response time and plan 1:1:2")
@@ -199,13 +199,13 @@ func (s *Suite) ScenarioWindows(sc *scenario.Compiled, window, duration float64)
 	}
 	for _, p := range points {
 		offered := sc.MeanOfferedRate(p.Start, p.End)
-		hydra, layered, hybrid := "-", "-", "-"
+		hydra, layered, hybrid := label("-"), label("-"), label("-")
 		if closed > 0 || offered > 0 {
 			hydra = errCell(predictFixedPoint(closed, offered, histM.Predict), p.MeanRT)
 			layered = errCell(s.predictLQN(arch, sc.WorkloadOver(p.Start, p.End)), p.MeanRT)
 			hybrid = errCell(predictFixedPoint(closed, offered, hybridRT), p.MeanRT)
 		}
-		t.addRow(fmt.Sprintf("[%.0f,%.0f)", p.Start, p.End), f1(offered), fmt.Sprint(p.Completed),
+		t.addRow(label(fmt.Sprintf("[%.0f,%.0f)", p.Start, p.End)), f1(offered), itoa(p.Completed),
 			f1(p.Throughput), f1(p.MeanRT*1000), hydra, layered, hybrid)
 	}
 	t.addNote("cold start (no warm-up discard); offered/s is the spec's open-cohort rate, so closed cohorts contribute 0")
@@ -269,12 +269,13 @@ func (s *Suite) predictLQN(arch workload.ServerArch, load workload.Workload) flo
 // errCell renders a prediction's signed relative error against the
 // measured value: "sat" for a model with no steady state, "-" for a
 // window that completed nothing.
-func errCell(pred, truth float64) string {
+func errCell(pred, truth float64) Cell {
 	switch {
 	case math.IsNaN(pred):
-		return "sat"
+		return label("sat")
 	case truth <= 0:
-		return "-"
+		return label("-")
 	}
-	return fmt.Sprintf("%+.1f%%", 100*(pred-truth)/truth)
+	e := 100 * (pred - truth) / truth
+	return num(fmt.Sprintf("%+.1f%%", e), e)
 }

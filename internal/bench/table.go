@@ -3,29 +3,42 @@
 // paper calibrates them against its physical testbed, then regenerates
 // every table and figure of the evaluation, and after them the studies
 // beyond the paper (studies.go) from the same suite and seed.
-// cmd/experiments drives it from the command line and bench_test.go
-// wraps each experiment in a testing.B benchmark.
+// cmd/experiments drives it from the command line.
 package bench
 
 import (
 	"encoding/json"
 	"fmt"
 	"io"
+	"math"
+	"strconv"
 	"strings"
+	"time"
 )
 
 // Table is one regenerated table or figure: a title, column headers,
 // data rows and free-form notes (paper-reported values, caveats).
 type Table struct {
-	ID     string
-	Title  string
-	Header []string
-	Rows   [][]string
-	Notes  []string
+	ID     string   `json:"id"`
+	Title  string   `json:"title"`
+	Header []string `json:"header"`
+	Rows   [][]Cell `json:"rows"`
+	Notes  []string `json:"notes,omitempty"`
 }
 
-// addRow appends a row of already-formatted cells.
-func (t *Table) addRow(cells ...string) {
+// Cell is one table cell: the text it prints and, when Num is set, the
+// unrounded finite number behind that text in the unit the text shows
+// (an ms cell holds milliseconds, a host timing seconds). Host marks a
+// wall-clock timing of the machine running the experiment.
+type Cell struct {
+	Text  string  `json:"text"`
+	Value float64 `json:"value"`
+	Num   bool    `json:"num"`
+	Host  bool    `json:"host"`
+}
+
+// addRow appends a row of cells.
+func (t *Table) addRow(cells ...Cell) {
 	t.Rows = append(t.Rows, cells)
 }
 
@@ -39,13 +52,7 @@ func (t *Table) addNote(format string, args ...any) {
 func (t *Table) FprintJSON(w io.Writer) error {
 	enc := json.NewEncoder(w)
 	enc.SetIndent("", "  ")
-	return enc.Encode(struct {
-		ID     string     `json:"id"`
-		Title  string     `json:"title"`
-		Header []string   `json:"header"`
-		Rows   [][]string `json:"rows"`
-		Notes  []string   `json:"notes,omitempty"`
-	}{t.ID, t.Title, t.Header, t.Rows, t.Notes})
+	return enc.Encode(t)
 }
 
 // Fprint renders the table as aligned text.
@@ -57,30 +64,20 @@ func (t *Table) Fprint(w io.Writer) {
 	}
 	for _, row := range t.Rows {
 		for i, c := range row {
-			if i < len(widths) && len(c) > widths[i] {
-				widths[i] = len(c)
-			}
+			widths[i] = max(widths[i], len(c.Text))
 		}
 	}
-	printRow := func(cells []string) {
-		parts := make([]string, len(cells))
-		for i, c := range cells {
-			if i < len(widths) {
-				parts[i] = fmt.Sprintf("%-*s", widths[i], c)
-			} else {
-				parts[i] = c
-			}
+	printRow := func(cell func(i int) string) {
+		parts := make([]string, len(widths))
+		for i := range parts {
+			parts[i] = fmt.Sprintf("%-*s", widths[i], cell(i))
 		}
 		fmt.Fprintln(w, "  "+strings.TrimRight(strings.Join(parts, "  "), " "))
 	}
-	printRow(t.Header)
-	sep := make([]string, len(t.Header))
-	for i := range sep {
-		sep[i] = strings.Repeat("-", widths[i])
-	}
-	printRow(sep)
+	printRow(func(i int) string { return t.Header[i] })
+	printRow(func(i int) string { return strings.Repeat("-", widths[i]) })
 	for _, row := range t.Rows {
-		printRow(row)
+		printRow(func(i int) string { return row[i].Text })
 	}
 	for _, n := range t.Notes {
 		fmt.Fprintf(w, "  note: %s\n", n)
@@ -88,8 +85,23 @@ func (t *Table) Fprint(w io.Writer) {
 	fmt.Fprintln(w)
 }
 
-func f1(v float64) string { return fmt.Sprintf("%.1f", v) }
-func f2(v float64) string { return fmt.Sprintf("%.2f", v) }
-func f3(v float64) string { return fmt.Sprintf("%.3f", v) }
-func ms(v float64) string { return fmt.Sprintf("%.1fms", v*1000) }
-func g3(v float64) string { return fmt.Sprintf("%.3g", v) }
+// num is a number cell; a non-finite v, which JSON cannot hold, is a label.
+func num(text string, v float64) Cell {
+	if math.IsNaN(v) || math.IsInf(v, 0) {
+		return label(text)
+	}
+	return Cell{Text: text, Value: v, Num: true}
+}
+
+func label(s string) Cell { return Cell{Text: s} }
+func itoa(n int) Cell     { return num(strconv.Itoa(n), float64(n)) }
+func f0(v float64) Cell   { return num(fmt.Sprintf("%.0f", v), v) }
+func f1(v float64) Cell   { return num(fmt.Sprintf("%.1f", v), v) }
+func f2(v float64) Cell   { return num(fmt.Sprintf("%.2f", v), v) }
+func f3(v float64) Cell   { return num(fmt.Sprintf("%.3f", v), v) }
+func ms(v float64) Cell   { return num(fmt.Sprintf("%.1fms", v*1000), v*1000) }
+func g3(v float64) Cell   { return num(fmt.Sprintf("%.3g", v), v) }
+
+func host(d time.Duration) Cell {
+	return Cell{Text: d.String(), Value: d.Seconds(), Num: true, Host: true}
+}

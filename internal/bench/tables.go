@@ -21,7 +21,7 @@ func (s *Suite) table1() (*Table, error) {
 	}
 	for _, arch := range workload.CaseStudyServers() {
 		m := models[arch.Name]
-		t.addRow(arch.Name, f1(m.CL*1000), g3(m.LambdaL), g3(m.LambdaU*1000), f1(m.CU*1000), f3(m.M), f1(m.MaxThroughput))
+		t.addRow(label(arch.Name), f1(m.CL*1000), g3(m.LambdaL), g3(m.LambdaU*1000), f1(m.CU*1000), f3(m.M), f1(m.MaxThroughput))
 	}
 	t.addNote("paper (Table 1, ms): S cL=138.9 λL=4e-06, F cL=84.1 λL=1e-04, VF cL=10.7 λL=9e-04")
 	t.addNote("paper gradient m = 0.14 across all servers (1.3%% accuracy)")
@@ -45,7 +45,7 @@ func (s *Suite) table2() (*Table, error) {
 	}
 	for _, rt := range []workload.RequestType{workload.Browse, workload.Buy} {
 		d := demands[rt]
-		t.addRow(string(rt), f3(d.AppServerTime*1000), f3(d.DBTimePerCall*1000), f2(d.DBCallsPerRequest), f3(truth[rt].AppServerTime*1000))
+		t.addRow(label(string(rt)), f3(d.AppServerTime*1000), f3(d.DBTimePerCall*1000), f2(d.DBCallsPerRequest), f3(truth[rt].AppServerTime*1000))
 	}
 	t.addNote("paper (Table 2, ms): browse app=4.505 db=0.8294; buy app=8.761 db=1.613")
 	t.addNote("this testbed's ground truth anchors AppServF at 186 req/s, so app-server times differ in absolute value; the buy/browse ratio and db-call counts carry the paper's values")
@@ -86,9 +86,9 @@ func (s *Suite) throughputGradient() (*Table, error) {
 		if acc < worst {
 			worst = acc
 		}
-		t.addRow(c.arch.Name, f3(mServer), f1(xMax), f1(xMax/mServer))
+		t.addRow(label(c.arch.Name), f3(mServer), f1(xMax), f1(xMax/mServer))
 	}
-	t.addRow("shared fit", f3(mShared), "-", "-")
+	t.addRow(label("shared fit"), f3(mShared), label("-"), label("-"))
 	t.addNote("cross-server gradient agreement: worst-case %.1f%% (paper: m=0.14, 1.3%% error)", 100-worst)
 	return t, nil
 }

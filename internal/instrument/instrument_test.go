@@ -11,24 +11,27 @@ import (
 )
 
 // EnableAll must reach the hot paths, not just compile: two quick
-// experiments move the solver, simulator and session-cache counters on
-// a private registry, and the snapshot survives the JSON round trip a
-// -report file makes. Each layer's counters must also agree with each
+// experiments and the fleet study move the solver, simulator,
+// session-cache and fleet counters on a private registry, and the
+// snapshot survives the JSON round trip a -report file makes. Each layer's counters must also agree with each
 // other: every fired event was scheduled on a recycled or a fresh one,
 // and the deepest queue never held more events than were ever carved
 // fresh; warm-start hits and misses, and convergence failures, are
 // solves, and a solve takes at least one MVA iteration; a session-cache
 // rebuild is an iteration and a non-converged solve a solve; and every
-// completed request came from the request pool, recycled or fresh.
-// trade_cache_evicts ≤ trade_cache_misses does not hold: the
-// byte-bounded LRU may evict several entries to insert one.
+// completed request came from the request pool, recycled or fresh; a
+// remote route is a routing decision, and a window barrier cuts at
+// most one replan. trade_cache_evicts ≤ trade_cache_misses does not hold: the
+// byte-bounded LRU may evict several entries to insert one. Nor does
+// fleet_routing_decisions ≤ fleet_pools_visited: the static scorer
+// decides without visiting a pool.
 func TestEnableAllReachesHotPaths(t *testing.T) {
 	reg := obs.NewRegistry()
 	EnableAll(reg)
 	defer EnableAll(nil)
 
 	suite := bench.NewSuite(17)
-	for _, name := range []string{"gradient", "cache"} {
+	for _, name := range []string{"gradient", "cache", "fleet-ab"} {
 		if _, err := suite.Run(name); err != nil {
 			t.Fatalf("experiment %s: %v", name, err)
 		}
@@ -45,7 +48,7 @@ func TestEnableAllReachesHotPaths(t *testing.T) {
 	for _, name := range []string{
 		"lqn_solver_solves", "lqn_solver_mva_iterations",
 		"sim_events_fired", "trade_requests_completed",
-		"sessioncache_solves", "trade_cache_hits",
+		"sessioncache_solves", "trade_cache_hits", "fleet_routing_decisions",
 	} {
 		if v, ok := snap.Counters[name]; !ok {
 			t.Errorf("counter %q missing from the snapshot", name)
@@ -78,6 +81,8 @@ func TestEnableAllReachesHotPaths(t *testing.T) {
 		{[]string{"sessioncache_rebuilds"}, []string{"sessioncache_iterations"}},
 		{[]string{"sessioncache_nonconverged"}, []string{"sessioncache_solves"}},
 		{[]string{"trade_requests_completed"}, []string{"trade_request_pool_reuses", "trade_request_pool_allocs"}},
+		{[]string{"fleet_remote_routes"}, []string{"fleet_routing_decisions"}},
+		{[]string{"fleet_replans"}, []string{"fleet_barriers"}},
 	} {
 		if small, large := sum(r.small), sum(r.large); small > large {
 			t.Errorf("%s = %d exceeds %s = %d", strings.Join(r.small, " + "), small, strings.Join(r.large, " + "), large)
