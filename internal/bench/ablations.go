@@ -21,7 +21,7 @@ func (s *Suite) ablationTransition() (*Table, error) {
 		Title:  "Historical accuracy through the knee: transition phase-in vs hard switch",
 		Header: []string{"Server", "Clients", "Measured (ms)", "With transition (ms)", "Hard switch (ms)"},
 	}
-	hms, err := s.histSet()
+	hms, _, err := s.histSet()
 	if err != nil {
 		return nil, err
 	}

@@ -16,12 +16,10 @@ import (
 // failing cell in list order) are those of a serial loop over the
 // list, for any worker count; the cell list is the only copy of the
 // populations, so the simulated and the tabulated grids cannot drift.
-
-// curveCache memoises measurements process-wide: the simulated testbed
-// is deterministic for a fixed seed, so experiments that revisit a
-// cell reuse the run. The singleflight Memo lets concurrent requests
+// The simulated testbed is deterministic for a fixed seed, so a cell
+// is measured once per suite: the suite's cell memo serves every
+// experiment and calibration that revisits it, and concurrent requests
 // for one cell share a single simulation.
-var curveCache parallel.Memo[string, *trade.Result]
 
 // measureCell identifies one simulated measurement of an experiment
 // grid: an architecture under a client population and buy mix.
@@ -41,34 +39,32 @@ func cellsAt(arch workload.ServerArch, nStar float64, fracs []float64) []measure
 	return cells
 }
 
-// cellKey is the cache key: the cell plus every MeasureOptions field
-// that changes the result (Workers does not).
+// cellKey is the memo key: the cell plus every MeasureOptions field
+// that changes the result (Workers does not). Opt is exported and may
+// change between two calls, so the key holds all of them.
 func (s *Suite) cellKey(c measureCell) string {
 	o := s.Opt
 	return fmt.Sprintf("%s/%d/%.4f/%d/%g/%g", c.arch.Name, c.clients, c.buyFrac, o.Seed, o.WarmUp, o.Duration)
 }
 
-// measure runs the cell's simulation, uncached.
-func (c measureCell) measure(opt trade.MeasureOptions) (*trade.Result, error) {
-	return trade.Measure(c.arch, workload.MixLoad(c.clients, c.buyFrac), opt)
-}
-
-// measureCells measures every cell through the cache, in one fan-out,
-// and returns the results in cell order.
+// measureCells measures every cell through the suite's memo, in one
+// fan-out, and returns the results in cell order. Callers share the
+// memoised results and must not mutate them.
 func measureCells(s *Suite, cells []measureCell) ([]*trade.Result, error) {
 	return parallel.Map(context.Background(), s.Opt.Workers, len(cells),
 		func(_ context.Context, i int) (*trade.Result, error) {
-			return curveCache.Do(s.cellKey(cells[i]), func() (*trade.Result, error) {
+			return s.cells.Do(s.cellKey(cells[i]), func() (*trade.Result, error) {
 				s.fannedRuns.Add(1)
-				return cells[i].measure(s.Opt)
+				c := cells[i]
+				return trade.Measure(c.arch, workload.MixLoad(c.clients, c.buyFrac), s.Opt)
 			})
 		})
 }
 
-// simulateAll is the fan-out for runs that bypass the cache — the
-// suite's calibrations, and variants the cache key cannot describe
-// (session caches, critical sections, tiers, open streams, custom
-// demands): job i makes exactly one simulator run.
+// simulateAll is the fan-out for runs the cell memo cannot describe —
+// max-throughput benchmarks, single-request-type demand calibrations,
+// and variants (session caches, critical sections, tiers, open
+// streams, custom demands): job i makes exactly one simulator run.
 func simulateAll[T any](s *Suite, n int, job func(i int) (T, error)) ([]T, error) {
 	return parallel.Map(context.Background(), s.Opt.Workers, n,
 		func(_ context.Context, i int) (T, error) {

@@ -128,7 +128,7 @@ func (s *Suite) lqnMaxClientsCost() (*Table, error) {
 	if err != nil {
 		return nil, err
 	}
-	hms, err := s.histSet()
+	hms, _, err := s.histSet()
 	if err != nil {
 		return nil, err
 	}

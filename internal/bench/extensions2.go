@@ -130,56 +130,40 @@ func (s *Suite) percentileDirect() (*Table, error) {
 	if err != nil {
 		return nil, err
 	}
+	// The direct route is the §4 chain itself, fed the p90 each
+	// calibration run recorded instead of its mean.
+	directSet, _, err := s.calibrateChain(func(r *trade.Result) float64 { return r.OverallPercentile(90) })
+	if err != nil {
+		return nil, err
+	}
+	meanSet, _, err := s.histSet()
+	if err != nil {
+		return nil, err
+	}
 	sArch := workload.AppServS()
 	sMax, err := s.maxThroughput(sArch)
 	if err != nil {
 		return nil, err
 	}
-	// One fan-out: the historical calibration's own points on the
-	// established servers, then the evaluation points on the new one.
-	histories := []hist.ServerHistory{{Arch: workload.AppServF()}, {Arch: workload.AppServVF()}, {Arch: sArch, MaxThroughput: sMax}}
-	var cells []measureCell
-	for i := range histories[:2] {
-		h := &histories[i]
-		if h.MaxThroughput, err = s.maxThroughput(h.Arch); err != nil {
-			return nil, err
-		}
-		cells = append(cells, cellsAt(h.Arch, h.MaxThroughput/gradient, calibrationFracs)...)
-	}
-	nCal := len(cells)
-	cells = append(cells, cellsAt(sArch, sMax/gradient, []float64{0.3, 0.5, 1.3, 1.6})...)
+	direct, meanModel := directSet[sArch.Name], meanSet[sArch.Name]
+	cells := cellsAt(sArch, sMax/gradient, []float64{0.3, 0.5, 1.3, 1.6})
 	results, err := measureCells(s, cells)
 	if err != nil {
 		return nil, err
 	}
-	// The direct route is the §4 chain itself, fed the p90 each
-	// calibration run recorded instead of its mean.
-	for k, c := range cells[:nCal] {
-		h := &histories[k/len(calibrationFracs)]
-		h.Points = append(h.Points, hist.DataPoint{Clients: float64(c.clients), MeanRT: results[k].OverallPercentile(90)})
-	}
-	directSet, _, err := hist.CalibrateSet(gradient, histories)
-	if err != nil {
-		return nil, err
-	}
-	direct := directSet[sArch.Name]
-	meanModel, err := s.histNewServer()
-	if err != nil {
-		return nil, err
-	}
 	var dPreds, ePreds, acts []float64
-	for k := nCal; k < len(cells); k++ {
-		n := cells[k].clients
+	for k, c := range cells {
+		n := float64(c.clients)
 		actual := results[k].OverallPercentile(90)
-		dp := direct.Predict(float64(n))
-		ep, err := meanModel.PredictPercentile(float64(n), 0.9, b)
+		dp := direct.Predict(n)
+		ep, err := meanModel.PredictPercentile(n, 0.9, b)
 		if err != nil {
 			return nil, err
 		}
 		dPreds = append(dPreds, dp)
 		ePreds = append(ePreds, ep)
 		acts = append(acts, actual)
-		t.addRow(itoa(n), ms(actual), ms(dp), ms(ep))
+		t.addRow(itoa(c.clients), ms(actual), ms(dp), ms(ep))
 	}
 	t.addNote("accuracy: direct %.1f%% vs from-mean %.1f%% (paper: direct recording avoids the ≤4.6%% extrapolation loss)",
 		stats.Accuracy(dPreds, acts), stats.Accuracy(ePreds, acts))

@@ -34,7 +34,7 @@ func (s *Suite) figure2Walk() ([]figure2Point, error) {
 	if err != nil {
 		return nil, err
 	}
-	hms, err := s.histSet()
+	hms, _, err := s.histSet()
 	if err != nil {
 		return nil, err
 	}
@@ -314,14 +314,11 @@ func (s *Suite) figure4() (*Table, error) {
 	if err != nil {
 		return nil, err
 	}
-	rel2, err := s.rel2()
+	hms, rel2, err := s.histSet()
 	if err != nil {
 		return nil, err
 	}
-	base, err := s.histNewServer()
-	if err != nil {
-		return nil, err
-	}
+	base := hms[workload.AppServS().Name]
 	buyPcts := []float64{0, 10, 25}
 	fracs := []float64{0.3, 0.55, 1.25, 1.6}
 	models := make([]*hist.ServerModel, len(buyPcts))

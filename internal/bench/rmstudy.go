@@ -16,7 +16,7 @@ import (
 // represent the real system response times, and the hybrid model ...
 // as the less accurate predictions".
 func (s *Suite) RMSetup() (pred, truth rm.Predictor, servers []rm.Server, err error) {
-	truthSet, err := s.histSet()
+	truthSet, _, err := s.histSet()
 	if err != nil {
 		return nil, nil, nil, err
 	}
@@ -137,7 +137,7 @@ func (s *Suite) uniformInaccuracy() (*Table, error) {
 		Title:  "Uniform predictive inaccuracy compensated by slack = y",
 		Header: []string{"y", "Max fail % (slack=y)", "Avg usage % (slack=y)", "Max fail % (slack=1)"},
 	}
-	truthSet, err := s.histSet()
+	truthSet, _, err := s.histSet()
 	if err != nil {
 		return nil, err
 	}
@@ -213,10 +213,11 @@ func (s *Suite) predictionDelay() (*Table, error) {
 		Title:  "Prediction evaluation delay per method",
 		Header: []string{"Method", "Per-prediction", "One-off start-up"},
 	}
-	hm, err := s.histModel(workload.AppServF())
+	hms, _, err := s.histSet()
 	if err != nil {
 		return nil, err
 	}
+	hm := hms[workload.AppServF().Name]
 	const reps = 2000
 	start := time.Now()
 	for i := 0; i < reps; i++ {
@@ -224,14 +225,13 @@ func (s *Suite) predictionDelay() (*Table, error) {
 	}
 	histPer := time.Since(start) / reps
 
-	demands, err := s.lqnDemands()
-	if err != nil {
+	if _, err := s.lqnDemands(); err != nil {
 		return nil, err
 	}
 	const lqnReps = 50
 	start = time.Now()
 	for i := 0; i < lqnReps; i++ {
-		if _, err := lqnPredictOnce(demands, 800+i, s); err != nil {
+		if _, err := s.lqnPredict(workload.AppServF(), workload.TypicalWorkload(800+i)); err != nil {
 			return nil, err
 		}
 	}
@@ -254,12 +254,4 @@ func (s *Suite) predictionDelay() (*Table, error) {
 	t.addRow(label("hybrid"), host(hybridPer), host(hyb.StartupDelay))
 	t.addNote("paper (Athlon 1.4GHz): LQNS up to 3s per solve; historical ≈instant; hybrid 11s start-up then ≈instant — the ordering, not the absolute times, is the reproducible claim")
 	return t, nil
-}
-
-func lqnPredictOnce(demands map[workload.RequestType]workload.Demand, n int, s *Suite) (float64, error) {
-	res, err := s.lqnPredict(workload.AppServF(), workload.TypicalWorkload(n))
-	if err != nil {
-		return 0, err
-	}
-	return res.MeanResponseTime(), nil
 }

@@ -170,10 +170,11 @@ func (s *Suite) fleetAB() (*Table, error) {
 // overload and drain.
 func (s *Suite) ScenarioWindows(sc *scenario.Compiled, window, duration float64) (*Table, error) {
 	arch := workload.AppServF()
-	histM, err := s.histModel(arch)
+	hms, _, err := s.histSet()
 	if err != nil {
 		return nil, err
 	}
+	histM := hms[arch.Name]
 	hyb, err := s.Hybrid()
 	if err != nil {
 		return nil, err

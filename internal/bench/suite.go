@@ -1,7 +1,6 @@
 package bench
 
 import (
-	"context"
 	"fmt"
 	"sort"
 	"sync/atomic"
@@ -16,11 +15,13 @@ import (
 )
 
 // Suite owns the shared calibration state the experiments reuse: the
-// measured max throughputs, the gradient m, the historical models of
-// the established servers, relationship 2, the layered-queuing
-// demands, and the hybrid model. Everything is built lazily and
-// memoised, so one Suite can serve all tables and figures without
-// recalibrating.
+// measured max throughputs, the gradient m, the §4 historical chain
+// (the established servers' models, relationship 2 and the new
+// server's model), the layered-queuing demands, the hybrid model, and
+// every simulated cell any of them or any experiment measured.
+// Everything is built lazily and memoised, so one Suite can serve all
+// tables and figures measuring each cell once; nothing outlives the
+// suite, so two suites never share a run.
 //
 // A Suite is safe for concurrent use: every memoised artefact sits
 // behind a singleflight (parallel.Memo / parallel.Once), so concurrent
@@ -34,12 +35,10 @@ type Suite struct {
 	Opt    trade.MeasureOptions
 	LQNOpt lqn.Options
 
-	maxThroughputs parallel.Memo[string, float64] // arch name -> measured Xmax (typical)
-	benchmarked    parallel.Once[struct{}]        // the case-study servers' Xmax fan-out
+	cells          parallel.Memo[string, *trade.Result] // cellKey -> measured run
+	maxima         parallel.Once[map[string]float64]    // case-study arch name -> measured Xmax (typical)
 	gradientOnce   parallel.Once[float64]
-	histModels     parallel.Memo[string, *hist.ServerModel] // established archs
-	rel2Once       parallel.Once[*hist.Relationship2]
-	histNew        parallel.Once[*hist.ServerModel] // AppServS via relationship 2
+	histOnce       parallel.Once[histChain]
 	lqnDemandsOnce parallel.Once[map[workload.RequestType]workload.Demand]
 	lqnPredicts    parallel.Memo[string, *lqn.Result] // arch+workload signature -> solution
 	hybridModel    parallel.Once[*hybrid.Model]
@@ -62,26 +61,24 @@ func NewSuite(seed int64) *Suite {
 	}
 }
 
-// maxThroughput benchmarks (and memoises) an architecture's typical
-// max throughput on the simulated testbed. The first call benchmarks
-// all three case-study servers in one fan-out, longest run first:
-// they head every calibration chain, and one at a time the new
-// server's run would find the other workers idle.
+// maxThroughput returns a case-study server's typical max throughput
+// on the simulated testbed (arch must be one of the three). The first
+// call benchmarks all three in one fan-out, longest run first: they
+// head every calibration chain, and one at a time the new server's run
+// would find the other workers idle.
 func (s *Suite) maxThroughput(arch workload.ServerArch) (float64, error) {
-	benchmark := func(a workload.ServerArch) (float64, error) {
-		return s.maxThroughputs.Do(a.Name, func() (float64, error) {
-			return trade.MaxThroughput(a, 0, s.Opt)
-		})
-	}
-	_, err := s.benchmarked.Do(func() (struct{}, error) {
+	maxima, err := s.maxima.Do(func() (map[string]float64, error) {
 		archs := []workload.ServerArch{workload.AppServVF(), workload.AppServF(), workload.AppServS()}
-		_, err := simulateAll(s, len(archs), func(i int) (float64, error) { return benchmark(archs[i]) })
-		return struct{}{}, err
+		xs, err := simulateAll(s, len(archs), func(i int) (float64, error) {
+			return trade.MaxThroughput(archs[i], 0, s.Opt)
+		})
+		maxima := make(map[string]float64, len(archs))
+		for i, x := range xs {
+			maxima[archs[i].Name] = x
+		}
+		return maxima, err
 	})
-	if err != nil {
-		return 0, err
-	}
-	return benchmark(arch)
+	return maxima[arch.Name], err
 }
 
 // gradient calibrates (and memoises) the shared clients→throughput
@@ -93,7 +90,8 @@ func (s *Suite) gradient() (float64, error) {
 			return 0, err
 		}
 		nStar := xMax / 0.14 // provisional anchor just to stay below saturation
-		cells, results, err := s.calibrationCurve(workload.AppServF(), nStar, []float64{0.25, 0.5})
+		cells := cellsAt(workload.AppServF(), nStar, []float64{0.25, 0.5})
+		results, err := measureCells(s, cells)
 		if err != nil {
 			return 0, err
 		}
@@ -105,101 +103,78 @@ func (s *Suite) gradient() (float64, error) {
 	})
 }
 
-// calibrationCurve measures arch under the typical workload at each
-// fraction of the saturation population nStar, in one fan-out. It
-// bypasses the measurement cache, as calibration always has: every
-// fresh suite pays its start-up cost in full.
-func (s *Suite) calibrationCurve(arch workload.ServerArch, nStar float64, fracs []float64) ([]measureCell, []*trade.Result, error) {
-	cells := cellsAt(arch, nStar, fracs)
-	results, err := simulateAll(s, len(cells), func(i int) (*trade.Result, error) { return cells[i].measure(s.Opt) })
-	return cells, results, err
-}
-
 // calibrationFracs places the historical calibration's data points as
 // fractions of the saturation population: two below and two above it,
 // the paper's minimal nldp = nudp = 2.
 var calibrationFracs = []float64{0.25, 0.55, 1.2, 1.6}
 
-// histModel calibrates (and memoises) the historical model for an
-// established architecture from measurements at calibrationFracs.
-func (s *Suite) histModel(arch workload.ServerArch) (*hist.ServerModel, error) {
-	return s.histModels.Do(arch.Name, func() (*hist.ServerModel, error) {
+// calibrateChain runs the §4 chain over the case-study servers in
+// CaseStudyServers order. Each established server gets a data point at
+// each of calibrationFracs of its saturation population, all measured
+// in one fan-out, with rt reading the point's response-time variable
+// from its run; the new server is extrapolated from its benchmark.
+func (s *Suite) calibrateChain(rt func(*trade.Result) float64) (hist.ModelSet, *hist.Relationship2, error) {
+	m, err := s.gradient()
+	if err != nil {
+		return nil, nil, err
+	}
+	var histories []hist.ServerHistory
+	var cells []measureCell
+	for _, arch := range workload.CaseStudyServers() {
 		xMax, err := s.maxThroughput(arch)
 		if err != nil {
-			return nil, err
+			return nil, nil, err
 		}
-		m, err := s.gradient()
-		if err != nil {
-			return nil, err
+		h := hist.ServerHistory{Arch: arch, MaxThroughput: xMax}
+		if arch.Established {
+			for _, c := range cellsAt(arch, xMax/m, calibrationFracs) {
+				cells = append(cells, c)
+				h.Points = append(h.Points, hist.DataPoint{Clients: float64(c.clients)})
+			}
 		}
-		cells, results, err := s.calibrationCurve(arch, xMax/m, calibrationFracs)
-		if err != nil {
-			return nil, err
+		histories = append(histories, h)
+	}
+	results, err := measureCells(s, cells)
+	if err != nil {
+		return nil, nil, err
+	}
+	k := 0
+	for _, h := range histories {
+		for j := range h.Points {
+			h.Points[j].MeanRT = rt(results[k])
+			k++
 		}
-		dps := make([]hist.DataPoint, len(cells))
-		for i, c := range cells {
-			dps[i] = hist.DataPoint{Clients: float64(c.clients), MeanRT: results[i].MeanRT, Samples: results[i].PerClass["browse"].Completed}
-		}
-		return hist.CalibrateServer(arch, xMax, m, dps)
-	})
+	}
+	return hist.CalibrateSet(m, histories)
 }
 
-// rel2 fits (and memoises) relationship 2 across the established
-// servers AppServF and AppServVF.
-func (s *Suite) rel2() (*hist.Relationship2, error) {
-	return s.rel2Once.Do(func() (*hist.Relationship2, error) {
-		established := []workload.ServerArch{workload.AppServF(), workload.AppServVF()}
-		models, err := parallel.Map(context.Background(), s.Opt.Workers, len(established),
-			func(_ context.Context, i int) (*hist.ServerModel, error) {
-				return s.histModel(established[i])
-			})
-		if err != nil {
-			return nil, err
-		}
-		return hist.FitRelationship2(models)
-	})
+// histChain is what histSet memoises of the chain's output.
+type histChain struct {
+	models hist.ModelSet
+	rel2   *hist.Relationship2
 }
 
-// histNewServer predicts (and memoises) the new architecture's
-// (AppServS) historical model from its max-throughput benchmark via
-// relationship 2.
-func (s *Suite) histNewServer() (*hist.ServerModel, error) {
-	return s.histNew.Do(func() (*hist.ServerModel, error) {
-		rel2, err := s.rel2()
-		if err != nil {
-			return nil, err
-		}
-		xMax, err := s.maxThroughput(workload.AppServS())
-		if err != nil {
-			return nil, err
-		}
-		return rel2.NewServerModel(workload.AppServS(), xMax)
+// histSet calibrates (and memoises) the mean-response-time models of
+// every case-study server — the §9.1 stand-in for the real system —
+// and the relationship 2 fitted across the established servers
+// (AppServF is its λU reference).
+func (s *Suite) histSet() (hist.ModelSet, *hist.Relationship2, error) {
+	chain, err := s.histOnce.Do(func() (histChain, error) {
+		models, rel2, err := s.calibrateChain(func(r *trade.Result) float64 { return r.MeanRT })
+		return histChain{models, rel2}, err
 	})
+	return chain.models, chain.rel2, err
 }
 
 // HistModelFor returns the historical model used for an architecture:
 // measured calibration for established servers, relationship 2 for the
 // new one.
 func (s *Suite) HistModelFor(arch workload.ServerArch) (*hist.ServerModel, error) {
-	if arch.Established {
-		return s.histModel(arch)
+	models, _, err := s.histSet()
+	if sm, ok := models[arch.Name]; ok || err != nil {
+		return sm, err
 	}
-	return s.histNewServer()
-}
-
-// histSet returns HistModelFor every case-study server — the §9.1
-// stand-in for the real system. The new server comes first in
-// CaseStudyServers order, and its relationship-2 fit calibrates the
-// established pair concurrently.
-func (s *Suite) histSet() (hist.ModelSet, error) {
-	set := hist.ModelSet{}
-	for _, arch := range workload.CaseStudyServers() {
-		var err error
-		if set[arch.Name], err = s.HistModelFor(arch); err != nil {
-			return nil, err
-		}
-	}
-	return set, nil
+	return nil, fmt.Errorf("bench: %s is not a case-study server", arch.Name)
 }
 
 // lqnDemands calibrates (and memoises) the per-request-type demands on
@@ -309,11 +284,10 @@ func (s *Suite) LaplaceScale() (float64, error) {
 		if err != nil {
 			return 0, err
 		}
-		n := int(1.4 * xMax / m)
-		res, err := trade.Measure(workload.AppServF(), workload.TypicalWorkload(n), s.Opt)
+		res, err := measureCells(s, cellsAt(workload.AppServF(), xMax/m, []float64{1.4}))
 		if err != nil {
 			return 0, err
 		}
-		return rtdist.CalibrateScale(res.MeanRT, res.PerClass["browse"].Samples)
+		return rtdist.CalibrateScale(res[0].MeanRT, res[0].PerClass["browse"].Samples)
 	})
 }

@@ -7,9 +7,9 @@ import (
 	"perfpred/internal/workload"
 )
 
-// shortSuite returns a suite with a short measurement window and the
-// given worker count, cheap enough for race-detector runs. The seed is
-// distinct from sharedSuite's so these tests never hit its cache keys.
+// shortSuite returns a fresh suite with a short measurement window and
+// the given worker count, cheap enough for race-detector runs. Each
+// suite owns its cell memo, so every call measures from scratch.
 func shortSuite(workers int) *Suite {
 	s := NewSuite(1009)
 	s.Opt.WarmUp = 5
@@ -21,8 +21,10 @@ func shortSuite(workers int) *Suite {
 // TestSuiteConcurrentCalibration hammers one Suite from many
 // goroutines — the way concurrent figure generators would — and then
 // checks every memoised artefact equals a serially-calibrated suite's.
-// Run under -race (`make race`) this is the concurrency-safety proof
-// for the singleflight Suite.
+// The gradient, historical and Laplace calibrations all measure through
+// the suite's cell memo, so the goroutines also race that memo. Run
+// under -race (`make race`) this is the concurrency-safety proof for
+// the singleflight Suite.
 func TestSuiteConcurrentCalibration(t *testing.T) {
 	concurrent := shortSuite(4)
 	archs := []workload.ServerArch{workload.AppServF(), workload.AppServVF(), workload.AppServS()}

@@ -15,7 +15,7 @@ func (s *Suite) table1() (*Table, error) {
 		Title:  "Historical method relationship parameters",
 		Header: []string{"Server", "cL (ms)", "lambdaL", "lambdaU (ms/client)", "cU (ms)", "m", "Xmax (req/s)"},
 	}
-	models, err := s.histSet()
+	models, _, err := s.histSet()
 	if err != nil {
 		return nil, err
 	}
@@ -64,7 +64,7 @@ func (s *Suite) throughputGradient() (*Table, error) {
 	if err != nil {
 		return nil, err
 	}
-	models, err := s.histSet()
+	models, _, err := s.histSet()
 	if err != nil {
 		return nil, err
 	}
