@@ -102,7 +102,7 @@ func main() {
 		for _, name := range bench.Experiments() {
 			fmt.Println(name)
 		}
-		fmt.Println("\nstudies beyond the paper (run by name; -scenario spec.json is the third):")
+		fmt.Println("\nstudies beyond the paper (run by name; -scenario spec.json is the fourth):")
 		for _, name := range bench.Studies() {
 			fmt.Println(name)
 		}

@@ -6,7 +6,6 @@ import (
 
 	"perfpred/internal/lqn"
 	"perfpred/internal/rm"
-	"perfpred/internal/stats"
 	"perfpred/internal/trade"
 	"perfpred/internal/workload"
 )
@@ -35,7 +34,6 @@ func (s *Suite) ablationTransition() (*Table, error) {
 	if err != nil {
 		return nil, err
 	}
-	var wPred, hPred, acts []float64
 	for k, c := range cells {
 		hm, n := hms[c.arch.Name], float64(c.clients)
 		with := hm.Predict(n)
@@ -43,13 +41,10 @@ func (s *Suite) ablationTransition() (*Table, error) {
 		if n < hm.SaturationClients() {
 			hard = hm.Lower(n)
 		}
-		wPred = append(wPred, with)
-		hPred = append(hPred, hard)
-		acts = append(acts, results[k].MeanRT)
 		t.addRow(label(c.arch.Name), itoa(c.clients), ms(results[k].MeanRT), ms(with), ms(hard))
 	}
 	t.addNote("knee accuracy: transition %.1f%% vs hard switch %.1f%%",
-		stats.Accuracy(wPred, acts), stats.Accuracy(hPred, acts))
+		accuracy(t, 3, 2, everyRow), accuracy(t, 4, 2, everyRow))
 	return t, nil
 }
 

@@ -16,7 +16,7 @@ var experiments = []experiment{
 	{"table2", true, (*Suite).table2},
 	{"gradient", true, (*Suite).throughputGradient},
 	{"data-quantity", true, (*Suite).dataQuantity},
-	{"figure2", true, func(s *Suite) (*Table, error) { t, _, err := s.figure2(); return t, err }},
+	{"figure2", true, (*Suite).figure2},
 	{"figure3", true, (*Suite).figure3},
 	{"figure4", true, (*Suite).figure4},
 	{"percentiles", true, (*Suite).percentiles},
@@ -44,6 +44,11 @@ var experiments = []experiment{
 	{"fleet-ab", false, (*Suite).fleetAB},
 }
 
+// claims reads the paper tables through Run, so it joins the list later.
+func init() {
+	experiments = append(experiments, experiment{"claims", false, (*Suite).reproductionClaims})
+}
+
 // Run executes one named experiment or study.
 func (s *Suite) Run(name string) (*Table, error) {
 	for _, e := range experiments {
@@ -67,6 +72,6 @@ func names(paper bool) []string {
 // Experiments returns the paper's experiment names in paper order.
 func Experiments() []string { return names(true) }
 
-// Studies returns the names of the studies beyond the paper. The third
+// Studies returns the names of the studies beyond the paper. The fourth
 // study, ScenarioWindows, takes a workload spec and so has no name here.
 func Studies() []string { return names(false) }

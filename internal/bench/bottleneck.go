@@ -5,7 +5,6 @@ import (
 
 	"perfpred/internal/hist"
 	"perfpred/internal/lqn"
-	"perfpred/internal/stats"
 	"perfpred/internal/trade"
 	"perfpred/internal/workload"
 )
@@ -92,7 +91,6 @@ func (s *Suite) bottleneck() (*Table, error) {
 		return res.MeanResponseTime(), nil
 	}
 
-	var histP, naiveP, profP, acts []float64
 	for k := len(calibrationFracs); k < len(fracs); k++ {
 		n, meas := cfgs[k].Load[0].Clients, results[k]
 		h := histModel.Predict(float64(n))
@@ -104,14 +102,10 @@ func (s *Suite) bottleneck() (*Table, error) {
 		if err != nil {
 			return nil, err
 		}
-		histP = append(histP, h)
-		naiveP = append(naiveP, naive)
-		profP = append(profP, prof)
-		acts = append(acts, meas.MeanRT)
 		t.addRow(itoa(n), ms(meas.MeanRT), ms(h), ms(naive), ms(prof))
 	}
 	t.addNote("accuracy: historical %.1f%%, naive LQN %.1f%%, profiled LQN %.1f%%",
-		stats.Accuracy(histP, acts), stats.Accuracy(naiveP, acts), stats.Accuracy(profP, acts))
+		accuracy(t, 2, 1, everyRow), accuracy(t, 3, 1, everyRow), accuracy(t, 4, 1, everyRow))
 	t.addNote("bottleneck ceiling ≈%.0f req/s vs the unconstrained 186; the historical method absorbs implicit queues from data, the layered method needs them profiled into the model (§8.1)", xMax)
 	return t, nil
 }

@@ -27,7 +27,6 @@ func (s *Suite) percentiles() (*Table, error) {
 		return nil, err
 	}
 	const p = 0.90
-	acc := accuracies{}
 	for _, pt := range points {
 		n := float64(pt.clients)
 		measured := pt.meas.OverallPercentile(100 * p)
@@ -43,13 +42,10 @@ func (s *Suite) percentiles() (*Table, error) {
 		if err != nil {
 			return nil, err
 		}
-		acc.record("historical", pt.group, histP, measured)
-		acc.record("lqn", pt.group, lqP, measured)
-		acc.record("hybrid", pt.group, hyP, measured)
 		t.addRow(label(pt.arch.Name), itoa(pt.clients), ms(measured), ms(histP), ms(lqP), ms(hyP))
 	}
-	for _, method := range []string{"historical", "lqn", "hybrid"} {
-		pair := acc.of(method)
+	for i, method := range []string{"historical", "lqn", "hybrid"} {
+		pair := byGroup(t, 3+i, 2)
 		t.addNote("%s p90 accuracy: %.1f%% established / %.1f%% new", method, pair[0], pair[1])
 	}
 	t.addNote("calibrated Laplace scale b = %.1f ms (paper: 204.1 ms on its testbed)", b*1000)

@@ -3,7 +3,6 @@ package bench
 import (
 	"perfpred/internal/hist"
 	"perfpred/internal/lqn"
-	"perfpred/internal/stats"
 	"perfpred/internal/trade"
 	"perfpred/internal/workload"
 )
@@ -97,18 +96,14 @@ func (s *Suite) openWorkload() (*Table, error) {
 	if err != nil {
 		return nil, err
 	}
-	var preds, acts []float64
 	for i, rate := range rates {
 		pred, err := lqn.PredictTrade(workload.AppServF(), demands, cfgs[i].Load, s.LQNOpt)
 		if err != nil {
 			return nil, err
 		}
-		p := pred.Classes["stream"].ResponseTime
-		preds = append(preds, p)
-		acts = append(acts, results[i].MeanRT)
-		t.addRow(f1(rate), ms(results[i].MeanRT), ms(p))
+		t.addRow(f1(rate), ms(results[i].MeanRT), ms(pred.Classes["stream"].ResponseTime))
 	}
-	t.addNote("open-workload LQN accuracy: %.1f%%", stats.Accuracy(preds, acts))
+	t.addNote("open-workload LQN accuracy: %.1f%%", accuracy(t, 2, 1, everyRow))
 	return t, nil
 }
 
@@ -151,7 +146,6 @@ func (s *Suite) percentileDirect() (*Table, error) {
 	if err != nil {
 		return nil, err
 	}
-	var dPreds, ePreds, acts []float64
 	for k, c := range cells {
 		n := float64(c.clients)
 		actual := results[k].OverallPercentile(90)
@@ -160,12 +154,9 @@ func (s *Suite) percentileDirect() (*Table, error) {
 		if err != nil {
 			return nil, err
 		}
-		dPreds = append(dPreds, dp)
-		ePreds = append(ePreds, ep)
-		acts = append(acts, actual)
 		t.addRow(itoa(c.clients), ms(actual), ms(dp), ms(ep))
 	}
 	t.addNote("accuracy: direct %.1f%% vs from-mean %.1f%% (paper: direct recording avoids the ≤4.6%% extrapolation loss)",
-		stats.Accuracy(dPreds, acts), stats.Accuracy(ePreds, acts))
+		accuracy(t, 2, 1, everyRow), accuracy(t, 3, 1, everyRow))
 	return t, nil
 }

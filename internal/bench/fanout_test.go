@@ -14,10 +14,10 @@ import (
 const fanoutSeed = 2003
 
 // renderAll runs all 27 experiments in paper order on one fresh
-// short-window suite. It returns each table's text with its host
-// timings blanked and, per experiment, the number of simulator runs it
-// started, in total and outside a fan-out: the simulator's own run
-// count, less the runs the suite's fan-outs started.
+// short-window suite, then the claims over their tables. It returns each
+// table's text with its host timings blanked and, per experiment and for
+// the claims, the number of simulator runs started, in total and outside
+// a fan-out: the simulator's own run count, less the fan-outs' runs.
 func renderAll(t *testing.T, workers int) (text map[string]string, serial, total map[string]int) {
 	t.Helper()
 	reg := obs.NewRegistry()
@@ -28,6 +28,7 @@ func renderAll(t *testing.T, workers int) (text map[string]string, serial, total
 	s := NewSuite(fanoutSeed)
 	s.Opt.WarmUp, s.Opt.Duration, s.Opt.Workers = 5, 20, workers
 	text, serial, total = map[string]string{}, map[string]int{}, map[string]int{}
+	tabs := tables{}
 	for _, name := range Experiments() {
 		runs0, fanned0 := runs.Value(), s.fannedRuns.Load()
 		tab, err := s.Run(name)
@@ -36,6 +37,7 @@ func renderAll(t *testing.T, workers int) (text map[string]string, serial, total
 		}
 		total[name] = int(runs.Value() - runs0)
 		serial[name] = total[name] - int(s.fannedRuns.Load()-fanned0)
+		tabs[name] = tab
 		for _, row := range tab.Rows {
 			for i := range row {
 				if row[i].Host {
@@ -47,6 +49,9 @@ func renderAll(t *testing.T, workers int) (text map[string]string, serial, total
 		tab.Fprint(&buf)
 		text[name] = buf.String()
 	}
+	runs0 := runs.Value()
+	evalClaims(tabs)
+	total["claims"] = int(runs.Value() - runs0)
 	return text, serial, total
 }
 
@@ -72,7 +77,8 @@ func TestWorkerCountInvariance(t *testing.T) {
 // A suite also measures each cell once. The two percentile experiments
 // ask only for cells measured earlier in paper order — the calibration
 // cells by the §4 chain, AppServS's evaluation cells and the 1.4·N*
-// Laplace cell by data-quantity — so they start no run at all.
+// Laplace cell by data-quantity — so they start no run at all. The
+// claims read only the finished tables, so they start none either.
 func TestSerialSimulationCount(t *testing.T) {
 	allowed := map[string]int{
 		"stabilisation": 1, // one cold-start transient run is the whole experiment
@@ -84,9 +90,9 @@ func TestSerialSimulationCount(t *testing.T) {
 			t.Errorf("%s started %d simulator runs outside a fan-out, want %d", name, serial[name], allowed[name])
 		}
 	}
-	for _, name := range []string{"percentiles", "percentile-direct"} {
+	for _, name := range []string{"percentiles", "percentile-direct", "claims"} {
 		if total[name] != 0 {
-			t.Errorf("%s started %d simulator runs, want 0: every cell it needs is measured earlier in paper order", name, total[name])
+			t.Errorf("%s started %d simulator runs, want 0: every cell or table it needs is made earlier", name, total[name])
 		}
 	}
 }

@@ -1,10 +1,11 @@
 package bench
 
 import (
+	"slices"
+
 	"perfpred/internal/hist"
 	"perfpred/internal/hybrid"
 	"perfpred/internal/lqn"
-	"perfpred/internal/stats"
 	"perfpred/internal/trade"
 	"perfpred/internal/workload"
 )
@@ -20,7 +21,6 @@ var figure2Fractions = []float64{0.2, 0.35, 0.5, 0.8, 1.0, 1.2, 1.45, 1.7}
 type figure2Point struct {
 	arch         workload.ServerArch
 	clients      int
-	group        string // "established" or "new"
 	meas         *trade.Result
 	hist, hybrid *hist.ServerModel
 	lqn          *lqn.Result
@@ -55,47 +55,29 @@ func (s *Suite) figure2Walk() ([]figure2Point, error) {
 		if err != nil {
 			return nil, err
 		}
-		group := "new"
-		if c.arch.Established {
-			group = "established"
-		}
 		points[k] = figure2Point{
-			arch: c.arch, clients: c.clients, group: group, meas: results[k],
+			arch: c.arch, clients: c.clients, meas: results[k],
 			hist: hms[c.arch.Name], hybrid: hyb.Servers[c.arch.Name], lqn: lq,
 		}
 	}
 	return points, nil
 }
 
-// accuracies collects (predicted, actual) pairs per method and server
-// group and scores each series.
-type accuracies map[[2]string]*[2][]float64
-
-func (a accuracies) record(method, group string, pred, act float64) {
-	k := [2]string{method, group}
-	if a[k] == nil {
-		a[k] = new([2][]float64)
-	}
-	a[k][0] = append(a[k][0], pred)
-	a[k][1] = append(a[k][1], act)
+// byGroup scores column pred against column act of a table whose rows
+// start with a case-study server, on the established and the new servers.
+func byGroup(t *Table, pred, act int) []float64 {
+	return []float64{accuracy(t, pred, act, func(r []Cell) bool { return !onNew(r) }), accuracy(t, pred, act, onNew)}
 }
 
-// of returns the method's (established, new) accuracy pair.
-func (a accuracies) of(method string) [2]float64 {
-	var out [2]float64
-	for i, group := range []string{"established", "new"} {
-		series := a[[2]string{method, group}]
-		out[i] = stats.Accuracy(series[0], series[1])
-	}
-	return out
+func onNew(r []Cell) bool {
+	return slices.ContainsFunc(workload.CaseStudyServers(), func(a workload.ServerArch) bool { return a.Name == r[0].Text && !a.Established })
 }
 
 // figure2 regenerates the paper's figure 2: measured mean response
 // time versus the historical, layered queuing and hybrid predictions
 // across client populations for all three servers, plus the per-method
-// accuracy summary for established and new servers, which it also
-// returns unformatted.
-func (s *Suite) figure2() (*Table, accuracies, error) {
+// accuracy summary for established and new servers.
+func (s *Suite) figure2() (*Table, error) {
 	t := &Table{
 		ID:     "Figure 2",
 		Title:  "Mean response time: measured vs predicted (typical workload)",
@@ -103,26 +85,21 @@ func (s *Suite) figure2() (*Table, accuracies, error) {
 	}
 	points, err := s.figure2Walk()
 	if err != nil {
-		return nil, nil, err
+		return nil, err
 	}
-	acc := accuracies{}
 	for _, p := range points {
 		n := float64(p.clients)
-		histRT, lqRT, hyRT := p.hist.Predict(n), p.lqn.MeanResponseTime(), p.hybrid.Predict(n)
-		acc.record("historical", p.group, histRT, p.meas.MeanRT)
-		acc.record("lqn", p.group, lqRT, p.meas.MeanRT)
-		acc.record("hybrid", p.group, hyRT, p.meas.MeanRT)
-		acc.record("lqn-throughput", p.group, p.lqn.TotalThroughput(), p.meas.Throughput)
-		t.addRow(label(p.arch.Name), itoa(p.clients), ms(p.meas.MeanRT), ms(histRT), ms(lqRT), ms(hyRT),
-			f1(p.meas.Throughput), f1(p.lqn.TotalThroughput()))
+		t.addRow(label(p.arch.Name), itoa(p.clients), ms(p.meas.MeanRT), ms(p.hist.Predict(n)), ms(p.lqn.MeanResponseTime()),
+			ms(p.hybrid.Predict(n)), f1(p.meas.Throughput), f1(p.lqn.TotalThroughput()))
 	}
-	for _, method := range []string{"historical", "lqn", "hybrid", "lqn-throughput"} {
-		pair := acc.of(method)
+	// Columns 3–5 predict measured RT (column 2); column 7 measured throughput (6).
+	for i, method := range []string{"historical", "lqn", "hybrid", "lqn-throughput"} {
+		pair := byGroup(t, []int{3, 4, 5, 7}[i], []int{2, 2, 2, 6}[i])
 		t.addNote("%s accuracy (established servers): %.1f%%", method, pair[0])
 		t.addNote("%s accuracy (new servers): %.1f%%", method, pair[1])
 	}
 	t.addNote("paper: historical 89.1%%/83%% (est/new), LQN RT 68.8%%/73.4%%, LQN X 97.8%%/97.1%%, hybrid 67.1%%/74.9%%")
-	return t, acc, nil
+	return t, nil
 }
 
 // figure3 regenerates the paper's figure 3: the predictive accuracy on
@@ -342,15 +319,11 @@ func (s *Suite) figure4() (*Table, error) {
 	if err != nil {
 		return nil, err
 	}
-	var preds, acts []float64
 	for k, c := range cells {
 		i := k / len(fracs)
-		pred := models[i].Predict(float64(c.clients))
-		preds = append(preds, pred)
-		acts = append(acts, results[k].MeanRT)
-		t.addRow(f1(buyPcts[i]), itoa(c.clients), ms(results[k].MeanRT), ms(pred))
+		t.addRow(f1(buyPcts[i]), itoa(c.clients), ms(results[k].MeanRT), ms(models[i].Predict(float64(c.clients))))
 	}
-	t.addNote("accuracy across buy mixes: %.1f%%", stats.Accuracy(preds, acts))
+	t.addNote("accuracy across buy mixes: %.1f%%", accuracy(t, 3, 2, everyRow))
 	t.addNote("paper: good shape agreement; LQNS anchor points 189/158 req/s at 0%%/25%% buy on AppServF")
 	return t, nil
 }

@@ -23,12 +23,12 @@ func TestFigure2AccuracyStableAcrossSeeds(t *testing.T) {
 	}
 	for _, seed := range []int64{101, 202, 303} {
 		s := NewSuite(seed)
-		_, acc, err := s.figure2()
+		tab, err := s.figure2()
 		if err != nil {
 			t.Fatal(err)
 		}
-		for _, m := range methods {
-			accs[m].Add(acc.of(m)[1]) // new-server accuracy
+		for i, m := range methods {
+			accs[m].Add(byGroup(tab, 3+i, 2)[1]) // new-server accuracy
 		}
 	}
 	for _, m := range methods {

@@ -143,6 +143,16 @@ func (s *Suite) uniformInaccuracy() (*Table, error) {
 	}
 	servers := rm.CaseStudyServers()
 	loads := []int{2000, 4000, 6000, 8000}
+	// maxFail is a sweep's worst SLA failure % below full server usage.
+	maxFail := func(points []rm.SweepPoint) float64 {
+		worst := 0.0
+		for _, p := range points {
+			if p.ServerUsagePct < 100 {
+				worst = max(worst, p.SLAFailurePct)
+			}
+		}
+		return worst
+	}
 	for _, y := range []float64{0.9, 1.0, 1.1, 1.2, 1.3} {
 		pred := rm.Biased{Base: truthSet, Y: y}
 		// slack = y dips below 1 at y = 0.9.
@@ -154,20 +164,8 @@ func (s *Suite) uniformInaccuracy() (*Table, error) {
 		if err != nil {
 			return nil, err
 		}
-		maxFail := 0.0
-		for _, p := range compensated {
-			if p.ServerUsagePct < 100 && p.SLAFailurePct > maxFail {
-				maxFail = p.SLAFailurePct
-			}
-		}
-		maxFailRaw := 0.0
-		for _, p := range uncompensated {
-			if p.ServerUsagePct < 100 && p.SLAFailurePct > maxFailRaw {
-				maxFailRaw = p.SLAFailurePct
-			}
-		}
 		_, usage := rm.AverageMetrics(compensated)
-		t.addRow(f2(y), f2(maxFail), f1(usage), f2(maxFailRaw))
+		t.addRow(f2(y), f2(maxFail(compensated)), f1(usage), f2(maxFail(uncompensated)))
 	}
 	t.addNote("paper: slack = y gives 0%% SLA failures below 100%% usage and a constant %% server usage at any uniform accuracy")
 	return t, nil

@@ -14,6 +14,8 @@ import (
 	"strconv"
 	"strings"
 	"time"
+
+	"perfpred/internal/stats"
 )
 
 // Table is one regenerated table or figure: a title, column headers,
@@ -105,3 +107,17 @@ func g3(v float64) Cell   { return num(fmt.Sprintf("%.3g", v), v) }
 func host(d time.Duration) Cell {
 	return Cell{Text: d.String(), Value: d.Seconds(), Num: true, Host: true}
 }
+
+// accuracy scores column pred against column act, as the paper scores
+// a prediction, over the rows keep selects.
+func accuracy(t *Table, pred, act int, keep func([]Cell) bool) float64 {
+	var p, a []float64
+	for _, r := range t.Rows {
+		if keep(r) {
+			p, a = append(p, r[pred].Value), append(a, r[act].Value)
+		}
+	}
+	return stats.Accuracy(p, a)
+}
+
+func everyRow([]Cell) bool { return true }
