@@ -230,8 +230,8 @@ func runFleet(pools, shards int, scorerName string, clients int, duration, repla
 		fmt.Printf("scorer=%s pools=%d shards=%d clients=%d (%d/pool) seed=%d\n",
 			res.Scorer, pools, shards, clients*pools, clients, seed)
 	}
-	fmt.Printf("decisions=%d remote=%.1f%% visited/decision=%.1f barriers=%d parks=%d replans=%d affinity-changes=%d wall=%.2fs\n",
-		res.Decisions, remotePct, visited, res.Barriers, res.Parks, res.Replans, res.AffinityChanges, res.Wall.Seconds())
+	fmt.Printf("decisions=%d remote=%.1f%% visited/decision=%.1f barriers=%d windows=%d parks=%d replans=%d affinity-changes=%d wall=%.2fs\n",
+		res.Decisions, remotePct, visited, res.Barriers, res.Windows, res.Parks, res.Replans, res.AffinityChanges, res.Wall.Seconds())
 	if len(res.EstimatedClients) > 0 {
 		fmt.Printf("last plan's client estimates:")
 		for i, pop := range load {

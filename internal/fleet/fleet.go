@@ -39,7 +39,8 @@ type Config struct {
 	Pools int
 	// Shards is the engine-shard count the pools are partitioned
 	// across; 0 or 1 runs single-engine (still windowed — the barrier
-	// cadence is the hop latency).
+	// cadence is the hop latency — unless the fleet is Static with no
+	// replanner, which needs no barriers).
 	Shards int
 	// Archs assigns pool architectures round-robin: pool i runs
 	// Archs[i mod len(Archs)].
@@ -141,13 +142,19 @@ type Result struct {
 	// (a full scan would examine Pools per decision; Static examines
 	// none). Like Decisions it is a function of the seeded trajectory.
 	Visited uint64
-	// Barriers counts executed window barriers (sync + hook runs).
+	// Barriers counts executed window barriers (sync + hook runs). A
+	// Static fleet with no replanner has none: its pools never meet, so
+	// it runs one barrier-free window per Advance.
 	Barriers uint64
+	// Windows counts the windows the coordinator fanned out to its
+	// shards: Barriers, plus one per Advance of a barrier-free fleet.
+	// Like Barriers it is the same at every shard count.
+	Windows uint64
 	// Parks counts the barrier waits that outlasted the worker pool's
 	// spin-and-yield budget and put a goroutine to sleep. It is the one
-	// host-dependent figure here besides Wall: Parks near Barriers means
+	// host-dependent figure here besides Wall: Parks near Windows means
 	// the hand-off has degenerated into sleeping (an oversubscribed or
-	// throttled machine), Parks ≪ Barriers that the cores stayed awake.
+	// throttled machine), Parks ≪ Windows that the cores stayed awake.
 	Parks uint64
 	// Replans counts plans cut; ReplanLatencies holds each plan's
 	// wall-clock solve time in cut order.
@@ -197,12 +204,19 @@ func Run(cfg Config) (*Result, error) {
 	if cfg.ReplanPeriod > 0 {
 		rs = newReplanState(cfg.Replanner, router, &cfg, archNames, powers)
 	}
+	// The barrier hook runs only where something reads the barrier
+	// state: a scorer that can leave the origin pool, or a replanner.
+	// Without it a Static fleet's pools never meet, and the run takes
+	// no window barriers at all.
 	var barriers uint64
-	hook := func(now float64) {
-		router.Sync()
-		barriers++
-		if rs != nil {
-			rs.step(now)
+	var hook func(now float64)
+	if !router.Local() || rs != nil {
+		hook = func(now float64) {
+			router.Sync()
+			barriers++
+			if rs != nil {
+				rs.step(now)
+			}
 		}
 	}
 
@@ -247,6 +261,7 @@ func Run(cfg Config) (*Result, error) {
 		Remote:    remotes,
 		Visited:   router.visitedTotal(),
 		Barriers:  barriers,
+		Windows:   run.Windows(),
 		Parks:     run.Parks(),
 		Wall:      time.Since(start),
 	}

@@ -81,8 +81,8 @@ func sameFleetResult(t *testing.T, label string, a, b *Result) {
 		t.Errorf("%s: decisions/remote/visited %d/%d/%d vs %d/%d/%d",
 			label, a.Decisions, a.Remote, a.Visited, b.Decisions, b.Remote, b.Visited)
 	}
-	if a.Barriers != b.Barriers {
-		t.Errorf("%s: barriers %d vs %d", label, a.Barriers, b.Barriers)
+	if a.Barriers != b.Barriers || a.Windows != b.Windows {
+		t.Errorf("%s: barriers/windows %d/%d vs %d/%d", label, a.Barriers, a.Windows, b.Barriers, b.Windows)
 	}
 	if a.Replans != b.Replans || a.AffinityChanges != b.AffinityChanges {
 		t.Errorf("%s: replans %d/%d vs %d/%d", label, a.Replans, a.AffinityChanges, b.Replans, b.AffinityChanges)
@@ -129,7 +129,9 @@ func TestFleetConfigValidation(t *testing.T) {
 
 // Routing decisions must be invariant under the pool→shard mapping:
 // the same seeded config produces bit-identical results at 1, 2 and 4
-// shards, for every scorer.
+// shards, for every scorer. A routed fleet ends every window at a
+// barrier; a Static one, whose pools never meet, takes none and runs
+// one window per Advance.
 func TestFleetDeterministicAcrossShards(t *testing.T) {
 	for _, scorer := range []Scorer{Static{}, QueueDepth{}, LeastRT{}, ClassAffinity{}, Weighted{}} {
 		ref, err := Run(testConfig(4, 1, scorer))
@@ -145,6 +147,18 @@ func TestFleetDeterministicAcrossShards(t *testing.T) {
 		if ref.Parks != 0 {
 			t.Errorf("%s: %d parks on one shard, which waits for nobody", scorer.Name(), ref.Parks)
 		}
+		wantBarriers := ref.Windows
+		if _, static := scorer.(Static); static {
+			wantBarriers = 0
+			if ref.Windows != 2 {
+				t.Errorf("static: %d windows, want one per Advance (2)", ref.Windows)
+			}
+		} else if ref.Barriers == 0 {
+			t.Errorf("%s: no barriers", scorer.Name())
+		}
+		if ref.Barriers != wantBarriers {
+			t.Errorf("%s: %d barriers over %d windows, want %d", scorer.Name(), ref.Barriers, ref.Windows, wantBarriers)
+		}
 		for _, shards := range []int{2, 4} {
 			got, err := Run(testConfig(4, shards, scorer))
 			if err != nil {
@@ -153,9 +167,9 @@ func TestFleetDeterministicAcrossShards(t *testing.T) {
 			sameFleetResult(t, scorer.Name(), ref, got)
 			// Parks is the host's figure and deliberately not compared;
 			// its bound is one sleep per goroutine per window.
-			if limit := uint64(shards) * (got.Barriers + 1); got.Parks > limit {
-				t.Errorf("%s: %d parks over %d barriers on %d shards, limit %d",
-					scorer.Name(), got.Parks, got.Barriers, shards, limit)
+			if limit := uint64(shards) * (got.Windows + 1); got.Parks > limit {
+				t.Errorf("%s: %d parks over %d windows on %d shards, limit %d",
+					scorer.Name(), got.Parks, got.Windows, shards, limit)
 			}
 		}
 	}
@@ -258,6 +272,8 @@ func (c *countingRouter) Completed(pool, class int, rt float64) {
 	c.completed[pool].Add(1)
 	c.inner.Completed(pool, class, rt)
 }
+
+func (c *countingRouter) Local() bool { return c.inner.Local() }
 
 // Conservation property: per pool, started − completed equals the
 // in-flight count, independently tallied callbacks match the Router's

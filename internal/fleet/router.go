@@ -206,6 +206,10 @@ func (r *Router) pick(origin, class int) (int, int) {
 	return r.search(t, origin)
 }
 
+// Local reports that the scorer is Static, which serves every request
+// on its origin pool (trade.PoolRouter).
+func (r *Router) Local() bool { return r.policy == policyStatic }
+
 // Started records a service-side admission (trade.PoolRouter).
 func (r *Router) Started(pool, class int) {
 	r.cc[pool*r.stride+class].started++

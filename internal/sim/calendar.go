@@ -6,10 +6,11 @@ import "math"
 // queue): events are hashed into time-slot buckets of a common width,
 // and dequeueing walks the bucket "calendar" from the last dequeue
 // position, so both enqueue and dequeue are O(1) amortised instead of
-// the binary heap's O(log n). Per-shard engines use it because a large
-// sharded run keeps hundreds of thousands of pending events (one think
-// timer per idle client), where the heap's sift depth dominates the
-// event loop.
+// the binary heap's O(log n). A calendar engine keeps its events that
+// are scheduled once here, because a large sharded run keeps hundreds
+// of thousands of them pending (one think timer per idle client),
+// where the heap's sift depth would dominate the event loop; the few
+// events that move (one completion per station) stay in the heap.
 //
 // Ordering is identical to the heap: (time, seq) with scheduling order
 // breaking time ties, so an engine produces the same firing sequence
@@ -164,13 +165,10 @@ func (cq *calendarQueue) peek() *event {
 	return cq.cachedMin
 }
 
-// popBefore removes and returns the least event if its time is <=
-// until; otherwise the queue is left untouched and nil is returned.
-func (cq *calendarQueue) popBefore(until float64) *event {
-	ev := cq.peek()
-	if ev == nil || ev.time > until {
-		return nil
-	}
+// popMin removes and returns the least event. Requires a peek that
+// returned it since the queue last changed.
+func (cq *calendarQueue) popMin() *event {
+	ev := cq.cachedMin
 	if cq.minPrev != nil {
 		cq.minPrev.next = ev.next
 	} else {

@@ -14,9 +14,9 @@
 // The event core is allocation-free in steady state: fired and
 // discarded events return to a per-engine free list and are reused by
 // later Schedule calls, fresh events are carved from slabs rather than
-// allocated one by one, and the priority queue is a concrete-typed
-// binary heap rather than container/heap, so no interface boxing or
-// dynamic dispatch happens per event. One Engine is strictly
+// allocated one by one, and the priority queues (a calendar queue and
+// a binary heap) are concrete-typed rather than container/heap, so no
+// interface boxing or dynamic dispatch happens per event. One Engine is strictly
 // single-goroutine; concurrency lives a level up, where independent
 // engines run in parallel (internal/parallel).
 package sim
@@ -63,9 +63,13 @@ type event struct {
 	gen    uint64 // generation, stepped by 2; the low bit is cancelledBit
 	action func()
 	arg    int32  // the action's argument, read back through Engine.Arg
-	index  int32  // position in the heap; arg and index share one word, so the struct stays 48 bytes
+	index  int32  // position in the heap, or inCalendar; arg and index share one word, so the struct stays 48 bytes
 	next   *event // free-list link, or calendar bucket chain; nil while heap-queued
 }
+
+// inCalendar is the index of an event that sits in its engine's
+// calendar queue rather than in the heap.
+const inCalendar = -1
 
 // cancelledBit is the low bit of event.gen: set by Cancel, cleared by
 // the generation step of release and reschedule.
@@ -84,8 +88,11 @@ func nextGen(g uint64) uint64 { return g&^cancelledBit + 2 }
 // keeps runs fully deterministic for a fixed seed. The zero value is
 // not usable; create engines with NewEngine.
 type Engine struct {
-	now    float64
-	queue  []*event // concrete binary heap ordered by (time, seq)
+	now float64
+	// queue is a concrete binary heap ordered by (time, seq). On a
+	// heap-only engine it holds every event; on a calendar engine it
+	// holds the events that move (reschedule), and cal the rest.
+	queue  []*event
 	cal    *calendarQueue
 	free   *event  // recycled events
 	slab   []event // fresh events not yet handed out
@@ -98,20 +105,27 @@ type Engine struct {
 	reuses, allocs                             uint64
 	heapMax                                    int
 	flushedFired, flushedReuses, flushedAllocs uint64
+	calPops, heapPops                          uint64 // pops by queue
 }
 
 // NewEngine returns an engine with the clock at 0, backed by the
-// binary-heap scheduler: the (time, seq) ordering oracle the tests
-// hold NewEngineCalendar to, and the heap side of the scheduler probes.
+// binary heap alone: the (time, seq) ordering oracle the tests hold
+// NewEngineCalendar to, and the heap side of the scheduler probes.
 func NewEngine() *Engine {
 	return &Engine{}
 }
 
-// NewEngineCalendar returns an engine backed by a calendar-queue
-// scheduler instead of the binary heap — the engine every simulator
-// run builds on. Event ordering, and therefore any seeded run's
-// trajectory, is identical to NewEngine; the calendar trades the
-// heap's O(log n) sift for O(1) bucket operations.
+// NewEngineCalendar returns the engine every simulator run builds on:
+// two queues in one (time, seq) order. Events scheduled once (think
+// timers, latencies, arrivals, cross-shard deliveries) sit in a
+// calendar queue, whose O(1) bucket operations suit the hundreds of
+// thousands a fleet shard keeps pending. Events that move
+// (reschedule: a Station's completion, moved on every Submit and every
+// completion) sit in the binary heap, one per station, so they neither
+// crowd the calendar's head buckets nor make each calendar dequeue
+// rescan them. Each pop takes the lesser of the two heads, so the
+// firing order, and therefore any seeded run's trajectory, is
+// identical to NewEngine's.
 func NewEngineCalendar() *Engine {
 	return &Engine{cal: newCalendarQueue()}
 }
@@ -128,7 +142,7 @@ func (e *Engine) Fired() uint64 { return e.fired }
 // leaves nothing behind).
 func (e *Engine) pending() int {
 	if e.cal != nil {
-		return e.cal.size
+		return e.cal.size + len(e.queue)
 	}
 	return len(e.queue)
 }
@@ -137,16 +151,16 @@ func (e *Engine) pending() int {
 // +Inf when the queue is empty. The shard coordinator uses it to skip
 // idle synchronisation windows.
 func (e *Engine) peekTime() float64 {
-	if e.cal != nil {
-		if ev := e.cal.peek(); ev != nil {
-			return ev.time
-		}
-		return math.Inf(1)
-	}
+	t := math.Inf(1)
 	if len(e.queue) > 0 {
-		return e.queue[0].time
+		t = e.queue[0].time
 	}
-	return math.Inf(1)
+	if e.cal != nil {
+		if ev := e.cal.peek(); ev != nil && ev.time < t {
+			t = ev.time
+		}
+	}
+	return t
 }
 
 // heapHighWater returns the maximum number of simultaneously pending
@@ -155,6 +169,31 @@ func (e *Engine) peekTime() float64 {
 // obs max-gauge semantics rather than summing, since the marks are
 // concurrent-depth measurements.
 func (e *Engine) heapHighWater() int { return e.heapMax }
+
+// noteDepth raises the high-water mark to the current pending count.
+func (e *Engine) noteDepth() {
+	if n := e.pending(); n > e.heapMax {
+		e.heapMax = n
+	}
+}
+
+// QueueCounts is how an engine's dequeues divided between its two
+// queues (cancelled events included), and how many calendar events the
+// dequeue search looked at: Scanned per CalendarPops is the length of
+// the bucket chains a dequeue walks. A heap-only engine pops only from
+// the heap.
+type QueueCounts struct {
+	CalendarPops, HeapPops, Scanned uint64
+}
+
+// QueueCounts reports the engine's dequeue counts so far.
+func (e *Engine) QueueCounts() QueueCounts {
+	qc := QueueCounts{CalendarPops: e.calPops, HeapPops: e.heapPops}
+	if e.cal != nil {
+		qc.Scanned = e.cal.scanned
+	}
+	return qc
+}
 
 // Arg returns the argument of the event whose action is running: the
 // arg given to ScheduleArg, 0 for Schedule. One action bound once can
@@ -187,7 +226,24 @@ func (e *Engine) scheduleAt(t float64, action func()) Event {
 	return e.enqueue(t, action, 0)
 }
 
+// enqueue schedules a new event at time t: into the calendar on a
+// calendar engine, into the heap otherwise.
 func (e *Engine) enqueue(t float64, action func(), arg int32) Event {
+	ev := e.alloc(t, action, arg)
+	if e.cal != nil {
+		ev.index = inCalendar
+		e.cal.push(ev)
+	} else {
+		e.push(ev)
+	}
+	e.noteDepth()
+	return Event{ev: ev, gen: ev.gen, time: ev.time}
+}
+
+// alloc takes an event from the free list, or from a slab when the
+// list is empty, and stamps it with t, action, arg and the next
+// sequence number.
+func (e *Engine) alloc(t float64, action func(), arg int32) *event {
 	ev := e.free
 	if ev != nil {
 		e.free = ev.next
@@ -206,15 +262,7 @@ func (e *Engine) enqueue(t float64, action func(), arg int32) Event {
 	ev.action = action
 	ev.arg = arg
 	e.nextSq++
-	if e.cal != nil {
-		e.cal.push(ev)
-		if e.cal.size > e.heapMax {
-			e.heapMax = e.cal.size
-		}
-	} else {
-		e.push(ev)
-	}
-	return Event{ev: ev, gen: ev.gen, time: ev.time}
+	return ev
 }
 
 // reschedule moves the still-pending event behind h to now+delay with
@@ -222,20 +270,26 @@ func (e *Engine) enqueue(t float64, action func(), arg int32) Event {
 // of it go stale. It is order-equivalent to h.Cancel() followed by
 // Schedule(delay, action) — it consumes the one sequence number that
 // Schedule call would — but leaves no dead event behind to be popped
-// and discarded, and costs one heap sift (or one short bucket unlink)
-// instead of a push now and a pop later. Through a zero, fired or
-// otherwise stale handle it is exactly Schedule. It panics on negative
-// or NaN delays like Schedule.
+// and discarded, and costs one heap sift instead of a push now and a
+// pop later. Through a zero, fired or otherwise stale handle it is
+// Schedule, except that the event goes into the heap. A moved event
+// always lives in the heap: one that sits in the calendar is unlinked
+// from its bucket and pushed. It panics on negative or NaN delays like
+// Schedule.
 func (e *Engine) reschedule(h Event, delay float64, action func()) Event {
 	if delay < 0 || math.IsNaN(delay) {
 		panic(fmt.Sprintf("sim: invalid delay %v", delay))
 	}
 	ev := h.ev
 	if ev == nil || ev.gen&^cancelledBit != h.gen {
-		return e.enqueue(e.now+delay, action, 0)
+		ev = e.alloc(e.now+delay, action, 0)
+		e.push(ev)
+		e.noteDepth()
+		return Event{ev: ev, gen: ev.gen, time: ev.time}
 	}
-	if e.cal != nil {
-		e.cal.remove(ev)
+	inCal := ev.index == inCalendar
+	if inCal {
+		e.cal.remove(ev) // before the time changes: the time names its bucket
 	}
 	ev.time = e.now + delay
 	ev.seq = e.nextSq
@@ -243,8 +297,8 @@ func (e *Engine) reschedule(h Event, delay float64, action func()) Event {
 	ev.arg = 0
 	ev.gen = nextGen(ev.gen)
 	e.nextSq++
-	if e.cal != nil {
-		e.cal.push(ev)
+	if inCal {
+		e.push(ev)
 	} else if i := int(ev.index); i > 0 && eventBefore(ev, e.queue[(i-1)/2]) {
 		e.up(ev, i)
 	} else {
@@ -263,16 +317,23 @@ func (e *Engine) release(ev *event) {
 }
 
 // popBefore removes and returns the earliest pending event if it fires
-// at or before until; otherwise the queue is left untouched and nil is
-// returned. It is the one place the two scheduler backends differ on
-// the dequeue side.
+// at or before until; otherwise the queues are left untouched and nil
+// is returned. A calendar engine takes the (time, seq)-lesser of its
+// two heads.
 func (e *Engine) popBefore(until float64) *event {
 	if e.cal != nil {
-		return e.cal.popBefore(until)
+		if c := e.cal.peek(); c != nil && (len(e.queue) == 0 || eventBefore(c, e.queue[0])) {
+			if c.time > until {
+				return nil
+			}
+			e.calPops++
+			return e.cal.popMin()
+		}
 	}
 	if len(e.queue) == 0 || e.queue[0].time > until {
 		return nil
 	}
+	e.heapPops++
 	return e.pop()
 }
 
@@ -337,9 +398,6 @@ func eventBefore(a, b *event) bool {
 // push inserts ev into the heap.
 func (e *Engine) push(ev *event) {
 	e.queue = append(e.queue, ev)
-	if len(e.queue) > e.heapMax {
-		e.heapMax = len(e.queue)
-	}
 	e.up(ev, len(e.queue)-1)
 }
 

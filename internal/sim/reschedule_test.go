@@ -178,3 +178,96 @@ func TestEventStaysSixWords(t *testing.T) {
 		t.Fatalf("sizeof(event) = %d bytes, want 48", got)
 	}
 }
+
+// Property: a calendar engine's two queues cannot reorder anything.
+// Random mixes of Schedule, ScheduleArg, reschedule and Cancel — with
+// delays on a quarter-unit grid so times tie, and reschedules through
+// handles that sit in the calendar (moved into the heap), in the heap,
+// or are stale — fire in exactly the heap-only engine's order, with the
+// same arguments at the same times, and consume the same sequence
+// numbers.
+func TestTwoQueuesMatchHeapOracle(t *testing.T) {
+	type firing struct {
+		id  int
+		at  uint64
+		arg int32
+	}
+	var calMoves, heapMoves, staleMoves int
+	run := func(e *Engine, seed int64, n int) ([]firing, uint64) {
+		rng := NewStream(seed)
+		var handles []Event // every handle issued, live or stale
+		var order []firing
+		delay := func() float64 {
+			if rng.Float64() < 0.6 {
+				return float64(rng.Intn(8)) / 4
+			}
+			return rng.Exp(1)
+		}
+		var op func()
+		action := func(id int) func() {
+			return func() {
+				order = append(order, firing{id, math.Float64bits(e.Now()), e.Arg()})
+				if len(order) < n {
+					for k := 1 + rng.Intn(2); k > 0; k-- {
+						op()
+					}
+				}
+			}
+		}
+		op = func() {
+			id := len(handles)
+			switch u := rng.Float64(); {
+			case u < 0.3:
+				handles = append(handles, e.Schedule(delay(), action(id)))
+			case u < 0.45:
+				handles = append(handles, e.ScheduleArg(delay(), action(id), int32(rng.Intn(1000))))
+			case u < 0.85:
+				h := handles[rng.Intn(len(handles))]
+				if e.cal != nil {
+					switch {
+					case h.ev.gen&^cancelledBit != h.gen:
+						staleMoves++
+					case h.ev.index == inCalendar:
+						calMoves++
+					default:
+						heapMoves++
+					}
+				}
+				handles = append(handles, e.reschedule(h, delay(), action(id)))
+			default:
+				handles[rng.Intn(len(handles))].Cancel()
+			}
+		}
+		for i := 0; i < 8; i++ {
+			handles = append(handles, e.Schedule(delay(), action(len(handles))))
+		}
+		for steps := 0; len(order) < n && steps < 50*n; steps++ {
+			if e.pending() == 0 {
+				handles = append(handles, e.Schedule(delay(), action(len(handles))))
+			}
+			e.Run(e.Now()+0.75, 0) // run boundaries land on the grid too
+		}
+		return order, e.nextSq
+	}
+	f := func(seed int64, nRaw uint8) bool {
+		n := int(nRaw) + 60
+		want, wantSq := run(NewEngine(), seed, n)
+		got, gotSq := run(NewEngineCalendar(), seed, n)
+		if gotSq != wantSq || len(got) != len(want) {
+			return false
+		}
+		for i := range got {
+			if got[i] != want[i] {
+				return false
+			}
+		}
+		return true
+	}
+	if err := quick.Check(f, &quick.Config{MaxCount: 100}); err != nil {
+		t.Fatal(err)
+	}
+	t.Logf("reschedules: %d of calendar events, %d of heap events, %d of stale handles", calMoves, heapMoves, staleMoves)
+	if calMoves == 0 || heapMoves == 0 || staleMoves == 0 {
+		t.Fatal("a kind of reschedule never happened; the property is vacuous for it")
+	}
+}

@@ -289,6 +289,14 @@ func (c *Coordinator) Run(until float64) uint64 {
 	return c.Fired() - startFired
 }
 
+// Windows returns how many windows the coordinator has fanned out to
+// its shards so far (the count sim_coordinator_windows publishes). A
+// windowed coordinator ends each at a barrier; an infinite-lookahead
+// one takes a single window per Run call that has events to fire.
+// Skipped idle stretches and the final clamp of a Run call fan nothing
+// out and do not count.
+func (c *Coordinator) Windows() uint64 { return c.pool.Stats().Runs }
+
 // Parks returns how many times a goroutine of the worker pool has gone
 // to sleep at a window barrier so far. Unlike everything else the
 // coordinator reports it depends on the host, not on the model: it is

@@ -34,6 +34,7 @@ type Station struct {
 	statsSince float64
 	busyTime   float64
 	completed  uint64
+	firings    uint64 // completion events fired; never reset
 }
 
 // NewStation creates a station attached to eng. speed is the service
@@ -138,6 +139,7 @@ func (s *Station) scheduleNext(minRemaining float64) {
 // bit-identical to that reference (TestStationFusedMatchesReference).
 func (s *Station) onCompletion() {
 	s.completion = Event{}
+	s.firings++
 	perJob, charge := s.accrue()
 	dones, minRemaining := s.retire(perJob, charge, remainEps)
 	if !charge && len(dones) == 0 {
@@ -217,6 +219,11 @@ func (s *Station) Utilization() float64 {
 func (s *Station) Completed() uint64 {
 	return s.completed
 }
+
+// Firings returns how many completion events the station has fired
+// since it was built; ResetStats leaves it. One event retires every job
+// that finishes at its instant.
+func (s *Station) Firings() uint64 { return s.firings }
 
 // Throughput returns completions per time unit since the last stats
 // reset.

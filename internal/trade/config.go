@@ -180,8 +180,8 @@ type Config struct {
 	// implementations) — the one way to send a request across pools.
 	// Without it the pools are fully independent replicas. Requires a
 	// sharded run with at least two pools. The hop latency (and
-	// conservative lookahead) is ShardLatency even when all decisions
-	// happen to stay local.
+	// conservative lookahead) is ShardLatency unless the router is
+	// Local.
 	Router PoolRouter
 
 	// BarrierHook, when non-nil, is installed as the coordinator's

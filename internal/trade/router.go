@@ -33,4 +33,9 @@ type PoolRouter interface {
 	// together with its service-side response time (arrival at the pool
 	// to response, excluding hop latency).
 	Completed(pool, class int, rt float64)
+	// Local reports that Route always returns its origin, for the
+	// router's whole life. Such a router never sends a request across
+	// pools, so the run needs no conservative lookahead for it: with no
+	// BarrierHook either, the pools run without window barriers.
+	Local() bool
 }

@@ -130,12 +130,13 @@ func NewSharded(cfg Config) (*ShardedRun, error) {
 	nPools := cfg.effectivePools()
 	nShards := cfg.effectiveShards()
 	// With no cross-pool traffic and no barrier consumer the pools never
-	// interact: an infinite lookahead collapses the run into one
-	// barrier-free window. A router can send to any sibling at any time,
-	// and a barrier hook needs barriers to fire on, so either forces the
-	// conservative windowed mode.
+	// interact: an infinite lookahead collapses each Advance into one
+	// barrier-free window. A router that is not Local can send to any
+	// sibling at any time, and a barrier hook needs barriers to fire on,
+	// so either forces the conservative windowed mode. A Local router
+	// that sends anyway meets Send's lookahead panic.
 	lookahead := math.Inf(1)
-	if cfg.Router != nil || cfg.BarrierHook != nil {
+	if cfg.Router != nil && !cfg.Router.Local() || cfg.BarrierHook != nil {
 		lookahead = ShardLatency
 	}
 	coord := sim.NewCoordinator(nShards, lookahead)
@@ -170,6 +171,11 @@ func (r *ShardedRun) Advance(until float64) uint64 { return r.coord.Run(until) }
 
 // Now returns the fleet clock.
 func (r *ShardedRun) Now() float64 { return r.coord.Now() }
+
+// Windows returns how many windows the coordinator has fanned out to
+// its shards (sim.Coordinator.Windows): a property of the event
+// population, the same at every shard count.
+func (r *ShardedRun) Windows() uint64 { return r.coord.Windows() }
 
 // Parks returns how often the coordinator's worker pool has put a
 // goroutine to sleep at a window barrier (sim.Coordinator.Parks): a

@@ -33,6 +33,7 @@ func (r *everyNth) Route(origin, class int) int {
 }
 func (r *everyNth) Started(pool, class int)               { r.started[pool]++ }
 func (r *everyNth) Completed(pool, class int, rt float64) { r.completed[pool]++ }
+func (r *everyNth) Local() bool                           { return false }
 
 // shardedConfig is a small fleet; crossEvery > 0 attaches a fresh
 // everyNth router, so that share of the traffic rides the cross-pool
