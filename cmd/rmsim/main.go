@@ -45,7 +45,7 @@ func main() {
 	to := fs.Float64("to", 0, "ending slack for 'slacks'")
 	step := fs.Float64("step", 0.1, "slack step for 'slacks'")
 	pools := fs.Int("pools", 8, "server pools for 'fleet'")
-	shards := fs.Int("shards", 4, "engine shards for 'fleet'")
+	shards := fs.Int("shards", 4, "goroutines for 'fleet', and its engine count when it routes or replans (a static fleet with -replan 0 runs one engine per pool)")
 	scorer := fs.String("scorer", "affinity",
 		"routing scorer for 'fleet' ("+strings.Join(fleet.ScorerNames(), "|")+")")
 	clients := fs.Int("clients", 200, "clients per pool for 'fleet'")

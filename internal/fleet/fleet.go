@@ -37,10 +37,12 @@ type Config struct {
 	// plus its own database replica, per the sharded trade model).
 	// At least 2.
 	Pools int
-	// Shards is the engine-shard count the pools are partitioned
-	// across; 0 or 1 runs single-engine (still windowed — the barrier
-	// cadence is the hop latency — unless the fleet is Static with no
-	// replanner, which needs no barriers).
+	// Shards is the number of goroutines that advance the fleet; 0 or
+	// 1 runs it on the calling goroutine. A fleet that routes or
+	// replans runs its pools on Shards engines, windowed at the hop
+	// latency. A Static fleet with no replanner needs no barriers: each
+	// pool gets an engine of its own, and the Shards goroutines run
+	// whole pools one after another.
 	Shards int
 	// Archs assigns pool architectures round-robin: pool i runs
 	// Archs[i mod len(Archs)].

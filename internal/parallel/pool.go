@@ -110,10 +110,13 @@ func (k *parker) wake() {
 	}
 }
 
-// NewPool builds a pool of n slots running fn and starts its
-// min(n, GOMAXPROCS) − 1 workers. GOMAXPROCS is read here, once.
-func NewPool(n int, fn func(slot int)) *Pool {
-	return newPool(n, min(n, runtime.GOMAXPROCS(0))-1, spinLoads, yieldBudget, fn)
+// NewPool builds a pool of n slots running fn on at most goroutines
+// goroutines, the caller included: it starts
+// min(n, goroutines, GOMAXPROCS) − 1 workers, so more slots than
+// goroutines are claimed one after another by whoever is free.
+// GOMAXPROCS is read here, once.
+func NewPool(n, goroutines int, fn func(slot int)) *Pool {
+	return newPool(n, min(n, goroutines, runtime.GOMAXPROCS(0))-1, spinLoads, yieldBudget, fn)
 }
 
 func newPool(n, workers, spin int, yield time.Duration, fn func(slot int)) *Pool {

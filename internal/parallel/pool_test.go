@@ -14,7 +14,7 @@ import (
 func TestPoolRunsEverySlot(t *testing.T) {
 	for _, n := range []int{1, 2, 4, 8} {
 		counts := make([]atomic.Int64, n)
-		p := NewPool(n, func(slot int) { counts[slot].Add(1) })
+		p := NewPool(n, n, func(slot int) { counts[slot].Add(1) })
 		const rounds = 200
 		for r := 0; r < rounds; r++ {
 			p.Run()
@@ -33,7 +33,7 @@ func TestPoolRunsEverySlot(t *testing.T) {
 // scheduling at all.
 func TestPoolSingleSlotInline(t *testing.T) {
 	var ran bool
-	p := NewPool(1, func(slot int) { ran = true })
+	p := NewPool(1, 1, func(slot int) { ran = true })
 	p.Run() // would race with a worker goroutine under -race if not inline
 	if !ran {
 		t.Fatal("slot did not run")
@@ -44,7 +44,7 @@ func TestPoolSingleSlotInline(t *testing.T) {
 // Run must not return before all slots complete (it is a barrier).
 func TestPoolRunIsBarrier(t *testing.T) {
 	var inFlight, maxSeen atomic.Int64
-	p := NewPool(4, func(slot int) {
+	p := NewPool(4, 4, func(slot int) {
 		cur := inFlight.Add(1)
 		for {
 			m := maxSeen.Load()
@@ -68,11 +68,11 @@ func TestPoolRunIsBarrier(t *testing.T) {
 
 // Close is idempotent and leaves a never-started (serial) pool usable.
 func TestPoolCloseIdempotent(t *testing.T) {
-	p := NewPool(3, func(int) {})
+	p := NewPool(3, 3, func(int) {})
 	p.Run()
 	p.Close()
 	p.Close()
-	s := NewPool(1, func(int) {})
+	s := NewPool(1, 1, func(int) {})
 	s.Close()
 	s.Close()
 }
@@ -220,7 +220,7 @@ func TestPoolMoreSlotsThanProcs(t *testing.T) {
 	n := 4 * runtime.GOMAXPROCS(0)
 	within(t, time.Minute, func() {
 		counts := make([]int, n)
-		p := NewPool(n, func(s int) { counts[s]++ })
+		p := NewPool(n, n, func(s int) { counts[s]++ })
 		defer p.Close()
 		if got, want := len(p.workers), runtime.GOMAXPROCS(0)-1; got != want {
 			t.Errorf("%d slots on %d processors: %d workers, want %d", n, want+1, got, want)
@@ -228,6 +228,35 @@ func TestPoolMoreSlotsThanProcs(t *testing.T) {
 		rounds(t, p, counts, 2000, nil)
 		checkStats(t, p, n, 2000)
 	})
+}
+
+// The goroutine cap bounds the workers below the slot count and the
+// processors: many slots on few goroutines are claimed one after
+// another, and a cap of one runs them inline on the caller in index
+// order.
+func TestPoolGoroutineCap(t *testing.T) {
+	const n = 16
+	for _, g := range []int{1, 2} {
+		within(t, time.Minute, func() {
+			counts := make([]int, n)
+			var order []int
+			p := NewPool(n, g, func(s int) {
+				counts[s]++
+				if g == 1 {
+					order = append(order, s) // would race if not inline
+				}
+			})
+			defer p.Close()
+			if got, want := len(p.workers), min(g, runtime.GOMAXPROCS(0))-1; got != want {
+				t.Errorf("%d slots capped at %d goroutines: %d workers, want %d", n, g, got, want)
+			}
+			rounds(t, p, counts, 200, nil)
+			checkStats(t, p, n, 200)
+			if g == 1 && (len(order) != 200*n || !slices.IsSorted(order[:n])) {
+				t.Errorf("one goroutine ran slots %v..., want index order", order[:n])
+			}
+		})
+	}
 }
 
 // On one processor a fan-out has nobody to fan out to: NewPool starts
@@ -238,7 +267,7 @@ func TestPoolOneProcRunsInline(t *testing.T) {
 	procs := runtime.GOMAXPROCS(1)
 	before := goroutines()
 	var order []int
-	p := NewPool(4, func(s int) { order = append(order, s) }) // would race if not inline
+	p := NewPool(4, 4, func(s int) { order = append(order, s) }) // would race if not inline
 	runtime.GOMAXPROCS(max(procs, 2))
 	defer runtime.GOMAXPROCS(procs)
 	p.Run()
@@ -318,7 +347,7 @@ func TestPoolRunAfterIdlePause(t *testing.T) {
 // Run of two empty slots, i.e. the publication, the claim and the wait
 // with nothing to wait for. 0 allocs/op.
 func BenchmarkPoolRun(b *testing.B) {
-	p := NewPool(2, func(int) {})
+	p := NewPool(2, 2, func(int) {})
 	defer p.Close()
 	b.ReportAllocs()
 	b.ResetTimer()

@@ -76,26 +76,37 @@ func TestCancelBit(t *testing.T) {
 
 // Fresh events come from slabs: the first slabEvents enqueues on a new
 // engine make one allocation between them, and the next one another.
-// The heap backend's queue is sized up front so only events count.
+// Reserving more than a slab holds makes the reserved enqueues one
+// allocation; reserving less changes nothing. The heap backend's queue
+// is sized up front so only events count.
 func TestFirstSlabIsOneAllocation(t *testing.T) {
 	nop := func() {}
-	enqueues := func(n int) float64 {
+	enqueues := func(reserve, n int) float64 {
 		engines := make([]*Engine, 2) // AllocsPerRun calls f once more than runs
 		for i := range engines {
-			engines[i] = &Engine{queue: make([]*event, 0, slabEvents+1)}
+			engines[i] = &Engine{queue: make([]*event, 0, 3*slabEvents+1)}
 		}
 		return testing.AllocsPerRun(1, func() {
 			e := engines[0]
 			engines = engines[1:]
+			e.Reserve(reserve)
 			for i := 0; i < n; i++ {
 				e.Schedule(float64(i), nop)
 			}
 		})
 	}
-	if a := enqueues(slabEvents); a != 1 {
-		t.Fatalf("%d enqueues on a fresh engine made %v allocations, want 1", slabEvents, a)
-	}
-	if a := enqueues(slabEvents + 1); a != 2 {
-		t.Fatalf("%d enqueues on a fresh engine made %v allocations, want 2", slabEvents+1, a)
+	for _, c := range []struct {
+		reserve, n int
+		want       float64
+	}{
+		{0, slabEvents, 1},
+		{0, slabEvents + 1, 2},
+		{slabEvents / 2, slabEvents, 1},
+		{3 * slabEvents, 3 * slabEvents, 1},
+		{3 * slabEvents, 3*slabEvents + 1, 2},
+	} {
+		if a := enqueues(c.reserve, c.n); a != c.want {
+			t.Errorf("%d enqueues after Reserve(%d) on a fresh engine made %v allocations, want %v", c.n, c.reserve, a, c.want)
+		}
 	}
 }

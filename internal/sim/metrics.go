@@ -15,7 +15,7 @@ type engineMetrics struct {
 	fired    *obs.Counter  // events executed
 	reuses   *obs.Counter  // Schedule calls served from the free list
 	allocs   *obs.Counter  // Schedule calls that took a fresh event from a slab
-	heapHigh *obs.MaxGauge // event-heap depth high-water mark
+	heapHigh *obs.MaxGauge // event-heap depth high-water mark of the deepest single engine
 	windows  *obs.Counter  // coordinator windows fanned out to the pool
 	parks    *obs.Counter  // barrier waits that put a goroutine to sleep
 	seeded   *obs.Counter  // random streams that drew and so built a generator

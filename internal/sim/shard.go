@@ -51,7 +51,7 @@ type Shard struct {
 
 	id     int
 	coord  *Coordinator
-	out    [][]message // out[dst]: sends bound for shard dst this window
+	out    [][]message // out[dst]: sends bound for shard dst this window; nil at infinite lookahead
 	inbox  []message
 	sorter msgSorter
 	// inboxMin is the earliest fire time among routed-but-undelivered
@@ -76,6 +76,9 @@ func (sh *Shard) Send(dst int, origin, seq uint64, delay float64, fn func()) {
 	if delay < sh.coord.lookahead || math.IsNaN(delay) {
 		panic(fmt.Sprintf("sim: cross-shard delay %v below lookahead %v", delay, sh.coord.lookahead))
 	}
+	if sh.out == nil {
+		panic("sim: cross-shard send on a coordinator with infinite lookahead")
+	}
 	sh.out[dst] = append(sh.out[dst], message{
 		time:   sh.Eng.Now() + delay,
 		origin: origin,
@@ -96,10 +99,13 @@ func (sh *Shard) Send(dst int, origin, seq uint64, delay float64, fn func()) {
 // the parallel execution fires exactly the event sequence a single
 // engine honouring the same (time, origin, seq) tie-breaks would.
 //
-// With one shard the pool degenerates to an inline call on the calling
-// goroutine: no goroutines, no barriers, bit-identical to driving the
-// engine directly. On one processor it is a loop over the shards on
-// the calling goroutine, for the same trajectory as any other mapping.
+// The shard count and the goroutine count are separate: with more
+// shards than goroutines, whichever goroutine is free claims the next
+// shard and runs its whole window, so a shard's working set stays in
+// one cache while it runs. With one goroutine (one shard, one
+// processor, or a cap of one) the pool degenerates to a loop over the
+// shards on the calling goroutine: no goroutines, no barriers, the
+// same trajectory as any other mapping.
 type Coordinator struct {
 	shards    []*Shard
 	pool      *parallel.Pool
@@ -114,12 +120,23 @@ type Coordinator struct {
 }
 
 // NewCoordinator builds nshards calendar-queue engines coordinated
-// with the given lookahead. A non-finite lookahead (math.Inf(1)) means
-// "no cross-shard traffic": the run degenerates to a single window and
-// Send panics, which is the right mode for embarrassingly parallel
-// partitions. Otherwise lookahead must be positive — a zero-latency
-// partition cannot be conservatively parallelised.
+// with the given lookahead, run on up to nshards goroutines. A
+// non-finite lookahead (math.Inf(1)) means "no cross-shard traffic":
+// the run degenerates to a single window and Send panics, which is the
+// right mode for embarrassingly parallel partitions. Otherwise
+// lookahead must be positive — a zero-latency partition cannot be
+// conservatively parallelised.
 func NewCoordinator(nshards int, lookahead float64) *Coordinator {
+	return NewCoordinatorOn(nshards, nshards, lookahead)
+}
+
+// NewCoordinatorOn is NewCoordinator with the shards run on at most
+// goroutines goroutines, the caller included (and never more than
+// GOMAXPROCS). At infinite lookahead a shard per independent partition
+// is cheap: the run is one window, so each shard's engine runs once
+// per Run call. A windowed coordinator runs every shard's engine every
+// window, so there a few shards should each carry many partitions.
+func NewCoordinatorOn(nshards, goroutines int, lookahead float64) *Coordinator {
 	if nshards < 1 {
 		panic("sim: coordinator needs at least one shard")
 	}
@@ -133,13 +150,16 @@ func NewCoordinator(nshards int, lookahead float64) *Coordinator {
 			Eng:      NewEngineCalendar(),
 			id:       i,
 			coord:    c,
-			out:      make([][]message, nshards),
 			inboxMin: math.Inf(1),
 		}
-		sh.sorter.msgs = nil
+		if !math.IsInf(lookahead, 1) {
+			// Send panics at infinite lookahead, so only a windowed
+			// coordinator needs its nshards² outbox headers.
+			sh.out = make([][]message, nshards)
+		}
 		c.shards[i] = sh
 	}
-	c.pool = parallel.NewPool(nshards, c.runOne)
+	c.pool = parallel.NewPool(nshards, goroutines, c.runOne)
 	return c
 }
 

@@ -2,6 +2,7 @@ package sim
 
 import (
 	"math"
+	"runtime"
 	"testing"
 )
 
@@ -112,6 +113,27 @@ func TestSendBelowLookaheadPanics(t *testing.T) {
 	c.Run(2)
 }
 
+// An infinite-lookahead coordinator has no outboxes, so a send — even
+// one whose delay meets the infinite lookahead — must panic.
+func TestSendAtInfiniteLookaheadPanics(t *testing.T) {
+	c := NewCoordinator(2, math.Inf(1))
+	defer c.Close()
+	sh := c.Shard(0)
+	sh.Eng.Schedule(1, func() {
+		for _, delay := range []float64{0.1, math.Inf(1)} {
+			func() {
+				defer func() {
+					if recover() == nil {
+						t.Errorf("Send with delay %v at infinite lookahead did not panic", delay)
+					}
+				}()
+				sh.Send(1, 0, 1, delay, func() {})
+			}()
+		}
+	})
+	c.Run(2)
+}
+
 // Long idle stretches are skipped in whole windows: a run spanning a
 // huge quiet gap with a tiny lookahead must still fire the far event
 // at its exact time (and complete quickly — 1e6 empty barriers would
@@ -158,5 +180,39 @@ func TestCoordinatorInfiniteLookahead(t *testing.T) {
 	c.Run(100)
 	if counts[0] != 90 || counts[1] != 90 {
 		t.Fatalf("counts = %v, want [90 90]", counts)
+	}
+}
+
+// coordinatorBytes returns the least bytes, over three builds, that
+// constructing (and closing) an infinite-lookahead coordinator of n
+// shards allocates. A stray runtime allocation can only add, so the
+// least is the build's own.
+func coordinatorBytes(n int) uint64 {
+	least := uint64(math.MaxUint64)
+	for i := 0; i < 3; i++ {
+		var before, after runtime.MemStats
+		runtime.GC()
+		runtime.ReadMemStats(&before)
+		c := NewCoordinator(n, math.Inf(1))
+		runtime.ReadMemStats(&after)
+		c.Close()
+		least = min(least, after.TotalAlloc-before.TotalAlloc)
+	}
+	return least
+}
+
+// An infinite-lookahead coordinator carries no cross-shard traffic, so
+// it keeps no outbox matrix: its bytes grow linearly in the shard
+// count. Differencing two sizes cancels the fixed costs (the worker
+// pool); the marginal cost of a shard must be the same from n to 2n
+// as from 2n to 4n. An outbox row of nshards slice headers per shard
+// would double it.
+func TestCoordinatorBytesLinearAtInfiniteLookahead(t *testing.T) {
+	const n = 256
+	b1, b2, b4 := float64(coordinatorBytes(n)), float64(coordinatorBytes(2*n)), float64(coordinatorBytes(4*n))
+	lo, hi := (b2-b1)/n, (b4-b2)/(2*n)
+	t.Logf("%.0f bytes per shard from %d to %d shards, %.0f from %d to %d", lo, n, 2*n, hi, 2*n, 4*n)
+	if hi > 1.1*lo {
+		t.Fatalf("a shard costs %.0f bytes among %d but %.0f among %d: the build is not linear in shards", lo, 2*n, hi, 4*n)
 	}
 }

@@ -263,3 +263,37 @@ func TestPoolSeedsOnlyStreamsItDraws(t *testing.T) {
 		t.Fatalf("sim_streams_seeded = %d, want %d (six per pool)", got, 6*pools)
 	}
 }
+
+// TestPerPoolBuildCost bounds what one more pool adds to a barrier-free
+// fleet build at fixed clients per pool: its simulator and stations,
+// and, since every such pool runs on an engine of its own, an Engine,
+// a calendar with its bucket slices and a Shard. The pool's think
+// timers come from one slab sized by Engine.Reserve, so no partly used
+// slab is left per pool. Differencing two pool counts cancels the
+// fixed costs. A pool of 400 closed clients measures 44 365 bytes and
+// 53 mallocs (43 537 and 46 on a shared per-shard engine; 49 981 and
+// 56 with an engine per pool but 128-event slabs); the bounds leave
+// about 10 % headroom, so a per-pool cost that grows the 625-pool
+// fleets' peak RSS fails here first.
+func TestPerPoolBuildCost(t *testing.T) {
+	build := func(pools int) (bytes, mallocs uint64) {
+		cfg := shardedConfig(pools, 2, 0)
+		cfg.Load = workload.MixedWorkload(400, 0.1)
+		return buildCost(func() any {
+			r, err := NewSharded(cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			r.Close()
+			return r
+		})
+	}
+	const p = 64
+	b1, m1 := build(p)
+	b2, m2 := build(2 * p)
+	perBytes, perMallocs := (float64(b2)-float64(b1))/p, (float64(m2)-float64(m1))/p
+	t.Logf("%.0f bytes and %.1f mallocs per pool of 400 clients", perBytes, perMallocs)
+	if perBytes > 49000 || perMallocs > 58 {
+		t.Fatalf("a pool of 400 clients costs %.0f bytes and %.1f mallocs to build, want ≤ 49000 and ≤ 58", perBytes, perMallocs)
+	}
+}

@@ -160,11 +160,15 @@ type Config struct {
 	// path the paper's experiments run on.
 	// Pools defaults to Shards when unset in a sharded run.
 	Pools int
-	// Shards is the number of engine shards the pools are partitioned
-	// across (pool i runs on shard i mod Shards); each shard advances
-	// on its own calendar-queue engine, synchronised in conservative
-	// time windows. 0 or 1 runs all pools on one engine. Shards above
-	// Pools are clamped to Pools.
+	// Shards is the number of goroutines that advance the fleet (never
+	// more than GOMAXPROCS). When pools interact (a Router that is not
+	// Local, or a BarrierHook) it is also the engine count: pool i runs
+	// on engine i mod Shards, and the engines advance in conservative
+	// time windows. When they never meet, every pool runs on an engine
+	// of its own in one barrier-free window per Advance, the Shards
+	// goroutines taking whole pools one after another. 0 or 1 runs
+	// every pool on the calling goroutine. Shards above Pools are
+	// clamped to Pools.
 	Shards int
 
 	// PoolArchs, when non-empty, makes the fleet heterogeneous: pool i
@@ -217,8 +221,9 @@ func (c Config) effectivePools() int {
 	return c.Shards
 }
 
-// effectiveShards resolves the engine count: at least 1, never more
-// than the pool count (surplus shards would idle).
+// effectiveShards resolves the goroutine count (and a windowed run's
+// engine count): at least 1, never more than the pool count (surplus
+// shards would idle).
 func (c Config) effectiveShards() int {
 	s := c.Shards
 	if s < 1 {

@@ -9,16 +9,17 @@ import (
 )
 
 // This file is the sharded fleet model: Pools replicas of the
-// configured network partitioned across Shards calendar-queue engines
-// under a sim.Coordinator. Each pool is an ordinary simulator whose
-// random streams are split from the run seed by stable pool index
-// (sim.SplitSeed), owns all of its state, and — when a Router sends a
-// request elsewhere — forwards it to a sibling pool through the
-// coordinator's conservative message exchange. Because no pool state
-// is shared and every cross-pool interaction carries a
-// mapping-invariant (time, pool, seq) key, the fleet's trajectory is
-// identical at any shard count; shards only decide which engine a
-// pool's events fire on.
+// configured network on calendar-queue engines under a
+// sim.Coordinator run by Shards goroutines — one engine per pool when
+// the pools never meet, Shards engines when they do. Each pool is an
+// ordinary simulator whose random streams are split from the run seed
+// by stable pool index (sim.SplitSeed), owns all of its state, and —
+// when a Router sends a request elsewhere — forwards it to a sibling
+// pool through the coordinator's conservative message exchange.
+// Because no pool state is shared and every cross-pool interaction
+// carries a mapping-invariant (time, pool, seq) key, the fleet's
+// trajectory is identical at any shard count; shards only decide which
+// engine a pool's events fire on.
 
 // xreq is one cross-pool request in flight. It is owned by the ORIGIN
 // pool: created and recycled there, with its continuations bound once
@@ -131,15 +132,20 @@ func NewSharded(cfg Config) (*ShardedRun, error) {
 	nShards := cfg.effectiveShards()
 	// With no cross-pool traffic and no barrier consumer the pools never
 	// interact: an infinite lookahead collapses each Advance into one
-	// barrier-free window. A router that is not Local can send to any
-	// sibling at any time, and a barrier hook needs barriers to fire on,
-	// so either forces the conservative windowed mode. A Local router
-	// that sends anyway meets Send's lookahead panic.
-	lookahead := math.Inf(1)
+	// barrier-free window, and every pool gets an engine of its own, so
+	// the Shards goroutines run whole pools one after another, each
+	// pool's working set in cache for its whole window. A router that
+	// is not Local can send to any sibling at any time, and a barrier
+	// hook needs barriers to fire on, so either forces the conservative
+	// windowed mode, where a window holds too few events per pool to
+	// pay for a per-pool engine run: there each of Shards engines
+	// carries pools i mod Shards. A Local router that sends anyway
+	// meets Send's lookahead panic.
+	lookahead, nEngines := math.Inf(1), nPools
 	if cfg.Router != nil && !cfg.Router.Local() || cfg.BarrierHook != nil {
-		lookahead = ShardLatency
+		lookahead, nEngines = ShardLatency, nShards
 	}
-	coord := sim.NewCoordinator(nShards, lookahead)
+	coord := sim.NewCoordinatorOn(nEngines, nShards, lookahead)
 	if cfg.BarrierHook != nil {
 		coord.SetBarrierHook(cfg.BarrierHook)
 	}
@@ -154,7 +160,7 @@ func NewSharded(cfg Config) (*ShardedRun, error) {
 			pcfg.Servers = nil
 		}
 		r.pools[i] = newSimulator(pcfg, simOptions{
-			shard:  coord.Shard(i % nShards),
+			shard:  coord.Shard(i % nEngines),
 			root:   root.Split(uint64(i)),
 			poolID: uint64(i),
 		})

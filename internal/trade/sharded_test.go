@@ -3,7 +3,9 @@ package trade
 import (
 	"fmt"
 	"reflect"
+	"runtime"
 	"testing"
+	"time"
 
 	"perfpred/internal/obs"
 	"perfpred/internal/scenario"
@@ -350,5 +352,72 @@ func TestShardedAdmitOpenReportsStartedOnce(t *testing.T) {
 				}
 			}
 		})
+	}
+}
+
+// A fleet whose pools never meet runs one engine per pool; the same
+// fleet with a barrier hook runs windowed on one engine per shard. The
+// partitioning only decides which engine a pool's events fire on, so
+// both must replay the identical trajectory at every shard count.
+func TestShardedEnginePerPoolMatchesEnginePerShard(t *testing.T) {
+	for _, shards := range []int{1, 2, 4} {
+		free, err := Run(shardedConfig(4, shards, 0))
+		if err != nil {
+			t.Fatal(err)
+		}
+		cfg := shardedConfig(4, shards, 0)
+		cfg.BarrierHook = func(float64) {}
+		windowed, err := Run(cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if free.Throughput <= 0 {
+			t.Fatal("barrier-free run measured nothing")
+		}
+		sameResult(t, fmt.Sprintf("%d shards, per-pool vs per-shard engines", shards), free, windowed)
+	}
+}
+
+// settledGoroutines reads runtime.NumGoroutine once it has held still
+// for a few milliseconds, so goroutines an earlier test is still
+// retiring do not count.
+func settledGoroutines() int {
+	n := runtime.NumGoroutine()
+	for still := 0; still < 5; still++ {
+		time.Sleep(time.Millisecond)
+		if m := runtime.NumGoroutine(); m != n {
+			n, still = m, 0
+		}
+	}
+	return n
+}
+
+// The mapping: a barrier-free fleet has one engine per pool and a
+// windowed one one engine per shard, while both advance on
+// min(Shards, GOMAXPROCS) goroutines, the caller included.
+func TestShardedEngineAndGoroutineCounts(t *testing.T) {
+	const pools = 8
+	for _, shards := range []int{1, 2, 4} {
+		for _, windowed := range []bool{false, true} {
+			cfg := shardedConfig(pools, shards, 0)
+			wantEngines := pools
+			if windowed {
+				cfg.BarrierHook = func(float64) {}
+				wantEngines = shards
+			}
+			before := settledGoroutines()
+			r, err := NewSharded(cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			started := runtime.NumGoroutine() - before
+			r.Close()
+			if got := r.coord.Shards(); got != wantEngines {
+				t.Errorf("%d shards, windowed %v: %d engines, want %d", shards, windowed, got, wantEngines)
+			}
+			if want := min(shards, runtime.GOMAXPROCS(0)) - 1; started != want {
+				t.Errorf("%d shards, windowed %v: %d goroutines besides the caller, want %d", shards, windowed, started, want)
+			}
+		}
 	}
 }

@@ -321,6 +321,7 @@ func newSimulator(cfg Config, opt simOptions) *simulator {
 	// session-size draw (cache variant) and a think-time draw, in
 	// population order; open streams draw their first inter-arrival gap
 	// in place.
+	eng.Reserve(totalClients) // one think timer per closed client, from one slab
 	id := 0
 	for pi, pop := range cfg.Load {
 		sampler := s.classes[pi].sampler
