@@ -86,37 +86,20 @@ func TestTable1Shape(t *testing.T) {
 	}
 }
 
+// The buy/browse ratio bound is the "LQN calibration via utilisation
+// law" claim's.
 func TestTable2MatchesGroundTruthRatios(t *testing.T) {
 	tab := seed17Table(t, "table2")
 	if len(tab.Rows) != 2 {
 		t.Fatalf("Table 2 rows = %d, want 2 request types", len(tab.Rows))
 	}
-	demands, err := sharedSuite.lqnDemands()
-	if err != nil {
-		t.Fatal(err)
-	}
-	browse := demands["browse"]
-	buy := demands["buy"]
-	ratio := buy.AppServerTime / browse.AppServerTime
-	// Table 2's buy/browse demand ratio 8.761/4.505 ≈ 1.94 must be
-	// recovered by calibration within ~10%; the LQN-calibration claim
-	// holds the same bound.
-	if ratio < 1.7 || ratio > 2.2 {
-		t.Fatalf("buy/browse calibrated ratio = %v, want ≈1.94", ratio)
-	}
 }
 
+// The shared m's range is the "m constant across architectures" claim's.
 func TestGradientExperiment(t *testing.T) {
 	tab := seed17Table(t, "gradient")
 	if len(tab.Rows) != 4 { // 3 servers + shared fit
 		t.Fatalf("gradient rows = %d", len(tab.Rows))
-	}
-	m, err := sharedSuite.gradient()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if m < 0.12 || m > 0.15 {
-		t.Fatalf("shared gradient = %v, want ≈0.14", m)
 	}
 }
 
@@ -164,16 +147,11 @@ func TestFigure2ShapeHolds(t *testing.T) {
 	}
 }
 
+// The spacing bound is the "Figure 3 spacing trends" claim's.
 func TestFigure3LowerImprovesWithSpacing(t *testing.T) {
 	tab := seed17Table(t, "figure3")
 	if len(tab.Rows) < 5 {
 		t.Fatalf("figure 3 rows = %d", len(tab.Rows))
-	}
-	// The lower-equation accuracy at the widest spacing should beat
-	// the narrowest — the paper's roughly-linear improvement.
-	a, b := tab.Rows[0][1].Value, tab.Rows[len(tab.Rows)-1][1].Value
-	if b < a-2 {
-		t.Fatalf("lower-equation accuracy fell with spacing: %v -> %v", a, b)
 	}
 }
 
@@ -198,15 +176,11 @@ func TestPercentilesExperiment(t *testing.T) {
 	}
 }
 
+// Slack 0's failures are the "Figures 5–8 slack tuning shapes" claim's.
 func TestRMStudyFigures(t *testing.T) {
 	tab := seed17Table(t, "figure5-6")
 	if len(tab.Rows) != 22 {
 		t.Fatalf("figure 5-6 rows = %d", len(tab.Rows))
-	}
-	f7 := seed17Table(t, "figure7")
-	// Failures at slack 0 reach 100% (no clients allocated).
-	if fail := f7.Rows[len(f7.Rows)-1][1].Value; fail < 99.9 {
-		t.Fatalf("slack-0 average failures = %v, want 100", fail)
 	}
 	f8 := seed17Table(t, "figure8")
 	if len(f8.Rows) < 8 {
@@ -214,13 +188,9 @@ func TestRMStudyFigures(t *testing.T) {
 	}
 }
 
+// Uniform's failures at slack = y are the "Uniform-error slack = y
+// compensation" claim's.
 func TestUniformAndDelayAndSearch(t *testing.T) {
-	tab := seed17Table(t, "uniform")
-	for _, row := range tab.Rows {
-		if maxFail := row[1].Value; maxFail > 0 {
-			t.Fatalf("slack=y left %v%% failures for y=%s", maxFail, row[0].Text)
-		}
-	}
 	delay := seed17Table(t, "delay")
 	if len(delay.Rows) != 3 {
 		t.Fatalf("delay rows = %d", len(delay.Rows))

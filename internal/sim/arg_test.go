@@ -33,47 +33,6 @@ func TestArgReachesItsAction(t *testing.T) {
 	}
 }
 
-// The cancelled flag is the low bit of the generation: Cancel through a
-// stale handle never reaches the slot's new tenant, a second Cancel
-// changes nothing, and reschedule through a cancelled handle moves the
-// event in place and un-cancels it.
-func TestCancelBit(t *testing.T) {
-	for _, mk := range []func() *Engine{NewEngine, NewEngineCalendar} {
-		e := mk()
-		fired := map[string]int{}
-		act := func(name string) func() { return func() { fired[name]++ } }
-
-		stale := e.Schedule(1, act("first"))
-		e.Run(2, 0)
-		tenant := e.Schedule(1, act("tenant"))
-		if tenant.ev != stale.ev {
-			t.Fatal("free list did not reuse the fired slot")
-		}
-		stale.Cancel()
-		if tenant.ev.gen != tenant.gen {
-			t.Fatalf("stale Cancel marked the new tenant (gen %d, handle %d)", tenant.ev.gen, tenant.gen)
-		}
-
-		tenant.Cancel()
-		tenant.Cancel()
-		if tenant.ev.gen != tenant.gen|cancelledBit {
-			t.Fatalf("gen after two Cancels = %d, want %d", tenant.ev.gen, tenant.gen|cancelledBit)
-		}
-
-		moved := e.reschedule(tenant, 2, act("moved"))
-		if moved.ev != tenant.ev || e.pending() != 1 {
-			t.Fatalf("reschedule of a cancelled event did not move it in place (pending %d)", e.pending())
-		}
-		if moved.gen != tenant.gen+2 || moved.ev.gen != moved.gen {
-			t.Fatalf("moved gen = %d (event %d), want %d with the bit clear", moved.gen, moved.ev.gen, tenant.gen+2)
-		}
-		e.Run(10, 0)
-		if fired["first"] != 1 || fired["tenant"] != 0 || fired["moved"] != 1 {
-			t.Fatalf("fired %v, want first and moved once, tenant never", fired)
-		}
-	}
-}
-
 // Fresh events come from slabs: the first slabEvents enqueues on a new
 // engine make one allocation between them, and the next one another.
 // Reserving more than a slab holds makes the reserved enqueues one

@@ -48,30 +48,6 @@ func BenchmarkRunDrain(b *testing.B) {
 	}
 }
 
-// BenchmarkScheduleCancelDrain exercises the cancellation path: half
-// of the scheduled events are cancelled before firing, so the engine
-// discards and recycles them without running their actions.
-func BenchmarkScheduleCancelDrain(b *testing.B) {
-	e := NewEngine()
-	nop := func() {}
-	b.ReportAllocs()
-	b.ResetTimer()
-	const batch = 512
-	for done := 0; done < b.N; done += batch {
-		n := batch
-		if rest := b.N - done; rest < n {
-			n = rest
-		}
-		for i := 0; i < n; i++ {
-			ev := e.Schedule(float64(i%16), nop)
-			if i%2 == 0 {
-				ev.Cancel()
-			}
-		}
-		e.Run(e.Now()+16, 0)
-	}
-}
-
 // BenchmarkCalendarHold measures per-event cost with a large constant
 // population of self-rescheduling timers resident in the queue — the
 // regime a fleet shard lives in, one pending think timer per idle
@@ -102,8 +78,8 @@ func BenchmarkCalendarHold(b *testing.B) {
 		var request func()
 		think := func() { e.Schedule(rng.Exp(7), request) }
 		request = func() {
-			h := e.Schedule(rng.Exp(0.005), think)
-			e.reschedule(h, rng.Exp(0.005), think)
+			ev := e.reschedule(nil, rng.Exp(0.005), think)
+			e.reschedule(ev, rng.Exp(0.005), think)
 		}
 		for i := 0; i < pending; i++ {
 			e.Schedule(rng.Exp(7), request)

@@ -129,30 +129,6 @@ func (cq *calendarQueue) push(ev *event) {
 	}
 }
 
-// remove unlinks a resident event from its bucket chain, leaving it
-// ready to be pushed again at a new time.
-func (cq *calendarQueue) remove(ev *event) {
-	i := cq.bucket(ev.time)
-	var prev *event
-	for p := cq.buckets[i]; p != ev; p = p.next {
-		prev = p
-	}
-	if prev != nil {
-		prev.next = ev.next
-	} else {
-		cq.buckets[i] = ev.next
-	}
-	switch ev {
-	case cq.cachedMin:
-		cq.cachedMin = nil
-		cq.minPrev = nil
-	case cq.minPrev:
-		cq.minPrev = prev
-	}
-	ev.next = nil
-	cq.size--
-}
-
 // peek returns the (time,seq)-least resident event without removing
 // it, or nil when the queue is empty.
 func (cq *calendarQueue) peek() *event {

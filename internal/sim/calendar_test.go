@@ -7,22 +7,21 @@ import (
 )
 
 // Property: a calendar-queue engine fires exactly the same event
-// sequence as the heap engine for any schedule/cancel/reschedule
-// workload — including time ties (broken by scheduling order),
-// cancellations, in-place moves of fresh and long-resident events (and
-// through handles that have gone stale), and enough churn to force
+// sequence as the heap engine for any schedule/reschedule workload —
+// including time ties (broken by scheduling order), in-place moves of
+// fresh and long-resident heap events, and enough churn to force
 // calendar resizes in both directions.
 func TestCalendarMatchesHeapProperty(t *testing.T) {
 	run := func(e *Engine, seed int64, n int) []int {
 		rng := NewStream(seed)
 		var order []int
 		id := 0
-		var held Event
+		var held *event // pending in the heap, or nil once it fired
 		var churn func()
 		churn = func() {
 			// From inside an action, schedule a few follow-ups at mixed
-			// horizons, sometimes cancelling one immediately — the stale
-			// handle path — and sometimes duplicating a timestamp.
+			// horizons, sometimes moving one at once and sometimes
+			// duplicating a timestamp.
 			k := rng.Intn(3)
 			for j := 0; j < k; j++ {
 				myID := id
@@ -34,17 +33,20 @@ func TestCalendarMatchesHeapProperty(t *testing.T) {
 						churn()
 					}
 				}
-				ev := e.Schedule(d, act)
 				switch x := rng.Float64(); {
-				case x < 0.2:
-					ev.Cancel()
 				case x < 0.4:
-					ev = e.reschedule(ev, rng.Exp(float64(1+rng.Intn(50))), act)
+					ev := e.reschedule(nil, d, act)
+					e.reschedule(ev, rng.Exp(float64(1+rng.Intn(50))), act)
 				case x < 0.5:
-					// Move whatever was held last — resident for a while,
-					// or fired or cancelled meanwhile — and hold this one.
-					e.reschedule(held, rng.Exp(5), act)
-					held = ev
+					// Move the event held last — resident for a while,
+					// unless it fired meanwhile — and hold it again.
+					e.Schedule(d, act)
+					held = e.reschedule(held, rng.Exp(5), func() {
+						held = nil
+						act()
+					})
+				default:
+					e.Schedule(d, act)
 				}
 				if rng.Float64() < 0.3 {
 					dupID := id
@@ -136,8 +138,8 @@ func TestCalendarChainStaysShortUnderSkew(t *testing.T) {
 	next := func() { e.Schedule(rng.Exp(think), request) }
 	request = func() {
 		// A service completion that a second arrival pushes back once.
-		h := e.Schedule(rng.Exp(0.005), next)
-		e.reschedule(h, rng.Exp(0.005), next)
+		ev := e.reschedule(nil, rng.Exp(0.005), next)
+		e.reschedule(ev, rng.Exp(0.005), next)
 	}
 	for i := 0; i < clients; i++ {
 		e.Schedule(rng.Exp(think), request)

@@ -11,12 +11,12 @@
 // primitives and produces the "measured" numbers that every prediction
 // method is scored against.
 //
-// The event core is allocation-free in steady state: fired and
-// discarded events return to a per-engine free list and are reused by
-// later Schedule calls, fresh events are carved from slabs rather than
-// allocated one by one, and the priority queues (a calendar queue and
-// a binary heap) are concrete-typed rather than container/heap, so no
-// interface boxing or dynamic dispatch happens per event. One Engine is strictly
+// The event core is allocation-free in steady state: fired events
+// return to a per-engine free list and are reused by later Schedule
+// calls, fresh events are carved from slabs rather than allocated one
+// by one, and the priority queues (a calendar queue and a binary heap)
+// are concrete-typed rather than container/heap, so no interface
+// boxing or dynamic dispatch happens per event. One Engine is strictly
 // single-goroutine; concurrency lives a level up, where independent
 // engines run in parallel (internal/parallel).
 package sim
@@ -26,62 +26,24 @@ import (
 	"math"
 )
 
-// Event is a handle to a scheduled occurrence, returned by
-// Engine.Schedule so callers can cancel or move the event before it
-// fires. It is a small value type; the zero Event is a valid no-op
-// handle.
-//
-// Handles stay safe across event reuse: the engine recycles fired
-// events through a free list, and each reuse (and each reschedule)
-// steps a generation counter, so a Cancel through a stale handle
-// (after the event fired, was discarded or was moved) is a no-op
-// rather than a cancellation of whatever the slot now holds. A handle
-// holds an even generation; the event's low generation bit is its
-// cancelled flag.
-type Event struct {
-	ev   *event
-	gen  uint64
-	time float64
-}
-
-// Cancel prevents the event's action from running when its time
-// arrives. Cancelling an already-fired, already-cancelled or zero
-// event is a no-op.
-func (e Event) Cancel() {
-	if e.ev != nil && e.ev.gen&^cancelledBit == e.gen {
-		e.ev.gen |= cancelledBit
-	}
-}
-
-// Time returns the simulated time at which the event fires (fired).
-func (e Event) Time() float64 { return e.time }
-
-// event is the pooled scheduler entry behind an Event handle.
+// event is a pooled scheduler entry. Events are fire-and-forget:
+// Schedule hands out no handle, so nothing outside the engine can
+// cancel one or hold one past its firing. The one event that does
+// move, a Station's completion, is owned by its station through
+// reschedule.
 type event struct {
 	time   float64
 	seq    uint64
-	gen    uint64 // generation, stepped by 2; the low bit is cancelledBit
 	action func()
 	arg    int32  // the action's argument, read back through Engine.Arg
-	index  int32  // position in the heap, or inCalendar; arg and index share one word, so the struct stays 48 bytes
+	index  int32  // position in the heap, kept by every sift; arg and index share one word, so the struct is 40 bytes
 	next   *event // free-list link, or calendar bucket chain; nil while heap-queued
 }
-
-// inCalendar is the index of an event that sits in its engine's
-// calendar queue rather than in the heap.
-const inCalendar = -1
-
-// cancelledBit is the low bit of event.gen: set by Cancel, cleared by
-// the generation step of release and reschedule.
-const cancelledBit = 1
 
 // slabEvents is how many fresh events one allocation carves out when
 // the free list is empty. A fleet build schedules one think timer per
 // client, so a malloc per event would dominate its cost.
 const slabEvents = 128
-
-// nextGen is the generation after g with the cancelled bit cleared.
-func nextGen(g uint64) uint64 { return g&^cancelledBit + 2 }
 
 // Engine is a sequential discrete-event scheduler. Events fire in
 // non-decreasing time order; ties break in scheduling order, which
@@ -141,9 +103,8 @@ func (e *Engine) Now() float64 { return e.now }
 // and liveness metric for long runs.
 func (e *Engine) Fired() uint64 { return e.fired }
 
-// pending returns the number of events currently scheduled (including
-// cancelled events not yet discarded; an event moved by reschedule
-// leaves nothing behind).
+// pending returns the number of events currently scheduled (an event
+// moved by reschedule counts once).
 func (e *Engine) pending() int {
 	if e.cal != nil {
 		return e.cal.size + len(e.queue)
@@ -182,10 +143,9 @@ func (e *Engine) noteDepth() {
 }
 
 // QueueCounts is how an engine's dequeues divided between its two
-// queues (cancelled events included), and how many calendar events the
-// dequeue search looked at: Scanned per CalendarPops is the length of
-// the bucket chains a dequeue walks. A heap-only engine pops only from
-// the heap.
+// queues, and how many calendar events the dequeue search looked at:
+// Scanned per CalendarPops is the length of the bucket chains a
+// dequeue walks. A heap-only engine pops only from the heap.
 type QueueCounts struct {
 	CalendarPops, HeapPops, Scanned uint64
 }
@@ -207,41 +167,44 @@ func (e *Engine) Arg() int32 { return e.arg }
 // Schedule runs action after delay units of simulated time. It panics
 // on negative or NaN delays — those are always modelling bugs, never
 // recoverable conditions.
-func (e *Engine) Schedule(delay float64, action func()) Event {
-	return e.ScheduleArg(delay, action, 0)
+func (e *Engine) Schedule(delay float64, action func()) {
+	e.ScheduleArg(delay, action, 0)
 }
 
 // ScheduleArg is Schedule with an argument that Arg returns while
 // action runs.
-func (e *Engine) ScheduleArg(delay float64, action func(), arg int32) Event {
+func (e *Engine) ScheduleArg(delay float64, action func(), arg int32) {
+	checkDelay(delay)
+	e.enqueue(e.now+delay, action, arg)
+}
+
+// checkDelay panics on a negative or NaN delay.
+func checkDelay(delay float64) {
 	if delay < 0 || math.IsNaN(delay) {
 		panic(fmt.Sprintf("sim: invalid delay %v", delay))
 	}
-	return e.enqueue(e.now+delay, action, arg)
 }
 
 // scheduleAt runs action at absolute simulated time t. It panics when
 // t is in the past or NaN. The shard coordinator uses it to deliver
 // cross-shard messages at their precomputed fire times.
-func (e *Engine) scheduleAt(t float64, action func()) Event {
+func (e *Engine) scheduleAt(t float64, action func()) {
 	if t < e.now || math.IsNaN(t) {
 		panic(fmt.Sprintf("sim: invalid fire time %v (now %v)", t, e.now))
 	}
-	return e.enqueue(t, action, 0)
+	e.enqueue(t, action, 0)
 }
 
 // enqueue schedules a new event at time t: into the calendar on a
 // calendar engine, into the heap otherwise.
-func (e *Engine) enqueue(t float64, action func(), arg int32) Event {
+func (e *Engine) enqueue(t float64, action func(), arg int32) {
 	ev := e.alloc(t, action, arg)
 	if e.cal != nil {
-		ev.index = inCalendar
 		e.cal.push(ev)
 	} else {
 		e.push(ev)
 	}
 	e.noteDepth()
-	return Event{ev: ev, gen: ev.gen, time: ev.time}
 }
 
 // Reserve tells the engine that n more events are about to be
@@ -283,53 +246,41 @@ func (e *Engine) alloc(t float64, action func(), arg int32) *event {
 	return ev
 }
 
-// reschedule moves the still-pending event behind h to now+delay with
-// a new action, in place, and returns its new handle; h and every copy
-// of it go stale. It is order-equivalent to h.Cancel() followed by
-// Schedule(delay, action) — it consumes the one sequence number that
-// Schedule call would — but leaves no dead event behind to be popped
-// and discarded, and costs one heap sift instead of a push now and a
-// pop later. Through a zero, fired or otherwise stale handle it is
-// Schedule, except that the event goes into the heap. A moved event
-// always lives in the heap: one that sits in the calendar is unlinked
-// from its bucket and pushed. It panics on negative or NaN delays like
-// Schedule.
-func (e *Engine) reschedule(h Event, delay float64, action func()) Event {
-	if delay < 0 || math.IsNaN(delay) {
-		panic(fmt.Sprintf("sim: invalid delay %v", delay))
-	}
-	ev := h.ev
-	if ev == nil || ev.gen&^cancelledBit != h.gen {
+// reschedule moves ev, an event pending in the heap, to now+delay with
+// a new action, in place, and returns it; for a nil ev it pushes a
+// fresh heap event instead. Either way it consumes one sequence number,
+// as Schedule does, so moving an event fires in the order that
+// scheduling a new one and ignoring the old would. The caller owns ev
+// until it fires and must drop it then (Station nils its completion
+// first thing in onCompletion): an ev that is not pending in the heap —
+// fired, or never a heap event — panics, as do negative or NaN delays.
+func (e *Engine) reschedule(ev *event, delay float64, action func()) *event {
+	checkDelay(delay)
+	if ev == nil {
 		ev = e.alloc(e.now+delay, action, 0)
 		e.push(ev)
 		e.noteDepth()
-		return Event{ev: ev, gen: ev.gen, time: ev.time}
+		return ev
 	}
-	inCal := ev.index == inCalendar
-	if inCal {
-		e.cal.remove(ev) // before the time changes: the time names its bucket
+	i := int(ev.index)
+	if i < 0 || i >= len(e.queue) || e.queue[i] != ev {
+		panic("sim: reschedule of an event not pending in the heap")
 	}
 	ev.time = e.now + delay
 	ev.seq = e.nextSq
 	ev.action = action
-	ev.arg = 0
-	ev.gen = nextGen(ev.gen)
 	e.nextSq++
-	if inCal {
-		e.push(ev)
-	} else if i := int(ev.index); i > 0 && eventBefore(ev, e.queue[(i-1)/2]) {
+	if i > 0 && eventBefore(ev, e.queue[(i-1)/2]) {
 		e.up(ev, i)
 	} else {
 		e.down(ev, i)
 	}
-	return Event{ev: ev, gen: ev.gen, time: ev.time}
+	return ev
 }
 
-// release returns a popped event to the free list, invalidating any
-// outstanding handles to it.
+// release returns a popped event to the free list.
 func (e *Engine) release(ev *event) {
 	ev.action = nil
-	ev.gen = nextGen(ev.gen)
 	ev.next = e.free
 	e.free = ev
 }
@@ -355,19 +306,15 @@ func (e *Engine) popBefore(until float64) *event {
 	return e.pop()
 }
 
-// fire is the engine's one event loop: pop, discard if cancelled, fire,
-// until the next event lies past until, the queue drains or limit
-// events have fired (0 means no limit).
+// fire is the engine's one event loop: pop and fire until the next
+// event lies past until, the queue drains or limit events have fired
+// (0 means no limit).
 func (e *Engine) fire(until float64, limit uint64) uint64 {
 	var fired uint64
 	for {
 		next := e.popBefore(until)
 		if next == nil {
 			break
-		}
-		if next.gen&cancelledBit != 0 {
-			e.release(next)
-			continue
 		}
 		e.now = next.time
 		e.arg = next.arg

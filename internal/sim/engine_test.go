@@ -33,39 +33,6 @@ func TestEngineTieBreakBySchedulingOrder(t *testing.T) {
 	}
 }
 
-func TestEngineCancel(t *testing.T) {
-	e := NewEngine()
-	fired := false
-	ev := e.Schedule(1, func() { fired = true })
-	ev.Cancel()
-	e.Run(10, 0)
-	if fired {
-		t.Fatal("cancelled event fired")
-	}
-	var zeroEv Event
-	zeroEv.Cancel() // must not panic
-}
-
-// TestEngineStaleHandleCancel pins the free-list safety contract: a
-// handle to an event that already fired must not cancel whatever
-// Schedule reused the pooled slot for.
-func TestEngineStaleHandleCancel(t *testing.T) {
-	e := NewEngine()
-	first := 0
-	stale := e.Schedule(1, func() { first++ })
-	e.Run(5, 0) // fires and recycles the event
-	if first != 1 {
-		t.Fatalf("first event fired %d times, want 1", first)
-	}
-	second := 0
-	e.Schedule(1, func() { second++ }) // reuses the pooled event
-	stale.Cancel()                     // must be a no-op
-	e.Run(10, 0)
-	if second != 1 {
-		t.Fatal("stale Cancel suppressed a reused event")
-	}
-}
-
 // TestEngineEventReuse checks the free list actually recycles: a long
 // schedule/fire cycle must not grow the pool beyond the peak number of
 // simultaneously pending events.

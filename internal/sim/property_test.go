@@ -97,6 +97,61 @@ func TestStationJobConservationProperty(t *testing.T) {
 	}
 }
 
+// Property: a station owns its completion event exactly while it has
+// work. After every Submit, every callback and every fired event, the
+// completion is nil when no job is in service, and otherwise sits in
+// its engine's heap at its own index — the pending heap event
+// reschedule requires — on both backends.
+func TestStationOwnsItsCompletionProperty(t *testing.T) {
+	f := func(seed int64, rawSpeed, nJobs uint8) bool {
+		speed := 0.5 + float64(rawSpeed%8)/2
+		n := int(nJobs%60) + 1
+		for _, mk := range []func() *Engine{NewEngine, NewEngineCalendar} {
+			e := mk()
+			st := NewStation(e, "prop/own", speed)
+			rng := NewStream(seed)
+			ok := true
+			check := func() {
+				c := st.completion
+				if st.InService() == 0 {
+					ok = ok && c == nil
+				} else {
+					ok = ok && c != nil && int(c.index) < len(e.queue) && e.queue[c.index] == c
+				}
+			}
+			for i := 0; i < n; i++ {
+				// Demands from a small set, so jobs finish together and
+				// zero demands occur.
+				d := float64(rng.Intn(3)) / 2
+				if rng.Float64() < 0.5 {
+					d = rng.Exp(1)
+				}
+				resubmit := rng.Float64() < 0.3
+				e.Schedule(float64(rng.Intn(8))/4, func() {
+					st.Submit(d, func() {
+						check()
+						if resubmit {
+							st.Submit(rng.Exp(0.5), check)
+							check()
+						}
+					})
+					check()
+				})
+			}
+			for e.Step() {
+				check()
+			}
+			if !ok || st.InService() != 0 {
+				return false
+			}
+		}
+		return true
+	}
+	if err := quick.Check(f, &quick.Config{MaxCount: 150}); err != nil {
+		t.Fatal(err)
+	}
+}
+
 // Property: semaphore grants never exceed capacity concurrently and
 // every queued waiter is eventually granted once releases catch up.
 func TestSemaphoreInvariantProperty(t *testing.T) {

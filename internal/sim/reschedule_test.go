@@ -1,74 +1,65 @@
 package sim
 
 import (
+	"fmt"
 	"math"
+	"strings"
 	"testing"
 	"testing/quick"
 	"unsafe"
 )
 
-// Property: reschedule is order-equivalent to Cancel followed by
-// Schedule — the same firing sequence at the same times and the same
-// number of sequence numbers consumed — on both backends and through
-// every kind of handle: pending, cancelled but not yet discarded,
-// fired (including an action moving itself through its own, by then
-// stale, handle) and zero. Superseded handles are retained and
-// cancelled again after every move, extending the generation property
-// of cancel_test.go: a stale handle never touches the moved event or
-// the slot's next tenant.
-func TestRescheduleMatchesCancelSchedule(t *testing.T) {
-	type mover func(e *Engine, h Event, delay float64, action func()) Event
-	inPlace := func(e *Engine, h Event, delay float64, action func()) Event {
-		return e.reschedule(h, delay, action)
-	}
-	cancelSchedule := func(e *Engine, h Event, delay float64, action func()) Event {
-		h.Cancel()
-		return e.Schedule(delay, action)
-	}
+// Property: reschedule is order-equivalent to scheduling a fresh event
+// and letting the superseded one fire as a no-op — a version check in
+// its action — with the same real firings at the same times and the
+// same number of sequence numbers consumed, on both backends. Slots are
+// moved while pending, after they fired (an action moving itself, its
+// event dropped first thing) and before they were ever scheduled.
+func TestRescheduleMatchesSupersededSchedule(t *testing.T) {
 	type firing struct {
 		slot int
 		at   uint64
 	}
-	run := func(e *Engine, move mover, seed int64, n int) ([]firing, uint64) {
+	run := func(e *Engine, inPlace bool, seed int64, n int) ([]firing, uint64) {
 		rng := NewStream(seed)
 		const slots = 12
-		var handles [slots]Event // slots start as zero handles
+		var pending [slots]*event // in place: the slot's event while it is pending
+		var version [slots]uint64 // superseded: the slot's live move
 		var acts [slots]func()
 		var live [slots]bool
-		var stale []Event
 		var order []firing
 		moveSlot := func(j int) {
-			stale = append(stale, handles[j])
 			// Mixed horizons, with exact ties between slots.
 			d := float64(rng.Intn(8)) / 4
 			if rng.Float64() < 0.5 {
 				d = rng.Exp(float64(1 + rng.Intn(20)))
 			}
-			handles[j] = move(e, handles[j], d, acts[j])
-			live[j] = true
-			for _, h := range stale {
-				h.Cancel()
+			if inPlace {
+				pending[j] = e.reschedule(pending[j], d, acts[j])
+			} else {
+				version[j]++
+				v := version[j]
+				e.Schedule(d, func() {
+					if version[j] == v {
+						acts[j]()
+					}
+				})
 			}
+			live[j] = true
 		}
 		for i := range acts {
-			i := i
 			acts[i] = func() {
+				pending[i] = nil
 				order = append(order, firing{i, math.Float64bits(e.Now())})
 				live[i] = false
 				if len(order) >= n {
 					return
 				}
 				if rng.Float64() < 0.7 {
-					moveSlot(i) // through its own handle, stale since it fired
+					moveSlot(i)
 				}
 				for k := rng.Intn(3); k > 0; k-- {
-					j := rng.Intn(slots)
-					if rng.Float64() < 0.25 {
-						handles[j].Cancel() // a later move finds it cancelled
-						live[j] = false
-					} else {
-						moveSlot(j)
-					}
+					moveSlot(rng.Intn(slots))
 				}
 			}
 		}
@@ -85,12 +76,12 @@ func TestRescheduleMatchesCancelSchedule(t *testing.T) {
 	}
 	f := func(seed int64, nRaw uint8) bool {
 		n := int(nRaw) + 40
-		want, wantSq := run(NewEngine(), cancelSchedule, seed, n)
+		want, wantSq := run(NewEngine(), false, seed, n)
 		for _, c := range []struct {
-			mk   func() *Engine
-			move mover
-		}{{NewEngine, inPlace}, {NewEngineCalendar, inPlace}, {NewEngineCalendar, cancelSchedule}} {
-			got, gotSq := run(c.mk(), c.move, seed, n)
+			mk      func() *Engine
+			inPlace bool
+		}{{NewEngine, true}, {NewEngineCalendar, true}, {NewEngineCalendar, false}} {
+			got, gotSq := run(c.mk(), c.inPlace, seed, n)
 			if gotSq != wantSq || len(got) != len(want) {
 				return false
 			}
@@ -107,32 +98,24 @@ func TestRescheduleMatchesCancelSchedule(t *testing.T) {
 	}
 }
 
-// A moved event leaves nothing behind: pending counts it once, the old
-// handle is dead, and the new one cancels it.
+// A moved event leaves nothing behind: it is the same event, pending
+// counts it once, and it fires once, at its new time.
 func TestRescheduleMovesInPlace(t *testing.T) {
 	for _, mk := range []func() *Engine{NewEngine, NewEngineCalendar} {
 		e := mk()
-		fired := 0
-		act := func() { fired++ }
+		var firedAt []float64
+		act := func() { firedAt = append(firedAt, e.Now()) }
 		e.Schedule(1, func() {})
-		h0 := e.Schedule(5, act)
-		h1 := e.reschedule(h0, 2, act)
+		ev := e.reschedule(nil, 5, act)
+		if moved := e.reschedule(ev, 2, act); moved != ev {
+			t.Fatal("reschedule of a pending event returned another event")
+		}
 		if e.pending() != 2 {
 			t.Fatalf("pending = %d after a move, want 2", e.pending())
 		}
-		if h1.Time() != 2 {
-			t.Fatalf("moved handle Time = %v, want 2", h1.Time())
-		}
-		h0.Cancel() // stale: must not touch the moved event
-		e.Run(3, 0)
-		if fired != 1 {
-			t.Fatalf("moved event fired %d times by t=3, want 1", fired)
-		}
-		h2 := e.reschedule(h1, 1, act) // h1 fired: plain schedule
-		h2.Cancel()
 		e.Run(10, 0)
-		if fired != 1 {
-			t.Fatalf("cancelled reschedule fired (fired=%d)", fired)
+		if len(firedAt) != 1 || firedAt[0] != 2 {
+			t.Fatalf("moved event fired at %v, want once at 2", firedAt)
 		}
 		func() {
 			defer func() {
@@ -140,7 +123,30 @@ func TestRescheduleMovesInPlace(t *testing.T) {
 					t.Fatal("negative delay did not panic")
 				}
 			}()
-			e.reschedule(Event{}, -1, act)
+			e.reschedule(nil, -1, act)
+		}()
+	}
+}
+
+// With no handles and no generations, nothing stops a caller from
+// keeping an event past its firing. reschedule's guard catches the move
+// of an event that is no longer pending in the heap before it can take
+// over the heap slot of another: here the fired event's stale index is
+// in range and names the one event still pending.
+func TestRescheduleFiredEventPanics(t *testing.T) {
+	for _, mk := range []func() *Engine{NewEngine, NewEngineCalendar} {
+		e := mk()
+		nop := func() {}
+		fired := e.reschedule(nil, 1, nop)
+		e.reschedule(nil, 10, nop)
+		e.Run(2, 0)
+		func() {
+			defer func() {
+				if r := recover(); r == nil || !strings.Contains(fmt.Sprint(r), "not pending") {
+					t.Fatalf("reschedule of a fired event recovered %v, want the not-pending panic", r)
+				}
+			}()
+			e.reschedule(fired, 1, nop)
 		}()
 	}
 }
@@ -152,51 +158,50 @@ func TestRescheduleAllocatesNothing(t *testing.T) {
 		e := mk()
 		rng := NewStream(5)
 		nop := func() {}
-		var hs [256]Event
-		for i := range hs {
-			hs[i] = e.Schedule(rng.Exp(7), nop)
+		var evs [256]*event
+		for i := range evs {
+			evs[i] = e.reschedule(nil, rng.Exp(7), nop)
 		}
 		i := 0
 		if a := testing.AllocsPerRun(1000, func() {
-			hs[i] = e.reschedule(hs[i], rng.Exp(7), nop)
-			i = (i + 1) % len(hs)
+			evs[i] = e.reschedule(evs[i], rng.Exp(7), nop)
+			i = (i + 1) % len(evs)
 		}); a != 0 {
 			t.Fatalf("reschedule allocated %v times per call", a)
 		}
 	}
 }
 
-// The action's argument and the heap index share one word, and the
-// cancelled flag is a generation bit: a fleet shard holds one pooled
-// event per idle client, so a wider struct would show up directly in
-// peak memory.
-func TestEventStaysSixWords(t *testing.T) {
+// The action's argument and the heap index share one word, and an event
+// carries no generation: a fleet shard holds one pooled event per idle
+// client, so a wider struct would show up directly in peak memory.
+func TestEventStaysFiveWords(t *testing.T) {
 	if unsafe.Sizeof(uintptr(0)) != 8 {
 		t.Skip("the padding argument is about 64-bit layouts")
 	}
-	if got := unsafe.Sizeof(event{}); got != 48 {
-		t.Fatalf("sizeof(event) = %d bytes, want 48", got)
+	if got := unsafe.Sizeof(event{}); got != 40 {
+		t.Fatalf("sizeof(event) = %d bytes, want 40", got)
 	}
 }
 
 // Property: a calendar engine's two queues cannot reorder anything.
-// Random mixes of Schedule, ScheduleArg, reschedule and Cancel — with
-// delays on a quarter-unit grid so times tie, and reschedules through
-// handles that sit in the calendar (moved into the heap), in the heap,
-// or are stale — fire in exactly the heap-only engine's order, with the
-// same arguments at the same times, and consume the same sequence
-// numbers.
+// Random mixes of Schedule, ScheduleArg and reschedule — with delays on
+// a quarter-unit grid so times tie, and reschedules that move a pending
+// heap event or push a fresh one — fire in exactly the heap-only
+// engine's order, with the same arguments at the same times, and
+// consume the same sequence numbers.
 func TestTwoQueuesMatchHeapOracle(t *testing.T) {
 	type firing struct {
 		id  int
 		at  uint64
 		arg int32
 	}
-	var calMoves, heapMoves, staleMoves int
+	var moves, fresh int
 	run := func(e *Engine, seed int64, n int) ([]firing, uint64) {
 		rng := NewStream(seed)
-		var handles []Event // every handle issued, live or stale
+		var movers [4]*event // each pending in the heap, or nil
 		var order []firing
+		ids := 0
 		delay := func() float64 {
 			if rng.Float64() < 0.6 {
 				return float64(rng.Intn(8)) / 4
@@ -215,35 +220,37 @@ func TestTwoQueuesMatchHeapOracle(t *testing.T) {
 			}
 		}
 		op = func() {
-			id := len(handles)
+			id := ids
+			ids++
 			switch u := rng.Float64(); {
 			case u < 0.3:
-				handles = append(handles, e.Schedule(delay(), action(id)))
+				e.Schedule(delay(), action(id))
 			case u < 0.45:
-				handles = append(handles, e.ScheduleArg(delay(), action(id), int32(rng.Intn(1000))))
-			case u < 0.85:
-				h := handles[rng.Intn(len(handles))]
+				e.ScheduleArg(delay(), action(id), int32(rng.Intn(1000)))
+			default:
+				j := rng.Intn(len(movers))
 				if e.cal != nil {
-					switch {
-					case h.ev.gen&^cancelledBit != h.gen:
-						staleMoves++
-					case h.ev.index == inCalendar:
-						calMoves++
-					default:
-						heapMoves++
+					if movers[j] == nil {
+						fresh++
+					} else {
+						moves++
 					}
 				}
-				handles = append(handles, e.reschedule(h, delay(), action(id)))
-			default:
-				handles[rng.Intn(len(handles))].Cancel()
+				act := action(id)
+				movers[j] = e.reschedule(movers[j], delay(), func() {
+					movers[j] = nil
+					act()
+				})
 			}
 		}
 		for i := 0; i < 8; i++ {
-			handles = append(handles, e.Schedule(delay(), action(len(handles))))
+			e.Schedule(delay(), action(ids))
+			ids++
 		}
 		for steps := 0; len(order) < n && steps < 50*n; steps++ {
 			if e.pending() == 0 {
-				handles = append(handles, e.Schedule(delay(), action(len(handles))))
+				e.Schedule(delay(), action(ids))
+				ids++
 			}
 			e.Run(e.Now()+0.75, 0) // run boundaries land on the grid too
 		}
@@ -266,8 +273,8 @@ func TestTwoQueuesMatchHeapOracle(t *testing.T) {
 	if err := quick.Check(f, &quick.Config{MaxCount: 100}); err != nil {
 		t.Fatal(err)
 	}
-	t.Logf("reschedules: %d of calendar events, %d of heap events, %d of stale handles", calMoves, heapMoves, staleMoves)
-	if calMoves == 0 || heapMoves == 0 || staleMoves == 0 {
+	t.Logf("reschedules: %d of pending heap events, %d fresh", moves, fresh)
+	if moves == 0 || fresh == 0 {
 		t.Fatal("a kind of reschedule never happened; the property is vacuous for it")
 	}
 }

@@ -8,8 +8,8 @@ import (
 	"perfpred/internal/parallel"
 )
 
-// message is one cross-shard occurrence in flight: fn runs on the
-// destination shard's engine at the given simulated time. The sort key
+// message is one cross-shard occurrence in flight: fn runs on shard
+// dst's engine at the given simulated time. The sort key
 // (time, origin, seq) is deliberately built from caller-supplied
 // identifiers of the LOGICAL sender (e.g. a pool index and that pool's
 // own send counter), never from the shard id: the delivery order —
@@ -21,6 +21,7 @@ type message struct {
 	origin uint64
 	seq    uint64
 	fn     func()
+	dst    int
 }
 
 // msgSorter sorts a shard's inbox by (time, origin, seq). It is a
@@ -41,7 +42,7 @@ func (s *msgSorter) Less(i, j int) bool {
 }
 
 // Shard is one partition of a sharded simulation: a calendar-queue
-// engine plus the outboxes carrying its cross-shard sends. All state
+// engine plus the outbox carrying its cross-shard sends. All state
 // reachable from a shard's events must be owned by that shard; the
 // only cross-shard channel is Send.
 type Shard struct {
@@ -51,7 +52,7 @@ type Shard struct {
 
 	id     int
 	coord  *Coordinator
-	out    [][]message // out[dst]: sends bound for shard dst this window; nil at infinite lookahead
+	out    []message // this window's sends, each naming its destination
 	inbox  []message
 	sorter msgSorter
 	// inboxMin is the earliest fire time among routed-but-undelivered
@@ -76,14 +77,15 @@ func (sh *Shard) Send(dst int, origin, seq uint64, delay float64, fn func()) {
 	if delay < sh.coord.lookahead || math.IsNaN(delay) {
 		panic(fmt.Sprintf("sim: cross-shard delay %v below lookahead %v", delay, sh.coord.lookahead))
 	}
-	if sh.out == nil {
+	if math.IsInf(sh.coord.lookahead, 1) {
 		panic("sim: cross-shard send on a coordinator with infinite lookahead")
 	}
-	sh.out[dst] = append(sh.out[dst], message{
+	sh.out = append(sh.out, message{
 		time:   sh.Eng.Now() + delay,
 		origin: origin,
 		seq:    seq,
 		fn:     fn,
+		dst:    dst,
 	})
 }
 
@@ -146,18 +148,12 @@ func NewCoordinatorOn(nshards, goroutines int, lookahead float64) *Coordinator {
 	c := &Coordinator{lookahead: lookahead}
 	c.shards = make([]*Shard, nshards)
 	for i := range c.shards {
-		sh := &Shard{
+		c.shards[i] = &Shard{
 			Eng:      NewEngineCalendar(),
 			id:       i,
 			coord:    c,
 			inboxMin: math.Inf(1),
 		}
-		if !math.IsInf(lookahead, 1) {
-			// Send panics at infinite lookahead, so only a windowed
-			// coordinator needs its nshards² outbox headers.
-			sh.out = make([][]message, nshards)
-		}
-		c.shards[i] = sh
 	}
 	c.pool = parallel.NewPool(nshards, goroutines, c.runOne)
 	return c
@@ -203,23 +199,19 @@ func (c *Coordinator) runOne(i int) {
 	sh.Eng.Run(c.windowEnd, 0)
 }
 
-// exchange routes every shard's outboxes into destination inboxes and
-// sorts each inbox by (time, origin, seq). Runs between windows on the
+// exchange routes every shard's outbox into destination inboxes and
+// sorts each inbox by (time, origin, seq), a unique key, so the order
+// messages arrive in cannot show. Runs between windows on the
 // coordinator goroutine.
 func (c *Coordinator) exchange() {
 	for _, src := range c.shards {
-		for dst := range src.out {
-			box := src.out[dst]
-			if len(box) == 0 {
-				continue
-			}
-			d := c.shards[dst]
-			d.inbox = append(d.inbox, box...)
-			for j := range box {
-				box[j].fn = nil
-			}
-			src.out[dst] = box[:0]
+		for j := range src.out {
+			m := &src.out[j]
+			d := c.shards[m.dst]
+			d.inbox = append(d.inbox, *m)
+			m.fn = nil
 		}
+		src.out = src.out[:0]
 	}
 	for _, sh := range c.shards {
 		if len(sh.inbox) > 1 {

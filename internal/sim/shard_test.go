@@ -113,8 +113,9 @@ func TestSendBelowLookaheadPanics(t *testing.T) {
 	c.Run(2)
 }
 
-// An infinite-lookahead coordinator has no outboxes, so a send — even
-// one whose delay meets the infinite lookahead — must panic.
+// An infinite-lookahead coordinator carries no cross-shard traffic, so
+// a send — even one whose delay meets the infinite lookahead — must
+// panic.
 func TestSendAtInfiniteLookaheadPanics(t *testing.T) {
 	c := NewCoordinator(2, math.Inf(1))
 	defer c.Close()
@@ -184,16 +185,16 @@ func TestCoordinatorInfiniteLookahead(t *testing.T) {
 }
 
 // coordinatorBytes returns the least bytes, over three builds, that
-// constructing (and closing) an infinite-lookahead coordinator of n
-// shards allocates. A stray runtime allocation can only add, so the
-// least is the build's own.
-func coordinatorBytes(n int) uint64 {
+// constructing (and closing) a coordinator of n shards allocates. A
+// stray runtime allocation can only add, so the least is the build's
+// own.
+func coordinatorBytes(n int, lookahead float64) uint64 {
 	least := uint64(math.MaxUint64)
 	for i := 0; i < 3; i++ {
 		var before, after runtime.MemStats
 		runtime.GC()
 		runtime.ReadMemStats(&before)
-		c := NewCoordinator(n, math.Inf(1))
+		c := NewCoordinator(n, lookahead)
 		runtime.ReadMemStats(&after)
 		c.Close()
 		least = min(least, after.TotalAlloc-before.TotalAlloc)
@@ -201,18 +202,30 @@ func coordinatorBytes(n int) uint64 {
 	return least
 }
 
-// An infinite-lookahead coordinator carries no cross-shard traffic, so
-// it keeps no outbox matrix: its bytes grow linearly in the shard
-// count. Differencing two sizes cancels the fixed costs (the worker
-// pool); the marginal cost of a shard must be the same from n to 2n
-// as from 2n to 4n. An outbox row of nshards slice headers per shard
-// would double it.
-func TestCoordinatorBytesLinearAtInfiniteLookahead(t *testing.T) {
+// assertBytesLinear fails unless a coordinator's build bytes grow
+// linearly in the shard count. Differencing two sizes cancels the fixed
+// costs (the worker pool); the marginal cost of a shard must be the same
+// from n to 2n as from 2n to 4n. An outbox row of nshards slice headers
+// per shard would double it.
+func assertBytesLinear(t *testing.T, lookahead float64) {
 	const n = 256
-	b1, b2, b4 := float64(coordinatorBytes(n)), float64(coordinatorBytes(2*n)), float64(coordinatorBytes(4*n))
+	b1, b2, b4 := float64(coordinatorBytes(n, lookahead)), float64(coordinatorBytes(2*n, lookahead)), float64(coordinatorBytes(4*n, lookahead))
 	lo, hi := (b2-b1)/n, (b4-b2)/(2*n)
 	t.Logf("%.0f bytes per shard from %d to %d shards, %.0f from %d to %d", lo, n, 2*n, hi, 2*n, 4*n)
 	if hi > 1.1*lo {
 		t.Fatalf("a shard costs %.0f bytes among %d but %.0f among %d: the build is not linear in shards", lo, 2*n, hi, 4*n)
 	}
+}
+
+// An infinite-lookahead coordinator carries no cross-shard traffic; its
+// bytes grow linearly in the shard count.
+func TestCoordinatorBytesLinearAtInfiniteLookahead(t *testing.T) {
+	assertBytesLinear(t, math.Inf(1))
+}
+
+// A windowed coordinator keeps one outbox per shard, each message naming
+// its destination, not a row of outboxes per destination, so its bytes
+// grow linearly in the shard count too.
+func TestCoordinatorBytesLinearAtFiniteLookahead(t *testing.T) {
+	assertBytesLinear(t, 0.05)
 }

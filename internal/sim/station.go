@@ -27,7 +27,7 @@ type Station struct {
 	dones []func() // scratch: callbacks of the jobs one completion event retired
 
 	lastUpdate float64
-	completion Event
+	completion *event // pending in the heap while a job is in service, else nil
 	onComp     func() // onCompletion, bound once so scheduling allocates nothing
 
 	// accumulated statistics
@@ -114,8 +114,8 @@ func (s *Station) update() {
 
 // scheduleNext moves the completion event to when the job with the
 // least remaining demand finishes — the station's one scheduling
-// routine. A stale handle (the completion just fired) schedules
-// afresh.
+// routine. With no completion pending (the station was idle, or its
+// completion just fired) it schedules one afresh.
 func (s *Station) scheduleNext(minRemaining float64) {
 	n := len(s.active)
 	if n == 0 {
@@ -138,7 +138,7 @@ func (s *Station) scheduleNext(minRemaining float64) {
 // order as three separate passes would, so completion times are
 // bit-identical to that reference (TestStationFusedMatchesReference).
 func (s *Station) onCompletion() {
-	s.completion = Event{}
+	s.completion = nil // fired: the engine has it back
 	s.firings++
 	perJob, charge := s.accrue()
 	dones, minRemaining := s.retire(perJob, charge, remainEps)

@@ -9,19 +9,21 @@ import (
 // refStation is the three-pass processor-sharing station the one-pass
 // Station replaced, kept as the reference its results must equal bit
 // for bit: a pointer per job, one walk to charge service, one to
-// partition, one to find the minimum, and a Cancel+Schedule pair per
-// event.
+// partition, one to find the minimum, and a fresh event per move: the
+// superseded completion still fires, but finds its version stale and
+// does nothing, so the real completions fire in the order, and draw the
+// sequence numbers, that cancelling the old event would give.
 type refJob struct {
 	remaining float64
 	done      func()
 }
 
 type refStation struct {
-	eng        *Engine
-	speed      float64
-	active     []*refJob
-	last       float64
-	completion Event
+	eng     *Engine
+	speed   float64
+	active  []*refJob
+	last    float64
+	version uint64 // of the live completion; older ones are superseded
 }
 
 func (s *refStation) update() {
@@ -36,8 +38,7 @@ func (s *refStation) update() {
 }
 
 func (s *refStation) scheduleNext() {
-	s.completion.Cancel()
-	s.completion = Event{}
+	s.version++
 	if len(s.active) == 0 {
 		return
 	}
@@ -50,7 +51,12 @@ func (s *refStation) scheduleNext() {
 	if minRemaining < 0 {
 		minRemaining = 0
 	}
-	s.completion = s.eng.Schedule(minRemaining*float64(len(s.active))/s.speed, s.onCompletion)
+	v := s.version
+	s.eng.Schedule(minRemaining*float64(len(s.active))/s.speed, func() {
+		if v == s.version {
+			s.onCompletion()
+		}
+	})
 }
 
 func (s *refStation) submit(demand float64, done func()) {
@@ -60,7 +66,6 @@ func (s *refStation) submit(demand float64, done func()) {
 }
 
 func (s *refStation) onCompletion() {
-	s.completion = Event{}
 	s.update()
 	var finished, kept []*refJob
 	for _, j := range s.active {
@@ -142,7 +147,7 @@ func TestStationFusedMatchesReference(t *testing.T) {
 				}
 			}
 			if e.nextSq != re.nextSq {
-				return false // reschedule must consume what Cancel+Schedule did
+				return false // reschedule must consume what a fresh Schedule did
 			}
 		}
 		return len(want) >= n/2
