@@ -25,8 +25,10 @@
 #                    counts are machine-independent.
 #   make fuzz      — each native fuzz target for 10 s:
 #                    the scenario, LQN-model and history-store parsers,
-#                    the predserve query handlers and the fleet router's
-#                    tree picks against the full scan.
+#                    the predserve query handlers, the fleet router's
+#                    tree picks against the full scan and the
+#                    processor-sharing station against its three-pass
+#                    reference.
 #   make examples  — run each program under examples/ to completion; one
 #                    that exits non-zero fails the target (a few seconds in all).
 #
@@ -95,6 +97,7 @@ fuzz:
 	$(GO) test -run '^$$' -fuzz FuzzStoreLoad -fuzztime 10s ./internal/hist
 	$(GO) test -run '^$$' -fuzz FuzzQueryHandlers -fuzztime 10s ./internal/serve
 	$(GO) test -run '^$$' -fuzz FuzzPickMatchesScan -fuzztime 10s ./internal/fleet
+	$(GO) test -run '^$$' -fuzz FuzzStationMatchesReference -fuzztime 10s ./internal/sim
 
 examples:
 	for e in quickstart capacityplan cluster cachestudy slatuning; do \

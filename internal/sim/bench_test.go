@@ -1,6 +1,7 @@
 package sim
 
 import (
+	"fmt"
 	"math"
 	"testing"
 )
@@ -156,26 +157,29 @@ func BenchmarkStationSubmit(b *testing.B) {
 }
 
 // BenchmarkStationChurn measures one arrival plus one completion at a
-// station holding 50 jobs in service — a saturated application server —
-// where the per-event walk over the jobs in service, not the scheduler,
-// is the cost.
+// station holding a fixed number of jobs in service — 20, the database
+// server's multiprogramming limit, and 50, a saturated application
+// server — where the per-event walk over the jobs in service, not the
+// scheduler, is the cost.
 func BenchmarkStationChurn(b *testing.B) {
-	for _, bc := range []struct {
-		name string
-		mk   func() *Engine
-	}{{"heap", NewEngine}, {"calendar", NewEngineCalendar}} {
-		b.Run(bc.name, func(b *testing.B) {
-			e := bc.mk()
-			s := NewStation(e, "app", 1)
-			rng := NewStream(13)
-			var done func()
-			done = func() { s.Submit(rng.Exp(0.005), done) }
-			for i := 0; i < 50; i++ {
-				done()
-			}
-			b.ReportAllocs()
-			b.ResetTimer()
-			e.Run(math.Inf(1), uint64(b.N))
-		})
+	for _, jobs := range []int{20, 50} {
+		for _, bc := range []struct {
+			name string
+			mk   func() *Engine
+		}{{"heap", NewEngine}, {"calendar", NewEngineCalendar}} {
+			b.Run(fmt.Sprintf("%s/jobs=%d", bc.name, jobs), func(b *testing.B) {
+				e := bc.mk()
+				s := NewStation(e, "app", 1)
+				rng := NewStream(13)
+				var done func()
+				done = func() { s.Submit(rng.Exp(0.005), done) }
+				for i := 0; i < jobs; i++ {
+					done()
+				}
+				b.ReportAllocs()
+				b.ResetTimer()
+				e.Run(math.Inf(1), uint64(b.N))
+			})
+		}
 	}
 }

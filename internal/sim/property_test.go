@@ -152,6 +152,81 @@ func TestStationOwnsItsCompletionProperty(t *testing.T) {
 	}
 }
 
+// Property: the least remaining demand a station tracks equals, bit
+// for bit, a full scan of its jobs in service after every Submit,
+// every fired event, every callback and every update a reader forces —
+// over zero demands, simultaneous arrivals, resubmits from callbacks
+// and clocks large enough that a completion retires by the float64
+// clock's resolution rather than by its charge (see
+// TestStationCompletesOnLargeClock), on both backends.
+func TestStationLeastRemainingMatchesScan(t *testing.T) {
+	f := func(seed int64, rawSpeed, rawClock, nJobs uint8) bool {
+		speed := 0.5 + float64(rawSpeed%8)/2
+		n := int(nJobs%80) + 1
+		start, scale := 0.0, 1.0
+		switch rawClock % 4 {
+		case 2:
+			start, scale = 2e7, 1e-3
+		case 3:
+			start, scale = 1e9, 1e-3
+		}
+		for _, mk := range []func() *Engine{NewEngine, NewEngineCalendar} {
+			e := mk()
+			e.Run(start, 0)
+			st := NewStation(e, "prop/least", speed)
+			rng := NewStream(seed)
+			ok := true
+			check := func() {
+				scan := math.Inf(1)
+				for _, r := range st.remain {
+					if r < scan {
+						scan = r
+					}
+				}
+				ok = ok && math.Float64bits(st.least) == math.Float64bits(scan) &&
+					len(st.order) == len(st.remain) && len(st.active) == len(st.remain)
+			}
+			for i := 0; i < n; i++ {
+				// Demands from a small set, so jobs finish together and
+				// zero demands occur.
+				d := float64(rng.Intn(3)) / 2 * scale
+				if rng.Float64() < 0.5 {
+					d = rng.Exp(scale)
+				}
+				resubmit := rng.Float64() < 0.3
+				probe := rng.Float64() < 0.2
+				e.Schedule(float64(rng.Intn(8))/4*scale, func() {
+					st.Submit(d, func() {
+						check()
+						if resubmit {
+							st.Submit(rng.Exp(scale/2), check)
+							check()
+						}
+					})
+					check()
+					if probe {
+						st.Utilization() // update: charge every job to now
+						check()
+					}
+				})
+			}
+			for fired := 0; e.Step(); fired++ {
+				check()
+				if fired > 100*n {
+					return false // livelock
+				}
+			}
+			if !ok || st.InService() != 0 {
+				return false
+			}
+		}
+		return true
+	}
+	if err := quick.Check(f, &quick.Config{MaxCount: 200}); err != nil {
+		t.Fatal(err)
+	}
+}
+
 // Property: semaphore grants never exceed capacity concurrently and
 // every queued waiter is eventually granted once releases catch up.
 func TestSemaphoreInvariantProperty(t *testing.T) {

@@ -2,6 +2,7 @@ package sim
 
 import (
 	"math"
+	"slices"
 	"testing"
 	"testing/quick"
 )
@@ -184,4 +185,77 @@ func TestStationCycleAllocatesNothing(t *testing.T) {
 			t.Fatalf("server not drained: %d in service, %d threads held, %d queued", s.InService(), threads.Held(), threads.Queued())
 		}
 	}
+}
+
+// FuzzStationMatchesReference drives the three-pass reference and the
+// Station, on both backends, with one script read from the fuzzer's
+// bytes and requires the same completions, each at the same time to
+// the bit, in the same callback order, and the same sequence numbers
+// consumed. The first byte sets the speed; each following triple is a
+// job: its arrival on a 1/16 grid (equal bytes arrive together), its
+// demand from {0, ½, 1, 1½} or a finer decimal grid, and whether its
+// callback submits one more job.
+func FuzzStationMatchesReference(f *testing.F) {
+	f.Add([]byte{0, 0, 2, 0, 0, 2, 0, 0, 1, 4})
+	f.Add([]byte{3, 16, 1, 6, 16, 1, 6, 16, 1, 6, 8, 20, 2})
+	f.Add([]byte{5, 0, 10, 0, 0, 10, 0, 0, 10, 0, 1, 1, 3, 2, 7, 255, 9, 77, 14})
+	type completion struct {
+		id int
+		at uint64
+	}
+	const maxJobs = 256
+	f.Fuzz(func(t *testing.T, script []byte) {
+		if len(script) < 4 {
+			return
+		}
+		speed := 0.5 + float64(script[0]%6)/2
+		jobs := script[1:]
+		if len(jobs) > 3*maxJobs {
+			jobs = jobs[:3*maxJobs]
+		}
+		drive := func(e *Engine, submit func(demand float64, done func())) []completion {
+			var out []completion
+			id := 0
+			job := func(demand float64, then func()) func() {
+				return func() {
+					myID := id
+					id++
+					submit(demand, func() {
+						out = append(out, completion{myID, math.Float64bits(e.Now())})
+						if then != nil {
+							then()
+						}
+					})
+				}
+			}
+			for i := 0; i+3 <= len(jobs); i += 3 {
+				at, d, flags := jobs[i], jobs[i+1], jobs[i+2]
+				demand := float64(d%4) / 2
+				if flags&1 != 0 {
+					demand = float64(d) / 10
+				}
+				var then func()
+				if flags&2 != 0 {
+					then = job(float64(flags>>2)/7, nil)
+				}
+				e.Schedule(float64(at)/16, job(demand, then))
+			}
+			e.Run(math.Inf(1), 0)
+			return out
+		}
+		re := NewEngine()
+		ref := &refStation{eng: re, speed: speed}
+		want := drive(re, ref.submit)
+		for _, mk := range []func() *Engine{NewEngine, NewEngineCalendar} {
+			e := mk()
+			st := NewStation(e, "fuzz", speed)
+			got := drive(e, st.Submit)
+			if !slices.Equal(got, want) {
+				t.Fatalf("speed %v: completions (id, time bits)\n got %v\nwant %v", speed, got, want)
+			}
+			if e.nextSq != re.nextSq {
+				t.Fatalf("speed %v: %d sequence numbers consumed, reference %d", speed, e.nextSq, re.nextSq)
+			}
+		}
+	})
 }

@@ -2,6 +2,7 @@ package sim
 
 import (
 	"math"
+	"slices"
 	"testing"
 )
 
@@ -127,6 +128,41 @@ func TestStationResubmitFromCallback(t *testing.T) {
 	}
 	if e.Now() > 100 {
 		t.Fatal("clock ran past horizon")
+	}
+}
+
+// A retired job's slot takes the last job in service, so the slots stop
+// following submission order; the callbacks of jobs that retire at one
+// instant must still run in submission order. Jobs 0 and 4 retire
+// first, at t=5: job 4 moves into job 0's slot and retires there too,
+// and job 3 takes the slot after it, leaving the slots as jobs 3, 1, 2.
+// Those three then retire together, at t=32, in one event.
+func TestStationRetiresInSubmissionOrderAfterSwaps(t *testing.T) {
+	for _, mk := range []func() *Engine{NewEngine, NewEngineCalendar} {
+		e := mk()
+		s := NewStation(e, "app", 1)
+		var got []int
+		var at []float64
+		for id, demand := range []float64{1, 10, 10, 10, 1} {
+			s.Submit(demand, func() {
+				got = append(got, id)
+				at = append(at, e.Now())
+			})
+		}
+		e.Run(6, 0)
+		if !slices.Equal(s.order, []uint64{3, 1, 2}) {
+			t.Fatalf("slots after the first retirement hold jobs %v, want [3 1 2]", s.order)
+		}
+		e.Run(100, 0)
+		if want := []int{0, 4, 1, 2, 3}; !slices.Equal(got, want) {
+			t.Fatalf("callbacks ran for jobs %v, want %v", got, want)
+		}
+		if want := []float64{5, 5, 32, 32, 32}; !slices.Equal(at, want) {
+			t.Fatalf("completion times %v, want %v", at, want)
+		}
+		if s.Firings() != 2 {
+			t.Fatalf("%d completion events, want 2", s.Firings())
+		}
 	}
 }
 
