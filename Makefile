@@ -19,16 +19,17 @@
 #                    host timing the repo reports. See benchmark/README.md.
 #   make bench     — go test -bench micro-benchmarks for measuring while
 #                    you work: barrier hand-off floor, event core and
-#                    calendar queue, shard window,
+#                    calendar queue, shard window, stream seeding,
 #                    simulator sweep and request loop, fleet routing
 #                    decision, LQN solver, hybrid build. Allocation
 #                    counts are machine-independent.
 #   make fuzz      — each native fuzz target for 10 s:
 #                    the scenario, LQN-model and history-store parsers,
 #                    the predserve query handlers, the fleet router's
-#                    tree picks against the full scan and the
+#                    tree picks against the full scan, the
 #                    processor-sharing station against its three-pass
-#                    reference.
+#                    reference and a random stream against an eagerly
+#                    seeded math/rand generator.
 #   make examples  — run each program under examples/ to completion; one
 #                    that exits non-zero fails the target (a few seconds in all).
 #
@@ -84,7 +85,7 @@ benchmark:
 
 bench:
 	$(GO) test -run '^$$' -bench BenchmarkPoolRun -benchmem ./internal/parallel
-	$(GO) test -run '^$$' -bench 'BenchmarkSchedule|BenchmarkRunDrain|BenchmarkStation|BenchmarkCalendar|BenchmarkShard' -benchmem ./internal/sim
+	$(GO) test -run '^$$' -bench 'BenchmarkSchedule|BenchmarkRunDrain|BenchmarkStation|BenchmarkCalendar|BenchmarkShard|BenchmarkStreamSeed' -benchmem ./internal/sim
 	$(GO) test -run '^$$' -bench BenchmarkMeasureCurve -benchtime 2x ./internal/trade
 	$(GO) test -run '^$$' -bench 'BenchmarkRequestLoop|BenchmarkCollect|BenchmarkWindows|BenchmarkRunBackend|BenchmarkShardedBuild' -benchmem ./internal/trade
 	$(GO) test -run '^$$' -bench BenchmarkRoute -benchmem ./internal/fleet
@@ -98,6 +99,7 @@ fuzz:
 	$(GO) test -run '^$$' -fuzz FuzzQueryHandlers -fuzztime 10s ./internal/serve
 	$(GO) test -run '^$$' -fuzz FuzzPickMatchesScan -fuzztime 10s ./internal/fleet
 	$(GO) test -run '^$$' -fuzz FuzzStationMatchesReference -fuzztime 10s ./internal/sim
+	$(GO) test -run '^$$' -fuzz FuzzStreamMatchesMathRand -fuzztime 10s ./internal/sim
 
 examples:
 	for e in quickstart capacityplan cluster cachestudy slatuning; do \

@@ -3,6 +3,7 @@ package sim
 import (
 	"fmt"
 	"math"
+	"math/rand"
 	"testing"
 )
 
@@ -181,5 +182,64 @@ func BenchmarkStationChurn(b *testing.B) {
 				e.Run(math.Inf(1), uint64(b.N))
 			})
 		}
+	}
+}
+
+// BenchmarkStreamSeed measures what a fresh stream costs to start, each
+// case beside the same work on math/rand's own generator: a stream that
+// only derives three children (a pool's split root), one that is seeded
+// and draws once, and one that draws 300 times. Seeds vary per
+// iteration, as a fleet's pool streams do.
+func BenchmarkStreamSeed(b *testing.B) {
+	var sink float64
+	for _, bc := range []struct {
+		name   string
+		stream func(seed int64)
+		rand   func(seed int64)
+	}{
+		{"derive-only",
+			func(seed int64) {
+				s := NewStream(seed)
+				for c := uint64(0); c < 3; c++ {
+					sink += float64(s.Derive(c).Seed())
+				}
+			},
+			func(seed int64) {
+				r := rand.New(rand.NewSource(seed))
+				for c := 0; c < 3; c++ {
+					sink += float64(r.Int63())
+				}
+			}},
+		{"seed+1",
+			func(seed int64) { sink += NewStream(seed).Float64() },
+			func(seed int64) { sink += rand.New(rand.NewSource(seed)).Float64() }},
+		{"seed+300",
+			func(seed int64) {
+				s := NewStream(seed)
+				for i := 0; i < 300; i++ {
+					sink += s.Float64()
+				}
+			},
+			func(seed int64) {
+				r := rand.New(rand.NewSource(seed))
+				for i := 0; i < 300; i++ {
+					sink += r.Float64()
+				}
+			}},
+	} {
+		for _, impl := range []struct {
+			name string
+			run  func(int64)
+		}{{"stream", bc.stream}, {"mathrand", bc.rand}} {
+			b.Run(bc.name+"/"+impl.name, func(b *testing.B) {
+				b.ReportAllocs()
+				for i := 0; i < b.N; i++ {
+					impl.run(SplitSeed(1, uint64(i)))
+				}
+			})
+		}
+	}
+	if sink == 0 {
+		b.Log(sink)
 	}
 }

@@ -11,17 +11,24 @@ import (
 // should each own a Stream derived from the run seed, so changing how
 // one component consumes randomness does not perturb the others.
 //
-// A stream is seeded on its first draw. Creating one (NewStream,
-// Derive, Split) only records the seed; the generator — math/rand's
-// 607-word lagged Fibonacci state, about 5 KB — is built from it when
-// the stream first draws. A component that never draws (the sticky-route
-// stream of a one-server tier, the open-arrival stream of a closed
-// workload, a root that is only Split) costs a few words, and every
-// stream that does draw yields exactly the sequence it would have if
-// seeded at creation.
+// Every stream yields math/rand's sequence for its seed: its generator
+// is a source with math/rand's outputs (see source), under a rand.Rand
+// for the distributions. Creating a stream (NewStream, Derive, Split)
+// only records the seed. Derive's draws from the parent come from the
+// seed alone while they can — the first 273 outputs of a fresh register
+// are functions of the seed — so a stream that only derives children
+// (a pool's split root, its sampling parent, the open-arrival parent)
+// never builds the register, math/rand's 607-word state of about 5 KB.
+// The first sampling draw (Float64, Intn, Exp, Norm, Choose), or a
+// 274th Derive, builds it and steps it past the outputs Derive already
+// took. A stream that never draws at all (the sticky-route stream of a
+// one-server tier, a root that is only Split) costs a few words either
+// way, and every draw is the one the stream would have made had its
+// register been built at creation.
 type Stream struct {
-	r    *rand.Rand // nil until the first draw
-	seed int64
+	r     *rand.Rand // nil until the register is built
+	seed  int64
+	taken int // outputs Derive took from the seed before r was built
 }
 
 // NewStream returns a stream seeded deterministically from seed.
@@ -29,7 +36,7 @@ func NewStream(seed int64) *Stream {
 	return &Stream{seed: seed}
 }
 
-// rng returns the stream's generator, seeding it on the first draw.
+// rng returns the stream's generator, building it on the first draw.
 func (s *Stream) rng() *rand.Rand {
 	if s.r == nil {
 		s.seedNow()
@@ -37,11 +44,27 @@ func (s *Stream) rng() *rand.Rand {
 	return s.r
 }
 
-// seedNow builds the generator from the recorded seed. It is rng's
-// cold half, kept apart so the draw path inlines.
+// seedNow builds the register from the recorded seed and steps it past
+// the outputs Derive took from the seed. It is rng's cold half, kept
+// apart so the draw path inlines.
 func (s *Stream) seedNow() {
-	s.r = rand.New(rand.NewSource(s.seed))
+	src := new(source)
+	src.Seed(s.seed)
+	for i := 0; i < s.taken; i++ {
+		src.Uint64()
+	}
+	s.r = rand.New(src)
 	recordSeeded()
+}
+
+// int63 is the stream's next Int63, taken from the seed while the
+// register is unbuilt and the output is one of the first regTap.
+func (s *Stream) int63() int64 {
+	if s.r == nil && s.taken < regTap {
+		s.taken++
+		return int64(seedOutput(s.seed, s.taken) & regMask)
+	}
+	return s.rng().Int63()
 }
 
 // Seed returns the seed the stream was created with. Split keys off it,
@@ -68,7 +91,7 @@ func (s *Stream) Derive(component uint64) *Stream {
 	z = (z ^ (z >> 30)) * 0xbf58476d1ce4e5b9
 	z = (z ^ (z >> 27)) * 0x94d049bb133111eb
 	z ^= z >> 31
-	return NewStream(int64(z) ^ s.rng().Int63())
+	return NewStream(int64(z) ^ s.int63())
 }
 
 // SplitSeed maps (seed, stream) to a child seed as a pure function:

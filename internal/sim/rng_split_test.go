@@ -161,10 +161,10 @@ func TestLazySeedingKeepsEveryDraw(t *testing.T) {
 	}
 }
 
-// Only a draw builds a generator: creating, deriving from (which draws
-// from the parent, not the child) and splitting streams counts nothing
-// on sim_streams_seeded, and each stream counts once however often it
-// draws.
+// Only a sampling draw builds a register: creating, deriving from
+// (whose draws from the parent come from its seed) and splitting
+// streams counts nothing on sim_streams_seeded, and each stream counts
+// once however often it draws.
 func TestStreamSeedsOnFirstDrawOnly(t *testing.T) {
 	r := obs.NewRegistry()
 	EnableMetrics(r)
@@ -177,13 +177,13 @@ func TestStreamSeedsOnFirstDrawOnly(t *testing.T) {
 		t.Fatalf("NewStream and Split seeded %d streams, want 0", got)
 	}
 	kids := []*Stream{pool.Derive(1), pool.Derive(2), pool.Derive(3)}
-	if got := seeded(); got != 1 {
-		t.Fatalf("three Derive calls seeded %d streams, want 1 (the parent they draw from)", got)
+	if got := seeded(); got != 0 {
+		t.Fatalf("three Derive calls seeded %d streams, want 0 (the parent answers them from its seed)", got)
 	}
 	for i := 0; i < 100; i++ {
 		kids[1].Float64()
 	}
-	if got := seeded(); got != 2 {
-		t.Fatalf("100 draws on one child seeded %d streams in all, want 2", got)
+	if got := seeded(); got != 1 {
+		t.Fatalf("100 draws on one child seeded %d streams in all, want 1", got)
 	}
 }

@@ -232,12 +232,13 @@ func BenchmarkShardedBuild(b *testing.B) {
 }
 
 // TestPoolSeedsOnlyStreamsItDraws counts the random streams a static
-// fleet builds a generator for. A pool of one application server under
-// two closed single-type classes draws from its split root (to derive
-// its children), the think and serve streams, the sampling parent and
-// the two reservoir streams once the buffers overflow: six. The fleet
-// root is only split, and the route, choose and open-arrival streams
-// and the unused single-engine root never draw.
+// fleet builds a register for. A pool of one application server under
+// two closed single-type classes samples from the think and serve
+// streams and from the two reservoir streams once the buffers
+// overflow: four. Its split root and sampling parent only derive
+// children, which their seeds answer; the fleet root is only split, and
+// the route, choose and open-arrival streams and the unused
+// single-engine root never draw.
 func TestPoolSeedsOnlyStreamsItDraws(t *testing.T) {
 	reg := obs.NewRegistry()
 	sim.EnableMetrics(reg)
@@ -259,8 +260,8 @@ func TestPoolSeedsOnlyStreamsItDraws(t *testing.T) {
 			t.Fatalf("class %s completed %d requests: too few to overflow every pool's reservoir", name, cr.Completed)
 		}
 	}
-	if got := reg.Snapshot().Counters["sim_streams_seeded"]; got != 6*pools {
-		t.Fatalf("sim_streams_seeded = %d, want %d (six per pool)", got, 6*pools)
+	if got := reg.Snapshot().Counters["sim_streams_seeded"]; got != 4*pools {
+		t.Fatalf("sim_streams_seeded = %d, want %d (four per pool)", got, 4*pools)
 	}
 }
 
@@ -270,11 +271,13 @@ func TestPoolSeedsOnlyStreamsItDraws(t *testing.T) {
 // a calendar with its bucket slices and a Shard. The pool's think
 // timers come from one slab sized by Engine.Reserve, so no partly used
 // slab is left per pool. Differencing two pool counts cancels the
-// fixed costs. A pool of 400 closed clients measures 44 365 bytes and
-// 53 mallocs (43 537 and 46 on a shared per-shard engine; 49 981 and
-// 56 with an engine per pool but 128-event slabs); the bounds leave
-// about 10 % headroom, so a per-pool cost that grows the 625-pool
-// fleets' peak RSS fails here first.
+// fixed costs. A pool of 400 closed clients measures 29 044 bytes and
+// 49 mallocs (40 333 and 53 while each of its six drawing streams
+// built math/rand's 5 376-byte generator; 43 537 and 46 on a shared
+// per-shard engine; 49 981 and 56 with an engine per pool but
+// 128-event slabs); the bounds leave about 10 % headroom, so a
+// per-pool cost that grows the 625-pool fleets' peak RSS fails here
+// first.
 func TestPerPoolBuildCost(t *testing.T) {
 	build := func(pools int) (bytes, mallocs uint64) {
 		cfg := shardedConfig(pools, 2, 0)
@@ -293,7 +296,7 @@ func TestPerPoolBuildCost(t *testing.T) {
 	b2, m2 := build(2 * p)
 	perBytes, perMallocs := (float64(b2)-float64(b1))/p, (float64(m2)-float64(m1))/p
 	t.Logf("%.0f bytes and %.1f mallocs per pool of 400 clients", perBytes, perMallocs)
-	if perBytes > 49000 || perMallocs > 58 {
-		t.Fatalf("a pool of 400 clients costs %.0f bytes and %.1f mallocs to build, want ≤ 49000 and ≤ 58", perBytes, perMallocs)
+	if perBytes > 32000 || perMallocs > 54 {
+		t.Fatalf("a pool of 400 clients costs %.0f bytes and %.1f mallocs to build, want ≤ 32000 and ≤ 54", perBytes, perMallocs)
 	}
 }
