@@ -23,6 +23,7 @@ package fleet
 import (
 	"errors"
 	"fmt"
+	"runtime"
 	"time"
 
 	"perfpred/internal/rm"
@@ -168,14 +169,36 @@ type Result struct {
 	// EstimatedClients is the last replan's per-class Little's-law
 	// client estimates, Load order; nil when replanning is off.
 	EstimatedClients []int
-	// Wall is the run's wall-clock duration.
+	// Wall is the run's wall-clock duration, the collection of the
+	// fleet's memory at its end included.
 	Wall time.Duration
 }
 
 // Run executes one fleet measurement: build the router and (when
 // configured) the in-loop replanner, wire them into a sharded trade
 // run via the router and barrier-hook seams, warm up, measure, merge.
+//
+// The fleet is garbage once measured, tens of megabytes of pools,
+// clients, requests and events, and Run collects it before it returns.
+// Left to the collector's pacing, the caller's next allocations (often
+// the next fleet) pile onto it until a cycle falls, and where that
+// cycle falls against the run decides whether the process peaks at one
+// fleet's heap or nearly two: back-to-back 625 × 400 routed fleets peak
+// anywhere from 68 to 124 MB RSS uncollected and at 66 MB collected
+// (2-core x86-64, Go 1.24). The collection marks only what outlives
+// the fleet; it takes ≈ 5 ms there and is counted in Wall.
 func Run(cfg Config) (*Result, error) {
+	res, err := run(cfg)
+	if err != nil {
+		return nil, err
+	}
+	start := time.Now()
+	runtime.GC()
+	res.Wall += time.Since(start)
+	return res, nil
+}
+
+func run(cfg Config) (*Result, error) {
 	if err := cfg.validate(); err != nil {
 		return nil, err
 	}

@@ -1,6 +1,7 @@
 package fleet
 
 import (
+	"runtime"
 	"sync/atomic"
 	"testing"
 
@@ -207,6 +208,31 @@ func TestFleetRunReproducible(t *testing.T) {
 		t.Fatal(err)
 	}
 	sameFleetResult(t, "rerun", a, b)
+}
+
+// Run collects the fleet it built before it returns: the caller's heap
+// holds the result, not the fleet's pools, clients and events. Left
+// for the collector's pacing, that garbage would lie under the next
+// fleet the caller builds, and the process would peak at one fleet's
+// heap or nearly two depending on where a cycle fell.
+func TestRunCollectsItsFleet(t *testing.T) {
+	cfg := testConfig(64, 2, Static{})
+	cfg.Duration = 1
+	var before, after runtime.MemStats
+	runtime.GC()
+	runtime.ReadMemStats(&before)
+	res, err := Run(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	runtime.ReadMemStats(&after)
+	runtime.KeepAlive(res)
+	built := after.TotalAlloc - before.TotalAlloc
+	held := int64(after.HeapAlloc) - int64(before.HeapAlloc)
+	t.Logf("run allocated %d bytes, %d still on the heap after it", built, held)
+	if held > int64(built/10) {
+		t.Fatalf("%d of the run's %d allocated bytes are still on the heap after Run, want at most a tenth", held, built)
+	}
 }
 
 // The Static scorer serves every request locally, so a fleet run with
