@@ -16,7 +16,8 @@ import (
 // snapshot survives the JSON round trip a -report file makes. Each layer's counters must also agree with each
 // other: every fired event was scheduled on a recycled or a fresh one,
 // and the deepest queue never held more events than were ever carved
-// fresh; warm-start hits and misses, and convergence failures, are
+// fresh; a calendar pop is a fired event, and the dequeue search that
+// found it looked at it at least; warm-start hits and misses, and convergence failures, are
 // solves, and a solve takes at least one MVA iteration; a session-cache
 // rebuild is an iteration and a non-converged solve a solve; and every
 // completed request came from the request pool, recycled or fresh; a
@@ -49,6 +50,7 @@ func TestEnableAllReachesHotPaths(t *testing.T) {
 		"lqn_solver_solves", "lqn_solver_mva_iterations",
 		"sim_events_fired", "trade_requests_completed",
 		"sessioncache_solves", "trade_cache_hits", "fleet_routing_decisions",
+		"sim_calendar_pops", "sim_calendar_scanned",
 	} {
 		if v, ok := snap.Counters[name]; !ok {
 			t.Errorf("counter %q missing from the snapshot", name)
@@ -75,6 +77,8 @@ func TestEnableAllReachesHotPaths(t *testing.T) {
 		return n
 	}
 	for _, r := range []struct{ small, large []string }{
+		{[]string{"sim_calendar_pops"}, []string{"sim_events_fired"}},
+		{[]string{"sim_calendar_pops"}, []string{"sim_calendar_scanned"}},
 		{[]string{"lqn_solver_warm_hits", "lqn_solver_warm_misses"}, []string{"lqn_solver_solves"}},
 		{[]string{"lqn_solver_solves"}, []string{"lqn_solver_mva_iterations"}},
 		{[]string{"lqn_solver_convergence_failures"}, []string{"lqn_solver_solves"}},

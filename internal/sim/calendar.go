@@ -23,21 +23,37 @@ import "math"
 // list, never both, so the field is free here). Push is a head
 // prepend and pop an unlink, so steady-state operation performs NO
 // allocation at all — the only allocations ever are the bucket-head
-// slices when the bucket count doubles or halves (wide hysteresis:
-// grow past 2× buckets, shrink under ¼).
+// slices, at the first layout and when the bucket count doubles or
+// halves (wide hysteresis: grow past 2× buckets, shrink under ¼).
 //
-// The width follows the measured dequeue rate. A closed population
-// with exponential residency keeps an exponentially skewed pending
-// set, so a width fitted to the mean gap over the whole spread is
-// about ln N too wide at the head, where every dequeue happens; the
-// queue therefore counts pops and periodically re-buckets in place
-// when the width has drifted from calendarGapsPerSlot mean dequeue
-// gaps by more than calendarRefitSlack either way.
+// The calendar is laid out once, on first read. Until then a push
+// prepends to one unbucketed chain and tracks its lowest and highest
+// time, and the first peek buckets every resident event once, at the
+// bucket count pushing them one by one would have grown to. A fleet
+// engine built with hundreds of thousands of think timers so links
+// each timer once rather than once per doubling.
+//
+// Before any dequeue history the width is fitted to the head of the
+// schedule, where every dequeue happens: calendarGapsPerSlot mean gaps
+// among the events in the first 1/calendarHeadBins of the time spread,
+// never wider than the fit to the mean gap over the whole spread. A
+// closed population with exponential residency keeps an exponentially
+// skewed pending set, so the spread fit is about ln N too wide at the
+// head. Once a rate measurement exists the width follows the measured
+// dequeue rate: the queue counts pops and periodically re-buckets in
+// place when the width has drifted from calendarGapsPerSlot mean
+// dequeue gaps by more than calendarRefitSlack either way.
 type calendarQueue struct {
-	buckets []*event // bucket heads; events chain via event.next; len is a power of two
-	width   float64
-	inv     float64 // 1/width: slot numbers are computed by multiplication
-	size    int
+	// buckets are the bucket heads, events chaining via event.next; len
+	// is a power of two, and nil until the first peek lays them out.
+	buckets []*event
+	// chain holds the events pushed before the layout, and lo and hi
+	// bound their times.
+	chain  *event
+	lo, hi float64
+	width  float64
+	inv    float64 // 1/width: slot numbers are computed by multiplication
+	size   int
 	// lastTime is the dequeue cursor: no resident event's time is below
 	// it, so the slot search can start at its slot.
 	lastTime float64
@@ -58,6 +74,7 @@ type calendarQueue struct {
 
 	scanned uint64 // events visited by findMin
 	refits  uint64 // same-count re-buckets made by the rate check
+	links   uint64 // events linked into a bucket
 }
 
 const (
@@ -77,15 +94,11 @@ const (
 	// year past it. Clamped events share one slot and stay ordered by
 	// the (time, seq) comparison inside it.
 	calendarMaxSlot = 1 << 62
+	// calendarHeadBins is how finely a width fit before any dequeue
+	// history cuts the time spread: it counts the events in the first of
+	// that many equal bins.
+	calendarHeadBins = 64
 )
-
-func newCalendarQueue() *calendarQueue {
-	return &calendarQueue{
-		buckets: make([]*event, calendarMinBuckets),
-		width:   1,
-		inv:     1,
-	}
-}
 
 // slot maps an event time onto the calendar's integer slot number. It
 // is monotone in t, which is all the dequeue search relies on.
@@ -107,10 +120,23 @@ func (cq *calendarQueue) link(ev *event) int {
 	i := cq.bucket(ev.time)
 	ev.next = cq.buckets[i]
 	cq.buckets[i] = ev
+	cq.links++
 	return i
 }
 
 func (cq *calendarQueue) push(ev *event) {
+	if cq.buckets == nil {
+		if cq.size == 0 || ev.time < cq.lo {
+			cq.lo = ev.time
+		}
+		if cq.size == 0 || ev.time > cq.hi {
+			cq.hi = ev.time
+		}
+		ev.next = cq.chain
+		cq.chain = ev
+		cq.size++
+		return
+	}
 	if cq.size+1 > 2*len(cq.buckets) {
 		cq.resize(2 * len(cq.buckets))
 	}
@@ -136,9 +162,25 @@ func (cq *calendarQueue) peek() *event {
 		return nil
 	}
 	if cq.cachedMin == nil {
+		if cq.buckets == nil {
+			cq.layout()
+		}
 		cq.findMin()
 	}
 	return cq.cachedMin
+}
+
+// layout buckets the events pushed before the first read, each once, at
+// the bucket count push's growth rule would have reached (the least
+// power of two n with 2n ≥ size) and the head-fitted width.
+func (cq *calendarQueue) layout() {
+	n := calendarMinBuckets
+	for 2*n < cq.size {
+		n *= 2
+	}
+	all := cq.chain
+	cq.chain = nil
+	cq.relink(all, n, cq.headWidth(all, cq.lo, cq.hi))
 }
 
 // popMin removes and returns the least event. Requires a peek that
@@ -178,7 +220,7 @@ func (cq *calendarQueue) checkRate() {
 	target := calendarGapsPerSlot * gap
 	if cq.width > calendarRefitSlack*target || cq.width*calendarRefitSlack < target {
 		cq.refits++
-		all, _ := cq.unlinkAll()
+		all, _, _ := cq.unlinkAll()
 		cq.relink(all, len(cq.buckets), target)
 	}
 }
@@ -230,26 +272,51 @@ func (cq *calendarQueue) findMin() {
 }
 
 // resize changes the bucket count to n. Before any dequeue history
-// exists the width is fitted to the resident events' time spread (four
-// mean gaps per slot); afterwards the measured rate sets it, unless
-// the spread fit is narrower still (a burst scheduled since the last
-// measurement).
+// exists the width is fitted to the head of the resident events;
+// afterwards the measured rate sets it, unless the spread fit is
+// narrower still (a burst scheduled since the last measurement).
 func (cq *calendarQueue) resize(n int) {
-	all, spread := cq.unlinkAll()
-	width := 1.0
-	if cq.size > 1 && spread > 0 {
-		width = spread / float64(cq.size) * 4
-	}
-	if w := calendarGapsPerSlot * cq.gap; w > 0 && w < width {
-		width = w
+	all, lo, hi := cq.unlinkAll()
+	var width float64
+	if cq.gap > 0 {
+		width = min(calendarGapsPerSlot*cq.gap, cq.spreadWidth(hi-lo))
+	} else {
+		width = cq.headWidth(all, lo, hi)
 	}
 	cq.relink(all, n, width)
 }
 
+// spreadWidth is four mean gaps over the resident events' time spread,
+// or 1 when they span none.
+func (cq *calendarQueue) spreadWidth(spread float64) float64 {
+	if cq.size > 1 && spread > 0 {
+		return spread / float64(cq.size) * 4
+	}
+	return 1
+}
+
+// headWidth fits the width to the chain all, whose times lie in
+// [lo, hi], where it will be dequeued first: calendarGapsPerSlot mean
+// gaps among the events in the first of calendarHeadBins bins of the
+// spread (one pass over the chain), and never wider than spreadWidth.
+func (cq *calendarQueue) headWidth(all *event, lo, hi float64) float64 {
+	if !(hi > lo) {
+		return 1
+	}
+	scale := calendarHeadBins / (hi - lo)
+	head := 0
+	for ev := all; ev != nil; ev = ev.next {
+		if (ev.time-lo)*scale < 1 {
+			head++
+		}
+	}
+	return min(cq.spreadWidth(hi-lo), calendarGapsPerSlot/scale/float64(head))
+}
+
 // unlinkAll empties every bucket into one chain and returns it with
-// the time spread of the events on it.
-func (cq *calendarQueue) unlinkAll() (all *event, spread float64) {
-	lo, hi := math.Inf(1), math.Inf(-1)
+// the least and greatest time on it.
+func (cq *calendarQueue) unlinkAll() (all *event, lo, hi float64) {
+	lo, hi = math.Inf(1), math.Inf(-1)
 	for bi, head := range cq.buckets {
 		for ev := head; ev != nil; {
 			next := ev.next
@@ -265,7 +332,7 @@ func (cq *calendarQueue) unlinkAll() (all *event, spread float64) {
 		}
 		cq.buckets[bi] = nil
 	}
-	return all, hi - lo
+	return all, lo, hi
 }
 
 // relink rebuilds the calendar from an unlinked chain with n buckets

@@ -89,6 +89,135 @@ func TestCalendarMatchesHeapProperty(t *testing.T) {
 	}
 }
 
+// Property: the bulk a build schedules before the calendar is first
+// read, laid out at once by the first peek, fires in the heap engine's
+// order. The bulk holds equal-time ties and moved heap events, and a
+// peek in its middle lays out the first part, so the rest is pushed
+// into the buckets one by one.
+func TestCalendarBulkPrefixMatchesHeapProperty(t *testing.T) {
+	run := func(e *Engine, seed int64, n, mid int) []int {
+		rng := NewStream(seed)
+		var order []int
+		var held *event // pending in the heap: nothing fires during the bulk
+		for i := 0; i < n; i++ {
+			id := i
+			act := func() {
+				order = append(order, id)
+				if rng.Float64() < 0.3 {
+					e.Schedule(rng.Exp(2), func() { order = append(order, -id) })
+				}
+			}
+			switch x := rng.Float64(); {
+			case x < 0.2:
+				e.Schedule(float64(rng.Intn(4)), act) // ties
+			case x < 0.3:
+				held = e.reschedule(held, rng.Exp(3), act)
+			case x < 0.4:
+				ev := e.reschedule(nil, rng.Exp(3), act)
+				e.reschedule(ev, rng.Exp(3), act)
+			default:
+				e.Schedule(rng.Exp(float64(1+rng.Intn(20))), act)
+			}
+			if i == mid {
+				e.peekTime()
+			}
+		}
+		for e.Step() {
+		}
+		return order
+	}
+	f := func(seed int64, nRaw, midRaw uint16) bool {
+		n := int(nRaw)%3000 + 1
+		mid := int(midRaw) % n
+		a := run(NewEngine(), seed, n, mid)
+		b := run(NewEngineCalendar(), seed, n, mid)
+		if len(a) != len(b) {
+			return false
+		}
+		for i := range a {
+			if a[i] != b[i] {
+				return false
+			}
+		}
+		return true
+	}
+	if err := quick.Check(f, &quick.Config{MaxCount: 60}); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// Events scheduled before the first read are linked into a bucket
+// once, by the first peek, at the bucket count pushing them one by one
+// would have grown to; a calendar that bucketed each push re-linked
+// every resident event at each of its doublings.
+func TestCalendarLayoutLinksEachEventOnce(t *testing.T) {
+	e := NewEngineCalendar()
+	rng := NewStream(5)
+	const n = 50000
+	for i := 0; i < n; i++ {
+		e.Schedule(rng.Exp(7), func() {})
+	}
+	if e.cal.links != 0 || e.cal.buckets != nil {
+		t.Fatalf("%d links into %d buckets before the first read, want none", e.cal.links, len(e.cal.buckets))
+	}
+	e.peekTime()
+	if e.cal.links != n {
+		t.Errorf("%d links for %d events, want one each", e.cal.links, n)
+	}
+	if got := len(e.cal.buckets); got != 32768 {
+		t.Errorf("%d buckets for %d events, want 32768, the least power of two holding two per bucket", got, n)
+	}
+}
+
+// A windowed build — shards behind a barrier hook, so the coordinator
+// reads every engine at each window — links each event at most once
+// through its first window.
+func TestCalendarWindowedBuildLinksEachEventOnce(t *testing.T) {
+	const shards, clients = 2, 20000
+	c := NewCoordinator(shards, 0.005)
+	defer c.Close()
+	c.SetBarrierHook(func(float64) {})
+	root := NewStream(11)
+	for i := 0; i < shards; i++ {
+		e, rng := c.Shard(i).Eng, root.Split(uint64(i))
+		var think func()
+		think = func() { e.Schedule(rng.Exp(7), think) }
+		for j := 0; j < clients; j++ {
+			think()
+		}
+	}
+	c.Run(0.005)
+	for i := 0; i < shards; i++ {
+		e := c.Shard(i).Eng
+		if scheduled := e.reuses + e.allocs; e.cal.links < clients || e.cal.links > scheduled {
+			t.Errorf("shard %d: %d links for %d events scheduled, want each linked once", i, e.cal.links, scheduled)
+		}
+	}
+}
+
+// The first layout's width is calendarGapsPerSlot mean gaps among the
+// events in the first of calendarHeadBins bins of the spread: 513
+// events every 1/8 from time 10, pushed in shuffled order, span 64, so
+// the head bin [10, 11) holds 8 and the width is 3/8 — narrower than
+// the spread fit, 4 × 64/513.
+func TestCalendarFirstLayoutFitsHead(t *testing.T) {
+	e := NewEngineCalendar()
+	const n = 513
+	for j := 0; j < n; j++ {
+		i := (200*j + 7) % n // 200 is prime to 513: every i once
+		e.Schedule(10+float64(i)/8, func() {})
+	}
+	if got := e.peekTime(); got != 10 {
+		t.Fatalf("peekTime = %v, want 10", got)
+	}
+	if e.cal.width != 0.375 {
+		t.Errorf("width %v, want 0.375", e.cal.width)
+	}
+	if got := len(e.cal.buckets); got != 512 {
+		t.Errorf("%d buckets for %d events, want 512", got, n)
+	}
+}
+
 // The calendar must stay correct through heavy growth and shrinkage:
 // fill far past the resize threshold, drain to nearly empty, and check
 // strict (time, seq) order throughout.
@@ -126,10 +255,13 @@ func TestCalendarResizeKeepsOrder(t *testing.T) {
 // The structural gate behind the fleets' speed: under the pending set
 // a closed population keeps — exponential think timers, so events thin
 // out exponentially away from the head, plus millisecond-scale service
-// events landing right at the head — the bucket width must follow the
-// dequeue rate, or every pop re-scans a head bucket holding ~ln N times
-// too many events (≈ 85 per pop with a width fitted to the spread). A
-// count, not a time, so it gates on any machine.
+// events landing right at the head — the bucket width must fit the
+// head and then follow the dequeue rate, or every pop re-scans a head
+// bucket holding ~ln N times too many events (≈ 85 per pop with a
+// width fitted to the spread). A count, not a time, so it gates on any
+// machine. The head fit may already lie within the re-fit slack, so
+// the rate is checked directly: the final width must sit within
+// calendarRefitSlack of calendarGapsPerSlot measured dequeue gaps.
 func TestCalendarChainStaysShortUnderSkew(t *testing.T) {
 	e := NewEngineCalendar()
 	rng := NewStream(7)
@@ -150,8 +282,9 @@ func TestCalendarChainStaysShortUnderSkew(t *testing.T) {
 	if perPop > 8 {
 		t.Errorf("findMin scanned %.1f events per pop, want <= 8", perPop)
 	}
-	if e.cal.refits == 0 {
-		t.Error("the width was never re-fitted to the dequeue rate")
+	cq := e.cal
+	if target := calendarGapsPerSlot * cq.gap; !(cq.width <= calendarRefitSlack*target && cq.width*calendarRefitSlack >= target) {
+		t.Errorf("width %.3g is off %d mean dequeue gaps of %.3g by more than %d×", cq.width, calendarGapsPerSlot, cq.gap, calendarRefitSlack)
 	}
 }
 
@@ -163,11 +296,12 @@ func TestCalendarRefitAllocatesNothing(t *testing.T) {
 	for i := 0; i < 5000; i++ {
 		e.Schedule(rng.Exp(7), func() {})
 	}
+	e.peekTime() // lay the calendar out
 	cq := e.cal
 	w := cq.width
 	if a := testing.AllocsPerRun(20, func() {
 		w *= 1.5
-		all, _ := cq.unlinkAll()
+		all, _, _ := cq.unlinkAll()
 		cq.relink(all, len(cq.buckets), w)
 	}); a != 0 {
 		t.Fatalf("re-fit allocated %v times per run", a)

@@ -72,6 +72,7 @@ type Engine struct {
 	heapMax                                    int
 	flushedFired, flushedReuses, flushedAllocs uint64
 	calPops, heapPops                          uint64 // pops by queue
+	flushedQueues                              QueueCounts
 }
 
 // NewEngine returns an engine with the clock at 0, backed by the
@@ -93,7 +94,7 @@ func NewEngine() *Engine {
 // firing order, and therefore any seeded run's trajectory, is
 // identical to NewEngine's.
 func NewEngineCalendar() *Engine {
-	return &Engine{cal: newCalendarQueue()}
+	return &Engine{cal: &calendarQueue{}}
 }
 
 // Now returns the current simulated time.

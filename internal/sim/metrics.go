@@ -19,6 +19,8 @@ type engineMetrics struct {
 	windows  *obs.Counter  // coordinator windows fanned out to the pool
 	parks    *obs.Counter  // barrier waits that put a goroutine to sleep
 	seeded   *obs.Counter  // random streams that drew and so built a generator
+	calPops  *obs.Counter  // events popped from a calendar queue
+	scanned  *obs.Counter  // calendar events a dequeue search looked at
 }
 
 var metrics atomic.Pointer[engineMetrics]
@@ -39,6 +41,8 @@ func EnableMetrics(r *obs.Registry) {
 		windows:  r.Counter("sim_coordinator_windows"),
 		parks:    r.Counter("sim_coordinator_parks"),
 		seeded:   r.Counter("sim_streams_seeded"),
+		calPops:  r.Counter("sim_calendar_pops"),
+		scanned:  r.Counter("sim_calendar_scanned"),
 	})
 }
 
@@ -63,6 +67,10 @@ func (e *Engine) flushMetrics() {
 	e.flushedReuses = e.reuses
 	m.allocs.Add(e.allocs - e.flushedAllocs)
 	e.flushedAllocs = e.allocs
+	qc := e.QueueCounts()
+	m.calPops.Add(qc.CalendarPops - e.flushedQueues.CalendarPops)
+	m.scanned.Add(qc.Scanned - e.flushedQueues.Scanned)
+	e.flushedQueues = qc
 	m.heapHigh.Observe(int64(e.heapMax))
 }
 

@@ -105,3 +105,30 @@ func TestCoordinatorWindowMetrics(t *testing.T) {
 		t.Fatalf("sim_coordinator_parks = %d, Parks() = %d, want flushed ≤ live ≤ %d", parks, c.Parks(), shards*(windows+1))
 	}
 }
+
+// A calendar engine publishes its dequeue counts as deltas at the end
+// of each Run: after several, the counters equal its own QueueCounts,
+// and a flush allocates nothing.
+func TestCalendarCountsPublished(t *testing.T) {
+	r := obs.NewRegistry()
+	EnableMetrics(r)
+	defer EnableMetrics(nil)
+
+	e := NewEngineCalendar()
+	rng := NewStream(4)
+	for i := 0; i < 2000; i++ {
+		e.Schedule(rng.Exp(5), func() {})
+	}
+	for until := 1.0; until <= 4; until++ {
+		e.Run(until, 0)
+	}
+	qc := e.QueueCounts()
+	snap := r.Snapshot()
+	pops, scanned := snap.Counters["sim_calendar_pops"], snap.Counters["sim_calendar_scanned"]
+	if pops == 0 || pops != qc.CalendarPops || scanned != qc.Scanned {
+		t.Fatalf("published %d pops and %d scanned, want the engine's %d and %d", pops, scanned, qc.CalendarPops, qc.Scanned)
+	}
+	if a := testing.AllocsPerRun(10, e.flushMetrics); a != 0 {
+		t.Fatalf("flushMetrics allocated %v times per call", a)
+	}
+}

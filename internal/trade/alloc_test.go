@@ -216,18 +216,32 @@ func TestShardedBuildMallocs(t *testing.T) {
 	}
 }
 
-// BenchmarkShardedBuild reports what building a static fleet costs:
-// 64 pools of 400 closed clients, constructed and closed, never run.
+// BenchmarkShardedBuild reports what building a fleet of 64 pools of
+// 400 closed clients costs: static, constructed and closed, never run;
+// windowed, on per-shard engines behind a barrier hook, also advanced
+// one window, where the calendars are first read and laid out.
 func BenchmarkShardedBuild(b *testing.B) {
-	cfg := shardedConfig(64, 2, 0)
-	cfg.Load = workload.MixedWorkload(400, 0.1)
-	b.ReportAllocs()
-	for i := 0; i < b.N; i++ {
-		r, err := NewSharded(cfg)
-		if err != nil {
-			b.Fatal(err)
+	for _, windowed := range []bool{false, true} {
+		cfg := shardedConfig(64, 2, 0)
+		cfg.Load = workload.MixedWorkload(400, 0.1)
+		name := "static"
+		if windowed {
+			cfg.BarrierHook = func(float64) {}
+			name = "windowed"
 		}
-		r.Close()
+		b.Run(name, func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				r, err := NewSharded(cfg)
+				if err != nil {
+					b.Fatal(err)
+				}
+				if windowed {
+					r.Advance(ShardLatency)
+				}
+				r.Close()
+			}
+		})
 	}
 }
 
@@ -268,16 +282,17 @@ func TestPoolSeedsOnlyStreamsItDraws(t *testing.T) {
 // TestPerPoolBuildCost bounds what one more pool adds to a barrier-free
 // fleet build at fixed clients per pool: its simulator and stations,
 // and, since every such pool runs on an engine of its own, an Engine,
-// a calendar with its bucket slices and a Shard. The pool's think
-// timers come from one slab sized by Engine.Reserve, so no partly used
-// slab is left per pool. Differencing two pool counts cancels the
-// fixed costs. A pool of 400 closed clients measures 29 044 bytes and
-// 49 mallocs (40 333 and 53 while each of its six drawing streams
-// built math/rand's 5 376-byte generator; 43 537 and 46 on a shared
-// per-shard engine; 49 981 and 56 with an engine per pool but
-// 128-event slabs); the bounds leave about 10 % headroom, so a
-// per-pool cost that grows the 625-pool fleets' peak RSS fails here
-// first.
+// a calendar and a Shard. The calendar lays its buckets out when first
+// read, so a build allocates no bucket slice. The pool's think timers
+// come from one slab sized by Engine.Reserve, so no partly used slab is
+// left per pool. Differencing two pool counts cancels the fixed costs.
+// A pool of 400 closed clients measures 24 660 bytes and 43 mallocs
+// (29 044 and 49 while each push could grow the calendar, 8 → 256
+// buckets; 40 333 and 53 while each of its six drawing streams built
+// math/rand's 5 376-byte generator; 43 537 and 46 on a shared per-shard
+// engine; 49 981 and 56 with an engine per pool but 128-event slabs);
+// the bounds leave about 10 % headroom, so a per-pool cost that grows
+// the 625-pool fleets' peak RSS fails here first.
 func TestPerPoolBuildCost(t *testing.T) {
 	build := func(pools int) (bytes, mallocs uint64) {
 		cfg := shardedConfig(pools, 2, 0)
@@ -296,7 +311,7 @@ func TestPerPoolBuildCost(t *testing.T) {
 	b2, m2 := build(2 * p)
 	perBytes, perMallocs := (float64(b2)-float64(b1))/p, (float64(m2)-float64(m1))/p
 	t.Logf("%.0f bytes and %.1f mallocs per pool of 400 clients", perBytes, perMallocs)
-	if perBytes > 32000 || perMallocs > 54 {
-		t.Fatalf("a pool of 400 clients costs %.0f bytes and %.1f mallocs to build, want ≤ 32000 and ≤ 54", perBytes, perMallocs)
+	if perBytes > 27000 || perMallocs > 47 {
+		t.Fatalf("a pool of 400 clients costs %.0f bytes and %.1f mallocs to build, want ≤ 27000 and ≤ 47", perBytes, perMallocs)
 	}
 }

@@ -24,8 +24,9 @@ func queueConfig() Config {
 
 // checkQueueCounts asserts that the engines popped every station
 // completion from the heap and everything else from the calendar, and
-// bounds the calendar events scanned per fired event.
-func checkQueueCounts(t *testing.T, label string, engs []*sim.Engine, pools []*simulator, maxScanned float64) {
+// returns the calendar events scanned per fired event and per calendar
+// pop.
+func checkQueueCounts(t *testing.T, label string, engs []*sim.Engine, pools []*simulator) (perFired, perPop float64) {
 	t.Helper()
 	var fired, firings uint64
 	var qc sim.QueueCounts
@@ -51,12 +52,11 @@ func checkQueueCounts(t *testing.T, label string, engs []*sim.Engine, pools []*s
 	if qc.CalendarPops != fired-firings {
 		t.Errorf("%s: %d calendar pops, want the %d timer events fired", label, qc.CalendarPops, fired-firings)
 	}
-	perFired := float64(qc.Scanned) / float64(fired)
-	t.Logf("%s: %d events, %.0f %% station completions, %.2f calendar events scanned per fired event",
-		label, fired, 100*float64(firings)/float64(fired), perFired)
-	if perFired > maxScanned {
-		t.Errorf("%s: %.2f calendar events scanned per fired event, want <= %v", label, perFired, maxScanned)
-	}
+	perFired = float64(qc.Scanned) / float64(fired)
+	perPop = float64(qc.Scanned) / float64(qc.CalendarPops)
+	t.Logf("%s: %d events, %.0f %% station completions, %.2f calendar events scanned per fired event, %.2f per calendar pop",
+		label, fired, 100*float64(firings)/float64(fired), perFired, perPop)
+	return perFired, perPop
 }
 
 // The count gate behind the calendar engine's speed: a station's
@@ -67,9 +67,14 @@ func checkQueueCounts(t *testing.T, label string, engs []*sim.Engine, pools []*s
 // every pop fires. Counts, not times, so it gates on any machine.
 //
 // The scan bounds sit midway between the two designs, measured on
-// these configurations: with every event in the calendar, its dequeue
-// search looked at 3.56 events per fired event on the single engine
-// and 4.90 on the fleet; with completions in the heap, 1.22 and 2.40.
+// these configurations. A calendar that bucketed each push as it came,
+// at a width fitted to the whole time spread until a rate re-fit,
+// looked at 1.22 events per fired event on the single engine, 2.40 on
+// the windowed fleet and 19.31 per calendar pop on the static fleet,
+// whose pools never re-fit; laid out on first read at a width fitted
+// to the head of the schedule, 0.60, 0.90 and 3.23. (With every event
+// in the calendar, station completions too, the first two read 3.56
+// and 4.90.)
 func TestStationCompletionsPopFromHeap(t *testing.T) {
 	cfg := queueConfig()
 	if err := cfg.validate(); err != nil {
@@ -79,7 +84,9 @@ func TestStationCompletionsPopFromHeap(t *testing.T) {
 	s.eng.Run(cfg.WarmUp, 0)
 	s.beginMeasurement()
 	s.eng.Run(cfg.WarmUp+cfg.Duration, 0)
-	checkQueueCounts(t, "single engine", []*sim.Engine{s.eng}, []*simulator{s}, 2.4)
+	if perFired, _ := checkQueueCounts(t, "single engine", []*sim.Engine{s.eng}, []*simulator{s}); perFired > 0.9 {
+		t.Errorf("single engine: %.2f calendar events scanned per fired event, want <= 0.9", perFired)
+	}
 
 	r, err := NewSharded(shardedConfig(4, 2, 5))
 	if err != nil {
@@ -88,5 +95,25 @@ func TestStationCompletionsPopFromHeap(t *testing.T) {
 	defer r.Close()
 	r.Advance(30)
 	engs := []*sim.Engine{r.coord.Shard(0).Eng, r.coord.Shard(1).Eng}
-	checkQueueCounts(t, "sharded fleet", engs, r.pools, 3.6)
+	if perFired, _ := checkQueueCounts(t, "sharded fleet", engs, r.pools); perFired > 1.65 {
+		t.Errorf("sharded fleet: %.2f calendar events scanned per fired event, want <= 1.65", perFired)
+	}
+
+	// A barrier-free static fleet runs each pool on an engine of its
+	// own, whose few hundred pops never reach a rate re-fit.
+	cfg = shardedConfig(8, 2, 0)
+	cfg.Load = workload.MixedWorkload(400, 0.1)
+	st, err := NewSharded(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer st.Close()
+	st.Advance(16)
+	engs = engs[:0]
+	for i := 0; i < st.coord.Shards(); i++ {
+		engs = append(engs, st.coord.Shard(i).Eng)
+	}
+	if _, perPop := checkQueueCounts(t, "static fleet", engs, st.pools); perPop > 11 {
+		t.Errorf("static fleet: %.2f calendar events scanned per calendar pop, want <= 11", perPop)
+	}
 }
