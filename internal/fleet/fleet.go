@@ -215,30 +215,23 @@ func run(cfg Config) (*Result, error) {
 		scorer = Static{}
 	}
 	caps := make([]int, cfg.Pools)
-	archNames := make([]string, cfg.Pools)
-	powers := make([]float64, cfg.Pools)
-	for i := 0; i < cfg.Pools; i++ {
-		a := cfg.Archs[i%len(cfg.Archs)]
-		caps[i] = a.MPL
-		archNames[i] = a.Name
-		powers[i] = a.MaxThroughputTypical
+	for i := range caps {
+		caps[i] = cfg.Archs[i%len(cfg.Archs)].MPL
 	}
 	router := NewRouter(scorer, caps, len(cfg.Load))
 
 	var rs *replanState
 	if cfg.ReplanPeriod > 0 {
-		rs = newReplanState(cfg.Replanner, router, &cfg, archNames, powers)
+		rs = newReplanState(cfg.Replanner, router, &cfg)
 	}
 	// The barrier hook runs only where something reads the barrier
 	// state: a scorer that can leave the origin pool, or a replanner.
 	// Without it a Static fleet's pools never meet, and the run takes
 	// no window barriers at all.
-	var barriers uint64
 	var hook func(now float64)
 	if !router.Local() || rs != nil {
 		hook = func(now float64) {
 			router.Sync()
-			barriers++
 			if rs != nil {
 				rs.step(now)
 			}
@@ -285,10 +278,14 @@ func run(cfg Config) (*Result, error) {
 		Decisions: decisions,
 		Remote:    remotes,
 		Visited:   router.visitedTotal(),
-		Barriers:  barriers,
 		Windows:   run.Windows(),
 		Parks:     run.Parks(),
 		Wall:      time.Since(start),
+	}
+	if hook != nil {
+		// The coordinator calls the hook once after every window it
+		// fans out, and at no other time.
+		res.Barriers = res.Windows
 	}
 	if rs != nil {
 		res.Replans = rs.replans

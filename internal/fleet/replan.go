@@ -44,10 +44,8 @@ type replanState struct {
 	thinks         []float64 // class think-time means
 	configured     []int     // fleet-wide configured clients per class
 	classIdx       map[string]int
-	archNames      []string
-	powers         []float64
-	snap           rm.FleetSnapshot
-	desired        []uint8 // scratch: the plan's allowed matrix
+	snap           rm.FleetSnapshot // Pools fixed at construction
+	desired        []uint8          // scratch: the plan's allowed matrix
 	pending        []pendingChange
 	last           []classWindow
 	lastTime       float64
@@ -58,7 +56,7 @@ type replanState struct {
 	err            error // first replan failure; surfaced by Run
 }
 
-func newReplanState(rp *rm.Replanner, router *Router, cfg *Config, archNames []string, powers []float64) *replanState {
+func newReplanState(rp *rm.Replanner, router *Router, cfg *Config) *replanState {
 	n := len(cfg.Load)
 	rs := &replanState{
 		rp:         rp,
@@ -72,8 +70,6 @@ func newReplanState(rp *rm.Replanner, router *Router, cfg *Config, archNames []s
 		thinks:     make([]float64, n),
 		configured: make([]int, n),
 		classIdx:   make(map[string]int, n),
-		archNames:  archNames,
-		powers:     powers,
 		desired:    make([]uint8, n*router.npools),
 		last:       make([]classWindow, n),
 		estimates:  make([]int, n),
@@ -87,6 +83,10 @@ func newReplanState(rp *rm.Replanner, router *Router, cfg *Config, archNames []s
 	}
 	rs.snap.Classes = make([]rm.Class, n)
 	rs.snap.Pools = make([]rm.PoolState, router.npools)
+	for p := range rs.snap.Pools {
+		a := cfg.Archs[p%len(cfg.Archs)]
+		rs.snap.Pools[p] = rm.PoolState{Pool: p, Arch: a.Name, Power: a.MaxThroughputTypical}
+	}
 	return rs
 }
 
@@ -134,16 +134,6 @@ func (rs *replanState) replanNow(now float64) {
 		rs.snap.Classes[c] = rm.Class{Name: rs.names[c], GoalRT: rs.goals[c], Clients: est}
 	}
 	rs.lastTime = now
-	for p := 0; p < rs.router.npools; p++ {
-		rs.snap.Pools[p] = rm.PoolState{
-			Pool:     p,
-			Arch:     rs.archNames[p],
-			Power:    rs.powers[p],
-			InFlight: v.InFlight[p],
-			MeanRT:   v.RT[p],
-		}
-	}
-	rs.snap.Now = now
 
 	t0 := time.Now()
 	plan, err := rs.rp.Replan(&rs.snap)

@@ -51,14 +51,6 @@ type Gauge struct {
 	v atomic.Int64
 }
 
-// Set stores v. No-op on a nil receiver.
-func (g *Gauge) Set(v int64) {
-	if g == nil {
-		return
-	}
-	g.v.Store(v)
-}
-
 // Add adjusts the gauge by d. No-op on a nil receiver.
 func (g *Gauge) Add(d int64) {
 	if g == nil {

@@ -22,7 +22,6 @@ func TestNilSafety(t *testing.T) {
 		t.Fatal("nil counter must read 0")
 	}
 	var g *Gauge
-	g.Set(3)
 	g.Add(-1)
 	if g.Value() != 0 {
 		t.Fatal("nil gauge must read 0")
@@ -101,7 +100,7 @@ func TestMaxGauge(t *testing.T) {
 func TestSnapshotJSONRoundTrip(t *testing.T) {
 	r := NewRegistry()
 	r.Counter("a").Add(2)
-	r.Gauge("b").Set(-4)
+	r.Gauge("b").Add(-4)
 	r.MaxGauge("c").Observe(11)
 	h := r.Histogram("d_seconds", 0.1, 1)
 	h.Observe(0.05)
@@ -193,7 +192,6 @@ func TestHotPathZeroAlloc(t *testing.T) {
 	allocs := testing.AllocsPerRun(1000, func() {
 		c.Inc()
 		c.Add(3)
-		g.Set(1)
 		g.Add(2)
 		m.Observe(42)
 		h.Observe(2.5)

@@ -78,7 +78,6 @@ func (c FitConfig) validate() error {
 // archTraits is the per-architecture demand/speed context features are
 // computed against.
 type archTraits struct {
-	speed     float64
 	appBrowse float64 // browse app-server demand on this arch, seconds
 	appBuy    float64
 	dbBrowse  float64 // total DB seconds per browse request
@@ -89,7 +88,6 @@ type archTraits struct {
 func traitsFor(arch workload.ServerArch, demands map[workload.RequestType]workload.Demand, think float64) archTraits {
 	br, bu := demands[workload.Browse], demands[workload.Buy]
 	return archTraits{
-		speed:     arch.Speed,
 		appBrowse: br.AppServerTime / arch.Speed,
 		appBuy:    bu.AppServerTime / arch.Speed,
 		dbBrowse:  br.TotalDBTime(),

@@ -3,11 +3,8 @@ package rm
 import "strconv"
 
 // PoolState is one pool's contribution to a fleet snapshot: its stable
-// index and planning identity plus the barrier-synced load observations
-// the fleet layer maintains (internal/fleet). InFlight and MeanRT do
-// not enter Algorithm 1 directly — the plan depends on the predictor's
-// steady-state curves — but they ride along so replan policies and
-// observers see the state the plan was cut against.
+// index and planning identity. Algorithm 1 plans from the predictor's
+// steady-state curves, so no live load observation enters it.
 type PoolState struct {
 	// Pool is the stable pool index; the planned server name is
 	// PoolServerName(Pool).
@@ -17,12 +14,6 @@ type PoolState struct {
 	// Power is the pool's processing power (max throughput under the
 	// typical workload), the % server usage denominator.
 	Power float64
-	// InFlight is the barrier snapshot of requests in service or queued
-	// at the pool.
-	InFlight int
-	// MeanRT is the pool's smoothed service-side mean response time,
-	// seconds; 0 until the pool completes its first request.
-	MeanRT float64
 }
 
 // FleetSnapshot is the replan entry point's input: everything Algorithm
@@ -30,8 +21,6 @@ type PoolState struct {
 // barrier so every field is a deterministic function of the simulated
 // trajectory (identical at any shard count).
 type FleetSnapshot struct {
-	// Now is the simulated barrier time the snapshot was taken at.
-	Now float64
 	// Classes is the workload to place: per service class, the SLA goal
 	// and the client count the replan should plan for (the fleet layer
 	// estimates live totals via Little's law).
@@ -56,15 +45,12 @@ func PoolServerName(i int) string { return "p" + strconv.Itoa(i) }
 type Replanner struct {
 	// Pred is the planning predictor Algorithm 1 consults.
 	Pred Predictor
-	// Slack is the workload-inflation multiplier; 0 selects 1.
-	Slack float64
-	// Opts tunes Algorithm 1.
-	Opts Options
 
 	servers []Server // retained scratch rebuilt only on pool-count change
 }
 
-// Replan runs Algorithm 1 against the snapshot and returns the plan.
+// Replan runs Algorithm 1 against the snapshot, at slack 1 and default
+// options, and returns the plan.
 func (rp *Replanner) Replan(snap *FleetSnapshot) (*Plan, error) {
 	if len(rp.servers) != len(snap.Pools) {
 		rp.servers = make([]Server, len(snap.Pools))
@@ -76,9 +62,5 @@ func (rp *Replanner) Replan(snap *FleetSnapshot) (*Plan, error) {
 		rp.servers[i].Arch = ps.Arch
 		rp.servers[i].Power = ps.Power
 	}
-	slack := rp.Slack
-	if slack == 0 {
-		slack = 1
-	}
-	return Allocate(snap.Classes, rp.servers, rp.Pred, slack, rp.Opts)
+	return Allocate(snap.Classes, rp.servers, rp.Pred, 1, Options{})
 }

@@ -69,8 +69,6 @@ type Compiled struct {
 	Name string
 	// Cohorts are the compiled cohorts in spec order.
 	Cohorts []*Cohort
-	// Source is the validated spec the scenario was compiled from.
-	Source *Spec
 }
 
 // Load reads, parses and compiles a JSON spec file. Trace paths
@@ -94,7 +92,7 @@ func (s *Spec) compile(baseDir string) (*Compiled, error) {
 	if err := s.validate(); err != nil {
 		return nil, err
 	}
-	out := &Compiled{Name: s.Name, Source: s}
+	out := &Compiled{Name: s.Name}
 	for i := range s.Cohorts {
 		cs := &s.Cohorts[i]
 		c := &Cohort{
@@ -216,20 +214,4 @@ func (c *Compiled) WorkloadOver(t0, t1 float64) workload.Workload {
 		}
 	}
 	return w
-}
-
-// RequestTypes returns the distinct request types across all cohort
-// mixes, so callers can check them against a demand table.
-func (c *Compiled) RequestTypes() []workload.RequestType {
-	seen := make(map[workload.RequestType]bool)
-	var out []workload.RequestType
-	for _, co := range c.Cohorts {
-		for rt := range co.Class.Mix {
-			if !seen[rt] {
-				seen[rt] = true
-				out = append(out, rt)
-			}
-		}
-	}
-	return out
 }

@@ -51,9 +51,6 @@ func NewGen(c *Cohort, arr, state *sim.Stream) *Gen {
 	return g
 }
 
-// Cohort returns the cohort the generator draws from.
-func (g *Gen) Cohort() *Cohort { return g.c }
-
 // Next returns the next arrival: its absolute time and its request
 // type. A zero ("") type means the caller samples the cohort's mix;
 // trace replay returns the recorded type. ok is false when the

@@ -172,7 +172,4 @@ func TestCompileDerivedQuantities(t *testing.T) {
 	if err := w.Validate(); err != nil {
 		t.Fatalf("mapped workload invalid: %v", err)
 	}
-	if got := len(c.RequestTypes()); got != 2 {
-		t.Fatalf("request types %v, want browse+buy", c.RequestTypes())
-	}
 }

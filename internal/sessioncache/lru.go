@@ -29,9 +29,6 @@ type LRU[K comparable, V any] struct {
 	order    *list.List // front = most recently used
 	entries  map[K]*list.Element
 	onEvict  func(K, V)
-	hits     uint64
-	misses   uint64
-	evicts   uint64
 }
 
 type lruItem[K comparable, V any] struct {
@@ -53,8 +50,8 @@ func NewLRU[K comparable, V any](capacity int) *LRU[K, V] {
 }
 
 // OnEvict registers fn to be called for every entry removed by
-// capacity pressure (not by Remove). fn runs with the cache lock held,
-// so it must not call back into the cache.
+// capacity pressure. fn runs with the cache lock held, so it must not
+// call back into the cache.
 func (c *LRU[K, V]) OnEvict(fn func(K, V)) {
 	c.mu.Lock()
 	c.onEvict = fn
@@ -67,11 +64,9 @@ func (c *LRU[K, V]) Get(key K) (V, bool) {
 	defer c.mu.Unlock()
 	el, ok := c.entries[key]
 	if !ok {
-		c.misses++
 		var zero V
 		return zero, false
 	}
-	c.hits++
 	c.order.MoveToFront(el)
 	return el.Value.(*lruItem[K, V]).val, true
 }
@@ -95,25 +90,10 @@ func (c *LRU[K, V]) Put(key K, val V) {
 		it := back.Value.(*lruItem[K, V])
 		c.order.Remove(back)
 		delete(c.entries, it.key)
-		c.evicts++
 		if c.onEvict != nil {
 			c.onEvict(it.key, it.val)
 		}
 	}
-}
-
-// Remove deletes key, reporting whether it was present. OnEvict is not
-// called — Remove is the caller's own decision, not capacity pressure.
-func (c *LRU[K, V]) Remove(key K) bool {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	el, ok := c.entries[key]
-	if !ok {
-		return false
-	}
-	c.order.Remove(el)
-	delete(c.entries, key)
-	return true
 }
 
 // Len returns the number of cached entries.
@@ -121,23 +101,4 @@ func (c *LRU[K, V]) Len() int {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	return len(c.entries)
-}
-
-// Keys returns the cached keys from least to most recently used — the
-// order capacity pressure would evict them in.
-func (c *LRU[K, V]) Keys() []K {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	keys := make([]K, 0, len(c.entries))
-	for el := c.order.Back(); el != nil; el = el.Prev() {
-		keys = append(keys, el.Value.(*lruItem[K, V]).key)
-	}
-	return keys
-}
-
-// Stats returns cumulative hit, miss and eviction counts.
-func (c *LRU[K, V]) Stats() (hits, misses, evicts uint64) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return c.hits, c.misses, c.evicts
 }

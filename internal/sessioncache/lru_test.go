@@ -11,13 +11,15 @@ import (
 
 func TestLRUUnboundedByDefault(t *testing.T) {
 	c := NewLRU[int, int](0)
+	evicts := 0
+	c.OnEvict(func(int, int) { evicts++ })
 	for i := 0; i < 1000; i++ {
 		c.Put(i, i)
 	}
 	if c.Len() != 1000 {
 		t.Fatalf("unbounded cache evicted: len = %d, want 1000", c.Len())
 	}
-	if _, _, evicts := c.Stats(); evicts != 0 {
+	if evicts != 0 {
 		t.Fatalf("unbounded cache recorded %d evictions", evicts)
 	}
 }
@@ -39,16 +41,21 @@ func TestLRUEvictionOrder(t *testing.T) {
 	if want := []string{"b", "c"}; !reflect.DeepEqual(evicted, want) {
 		t.Fatalf("eviction order = %v, want %v (recency must follow Get, not just Put)", evicted, want)
 	}
-	if want := []string{"a", "d", "e"}; !reflect.DeepEqual(c.Keys(), want) {
-		t.Fatalf("surviving keys (LRU→MRU) = %v, want %v", c.Keys(), want)
-	}
-	// Replacing an existing key must not evict anything.
+	// Replacing an existing key must not evict anything, and makes it
+	// the most recently used.
 	c.Put("a", 10)
 	if len(evicted) != 2 {
 		t.Fatalf("replacement evicted: %v", evicted)
 	}
 	if v, _ := c.Get("a"); v != 10 {
 		t.Fatalf("replaced value = %d, want 10", v)
+	}
+	// Three fresh keys push the survivors out least recently used first.
+	for _, k := range []string{"x", "y", "z"} {
+		c.Put(k, 0)
+	}
+	if want := []string{"b", "c", "d", "e", "a"}; !reflect.DeepEqual(evicted, want) {
+		t.Fatalf("eviction order = %v, want %v", evicted, want)
 	}
 }
 
@@ -101,25 +108,6 @@ func TestLRURebuildAfterEvict(t *testing.T) {
 	if builds[1] != 2 {
 		// 1 was evicted in turn when 2 was rebuilt (capacity 2: {3, 2}).
 		t.Fatalf("builds[1] = %d, want 2", builds[1])
-	}
-}
-
-func TestLRURemove(t *testing.T) {
-	c := NewLRU[string, int](2)
-	evicts := 0
-	c.OnEvict(func(string, int) { evicts++ })
-	c.Put("a", 1)
-	if !c.Remove("a") {
-		t.Fatal("Remove(a) = false, want true")
-	}
-	if c.Remove("a") {
-		t.Fatal("double Remove(a) = true")
-	}
-	if evicts != 0 {
-		t.Fatalf("Remove triggered OnEvict %d times", evicts)
-	}
-	if _, ok := c.Get("a"); ok {
-		t.Fatal("removed key still cached")
 	}
 }
 

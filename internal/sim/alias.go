@@ -73,9 +73,6 @@ func NewAliasTable(weights []float64) *AliasTable {
 	return t
 }
 
-// Len returns the number of outcomes.
-func (t *AliasTable) Len() int { return len(t.prob) }
-
 // Pick draws one outcome index using a single uniform draw from s.
 func (t *AliasTable) Pick(s *Stream) int {
 	u := s.Float64() * float64(len(t.prob))

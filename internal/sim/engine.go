@@ -129,13 +129,6 @@ func (e *Engine) peekTime() float64 {
 	return t
 }
 
-// heapHighWater returns the maximum number of simultaneously pending
-// events observed over the engine's lifetime. Per-shard engines each
-// track their own high water; aggregation across shards goes through
-// obs max-gauge semantics rather than summing, since the marks are
-// concurrent-depth measurements.
-func (e *Engine) heapHighWater() int { return e.heapMax }
-
 // noteDepth raises the high-water mark to the current pending count.
 func (e *Engine) noteDepth() {
 	if n := e.pending(); n > e.heapMax {

@@ -38,8 +38,8 @@ func TestHeapHighWaterAggregatesAcrossEngines(t *testing.T) {
 		t.Fatalf("aggregated high water = %d, want 17 (max across engines)", got)
 	}
 	for i, e := range engines {
-		if e.heapHighWater() != depths[i] {
-			t.Fatalf("engine %d high water = %d, want %d", i, e.heapHighWater(), depths[i])
+		if e.heapMax != depths[i] {
+			t.Fatalf("engine %d high water = %d, want %d", i, e.heapMax, depths[i])
 		}
 	}
 }

@@ -16,7 +16,7 @@ type server struct {
 }
 
 func newServer(e *Engine, speed float64, mpl int) *server {
-	return &server{slots: NewSemaphore(e, "prop/slots", mpl, GlobalFIFO), cpu: NewStation(e, "prop/cpu", speed)}
+	return &server{slots: NewSemaphore(e, "prop/slots", mpl), cpu: NewStation(e, "prop/cpu", speed)}
 }
 
 func (sv *server) submit(demand float64, done func()) {
@@ -234,7 +234,7 @@ func TestSemaphoreInvariantProperty(t *testing.T) {
 		capacity := int(capRaw%5) + 1
 		n := int(nRaw%50) + 1
 		e := NewEngine()
-		s := NewSemaphore(e, "prop", capacity, GlobalFIFO)
+		s := NewSemaphore(e, "prop", capacity)
 		rng := NewStream(seed)
 		granted := 0
 		for i := 0; i < n; i++ {

@@ -2,38 +2,26 @@ package sim
 
 import "fmt"
 
-// Admission selects how a Semaphore picks the next waiter when a slot
-// frees up.
-type Admission int
-
-const (
-	// GlobalFIFO grants the waiter that has been waiting longest,
-	// regardless of source — the application-server queue of the
-	// paper's system model (§2).
-	GlobalFIFO Admission = iota
-	// PerSourceFIFO keeps one FIFO queue per source and grants from
-	// the queues in round-robin order — the database server of the
-	// paper's system model, which has "one FIFO queue per application
-	// server".
-	PerSourceFIFO
-)
-
-// Semaphore models a bounded pool of admission slots with FIFO (or
-// per-source round-robin) granting — the servlet-thread pool of an
-// application server or the agent pool of a database server. A request
-// holds its slot from admission to response, including while it is
-// blocked on a lower tier and consuming no CPU; the companion Station
-// models the CPU itself. Together they realise the paper's "FIFO
-// waiting queue in front of a server that processes up to MPL requests
-// at the same time via time-sharing".
+// Semaphore models a bounded pool of admission slots — the
+// servlet-thread pool of an application server or the agent pool of a
+// database server. A request holds its slot from admission to response,
+// including while it is blocked on a lower tier and consuming no CPU;
+// the companion Station models the CPU itself. Together they realise
+// the paper's "FIFO waiting queue in front of a server that processes
+// up to MPL requests at the same time via time-sharing".
+//
+// Waiters queue FIFO per source, and a freed slot goes to the sources'
+// queues in round-robin order — the database server's "one FIFO queue
+// per application server" (§2). A pool whose callers all pass source 0
+// has one queue and grants in arrival order, as an application server
+// does.
 //
 // Waiters are stored as bare callbacks in per-source ring buffers, so
 // queueing and granting allocate nothing in steady state.
 type Semaphore struct {
-	eng       *Engine
-	name      string
-	capacity  int
-	admission Admission
+	eng      *Engine
+	name     string
+	capacity int
 
 	held    int
 	queues  []fifo[func()] // indexed by source id
@@ -47,28 +35,15 @@ type Semaphore struct {
 	areaHeld   float64
 	areaQueued float64
 	queued     int
-	grants     uint64
 }
 
-// NewSemaphore creates a pool of capacity slots granted per the given
-// admission discipline.
-func NewSemaphore(eng *Engine, name string, capacity int, adm Admission) *Semaphore {
+// NewSemaphore creates a pool of capacity slots.
+func NewSemaphore(eng *Engine, name string, capacity int) *Semaphore {
 	if capacity <= 0 {
 		panic(fmt.Sprintf("sim: semaphore %q needs positive capacity, got %d", name, capacity))
 	}
-	return &Semaphore{
-		eng:       eng,
-		name:      name,
-		capacity:  capacity,
-		admission: adm,
-	}
+	return &Semaphore{eng: eng, name: name, capacity: capacity}
 }
-
-// Name returns the pool's label.
-func (s *Semaphore) Name() string { return s.name }
-
-// Capacity returns the total number of slots.
-func (s *Semaphore) Capacity() int { return s.capacity }
 
 // Held returns the number of slots currently held.
 func (s *Semaphore) Held() int { return s.held }
@@ -98,12 +73,8 @@ func (s *Semaphore) queueFor(source int) *fifo[func()] {
 // otherwise when a Release hands one over in queue order.
 func (s *Semaphore) Acquire(source int, granted func()) {
 	s.accumulate()
-	if s.admission != PerSourceFIFO {
-		source = 0 // single global queue preserves overall arrival order
-	}
 	if s.held < s.capacity {
 		s.held++
-		s.grants++
 		granted()
 		return
 	}
@@ -125,31 +96,20 @@ func (s *Semaphore) Release() {
 		return
 	}
 	s.queued--
-	s.grants++
 	next()
 }
 
+// nextWaiter pops the head of the next non-empty source queue in
+// round-robin order.
 func (s *Semaphore) nextWaiter() (func(), bool) {
-	switch s.admission {
-	case PerSourceFIFO:
-		for range s.sources {
-			src := s.sources[s.rrNext%len(s.sources)]
-			s.rrNext++
-			if w, ok := s.queues[src].pop(); ok {
-				return w, true
-			}
+	for range s.sources {
+		src := s.sources[s.rrNext%len(s.sources)]
+		s.rrNext++
+		if w, ok := s.queues[src].pop(); ok {
+			return w, true
 		}
-		return nil, false
-	default:
-		// GlobalFIFO: every Acquire was normalised to source 0, so a
-		// single ring preserves overall arrival order.
-		for _, src := range s.sources {
-			if w, ok := s.queues[src].pop(); ok {
-				return w, true
-			}
-		}
-		return nil, false
 	}
+	return nil, false
 }
 
 func (s *Semaphore) accumulate() {
@@ -167,7 +127,6 @@ func (s *Semaphore) ResetStats() {
 	s.statsSince = s.eng.Now()
 	s.areaHeld = 0
 	s.areaQueued = 0
-	s.grants = 0
 }
 
 // MeanHeld returns the time-average number of held slots since the
@@ -189,7 +148,3 @@ func (s *Semaphore) MeanQueued() float64 {
 	}
 	return 0
 }
-
-// Grants returns the number of slots granted since the last stats
-// reset.
-func (s *Semaphore) Grants() uint64 { return s.grants }

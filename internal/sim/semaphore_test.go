@@ -2,12 +2,13 @@ package sim
 
 import (
 	"math"
+	"slices"
 	"testing"
 )
 
 func TestSemaphoreImmediateGrant(t *testing.T) {
 	e := NewEngine()
-	s := NewSemaphore(e, "threads", 2, GlobalFIFO)
+	s := NewSemaphore(e, "threads", 2)
 	granted := 0
 	s.Acquire(0, func() { granted++ })
 	s.Acquire(0, func() { granted++ })
@@ -18,7 +19,7 @@ func TestSemaphoreImmediateGrant(t *testing.T) {
 
 func TestSemaphoreQueuesBeyondCapacity(t *testing.T) {
 	e := NewEngine()
-	s := NewSemaphore(e, "threads", 1, GlobalFIFO)
+	s := NewSemaphore(e, "threads", 1)
 	var order []int
 	s.Acquire(0, func() { order = append(order, 1) })
 	s.Acquire(0, func() { order = append(order, 2) })
@@ -36,54 +37,50 @@ func TestSemaphoreQueuesBeyondCapacity(t *testing.T) {
 	}
 }
 
-func TestSemaphoreGlobalFIFOAcrossSources(t *testing.T) {
-	e := NewEngine()
-	s := NewSemaphore(e, "agents", 1, GlobalFIFO)
-	var order []int
-	s.Acquire(5, func() {}) // holds the slot
-	s.Acquire(7, func() { order = append(order, 7) })
-	s.Acquire(3, func() { order = append(order, 3) })
-	s.Acquire(7, func() { order = append(order, 7) })
-	s.Release()
-	s.Release()
-	s.Release()
-	want := []int{7, 3, 7}
-	for i := range want {
-		if order[i] != want[i] {
-			t.Fatalf("grant order = %v, want %v", order, want)
-		}
-	}
-}
-
+// TestSemaphorePerSourceRoundRobin holds a one-slot pool's grant order:
+// FIFO within a source, round-robin over the sources in the order they
+// first queued. Callers that all pass one source are granted in arrival
+// order, including a waiter that acquires again from its grant callback:
+// it queues behind everyone already waiting.
 func TestSemaphorePerSourceRoundRobin(t *testing.T) {
-	e := NewEngine()
-	s := NewSemaphore(e, "agents", 1, PerSourceFIFO)
-	var order []int
-	s.Acquire(1, func() {}) // holds the slot
-	for i := 0; i < 3; i++ {
-		s.Acquire(1, func() { order = append(order, 1) })
-	}
-	for i := 0; i < 3; i++ {
-		s.Acquire(2, func() { order = append(order, 2) })
-	}
-	for i := 0; i < 6; i++ {
-		s.Release()
-	}
-	// Round-robin must alternate between the two sources' queues.
-	changes := 0
-	for i := 1; i < len(order); i++ {
-		if order[i] != order[i-1] {
-			changes++
+	for _, tc := range []struct {
+		name    string
+		sources []int // each waiter's source, queued in order behind the held slot
+		again   int   // the waiter whose grant acquires once more, from its source, as waiter len(sources); -1 for none
+		want    []int // waiters in grant order
+	}{
+		{"two sources", []int{1, 1, 1, 2, 2, 2}, -1, []int{0, 3, 1, 4, 2, 5}},
+		{"three sources interleaved", []int{2, 0, 2, 1, 0}, -1, []int{0, 1, 3, 2, 4}},
+		{"one source, re-acquiring from a grant", []int{0, 0, 0}, 0, []int{0, 1, 2, 3}},
+	} {
+		e := NewEngine()
+		s := NewSemaphore(e, "agents", 1)
+		var order []int
+		var waiter func(i, src int) func()
+		waiter = func(i, src int) func() {
+			return func() {
+				order = append(order, i)
+				if i == tc.again {
+					s.Acquire(src, waiter(len(tc.sources), src))
+				}
+			}
 		}
-	}
-	if len(order) != 6 || changes < 4 {
-		t.Fatalf("grant order %v does not alternate per-source", order)
+		s.Acquire(0, func() {}) // holds the slot
+		for i, src := range tc.sources {
+			s.Acquire(src, waiter(i, src))
+		}
+		for s.Queued() > 0 {
+			s.Release()
+		}
+		if !slices.Equal(order, tc.want) {
+			t.Errorf("%s: grant order %v, want %v", tc.name, order, tc.want)
+		}
 	}
 }
 
 func TestSemaphoreOverReleasePanics(t *testing.T) {
 	e := NewEngine()
-	s := NewSemaphore(e, "x", 1, GlobalFIFO)
+	s := NewSemaphore(e, "x", 1)
 	defer func() {
 		if recover() == nil {
 			t.Fatal("over-release did not panic")
@@ -99,12 +96,12 @@ func TestSemaphoreInvalidCapacityPanics(t *testing.T) {
 			t.Fatal("zero capacity did not panic")
 		}
 	}()
-	NewSemaphore(e, "x", 0, GlobalFIFO)
+	NewSemaphore(e, "x", 0)
 }
 
 func TestSemaphoreStats(t *testing.T) {
 	e := NewEngine()
-	s := NewSemaphore(e, "threads", 1, GlobalFIFO)
+	s := NewSemaphore(e, "threads", 1)
 	s.Acquire(0, func() {})
 	e.Schedule(10, func() { s.Release() })
 	e.Run(20, 0)
@@ -112,18 +109,15 @@ func TestSemaphoreStats(t *testing.T) {
 	if got := s.MeanHeld(); math.Abs(got-0.5) > 1e-9 {
 		t.Fatalf("mean held = %v, want 0.5", got)
 	}
-	if s.Grants() != 1 {
-		t.Fatalf("grants = %d, want 1", s.Grants())
-	}
 	s.ResetStats()
-	if s.MeanHeld() != 0 || s.Grants() != 0 {
+	if s.MeanHeld() != 0 {
 		t.Fatal("ResetStats did not zero statistics")
 	}
 }
 
 func TestSemaphoreMeanQueued(t *testing.T) {
 	e := NewEngine()
-	s := NewSemaphore(e, "threads", 1, GlobalFIFO)
+	s := NewSemaphore(e, "threads", 1)
 	s.Acquire(0, func() {})
 	s.Acquire(0, func() {}) // queued from t=0
 	e.Schedule(10, func() { s.Release() })

@@ -58,9 +58,6 @@ func NewStation(eng *Engine, name string, speed float64) *Station {
 	return st
 }
 
-// Name returns the station's label.
-func (s *Station) Name() string { return s.name }
-
 // Submit puts a job with the given service demand (time units at
 // speed 1) into service. done runs when service completes. Zero-demand
 // jobs complete via the event queue, preserving causal ordering.
@@ -244,13 +241,3 @@ func (s *Station) Completed() uint64 {
 // since it was built; ResetStats leaves it. One event retires every job
 // that finishes at its instant.
 func (s *Station) Firings() uint64 { return s.firings }
-
-// Throughput returns completions per time unit since the last stats
-// reset.
-func (s *Station) Throughput() float64 {
-	elapsed := s.eng.Now() - s.statsSince
-	if elapsed <= 0 {
-		return 0
-	}
-	return float64(s.completed) / elapsed
-}

@@ -166,7 +166,7 @@ func TestStationFusedMatchesReference(t *testing.T) {
 func TestStationCycleAllocatesNothing(t *testing.T) {
 	for _, mk := range []func() *Engine{NewEngine, NewEngineCalendar} {
 		e := mk()
-		threads := NewSemaphore(e, "threads", 4, PerSourceFIFO)
+		threads := NewSemaphore(e, "threads", 4)
 		s := NewStation(e, "cpu", 1)
 		rng := NewStream(9)
 		done := threads.Release

@@ -11,26 +11,15 @@ import (
 // simulation run can stream millions of response-time samples without
 // retaining them. The zero value is ready to use.
 type Accumulator struct {
-	n        int
-	mean     float64
-	m2       float64
-	min, max float64
-	sum      float64
+	n    int
+	mean float64
+	m2   float64
+	sum  float64
 }
 
 // Add records one sample.
 func (a *Accumulator) Add(x float64) {
 	a.n++
-	if a.n == 1 {
-		a.min, a.max = x, x
-	} else {
-		if x < a.min {
-			a.min = x
-		}
-		if x > a.max {
-			a.max = x
-		}
-	}
 	a.sum += x
 	d := x - a.mean
 	a.mean += d / float64(a.n)
@@ -58,12 +47,6 @@ func (a *Accumulator) variance() float64 {
 // StdDev returns the unbiased sample standard deviation.
 func (a *Accumulator) StdDev() float64 { return math.Sqrt(a.variance()) }
 
-// Min returns the smallest sample, or 0 when empty.
-func (a *Accumulator) Min() float64 { return a.min }
-
-// Max returns the largest sample, or 0 when empty.
-func (a *Accumulator) Max() float64 { return a.max }
-
 // Merge folds the samples of b into a, as if every sample added to b
 // had been added to a. It lets per-worker accumulators be combined
 // after a parallel simulation run.
@@ -82,12 +65,6 @@ func (a *Accumulator) Merge(b *Accumulator) {
 	a.mean = mean
 	a.sum += b.sum
 	a.n = n
-	if b.min < a.min {
-		a.min = b.min
-	}
-	if b.max > a.max {
-		a.max = b.max
-	}
 }
 
 // MeanCI returns the sample mean and the half-width of its Student-t

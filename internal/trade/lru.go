@@ -60,15 +60,6 @@ func (c *lruCache) touch(client int, bytes int64) bool {
 	return false
 }
 
-// missRate returns the observed miss fraction, or 0 before any access.
-func (c *lruCache) missRate() float64 {
-	total := c.hits + c.misses
-	if total == 0 {
-		return 0
-	}
-	return float64(c.misses) / float64(total)
-}
-
 // resetStats zeroes hit/miss/eviction counters without touching
 // contents, for warm-up handling.
 func (c *lruCache) resetStats() {

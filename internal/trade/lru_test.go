@@ -1,7 +1,6 @@
 package trade
 
 import (
-	"math"
 	"testing"
 	"testing/quick"
 
@@ -60,16 +59,16 @@ func TestLRUOversizedSessionNeverAdmitted(t *testing.T) {
 
 func TestLRUMissRateAndReset(t *testing.T) {
 	c := newLRUCache(100)
-	if c.missRate() != 0 {
-		t.Fatal("empty cache miss rate should be 0")
+	if c.hits != 0 || c.misses != 0 {
+		t.Fatal("empty cache should count no accesses")
 	}
 	c.touch(1, 10) // miss
 	c.touch(1, 10) // hit
-	if got := c.missRate(); math.Abs(got-0.5) > 1e-12 {
-		t.Fatalf("miss rate = %v, want 0.5", got)
+	if c.hits != 1 || c.misses != 1 {
+		t.Fatalf("hits = %d, misses = %d, want 1 and 1", c.hits, c.misses)
 	}
 	c.resetStats()
-	if c.missRate() != 0 {
+	if c.hits != 0 || c.misses != 0 || c.evicts != 0 {
 		t.Fatal("resetStats should zero counters")
 	}
 	if !c.touch(1, 10) {

@@ -175,9 +175,6 @@ func NewSharded(cfg Config) (*ShardedRun, error) {
 // calls) and returns the events fired by this stride.
 func (r *ShardedRun) Advance(until float64) uint64 { return r.coord.Run(until) }
 
-// Now returns the fleet clock.
-func (r *ShardedRun) Now() float64 { return r.coord.Now() }
-
 // Windows returns how many windows the coordinator has fanned out to
 // its shards (sim.Coordinator.Windows): a property of the event
 // population, the same at every shard count.

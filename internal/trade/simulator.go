@@ -27,7 +27,7 @@ type appServer struct {
 // into a closed multi-class network and drives the client populations.
 // The workload-manager routing of the paper's §2 decides which server
 // each request visits; the database server keeps one FIFO queue per
-// application server (sim.PerSourceFIFO keyed by server index).
+// application server (its semaphore's sources are server indices).
 //
 // All per-request state is pooled: a closed client is an index, carried
 // as its pending think event's argument, request lifecycles live in a
@@ -244,7 +244,7 @@ func newSimulator(cfg Config, opt simOptions) *simulator {
 	s := &simulator{
 		cfg:       cfg,
 		eng:       eng,
-		dbSlots:   sim.NewSemaphore(eng, cfg.DB.Name+"/agents", cfg.DB.MPL, sim.PerSourceFIFO),
+		dbSlots:   sim.NewSemaphore(eng, cfg.DB.Name+"/agents", cfg.DB.MPL),
 		dbCPU:     sim.NewStation(eng, cfg.DB.Name+"/cpu", cfg.DB.Speed),
 		think:     root.Derive(1),
 		serve:     root.Derive(2),
@@ -256,14 +256,14 @@ func newSimulator(cfg Config, opt simOptions) *simulator {
 	for _, arch := range cfg.tier() {
 		app := &appServer{
 			arch:  arch,
-			slots: sim.NewSemaphore(eng, arch.Name+"/threads", arch.MPL, sim.GlobalFIFO),
+			slots: sim.NewSemaphore(eng, arch.Name+"/threads", arch.MPL),
 			cpu:   sim.NewStation(eng, arch.Name+"/cpu", arch.Speed),
 		}
 		if cfg.Cache != nil {
 			app.cache = newLRUCache(cfg.Cache.SizeBytes)
 		}
 		if cfg.CriticalSection != nil {
-			app.csLock = sim.NewSemaphore(eng, arch.Name+"/critsec", 1, sim.GlobalFIFO)
+			app.csLock = sim.NewSemaphore(eng, arch.Name+"/critsec", 1)
 		}
 		s.apps = append(s.apps, app)
 	}
@@ -404,7 +404,7 @@ func (s *simulator) admitOpen(acc *classAcc, classIdx int, d workload.Demand, xr
 	r.d = d
 	r.xr = xr
 	r.arrival = s.eng.Now()
-	r.srv = s.pickServerOpen()
+	r.srv = s.pickServerFor(-1)
 	r.app = s.apps[r.srv]
 	if s.router != nil {
 		// Never routed across pools from here, but the request occupies
@@ -413,17 +413,6 @@ func (s *simulator) admitOpen(acc *classAcc, classIdx int, d workload.Demand, xr
 		s.router.Started(int(s.poolID), classIdx)
 	}
 	r.app.slots.Acquire(0, r.onSlot)
-}
-
-// pickServerOpen routes an open arrival: dynamic policies apply as-is;
-// sticky falls back to speed-weighted random selection.
-func (s *simulator) pickServerOpen() int {
-	switch s.cfg.Routing {
-	case RouteRoundRobin, RouteLeastBusy:
-		return s.pickServerFor(0)
-	default:
-		return s.assignSticky()
-	}
 }
 
 // assignSticky spreads clients across the tier in proportion to server
@@ -437,7 +426,8 @@ func (s *simulator) assignSticky() int {
 }
 
 // pickServerFor routes one request per the configured policy, given
-// the issuing client's home server.
+// the issuing client's home server. A negative home (an open arrival,
+// which has none) routes sticky by speed-weighted random selection.
 func (s *simulator) pickServerFor(home int) int {
 	switch s.cfg.Routing {
 	case RouteRoundRobin:
@@ -454,6 +444,9 @@ func (s *simulator) pickServerFor(home int) int {
 		}
 		return best
 	default: // RouteSticky
+		if home < 0 {
+			return s.assignSticky()
+		}
 		return home
 	}
 }
