@@ -5,8 +5,9 @@
 #                    counts, zero-allocation hot paths, the experiment and
 #                    study goldens, the predserve end-to-end smoke).
 #   make race      — the concurrent Suite, worker pool, event core,
-#                    multi-shard fleet, service and scenario paths under
-#                    the race detector (short); the window barrier and
+#                    instrumentation switch, multi-shard fleet, service
+#                    and scenario paths under the race detector
+#                    (short); the window barrier and
 #                    everything above it at 1, 2 and 4 processors.
 #   make race-list — every go test line of `make race` and `make bench`
 #                    selects something: per package, the line's -bench
@@ -44,6 +45,7 @@ test:
 
 race:
 	$(GO) test -race -cpu 1,2,4 ./internal/parallel
+	$(GO) test -race ./internal/obs ./internal/instrument
 	$(GO) test -race -run 'TestSuiteConcurrent|TestSuiteParallelHybrid|TestFigure2ShapeHolds|TestWorkerCountInvariance' ./internal/bench
 	$(GO) test -race -run 'TestEngine|TestStation|TestCalendar|TestReschedule|TestMeasureCurve' ./internal/sim ./internal/trade
 	$(GO) test -race -cpu 1,2,4 -run 'TestCoordinator|TestSharded' ./internal/sim ./internal/trade

@@ -36,7 +36,6 @@ import (
 
 	"perfpred/internal/bench"
 	"perfpred/internal/instrument"
-	"perfpred/internal/obs"
 	"perfpred/internal/scenario"
 )
 
@@ -54,25 +53,15 @@ func main() {
 	duration := flag.Float64("duration", 420, "simulated seconds for -scenario")
 	flag.Parse()
 
-	if *metricsAddr != "" || *report != "" {
-		instrument.EnableAll(obs.Default)
-		if *metricsAddr != "" {
-			addr, err := obs.Serve(*metricsAddr, obs.Default)
-			if err != nil {
-				fatal(err)
-			}
-			// Notices go to stderr so stdout stays byte-identical.
-			fmt.Fprintf(os.Stderr, "experiments: metrics on http://%s/metrics\n", addr)
-		}
-		if *report != "" {
-			path := *report
-			defer func() {
-				if err := obs.WriteReport(path, obs.Default); err != nil {
-					fatal(err)
-				}
-			}()
-		}
+	writeReport, err := instrument.Flags("experiments", *metricsAddr, *report)
+	if err != nil {
+		fatal(err)
 	}
+	defer func() {
+		if err := writeReport(); err != nil {
+			fatal(err)
+		}
+	}()
 
 	if *cpuprofile != "" {
 		f, err := os.Create(*cpuprofile)

@@ -100,8 +100,8 @@ func TestIncompleteStoreMeasuresOnlyTheGap(t *testing.T) {
 		t.Skip("simulator-backed CLI pipeline")
 	}
 	reg := obs.NewRegistry()
-	trade.EnableMetrics(reg)
-	defer trade.EnableMetrics(nil)
+	obs.Bind(reg)
+	defer obs.Bind(nil)
 	runs := reg.Counter("trade_runs")
 
 	path := filepath.Join(t.TempDir(), "hydra.json")

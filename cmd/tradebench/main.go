@@ -20,7 +20,6 @@ import (
 	"strings"
 
 	"perfpred/internal/instrument"
-	"perfpred/internal/obs"
 	"perfpred/internal/trade"
 	"perfpred/internal/workload"
 )
@@ -43,24 +42,15 @@ func main() {
 	report := flag.String("report", "", "write a JSON metrics snapshot to this file on exit")
 	flag.Parse()
 
-	if *metricsAddr != "" || *report != "" {
-		instrument.EnableAll(obs.Default)
-		if *metricsAddr != "" {
-			addr, err := obs.Serve(*metricsAddr, obs.Default)
-			if err != nil {
-				fatal(err)
-			}
-			fmt.Fprintf(os.Stderr, "tradebench: metrics on http://%s/metrics\n", addr)
-		}
-		if *report != "" {
-			path := *report
-			defer func() {
-				if err := obs.WriteReport(path, obs.Default); err != nil {
-					fatal(err)
-				}
-			}()
-		}
+	writeReport, err := instrument.Flags("tradebench", *metricsAddr, *report)
+	if err != nil {
+		fatal(err)
 	}
+	defer func() {
+		if err := writeReport(); err != nil {
+			fatal(err)
+		}
+	}()
 
 	arch, err := serverByName(*server)
 	if err != nil {

@@ -21,8 +21,8 @@ const fanoutSeed = 2003
 func renderAll(t *testing.T, workers int) (text map[string]string, serial, total map[string]int) {
 	t.Helper()
 	reg := obs.NewRegistry()
-	trade.EnableMetrics(reg)
-	defer trade.EnableMetrics(nil)
+	obs.Bind(reg)
+	defer obs.Bind(nil)
 	runs := reg.Counter("trade_runs")
 
 	s := NewSuite(fanoutSeed)
@@ -145,8 +145,8 @@ func TestMeasurementCacheKeyCoversOptions(t *testing.T) {
 	}
 
 	reg := obs.NewRegistry()
-	trade.EnableMetrics(reg)
-	defer trade.EnableMetrics(nil)
+	obs.Bind(reg)
+	defer obs.Bind(nil)
 	runs := reg.Counter("trade_runs")
 	var started [2]uint64
 	for i := range started {

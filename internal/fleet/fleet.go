@@ -26,6 +26,7 @@ import (
 	"runtime"
 	"time"
 
+	"perfpred/internal/obs"
 	"perfpred/internal/rm"
 	"perfpred/internal/scenario"
 	"perfpred/internal/trade"
@@ -295,4 +296,36 @@ func run(cfg Config) (*Result, error) {
 	}
 	flushMetrics(res)
 	return res, nil
+}
+
+// The fleet layer's process-wide counters, summed over every run. The
+// Router keeps plain per-origin and per-pool counters (each written
+// only from its owning shard goroutine) and Run flushes the totals once
+// per run, so the routing hot path stays atomic-free and
+// allocation-free with metrics bound.
+var (
+	fleetRoutingDecisions = obs.DeclareCounter("fleet_routing_decisions") // routing decisions made
+	fleetRemoteRoutes     = obs.DeclareCounter("fleet_remote_routes")     // decisions that left the origin pool
+	fleetPoolsVisited     = obs.DeclareCounter("fleet_pools_visited")     // tree nodes the decisions examined
+	fleetBarriers         = obs.DeclareCounter("fleet_barriers")          // window barriers executed
+	fleetReplans          = obs.DeclareCounter("fleet_replans")           // resource-manager plans cut in-loop
+	fleetAffinityChanges  = obs.DeclareCounter("fleet_affinity_changes")  // affinity edits applied after warm-up/drain
+	fleetReplanSeconds    = obs.DeclareHistogram("fleet_replan_seconds",  // wall-clock plan latency
+		1e-5, 1e-4, 1e-3, 1e-2, 1e-1, 1)
+)
+
+// flushMetrics publishes one run's totals, once, at the end of Run.
+func flushMetrics(res *Result) {
+	if !fleetRoutingDecisions.Bound() {
+		return
+	}
+	fleetRoutingDecisions.Add(res.Decisions)
+	fleetRemoteRoutes.Add(res.Remote)
+	fleetPoolsVisited.Add(res.Visited)
+	fleetBarriers.Add(res.Barriers)
+	fleetReplans.Add(uint64(res.Replans))
+	fleetAffinityChanges.Add(uint64(res.AffinityChanges))
+	for _, d := range res.ReplanLatencies {
+		fleetReplanSeconds.Observe(d.Seconds())
+	}
 }

@@ -8,7 +8,6 @@ import (
 	"perfpred/internal/lqn"
 	"perfpred/internal/obs"
 	"perfpred/internal/rm"
-	"perfpred/internal/sim"
 	"perfpred/internal/trade"
 	"perfpred/internal/workload"
 )
@@ -432,12 +431,8 @@ func TestEveryScorerRoutesWithoutAllocating(t *testing.T) {
 // nothing per advance.
 func TestFleetSteadyStateZeroAllocWithMetrics(t *testing.T) {
 	reg := obs.NewRegistry()
-	EnableMetrics(reg)
-	trade.EnableMetrics(reg)
-	sim.EnableMetrics(reg)
-	defer EnableMetrics(nil)
-	defer trade.EnableMetrics(nil)
-	defer sim.EnableMetrics(nil)
+	obs.Bind(reg)
+	defer obs.Bind(nil)
 
 	cfg := testConfig(4, 2, ClassAffinity{})
 	caps := make([]int, cfg.Pools)
@@ -493,8 +488,8 @@ func TestFleetSteadyStateZeroAllocWithMetrics(t *testing.T) {
 // configured populations once the fleet is in steady state.
 func TestFleetReplanTakesEffect(t *testing.T) {
 	reg := obs.NewRegistry()
-	EnableMetrics(reg)
-	defer EnableMetrics(nil)
+	obs.Bind(reg)
+	defer obs.Bind(nil)
 
 	cfg := withReplanning(t, testConfig(4, 2, ClassAffinity{}))
 	res, err := Run(cfg)

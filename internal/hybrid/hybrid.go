@@ -23,6 +23,7 @@ import (
 
 	"perfpred/internal/hist"
 	"perfpred/internal/lqn"
+	"perfpred/internal/obs"
 	"perfpred/internal/parallel"
 	"perfpred/internal/workload"
 )
@@ -104,10 +105,8 @@ func Build(cfg Config, servers []workload.ServerArch) (*Model, error) {
 		m.Servers[servers[i].Name] = b.sm
 	}
 	m.StartupDelay = time.Since(start)
-	if mm := metrics.Load(); mm != nil {
-		mm.builds.Inc()
-		mm.evaluations.Add(uint64(m.Evaluations))
-	}
+	hybridBuilds.Inc()
+	hybridEvaluations.Add(uint64(m.Evaluations))
 	return m, nil
 }
 
@@ -132,15 +131,25 @@ func BuildServerMix(cfg Config, arch workload.ServerArch, buyFrac float64) (*his
 	if err != nil {
 		return nil, evals, fmt.Errorf("hybrid: building %s (buy %.1f%%): %w", arch.Name, 100*buyFrac, err)
 	}
-	if mm := metrics.Load(); mm != nil {
-		mm.builds.Inc()
-		mm.evaluations.Add(uint64(evals))
-	}
+	hybridBuilds.Inc()
+	hybridEvaluations.Add(uint64(evals))
 	return sm, evals, nil
 }
 
+// The hybrid method's one-off start-up cost (§8.5), phase by phase:
+// where the 11-seconds-on-an-Athlon delay actually goes. The phase
+// histograms record seconds per server architecture built; unbound,
+// they take no clock readings beyond Build's StartupDelay.
+var (
+	hybridBuilds      = obs.DeclareCounter("hybrid_builds")      // Build and BuildServerMix calls completed
+	hybridEvaluations = obs.DeclareCounter("hybrid_evaluations") // layered-solver runs during start-up
+	hybridPhaseMaxTP  = obs.DeclareHistogram("hybrid_phase_maxthroughput_seconds", obs.DurationBuckets()...)
+	hybridPhaseGrad   = obs.DeclareHistogram("hybrid_phase_gradient_seconds", obs.DurationBuckets()...)
+	hybridPhaseData   = obs.DeclareHistogram("hybrid_phase_pseudodata_seconds", obs.DurationBuckets()...)
+	hybridPhaseCal    = obs.DeclareHistogram("hybrid_phase_calibrate_seconds", obs.DurationBuckets()...)
+)
+
 func buildServerMix(cfg Config, arch workload.ServerArch, buyFrac float64) (*hist.ServerModel, int, error) {
-	mm := metrics.Load()
 	evals := 0
 	// The whole pseudo-data sweep solves one model at different client
 	// populations — this is the start-up delay §8.5 charges the hybrid
@@ -157,13 +166,13 @@ func buildServerMix(cfg Config, arch workload.ServerArch, buyFrac float64) (*his
 	// Max throughput: solve far past the saturation the benchmark
 	// suggests and read the plateau throughput.
 	estSat := int(arch.Speed * workload.MaxThroughputF * (workload.ThinkTimeMean + 1))
-	phase := mm.phaseStart()
+	phase := hybridPhaseMaxTP.Start()
 	res, err := solveTypical(2 * estSat)
 	if err != nil {
 		return nil, evals, err
 	}
 	evals++
-	mm.phaseEnd(pickMaxTP, phase)
+	hybridPhaseMaxTP.ObserveSince(phase)
 	xMax := res.TotalThroughput()
 	if xMax <= 0 {
 		return nil, evals, errors.New("hybrid: layered model predicts zero max throughput")
@@ -171,13 +180,13 @@ func buildServerMix(cfg Config, arch workload.ServerArch, buyFrac float64) (*his
 
 	// Gradient: one light-load solve; m = X/N well below saturation.
 	nLight := max(1, int(0.2*float64(estSat)))
-	phase = mm.phaseStart()
+	phase = hybridPhaseGrad.Start()
 	res, err = solveTypical(nLight)
 	if err != nil {
 		return nil, evals, err
 	}
 	evals++
-	mm.phaseEnd(pickGrad, phase)
+	hybridPhaseGrad.ObserveSince(phase)
 	m := res.TotalThroughput() / float64(nLight)
 	if m <= 0 {
 		return nil, evals, errors.New("hybrid: layered model predicts zero gradient")
@@ -203,20 +212,20 @@ func buildServerMix(cfg Config, arch workload.ServerArch, buyFrac float64) (*his
 		}
 		return nil
 	}
-	phase = mm.phaseStart()
+	phase = hybridPhaseData.Start()
 	if err := gen(Spread(0.20, 0.62, cfg.PointsPerEquation)); err != nil {
 		return nil, evals, err
 	}
 	if err := gen(Spread(1.15, 1.70, cfg.PointsPerEquation)); err != nil {
 		return nil, evals, err
 	}
-	mm.phaseEnd(pickData, phase)
-	phase = mm.phaseStart()
+	hybridPhaseData.ObserveSince(phase)
+	phase = hybridPhaseCal.Start()
 	sm, err := hist.CalibrateServer(arch, xMax, m, points)
 	if err != nil {
 		return nil, evals, err
 	}
-	mm.phaseEnd(pickCal, phase)
+	hybridPhaseCal.ObserveSince(phase)
 	return sm, evals, nil
 }
 
@@ -260,8 +269,6 @@ func BuildRelationship3(cfg Config, established workload.ServerArch, buyPcts []f
 		points = append(points, hist.BuyPoint{BuyPct: pct, MaxThroughput: res.TotalThroughput()})
 	}
 	rel3, err := hist.FitRelationship3(points)
-	if mm := metrics.Load(); mm != nil {
-		mm.evaluations.Add(uint64(evals))
-	}
+	hybridEvaluations.Add(uint64(evals))
 	return rel3, evals, err
 }

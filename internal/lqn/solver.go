@@ -4,6 +4,8 @@ import (
 	"fmt"
 	"sort"
 	"time"
+
+	"perfpred/internal/obs"
 )
 
 // Solver is a reusable solver workspace. A zero Solver is ready to
@@ -188,7 +190,7 @@ func (s *Solver) Solve(m *Model, opt Options) (*Result, error) {
 			return nil, err
 		}
 		res.SolveTime = time.Since(start)
-		metrics.Load().record(res.Iterations, res.Converged, false, false)
+		recordSolve(res.Iterations, res.Converged, false, false)
 		return res, nil
 	}
 
@@ -308,8 +310,37 @@ func (s *Solver) Solve(m *Model, opt Options) (*Result, error) {
 		}
 	}
 	out.SolveTime = time.Since(start)
-	metrics.Load().record(ws.iterations, ws.converged, warmEligible, ws.usedWarm)
+	recordSolve(ws.iterations, ws.converged, warmEligible, ws.usedWarm)
 	return out, nil
+}
+
+// The solver's counters are process-wide rather than per-Solver:
+// solvers are created freely inside sweeps and fixed-point loops, and
+// the interesting totals are the process's.
+var (
+	lqnSolverSolves              = obs.DeclareCounter("lqn_solver_solves")               // completed Solve calls (all paths)
+	lqnSolverMVAIterations       = obs.DeclareCounter("lqn_solver_mva_iterations")       // MVA sweeps (Schweitzer) / recursion steps (exact)
+	lqnSolverWarmHits            = obs.DeclareCounter("lqn_solver_warm_hits")            // Schweitzer solves seeded from a warm iterate
+	lqnSolverWarmMisses          = obs.DeclareCounter("lqn_solver_warm_misses")          // warm-start-enabled solves that started cold
+	lqnSolverConvergenceFailures = obs.DeclareCounter("lqn_solver_convergence_failures") // solves that hit the iteration cap unconverged
+)
+
+// recordSolve publishes one completed solve. warmEligible is true only
+// for warm-start-enabled Schweitzer solves, the one path where hit/miss
+// is meaningful.
+func recordSolve(iterations int, converged, warmEligible, usedWarm bool) {
+	lqnSolverSolves.Inc()
+	lqnSolverMVAIterations.Add(uint64(iterations))
+	if !converged {
+		lqnSolverConvergenceFailures.Inc()
+	}
+	if warmEligible {
+		if usedWarm {
+			lqnSolverWarmHits.Inc()
+		} else {
+			lqnSolverWarmMisses.Inc()
+		}
+	}
 }
 
 // Clone returns a deep copy of the result, detached from any reusing

@@ -147,8 +147,8 @@ func TestSolverZeroAllocWarmStart(t *testing.T) {
 // metrics on must not cost an allocation.
 func TestSolverZeroAllocWithMetrics(t *testing.T) {
 	reg := obs.NewRegistry()
-	EnableMetrics(reg)
-	defer EnableMetrics(nil)
+	obs.Bind(reg)
+	defer obs.Bind(nil)
 	m := tradeTestModel(t, 100)
 	s := NewSolver()
 	s.WarmStart = true

@@ -5,14 +5,21 @@
 // The design follows the USE/RED-style counter sets every production
 // serving stack carries, in the spirit of the measurement
 // infrastructures the source paper builds on (PACE/HYDRA request-path
-// accounting): subsystems register their metrics once at start-up and
-// bump them from hot paths at atomic-add cost.
+// accounting): hot paths bump metrics at atomic-add cost.
 //
-// Every metric type is nil-safe: calling any method on a nil *Counter,
-// *Gauge, *MaxGauge or *Histogram is a no-op. Instrumented code can
-// therefore hold metric pointers unconditionally and skip the "is
-// observability on?" branch — with metrics disabled the pointers are
-// nil and the instrumentation compiles down to a nil check.
+// A package declares each of its metrics once, as a package-level
+// handle beside the code that bumps it (DeclareCounter, DeclareGauge,
+// DeclareMaxGauge, DeclareHistogram). Bind is the process's one
+// switch: it binds every declared handle to a registry, or unbinds them
+// all. Off is an unbound handle — an update on one is a pointer load
+// and a nil check, and a histogram's stage timer takes no clock
+// reading — so instrumented code never asks whether observability is
+// on, except to skip computing a flush whose every handle is unbound
+// (Bound).
+//
+// The metric types themselves are nil-safe: every method on a nil
+// *Counter, *Gauge, *MaxGauge or *Histogram is a no-op, which is what
+// an unbound handle resolves to.
 package obs
 
 import (

@@ -256,3 +256,59 @@ func TestWriteReport(t *testing.T) {
 		t.Fatalf("report lost counter: %+v", s)
 	}
 }
+
+var (
+	testCounter   = DeclareCounter("test_counter")
+	testGauge     = DeclareGauge("test_gauge")
+	testHighWater = DeclareMaxGauge("test_high_water")
+	testSeconds   = DeclareHistogram("test_seconds", 1, 2, 3)
+)
+
+// Declared handles record only while bound, into the registry Bind was
+// last given; an unbound stage timer takes no clock reading, and a
+// bound handle's update allocates nothing.
+func TestDeclaredHandlesFollowBind(t *testing.T) {
+	bump := func() {
+		testCounter.Inc()
+		testCounter.Add(2)
+		testGauge.Add(5)
+		testHighWater.Observe(7)
+		testSeconds.Observe(1.5)
+		testSeconds.ObserveSince(testSeconds.Start())
+	}
+	bump() // unbound: discarded
+	if testCounter.Bound() || !testSeconds.Start().IsZero() {
+		t.Fatal("a handle reads as bound before Bind")
+	}
+
+	r := NewRegistry()
+	Bind(r)
+	defer Bind(nil)
+	if a := testing.AllocsPerRun(100, bump); a != 0 {
+		t.Fatalf("bound handles allocate %v times per update round", a)
+	}
+	s := r.Snapshot()
+	if got := s.Counters["test_counter"]; got != 3*101 {
+		t.Errorf("test_counter = %d, want %d", got, 3*101)
+	}
+	if got := s.Gauges["test_gauge"]; got != 5*101 {
+		t.Errorf("test_gauge = %d, want %d", got, 5*101)
+	}
+	if got := s.MaxGauges["test_high_water"]; got != 7 {
+		t.Errorf("test_high_water = %d, want 7", got)
+	}
+	if h := s.Histograms["test_seconds"]; h.Count != 2*101 || len(h.Bounds) != 3 || h.Buckets[1] != 101 {
+		t.Errorf("test_seconds = %+v, want 202 observations, 101 of them in (1, 2]", h)
+	}
+
+	Bind(nil)
+	bump()
+	if got := r.Snapshot().Counters["test_counter"]; got != 3*101 || testCounter.Bound() {
+		t.Errorf("test_counter moved to %d after Bind(nil)", got)
+	}
+	Bind(r) // rebinding to the same registry resumes its metrics
+	testCounter.Inc()
+	if got := r.Counter("test_counter").Value(); got != 3*101+1 {
+		t.Errorf("test_counter = %d after rebinding, want %d", got, 3*101+1)
+	}
+}

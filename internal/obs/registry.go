@@ -14,8 +14,8 @@ import (
 // name without start-up ordering constraints.
 //
 // A nil *Registry is valid everywhere and returns nil metrics, which
-// are themselves nil-safe no-ops — the disabled configuration costs one
-// nil check per instrumented operation.
+// are themselves nil-safe no-ops: Bind(nil) unbinds a handle by binding
+// it to one of those.
 //
 // Metric naming convention: `<subsystem>_<noun>[_<qualifier>]`, snake
 // case, e.g. `lqn_solver_warm_hits`, `sim_events_fired`,
@@ -206,9 +206,3 @@ func (s Snapshot) WriteText(w io.Writer) error {
 	}
 	return nil
 }
-
-// Default is the process-wide registry enabled by the cmd tools'
-// -metrics-addr / -report flags. Library code never touches it
-// directly; each subsystem's EnableMetrics is handed this (or a
-// test-local registry) explicitly.
-var Default = NewRegistry()

@@ -34,9 +34,7 @@ func evaluate(plan *Plan, classes []Class, servers []Server, truth Predictor) (*
 	if plan == nil {
 		return nil, errors.New("rm: nil plan")
 	}
-	if mm := metrics.Load(); mm != nil {
-		mm.evaluateCalls.Inc()
-	}
+	rmEvaluateCalls.Inc()
 
 	classByName := make(map[string]Class, len(classes))
 	for _, c := range classes {
@@ -234,9 +232,7 @@ func realCapacity(truth Predictor, arch string, goal float64, memo map[capKey]in
 	if c, ok := memo[k]; ok {
 		return c, nil
 	}
-	if mm := metrics.Load(); mm != nil {
-		mm.predictorCalls.Inc()
-	}
+	rmPredictorCalls.Inc()
 	c, err := sla.Goal{MaxRT: goal}.MaxClients(maxOracleClients, func(n float64) (float64, error) {
 		return truth.Predict(arch, n)
 	})

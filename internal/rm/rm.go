@@ -100,6 +100,18 @@ type Options struct {
 	AllowDeflation bool
 }
 
+// The resource manager's planning and evaluation work: Algorithm 1
+// runs, placements made, planned rejections, runtime evaluations, and
+// how often the performance model is consulted (the §8.5
+// prediction-delay driver).
+var (
+	rmAllocateCalls     = obs.DeclareCounter("rm_allocate_calls")     // Allocate (Algorithm 1) runs
+	rmAllocations       = obs.DeclareCounter("rm_allocations")        // placements appended to plans
+	rmPlannedRejections = obs.DeclareCounter("rm_planned_rejections") // planned clients rejected from plans
+	rmEvaluateCalls     = obs.DeclareCounter("rm_evaluate_calls")     // Evaluate (runtime playout) runs
+	rmPredictorCalls    = obs.DeclareCounter("rm_predictor_calls")    // Predictor.MaxClients consultations
+)
+
 // Allocate runs Algorithm 1: service classes sorted by increasing
 // response-time goal, clients (inflated by slack) placed greedily on
 // the server predicted to hold the most clients of the current class,
@@ -147,12 +159,7 @@ func Allocate(classes []Class, servers []Server, pred Predictor, slack float64, 
 	}
 
 	plan := &Plan{RejectedPlanned: make(map[string]int), Slack: slack}
-	mm := metrics.Load()
-	var predCalls, placed, rejects *obs.Counter
-	if mm != nil {
-		mm.allocateCalls.Inc()
-		predCalls, placed, rejects = mm.predictorCalls, mm.allocations, mm.plannedRejections
-	}
+	rmAllocateCalls.Inc()
 
 	// capacity returns how many more clients of a class with goal g
 	// the server can take per the model.
@@ -161,7 +168,7 @@ func Allocate(classes []Class, servers []Server, pred Predictor, slack float64, 
 		if s.minGoal > 0 && s.minGoal < goal {
 			goal = s.minGoal
 		}
-		predCalls.Inc()
+		rmPredictorCalls.Inc()
 		maxN, err := pred.MaxClients(s.Arch, goal)
 		if err != nil {
 			return 0, err
@@ -203,11 +210,11 @@ placement:
 				// the plan — later classes are not allowed to squeeze in
 				// around a higher-priority class that did not fit.
 				plan.RejectedPlanned[class.Name] += remaining
-				rejects.Add(uint64(remaining))
+				rmPlannedRejections.Add(uint64(remaining))
 				for _, later := range sorted[ci+1:] {
 					if n := int(math.Ceil(float64(later.Clients) * slack)); n > 0 {
 						plan.RejectedPlanned[later.Name] += n
-						rejects.Add(uint64(n))
+						rmPlannedRejections.Add(uint64(n))
 					}
 				}
 				break placement
@@ -226,7 +233,7 @@ placement:
 			plan.Allocations = append(plan.Allocations, Allocation{
 				Server: chosen.Name, Class: class.Name, Clients: take,
 			})
-			placed.Inc()
+			rmAllocations.Inc()
 			chosen.allocated += take
 			if chosen.minGoal == 0 || class.GoalRT < chosen.minGoal {
 				chosen.minGoal = class.GoalRT

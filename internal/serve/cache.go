@@ -8,6 +8,7 @@ import (
 
 	"perfpred/internal/hist"
 	"perfpred/internal/hybrid"
+	"perfpred/internal/obs"
 	"perfpred/internal/parallel"
 	"perfpred/internal/regress"
 	"perfpred/internal/rm"
@@ -91,14 +92,23 @@ type modelStore struct {
 	slots *admission[struct{}]
 }
 
+// The model store's traffic and cold-build cost.
+var (
+	serveCacheHits      = obs.DeclareCounter("serve_cache_hits")
+	serveCacheMisses    = obs.DeclareCounter("serve_cache_misses")
+	serveCacheEvictions = obs.DeclareCounter("serve_cache_evictions")
+	serveBuilds         = obs.DeclareCounter("serve_builds")
+	serveBuildSeconds   = obs.DeclareHistogram("serve_build_seconds", obs.DurationBuckets()...)
+)
+
 func newModelStore(capacity, workers, maxQueued int, build func(modelKey) (*modelEntry, error)) *modelStore {
 	c := &modelStore{
 		lru:   sessioncache.NewLRU[modelKey, *modelEntry](capacity),
 		build: build,
-		slots: newAdmission(buildQueue, make([]struct{}, workers), maxQueued),
+		slots: newAdmission(serveBuildQueueDepth, serveBuildQueueHighWater, make([]struct{}, workers), maxQueued),
 	}
 	c.lru.OnEvict(func(modelKey, *modelEntry) {
-		metrics.Load().cacheEvicts.Inc()
+		serveCacheEvictions.Inc()
 	})
 	return c
 }
@@ -108,12 +118,11 @@ func newModelStore(capacity, workers, maxQueued int, build func(modelKey) (*mode
 // The returned error is ErrOverloaded when the build queue is full and
 // ctx.Err() when the caller's own deadline expired while waiting.
 func (c *modelStore) get(ctx context.Context, key modelKey) (e *modelEntry, cold bool, err error) {
-	m := metrics.Load()
 	if e, ok := c.lru.Get(key); ok {
-		m.cacheHits.Inc()
+		serveCacheHits.Inc()
 		return e, false, nil
 	}
-	m.cacheMisses.Inc()
+	serveCacheMisses.Inc()
 	e, err = shareFlight(ctx, func() (*modelEntry, error) { return c.flight(ctx, key) })
 	if err != nil {
 		return nil, true, err
@@ -140,9 +149,8 @@ func (c *modelStore) flight(ctx context.Context, key modelKey) (*modelEntry, err
 			return nil, err
 		}
 		entry.buildWall = time.Since(start)
-		mm := metrics.Load()
-		mm.builds.Inc()
-		mm.buildSeconds.Observe(entry.buildWall.Seconds())
+		serveBuilds.Inc()
+		serveBuildSeconds.Observe(entry.buildWall.Seconds())
 		c.lru.Put(key, entry)
 		return entry, nil
 	})
@@ -161,6 +169,16 @@ func shareFlight[V any](ctx context.Context, flight func() (V, error)) (V, error
 	return v, err
 }
 
+// Per admission queue, callers waiting for a slot or holding one, and
+// the callers either queue turned away.
+var (
+	serveBuildQueueDepth     = obs.DeclareGauge("serve_build_queue_depth")
+	serveBuildQueueHighWater = obs.DeclareMaxGauge("serve_build_queue_high_water")
+	serveSolveQueueDepth     = obs.DeclareGauge("serve_solve_queue_depth")
+	serveSolveQueueHighWater = obs.DeclareMaxGauge("serve_solve_queue_high_water")
+	serveRejectedOverload    = obs.DeclareCounter("serve_rejected_overload") // 429s
+)
+
 // admission bounds one kind of work, builds or layered solves: at most
 // len(slots) callers hold a slot at once, at most maxWait more wait for
 // one, and anything beyond that is rejected with ErrOverloaded. A slot
@@ -170,11 +188,12 @@ type admission[T any] struct {
 	slots   chan T       // the idle slots
 	queued  atomic.Int64 // admitted callers, waiting for a slot or holding one
 	maxWait int64
-	queue   queue // whose depth and high-water gauges queued moves
+	depth   *obs.GaugeVar    // kept in step with queued
+	high    *obs.MaxGaugeVar // queued's high-water mark
 }
 
-func newAdmission[T any](q queue, slots []T, maxWait int) *admission[T] {
-	a := &admission[T]{slots: make(chan T, len(slots)), maxWait: int64(maxWait), queue: q}
+func newAdmission[T any](depth *obs.GaugeVar, high *obs.MaxGaugeVar, slots []T, maxWait int) *admission[T] {
+	a := &admission[T]{slots: make(chan T, len(slots)), maxWait: int64(maxWait), depth: depth, high: high}
 	for _, s := range slots {
 		a.slots <- s
 	}
@@ -190,12 +209,11 @@ func (a *admission[T]) acquire(ctx context.Context) (T, error) {
 	if err := ctx.Err(); err != nil {
 		return none, err
 	}
-	m := metrics.Load()
 	q := a.track(1)
-	m.queueHigh[a.queue].Observe(q)
+	a.high.Observe(q)
 	if q > int64(cap(a.slots))+a.maxWait {
 		a.track(-1)
-		m.rejectedOverload.Inc()
+		serveRejectedOverload.Inc()
 		return none, ErrOverloaded
 	}
 	select {
@@ -216,7 +234,7 @@ func (a *admission[T]) release(s T) {
 // track moves the count of callers waiting or holding a slot by d and
 // keeps the queue's depth gauge in step with it.
 func (a *admission[T]) track(d int64) int64 {
-	metrics.Load().queueDepth[a.queue].Add(d)
+	a.depth.Add(d)
 	return a.queued.Add(d)
 }
 
@@ -320,7 +338,7 @@ func (s *Service) buildRegress(key modelKey, arch workload.ServerArch) (*modelEn
 		if err != nil {
 			return evidence{}, err
 		}
-		metrics.Load().simulated(len(samples), cfg.SimSeconds(len(samples)))
+		recordSimulated(len(samples), cfg.SimSeconds(len(samples)))
 		return evidence{samples: samples}, nil
 	})
 	if err != nil {
@@ -331,6 +349,23 @@ func (s *Service) buildRegress(key modelKey, arch workload.ServerArch) (*modelEn
 		return nil, err
 	}
 	return &modelEntry{pred: m}, nil
+}
+
+// The §8.5 start-up delay in the currency the families study prints:
+// simulator runs the keys paid for — a regress key's first build, a
+// hybrid key's first percentile request — and the simulated seconds
+// they covered (warm-up included; each measurement rounded to whole
+// seconds). A key pays once, so neither moves on a rebuild.
+var (
+	serveSimulatorRuns    = obs.DeclareCounter("serve_simulator_runs")
+	serveSimulatedSeconds = obs.DeclareCounter("serve_simulated_seconds")
+)
+
+// recordSimulated accounts for one measurement: runs simulator runs
+// covering simSeconds simulated seconds between them.
+func recordSimulated(runs int, simSeconds float64) {
+	serveSimulatorRuns.Add(uint64(runs))
+	serveSimulatedSeconds.Add(uint64(simSeconds + 0.5))
 }
 
 // calibrateScale runs the simulator at ~1.4× the model's saturation
@@ -356,7 +391,7 @@ func (s *Service) calibrateScale(arch workload.ServerArch, buyFrac float64, sm *
 	if err != nil {
 		return 0, err
 	}
-	metrics.Load().simulated(1, cfg.WarmUp+cfg.Duration)
+	recordSimulated(1, cfg.WarmUp+cfg.Duration)
 	// Hand over the per-class samples in sorted class order:
 	// CalibrateScale sums deviations in the order given, and float
 	// addition is not associative, so map-iteration order would perturb

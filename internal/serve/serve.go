@@ -54,6 +54,7 @@ import (
 	"time"
 
 	"perfpred/internal/lqn"
+	"perfpred/internal/obs"
 	"perfpred/internal/parallel"
 	"perfpred/internal/rm"
 	"perfpred/internal/rtdist"
@@ -227,7 +228,7 @@ func New(cfg Config) (*Service, error) {
 	for i := range slots {
 		slots[i] = sessioncache.NewLRU[modelKey, *lqn.TradeSweep](sweepsPerSlot)
 	}
-	s.solves = newAdmission(solveQueue, slots, maxQueuedSolves)
+	s.solves = newAdmission(serveSolveQueueDepth, serveSolveQueueHighWater, slots, maxQueuedSolves)
 	return s, nil
 }
 
@@ -372,25 +373,47 @@ type errorResponse struct {
 // Mount the obs Handler alongside it for /metrics and /debug.
 func (s *Service) Handler() http.Handler {
 	mux := http.NewServeMux()
-	mux.HandleFunc("/v1/predict", handle(epPredict, s.Predict))
-	mux.HandleFunc("/v1/capacity", handle(epCapacity, s.Capacity))
-	mux.HandleFunc("/v1/allocate", handle(epAllocate, s.allocate))
+	mux.HandleFunc("/v1/predict", handle(servePredictRequests, servePredictSeconds, s.Predict))
+	mux.HandleFunc("/v1/capacity", handle(serveCapacityRequests, serveCapacitySeconds, s.Capacity))
+	mux.HandleFunc("/v1/allocate", handle(serveAllocateRequests, serveAllocateSeconds, s.allocate))
 	mux.HandleFunc("/healthz", s.handleHealth)
 	return mux
 }
 
+// requestBuckets bound the request latency histograms. Request
+// latencies sit well under DurationBuckets' 100µs floor on a warm
+// cache, so they get a finer bottom end: 10µs up to 10s.
+var requestBuckets = []float64{1e-5, 3e-5, 1e-4, 3e-4, 1e-3, 3e-3, 1e-2, 3e-2, 0.1, 0.3, 1, 3, 10}
+
+// The HTTP layer's metrics: per-endpoint request counts and latencies,
+// requests in flight, and replies that were not a success of the
+// caller's own making.
+var (
+	servePredictRequests  = obs.DeclareCounter("serve_predict_requests")
+	serveCapacityRequests = obs.DeclareCounter("serve_capacity_requests")
+	serveAllocateRequests = obs.DeclareCounter("serve_allocate_requests")
+	servePredictSeconds   = obs.DeclareHistogram("serve_predict_seconds", requestBuckets...)
+	serveCapacitySeconds  = obs.DeclareHistogram("serve_capacity_seconds", requestBuckets...)
+	serveAllocateSeconds  = obs.DeclareHistogram("serve_allocate_seconds", requestBuckets...)
+	serveInflightRequests = obs.DeclareGauge("serve_inflight_requests")
+	serveDeadlineExpired  = obs.DeclareCounter("serve_deadline_expired") // 504s
+	serveErrors           = obs.DeclareCounter("serve_errors")           // 500s
+)
+
 // handle wraps one endpoint's in-process entry point in the shared HTTP
 // bookkeeping: request count, in-flight gauge, latency histogram,
 // decoding and typed error mapping.
-func handle[Req, Resp any](ep endpoint, call func(*http.Request, Req) (*Resp, error)) http.HandlerFunc {
+func handle[Req, Resp any](requests *obs.CounterVar, seconds *obs.HistogramVar, call func(*http.Request, Req) (*Resp, error)) http.HandlerFunc {
 	return func(w http.ResponseWriter, r *http.Request) {
-		m := metrics.Load()
-		m.requests[ep].Inc()
-		m.inflight.Add(1)
+		requests.Inc()
+		// One registry sees the request in and out, whatever Bind does
+		// while it runs.
+		inflight, latency := serveInflightRequests.Metric(), seconds.Metric()
+		inflight.Add(1)
 		start := time.Now()
 		defer func() {
-			m.inflight.Add(-1)
-			m.seconds[ep].Observe(time.Since(start).Seconds())
+			inflight.Add(-1)
+			latency.Observe(time.Since(start).Seconds())
 		}()
 
 		var req Req
@@ -422,7 +445,7 @@ func requestCtx(r *http.Request, deadlineMS int64) (context.Context, context.Can
 func writeJSON(w http.ResponseWriter, status int, v any) {
 	body, err := json.Marshal(v)
 	if err != nil {
-		metrics.Load().errors.Inc()
+		serveErrors.Inc()
 		status = http.StatusInternalServerError
 		body, _ = json.Marshal(errorResponse{Error: "encoding response: " + err.Error()})
 	}
@@ -435,7 +458,6 @@ func writeJSON(w http.ResponseWriter, status int, v any) {
 // for client mistakes, 429 + Retry-After for backpressure, 503 while
 // shutting down, 504 for expired deadlines, 500 otherwise.
 func writeError(w http.ResponseWriter, err error) {
-	m := metrics.Load()
 	status := http.StatusInternalServerError
 	var bad *badRequestError
 	switch {
@@ -448,9 +470,9 @@ func writeError(w http.ResponseWriter, err error) {
 		status = http.StatusServiceUnavailable
 	case isContextErr(err):
 		status = http.StatusGatewayTimeout
-		m.deadlineExpired.Inc()
+		serveDeadlineExpired.Inc()
 	default:
-		m.errors.Inc()
+		serveErrors.Inc()
 	}
 	writeJSON(w, status, errorResponse{Error: err.Error()})
 }
@@ -629,6 +651,10 @@ type solvePredictor struct {
 // int(1e19) wraps negative, and one client would answer for it.
 const maxSolveClients = 1 << 20
 
+// serveBatchSolves counts method=lqn solves, one per probe of a
+// capacity search.
+var serveBatchSolves = obs.DeclareCounter("serve_batch_solves")
+
 func (p solvePredictor) Predict(_ string, n float64) (float64, error) {
 	if !(n <= maxSolveClients) {
 		return 0, beyondRange("clients", n)
@@ -639,7 +665,7 @@ func (p solvePredictor) Predict(_ string, n float64) (float64, error) {
 		if err != nil {
 			return err
 		}
-		metrics.Load().layeredSolves.Inc()
+		serveBatchSolves.Inc()
 		rt = res.MeanResponseTime()
 		return nil
 	})
@@ -658,7 +684,7 @@ func (p solvePredictor) MaxClients(_ string, goalRT float64) (float64, error) {
 		n, p.q.evals, err = sw.MaxClients(goalRT, maxSolveClients, func(n int) workload.Workload {
 			return workload.MixLoad(n, buyFrac)
 		})
-		metrics.Load().layeredSolves.Add(uint64(p.q.evals))
+		serveBatchSolves.Add(uint64(p.q.evals))
 		return err
 	})
 	return float64(n), err

@@ -753,8 +753,8 @@ func TestHealthz(t *testing.T) {
 // arrival: it gets its context's error and no solve runs for it.
 func TestCancelledClientContext(t *testing.T) {
 	reg := obs.NewRegistry()
-	EnableMetrics(reg)
-	defer EnableMetrics(nil)
+	obs.Bind(reg)
+	defer obs.Bind(nil)
 
 	s := newTestService(t, nil)
 	ctx, cancel := context.WithCancel(context.Background())
@@ -788,8 +788,8 @@ func holdSolveSlot(t *testing.T, s *Service) func() {
 // nothing.
 func TestSolveDeadlineCountedOnce(t *testing.T) {
 	reg := obs.NewRegistry()
-	EnableMetrics(reg)
-	defer EnableMetrics(nil)
+	obs.Bind(reg)
+	defer obs.Bind(nil)
 
 	s, srv := newTestServer(t, func(c *Config) { c.SolveWorkers = 1 })
 	release := holdSolveSlot(t, s)
@@ -816,8 +816,8 @@ func TestSolveDeadlineCountedOnce(t *testing.T) {
 // Retry-After over HTTP), and freeing the slot answers every waiter.
 func TestSolveAdmissionSheds(t *testing.T) {
 	reg := obs.NewRegistry()
-	EnableMetrics(reg)
-	defer EnableMetrics(nil)
+	obs.Bind(reg)
+	defer obs.Bind(nil)
 
 	s, srv := newTestServer(t, func(c *Config) { c.SolveWorkers = 1 })
 	release := holdSolveSlot(t, s)
@@ -881,8 +881,8 @@ func TestSolveAdmissionSheds(t *testing.T) {
 // waits (two per-tier counters once overwrote each other in the gauge).
 func TestBuildWorkersBoundAllMethods(t *testing.T) {
 	reg := obs.NewRegistry()
-	EnableMetrics(reg)
-	defer EnableMetrics(nil)
+	obs.Bind(reg)
+	defer obs.Bind(nil)
 	depth := reg.Gauge("serve_build_queue_depth")
 
 	s := newTestService(t, func(c *Config) {
@@ -1069,8 +1069,8 @@ func TestCalibrateScaleMatchesMergedSamples(t *testing.T) {
 // over and is answered 200 — and only the real expiry is counted.
 func TestJoinerKeepsItsOwnDeadline(t *testing.T) {
 	reg := obs.NewRegistry()
-	EnableMetrics(reg)
-	defer EnableMetrics(nil)
+	obs.Bind(reg)
+	defer obs.Bind(nil)
 
 	s, srv := newTestServer(t, nil) // two build workers
 	client := srv.Client()
@@ -1164,8 +1164,8 @@ func holdBuildSlots(t *testing.T, s *Service) func() {
 // kept, a percentile takes no slot at all.
 func TestPercentileCalibrationAdmission(t *testing.T) {
 	reg := obs.NewRegistry()
-	EnableMetrics(reg)
-	defer EnableMetrics(nil)
+	obs.Bind(reg)
+	defer obs.Bind(nil)
 
 	s, srv := newTestServer(t, func(c *Config) {
 		c.LaplaceB = 0
@@ -1320,8 +1320,8 @@ func TestLazyPercentileMatchesEagerScale(t *testing.T) {
 // bit for bit what the first build served.
 func TestRebuildRunsNoSimulation(t *testing.T) {
 	reg := obs.NewRegistry()
-	EnableMetrics(reg)
-	defer EnableMetrics(nil)
+	obs.Bind(reg)
+	defer obs.Bind(nil)
 	runs, simSeconds := reg.Counter("serve_simulator_runs"), reg.Counter("serve_simulated_seconds")
 
 	const calibSeconds, regressSeconds = 4, 2

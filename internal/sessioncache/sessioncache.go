@@ -29,6 +29,7 @@ import (
 	"math"
 
 	"perfpred/internal/lqn"
+	"perfpred/internal/obs"
 	"perfpred/internal/stats"
 	"perfpred/internal/workload"
 )
@@ -210,7 +211,12 @@ func SolveWithCache(server workload.ServerArch, db workload.DBServer, demands ma
 		// Averaging with the last iterate keeps the outer loop stable.
 		miss = 0.5*miss + 0.5*next
 	}
-	recordSolve(iter, rebuilds, converged)
+	sessioncacheSolves.Inc()
+	sessioncacheIterations.Add(uint64(iter))
+	sessioncacheRebuilds.Add(uint64(rebuilds))
+	if !converged {
+		sessioncacheNonconverged.Inc()
+	}
 	return &CacheSolveResult{
 		Result:     res.Clone(),
 		MissRate:   miss,
@@ -221,6 +227,14 @@ func SolveWithCache(server workload.ServerArch, db workload.DBServer, demands ma
 			"only mean values, so this distribution is an external assumption (§7.2)",
 	}, nil
 }
+
+// The §7.2 layered fixed point's outer-loop work.
+var (
+	sessioncacheSolves       = obs.DeclareCounter("sessioncache_solves")       // SolveWithCache calls completed
+	sessioncacheIterations   = obs.DeclareCounter("sessioncache_iterations")   // outer fixed-point iterations
+	sessioncacheRebuilds     = obs.DeclareCounter("sessioncache_rebuilds")     // demand retunes folded back into the model
+	sessioncacheNonconverged = obs.DeclareCounter("sessioncache_nonconverged") // fixed points that hit the iteration cap
+)
 
 // estimateMissRate re-derives the miss probability from mean-value
 // solution metrics: the mean bytes replaced during a client's

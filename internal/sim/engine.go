@@ -24,6 +24,8 @@ package sim
 import (
 	"fmt"
 	"math"
+
+	"perfpred/internal/obs"
 )
 
 // event is a pooled scheduler entry. Events are fire-and-forget:
@@ -67,7 +69,7 @@ type Engine struct {
 	reserved int
 
 	// Plain instrumentation counters (the engine is single-goroutine);
-	// flushMetrics publishes deltas to the process-wide atomics.
+	// flushMetrics publishes deltas to the declared metrics.
 	reuses, allocs                             uint64
 	heapMax                                    int
 	flushedFired, flushedReuses, flushedAllocs uint64
@@ -337,6 +339,39 @@ func (e *Engine) Run(until float64, limit uint64) uint64 {
 	}
 	e.flushMetrics()
 	return fired
+}
+
+// The event core's process-wide counters, summed over every Engine.
+// Engines keep plain per-instance counters (each is strictly
+// single-goroutine) and flushMetrics publishes their deltas at the end
+// of each Run call, so the per-event hot path never touches shared
+// cache lines and stays allocation-free.
+var (
+	simEventsFired     = obs.DeclareCounter("sim_events_fired")           // events executed
+	simEventReuses     = obs.DeclareCounter("sim_event_reuses")           // Schedule calls served from the free list
+	simEventAllocs     = obs.DeclareCounter("sim_event_allocs")           // Schedule calls that took a fresh event from a slab
+	simHeapHighWater   = obs.DeclareMaxGauge("sim_heap_depth_high_water") // event-heap depth of the deepest single engine
+	simCalendarPops    = obs.DeclareCounter("sim_calendar_pops")          // events popped from a calendar queue
+	simCalendarScanned = obs.DeclareCounter("sim_calendar_scanned")       // calendar events a dequeue search looked at
+)
+
+// flushMetrics publishes the deltas accumulated since the last flush:
+// a handful of atomic adds, no allocation, nothing while unbound.
+func (e *Engine) flushMetrics() {
+	if !simEventsFired.Bound() {
+		return
+	}
+	simEventsFired.Add(e.fired - e.flushedFired)
+	e.flushedFired = e.fired
+	simEventReuses.Add(e.reuses - e.flushedReuses)
+	e.flushedReuses = e.reuses
+	simEventAllocs.Add(e.allocs - e.flushedAllocs)
+	e.flushedAllocs = e.allocs
+	qc := e.QueueCounts()
+	simCalendarPops.Add(qc.CalendarPops - e.flushedQueues.CalendarPops)
+	simCalendarScanned.Add(qc.Scanned - e.flushedQueues.Scanned)
+	e.flushedQueues = qc
+	simHeapHighWater.Observe(int64(e.heapMax))
 }
 
 // Step executes the single next event, if any, and reports whether one

@@ -13,8 +13,8 @@ import (
 // flush order.
 func TestHeapHighWaterAggregatesAcrossEngines(t *testing.T) {
 	r := obs.NewRegistry()
-	EnableMetrics(r)
-	defer EnableMetrics(nil)
+	obs.Bind(r)
+	defer obs.Bind(nil)
 
 	depths := []int{3, 17, 5} // deepest in the middle: both flush orders around it
 	engines := make([]*Engine, len(depths))
@@ -48,8 +48,8 @@ func TestHeapHighWaterAggregatesAcrossEngines(t *testing.T) {
 // the sum: the marks are concurrent queue depths of separate engines.
 func TestCoordinatorHeapHighWater(t *testing.T) {
 	r := obs.NewRegistry()
-	EnableMetrics(r)
-	defer EnableMetrics(nil)
+	obs.Bind(r)
+	defer obs.Bind(nil)
 
 	c := NewCoordinator(3, 1)
 	defer c.Close()
@@ -73,8 +73,8 @@ func TestCoordinatorHeapHighWater(t *testing.T) {
 // plus the workers' sleep before the first.
 func TestCoordinatorWindowMetrics(t *testing.T) {
 	r := obs.NewRegistry()
-	EnableMetrics(r)
-	defer EnableMetrics(nil)
+	obs.Bind(r)
+	defer obs.Bind(nil)
 
 	const shards, windows = 2, 50
 	c := NewCoordinator(shards, 1)
@@ -111,8 +111,8 @@ func TestCoordinatorWindowMetrics(t *testing.T) {
 // and a flush allocates nothing.
 func TestCalendarCountsPublished(t *testing.T) {
 	r := obs.NewRegistry()
-	EnableMetrics(r)
-	defer EnableMetrics(nil)
+	obs.Bind(r)
+	defer obs.Bind(nil)
 
 	e := NewEngineCalendar()
 	rng := NewStream(4)

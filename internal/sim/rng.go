@@ -3,6 +3,8 @@ package sim
 import (
 	"math"
 	"math/rand"
+
+	"perfpred/internal/obs"
 )
 
 // Stream is a reproducible pseudo-random stream with the sampling
@@ -54,8 +56,12 @@ func (s *Stream) seedNow() {
 		src.Uint64()
 	}
 	s.r = rand.New(src)
-	recordSeeded()
+	simStreamsSeeded.Inc()
 }
+
+// simStreamsSeeded counts streams that drew and so built a generator:
+// once per stream, never per draw.
+var simStreamsSeeded = obs.DeclareCounter("sim_streams_seeded")
 
 // int63 is the stream's next Int63, taken from the seed while the
 // register is unbuilt and the output is one of the first regTap.

@@ -167,8 +167,8 @@ func TestLazySeedingKeepsEveryDraw(t *testing.T) {
 // once however often it draws.
 func TestStreamSeedsOnFirstDrawOnly(t *testing.T) {
 	r := obs.NewRegistry()
-	EnableMetrics(r)
-	defer EnableMetrics(nil)
+	obs.Bind(r)
+	defer obs.Bind(nil)
 	seeded := func() uint64 { return r.Snapshot().Counters["sim_streams_seeded"] }
 
 	root := NewStream(1)

@@ -5,6 +5,7 @@ import (
 	"math"
 	"sort"
 
+	"perfpred/internal/obs"
 	"perfpred/internal/parallel"
 )
 
@@ -315,6 +316,23 @@ func (c *Coordinator) Windows() uint64 { return c.pool.Stats().Runs }
 // the answer to "did the hand-off degenerate into sleeping?", to be
 // read beside the window count and never gated on.
 func (c *Coordinator) Parks() uint64 { return c.pool.Stats().Parks }
+
+var (
+	simCoordinatorWindows = obs.DeclareCounter("sim_coordinator_windows") // windows fanned out to the pool
+	simCoordinatorParks   = obs.DeclareCounter("sim_coordinator_parks")   // barrier waits that put a goroutine to sleep
+)
+
+// flushMetrics publishes the worker pool's counters the way engines
+// publish theirs: deltas since the last flush, at the end of Run.
+func (c *Coordinator) flushMetrics() {
+	if !simCoordinatorWindows.Bound() {
+		return
+	}
+	st := c.pool.Stats()
+	simCoordinatorWindows.Add(st.Runs - c.flushed.Runs)
+	simCoordinatorParks.Add(st.Parks - c.flushed.Parks)
+	c.flushed = st
+}
 
 // Close releases the coordinator's worker pool. The coordinator must
 // not Run afterwards.

@@ -77,8 +77,8 @@ func TestSteadyStateZeroAllocDetailed(t *testing.T) {
 // enabling metrics must not cost a single allocation per advance.
 func TestSteadyStateZeroAllocWithMetrics(t *testing.T) {
 	reg := obs.NewRegistry()
-	EnableMetrics(reg)
-	defer EnableMetrics(nil)
+	obs.Bind(reg)
+	defer obs.Bind(nil)
 	s, until := steadySim(t, allocConfig())
 	allocs := testing.AllocsPerRun(50, func() {
 		until += 2
@@ -255,8 +255,8 @@ func BenchmarkShardedBuild(b *testing.B) {
 // single-engine root never draw.
 func TestPoolSeedsOnlyStreamsItDraws(t *testing.T) {
 	reg := obs.NewRegistry()
-	sim.EnableMetrics(reg)
-	defer sim.EnableMetrics(nil)
+	obs.Bind(reg)
+	defer obs.Bind(nil)
 	const pools = 4
 	cfg := Config{
 		Server: workload.AppServF(), PoolArchs: workload.CaseStudyServers(),

@@ -162,6 +162,35 @@ func TestClusterDBPerServerQueues(t *testing.T) {
 	}
 }
 
+// The database serves its per-server FIFO queues in turn (§2: one
+// queue per application server). With two agents behind a slow
+// database CPU, both servers of a round-robin tier keep requests
+// waiting for an agent at once, so the order the queues are polled in
+// decides who waits. Taken in turn, the two identical servers hold
+// their threads equally long; a database that favours either queue
+// leaves the other's requests, and so its threads, waiting behind it
+// (≈ 1.8 against ≈ 9.7 threads held). Throughput cannot tell: round
+// robin routing sends each server half the requests whatever the
+// database does with them.
+func TestClusterDBServesSourcesInTurn(t *testing.T) {
+	cfg := clusterConfig(tierOf(workload.AppServF(), 2), 700, RouteRoundRobin)
+	cfg.DB.MPL = 2
+	cfg.DB.Speed = 0.1 // ≈ 105 req/s of database capacity against ≈ 370 of application
+	cfg.Duration = 1000
+	res, err := Run(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res.DBUtilization < 0.9 {
+		t.Fatalf("db utilisation %.3f: the agents are not contended", res.DBUtilization)
+	}
+	a, b := res.PerServer[0], res.PerServer[1]
+	t.Logf("threads held %.1f and %.1f, throughput %.1f and %.1f req/s", a.MeanSlotsHeld, b.MeanSlotsHeld, a.Throughput, b.Throughput)
+	if d := math.Abs(a.MeanSlotsHeld-b.MeanSlotsHeld) / (a.MeanSlotsHeld + b.MeanSlotsHeld); d > 0.05 {
+		t.Errorf("threads held %.1f and %.1f: the database serves one server's queue ahead of the other's", a.MeanSlotsHeld, b.MeanSlotsHeld)
+	}
+}
+
 func TestClusterCachePerServer(t *testing.T) {
 	// Session caches live per server. Sticky routing keeps a client on
 	// one server (few misses once warm); per-request round robin

@@ -7,7 +7,6 @@ import (
 	"testing"
 
 	"perfpred/internal/obs"
-	"perfpred/internal/sim"
 	"perfpred/internal/workload"
 )
 
@@ -58,12 +57,8 @@ func TestMeasureCurveParallelMatchesSerial(t *testing.T) {
 // completed counter).
 func TestMeasureCurveMetricsUnderParallelSweep(t *testing.T) {
 	reg := obs.NewRegistry()
-	EnableMetrics(reg)
-	sim.EnableMetrics(reg)
-	defer func() {
-		EnableMetrics(nil)
-		sim.EnableMetrics(nil)
-	}()
+	obs.Bind(reg)
+	defer obs.Bind(nil)
 	counts := []int{200, 500, 900, 1300}
 	opt := MeasureOptions{Seed: 17, WarmUp: 5, Duration: 20, Workers: 8}
 	points, err := MeasureCurve(workload.AppServF(), counts, 0, opt)

@@ -141,8 +141,8 @@ func sortedClassNames(r *Result) []string {
 // lognormal think loops, diurnal-thinned Poisson and MMPP.
 func TestScenarioSteadyStateZeroAlloc(t *testing.T) {
 	reg := obs.NewRegistry()
-	EnableMetrics(reg)
-	defer EnableMetrics(nil)
+	obs.Bind(reg)
+	defer obs.Bind(nil)
 	cfg := scenarioConfig(fleetScenario(t))
 	cfg.Duration = 100000 // never reached; time advances manually
 	s, until := steadySim(t, cfg)

@@ -277,10 +277,8 @@ func steadySharded(t testing.TB, cfg Config) (*ShardedRun, float64) {
 // advance on every shard, with metrics enabled.
 func TestShardedSteadyStateZeroAllocWithMetrics(t *testing.T) {
 	reg := obs.NewRegistry()
-	EnableMetrics(reg)
-	sim.EnableMetrics(reg)
-	defer EnableMetrics(nil)
-	defer sim.EnableMetrics(nil)
+	obs.Bind(reg)
+	defer obs.Bind(nil)
 
 	cfg := shardedConfig(4, 2, 4)
 	cfg.Duration = 100000 // never reached; advanced manually

@@ -5,6 +5,7 @@ import (
 	"math"
 	"sort"
 
+	"perfpred/internal/obs"
 	"perfpred/internal/scenario"
 	"perfpred/internal/sim"
 	"perfpred/internal/stats"
@@ -74,7 +75,7 @@ type simulator struct {
 	reqFree *reqState // retired request records for reuse
 
 	// Plain instrumentation counters (a simulator is single-goroutine);
-	// flushMetrics publishes them to the process-wide atomics at collect.
+	// flushMetrics publishes them to the declared metrics at collect.
 	poolReuses, poolAllocs uint64
 
 	measuring  bool
@@ -232,7 +233,7 @@ func newSimulator(cfg Config, opt simOptions) *simulator {
 	var eng *sim.Engine
 	if opt.shard == nil {
 		eng = newEngine()
-		recordRun()
+		tradeRuns.Inc()
 	} else {
 		// Sharded pool: run on the shard's calendar engine with a root
 		// stream split by stable pool index, so the pool's entire draw
@@ -684,4 +685,36 @@ func collect(pools []*simulator, duration float64, fired uint64, namespaced bool
 		p.flushMetrics(poolCompleted)
 	}
 	return res
+}
+
+// The Trade simulator's process-wide counters, summed over every run.
+// A simulator keeps plain per-instance counters (it is strictly
+// single-goroutine) and flushMetrics publishes them once per run, at
+// collect time, so the request loop stays allocation-free.
+var (
+	tradeRuns              = obs.DeclareCounter("trade_runs")                // single-engine simulators built (Run, Windows)
+	tradeRequestsCompleted = obs.DeclareCounter("trade_requests_completed")  // measured request completions
+	tradeRequestPoolReuses = obs.DeclareCounter("trade_request_pool_reuses") // request records served from the free list
+	tradeRequestPoolAllocs = obs.DeclareCounter("trade_request_pool_allocs") // request records newly allocated
+	tradeCacheHits         = obs.DeclareCounter("trade_cache_hits")          // session-cache hits (measured window)
+	tradeCacheMisses       = obs.DeclareCounter("trade_cache_misses")        // session-cache misses (measured window)
+	tradeCacheEvicts       = obs.DeclareCounter("trade_cache_evicts")        // session-cache evictions (measured window)
+)
+
+// flushMetrics publishes one run's totals, with the measured completion
+// count already summed.
+func (s *simulator) flushMetrics(totalCompleted int) {
+	if !tradeRequestsCompleted.Bound() {
+		return
+	}
+	tradeRequestsCompleted.Add(uint64(totalCompleted))
+	tradeRequestPoolReuses.Add(s.poolReuses)
+	tradeRequestPoolAllocs.Add(s.poolAllocs)
+	for _, app := range s.apps {
+		if app.cache != nil {
+			tradeCacheHits.Add(app.cache.hits)
+			tradeCacheMisses.Add(app.cache.misses)
+			tradeCacheEvicts.Add(app.cache.evicts)
+		}
+	}
 }
