@@ -109,7 +109,7 @@ func main() {
 
 func loadModel(useTrade bool, server string, clients int, buy float64, args []string) (*lqn.Model, error) {
 	if useTrade {
-		arch, err := serverByName(server)
+		arch, err := workload.ServerByName(server)
 		if err != nil {
 			return nil, err
 		}
@@ -124,15 +124,6 @@ func loadModel(useTrade bool, server string, clients int, buy float64, args []st
 	}
 	defer f.Close()
 	return lqn.ReadModel(f)
-}
-
-func serverByName(name string) (workload.ServerArch, error) {
-	for _, s := range workload.CaseStudyServers() {
-		if s.Name == name {
-			return s, nil
-		}
-	}
-	return workload.ServerArch{}, fmt.Errorf("unknown server %q (want AppServS, AppServF or AppServVF)", name)
 }
 
 func parseGoal(s string) (string, float64, error) {

@@ -25,21 +25,6 @@ func TestParseGoal(t *testing.T) {
 	}
 }
 
-func TestServerByName(t *testing.T) {
-	for _, name := range []string{"AppServS", "AppServF", "AppServVF"} {
-		s, err := serverByName(name)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if s.Name != name {
-			t.Fatalf("got %q", s.Name)
-		}
-	}
-	if _, err := serverByName("AppServX"); err == nil {
-		t.Fatal("unknown server should fail")
-	}
-}
-
 func TestLoadModelTrade(t *testing.T) {
 	m, err := loadModel(true, "AppServF", 100, 0.1, nil)
 	if err != nil {

@@ -52,7 +52,7 @@ func main() {
 		}
 	}()
 
-	arch, err := serverByName(*server)
+	arch, err := workload.ServerByName(*server)
 	if err != nil {
 		fatal(err)
 	}
@@ -87,7 +87,7 @@ func main() {
 	}
 	if *tier != "" {
 		for _, name := range strings.Split(*tier, ",") {
-			a, err := serverByName(strings.TrimSpace(name))
+			a, err := workload.ServerByName(strings.TrimSpace(name))
 			if err != nil {
 				fatal(err)
 			}
@@ -131,15 +131,6 @@ func main() {
 	for _, op := range res.PerOperation {
 		fmt.Printf("  op %-15s RT=%8.2fms n=%d\n", op.Operation, op.MeanRT*1000, op.Completed)
 	}
-}
-
-func serverByName(name string) (workload.ServerArch, error) {
-	for _, s := range workload.CaseStudyServers() {
-		if s.Name == name {
-			return s, nil
-		}
-	}
-	return workload.ServerArch{}, fmt.Errorf("unknown server %q", name)
 }
 
 func fatal(err error) {

@@ -1,9 +1,10 @@
 package sim
 
 import (
+	"cmp"
 	"fmt"
 	"math"
-	"sort"
+	"slices"
 
 	"perfpred/internal/obs"
 	"perfpred/internal/parallel"
@@ -25,21 +26,15 @@ type message struct {
 	dst    int
 }
 
-// msgSorter sorts a shard's inbox by (time, origin, seq). It is a
-// retained sort.Interface so the per-window sort allocates nothing.
-type msgSorter struct{ msgs []message }
-
-func (s *msgSorter) Len() int      { return len(s.msgs) }
-func (s *msgSorter) Swap(i, j int) { s.msgs[i], s.msgs[j] = s.msgs[j], s.msgs[i] }
-func (s *msgSorter) Less(i, j int) bool {
-	a, b := &s.msgs[i], &s.msgs[j]
-	if a.time != b.time {
-		return a.time < b.time
+// messageOrder orders messages by (time, origin, seq), a unique key.
+func messageOrder(a, b message) int {
+	if c := cmp.Compare(a.time, b.time); c != 0 {
+		return c
 	}
-	if a.origin != b.origin {
-		return a.origin < b.origin
+	if c := cmp.Compare(a.origin, b.origin); c != 0 {
+		return c
 	}
-	return a.seq < b.seq
+	return cmp.Compare(a.seq, b.seq)
 }
 
 // Shard is one partition of a sharded simulation: a calendar-queue
@@ -51,11 +46,10 @@ type Shard struct {
 	// (and the coordinator, between windows) may touch it.
 	Eng *Engine
 
-	id     int
-	coord  *Coordinator
-	out    []message // this window's sends, each naming its destination
-	inbox  []message
-	sorter msgSorter
+	id    int
+	coord *Coordinator
+	out   []message // this window's sends, each naming its destination
+	inbox []message
 	// inboxMin is the earliest fire time among routed-but-undelivered
 	// messages, +Inf when the inbox is empty; the coordinator folds it
 	// into the idle-skip horizon.
@@ -215,10 +209,7 @@ func (c *Coordinator) exchange() {
 		src.out = src.out[:0]
 	}
 	for _, sh := range c.shards {
-		if len(sh.inbox) > 1 {
-			sh.sorter.msgs = sh.inbox
-			sort.Sort(&sh.sorter)
-		}
+		slices.SortFunc(sh.inbox, messageOrder)
 		for j := range sh.inbox {
 			if t := sh.inbox[j].time; t < sh.inboxMin {
 				sh.inboxMin = t

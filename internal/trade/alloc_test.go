@@ -4,6 +4,7 @@ import (
 	"math"
 	"runtime"
 	"testing"
+	"unsafe"
 
 	"perfpred/internal/obs"
 	"perfpred/internal/sim"
@@ -52,6 +53,20 @@ func TestSteadyStateRequestLoopZeroAlloc(t *testing.T) {
 	})
 	if allocs != 0 {
 		t.Fatalf("steady-state request loop allocates %v objects per 2 simulated seconds, want 0", allocs)
+	}
+}
+
+// A request record goes from its client's issue to its response
+// wherever the request is served, so it carries the fleet's fields —
+// the issuing pool, the issue time, the hop continuation — and
+// single-engine runs pay for them in every in-flight request. Packing
+// keeps the record at its size before the fleet's fields joined it.
+func TestRequestRecordSize(t *testing.T) {
+	if unsafe.Sizeof(uintptr(0)) != 8 {
+		t.Skip("the packing argument is about 64-bit layouts")
+	}
+	if got := unsafe.Sizeof(reqState{}); got > 192 {
+		t.Fatalf("sizeof(reqState) = %d bytes, want at most 192", got)
 	}
 }
 

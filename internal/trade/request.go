@@ -2,11 +2,14 @@ package trade
 
 import "perfpred/internal/workload"
 
-// reqState is one in-flight request's lifecycle record (thread grant →
-// CPU segments → database calls → response). It carries the stage data
-// in plain fields and a set of continuations bound once, when the
-// record is first allocated; retired records return to a per-simulator
-// free list, so the steady-state request loop allocates nothing.
+// reqState is one request's record from its client's issue to its
+// response (thread grant → CPU segments → database calls → response).
+// It carries the stage data in plain fields and a set of continuations
+// bound once, when the record is first allocated. The pool that issued
+// the request owns the record: a request the fleet router sends to a
+// sibling pool travels there as this same record, is served there and
+// comes back over the hop, and every record retires to its issuing
+// pool's free list, so the steady-state request loop allocates nothing.
 //
 // Draw order is part of the contract: every per-seed result depends on
 // which stage draws from s.serve when. Each stage draws at the instant
@@ -15,19 +18,19 @@ import "perfpred/internal/workload"
 // database call's CPU time at the agent grant, its latency at the
 // call's completion, the think time after the thread is released.
 type reqState struct {
-	s      *simulator
-	client int32     // the issuing closed client's index; -1 for open and hop-delivered requests
-	acc    *classAcc // response-time accumulator for the request's class
+	s      *simulator // the pool running the record: the serving pool while served, else the issuing one
+	client int32      // the issuing closed client's index; -1 for open arrivals
+	origin int32      // the issuing pool's index while served elsewhere; -1 when served where issued
 
 	app     *appServer
-	srv     int
-	cls     int // Config.Load index of the request's class (router key)
+	srv     int32
+	cls     int32 // Config.Load index of the request's class (router key)
 	d       workload.Demand
 	opName  string
-	arrival float64
+	issued  float64 // issue time at the issuing pool; the client's response time counts from here
+	arrival float64 // admission time at the serving pool; the router's service-side time counts from here
 	dbCalls int     // database calls still to make
 	segment float64 // CPU time per inter-call segment
-	xr      *xreq   // non-nil when serving a remote pool's request
 
 	next *reqState // free-list link
 
@@ -40,6 +43,7 @@ type reqState struct {
 	onDB     func() // database agent granted
 	onDBDone func() // database CPU burst finished
 	onLat    func() // per-call latency elapsed
+	onHop    func() // cross-pool hop landed (bound only under a router that is not Local)
 }
 
 // getReq takes a request record from the free list, allocating (and
@@ -62,17 +66,56 @@ func (s *simulator) getReq() *reqState {
 	r.onDB = r.dbGranted
 	r.onDBDone = r.dbDone
 	r.onLat = r.latDone
+	if s.router != nil && !s.router.Local() {
+		r.onHop = r.hopped
+	}
+	return r
+}
+
+// newReq takes a record for a request of class cls issued now by closed
+// client c (-1 for an open arrival) with demand d.
+func (s *simulator) newReq(c, cls int32, d workload.Demand) *reqState {
+	r := s.getReq()
+	r.client, r.origin = c, -1
+	r.cls = cls
+	r.d = d
+	r.issued = s.eng.Now()
 	return r
 }
 
 // putReq retires a finished request record to the free list.
 func (s *simulator) putReq(r *reqState) {
-	r.acc = nil
 	r.app = nil
 	r.opName = ""
-	r.xr = nil
 	r.next = s.reqFree
 	s.reqFree = r
+}
+
+// hasSession reports whether the request carries its client's session:
+// a closed client's request served in its own pool. Open arrivals and
+// requests served in a sibling pool have none, so they bypass the
+// session cache and the critical section.
+func (r *reqState) hasSession() bool { return r.client >= 0 && r.origin < 0 }
+
+// ship sends the record over the cross-pool hop to pool dst, where
+// hopped runs. The hop delay equals the coordinator lookahead, so the
+// send is always legal.
+func (r *reqState) ship(dst *simulator) {
+	s := r.s
+	r.s = dst
+	s.sendSeq++
+	s.shard.Send(dst.shard.ID(), s.poolID, s.sendSeq, ShardLatency, r.onHop)
+}
+
+// hopped runs when the record lands off a hop: at the serving pool it
+// is admitted like an open arrival, back at the issuing pool it is
+// answered.
+func (r *reqState) hopped() {
+	if s := r.s; int32(s.poolID) != r.origin {
+		s.admit(r, -1)
+	} else {
+		s.respond(r)
+	}
 }
 
 // slotGranted runs when the application server admits the request: the
@@ -83,7 +126,7 @@ func (s *simulator) putReq(r *reqState) {
 func (r *reqState) slotGranted() {
 	s := r.s
 	r.dbCalls = s.sampleCalls(r.d.DBCallsPerRequest)
-	if r.app.cache != nil && r.client >= 0 {
+	if r.app.cache != nil && r.hasSession() {
 		size := s.sessionBytes[r.client]
 		if !r.app.cache.touch(int(r.client), size) {
 			r.dbCalls += workload.CacheMissDBCalls
@@ -91,7 +134,7 @@ func (r *reqState) slotGranted() {
 	}
 	totalCPU := s.serve.Exp(r.d.AppServerTime) // reference-scale demand; CPU speed scales service
 	r.segment = totalCPU / float64(r.dbCalls+1)
-	if cs := s.cfg.CriticalSection; cs != nil && r.client >= 0 && s.serve.Float64() < cs.Fraction {
+	if cs := s.cfg.CriticalSection; cs != nil && r.hasSession() && s.serve.Float64() < cs.Fraction {
 		// The request must hold the server-global lock while executing
 		// the protected section — the implicit queue of §8.1.
 		r.app.csLock.Acquire(0, r.onCS)
@@ -121,7 +164,7 @@ func (r *reqState) segDone() {
 		r.finish()
 		return
 	}
-	r.s.dbSlots.Acquire(r.srv, r.onDB)
+	r.s.dbSlots.Acquire(int(r.srv), r.onDB)
 }
 
 // dbGranted runs when a database agent is granted; the call's CPU time
@@ -154,47 +197,46 @@ func (r *reqState) latDone() {
 }
 
 // finish releases the servlet thread (which may synchronously admit
-// the next queued request), records the response time, and — for a
-// closed client — schedules the next request after a think time. The
-// think-time draw deliberately happens after the thread release, so a
-// synchronously admitted request makes its draws first.
+// the next queued request) and answers the request: in place when it
+// was issued here, over the hop back to its issuing pool otherwise.
 func (r *reqState) finish() {
 	s := r.s
 	if s.router != nil {
 		// Service-side completion at the serving pool: r.arrival is this
-		// pool's admission time for both local and hop-delivered requests,
-		// so the reported response time excludes hop latency. Always
-		// reported (not measurement-gated) — the router's in-flight
-		// conservation is control state, not statistics.
-		s.router.Completed(int(s.poolID), r.cls, s.eng.Now()-r.arrival)
-	}
-	if r.xr != nil {
-		// A remote pool's request: release the thread, then ship the
-		// response back across the shard boundary instead of recording
-		// locally — the origin pool owns the client and its statistics.
-		xr := r.xr
-		r.app.slots.Release()
-		if s.measuring {
-			r.app.completed++
-		}
-		s.sendSeq++
-		s.shard.Send(xr.homeShard, s.poolID, s.sendSeq, ShardLatency, xr.ret)
-		s.putReq(r)
-		return
+		// pool's admission time, so the reported response time excludes
+		// hop latency. Always reported (not measurement-gated) — the
+		// router's in-flight conservation is control state, not
+		// statistics.
+		s.router.Completed(int(s.poolID), int(r.cls), s.eng.Now()-r.arrival)
 	}
 	r.app.slots.Release()
-	rt := s.eng.Now() - r.arrival
+	if s.measuring {
+		r.app.completed++
+	}
+	if r.origin >= 0 {
+		r.ship(s.pools[r.origin])
+		return
+	}
+	s.respond(r)
+}
+
+// respond answers a request at the pool that issued it: it records the
+// response time from the issue, and — for a closed client — schedules
+// the next request after a think time. The think-time draw
+// deliberately happens after finish released the thread, so a
+// synchronously admitted request makes its draws first.
+func (s *simulator) respond(r *reqState) {
+	rt := s.eng.Now() - r.issued
 	if s.intercept != nil {
 		s.intercept(s.eng.Now(), rt)
 	} else if s.measuring {
-		r.acc.record(rt)
+		s.classes[r.cls].acc.record(rt)
 		if s.ops != nil && r.opName != "" {
 			s.ops.record(r.opName, rt)
 		}
-		r.app.completed++
 	}
 	if r.client >= 0 {
-		s.eng.ScheduleArg(s.thinkDelay(r.cls), s.onThink, r.client)
+		s.eng.ScheduleArg(s.thinkDelay(int(r.cls)), s.onThink, r.client)
 	}
 	s.putReq(r)
 }

@@ -21,7 +21,7 @@ const scenStreamBase uint64 = 1 << 20
 // scenGen drives one open scenario cohort through the pooled request
 // lifecycle. It mirrors startOpenStream's structure — schedule the
 // next arrival first, then admit the current request through
-// admitOpen — with the constant-rate Poisson draw replaced by the
+// admit — with the constant-rate Poisson draw replaced by the
 // cohort's compiled generator (thinned time-varying Poisson, MMPP, or
 // trace replay). The arrive continuation is bound once at
 // registration and the generator pulls allocate nothing, so the
@@ -30,8 +30,7 @@ type scenGen struct {
 	s       *simulator
 	gen     *scenario.Gen
 	sampler *typeSampler
-	acc     *classAcc
-	cls     int
+	cls     int32
 	pendRT  workload.RequestType // the scheduled arrival's trace type ("" = sample the mix)
 	arrive  func()
 }
@@ -45,8 +44,7 @@ func (s *simulator) startScenarioStream(co *scenario.Cohort, classIdx int, sampl
 			root.Split(scenStreamBase+uint64(2*classIdx)),
 			root.Split(scenStreamBase+uint64(2*classIdx)+1)),
 		sampler: sampler,
-		acc:     s.acc[co.Class.Name],
-		cls:     classIdx,
+		cls:     int32(classIdx),
 	}
 	g.arrive = g.doArrive
 	g.pull()
@@ -83,7 +81,7 @@ func (g *scenGen) doArrive() {
 	} else {
 		d = g.sampler.sample(s.choose)
 	}
-	s.admitOpen(g.acc, g.cls, d, nil)
+	s.admit(s.newReq(-1, g.cls, d), -1)
 }
 
 // WindowPoint is one fixed-width window of a cold-start run: the

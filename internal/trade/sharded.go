@@ -5,7 +5,6 @@ import (
 	"math"
 
 	"perfpred/internal/sim"
-	"perfpred/internal/workload"
 )
 
 // This file is the sharded fleet model: Pools replicas of the
@@ -20,88 +19,6 @@ import (
 // carries a mapping-invariant (time, pool, seq) key, the fleet's
 // trajectory is identical at any shard count; shards only decide which
 // engine a pool's events fire on.
-
-// xreq is one cross-pool request in flight. It is owned by the ORIGIN
-// pool: created and recycled there, with its continuations bound once
-// at allocation so the steady-state remote path allocates nothing. The
-// destination pool only reads its fields (demand, identity) and runs
-// the request through an ordinary pooled reqState with xr set.
-type xreq struct {
-	s       *simulator // origin pool
-	dst     *simulator
-	client  int32 // the origin's closed-client index
-	cls     int   // Config.Load index of the client's class (router key)
-	d       workload.Demand
-	arrival float64 // origin-pool issue time; rt includes both hops
-	// homeShard is the origin's shard index, the Send destination for
-	// the response hop.
-	homeShard int
-
-	next *xreq // free-list link
-
-	arrive func() // bound once: runs on the destination shard
-	ret    func() // bound once: runs back on the origin shard
-}
-
-// getXreq takes a cross-pool record from the origin's free list,
-// binding continuations only on first allocation.
-func (s *simulator) getXreq() *xreq {
-	xr := s.xFree
-	if xr != nil {
-		s.xFree = xr.next
-		xr.next = nil
-		s.poolReuses++
-		return xr
-	}
-	s.poolAllocs++
-	xr = &xreq{s: s, homeShard: s.shard.ID()}
-	xr.arrive = xr.doArrive
-	xr.ret = xr.doReturn
-	return xr
-}
-
-// putXreq retires a completed cross-pool record.
-func (s *simulator) putXreq(xr *xreq) {
-	xr.dst = nil
-	xr.next = s.xFree
-	s.xFree = xr
-}
-
-// issueRemoteTo forwards closed client c's request to pool idx, the
-// fleet router's decision. The demand is drawn origin-side (on the
-// origin's own streams, keeping every stream pool-local); the
-// destination only executes it. The hop delay equals the coordinator
-// lookahead, so the send is always legal.
-func (s *simulator) issueRemoteTo(c, cls int32, idx int) {
-	dst := s.pools[idx]
-	d, _ := s.nextRequest(c, cls)
-	xr := s.getXreq()
-	xr.dst = dst
-	xr.client = c
-	xr.cls = int(cls)
-	xr.d = d
-	xr.arrival = s.eng.Now()
-	s.sendSeq++
-	s.shard.Send(dst.shard.ID(), s.poolID, s.sendSeq, ShardLatency, xr.arrive)
-}
-
-// doArrive runs on the destination shard when the request hop lands:
-// the destination pool serves it like an open arrival, on a pooled
-// reqState carrying the xreq back-reference.
-func (xr *xreq) doArrive() { xr.dst.admitOpen(nil, xr.cls, xr.d, xr) }
-
-// doReturn runs back on the origin shard when the response hop lands:
-// record the end-to-end response time (two hops plus remote service)
-// and put the client back into its think loop.
-func (xr *xreq) doReturn() {
-	s := xr.s
-	rt := s.eng.Now() - xr.arrival
-	if s.measuring {
-		s.classes[xr.cls].acc.record(rt)
-	}
-	s.eng.ScheduleArg(s.thinkDelay(xr.cls), s.onThink, xr.client)
-	s.putXreq(xr)
-}
 
 // ShardedRun is a fleet of pool simulators under one coordinator, and
 // the stepped interface to it: build once, advance the coordinator in

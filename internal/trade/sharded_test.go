@@ -15,20 +15,22 @@ import (
 
 // everyNth is a deterministic test PoolRouter: each pool sends every
 // nth request it issues to its right-hand neighbour and serves the rest
-// itself. Route touches only the origin's own counter and Started and
+// itself. Route touches only the origin's own counters and Started and
 // Completed only the serving pool's, per the threading contract.
 type everyNth struct {
-	n                          int
-	issued, started, completed []int // per pool
+	n                                  int
+	issued, remote, started, completed []int // per pool
 }
 
 func newEveryNth(n, pools int) *everyNth {
-	return &everyNth{n: n, issued: make([]int, pools), started: make([]int, pools), completed: make([]int, pools)}
+	return &everyNth{n: n, issued: make([]int, pools), remote: make([]int, pools),
+		started: make([]int, pools), completed: make([]int, pools)}
 }
 
 func (r *everyNth) Route(origin, class int) int {
 	r.issued[origin]++
 	if r.issued[origin]%r.n == 0 {
+		r.remote[origin]++
 		return (origin + 1) % len(r.issued)
 	}
 	return origin
@@ -256,8 +258,8 @@ func TestShardedGuards(t *testing.T) {
 }
 
 // steadySharded warms a fleet past its transient and fills every pool
-// (request records, cross-pool records, message buffers, reservoirs)
-// so subsequent windows run the pure steady-state path.
+// (request records, message buffers, reservoirs) so subsequent windows
+// run the pure steady-state path.
 func steadySharded(t testing.TB, cfg Config) (*ShardedRun, float64) {
 	t.Helper()
 	r, err := NewSharded(cfg)
@@ -293,8 +295,8 @@ func TestShardedSteadyStateZeroAllocWithMetrics(t *testing.T) {
 	if res := r.Collect(); res.Throughput <= 0 {
 		t.Fatal("empty collection")
 	}
-	if r.pools[0].xFree == nil {
-		t.Fatal("no cross-pool request completed")
+	if cfg.Router.(*everyNth).remote[0] == 0 {
+		t.Fatal("no request crossed pools")
 	}
 	snap := reg.Snapshot()
 	if snap.Counters["trade_requests_completed"] == 0 {
@@ -305,10 +307,9 @@ func TestShardedSteadyStateZeroAllocWithMetrics(t *testing.T) {
 	}
 }
 
-// Every request that no local client issued — an open Load stream's
-// arrival, a scenario cohort's, a sibling pool's landing off the hop —
-// enters through admitOpen, which reports it to the router exactly
-// once: at any barrier, the requests started are the requests completed
+// Every request enters through admit, which reports it to the router
+// exactly once — an open Load stream's arrival, a scenario cohort's and
+// a sibling pool's request landing off the hop included: at any barrier, the requests started are the requests completed
 // plus those holding or queued for a thread.
 func TestShardedAdmitOpenReportsStartedOnce(t *testing.T) {
 	portal, err := scenario.New("portal").AddPoisson("portal", 60, map[string]float64{"browse": 1}).Compile("")
@@ -350,6 +351,39 @@ func TestShardedAdmitOpenReportsStartedOnce(t *testing.T) {
 				}
 			}
 		})
+	}
+}
+
+// toFirst is a test PoolRouter that sends every request to pool 0.
+type toFirst struct{}
+
+func (toFirst) Route(origin, class int) int           { return 0 }
+func (toFirst) Started(pool, class int)               {}
+func (toFirst) Completed(pool, class int, rt float64) {}
+func (toFirst) Local() bool                           { return false }
+
+// A request record stays with the pool that issued it, wherever the
+// request is served: a closed client has at most one request in
+// flight, so no pool allocates more records than it has closed
+// clients, even when one pool serves the whole fleet and its thread
+// queue holds every other pool's requests.
+func TestShardedRecordsStayWithTheirPool(t *testing.T) {
+	cfg := shardedConfig(16, 2, 0)
+	cfg.Router = toFirst{}
+	r, err := NewSharded(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer r.Close()
+	r.Advance(60)
+	for pi, p := range r.pools {
+		clients := p.classes[len(p.classes)-1].clientEnd
+		if p.poolAllocs > uint64(clients) {
+			t.Errorf("pool %d allocated %d request records for %d closed clients", pi, p.poolAllocs, clients)
+		}
+		if p.poolAllocs+p.poolReuses == 0 {
+			t.Errorf("pool %d issued no request", pi)
+		}
 	}
 }
 

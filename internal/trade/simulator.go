@@ -49,13 +49,12 @@ type simulator struct {
 	route  *sim.Stream
 
 	// Sharded-fleet wiring (nil/zero on the single-engine path):
-	// the pool's shard, its stable pool index, references to sibling
-	// pools and a free list of cross-pool request records.
+	// the pool's shard, its stable pool index and references to
+	// sibling pools.
 	shard   *sim.Shard
 	poolID  uint64
 	pools   []*simulator
 	sendSeq uint64
-	xFree   *xreq
 	router  PoolRouter // per-request routing hook (nil = static assignment)
 
 	rrNext        int
@@ -386,32 +385,27 @@ func (s *simulator) startOpenStream(pop workload.Population, classIdx int, sampl
 	var arrive func()
 	arrive = func() {
 		s.eng.Schedule(rng.Exp(mean), arrive)
-		s.admitOpen(s.classes[classIdx].acc, classIdx, sampler.sample(s.choose), nil)
+		s.admit(s.newReq(-1, int32(classIdx), sampler.sample(s.choose)), -1)
 	}
 	s.eng.Schedule(rng.Exp(mean), arrive)
 }
 
-// admitOpen starts one request that no local client issued — an open
-// stream's or scenario cohort's arrival, or (xr non-nil) a sibling
-// pool's request landing off the cross-pool hop — on a pooled reqState.
-// Callers make their own draws first; from here every such request
-// routes like a dynamic one and carries no session identity, so it
-// bypasses the session cache and the critical section.
-func (s *simulator) admitOpen(acc *classAcc, classIdx int, d workload.Demand, xr *xreq) {
-	r := s.getReq()
-	r.client = -1
-	r.acc = acc
-	r.cls = classIdx
-	r.d = d
-	r.xr = xr
+// admit starts serving request r at this pool, given the issuing
+// client's home server (-1 for a request with none: an open stream's
+// or scenario cohort's arrival, or a sibling pool's request landing
+// off the hop, which routes by speed-weighted random choice). Every
+// request enters here after its issuer has made its draws: it is
+// stamped with its arrival, routed to an application server, counted
+// by the fleet router and queued for a thread.
+func (s *simulator) admit(r *reqState, home int) {
 	r.arrival = s.eng.Now()
-	r.srv = s.pickServerFor(-1)
+	r.srv = int32(s.pickServerFor(home))
 	r.app = s.apps[r.srv]
 	if s.router != nil {
-		// Never routed across pools from here, but the request occupies
-		// this pool, so the router's in-flight state counts it — on the
-		// serving pool's shard, the router's threading contract.
-		s.router.Started(int(s.poolID), classIdx)
+		// The request occupies this pool, so the router's in-flight
+		// state counts it — on the serving pool's shard, the router's
+		// threading contract.
+		s.router.Started(int(s.poolID), int(r.cls))
 	}
 	r.app.slots.Acquire(0, r.onSlot)
 }
@@ -480,35 +474,30 @@ func (s *simulator) thinkDone() {
 }
 
 // issueRequest begins one request of closed client c, of class cls:
-// pick the operation (or coarse request type), route it to an
-// application server, queue for a thread, process, respond, then think
-// and repeat. The whole lifecycle runs on a pooled reqState — no
-// per-request closures.
+// route it to a pool, pick the operation (or coarse request type),
+// then serve it here or ship it to the routed pool, respond, think and
+// repeat. The demand is drawn here, on the issuing pool's own streams,
+// keeping every stream pool-local; a serving sibling only executes it.
+// The whole lifecycle runs on one pooled reqState — no per-request
+// closures.
 func (s *simulator) issueRequest(c, cls int32) {
+	dst := s
 	if s.router != nil {
-		// Per-request fleet routing: the router picks the serving pool;
-		// anything but the client's own pool rides the cross-pool hop.
-		if dst := s.router.Route(int(s.poolID), int(cls)); dst != int(s.poolID) {
-			s.issueRemoteTo(c, cls, dst)
-			return
-		}
-		s.router.Started(int(s.poolID), int(cls))
+		dst = s.pools[s.router.Route(int(s.poolID), int(cls))]
 	}
 	d, opName := s.nextRequest(c, cls)
-	r := s.getReq()
-	r.client = c
-	r.acc = s.classes[cls].acc
-	r.cls = int(cls)
-	r.d = d
+	r := s.newReq(c, cls, d)
 	r.opName = opName
-	r.arrival = s.eng.Now()
+	if dst != s {
+		r.origin = int32(s.poolID)
+		r.ship(dst)
+		return
+	}
 	home := 0
 	if s.home != nil {
 		home = int(s.home[c])
 	}
-	r.srv = s.pickServerFor(home)
-	r.app = s.apps[r.srv]
-	r.app.slots.Acquire(0, r.onSlot)
+	s.admit(r, home)
 }
 
 // nextRequest resolves closed client c's next request to a demand and,

@@ -1,5 +1,7 @@
 package workload
 
+import "fmt"
+
 // This file pins down the paper's §3 case study so every experiment in
 // the repository runs against one canonical configuration.
 //
@@ -110,6 +112,16 @@ func AppServVF() ServerArch {
 // slow-to-fast order.
 func CaseStudyServers() []ServerArch {
 	return []ServerArch{AppServS(), AppServF(), AppServVF()}
+}
+
+// ServerByName returns the case-study architecture with the given name.
+func ServerByName(name string) (ServerArch, error) {
+	for _, s := range CaseStudyServers() {
+		if s.Name == name {
+			return s, nil
+		}
+	}
+	return ServerArch{}, fmt.Errorf("unknown server %q (want AppServS, AppServF or AppServVF)", name)
 }
 
 // CaseStudyDB returns the shared database server (paper: Athlon

@@ -207,3 +207,18 @@ func TestMixedWorkloadConservesClientsProperty(t *testing.T) {
 		t.Fatal(err)
 	}
 }
+
+func TestServerByName(t *testing.T) {
+	for _, name := range []string{"AppServS", "AppServF", "AppServVF"} {
+		s, err := ServerByName(name)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if s.Name != name {
+			t.Fatalf("got %q", s.Name)
+		}
+	}
+	if _, err := ServerByName("AppServX"); err == nil {
+		t.Fatal("unknown server should fail")
+	}
+}
