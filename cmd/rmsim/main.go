@@ -17,6 +17,10 @@
 //	             # heterogeneous cost-performance frontier ($/req axis)
 //	rmsim fleet  [-pools 8] [-shards 4] [-scorer affinity] [-clients 200]
 //	             [-scenario spec.json]   # spec-driven time-varying load
+//
+// Every subcommand also takes -report (write a JSON snapshot of the
+// metrics to this file on exit) and -metrics-addr (serve them while it
+// runs), as experiments and tradebench do.
 package main
 
 import (
@@ -27,6 +31,7 @@ import (
 
 	"perfpred/internal/bench"
 	"perfpred/internal/fleet"
+	"perfpred/internal/instrument"
 	"perfpred/internal/lqn"
 	"perfpred/internal/rm"
 	"perfpred/internal/scenario"
@@ -57,9 +62,20 @@ func main() {
 	costVF := fs.Float64("cost-vf", 0.35, "$/hour of one AppServVF for 'frontier'")
 	maxPer := fs.Int("max-per-arch", 4, "per-architecture server cap for 'frontier'")
 	maxServers := fs.Int("max-servers", 8, "fleet size cap for 'frontier'")
+	metricsAddr := fs.String("metrics-addr", "", "serve /metrics, /debug/vars and /debug/pprof on this address")
+	report := fs.String("report", "", "write a JSON metrics snapshot to this file on exit")
 	if err := fs.Parse(os.Args[2:]); err != nil {
 		fatal(err)
 	}
+	writeReport, err := instrument.Flags("rmsim", *metricsAddr, *report)
+	if err != nil {
+		fatal(err)
+	}
+	defer func() {
+		if err := writeReport(); err != nil {
+			fatal(err)
+		}
+	}()
 
 	if cmd == "fleet" {
 		// The in-loop study needs no §9.1 calibration: the replanner

@@ -127,7 +127,7 @@ func BenchmarkShardWindow(b *testing.B) {
 		tick = func() {
 			sh.Eng.Schedule(r.Exp(0.2), tick)
 			seq++
-			sh.Send(peer, id, seq, lookahead+r.Exp(0.1), func() {})
+			sh.Send(peer, id, seq, lookahead+r.Exp(0.1), func() {}, 0)
 		}
 		sh.Eng.Schedule(r.Float64(), tick)
 	}
@@ -152,7 +152,7 @@ func BenchmarkStationSubmit(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		s.Submit(0.001, nil)
+		s.Submit(0.001, nil, 0)
 		e.Run(e.Now()+1, 0)
 	}
 }
@@ -172,10 +172,10 @@ func BenchmarkStationChurn(b *testing.B) {
 				e := bc.mk()
 				s := NewStation(e, "app", 1)
 				rng := NewStream(13)
-				var done func()
-				done = func() { s.Submit(rng.Exp(0.005), done) }
+				var done func(int32)
+				done = func(int32) { s.Submit(rng.Exp(0.005), done, 0) }
 				for i := 0; i < jobs; i++ {
-					done()
+					done(0)
 				}
 				b.ReportAllocs()
 				b.ResetTimer()

@@ -344,7 +344,7 @@ func TestScheduleAt(t *testing.T) {
 		e := mk()
 		var order []int
 		e.Schedule(3, func() { order = append(order, 1) })
-		e.scheduleAt(2, func() { order = append(order, 0) })
+		e.scheduleAt(2, func() { order = append(order, 0) }, 0)
 		e.Run(10, 0)
 		if len(order) != 2 || order[0] != 0 || order[1] != 1 {
 			t.Fatalf("order = %v, want [0 1]", order)
@@ -355,7 +355,7 @@ func TestScheduleAt(t *testing.T) {
 					t.Fatal("scheduleAt in the past did not panic")
 				}
 			}()
-			e.scheduleAt(e.Now()-1, func() {})
+			e.scheduleAt(e.Now()-1, func() {}, 0)
 		}()
 	}
 }

@@ -19,6 +19,17 @@
 // boxing or dynamic dispatch happens per event. One Engine is strictly
 // single-goroutine; concurrency lives a level up, where independent
 // engines run in parallel (internal/parallel).
+//
+// Every continuation is a handler plus an int32 argument: an event's
+// action reads its argument through Engine.Arg (ScheduleArg, and the
+// event a Shard.Send delivers), a Station's or Semaphore's callback
+// receives it as its parameter. A model binds one handler per kind of
+// continuation, once, and names each occurrence by the argument — a
+// client's index, a request record's handle — so scheduling makes no
+// closure. Semaphore grants run synchronously, inside Acquire or inside
+// whichever callback calls Release, so continuations nest: a handler
+// takes its argument on entry and never reads Engine.Arg after a
+// nested grant.
 package sim
 
 import (
@@ -181,14 +192,15 @@ func checkDelay(delay float64) {
 	}
 }
 
-// scheduleAt runs action at absolute simulated time t. It panics when
-// t is in the past or NaN. The shard coordinator uses it to deliver
-// cross-shard messages at their precomputed fire times.
-func (e *Engine) scheduleAt(t float64, action func()) {
+// scheduleAt runs action with argument arg at absolute simulated time
+// t. It panics when t is in the past or NaN. The shard coordinator
+// uses it to deliver cross-shard messages at their precomputed fire
+// times.
+func (e *Engine) scheduleAt(t float64, action func(), arg int32) {
 	if t < e.now || math.IsNaN(t) {
 		panic(fmt.Sprintf("sim: invalid fire time %v (now %v)", t, e.now))
 	}
-	e.enqueue(t, action, 0)
+	e.enqueue(t, action, arg)
 }
 
 // enqueue schedules a new event at time t: into the calendar on a

@@ -20,12 +20,12 @@ func newServer(e *Engine, speed float64, mpl int) *server {
 }
 
 func (sv *server) submit(demand float64, done func()) {
-	sv.slots.Acquire(0, func() {
-		sv.cpu.Submit(demand, func() {
+	sv.slots.Acquire(0, func(int32) {
+		sv.cpu.Submit(demand, func(int32) {
 			sv.slots.Release()
 			done()
-		})
-	})
+		}, 0)
+	}, 0)
 }
 
 // Property: a processor-sharing station conserves work — once every
@@ -128,13 +128,13 @@ func TestStationOwnsItsCompletionProperty(t *testing.T) {
 				}
 				resubmit := rng.Float64() < 0.3
 				e.Schedule(float64(rng.Intn(8))/4, func() {
-					st.Submit(d, func() {
+					st.Submit(d, func(int32) {
 						check()
 						if resubmit {
-							st.Submit(rng.Exp(0.5), check)
+							st.Submit(rng.Exp(0.5), func(int32) { check() }, 0)
 							check()
 						}
-					})
+					}, 0)
 					check()
 				})
 			}
@@ -196,13 +196,13 @@ func TestStationLeastRemainingMatchesScan(t *testing.T) {
 				resubmit := rng.Float64() < 0.3
 				probe := rng.Float64() < 0.2
 				e.Schedule(float64(rng.Intn(8))/4*scale, func() {
-					st.Submit(d, func() {
+					st.Submit(d, func(int32) {
 						check()
 						if resubmit {
-							st.Submit(rng.Exp(scale/2), check)
+							st.Submit(rng.Exp(scale/2), func(int32) { check() }, 0)
 							check()
 						}
-					})
+					}, 0)
 					check()
 					if probe {
 						st.Utilization() // update: charge every job to now
@@ -239,14 +239,14 @@ func TestSemaphoreInvariantProperty(t *testing.T) {
 		granted := 0
 		for i := 0; i < n; i++ {
 			e.Schedule(rng.Exp(1.0), func() {
-				s.Acquire(0, func() {
+				s.Acquire(0, func(int32) {
 					granted++
 					if s.Held() > capacity {
 						panic("capacity exceeded")
 					}
 					// Hold the slot for a while, then release.
 					e.Schedule(rng.Exp(0.5), s.Release)
-				})
+				}, 0)
 			})
 		}
 		e.Run(1e9, 0)

@@ -16,16 +16,16 @@ import "fmt"
 // has one queue and grants in arrival order, as an application server
 // does.
 //
-// Waiters are stored as bare callbacks in per-source ring buffers, so
-// queueing and granting allocate nothing in steady state.
+// Waiters are stored as a callback and its argument in per-source ring
+// buffers, so queueing and granting allocate nothing in steady state.
 type Semaphore struct {
 	eng      *Engine
 	name     string
 	capacity int
 
 	held    int
-	queues  []fifo[func()] // indexed by source id
-	sources []int          // insertion-ordered source ids
+	queues  []fifo[callback] // indexed by source id
+	sources []int            // insertion-ordered source ids
 	known   []bool
 	rrNext  int
 
@@ -53,12 +53,12 @@ func (s *Semaphore) Queued() int { return s.queued }
 
 // queueFor returns the waiting queue for a source, registering the
 // source in insertion order on first use.
-func (s *Semaphore) queueFor(source int) *fifo[func()] {
+func (s *Semaphore) queueFor(source int) *fifo[callback] {
 	if source < 0 {
 		panic(fmt.Sprintf("sim: semaphore %q got negative source %d", s.name, source))
 	}
 	for source >= len(s.queues) {
-		s.queues = append(s.queues, fifo[func()]{})
+		s.queues = append(s.queues, fifo[callback]{})
 		s.known = append(s.known, false)
 	}
 	if !s.known[source] {
@@ -68,17 +68,19 @@ func (s *Semaphore) queueFor(source int) *fifo[func()] {
 	return &s.queues[source]
 }
 
-// Acquire requests a slot for the given source. granted runs as soon
-// as a slot is available — synchronously when one is free now,
-// otherwise when a Release hands one over in queue order.
-func (s *Semaphore) Acquire(source int, granted func()) {
+// Acquire requests a slot for the given source. granted(arg) runs as
+// soon as a slot is available — synchronously when one is free now,
+// otherwise when a Release hands one over in queue order. Either way
+// it may run inside another callback (Release grants synchronously),
+// so a callback takes what it needs from its own argument.
+func (s *Semaphore) Acquire(source int, granted func(int32), arg int32) {
 	s.accumulate()
 	if s.held < s.capacity {
 		s.held++
-		granted()
+		granted(arg)
 		return
 	}
-	s.queueFor(source).push(granted)
+	s.queueFor(source).push(callback{granted, arg})
 	s.queued++
 }
 
@@ -96,12 +98,12 @@ func (s *Semaphore) Release() {
 		return
 	}
 	s.queued--
-	next()
+	next.fn(next.arg)
 }
 
 // nextWaiter pops the head of the next non-empty source queue in
 // round-robin order.
-func (s *Semaphore) nextWaiter() (func(), bool) {
+func (s *Semaphore) nextWaiter() (callback, bool) {
 	for range s.sources {
 		src := s.sources[s.rrNext%len(s.sources)]
 		s.rrNext++
@@ -109,7 +111,7 @@ func (s *Semaphore) nextWaiter() (func(), bool) {
 			return w, true
 		}
 	}
-	return nil, false
+	return callback{}, false
 }
 
 func (s *Semaphore) accumulate() {

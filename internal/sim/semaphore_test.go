@@ -10,8 +10,8 @@ func TestSemaphoreImmediateGrant(t *testing.T) {
 	e := NewEngine()
 	s := NewSemaphore(e, "threads", 2)
 	granted := 0
-	s.Acquire(0, func() { granted++ })
-	s.Acquire(0, func() { granted++ })
+	s.Acquire(0, func(int32) { granted++ }, 0)
+	s.Acquire(0, func(int32) { granted++ }, 0)
 	if granted != 2 || s.Held() != 2 {
 		t.Fatalf("granted=%d held=%d", granted, s.Held())
 	}
@@ -21,9 +21,9 @@ func TestSemaphoreQueuesBeyondCapacity(t *testing.T) {
 	e := NewEngine()
 	s := NewSemaphore(e, "threads", 1)
 	var order []int
-	s.Acquire(0, func() { order = append(order, 1) })
-	s.Acquire(0, func() { order = append(order, 2) })
-	s.Acquire(0, func() { order = append(order, 3) })
+	s.Acquire(0, func(int32) { order = append(order, 1) }, 0)
+	s.Acquire(0, func(int32) { order = append(order, 2) }, 0)
+	s.Acquire(0, func(int32) { order = append(order, 3) }, 0)
 	if s.Queued() != 2 {
 		t.Fatalf("queued = %d, want 2", s.Queued())
 	}
@@ -56,18 +56,18 @@ func TestSemaphorePerSourceRoundRobin(t *testing.T) {
 		e := NewEngine()
 		s := NewSemaphore(e, "agents", 1)
 		var order []int
-		var waiter func(i, src int) func()
-		waiter = func(i, src int) func() {
-			return func() {
+		var waiter func(i, src int) func(int32)
+		waiter = func(i, src int) func(int32) {
+			return func(int32) {
 				order = append(order, i)
 				if i == tc.again {
-					s.Acquire(src, waiter(len(tc.sources), src))
+					s.Acquire(src, waiter(len(tc.sources), src), 0)
 				}
 			}
 		}
-		s.Acquire(0, func() {}) // holds the slot
+		s.Acquire(0, func(int32) {}, 0) // holds the slot
 		for i, src := range tc.sources {
-			s.Acquire(src, waiter(i, src))
+			s.Acquire(src, waiter(i, src), 0)
 		}
 		for s.Queued() > 0 {
 			s.Release()
@@ -102,7 +102,7 @@ func TestSemaphoreInvalidCapacityPanics(t *testing.T) {
 func TestSemaphoreStats(t *testing.T) {
 	e := NewEngine()
 	s := NewSemaphore(e, "threads", 1)
-	s.Acquire(0, func() {})
+	s.Acquire(0, func(int32) {}, 0)
 	e.Schedule(10, func() { s.Release() })
 	e.Run(20, 0)
 	// Held for 10 of 20 time units.
@@ -118,8 +118,8 @@ func TestSemaphoreStats(t *testing.T) {
 func TestSemaphoreMeanQueued(t *testing.T) {
 	e := NewEngine()
 	s := NewSemaphore(e, "threads", 1)
-	s.Acquire(0, func() {})
-	s.Acquire(0, func() {}) // queued from t=0
+	s.Acquire(0, func(int32) {}, 0)
+	s.Acquire(0, func(int32) {}, 0) // queued from t=0
 	e.Schedule(10, func() { s.Release() })
 	e.Run(20, 0)
 	// One waiter for 10 of 20 units.

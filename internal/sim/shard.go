@@ -11,7 +11,8 @@ import (
 )
 
 // message is one cross-shard occurrence in flight: fn runs on shard
-// dst's engine at the given simulated time. The sort key
+// dst's engine at the given simulated time, with arg as the event's
+// argument (Engine.Arg). The sort key
 // (time, origin, seq) is deliberately built from caller-supplied
 // identifiers of the LOGICAL sender (e.g. a pool index and that pool's
 // own send counter), never from the shard id: the delivery order —
@@ -23,7 +24,8 @@ type message struct {
 	origin uint64
 	seq    uint64
 	fn     func()
-	dst    int
+	dst    int32 // with arg, one word: a message is five words
+	arg    int32
 }
 
 // messageOrder orders messages by (time, origin, seq), a unique key.
@@ -60,15 +62,17 @@ type Shard struct {
 func (sh *Shard) ID() int { return sh.id }
 
 // Send schedules fn to run on shard dst's engine after delay units of
-// simulated time. origin and seq identify the logical sender (a stable
-// partition index and its private send counter) and order deliveries;
+// simulated time, as an event whose argument (Engine.Arg) is arg, so
+// one action bound once can carry every message. origin and seq
+// identify the logical sender (a stable partition index and its
+// private send counter) and order deliveries;
 // they must be unique per in-flight message and independent of the
 // shard mapping. delay must be at least the coordinator's lookahead —
 // that is the conservative-synchronisation contract that makes
 // window-batched exchange exact: a message sent inside window [a, b)
 // fires at sendTime+delay ≥ a+lookahead ≥ b, i.e. always after the
 // barrier at which it is delivered, never inside its own window.
-func (sh *Shard) Send(dst int, origin, seq uint64, delay float64, fn func()) {
+func (sh *Shard) Send(dst int, origin, seq uint64, delay float64, fn func(), arg int32) {
 	if delay < sh.coord.lookahead || math.IsNaN(delay) {
 		panic(fmt.Sprintf("sim: cross-shard delay %v below lookahead %v", delay, sh.coord.lookahead))
 	}
@@ -80,7 +84,8 @@ func (sh *Shard) Send(dst int, origin, seq uint64, delay float64, fn func()) {
 		origin: origin,
 		seq:    seq,
 		fn:     fn,
-		dst:    dst,
+		dst:    int32(dst),
+		arg:    arg,
 	})
 }
 
@@ -185,7 +190,7 @@ func (c *Coordinator) runOne(i int) {
 	if len(sh.inbox) > 0 {
 		for j := range sh.inbox {
 			m := &sh.inbox[j]
-			sh.Eng.scheduleAt(m.time, m.fn)
+			sh.Eng.scheduleAt(m.time, m.fn, m.arg)
 			m.fn = nil
 		}
 		sh.inbox = sh.inbox[:0]

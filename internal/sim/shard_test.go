@@ -34,7 +34,7 @@ func (p *testPool) tick() {
 		q := p.peers[(int(p.id)+1+p.rng.Intn(len(p.peers)-1))%len(p.peers)]
 		delay := p.la + p.rng.Exp(0.3)
 		p.sendSeq++
-		p.sh.Send(q.sh.id, p.id, p.sendSeq, delay, q.receive)
+		p.sh.Send(q.sh.id, p.id, p.sendSeq, delay, q.receive, 0)
 	}
 	if now < 40 {
 		p.sh.Eng.Schedule(p.rng.Exp(0.7), p.tick)
@@ -108,7 +108,7 @@ func TestSendBelowLookaheadPanics(t *testing.T) {
 				t.Error("Send below lookahead did not panic")
 			}
 		}()
-		sh.Send(1, 0, 1, 0.1, func() {})
+		sh.Send(1, 0, 1, 0.1, func() {}, 0)
 	})
 	c.Run(2)
 }
@@ -128,7 +128,7 @@ func TestSendAtInfiniteLookaheadPanics(t *testing.T) {
 						t.Errorf("Send with delay %v at infinite lookahead did not panic", delay)
 					}
 				}()
-				sh.Send(1, 0, 1, delay, func() {})
+				sh.Send(1, 0, 1, delay, func() {}, 0)
 			}()
 		}
 	})

@@ -7,6 +7,13 @@ import (
 
 const remainEps = 1e-9
 
+// callback is a continuation a Station or a Semaphore holds: fn(arg)
+// runs when the job completes or the slot is granted.
+type callback struct {
+	fn  func(int32)
+	arg int32
+}
+
 // Station is a processor-sharing CPU: every submitted job is in service
 // at once, each receiving an equal share of the station's speed. This
 // is the time-sharing half of the paper's model of both server tiers
@@ -18,8 +25,9 @@ const remainEps = 1e-9
 // The jobs in service sit in parallel slices in no particular order: a
 // retired job's slot takes the last job. Each job carries its
 // submission number, so the jobs one event retires still call back in
-// submission order. The station also keeps the least remaining demand,
-// so a Submit charges every job but searches none.
+// submission order, each with the argument it was submitted with. The
+// station also keeps the least remaining demand, so a Submit charges
+// every job but searches none.
 type Station struct {
 	eng   *Engine
 	name  string
@@ -27,9 +35,12 @@ type Station struct {
 
 	// The jobs in service, as three parallel slices that reuse their
 	// backing arrays, so the steady-state service loop allocates nothing.
-	active []func()  // completion callbacks
-	remain []float64 // remaining demand of active[i], contiguous for the per-event pass
-	order  []uint64  // submission number of active[i]
+	// A callback and its argument share a slot: a fourth slice would
+	// keep one more value live in retire's per-job loop, and spill its
+	// index to the stack.
+	active []callback // completion callbacks with their arguments
+	remain []float64  // remaining demand of active[i], contiguous for the per-event pass
+	order  []uint64   // submission number of active[i]
 
 	least     float64 // min(remain), exactly; +Inf while no job is in service
 	submitted uint64  // jobs ever submitted: the next submission number
@@ -59,7 +70,8 @@ func NewStation(eng *Engine, name string, speed float64) *Station {
 }
 
 // Submit puts a job with the given service demand (time units at
-// speed 1) into service. done runs when service completes. Zero-demand
+// speed 1) into service. done(arg) runs when service completes, so one
+// callback bound once serves every job, told apart by arg. Zero-demand
 // jobs complete via the event queue, preserving causal ordering.
 // Negative or NaN demands panic: they are modelling bugs.
 //
@@ -68,12 +80,12 @@ func NewStation(eng *Engine, name string, speed float64) *Station {
 // float subtraction rounds monotonically (a ≤ b implies
 // fl(a−p) ≤ fl(b−p)), so the least after the charge is the least
 // before it, charged the same way.
-func (s *Station) Submit(demand float64, done func()) {
+func (s *Station) Submit(demand float64, done func(int32), arg int32) {
 	if demand < 0 || math.IsNaN(demand) {
 		panic(fmt.Sprintf("sim: station %q got invalid demand %v", s.name, demand))
 	}
 	s.update()
-	s.active = append(s.active, done)
+	s.active = append(s.active, callback{done, arg})
 	s.remain = append(s.remain, demand)
 	s.order = append(s.order, s.submitted)
 	s.submitted++
@@ -136,7 +148,7 @@ func (s *Station) scheduleNext() {
 // retired is a job one completion event took out of service.
 type retired struct {
 	order uint64 // submission number
-	done  func()
+	cb    callback
 }
 
 // onCompletion retires every job whose demand is exhausted and then
@@ -170,10 +182,10 @@ func (s *Station) onCompletion() {
 		}
 	}
 	for i := range dones {
-		done := dones[i].done
-		dones[i].done = nil
-		if done != nil {
-			done()
+		cb := dones[i].cb
+		dones[i].cb.fn = nil
+		if cb.fn != nil {
+			cb.fn(cb.arg)
 		}
 	}
 }
@@ -195,7 +207,7 @@ func (s *Station) retire(perJob, limit float64) []retired {
 			dones = append(dones, retired{order[i], active[i]})
 			last := len(remain) - 1
 			active[i], remain[i], order[i] = active[last], remain[last], order[last]
-			active[last] = nil // drop the callback reference for GC
+			active[last].fn = nil // drop the callback reference for GC
 			active, remain, order = active[:last], remain[:last], order[:last]
 			continue
 		}

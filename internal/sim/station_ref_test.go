@@ -16,7 +16,8 @@ import (
 // sequence numbers, that cancelling the old event would give.
 type refJob struct {
 	remaining float64
-	done      func()
+	done      func(int32)
+	arg       int32
 }
 
 type refStation struct {
@@ -60,9 +61,9 @@ func (s *refStation) scheduleNext() {
 	})
 }
 
-func (s *refStation) submit(demand float64, done func()) {
+func (s *refStation) submit(demand float64, done func(int32), arg int32) {
 	s.update()
-	s.active = append(s.active, &refJob{remaining: demand, done: done})
+	s.active = append(s.active, &refJob{remaining: demand, done: done, arg: arg})
 	s.scheduleNext()
 }
 
@@ -79,7 +80,7 @@ func (s *refStation) onCompletion() {
 	s.active = kept
 	s.scheduleNext()
 	for _, j := range finished {
-		j.done()
+		j.done(j.arg)
 	}
 }
 
@@ -95,28 +96,28 @@ func TestStationFusedMatchesReference(t *testing.T) {
 		at uint64
 	}
 	// drive runs one script against a submit function and returns the
-	// completions in callback order.
-	drive := func(e *Engine, submit func(demand float64, done func()), seed int64, n int) []completion {
+	// completions in callback order. Every job shares one callback and
+	// is told apart by its argument, its id.
+	drive := func(e *Engine, submit func(demand float64, done func(int32), arg int32), seed int64, n int) []completion {
 		rng := NewStream(seed)
 		var out []completion
-		id := 0
+		var resubmit []bool // by job id
 		var arrive func()
+		done := func(id int32) {
+			out = append(out, completion{int(id), math.Float64bits(e.Now())})
+			if resubmit[id] && len(resubmit) < n {
+				arrive()
+			}
+		}
 		arrive = func() {
-			myID := id
-			id++
 			// Demands from a small set, so that jobs submitted together
 			// finish together and zero demands occur.
 			demand := float64(rng.Intn(4)) / 2
 			if rng.Float64() < 0.4 {
 				demand = rng.Exp(1)
 			}
-			resubmit := rng.Float64() < 0.2
-			submit(demand, func() {
-				out = append(out, completion{myID, math.Float64bits(e.Now())})
-				if resubmit && id < n {
-					arrive()
-				}
-			})
+			resubmit = append(resubmit, rng.Float64() < 0.2)
+			submit(demand, done, int32(len(resubmit)-1))
 		}
 		for i := 0; i < n/2; i++ {
 			// Arrivals on a coarse grid (simultaneous submits) or spread.
@@ -169,11 +170,11 @@ func TestStationCycleAllocatesNothing(t *testing.T) {
 		threads := NewSemaphore(e, "threads", 4)
 		s := NewStation(e, "cpu", 1)
 		rng := NewStream(9)
-		done := threads.Release
-		granted := func() { s.Submit(rng.Exp(0.01), done) }
+		done := func(int32) { threads.Release() }
+		granted := func(int32) { s.Submit(rng.Exp(0.01), done, 0) }
 		cycle := func() {
 			for i := 0; i < 8; i++ { // past the limit, so the queues work too
-				threads.Acquire(i%3, granted)
+				threads.Acquire(i%3, granted, 0)
 			}
 			e.Run(e.Now()+1, 0)
 		}
@@ -213,19 +214,19 @@ func FuzzStationMatchesReference(f *testing.F) {
 		if len(jobs) > 3*maxJobs {
 			jobs = jobs[:3*maxJobs]
 		}
-		drive := func(e *Engine, submit func(demand float64, done func())) []completion {
+		drive := func(e *Engine, submit func(demand float64, done func(int32), arg int32)) []completion {
 			var out []completion
 			id := 0
 			job := func(demand float64, then func()) func() {
 				return func() {
 					myID := id
 					id++
-					submit(demand, func() {
-						out = append(out, completion{myID, math.Float64bits(e.Now())})
+					submit(demand, func(arg int32) {
+						out = append(out, completion{int(arg), math.Float64bits(e.Now())})
 						if then != nil {
 							then()
 						}
-					})
+					}, int32(myID))
 				}
 			}
 			for i := 0; i+3 <= len(jobs); i += 3 {

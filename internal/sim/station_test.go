@@ -10,7 +10,7 @@ func TestStationSingleJob(t *testing.T) {
 	e := NewEngine()
 	s := NewStation(e, "app", 1)
 	var doneAt float64
-	s.Submit(5, func() { doneAt = e.Now() })
+	s.Submit(5, func(int32) { doneAt = e.Now() }, 0)
 	e.Run(100, 0)
 	if doneAt != 5 {
 		t.Fatalf("job finished at %v, want 5", doneAt)
@@ -24,7 +24,7 @@ func TestStationSpeedScalesService(t *testing.T) {
 	e := NewEngine()
 	s := NewStation(e, "fast", 2)
 	var doneAt float64
-	s.Submit(10, func() { doneAt = e.Now() })
+	s.Submit(10, func(int32) { doneAt = e.Now() }, 0)
 	e.Run(100, 0)
 	if doneAt != 5 {
 		t.Fatalf("job on speed-2 server finished at %v, want 5", doneAt)
@@ -36,8 +36,8 @@ func TestStationProcessorSharingTwoJobs(t *testing.T) {
 	e := NewEngine()
 	s := NewStation(e, "app", 1)
 	var t1, t2 float64
-	s.Submit(4, func() { t1 = e.Now() })
-	s.Submit(4, func() { t2 = e.Now() })
+	s.Submit(4, func(int32) { t1 = e.Now() }, 0)
+	s.Submit(4, func(int32) { t2 = e.Now() }, 0)
 	e.Run(100, 0)
 	if math.Abs(t1-8) > 1e-9 || math.Abs(t2-8) > 1e-9 {
 		t.Fatalf("finish times %v, %v; want 8, 8", t1, t2)
@@ -51,8 +51,8 @@ func TestStationProcessorSharingUnequalJobs(t *testing.T) {
 	e := NewEngine()
 	s := NewStation(e, "app", 1)
 	var tShort, tLong float64
-	s.Submit(2, func() { tShort = e.Now() })
-	s.Submit(6, func() { tLong = e.Now() })
+	s.Submit(2, func(int32) { tShort = e.Now() }, 0)
+	s.Submit(6, func(int32) { tLong = e.Now() }, 0)
 	e.Run(100, 0)
 	if math.Abs(tShort-4) > 1e-9 {
 		t.Fatalf("short job finished at %v, want 4", tShort)
@@ -68,8 +68,8 @@ func TestStationLateArrivalSharing(t *testing.T) {
 	e := NewEngine()
 	s := NewStation(e, "app", 1)
 	var tA, tB float64
-	s.Submit(4, func() { tA = e.Now() })
-	e.Schedule(2, func() { s.Submit(2, func() { tB = e.Now() }) })
+	s.Submit(4, func(int32) { tA = e.Now() }, 0)
+	e.Schedule(2, func() { s.Submit(2, func(int32) { tB = e.Now() }, 0) })
 	e.Run(100, 0)
 	if math.Abs(tA-6) > 1e-9 || math.Abs(tB-6) > 1e-9 {
 		t.Fatalf("finish times A=%v B=%v, want 6, 6", tA, tB)
@@ -79,7 +79,7 @@ func TestStationLateArrivalSharing(t *testing.T) {
 func TestStationStats(t *testing.T) {
 	e := NewEngine()
 	s := NewStation(e, "app", 1)
-	s.Submit(5, nil)
+	s.Submit(5, nil, 0)
 	e.Run(10, 0)
 	// Busy 5 of 10 time units.
 	if got := s.Utilization(); math.Abs(got-0.5) > 1e-9 {
@@ -98,7 +98,7 @@ func TestStationZeroDemand(t *testing.T) {
 	e := NewEngine()
 	s := NewStation(e, "app", 1)
 	fired := false
-	s.Submit(0, func() { fired = true })
+	s.Submit(0, func(int32) { fired = true }, 0)
 	if fired {
 		t.Fatal("zero-demand job completed synchronously; must go through the event queue")
 	}
@@ -114,14 +114,14 @@ func TestStationResubmitFromCallback(t *testing.T) {
 	e := NewEngine()
 	s := NewStation(e, "app", 1)
 	hops := 0
-	var loop func()
-	loop = func() {
+	var loop func(int32)
+	loop = func(int32) {
 		hops++
 		if hops < 5 {
-			s.Submit(1, loop)
+			s.Submit(1, loop, 0)
 		}
 	}
-	s.Submit(1, loop)
+	s.Submit(1, loop, 0)
 	e.Run(100, 0)
 	if hops != 5 {
 		t.Fatalf("hops = %d, want 5", hops)
@@ -144,10 +144,10 @@ func TestStationRetiresInSubmissionOrderAfterSwaps(t *testing.T) {
 		var got []int
 		var at []float64
 		for id, demand := range []float64{1, 10, 10, 10, 1} {
-			s.Submit(demand, func() {
+			s.Submit(demand, func(int32) {
 				got = append(got, id)
 				at = append(at, e.Now())
-			})
+			}, 0)
 		}
 		e.Run(6, 0)
 		if !slices.Equal(s.order, []uint64{3, 1, 2}) {
@@ -183,7 +183,7 @@ func TestStationInvalidArgsPanic(t *testing.T) {
 				t.Fatal("negative demand did not panic")
 			}
 		}()
-		s.Submit(-3, nil)
+		s.Submit(-3, nil, 0)
 	}()
 }
 
@@ -202,12 +202,12 @@ func TestStationMM1PSMeanResponse(t *testing.T) {
 	var arrive func()
 	arrive = func() {
 		start := e.Now()
-		s.Submit(rng.Exp(S), func() {
+		s.Submit(rng.Exp(S), func(int32) {
 			if start > 2000 { // warm-up
 				acc.sum += e.Now() - start
 				acc.n++
 			}
-		})
+		}, 0)
 		e.Schedule(rng.Exp(1/lambda), arrive)
 	}
 	e.Schedule(0, arrive)
@@ -238,7 +238,7 @@ func TestStationCompletesOnLargeClock(t *testing.T) {
 		s := NewStation(e, "cpu", 1)
 		rng := NewStream(41)
 		completed := 0
-		done := func() { completed++ }
+		done := func(int32) { completed++ }
 		for i := 0; i < submits; i++ {
 			demand := rng.Exp(0.001)
 			switch i % 10 {
@@ -247,7 +247,7 @@ func TestStationCompletesOnLargeClock(t *testing.T) {
 			case 7:
 				demand = rng.Exp(0.010)
 			}
-			s.Submit(demand, done)
+			s.Submit(demand, done, 0)
 			if fired := e.Run(e.Now()+rng.Exp(0.003), perRunCap); fired >= perRunCap {
 				t.Fatalf("clock %g: livelock after %d submits (%d completed): one Run fired %d events", start, i+1, completed, fired)
 			}

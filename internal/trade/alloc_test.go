@@ -2,7 +2,9 @@ package trade
 
 import (
 	"math"
+	"reflect"
 	"runtime"
+	"slices"
 	"testing"
 	"unsafe"
 
@@ -56,17 +58,114 @@ func TestSteadyStateRequestLoopZeroAlloc(t *testing.T) {
 	}
 }
 
-// A request record goes from its client's issue to its response
-// wherever the request is served, so it carries the fleet's fields —
-// the issuing pool, the issue time, the hop continuation — and
-// single-engine runs pay for them in every in-flight request. Packing
-// keeps the record at its size before the fleet's fields joined it.
+// A request record is data only: its continuations are the pool's
+// handlers, bound once, which find it by its handle. A func-typed field
+// would bring a bound closure per record back, so there is none, and
+// the record is 96 bytes, which makes every chunk of a pool's slot
+// table (4, 8, 16, … records) an exact size class.
 func TestRequestRecordSize(t *testing.T) {
-	if unsafe.Sizeof(uintptr(0)) != 8 {
-		t.Skip("the packing argument is about 64-bit layouts")
+	rt := reflect.TypeOf(reqState{})
+	for i := 0; i < rt.NumField(); i++ {
+		if f := rt.Field(i); f.Type.Kind() == reflect.Func {
+			t.Errorf("reqState.%s is a %s: a record binds no closure", f.Name, f.Type)
+		}
 	}
-	if got := unsafe.Sizeof(reqState{}); got > 192 {
-		t.Fatalf("sizeof(reqState) = %d bytes, want at most 192", got)
+	if unsafe.Sizeof(uintptr(0)) != 8 {
+		t.Skip("the size bound is about 64-bit layouts")
+	}
+	if got := unsafe.Sizeof(reqState{}); got > 96 {
+		t.Fatalf("sizeof(reqState) = %d bytes, want at most 96", got)
+	}
+}
+
+// A handle packs the issuing pool above the record's slot. Every split
+// a run can choose round-trips at its extremes — a single engine's 31
+// slot bits, and the 625- and 2 500-pool fleets' indices — another
+// pool's handle less a pool's base lies past every slot (rec's test
+// for a record of its own), and an index past either limit panics
+// rather than aliasing another record.
+func TestRecordHandlePacking(t *testing.T) {
+	for _, c := range []struct {
+		pools    int
+		slotBits uint
+	}{{1, 31}, {2, 31}, {3, 30}, {625, 22}, {2500, 20}, {4096, 20}, {4097, 19}} {
+		sb := slotBitsFor(c.pools)
+		if sb != c.slotBits {
+			t.Fatalf("%d pools: %d slot bits, want %d", c.pools, sb, c.slotBits)
+		}
+		maxPool, maxSlot := 1<<(32-sb)-1, 1<<sb-1
+		if maxPool < c.pools-1 {
+			t.Fatalf("%d pools: %d slot bits leave pool indices up to %d", c.pools, sb, maxPool)
+		}
+		pools := []int{0, 1, c.pools - 1, maxPool}
+		slices.Sort(pools)
+		pools = slices.Compact(pools)
+		slots := []int{0, 1, firstChunk - 1, firstChunk, maxSlot - 1, maxSlot}
+		seen := map[int32]bool{}
+		for _, pool := range pools {
+			for _, slot := range slots {
+				h := packHandle(pool, slot, sb)
+				if p, s := unpackHandle(h, sb); p != pool || s != slot {
+					t.Fatalf("%d slot bits: (pool %d, slot %d) came back as (%d, %d)", sb, pool, slot, p, s)
+				}
+				seen[h] = true
+				for _, other := range pools {
+					if off := uint32(h) - uint32(other)<<sb; (off <= uint32(maxSlot)) != (other == pool) {
+						t.Fatalf("%d slot bits: pool %d's slot %d less pool %d's base is %d", sb, pool, slot, other, off)
+					}
+				}
+			}
+		}
+		if len(seen) != len(pools)*len(slots) {
+			t.Fatalf("%d slot bits: %d distinct handles for %d pools × %d slots", sb, len(seen), len(pools), len(slots))
+		}
+		for _, bad := range [][2]int{{maxPool + 1, 0}, {0, maxSlot + 1}, {-1, 0}, {0, -1}} {
+			func() {
+				defer func() {
+					if recover() == nil {
+						t.Errorf("%d slot bits: packHandle(%d, %d) did not panic", sb, bad[0], bad[1])
+					}
+				}()
+				packHandle(bad[0], bad[1], sb)
+			}()
+		}
+	}
+}
+
+// A pool's records never move: a handle resolves to the record it was
+// made with, in its own pool through the flat index and in a sibling
+// through the view published at the index's last growth, however far
+// the table has grown since. Chunks double from 4 records, and a
+// retired record is the next one handed out.
+func TestRecordTableKeepsRecords(t *testing.T) {
+	r, err := NewSharded(shardedConfig(2, 1, 0))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer r.Close()
+	home, sibling := r.pools[1], r.pools[0]
+	var made []*reqState
+	for i := 0; i < 100; i++ {
+		made = append(made, home.getReq())
+	}
+	for i, rec := range made {
+		if got := home.rec(rec.h); got != rec {
+			t.Fatalf("slot %d: its pool resolves handle %#x to another record", i, rec.h)
+		}
+		if got := sibling.rec(rec.h); got != rec {
+			t.Fatalf("slot %d: a sibling resolves handle %#x to another record", i, rec.h)
+		}
+		if pool, slot := unpackHandle(rec.h, home.slotBits); pool != 1 || slot != i {
+			t.Fatalf("record %d has handle (pool %d, slot %d)", i, pool, slot)
+		}
+	}
+	if n, c, left := len(home.recs.own), cap(home.recs.own), len(home.recs.fresh); n != 100 || n+left != 4+8+16+32+64 || c < n+left {
+		t.Fatalf("100 records: index len %d cap %d, %d fresh records left, want chunks of 4, 8, 16, 32 and 64", n, c, left)
+	}
+	home.putReq(made[17])
+	if got := home.getReq(); got != made[17] || home.poolAllocs != 100 || home.poolReuses != 1 {
+		_, slot := unpackHandle(got.h, home.slotBits)
+		t.Fatalf("after retiring slot 17 the next record is slot %d (%d made, %d reused)", slot, home.poolAllocs, home.poolReuses)
 	}
 }
 

@@ -1,15 +1,24 @@
 package trade
 
-import "perfpred/internal/workload"
+import (
+	"fmt"
+	"math/bits"
+	"slices"
+	"sync/atomic"
+
+	"perfpred/internal/workload"
+)
 
 // reqState is one request's record from its client's issue to its
 // response (thread grant → CPU segments → database calls → response).
-// It carries the stage data in plain fields and a set of continuations
-// bound once, when the record is first allocated. The pool that issued
-// the request owns the record: a request the fleet router sends to a
-// sibling pool travels there as this same record, is served there and
-// comes back over the hop, and every record retires to its issuing
-// pool's free list, so the steady-state request loop allocates nothing.
+// It holds the stage data and nothing else: every continuation of the
+// request is one of the pool's handlers, bound once per simulator,
+// given the record's handle as its argument. The pool that issued the
+// request owns the record, in its slot table: a request the fleet
+// router sends to a sibling pool is served there through the same
+// handle and comes back over the hop, and every record retires to its
+// issuing pool's free list, so the steady-state request loop allocates
+// nothing.
 //
 // Draw order is part of the contract: every per-seed result depends on
 // which stage draws from s.serve when. Each stage draws at the instant
@@ -18,57 +27,112 @@ import "perfpred/internal/workload"
 // database call's CPU time at the agent grant, its latency at the
 // call's completion, the think time after the thread is released.
 type reqState struct {
-	s      *simulator // the pool running the record: the serving pool while served, else the issuing one
-	client int32      // the issuing closed client's index; -1 for open arrivals
-	origin int32      // the issuing pool's index while served elsewhere; -1 when served where issued
-
-	app     *appServer
-	srv     int32
-	cls     int32 // Config.Load index of the request's class (router key)
 	d       workload.Demand
 	opName  string
 	issued  float64 // issue time at the issuing pool; the client's response time counts from here
 	arrival float64 // admission time at the serving pool; the router's service-side time counts from here
-	dbCalls int     // database calls still to make
 	segment float64 // CPU time per inter-call segment
 
-	next *reqState // free-list link
-
-	// Continuations, bound to this record at allocation so scheduling
-	// them costs no closure allocation.
-	onSlot   func() // application-server thread granted
-	onCS     func() // critical-section lock granted
-	onCSDone func() // critical-section CPU burst finished
-	onSeg    func() // CPU segment finished
-	onDB     func() // database agent granted
-	onDBDone func() // database CPU burst finished
-	onLat    func() // per-call latency elapsed
-	onHop    func() // cross-pool hop landed (bound only under a router that is not Local)
+	h       int32 // the record's handle: its issuing pool and its slot there
+	client  int32 // the issuing closed client's index; -1 for open arrivals
+	srv     int32 // the serving pool's application server
+	cls     int32 // Config.Load index of the request's class (router key)
+	dbCalls int32 // database calls still to make
+	next    int32 // free-list link: 1 + the next free slot, 0 at the end
 }
 
-// getReq takes a request record from the free list, allocating (and
-// binding its continuations) only when the list is empty — i.e. only
-// while the in-flight population is still growing.
+// A record's handle is the int32 argument every continuation of its
+// request carries: the issuing pool's index above the record's slot in
+// that pool's table. Every pool of a run splits the 32 bits alike, at
+// slotBitsFor(pools): a single engine keeps 31 bits of slot, and a
+// fleet as many as its pool index leaves (22 bits, 4 194 304 records a
+// pool, at 625 pools; 20 bits, 1 048 576 records, at 2 500 or 4 096).
+// packHandle panics beyond either limit.
+
+// slotBitsFor returns how many bits of a handle name the slot in a run
+// of the given number of pools.
+func slotBitsFor(pools int) uint {
+	if pools <= 1 {
+		return 31
+	}
+	return min(31, 32-uint(bits.Len(uint(pools-1))))
+}
+
+// packHandle returns the handle of slot in pool's table.
+func packHandle(pool, slot int, slotBits uint) int32 {
+	if uint64(pool) >= 1<<(32-slotBits) || uint64(slot) >= 1<<slotBits { // a negative index wraps past either bound
+		panic(fmt.Sprintf("trade: no record handle for pool %d, slot %d: %d-bit slots name %d pools of %d records",
+			pool, slot, slotBits, 1<<(32-slotBits), 1<<slotBits))
+	}
+	return int32(uint32(pool)<<slotBits | uint32(slot))
+}
+
+// unpackHandle is packHandle's inverse.
+func unpackHandle(h int32, slotBits uint) (pool, slot int) {
+	u := uint32(h)
+	return int(u >> slotBits), int(u & (1<<slotBits - 1))
+}
+
+// recTable is a pool's request records, free-listed by slot. Records
+// are carved from chunks that never move, each as large as the table
+// before it plus 4, so a pool that keeps a few requests in flight holds
+// a few records, not a large chunk. The pool finds its records through
+// own, a flat index that grows with the chunks. A sibling pool serving
+// one of them runs at the same time as this pool, which may move own
+// when it grows, so the sibling reads own through the copy of its
+// header published at its last growth.
+type recTable struct {
+	own    []*reqState                 // own[slot] is the record in slot
+	shared atomic.Pointer[[]*reqState] // own at its full capacity, as of its last growth
+	fresh  []reqState                  // the newest chunk's records not yet handed out
+	base   uint32                      // the handle of slot 0
+	free   int32                       // 1 + the first free slot, 0 when none
+}
+
+// firstChunk is how many records a pool's first chunk holds.
+const firstChunk = 4
+
+// rec resolves a handle to its record, in the issuing pool's table
+// wherever the request is being served. A handle of another pool,
+// less this pool's base, wraps past every slot own holds.
+func (s *simulator) rec(h int32) *reqState {
+	if slot := uint32(h) - s.recs.base; slot < uint32(len(s.recs.own)) {
+		return s.recs.own[slot]
+	}
+	pool, slot := unpackHandle(h, s.slotBits)
+	return (*s.pools[pool].recs.shared.Load())[slot]
+}
+
+// issuedHere reports whether this pool issued request r.
+func (s *simulator) issuedHere(r *reqState) bool {
+	return uint32(r.h)-s.recs.base < uint32(len(s.recs.own))
+}
+
+// getReq takes a request record from the free list, making a new slot
+// — and a new chunk when the last one is used up — only when the list
+// is empty, i.e. only while the in-flight population is still growing.
 func (s *simulator) getReq() *reqState {
-	r := s.reqFree
-	if r != nil {
-		s.reqFree = r.next
-		r.next = nil
+	t := &s.recs
+	if t.free > 0 {
+		r := t.own[t.free-1]
+		t.free = r.next
+		r.next = 0
 		s.poolReuses++
 		return r
 	}
-	s.poolAllocs++
-	r = &reqState{s: s}
-	r.onSlot = r.slotGranted
-	r.onCS = r.csGranted
-	r.onCSDone = r.csDone
-	r.onSeg = r.segDone
-	r.onDB = r.dbGranted
-	r.onDBDone = r.dbDone
-	r.onLat = r.latDone
-	if s.router != nil && !s.router.Local() {
-		r.onHop = r.hopped
+	slot := len(t.own)
+	h := packHandle(int(s.poolID), slot, s.slotBits)
+	if len(t.fresh) == 0 {
+		t.fresh = make([]reqState, slot+firstChunk)
+		t.own = slices.Grow(t.own, len(t.fresh))
+		view := t.own[:cap(t.own)]
+		t.shared.Store(&view)
 	}
+	s.poolAllocs++
+	r := &t.fresh[0]
+	t.fresh = t.fresh[1:]
+	r.h = h
+	t.own = append(t.own, r)
 	return r
 }
 
@@ -76,131 +140,151 @@ func (s *simulator) getReq() *reqState {
 // client c (-1 for an open arrival) with demand d.
 func (s *simulator) newReq(c, cls int32, d workload.Demand) *reqState {
 	r := s.getReq()
-	r.client, r.origin = c, -1
+	r.client = c
 	r.cls = cls
 	r.d = d
 	r.issued = s.eng.Now()
 	return r
 }
 
-// putReq retires a finished request record to the free list.
+// putReq retires a finished request record to the free list of the
+// pool that issued it, which is where it is answered.
 func (s *simulator) putReq(r *reqState) {
-	r.app = nil
 	r.opName = ""
-	r.next = s.reqFree
-	s.reqFree = r
+	r.next = s.recs.free
+	s.recs.free = int32(uint32(r.h)-s.recs.base) + 1
 }
 
-// hasSession reports whether the request carries its client's session:
-// a closed client's request served in its own pool. Open arrivals and
+// hasSession reports whether request r carries its client's session: a
+// closed client's request served in its own pool. Open arrivals and
 // requests served in a sibling pool have none, so they bypass the
 // session cache and the critical section.
-func (r *reqState) hasSession() bool { return r.client >= 0 && r.origin < 0 }
+func (s *simulator) hasSession(r *reqState) bool { return r.client >= 0 && s.issuedHere(r) }
 
-// ship sends the record over the cross-pool hop to pool dst, where
-// hopped runs. The hop delay equals the coordinator lookahead, so the
-// send is always legal.
-func (r *reqState) ship(dst *simulator) {
-	s := r.s
-	r.s = dst
-	s.sendSeq++
-	s.shard.Send(dst.shard.ID(), s.poolID, s.sendSeq, ShardLatency, r.onHop)
+// bindHandlers binds the pool's request continuations, once: each
+// finds its record from the handle it is given. A pool binds them with
+// the first request it admits, so building a fleet pool costs no
+// closure for them.
+func (s *simulator) bindHandlers() {
+	s.onSlot = s.slotGranted
+	s.onCS = s.csGranted
+	s.onCSDone = s.csDone
+	s.onSeg = s.segDone
+	s.onDB = s.dbGranted
+	s.onDBDone = s.dbDone
+	s.onLat = s.latDone
 }
 
-// hopped runs when the record lands off a hop: at the serving pool it
-// is admitted like an open arrival, back at the issuing pool it is
+// ship sends request r over the cross-pool hop to pool dst, where dst's
+// hopped runs with r's handle. The hop delay equals the coordinator
+// lookahead, so the send is always legal.
+func (s *simulator) ship(r *reqState, dst *simulator) {
+	s.sendSeq++
+	s.shard.Send(dst.shard.ID(), s.poolID, s.sendSeq, ShardLatency, dst.onHop, r.h)
+}
+
+// hopped is onHop: a request lands off a hop. At the serving pool it is
+// admitted like an open arrival, back at the issuing pool it is
 // answered.
-func (r *reqState) hopped() {
-	if s := r.s; int32(s.poolID) != r.origin {
-		s.admit(r, -1)
-	} else {
+func (s *simulator) hopped() {
+	r := s.rec(s.eng.Arg())
+	if s.issuedHere(r) {
 		s.respond(r)
+	} else {
+		s.admit(r, -1)
 	}
 }
 
-// slotGranted runs when the application server admits the request: the
-// servlet thread is held from here to the response. It samples the
-// request's database-call count (plus the session-cache miss penalty
-// for closed clients), draws the total CPU demand, and enters either
-// the critical section (§8.1) or the first CPU segment.
-func (r *reqState) slotGranted() {
-	s := r.s
-	r.dbCalls = s.sampleCalls(r.d.DBCallsPerRequest)
-	if r.app.cache != nil && r.hasSession() {
+// slotGranted is onSlot: the application server admits the request,
+// and the servlet thread is held from here to the response. It samples
+// the request's database-call count (plus the session-cache miss
+// penalty for closed clients), draws the total CPU demand, and enters
+// either the critical section (§8.1) or the first CPU segment.
+func (s *simulator) slotGranted(h int32) {
+	r := s.rec(h)
+	app := s.apps[r.srv]
+	r.dbCalls = int32(s.sampleCalls(r.d.DBCallsPerRequest))
+	if app.cache != nil && s.hasSession(r) {
 		size := s.sessionBytes[r.client]
-		if !r.app.cache.touch(int(r.client), size) {
+		if !app.cache.touch(int(r.client), size) {
 			r.dbCalls += workload.CacheMissDBCalls
 		}
 	}
 	totalCPU := s.serve.Exp(r.d.AppServerTime) // reference-scale demand; CPU speed scales service
 	r.segment = totalCPU / float64(r.dbCalls+1)
-	if cs := s.cfg.CriticalSection; cs != nil && r.hasSession() && s.serve.Float64() < cs.Fraction {
+	if cs := s.cfg.CriticalSection; cs != nil && s.hasSession(r) && s.serve.Float64() < cs.Fraction {
 		// The request must hold the server-global lock while executing
 		// the protected section — the implicit queue of §8.1.
-		r.app.csLock.Acquire(0, r.onCS)
+		app.csLock.Acquire(0, s.onCS, h)
 		return
 	}
-	r.app.cpu.Submit(r.segment, r.onSeg)
+	app.cpu.Submit(r.segment, s.onSeg, h)
 }
 
-// csGranted runs when the critical-section lock is granted: the locked
-// CPU burst's length is drawn now, not when the request queued for it.
-func (r *reqState) csGranted() {
-	r.app.cpu.Submit(r.s.serve.Exp(r.s.cfg.CriticalSection.MeanTime), r.onCSDone)
+// csGranted is onCS: the critical-section lock is granted, and the
+// locked CPU burst's length is drawn now, not when the request queued
+// for it.
+func (s *simulator) csGranted(h int32) {
+	s.apps[s.rec(h).srv].cpu.Submit(s.serve.Exp(s.cfg.CriticalSection.MeanTime), s.onCSDone, h)
 }
 
-// csDone releases the lock (possibly admitting the next waiter
-// synchronously) and starts the request's ordinary CPU segments.
-func (r *reqState) csDone() {
-	r.app.csLock.Release()
-	r.app.cpu.Submit(r.segment, r.onSeg)
+// csDone is onCSDone: it releases the lock (possibly admitting the next
+// waiter synchronously) and starts the request's ordinary CPU segments.
+func (s *simulator) csDone(h int32) {
+	r := s.rec(h)
+	app := s.apps[r.srv]
+	app.csLock.Release()
+	app.cpu.Submit(r.segment, s.onSeg, h)
 }
 
-// segDone runs when a CPU segment completes: either the response is
-// ready, or the request queues for a database agent in its server's
-// own FIFO (§2).
-func (r *reqState) segDone() {
+// segDone is onSeg: a CPU segment completes, and either the response is
+// ready or the request queues for a database agent in its server's own
+// FIFO (§2).
+func (s *simulator) segDone(h int32) {
+	r := s.rec(h)
 	if r.dbCalls == 0 {
-		r.finish()
+		s.finish(r)
 		return
 	}
-	r.s.dbSlots.Acquire(int(r.srv), r.onDB)
+	s.dbSlots.Acquire(int(r.srv), s.onDB, h)
 }
 
-// dbGranted runs when a database agent is granted; the call's CPU time
-// is drawn at grant time, so requests draw in the order they are served.
-func (r *reqState) dbGranted() {
-	s := r.s
-	s.dbCPU.Submit(s.serve.Exp(r.d.DBTimePerCall), r.onDBDone)
+// dbGranted is onDB: a database agent is granted, and the call's CPU
+// time is drawn now, so requests draw in the order they are served.
+func (s *simulator) dbGranted(h int32) {
+	s.dbCPU.Submit(s.serve.Exp(s.rec(h).d.DBTimePerCall), s.onDBDone, h)
 }
 
-// dbDone releases the database agent (possibly granting a waiter
-// synchronously) and either waits out the call's off-CPU latency or
-// resumes on the application server's CPU.
-func (r *reqState) dbDone() {
-	s := r.s
+// dbDone is onDBDone: it releases the database agent (possibly granting
+// a waiter synchronously) and either waits out the call's off-CPU
+// latency or resumes on the application server's CPU.
+func (s *simulator) dbDone(h int32) {
+	r := s.rec(h)
 	s.dbSlots.Release()
 	if r.d.DBLatencyPerCall > 0 {
 		// Pure per-call latency (disk/network): the thread waits it
 		// out off-CPU.
-		s.eng.Schedule(s.serve.Exp(r.d.DBLatencyPerCall), r.onLat)
+		s.eng.ScheduleArg(s.serve.Exp(r.d.DBLatencyPerCall), s.onLat, h)
 		return
 	}
-	r.latDone()
+	s.nextSegment(r)
 }
 
-// latDone starts the next CPU segment after a database call fully
+// latDone is onLat: a database call's latency has elapsed.
+func (s *simulator) latDone() { s.nextSegment(s.rec(s.eng.Arg())) }
+
+// nextSegment starts the next CPU segment after a database call fully
 // completes.
-func (r *reqState) latDone() {
+func (s *simulator) nextSegment(r *reqState) {
 	r.dbCalls--
-	r.app.cpu.Submit(r.segment, r.onSeg)
+	s.apps[r.srv].cpu.Submit(r.segment, s.onSeg, r.h)
 }
 
 // finish releases the servlet thread (which may synchronously admit
 // the next queued request) and answers the request: in place when it
 // was issued here, over the hop back to its issuing pool otherwise.
-func (r *reqState) finish() {
-	s := r.s
+func (s *simulator) finish(r *reqState) {
+	app := s.apps[r.srv]
 	if s.router != nil {
 		// Service-side completion at the serving pool: r.arrival is this
 		// pool's admission time, so the reported response time excludes
@@ -209,12 +293,13 @@ func (r *reqState) finish() {
 		// statistics.
 		s.router.Completed(int(s.poolID), int(r.cls), s.eng.Now()-r.arrival)
 	}
-	r.app.slots.Release()
+	app.slots.Release()
 	if s.measuring {
-		r.app.completed++
+		app.completed++
 	}
-	if r.origin >= 0 {
-		r.ship(s.pools[r.origin])
+	if !s.issuedHere(r) {
+		origin, _ := unpackHandle(r.h, s.slotBits)
+		s.ship(r, s.pools[origin])
 		return
 	}
 	s.respond(r)

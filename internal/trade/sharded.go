@@ -80,6 +80,7 @@ func NewSharded(cfg Config) (*ShardedRun, error) {
 			shard:  coord.Shard(i % nEngines),
 			root:   root.Split(uint64(i)),
 			poolID: uint64(i),
+			pools:  nPools,
 		})
 	}
 	for _, p := range r.pools {

@@ -31,10 +31,12 @@ type appServer struct {
 // application server (its semaphore's sources are server indices).
 //
 // All per-request state is pooled: a closed client is an index, carried
-// as its pending think event's argument, request lifecycles live in a
-// free list of reqStates, and each population's mix, accumulator and
-// think distribution are resolved once into a classState — the
-// steady-state request loop performs no heap allocation.
+// as its pending think event's argument, a request is a reqState in the
+// pool's slot table, named by its handle, which every continuation
+// carries as its argument to a handler bound once per pool, and each
+// population's mix, accumulator and think distribution are resolved
+// once into a classState — the steady-state request loop performs no
+// heap allocation.
 type simulator struct {
 	cfg  Config
 	eng  *sim.Engine
@@ -71,7 +73,16 @@ type simulator struct {
 	sessionBytes []int64      // session size (cache variant)
 	classes      []classState // per Config.Load population
 
-	reqFree *reqState // retired request records for reuse
+	// The pool's request records and the continuations that serve
+	// them. Every handler takes a record's handle (request.go): the
+	// station and semaphore handlers as their parameter, the event
+	// handlers through sim.Engine.Arg. onHop is bound with the pool,
+	// under a router that is not Local; the rest with the first
+	// request the pool admits (bindHandlers).
+	slotBits                                      uint // a handle's slot bits, the same in every pool of a run
+	recs                                          recTable
+	onSlot, onCS, onCSDone, onSeg, onDB, onDBDone func(int32)
+	onLat, onHop                                  func()
 
 	// Plain instrumentation counters (a simulator is single-goroutine);
 	// flushMetrics publishes them to the declared metrics at collect.
@@ -87,10 +98,15 @@ type simulator struct {
 	// accumulators — the windowed cold-start run's hook.
 	intercept func(now, rt float64)
 
-	// Hoisted detailed-operation tables (§3.1), resolved once per run.
-	browseOps                   []Operation
-	browseWeights               []float64
-	opRegister, opBuy, opLogoff Operation
+	detail *detailOps // nil unless Config.DetailedOperations
+}
+
+// detailOps is the detailed-operation tables (§3.1), resolved once per
+// run that reads them, so a fleet pool carries one pointer for them.
+type detailOps struct {
+	browse                []Operation
+	browseWeights         []float64
+	register, buy, logoff Operation
 }
 
 // simOptions selects constructor variants shared by the steady-state
@@ -110,6 +126,7 @@ type simOptions struct {
 	shard  *sim.Shard
 	root   *sim.Stream
 	poolID uint64
+	pools  int // the fleet's pool count, which splits a record handle's bits
 }
 
 type classAcc struct {
@@ -252,7 +269,9 @@ func newSimulator(cfg Config, opt simOptions) *simulator {
 		route:     root.Derive(5),
 		acc:       make(map[string]*classAcc),
 		intercept: opt.intercept,
+		slotBits:  slotBitsFor(opt.pools),
 	}
+	s.recs.base = uint32(opt.poolID) << s.slotBits
 	for _, arch := range cfg.tier() {
 		app := &appServer{
 			arch:  arch,
@@ -275,12 +294,13 @@ func newSimulator(cfg Config, opt simOptions) *simulator {
 	}
 	if cfg.DetailedOperations {
 		s.ops = newOpAccumulators(cfg.MaxRTSamples, root.Derive(7))
-		s.browseOps = browseOperations()
-		s.browseWeights = make([]float64, len(s.browseOps))
-		for i, op := range s.browseOps {
-			s.browseWeights[i] = op.Weight
+		dt := &detailOps{browse: browseOperations()}
+		dt.browseWeights = make([]float64, len(dt.browse))
+		for i, op := range dt.browse {
+			dt.browseWeights[i] = op.Weight
 		}
-		s.opRegister, s.opBuy, s.opLogoff = buySessionOperations()
+		dt.register, dt.buy, dt.logoff = buySessionOperations()
+		s.detail = dt
 	}
 	sampleRNG := root.Derive(4)
 	arrivals := root.Derive(6)
@@ -371,6 +391,9 @@ func newSimulator(cfg Config, opt simOptions) *simulator {
 		s.shard = opt.shard
 		s.poolID = opt.poolID
 		s.router = cfg.Router
+		if s.router != nil && !s.router.Local() {
+			s.onHop = s.hopped
+		}
 	}
 	return s
 }
@@ -398,16 +421,18 @@ func (s *simulator) startOpenStream(pop workload.Population, classIdx int, sampl
 // stamped with its arrival, routed to an application server, counted
 // by the fleet router and queued for a thread.
 func (s *simulator) admit(r *reqState, home int) {
+	if s.onSlot == nil {
+		s.bindHandlers()
+	}
 	r.arrival = s.eng.Now()
 	r.srv = int32(s.pickServerFor(home))
-	r.app = s.apps[r.srv]
 	if s.router != nil {
 		// The request occupies this pool, so the router's in-flight
 		// state counts it — on the serving pool's shard, the router's
 		// threading contract.
 		s.router.Started(int(s.poolID), int(r.cls))
 	}
-	r.app.slots.Acquire(0, r.onSlot)
+	s.apps[r.srv].slots.Acquire(0, s.onSlot, r.h)
 }
 
 // assignSticky spreads clients across the tier in proportion to server
@@ -478,8 +503,8 @@ func (s *simulator) thinkDone() {
 // then serve it here or ship it to the routed pool, respond, think and
 // repeat. The demand is drawn here, on the issuing pool's own streams,
 // keeping every stream pool-local; a serving sibling only executes it.
-// The whole lifecycle runs on one pooled reqState — no per-request
-// closures.
+// The whole lifecycle runs on one pooled reqState, named by its handle
+// to handlers bound once per pool — no per-request closures.
 func (s *simulator) issueRequest(c, cls int32) {
 	dst := s
 	if s.router != nil {
@@ -489,8 +514,7 @@ func (s *simulator) issueRequest(c, cls int32) {
 	r := s.newReq(c, cls, d)
 	r.opName = opName
 	if dst != s {
-		r.origin = int32(s.poolID)
-		r.ship(dst)
+		s.ship(r, dst)
 		return
 	}
 	home := 0
@@ -512,7 +536,7 @@ func (s *simulator) nextRequest(c, cls int32) (workload.Demand, string) {
 		return s.nextBuyOperation(&s.sessions[c], d)
 	}
 	if k.detailBrowse {
-		op := s.browseOps[s.choose.Choose(s.browseWeights)]
+		op := s.detail.browse[s.choose.Choose(s.detail.browseWeights)]
 		return applyOperation(d, op), op.Name
 	}
 	return d, ""
@@ -526,19 +550,19 @@ func (s *simulator) nextBuyOperation(sess *buySession, d workload.Demand) (workl
 		sess.phase = 1
 		sess.buysLeft = workload.BuyRequestsPerSession
 		sess.holdings = 0
-		return applyOperation(d, s.opRegister), s.opRegister.Name
+		return applyOperation(d, s.detail.register), s.detail.register.Name
 	case 1:
-		scaled := applyOperation(d, s.opBuy)
+		scaled := applyOperation(d, s.detail.buy)
 		scaled.AppServerTime *= portfolioScale(sess.holdings)
 		sess.holdings++
 		sess.buysLeft--
 		if sess.buysLeft == 0 {
 			sess.phase = 2
 		}
-		return scaled, s.opBuy.Name
+		return scaled, s.detail.buy.Name
 	default:
 		sess.phase = 0
-		return applyOperation(d, s.opLogoff), s.opLogoff.Name
+		return applyOperation(d, s.detail.logoff), s.detail.logoff.Name
 	}
 }
 
