@@ -7,14 +7,17 @@
 #   make race      — the concurrent Suite, worker pool, event core,
 #                    instrumentation switch, multi-shard fleet, service
 #                    and scenario paths under the race detector
-#                    (short); the window barrier and
-#                    everything above it at 1, 2 and 4 processors.
+#                    (short); the window barrier and everything above
+#                    it, the heap-engine oracle on a routed fleet
+#                    included, at 1, 2 and 4 processors.
 #   make race-list — every go test line of `make race` and `make bench`
 #                    selects something: per package, the line's -bench
 #                    (else -run) pattern lists at least one test,
 #                    benchmark or fuzz target, and so does each of its
 #                    |-alternatives over the line's packages. A pattern
 #                    that matches nothing would otherwise pass silently.
+#                    Only a pattern's top level (up to its first /) is
+#                    listed: go test -list names no subtests.
 #   make benchmark — the repo's one benchmark (BENCHMARK.json): five
 #                    end-to-end workloads and the per-layer metrics, every
 #                    host timing the repo reports. See benchmark/README.md.
@@ -49,6 +52,7 @@ race:
 	$(GO) test -race -run 'TestSuiteConcurrent|TestSuiteParallelHybrid|TestFigure2ShapeHolds|TestWorkerCountInvariance' ./internal/bench
 	$(GO) test -race -run 'TestEngine|TestStation|TestCalendar|TestReschedule|TestMeasureCurve' ./internal/sim ./internal/trade
 	$(GO) test -race -cpu 1,2,4 -run 'TestCoordinator|TestSharded' ./internal/sim ./internal/trade
+	$(GO) test -race -cpu 1,2,4 -run 'TestBackendsAgree/fleet' ./internal/trade
 	$(GO) test -race -cpu 1,2,4 -run 'TestFleet|TestRoute|TestOriginState|FuzzPickMatchesScan' ./internal/fleet
 	$(GO) test -race -run 'TestConcurrentServing|TestColdStampedeBuildsOnce|TestOverloadShedsNotCollapses|TestGracefulShutdownDrains|TestBuildWorkersBoundAllMethods|TestJoinerKeepsItsOwnDeadline|TestRebuildRunsNoSimulation|TestSolveDeadlineCountedOnce|TestSolveAdmissionSheds|TestPercentileCalibrationAdmission' ./internal/serve
 	$(GO) test -race ./internal/scenario
@@ -69,7 +73,7 @@ race-list:
 			esac; \
 			shift; \
 		done; \
-		pat=$${bench:-$$run}; \
+		pat=$${bench:-$$run}; pat=$${pat%%/*}; \
 		for pkg in $$pkgs; do \
 			n=$$($(GO) test -list "$$pat" $$pkg | grep -cE '^(Test|Benchmark|Fuzz|Example)') || true; \
 			printf '%4d  %s  %s\n' "$$n" "$$pkg" "$$pat"; \

@@ -54,10 +54,8 @@ type EpochResult struct {
 	ServersByApp map[string][]string
 	// Transfers counts servers that changed application this epoch.
 	Transfers int
-	// FailurePctByApp and UsagePct carry the §9.1 cost metrics:
-	// per-application SLA failures and pool-wide committed power.
+	// FailurePctByApp is the §9.1 SLA-failure metric per application.
 	FailurePctByApp map[string]float64
-	UsagePct        float64
 }
 
 // RunProvider simulates the service provider across epochs: at each
@@ -166,7 +164,6 @@ func RunProvider(apps []Application, servers []Server, pred, truth Predictor, sl
 			Transfers:       transfers,
 			FailurePctByApp: make(map[string]float64, len(apps)),
 		}
-		var usedPower float64
 		for _, a := range apps {
 			var appServers []Server
 			for _, s := range sorted {
@@ -196,20 +193,8 @@ func RunProvider(apps []Application, servers []Server, pred, truth Predictor, sl
 				return nil, err
 			}
 			res.FailurePctByApp[a.Name] = ev.SLAFailurePct
-			usedPower += plan.UsagePct / 100 * sumPower(appServers)
-		}
-		if totalPower > 0 {
-			res.UsagePct = 100 * usedPower / totalPower
 		}
 		results = append(results, res)
 	}
 	return results, nil
-}
-
-func sumPower(servers []Server) float64 {
-	var p float64
-	for _, s := range servers {
-		p += s.Power
-	}
-	return p
 }

@@ -3,21 +3,14 @@
 // penalty of SLA failures against the cost of server usage.
 package sla
 
-import (
-	"errors"
-	"fmt"
-)
+import "errors"
 
-// Goal is a response-time requirement for a service class. A zero
-// Percentile means the goal constrains the mean response time;
-// otherwise the goal is "Percentile of requests must respond within
-// MaxRT" (§7.1).
+// Goal is a response-time requirement for a service class: the
+// response time the caller measures (a mean, or a percentile for a
+// §7.1 percentile goal) must not exceed MaxRT.
 type Goal struct {
 	// MaxRT is the response-time bound in seconds.
 	MaxRT float64
-	// Percentile is the required compliant fraction in (0,1), or 0 for
-	// a mean-based goal.
-	Percentile float64
 }
 
 // validate reports the first structural problem with the goal.
@@ -25,15 +18,10 @@ func (g Goal) validate() error {
 	if g.MaxRT <= 0 {
 		return errors.New("sla: goal needs positive max response time")
 	}
-	if g.Percentile < 0 || g.Percentile >= 1 {
-		return fmt.Errorf("sla: percentile %v outside [0,1)", g.Percentile)
-	}
 	return nil
 }
 
 // met reports whether an observed response time satisfies the goal.
-// For percentile goals, rt should be the observed response time at the
-// goal percentile.
 func (g Goal) met(rt float64) bool { return rt <= g.MaxRT }
 
 // CostModel maps the study's two cost metrics onto a single monetary

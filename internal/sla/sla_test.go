@@ -9,17 +9,8 @@ func TestGoalValidate(t *testing.T) {
 	if err := (Goal{MaxRT: 0.3}).validate(); err != nil {
 		t.Fatal(err)
 	}
-	if err := (Goal{MaxRT: 0.3, Percentile: 0.9}).validate(); err != nil {
-		t.Fatal(err)
-	}
 	if err := (Goal{MaxRT: 0}).validate(); err == nil {
 		t.Fatal("zero MaxRT should fail")
-	}
-	if err := (Goal{MaxRT: 0.3, Percentile: 1}).validate(); err == nil {
-		t.Fatal("percentile 1 should fail")
-	}
-	if err := (Goal{MaxRT: 0.3, Percentile: -0.1}).validate(); err == nil {
-		t.Fatal("negative percentile should fail")
 	}
 }
 

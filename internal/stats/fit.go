@@ -59,7 +59,6 @@ func FitLinear(xs, ys []float64) (LinearModel, error) {
 type ExponentialModel struct {
 	Coeff float64 // cL in the paper
 	Rate  float64 // λL in the paper
-	R2    float64 // coefficient of determination in log space
 }
 
 // Eval returns the model's estimate of y at x.
@@ -82,7 +81,7 @@ func FitExponential(xs, ys []float64) (ExponentialModel, error) {
 	if err != nil {
 		return ExponentialModel{}, err
 	}
-	return ExponentialModel{Coeff: math.Exp(lin.Intercept), Rate: lin.Slope, R2: lin.R2}, nil
+	return ExponentialModel{Coeff: math.Exp(lin.Intercept), Rate: lin.Slope}, nil
 }
 
 // PowerModel is a least-squares power-law trend line y = Coeff * x^Exp,
@@ -91,7 +90,6 @@ func FitExponential(xs, ys []float64) (ExponentialModel, error) {
 type PowerModel struct {
 	Coeff float64 // C(λL) in the paper
 	Exp   float64 // Δ(λL) in the paper
-	R2    float64 // coefficient of determination in log-log space
 }
 
 // Eval returns the model's estimate of y at x. x must be positive for a
@@ -122,7 +120,7 @@ func FitPower(xs, ys []float64) (PowerModel, error) {
 	if err != nil {
 		return PowerModel{}, err
 	}
-	return PowerModel{Coeff: math.Exp(lin.Intercept), Exp: lin.Slope, R2: lin.R2}, nil
+	return PowerModel{Coeff: math.Exp(lin.Intercept), Exp: lin.Slope}, nil
 }
 
 // FitProportional computes the least-squares gradient m of the

@@ -13,16 +13,24 @@ import (
 	"perfpred/internal/workload"
 )
 
-// steadySim builds a simulator, runs it past warm-up with measurement
-// on, and primes every pool (request records, station jobs, ring
-// buffers, reservoir buffers) so subsequent engine advances exercise
-// only the steady-state path.
-func steadySim(t testing.TB, cfg Config) (*simulator, float64) {
+// onePool builds cfg, a one-pool run, and returns its pool unadvanced,
+// for tests that step the pool's engine themselves.
+func onePool(t testing.TB, cfg Config) *simulator {
 	t.Helper()
-	if err := cfg.validate(); err != nil {
+	r, err := NewSharded(cfg)
+	if err != nil {
 		t.Fatal(err)
 	}
-	s := newSimulator(cfg, simOptions{})
+	return r.pools[0]
+}
+
+// steadySim builds a one-pool run, runs it past warm-up with
+// measurement on, and primes every pool (request records, station
+// jobs, ring buffers, reservoir buffers) so subsequent engine advances
+// exercise only the steady-state path.
+func steadySim(t testing.TB, cfg Config) (*simulator, float64) {
+	t.Helper()
+	s := onePool(t, cfg)
 	s.eng.Run(cfg.WarmUp, 0)
 	s.beginMeasurement()
 	until := cfg.WarmUp + 60 // fills the small reservoirs and warms all pools
@@ -79,7 +87,7 @@ func TestRequestRecordSize(t *testing.T) {
 }
 
 // A handle packs the issuing pool above the record's slot. Every split
-// a run can choose round-trips at its extremes — a single engine's 31
+// a run can choose round-trips at its extremes — a one-pool run's 31
 // slot bits, and the 625- and 2 500-pool fleets' indices — another
 // pool's handle less a pool's base lies past every slot (rec's test
 // for a record of its own), and an index past either limit panics
@@ -203,7 +211,7 @@ func TestSteadyStateZeroAllocWithMetrics(t *testing.T) {
 	}
 	// The flush path (collect) must not allocate either, beyond what
 	// collect itself already does — and it must actually publish.
-	if res := collect([]*simulator{s}, s.cfg.Duration, s.eng.Fired(), false); res.Throughput <= 0 {
+	if res := collect([]*simulator{s}, s.cfg.Duration, s.eng.Fired()); res.Throughput <= 0 {
 		t.Fatal("empty collection")
 	}
 	snap := reg.Snapshot()
@@ -227,7 +235,7 @@ func BenchmarkCollect(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if res := collect([]*simulator{s}, s.cfg.Duration, s.eng.Fired(), false); res.Throughput <= 0 {
+		if res := collect([]*simulator{s}, s.cfg.Duration, s.eng.Fired()); res.Throughput <= 0 {
 			b.Fatal("empty collection")
 		}
 	}
@@ -281,7 +289,7 @@ func TestClosedClientBytes(t *testing.T) {
 	build := func(n int) uint64 {
 		cfg := allocConfig()
 		cfg.Load = workload.MixedWorkload(n, 0.1)
-		bytes, _ := buildCost(func() any { return newSimulator(cfg, simOptions{}) })
+		bytes, _ := buildCost(func() any { return onePool(t, cfg) })
 		return bytes
 	}
 	events := func(n int) uint64 {
@@ -365,8 +373,7 @@ func BenchmarkShardedBuild(b *testing.B) {
 // streams and from the two reservoir streams once the buffers
 // overflow: four. Its split root and sampling parent only derive
 // children, which their seeds answer; the fleet root is only split, and
-// the route, choose and open-arrival streams and the unused
-// single-engine root never draw.
+// the route, choose and open-arrival streams never draw.
 func TestPoolSeedsOnlyStreamsItDraws(t *testing.T) {
 	reg := obs.NewRegistry()
 	obs.Bind(reg)

@@ -10,9 +10,9 @@ import (
 	"perfpred/internal/workload"
 )
 
-// Single-engine runs are built on the calendar queue; the binary heap
-// is the ordering oracle. onHeap selects it through the constructor
-// seam, so one Config can run on both.
+// Runs are built on calendar-queue engines; the binary heap is the
+// ordering oracle. onHeap swaps it in for every shard's engine through
+// the constructor seam, so one Config can run on both.
 var onHeap = simOptions{newEngine: sim.NewEngine}
 
 func bitsDiffer(a, b float64) bool { return math.Float64bits(a) != math.Float64bits(b) }
@@ -59,10 +59,11 @@ func sameRun(t *testing.T, heap, cal *Result) {
 	}
 }
 
-// TestBackendsAgree is the differential test behind moving every
-// single-engine run from the heap to the calendar queue: the public
-// entry points (calendar) against the same Config on the heap, across
-// the populations and model variants the experiments use.
+// TestBackendsAgree is the differential test behind moving every run
+// from the heap to the calendar queue: the public entry points
+// (calendar) against the same Config on the heap, across the
+// populations and model variants the experiments use, and a routed
+// fleet windowed on one and two shard engines.
 func TestBackendsAgree(t *testing.T) {
 	base := func(load workload.Workload) Config {
 		return Config{
@@ -124,6 +125,36 @@ func TestBackendsAgree(t *testing.T) {
 			sameRun(t, heap, cal)
 		})
 	}
+	t.Run("fleet", func(t *testing.T) { // 4 pools, every third request crossing pools
+		r, err := newSharded(shardedConfig(4, 2, 3), onHeap)
+		if err != nil {
+			t.Fatal(err)
+		}
+		r.Advance(1)
+		r.Close()
+		for i := 0; i < r.coord.Shards(); i++ {
+			if qc := r.coord.Shard(i).Eng.QueueCounts(); qc.CalendarPops != 0 || qc.HeapPops == 0 {
+				t.Fatalf("shard %d of the heap run popped %+v: its engine is not the heap", i, qc)
+			}
+		}
+		for _, shards := range []int{1, 2} {
+			t.Run(fmt.Sprintf("%d shards", shards), func(t *testing.T) {
+				heap, err := run(shardedConfig(4, shards, 3), onHeap) // a router is stateful: one per run
+				if err != nil {
+					t.Fatal(err)
+				}
+				cal, err := Run(shardedConfig(4, shards, 3))
+				if err != nil {
+					t.Fatal(err)
+				}
+				if cal.Throughput <= 0 {
+					t.Fatal("empty run")
+				}
+				t.Logf("%d events", cal.EventsFired)
+				sameRun(t, heap, cal)
+			})
+		}
+	})
 	t.Run("TransientCurve", func(t *testing.T) { // the cold-start transient, in Windows
 		cfg := base(workload.TypicalWorkload(1900))
 		heap, err := windows(cfg, 5, onHeap)

@@ -151,49 +151,46 @@ type Config struct {
 	// result gains per-operation measurements.
 	DetailedOperations bool
 
-	// Pools, when > 1, switches the run to the sharded fleet model: the
-	// configured network (application tier + database) is replicated
-	// Pools times, each replica carrying the configured Load with its
-	// own random streams split from Seed by stable pool index
-	// (sim.SplitSeed), so the fleet's trajectory is identical at any
-	// shard count. 0 or 1 with Shards ≤ 1 selects the single-engine
-	// path the paper's experiments run on.
-	// Pools defaults to Shards when unset in a sharded run.
+	// Pools is the number of replicas of the configured network
+	// (application tier + database) the run carries on one
+	// sim.Coordinator; 0 means 1. One pool draws from streams seeded by
+	// Seed itself. Of several, pool i draws from streams split from Seed
+	// by its index (sim.SplitSeed), so it replays the one-pool run seeded
+	// with SplitSeed(Seed, i) and the run is the same at any shard count.
 	Pools int
-	// Shards is the number of goroutines that advance the fleet (never
+	// Shards is the number of goroutines that advance the pools (never
 	// more than GOMAXPROCS). When pools interact (a Router that is not
 	// Local, or a BarrierHook) it is also the engine count: pool i runs
 	// on engine i mod Shards, and the engines advance in conservative
 	// time windows. When they never meet, every pool runs on an engine
 	// of its own in one barrier-free window per Advance, the Shards
 	// goroutines taking whole pools one after another. 0 or 1 runs
-	// every pool on the calling goroutine. Shards above Pools are
-	// clamped to Pools.
+	// every pool on the calling goroutine. Shards above the pool count
+	// are clamped to it, so a one-pool run has one shard.
 	Shards int
 
-	// PoolArchs, when non-empty, makes the fleet heterogeneous: pool i
+	// PoolArchs, when non-empty, makes the pools heterogeneous: pool i
 	// runs architecture PoolArchs[i mod len(PoolArchs)] instead of
-	// Server, so one sharded run can mix AppServS/F/VF pools the way the
-	// §9 server room does. Requires a sharded run; incompatible with a
-	// multi-server tier (Servers).
+	// Server, so one run can mix AppServS/F/VF pools the way the §9
+	// server room does. Incompatible with a multi-server tier (Servers).
 	PoolArchs []workload.ServerArch
 
 	// Router, when non-nil, replaces the static pool assignment with
 	// per-request routing: every closed client asks the router which
 	// pool serves each request (internal/fleet provides scorer-backed
 	// implementations) — the one way to send a request across pools.
-	// Without it the pools are fully independent replicas. Requires a
-	// sharded run with at least two pools. The hop latency (and
-	// conservative lookahead) is ShardLatency unless the router is
-	// Local.
+	// Without it the pools are fully independent replicas. Requires at
+	// least two pools. The hop latency (and conservative lookahead) is
+	// ShardLatency unless the router is Local.
 	Router PoolRouter
 
 	// BarrierHook, when non-nil, is installed as the coordinator's
 	// window-barrier callback (sim.Coordinator.SetBarrierHook): it runs
 	// between windows, when every shard is quiescent, at the identical
 	// sequence of simulated times for any shard count. The fleet layer
-	// uses it to publish routing snapshots and replan in-loop. Requires
-	// a sharded run; the barrier cadence is the resolved lookahead.
+	// uses it to publish routing snapshots and replan in-loop. It makes
+	// the run windowed, at any pool count; the barrier cadence is the
+	// resolved lookahead.
 	BarrierHook func(now float64)
 }
 
@@ -207,32 +204,14 @@ const DefaultMaxRTSamples = 200000
 // response time includes two hops.
 const ShardLatency = 0.005
 
-// sharded reports whether the configuration selects the fleet model
-// (shard coordinator + pool replicas) rather than the single-engine
-// simulator.
-func (c Config) sharded() bool { return c.Pools > 1 || c.Shards > 1 }
-
-// effectivePools resolves the replica count of a sharded run: Pools,
-// defaulting to Shards when only the shard count was given.
-func (c Config) effectivePools() int {
-	if c.Pools > 0 {
-		return c.Pools
-	}
-	return c.Shards
-}
+// effectivePools resolves the run's replica count: Pools, at least 1.
+func (c Config) effectivePools() int { return max(1, c.Pools) }
 
 // effectiveShards resolves the goroutine count (and a windowed run's
 // engine count): at least 1, never more than the pool count (surplus
 // shards would idle).
 func (c Config) effectiveShards() int {
-	s := c.Shards
-	if s < 1 {
-		s = 1
-	}
-	if p := c.effectivePools(); s > p {
-		s = p
-	}
-	return s
+	return min(max(1, c.Shards), c.effectivePools())
 }
 
 // tier returns the application-server tier: Servers when set,
@@ -330,16 +309,9 @@ func (c Config) validate() error {
 	if c.Pools < 0 || c.Shards < 0 {
 		return errors.New("trade: pools and shards must be non-negative")
 	}
-	if !c.sharded() {
-		if len(c.PoolArchs) > 0 || c.Router != nil || c.BarrierHook != nil {
-			return errors.New("trade: PoolArchs/Router/BarrierHook require a sharded run (Pools or Shards > 1)")
-		}
-		return nil
-	}
-	// Sharded fleet restriction: the per-operation accumulators have no
-	// cross-pool merge, so that variant stays on the single engine.
-	if c.DetailedOperations {
-		return errors.New("trade: DetailedOperations is not supported in sharded runs")
+	// The per-operation accumulators have no cross-pool merge.
+	if c.DetailedOperations && c.effectivePools() > 1 {
+		return errors.New("trade: DetailedOperations needs a one-pool run")
 	}
 	if len(c.PoolArchs) > 0 {
 		if len(c.Servers) > 0 {

@@ -4,7 +4,6 @@ import (
 	"sort"
 
 	"perfpred/internal/sim"
-	"perfpred/internal/workload"
 )
 
 // This file adds the operation-level view of the Trade benchmark
@@ -23,9 +22,6 @@ import (
 type Operation struct {
 	// Name is the operation ("quote", "buy", ...).
 	Name string
-	// Type is the request type whose demand tables the operation
-	// draws from.
-	Type workload.RequestType
 	// DemandScale multiplies the type's app-server demand for this
 	// operation (1 = the type's mean).
 	DemandScale float64
@@ -43,10 +39,10 @@ type Operation struct {
 // agree in aggregate).
 func browseOperations() []Operation {
 	return []Operation{
-		{Name: "home", Type: workload.Browse, DemandScale: 0.70, DBCalls: 1.0, Weight: 0.20},
-		{Name: "quote", Type: workload.Browse, DemandScale: 0.80, DBCalls: 1.0, Weight: 0.40},
-		{Name: "portfolio", Type: workload.Browse, DemandScale: 1.50, DBCalls: 1.4, Weight: 0.25},
-		{Name: "account", Type: workload.Browse, DemandScale: 1.20, DBCalls: 1.2, Weight: 0.15},
+		{Name: "home", DemandScale: 0.70, DBCalls: 1.0, Weight: 0.20},
+		{Name: "quote", DemandScale: 0.80, DBCalls: 1.0, Weight: 0.40},
+		{Name: "portfolio", DemandScale: 1.50, DBCalls: 1.4, Weight: 0.25},
+		{Name: "account", DemandScale: 1.20, DBCalls: 1.2, Weight: 0.15},
 	}
 }
 
@@ -54,9 +50,9 @@ func browseOperations() []Operation {
 // The buy operation's demand grows with the client's current
 // portfolio size through PortfolioDemandSlope.
 func buySessionOperations() (register, buy, logoff Operation) {
-	register = Operation{Name: "register-login", Type: workload.Buy, DemandScale: 0.85, DBCalls: 2, Weight: 0}
-	buy = Operation{Name: "buy", Type: workload.Buy, DemandScale: 1.0, DBCalls: 2, Weight: 0}
-	logoff = Operation{Name: "logoff", Type: workload.Buy, DemandScale: 0.45, DBCalls: 1, Weight: 0}
+	register = Operation{Name: "register-login", DemandScale: 0.85, DBCalls: 2, Weight: 0}
+	buy = Operation{Name: "buy", DemandScale: 1.0, DBCalls: 2, Weight: 0}
+	logoff = Operation{Name: "logoff", DemandScale: 0.45, DBCalls: 1, Weight: 0}
 	return
 }
 

@@ -7,7 +7,7 @@ import (
 	"perfpred/internal/workload"
 )
 
-// queueConfig is a single-engine run with a three-server tier, so four
+// queueConfig is a one-pool run with a three-server tier, so four
 // stations share one engine.
 func queueConfig() Config {
 	return Config{
@@ -69,7 +69,7 @@ func checkQueueCounts(t *testing.T, label string, engs []*sim.Engine, pools []*s
 // The scan bounds sit midway between the two designs, measured on
 // these configurations. A calendar that bucketed each push as it came,
 // at a width fitted to the whole time spread until a rate re-fit,
-// looked at 1.22 events per fired event on the single engine, 2.40 on
+// looked at 1.22 events per fired event on one pool, 2.40 on
 // the windowed fleet and 19.31 per calendar pop on the static fleet,
 // whose pools never re-fit; laid out on first read at a width fitted
 // to the head of the schedule, 0.60, 0.90 and 3.23. (With every event
@@ -77,15 +77,12 @@ func checkQueueCounts(t *testing.T, label string, engs []*sim.Engine, pools []*s
 // and 4.90.)
 func TestStationCompletionsPopFromHeap(t *testing.T) {
 	cfg := queueConfig()
-	if err := cfg.validate(); err != nil {
-		t.Fatal(err)
-	}
-	s := newSimulator(cfg, simOptions{})
+	s := onePool(t, cfg)
 	s.eng.Run(cfg.WarmUp, 0)
 	s.beginMeasurement()
 	s.eng.Run(cfg.WarmUp+cfg.Duration, 0)
-	if perFired, _ := checkQueueCounts(t, "single engine", []*sim.Engine{s.eng}, []*simulator{s}); perFired > 0.9 {
-		t.Errorf("single engine: %.2f calendar events scanned per fired event, want <= 0.9", perFired)
+	if perFired, _ := checkQueueCounts(t, "one pool", []*sim.Engine{s.eng}, []*simulator{s}); perFired > 0.9 {
+		t.Errorf("one pool: %.2f calendar events scanned per fired event, want <= 0.9", perFired)
 	}
 
 	r, err := NewSharded(shardedConfig(4, 2, 5))

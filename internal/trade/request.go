@@ -44,7 +44,7 @@ type reqState struct {
 // A record's handle is the int32 argument every continuation of its
 // request carries: the issuing pool's index above the record's slot in
 // that pool's table. Every pool of a run splits the 32 bits alike, at
-// slotBitsFor(pools): a single engine keeps 31 bits of slot, and a
+// slotBitsFor(pools): a one-pool run keeps 31 bits of slot, and a
 // fleet as many as its pool index leaves (22 bits, 4 194 304 records a
 // pool, at 625 pools; 20 bits, 1 048 576 records, at 2 500 or 4 096).
 // packHandle panics beyond either limit.

@@ -107,8 +107,8 @@ type WindowPoint struct {
 // for everything steady-state means hide: the stabilisation behaviour
 // the historical method records as a variable (§8.2) and time-varying
 // open traffic (flash sales, MMPP bursts). The full Config is
-// honoured, including session caches and critical sections.
-// Single-engine configurations only.
+// honoured, including session caches and critical sections, on one
+// pool: the completion intercept is not safe across shard goroutines.
 func Windows(cfg Config, window float64) ([]WindowPoint, error) {
 	return windows(cfg, window, simOptions{})
 }
@@ -118,11 +118,8 @@ func windows(cfg Config, window float64, opt simOptions) ([]WindowPoint, error) 
 	if window <= 0 {
 		return nil, errors.New("trade: window must be positive")
 	}
-	if cfg.sharded() {
-		return nil, errors.New("trade: windowed runs are not supported on sharded configurations")
-	}
-	if err := cfg.validate(); err != nil {
-		return nil, err
+	if cfg.effectivePools() > 1 {
+		return nil, errors.New("trade: windowed runs need one pool")
 	}
 	n := int(math.Ceil(cfg.Duration / window))
 	if n < 1 {
@@ -136,8 +133,12 @@ func windows(cfg Config, window float64, opt simOptions) ([]WindowPoint, error) 
 		}
 		accs[idx].Add(rt)
 	}
-	s := newSimulator(cfg, opt)
-	s.eng.Run(cfg.Duration, 0)
+	r, err := newSharded(cfg, opt)
+	if err != nil {
+		return nil, err
+	}
+	defer r.Close()
+	r.Advance(cfg.Duration)
 	points := make([]WindowPoint, n)
 	for i := range points {
 		start := float64(i) * window

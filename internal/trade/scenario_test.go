@@ -153,7 +153,7 @@ func TestScenarioSteadyStateZeroAlloc(t *testing.T) {
 	if allocs != 0 {
 		t.Fatalf("scenario request loop allocates %v objects per 2 simulated seconds, want 0", allocs)
 	}
-	if res := collect([]*simulator{s}, s.cfg.Duration, s.eng.Fired(), false); res.Throughput <= 0 {
+	if res := collect([]*simulator{s}, s.cfg.Duration, s.eng.Fired()); res.Throughput <= 0 {
 		t.Fatal("empty collection")
 	}
 }

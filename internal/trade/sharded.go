@@ -1,30 +1,29 @@
 package trade
 
 import (
-	"fmt"
 	"math"
 
 	"perfpred/internal/sim"
 )
 
-// This file is the sharded fleet model: Pools replicas of the
+// This file is the one simulator every run is: Pools replicas of the
 // configured network on calendar-queue engines under a
 // sim.Coordinator run by Shards goroutines — one engine per pool when
 // the pools never meet, Shards engines when they do. Each pool is an
-// ordinary simulator whose random streams are split from the run seed
-// by stable pool index (sim.SplitSeed), owns all of its state, and —
-// when a Router sends a request elsewhere — forwards it to a sibling
-// pool through the coordinator's conservative message exchange.
-// Because no pool state is shared and every cross-pool interaction
-// carries a mapping-invariant (time, pool, seq) key, the fleet's
-// trajectory is identical at any shard count; shards only decide which
-// engine a pool's events fire on.
+// ordinary simulator that owns all of its state, draws from streams
+// split from the run seed by stable pool index (sim.SplitSeed) when
+// there are several, and — when a Router sends a request elsewhere —
+// forwards it to a sibling pool through the coordinator's conservative
+// message exchange. Because no pool state is shared and every
+// cross-pool interaction carries a mapping-invariant (time, pool, seq)
+// key, the run's trajectory is identical at any shard count; shards
+// only decide which engine a pool's events fire on.
 
-// ShardedRun is a fleet of pool simulators under one coordinator, and
+// ShardedRun is a run's pool simulators under one coordinator, and
 // the stepped interface to it: build once, advance the coordinator in
 // caller-chosen strides, switch measurement on at the warm-up boundary,
-// and collect the merged fleet result at the end. Run drives exactly
-// this lifecycle; the fleet layer (internal/fleet) steps the run itself
+// and collect the merged result at the end. Run drives exactly this
+// lifecycle; the fleet layer (internal/fleet) steps the run itself
 // so its barrier hook can replan in-loop while the caller still owns
 // the clock.
 type ShardedRun struct {
@@ -34,14 +33,13 @@ type ShardedRun struct {
 	closed   bool
 }
 
-// NewSharded builds a sharded fleet run without advancing it: the
-// coordinator, the per-pool simulators on their shard engines, and the
-// cross-pool links. The configuration must select the sharded model
-// (Pools or Shards > 1).
-func NewSharded(cfg Config) (*ShardedRun, error) {
-	if !cfg.sharded() {
-		return nil, fmt.Errorf("trade: NewSharded needs a sharded configuration (Pools or Shards > 1)")
-	}
+// NewSharded builds a run without advancing it: the coordinator, the
+// per-pool simulators on their shard engines, and the cross-pool
+// links.
+func NewSharded(cfg Config) (*ShardedRun, error) { return newSharded(cfg, simOptions{}) }
+
+// newSharded is NewSharded under the given constructor variant.
+func newSharded(cfg Config, opt simOptions) (*ShardedRun, error) {
 	if err := cfg.validate(); err != nil {
 		return nil, err
 	}
@@ -63,9 +61,15 @@ func NewSharded(cfg Config) (*ShardedRun, error) {
 		lookahead, nEngines = ShardLatency, nShards
 	}
 	coord := sim.NewCoordinatorOn(nEngines, nShards, lookahead)
+	if opt.newEngine != nil {
+		for i := 0; i < nEngines; i++ {
+			coord.Shard(i).Eng = opt.newEngine()
+		}
+	}
 	if cfg.BarrierHook != nil {
 		coord.SetBarrierHook(cfg.BarrierHook)
 	}
+	tradeRuns.Inc()
 	root := sim.NewStream(cfg.Seed)
 	r := &ShardedRun{coord: coord, pools: make([]*simulator, nPools), duration: cfg.Duration}
 	for i := range r.pools {
@@ -76,11 +80,16 @@ func NewSharded(cfg Config) (*ShardedRun, error) {
 			pcfg.Server = cfg.PoolArchs[i%len(cfg.PoolArchs)]
 			pcfg.Servers = nil
 		}
+		proot := root // one pool draws from the seed's own streams
+		if nPools > 1 {
+			proot = root.Split(uint64(i))
+		}
 		r.pools[i] = newSimulator(pcfg, simOptions{
-			shard:  coord.Shard(i % nEngines),
-			root:   root.Split(uint64(i)),
-			poolID: uint64(i),
-			pools:  nPools,
+			intercept: opt.intercept,
+			shard:     coord.Shard(i % nEngines),
+			root:      proot,
+			poolID:    uint64(i),
+			pools:     nPools,
 		})
 	}
 	for _, p := range r.pools {
@@ -89,7 +98,24 @@ func NewSharded(cfg Config) (*ShardedRun, error) {
 	return r, nil
 }
 
-// Advance runs the fleet to simulated time until (monotone across
+// Run simulates the configured measurement and returns its result:
+// warm up, reset statistics, measure, collect.
+func Run(cfg Config) (*Result, error) { return run(cfg, simOptions{}) }
+
+// run is Run under the given constructor variant.
+func run(cfg Config, opt simOptions) (*Result, error) {
+	r, err := newSharded(cfg, opt)
+	if err != nil {
+		return nil, err
+	}
+	defer r.Close()
+	r.Advance(cfg.WarmUp)
+	r.BeginMeasurement()
+	r.Advance(cfg.WarmUp + cfg.Duration)
+	return r.Collect(), nil
+}
+
+// Advance runs the pools to simulated time until (monotone across
 // calls) and returns the events fired by this stride.
 func (r *ShardedRun) Advance(until float64) uint64 { return r.coord.Run(until) }
 
@@ -113,10 +139,10 @@ func (r *ShardedRun) BeginMeasurement() {
 	}
 }
 
-// Collect merges the fleet's measurements into one Result. The run can
+// Collect merges the pools' measurements into one Result. The run can
 // still be advanced afterwards, but the statistics keep accumulating.
 func (r *ShardedRun) Collect() *Result {
-	return collect(r.pools, r.duration, r.coord.Fired(), true)
+	return collect(r.pools, r.duration, r.coord.Fired())
 }
 
 // Close releases the coordinator's worker pool. The run must not be

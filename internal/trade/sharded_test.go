@@ -142,11 +142,11 @@ func TestShardedRunReproducible(t *testing.T) {
 }
 
 // Without a router every pool is an independent replica: pool i's
-// trajectory must be EXACTLY the legacy single-engine run seeded with
-// SplitSeed(seed, i) — the fleet is the sum of legacy runs. This pins
-// the sharded path to the single engine's behaviour, and, since Run
-// and ShardedRun.Collect share one collector, is the proof that the
-// fleet reduction of n pools is the single-run reduction of each:
+// trajectory must be EXACTLY the one-pool run seeded with
+// SplitSeed(seed, i) — the fleet is the sum of one-pool runs. This
+// pins a fleet's pools to the one-pool run's behaviour, and, since
+// every run shares one collector, is the proof that the fleet
+// reduction of n pools is the one-pool reduction of each:
 // per-server rows, samples and utilisations equal to the bit.
 func TestShardedPoolsMatchLegacyRuns(t *testing.T) {
 	cfg := shardedConfig(2, 2, 0)
@@ -225,13 +225,14 @@ func TestShardedRemoteRequestsServed(t *testing.T) {
 	}
 }
 
-// Sharded config validation: the unsupported variants and malformed
-// knobs must be rejected up front.
+// Pool config validation: the unsupported variants and malformed
+// knobs must be rejected up front, and what a fleet accepts a one-pool
+// run accepts too.
 func TestShardedConfigValidation(t *testing.T) {
 	bad := []func(*Config){
-		func(c *Config) { c.DetailedOperations = true },
+		func(c *Config) { c.DetailedOperations = true }, // on four pools
 		func(c *Config) { c.Pools = -1 },
-		func(c *Config) { c.Pools, c.Shards = 1, 1 }, // a router, but not sharded
+		func(c *Config) { c.Pools, c.Shards = 1, 1 }, // a router on one pool
 	}
 	for i, mutate := range bad {
 		cfg := shardedConfig(4, 2, 4)
@@ -248,12 +249,32 @@ func TestShardedConfigValidation(t *testing.T) {
 	if err := shardedConfig(4, 2, 4).validate(); err != nil {
 		t.Errorf("valid sharded config rejected: %v", err)
 	}
+	one := shardedConfig(1, 1, 0)
+	one.PoolArchs = workload.CaseStudyServers()
+	one.BarrierHook = func(float64) {}
+	one.DetailedOperations = true
+	if err := one.validate(); err != nil {
+		t.Errorf("PoolArchs, BarrierHook and DetailedOperations on one pool rejected: %v", err)
+	}
 }
 
-// Windowed cold-start studies stay on the single engine.
+// Windowed cold-start studies run one pool, whose completion intercept
+// no other shard goroutine can reach; that pool takes PoolArchs and a
+// BarrierHook like any other run.
 func TestShardedGuards(t *testing.T) {
 	if _, err := Windows(shardedConfig(2, 2, 0), 10); err == nil {
-		t.Error("Windows accepted a sharded config")
+		t.Error("Windows accepted two pools")
+	}
+	cfg := shardedConfig(1, 2, 0)
+	cfg.PoolArchs = []workload.ServerArch{workload.AppServS()}
+	barriers := 0
+	cfg.BarrierHook = func(float64) { barriers++ }
+	points, err := Windows(cfg, 10)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(points) != 12 || points[0].Completed == 0 || barriers == 0 {
+		t.Errorf("one-pool windowed run: %d windows, %d completions in the first, %d barriers", len(points), points[0].Completed, barriers)
 	}
 }
 
@@ -390,23 +411,34 @@ func TestShardedRecordsStayWithTheirPool(t *testing.T) {
 // A fleet whose pools never meet runs one engine per pool; the same
 // fleet with a barrier hook runs windowed on one engine per shard. The
 // partitioning only decides which engine a pool's events fire on, so
-// both must replay the identical trajectory at every shard count.
+// both must replay the identical trajectory at every shard count. One
+// pool is the same run at any Shards, the plain Config's.
 func TestShardedEnginePerPoolMatchesEnginePerShard(t *testing.T) {
-	for _, shards := range []int{1, 2, 4} {
-		free, err := Run(shardedConfig(4, shards, 0))
-		if err != nil {
-			t.Fatal(err)
+	one, err := Run(shardedConfig(0, 0, 0))
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, pools := range []int{1, 4} {
+		for _, shards := range []int{1, 2, 4} {
+			free, err := Run(shardedConfig(pools, shards, 0))
+			if err != nil {
+				t.Fatal(err)
+			}
+			cfg := shardedConfig(pools, shards, 0)
+			cfg.BarrierHook = func(float64) {}
+			windowed, err := Run(cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if free.Throughput <= 0 {
+				t.Fatal("barrier-free run measured nothing")
+			}
+			label := fmt.Sprintf("%d pools, %d shards", pools, shards)
+			sameResult(t, label+", per-pool vs per-shard engines", free, windowed)
+			if pools == 1 {
+				sameResult(t, label+" vs the plain run", one, free)
+			}
 		}
-		cfg := shardedConfig(4, shards, 0)
-		cfg.BarrierHook = func(float64) {}
-		windowed, err := Run(cfg)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if free.Throughput <= 0 {
-			t.Fatal("barrier-free run measured nothing")
-		}
-		sameResult(t, fmt.Sprintf("%d shards, per-pool vs per-shard engines", shards), free, windowed)
 	}
 }
 

@@ -50,9 +50,8 @@ type simulator struct {
 	choose *sim.Stream
 	route  *sim.Stream
 
-	// Sharded-fleet wiring (nil/zero on the single-engine path):
-	// the pool's shard, its stable pool index and references to
-	// sibling pools.
+	// The pool's shard, its stable pool index and references to its
+	// sibling pools (itself included).
 	shard   *sim.Shard
 	poolID  uint64
 	pools   []*simulator
@@ -110,23 +109,25 @@ type detailOps struct {
 }
 
 // simOptions selects constructor variants shared by the steady-state
-// and cold-start entry points.
+// and cold-start entry points, and carries each pool's place in its
+// run to newSimulator.
 type simOptions struct {
 	// intercept routes every completion to the caller from t=0.
 	intercept func(now, rt float64)
 
-	// newEngine, when set, builds the private engine of a single-engine
-	// run in place of sim.NewEngineCalendar — the differential test's
-	// seam for running one Config on both scheduler backends.
+	// newEngine, when set, replaces each shard's calendar engine at
+	// construction — the differential test's seam for running one
+	// Config on both scheduler backends.
 	newEngine func() *sim.Engine
 
-	// Sharded-fleet construction (set by NewSharded): build the pool on
-	// an existing shard engine with a pool-split root stream instead of
-	// a private engine seeded directly from cfg.Seed.
+	// Set per pool by newSharded: the shard engine the pool runs on, its
+	// root stream (the run's own for one pool, split by pool index for
+	// several), its index and the run's pool count, which splits a
+	// record handle's bits.
 	shard  *sim.Shard
 	root   *sim.Stream
 	poolID uint64
-	pools  int // the fleet's pool count, which splits a record handle's bits
+	pools  int
 }
 
 type classAcc struct {
@@ -193,41 +194,13 @@ type buySession struct {
 	holdings int
 }
 
-// Run simulates the configured measurement and returns its result:
-// warm up, reset statistics, measure, collect. A sharded configuration
-// runs the same lifecycle on a ShardedRun.
-func Run(cfg Config) (*Result, error) {
-	if cfg.sharded() {
-		r, err := NewSharded(cfg)
-		if err != nil {
-			return nil, err
-		}
-		defer r.Close()
-		r.Advance(cfg.WarmUp)
-		r.BeginMeasurement()
-		r.Advance(cfg.WarmUp + cfg.Duration)
-		return r.Collect(), nil
-	}
-	return run(cfg, simOptions{})
-}
-
-// run is the single-engine Run under the given constructor variant.
-func run(cfg Config, opt simOptions) (*Result, error) {
-	if err := cfg.validate(); err != nil {
-		return nil, err
-	}
-	s := newSimulator(cfg, opt)
-	s.eng.Run(cfg.WarmUp, 0)
-	s.beginMeasurement()
-	s.eng.Run(cfg.WarmUp+cfg.Duration, 0)
-	return collect([]*simulator{s}, cfg.Duration, s.eng.Fired(), false), nil
-}
-
-// newSimulator builds the network, registers every population and
-// schedules the initial arrivals. Every entry point (Run, Windows,
-// NewSharded) validates cfg once and then builds on it, so
-// cold-start studies honour the full Config (caches, critical sections,
-// multi-server tiers) with the same per-seed draw sequences.
+// newSimulator builds one pool's network on its shard engine,
+// registers every population and schedules the initial arrivals.
+// newSharded validates cfg once and builds every pool on it, so Run,
+// Windows and the fleet honour the full Config (caches, critical
+// sections, multi-server tiers) with the same per-seed draw sequences.
+// The pool's entire draw sequence is a pure function of its root
+// stream, invariant under the pool→shard mapping.
 func newSimulator(cfg Config, opt simOptions) *simulator {
 	if cfg.MaxRTSamples == 0 {
 		cfg.MaxRTSamples = DefaultMaxRTSamples
@@ -241,23 +214,7 @@ func newSimulator(cfg Config, opt simOptions) *simulator {
 		cfg.Load = cfg.Scenario.Workload()
 		cohorts = cfg.Scenario.Cohorts
 	}
-	newEngine := sim.NewEngineCalendar
-	if opt.newEngine != nil {
-		newEngine = opt.newEngine
-	}
-	root := sim.NewStream(cfg.Seed)
-	var eng *sim.Engine
-	if opt.shard == nil {
-		eng = newEngine()
-		tradeRuns.Inc()
-	} else {
-		// Sharded pool: run on the shard's calendar engine with a root
-		// stream split by stable pool index, so the pool's entire draw
-		// sequence is a pure function of (Seed, pool) — invariant under
-		// the pool→shard mapping.
-		eng = opt.shard.Eng
-		root = opt.root
-	}
+	eng, root := opt.shard.Eng, opt.root
 	s := &simulator{
 		cfg:       cfg,
 		eng:       eng,
@@ -268,6 +225,9 @@ func newSimulator(cfg Config, opt simOptions) *simulator {
 		choose:    root.Derive(3),
 		route:     root.Derive(5),
 		acc:       make(map[string]*classAcc),
+		shard:     opt.shard,
+		poolID:    opt.poolID,
+		router:    cfg.Router,
 		intercept: opt.intercept,
 		slotBits:  slotBitsFor(opt.pools),
 	}
@@ -387,13 +347,8 @@ func newSimulator(cfg Config, opt simOptions) *simulator {
 		s.classNames = append(s.classNames, name)
 	}
 	sort.Strings(s.classNames)
-	if opt.shard != nil {
-		s.shard = opt.shard
-		s.poolID = opt.poolID
-		s.router = cfg.Router
-		if s.router != nil && !s.router.Local() {
-			s.onHop = s.hopped
-		}
+	if s.router != nil && !s.router.Local() {
+		s.onHop = s.hopped
 	}
 	return s
 }
@@ -605,16 +560,15 @@ func (s *simulator) measuredTotals() (sum float64, count int) {
 	return sum, count
 }
 
-// collect reduces the measurements of a run's pools — one for a
-// single-engine run, the whole fleet for a sharded one — over a
-// measured window of duration seconds into one Result: Welford
-// accumulators merge exactly, samples concatenate, utilisation is
-// speed-weighted across every server, and per-server rows are prefixed
-// "p<pool>/" when namespaced. Pools are visited in index order and
+// collect reduces the measurements of a run's pools over a measured
+// window of duration seconds into one Result: Welford accumulators
+// merge exactly, samples concatenate, utilisation is speed-weighted
+// across every server, and per-server rows are prefixed "p<pool>/"
+// when there is more than one pool. Pools are visited in index order and
 // classes in sorted-name order, so every floating-point reduction is
 // deterministic; with one pool every merge is a copy and every average
 // a division by one, so the result is exactly that pool's own.
-func collect(pools []*simulator, duration float64, fired uint64, namespaced bool) *Result {
+func collect(pools []*simulator, duration float64, fired uint64) *Result {
 	res := &Result{
 		PerClass:    make(map[string]ClassResult, len(pools[0].acc)),
 		Duration:    duration,
@@ -625,7 +579,7 @@ func collect(pools []*simulator, duration float64, fired uint64, namespaced bool
 	for pi, p := range pools {
 		for _, app := range p.apps {
 			name := app.arch.Name
-			if namespaced {
+			if len(pools) > 1 {
 				name = fmt.Sprintf("p%d/%s", pi, name)
 			}
 			u := app.cpu.Utilization()
@@ -690,7 +644,7 @@ func collect(pools []*simulator, duration float64, fired uint64, namespaced bool
 		res.MeanRT = totalWeighted / float64(totalCompleted)
 	}
 	res.Throughput = float64(totalCompleted) / duration
-	if ops := pools[0].ops; ops != nil { // single-engine runs only
+	if ops := pools[0].ops; ops != nil { // one-pool runs only
 		res.PerOperation = ops.results()
 	}
 	for _, p := range pools {
@@ -705,7 +659,7 @@ func collect(pools []*simulator, duration float64, fired uint64, namespaced bool
 // single-goroutine) and flushMetrics publishes them once per run, at
 // collect time, so the request loop stays allocation-free.
 var (
-	tradeRuns              = obs.DeclareCounter("trade_runs")                // single-engine simulators built (Run, Windows)
+	tradeRuns              = obs.DeclareCounter("trade_runs")                // runs built (Run, Windows, NewSharded), each once
 	tradeRequestsCompleted = obs.DeclareCounter("trade_requests_completed")  // measured request completions
 	tradeRequestPoolReuses = obs.DeclareCounter("trade_request_pool_reuses") // request records served from the free list
 	tradeRequestPoolAllocs = obs.DeclareCounter("trade_request_pool_allocs") // request records newly allocated
