@@ -16,8 +16,9 @@
 #                    benchmark or fuzz target, and so does each of its
 #                    |-alternatives over the line's packages. A pattern
 #                    that matches nothing would otherwise pass silently.
-#                    Only a pattern's top level (up to its first /) is
-#                    listed: go test -list names no subtests.
+#                    go test -list names no subtests, so a -run
+#                    pattern with a / level is also run once with -v
+#                    (no -race) and must start a subtest.
 #   make benchmark — the repo's one benchmark (BENCHMARK.json): five
 #                    end-to-end workloads and the per-layer metrics, every
 #                    host timing the repo reports. See benchmark/README.md.
@@ -74,6 +75,9 @@ race-list:
 			shift; \
 		done; \
 		pat=$${bench:-$$run}; pat=$${pat%%/*}; \
+		case "$$run" in */*) \
+			$(GO) test -v -run "$$run" $$pkgs | grep -qE '^=== RUN +[^ /]+/' || { echo "    $$run runs no subtest in$$pkgs"; fail=1; } ;; \
+		esac; \
 		for pkg in $$pkgs; do \
 			n=$$($(GO) test -list "$$pat" $$pkg | grep -cE '^(Test|Benchmark|Fuzz|Example)') || true; \
 			printf '%4d  %s  %s\n' "$$n" "$$pkg" "$$pat"; \

@@ -272,13 +272,13 @@ func run(cfg Config) (*Result, error) {
 	}
 	tres := run.Collect()
 
-	decisions, remotes := router.totals()
+	decisions, remotes, visited := router.totals()
 	res := &Result{
 		Trade:     tres,
 		Scorer:    scorer.Name(),
 		Decisions: decisions,
 		Remote:    remotes,
-		Visited:   router.visitedTotal(),
+		Visited:   visited,
 		Windows:   run.Windows(),
 		Parks:     run.Parks(),
 		Wall:      time.Since(start),

@@ -378,7 +378,7 @@ func TestFleetConservationProperty(t *testing.T) {
 			t.Fatalf("step %d: fleet in-flight %d exceeds %d clients", step, sumInflight, totalClients)
 		}
 	}
-	decisions, _ := inner.totals()
+	decisions, _, _ := inner.totals()
 	if decisions == 0 {
 		t.Fatal("no routing decisions recorded")
 	}
@@ -470,7 +470,7 @@ func TestFleetSteadyStateZeroAllocWithMetrics(t *testing.T) {
 	if allocs != 0 {
 		t.Fatalf("fleet routing loop allocates %v objects per 2 simulated seconds, want 0", allocs)
 	}
-	decisions, remotes := router.totals()
+	decisions, remotes, _ := router.totals()
 	if decisions == 0 || remotes == 0 {
 		t.Fatalf("loop routed nothing (decisions %d, remote %d)", decisions, remotes)
 	}

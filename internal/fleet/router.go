@@ -10,20 +10,17 @@ import (
 // response time in the per-pool smoothed RT.
 const rtAlpha = 0.3
 
-// view is the routing state the scorers read. Every field except
-// Assigned is written only at window barriers (Router.Sync and the
-// replanner's setAllowed, on the coordinator goroutine while all shards
-// are quiescent) and read during windows, so scorers on every shard see
-// the identical snapshot — the property that keeps routing decisions
-// invariant under the pool→shard mapping. Assigned is the one in-window
-// layer: each origin pool's own row of the matrix, counting the
-// decisions that origin has made since the last barrier so its scorers
+// view is the routing state the scorers read, written only at window
+// barriers (Router.Sync and the replanner's setAllowed, on the
+// coordinator goroutine while all shards are quiescent) and read during
+// windows, so scorers on every shard see the identical snapshot — the
+// property that keeps routing decisions invariant under the pool→shard
+// mapping. The one in-window layer is each origin's own row of
+// decisions since the last barrier (originState.row), so its scorers
 // don't herd onto the pool the stale snapshot calls idle. A pool's own
 // event order is mapping-invariant, so origin-local state is legal;
 // reading another origin's live row would not be.
 type view struct {
-	// NPools is the matrix dimension.
-	NPools int
 	// InFlight is the barrier snapshot of requests in service or queued
 	// per pool (started − completed).
 	InFlight []int
@@ -38,19 +35,12 @@ type view struct {
 	// by class): 1 when the resource manager's current plan places the
 	// class on the pool. All ones until the first plan lands.
 	Allowed []uint8
-	// Assigned is the npools×npools in-window decision matrix
-	// (row-major by origin): Assigned[origin*NPools+dst] counts the
-	// requests origin has routed to dst since the last barrier. Scorers
-	// may read only their own origin's row. Nil under Static, which
-	// reads nothing.
-	Assigned []int32
 }
 
-// relLoad is the scorers' shared load signal for pool p as seen by
-// origin: the barrier in-flight snapshot plus the origin's own
-// in-window assignments, relative to the pool's thread capacity.
-func (v *view) relLoad(origin, p int) float64 {
-	return float64(v.InFlight[p]+int(v.Assigned[origin*v.NPools+p])) / float64(v.Capacity[p])
+// relLoad is the scorers' shared load signal: pool p's in-flight plus
+// n, the origin's requests to it this window, relative to its capacity.
+func (v *view) relLoad(p int, n int32) float64 {
+	return float64(v.InFlight[p]+int(n)) / float64(v.Capacity[p])
 }
 
 // classCount is the per-(pool, class) counter block: 32 bytes, padded
@@ -62,17 +52,29 @@ type classCount struct {
 }
 
 // originState is per-origin routing state, padded to a cache line so
-// origins on different shards never write-share. dirty lists the
-// Assigned-row slots the origin touched this window; clearing only
-// those at the barrier keeps barrier cost proportional to decisions,
-// not npools². visited counts the tree nodes the origin's picks
-// examined.
+// origins on different shards never write-share. row counts the
+// origin's decisions this window per destination: an origin makes a
+// fraction of a decision per window, so it stays a few entries long.
+// visited counts the tree nodes the origin's picks examined.
 type originState struct {
 	routes  uint64
 	remotes uint64
 	visited uint64
-	dirty   []int32
+	row     []assignment
 	_       [2]uint64 // pad to 64 bytes
+}
+
+// assignment counts an origin's requests to pool dst this window.
+type assignment struct{ dst, n int32 }
+
+// assigned returns the index of pool p in the origin's row, or -1.
+func (o *originState) assigned(p int32) int {
+	for i := range o.row {
+		if o.row[i].dst == p {
+			return i
+		}
+	}
+	return -1
 }
 
 // Router is the fleet's trade.PoolRouter: incrementally maintained
@@ -128,7 +130,6 @@ func NewRouter(scorer Scorer, capacities []int, nclasses int) *Router {
 		cc:       make([]classCount, npools*stride),
 		origins:  make([]originState, npools),
 		view: view{
-			NPools:   npools,
 			InFlight: make([]int, npools),
 			RT:       make([]float64, npools),
 			Capacity: capacities,
@@ -139,12 +140,6 @@ func NewRouter(scorer Scorer, capacities []int, nclasses int) *Router {
 	}
 	for i := range r.view.Allowed {
 		r.view.Allowed[i] = 1 // everything allowed until a plan lands
-	}
-	if r.policy != policyStatic {
-		r.view.Assigned = make([]int32, npools*npools)
-		for i := range r.origins {
-			r.origins[i].dirty = make([]int32, 0, npools)
-		}
 	}
 	switch r.policy {
 	case policyQueue:
@@ -179,11 +174,11 @@ func (r *Router) Route(origin, class int) int {
 	}
 	dst, visited := r.pick(origin, class)
 	o.visited += uint64(visited)
-	slot := origin*r.npools + dst
-	if r.view.Assigned[slot] == 0 {
-		o.dirty = append(o.dirty, int32(dst)) // cap preallocated: no alloc
+	if i := o.assigned(int32(dst)); i >= 0 {
+		o.row[i].n++
+	} else {
+		o.row = append(o.row, assignment{int32(dst), 1})
 	}
-	r.view.Assigned[slot]++
 	if dst != origin {
 		o.remotes++
 	}
@@ -224,10 +219,10 @@ func (r *Router) Completed(pool, class int, rt float64) {
 }
 
 // Sync publishes the barrier snapshot: per-pool in-flight counts and
-// the RT EWMA from this window's completions, then clears every
-// origin's in-window assignment row via its dirty list and rebuilds
-// the trees. Call it only while all shards are quiescent — Run invokes
-// it from the window barrier hook on the coordinator goroutine.
+// the RT EWMA from this window's completions, then truncates every
+// origin's in-window row and rebuilds the trees. Call it only while all
+// shards are quiescent — Run invokes it from the window barrier hook on
+// the coordinator goroutine.
 func (r *Router) Sync() {
 	for p := 0; p < r.npools; p++ {
 		base := p * r.stride
@@ -253,12 +248,7 @@ func (r *Router) Sync() {
 		}
 	}
 	for oi := range r.origins {
-		o := &r.origins[oi]
-		row := oi * r.npools
-		for _, dst := range o.dirty {
-			r.view.Assigned[row+int(dst)] = 0
-		}
-		o.dirty = o.dirty[:0]
+		r.origins[oi].row = r.origins[oi].row[:0]
 	}
 	if r.policy != policyStatic {
 		r.rebuild()
@@ -322,20 +312,13 @@ func (r *Router) classTotals(c int) (completed uint64, rtSum float64, rtCount ui
 }
 
 // totals returns the fleet-wide routing decision and remote-decision
-// counts. Call only while the fleet is quiescent.
-func (r *Router) totals() (decisions, remotes uint64) {
+// counts and the tree nodes all picks examined. Call only while the
+// fleet is quiescent.
+func (r *Router) totals() (decisions, remotes, visited uint64) {
 	for i := range r.origins {
 		decisions += r.origins[i].routes
 		remotes += r.origins[i].remotes
-	}
-	return decisions, remotes
-}
-
-// visitedTotal returns the tree nodes all picks examined. Call only
-// while the fleet is quiescent.
-func (r *Router) visitedTotal() (visited uint64) {
-	for i := range r.origins {
 		visited += r.origins[i].visited
 	}
-	return visited
+	return decisions, remotes, visited
 }

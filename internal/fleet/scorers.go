@@ -6,7 +6,7 @@ import "fmt"
 // The Router implements each rule itself, over tournament trees of
 // keys fixed at the window barrier (see tree.go), so the set is closed:
 // the five types below are the scorers. Every rule is a pure function
-// of the barrier-synced view plus the origin's own Assigned row — no
+// of the barrier-synced view plus the origin's own in-window row — no
 // hidden state, no randomness — which is what keeps seeded fleet runs
 // bit-identical at any shard count. Ties go to the lowest pool index.
 type Scorer interface {

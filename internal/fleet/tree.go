@@ -16,8 +16,8 @@ const (
 // segment-tree layout: leaf n+p holds pool p, and internal node k < n
 // holds whichever of its children's winners has the least (key, tie,
 // index). Keys are fixed at the window barrier; inside a window a pool's
-// live score can only rise above its key (the origin's own Assigned row
-// is the one thing that moves, and it only counts up), which is the
+// live score can only rise above its key (the origin's own in-window
+// row is the one thing that moves, and it only counts up), which is the
 // bound Router.search prunes on.
 type tree struct {
 	kind  keyKind
@@ -117,13 +117,14 @@ func (r *Router) rescore(t *tree, p int) {
 // below a winner origin has routed to does the search descend, into
 // the winner's side first.
 func (r *Router) search(t *tree, origin int) (int, int) {
-	row := r.view.Assigned[origin*r.npools:][:r.npools]
+	o := &r.origins[origin]
 	n := int32(r.npools)
 	best := int32(-1)
 	var bestKey, bestTie float64
 	var stack [64]int32 // one pending sibling per level at most
 	stack[0] = 1
 	sp, visited := 1, 0
+	lastW, lastI := int32(-1), -1 // the last winner looked up in the origin's row, and its index there
 	for sp > 0 {
 		sp--
 		k := stack[sp]
@@ -133,7 +134,10 @@ func (r *Router) search(t *tree, origin int) (int, int) {
 		if best >= 0 && !before(key, tie, w, bestKey, bestTie, best) {
 			continue
 		}
-		if row[w] != 0 {
+		if w != lastW { // a descent meets its winner again at every level
+			lastW, lastI = w, o.assigned(w)
+		}
+		if lastI >= 0 {
 			if k < n {
 				l := 2 * k
 				if t.win[l] == w {
@@ -144,7 +148,7 @@ func (r *Router) search(t *tree, origin int) (int, int) {
 				sp += 2
 				continue
 			}
-			key, tie = r.score(t, int(w), r.view.relLoad(origin, int(w)))
+			key, tie = r.score(t, int(w), r.view.relLoad(int(w), o.row[lastI].n))
 			if best >= 0 && !before(key, tie, w, bestKey, bestTie, best) {
 				continue
 			}

@@ -86,6 +86,18 @@ func TestRequestRecordSize(t *testing.T) {
 	}
 }
 
+// A fleet builds a simulator per pool, so its size class is paid 625
+// times over in the benchmark's fleets: the record table's chunk
+// headers stay out of line to keep it in the 896-byte class or below.
+func TestSimulatorStaysInItsSizeClass(t *testing.T) {
+	if unsafe.Sizeof(uintptr(0)) != 8 {
+		t.Skip("the size bound is about 64-bit layouts")
+	}
+	if got := unsafe.Sizeof(simulator{}); got > 896 {
+		t.Fatalf("sizeof(simulator) = %d bytes, want at most 896: a simulator in the 1 024-byte class read fleet_static wall_s ≈ 8 %% slower (CHANGES.md, the FOUND line on a static fleet's CPU on two goroutines)", got)
+	}
+}
+
 // A handle packs the issuing pool above the record's slot. Every split
 // a run can choose round-trips at its extremes — a one-pool run's 31
 // slot bits, and the 625- and 2 500-pool fleets' indices — another
@@ -141,10 +153,11 @@ func TestRecordHandlePacking(t *testing.T) {
 }
 
 // A pool's records never move: a handle resolves to the record it was
-// made with, in its own pool through the flat index and in a sibling
-// through the view published at the index's last growth, however far
-// the table has grown since. Chunks double from 4 records, and a
-// retired record is the next one handed out.
+// made with, by arithmetic on its slot, in its own pool and in a
+// sibling alike, however far the table has grown since. Chunks double
+// from 4 records, so the last and first slots of each pair below sit
+// in neighbouring chunks, and a retired record is the next one handed
+// out.
 func TestRecordTableKeepsRecords(t *testing.T) {
 	r, err := NewSharded(shardedConfig(2, 1, 0))
 	if err != nil {
@@ -167,14 +180,44 @@ func TestRecordTableKeepsRecords(t *testing.T) {
 			t.Fatalf("record %d has handle (pool %d, slot %d)", i, pool, slot)
 		}
 	}
-	if n, c, left := len(home.recs.own), cap(home.recs.own), len(home.recs.fresh); n != 100 || n+left != 4+8+16+32+64 || c < n+left {
-		t.Fatalf("100 records: index len %d cap %d, %d fresh records left, want chunks of 4, 8, 16, 32 and 64", n, c, left)
+	// Each pair is the last slot of a chunk and the first of the next.
+	for _, c := range []struct{ slot, chunk, off int }{
+		{3, 0, 3}, {4, 1, 0}, {11, 1, 7}, {12, 2, 0}, {27, 2, 15}, {28, 3, 0}, {59, 3, 31}, {60, 4, 0},
+	} {
+		want := &home.recs.groups[c.chunk/8][c.chunk%8][c.off]
+		h := packHandle(1, c.slot, home.slotBits)
+		if made[c.slot] != want || home.rec(h) != want || sibling.rec(h) != want {
+			t.Fatalf("slot %d is not record %d of chunk %d from both pools", c.slot, c.off, c.chunk)
+		}
+	}
+	if sizes := chunkSizes(&home.recs); !slices.Equal(sizes, []int{4, 8, 16, 32, 64}) || home.recs.n != 100 {
+		t.Fatalf("100 records: %d slots in chunks of %v, want chunks of 4, 8, 16, 32 and 64", home.recs.n, sizes)
+	}
+	if home.recs.groups[1] != nil || sibling.recs.groups[0] != nil {
+		t.Fatal("a table holds a group of chunk headers before its first chunk is made")
 	}
 	home.putReq(made[17])
-	if got := home.getReq(); got != made[17] || home.poolAllocs != 100 || home.poolReuses != 1 {
+	if got := home.getReq(); got != made[17] || home.recs.n != 100 || home.recs.reused != 1 {
 		_, slot := unpackHandle(got.h, home.slotBits)
-		t.Fatalf("after retiring slot 17 the next record is slot %d (%d made, %d reused)", slot, home.poolAllocs, home.poolReuses)
+		t.Fatalf("after retiring slot 17 the next record is slot %d (%d made, %d reused)", slot, home.recs.n, home.recs.reused)
 	}
+}
+
+// chunkSizes lists the lengths of a record table's chunks, made ones
+// only.
+func chunkSizes(t *recTable) []int {
+	var sizes []int
+	for _, g := range t.groups {
+		if g == nil {
+			continue
+		}
+		for _, c := range g {
+			if len(c) > 0 {
+				sizes = append(sizes, len(c))
+			}
+		}
+	}
+	return sizes
 }
 
 // TestSteadyStateZeroAllocDetailed covers the §3.1 operation-level

@@ -3,8 +3,6 @@ package trade
 import (
 	"fmt"
 	"math/bits"
-	"slices"
-	"sync/atomic"
 
 	"perfpred/internal/workload"
 )
@@ -74,38 +72,48 @@ func unpackHandle(h int32, slotBits uint) (pool, slot int) {
 }
 
 // recTable is a pool's request records, free-listed by slot. Records
-// are carved from chunks that never move, each as large as the table
-// before it plus 4, so a pool that keeps a few requests in flight holds
-// a few records, not a large chunk. The pool finds its records through
-// own, a flat index that grows with the chunks. A sibling pool serving
-// one of them runs at the same time as this pool, which may move own
-// when it grows, so the sibling reads own through the copy of its
-// header published at its last growth.
+// are carved from chunks that never move, chunk k holding
+// firstChunk<<k records (4, 8, 16, …), so a slot's chunk and offset
+// follow from the slot by arithmetic. The chunk headers sit out of
+// line in groups of eight, each group made with its first chunk, so a
+// fleet pool, which keeps far fewer than the first group's 1 020
+// records in flight, makes one 192-byte group. A header is set once,
+// when its chunk is made, and a sibling serving a record reads the
+// header of a chunk that existed before the record's handle reached it
+// through the window barrier, so the table publishes nothing.
 type recTable struct {
-	own    []*reqState                 // own[slot] is the record in slot
-	shared atomic.Pointer[[]*reqState] // own at its full capacity, as of its last growth
-	fresh  []reqState                  // the newest chunk's records not yet handed out
-	base   uint32                      // the handle of slot 0
-	free   int32                       // 1 + the first free slot, 0 when none
+	groups [4]*[8][]reqState // chunk k's header is groups[k/8][k%8]; a one-pool run's 1<<31 slots fill 30 chunks
+	n      uint32            // slots handed out so far, which flushMetrics counts as records made
+	base   uint32            // the handle of slot 0
+	free   int32             // 1 + the first free slot, 0 when none
+	reused uint64            // records taken from the free list
 }
 
 // firstChunk is how many records a pool's first chunk holds.
 const firstChunk = 4
 
+// at returns the record in slot, which chunk k holds from slot
+// firstChunk<<k − firstChunk on.
+func (t *recTable) at(slot uint32) *reqState {
+	k := uint(bits.Len32(slot+firstChunk)) - 3 // unsigned: the shift needs no sign check
+	return &t.groups[k/8][k%8][slot+firstChunk-firstChunk<<k]
+}
+
 // rec resolves a handle to its record, in the issuing pool's table
-// wherever the request is being served. A handle of another pool,
-// less this pool's base, wraps past every slot own holds.
+// wherever the request is being served. A handle of another pool, less
+// this pool's base, wraps past every slot a handle can name, so past
+// the n this pool has handed out.
 func (s *simulator) rec(h int32) *reqState {
-	if slot := uint32(h) - s.recs.base; slot < uint32(len(s.recs.own)) {
-		return s.recs.own[slot]
+	t, slot := &s.recs, uint32(h)-s.recs.base
+	if slot >= t.n {
+		t, slot = &s.pools[uint32(h)>>s.slotBits].recs, uint32(h)&(1<<s.slotBits-1)
 	}
-	pool, slot := unpackHandle(h, s.slotBits)
-	return (*s.pools[pool].recs.shared.Load())[slot]
+	return t.at(slot)
 }
 
 // issuedHere reports whether this pool issued request r.
 func (s *simulator) issuedHere(r *reqState) bool {
-	return uint32(r.h)-s.recs.base < uint32(len(s.recs.own))
+	return uint32(r.h)-s.recs.base < s.recs.n
 }
 
 // getReq takes a request record from the free list, making a new slot
@@ -114,25 +122,21 @@ func (s *simulator) issuedHere(r *reqState) bool {
 func (s *simulator) getReq() *reqState {
 	t := &s.recs
 	if t.free > 0 {
-		r := t.own[t.free-1]
+		r := t.at(uint32(t.free - 1))
 		t.free = r.next
 		r.next = 0
-		s.poolReuses++
+		t.reused++
 		return r
 	}
-	slot := len(t.own)
-	h := packHandle(int(s.poolID), slot, s.slotBits)
-	if len(t.fresh) == 0 {
-		t.fresh = make([]reqState, slot+firstChunk)
-		t.own = slices.Grow(t.own, len(t.fresh))
-		view := t.own[:cap(t.own)]
-		t.shared.Store(&view)
+	if k := bits.Len32(t.n+firstChunk) - 3; t.n+firstChunk == firstChunk<<k { // the first slot of chunk k
+		if k%8 == 0 {
+			t.groups[k/8] = new([8][]reqState)
+		}
+		t.groups[k/8][k%8] = make([]reqState, firstChunk<<k)
 	}
-	s.poolAllocs++
-	r := &t.fresh[0]
-	t.fresh = t.fresh[1:]
-	r.h = h
-	t.own = append(t.own, r)
+	r := t.at(t.n)
+	r.h = packHandle(int(s.poolID), int(t.n), s.slotBits)
+	t.n++
 	return r
 }
 

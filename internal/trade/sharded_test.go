@@ -399,10 +399,10 @@ func TestShardedRecordsStayWithTheirPool(t *testing.T) {
 	r.Advance(60)
 	for pi, p := range r.pools {
 		clients := p.classes[len(p.classes)-1].clientEnd
-		if p.poolAllocs > uint64(clients) {
-			t.Errorf("pool %d allocated %d request records for %d closed clients", pi, p.poolAllocs, clients)
+		if p.recs.n > uint32(clients) {
+			t.Errorf("pool %d allocated %d request records for %d closed clients", pi, p.recs.n, clients)
 		}
-		if p.poolAllocs+p.poolReuses == 0 {
+		if p.recs.n == 0 && p.recs.reused == 0 {
 			t.Errorf("pool %d issued no request", pi)
 		}
 	}

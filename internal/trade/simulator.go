@@ -83,10 +83,6 @@ type simulator struct {
 	onSlot, onCS, onCSDone, onSeg, onDB, onDBDone func(int32)
 	onLat, onHop                                  func()
 
-	// Plain instrumentation counters (a simulator is single-goroutine);
-	// flushMetrics publishes them to the declared metrics at collect.
-	poolReuses, poolAllocs uint64
-
 	measuring  bool
 	acc        map[string]*classAcc
 	classNames []string // sorted class names for deterministic collection
@@ -675,8 +671,8 @@ func (s *simulator) flushMetrics(totalCompleted int) {
 		return
 	}
 	tradeRequestsCompleted.Add(uint64(totalCompleted))
-	tradeRequestPoolReuses.Add(s.poolReuses)
-	tradeRequestPoolAllocs.Add(s.poolAllocs)
+	tradeRequestPoolReuses.Add(s.recs.reused)
+	tradeRequestPoolAllocs.Add(uint64(s.recs.n))
 	for _, app := range s.apps {
 		if app.cache != nil {
 			tradeCacheHits.Add(app.cache.hits)
