@@ -52,8 +52,8 @@ type Suite struct {
 
 // NewSuite returns a harness with the given measurement seed. The
 // zero Opt.Workers selects all cores for the suite's sweeps; set
-// Opt.Workers = 1 for the exact serial evaluation order (the results
-// are identical either way).
+// Opt.Workers = 1 to evaluate one cell at a time, in order, on one
+// worker goroutine (the results are identical either way).
 func NewSuite(seed int64) *Suite {
 	return &Suite{
 		Opt:    trade.MeasureOptions{Seed: seed, WarmUp: 30, Duration: 120},

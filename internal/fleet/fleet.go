@@ -292,7 +292,10 @@ func run(cfg Config) (*Result, error) {
 		res.Replans = rs.replans
 		res.ReplanLatencies = rs.latencies
 		res.AffinityChanges = rs.pendingApplied
-		res.EstimatedClients = append([]int(nil), rs.estimates...)
+		res.EstimatedClients = make([]int, len(rs.snap.Classes))
+		for c, cl := range rs.snap.Classes {
+			res.EstimatedClients[c] = cl.Clients
+		}
 	}
 	flushMetrics(res)
 	return res, nil

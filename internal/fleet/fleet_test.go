@@ -523,6 +523,48 @@ func TestFleetReplanTakesEffect(t *testing.T) {
 		t.Errorf("fleet_routing_decisions metric %d, want %d",
 			snap.Counters["fleet_routing_decisions"], res.Decisions)
 	}
+
+	// A plan reaches the pools it names: after one replan on a 12-pool
+	// fleet, and once the warm-up and drain delays have passed, each
+	// class's Allowed row holds exactly the pools the plan allocated it,
+	// found by each allocation's recorded position.
+	cfg = withReplanning(t, testConfig(12, 1, ClassAffinity{}))
+	caps := make([]int, cfg.Pools)
+	for i := range caps {
+		caps[i] = cfg.Archs[i%len(cfg.Archs)].MPL
+	}
+	router := NewRouter(cfg.Scorer, caps, len(cfg.Load))
+	rs := newReplanState(cfg.Replanner, router, &cfg)
+	rs.replanNow(0)
+	if rs.err != nil {
+		t.Fatal(rs.err)
+	}
+	// The same snapshot replans to the same plan: capacities are memoised.
+	plan, err := cfg.Replanner.Replan(&rs.snap)
+	if err != nil {
+		t.Fatal(err)
+	}
+	rs.sweep(max(cfg.WarmupDelay, cfg.DrainDelay))
+	want := make([]uint8, len(cfg.Load)*cfg.Pools)
+	for _, a := range plan.Allocations {
+		if a.Server != rm.PoolServerName(a.ServerIndex) {
+			t.Errorf("allocation on %s records position %d", a.Server, a.ServerIndex)
+		}
+		want[rs.classIdx[a.Class]*cfg.Pools+a.ServerIndex] = 1
+	}
+	allowed := 0
+	for c, pop := range cfg.Load {
+		for p := 0; p < cfg.Pools; p++ {
+			got := router.view.Allowed[c*cfg.Pools+p]
+			if got != want[c*cfg.Pools+p] {
+				t.Errorf("class %s pool %d: allowed %d, plan says %d", pop.Class.Name, p, got, want[c*cfg.Pools+p])
+			}
+			allowed += int(got)
+		}
+	}
+	if allowed == 0 || allowed == len(want) {
+		t.Errorf("plan allows %d of %d (class, pool) pairs: the check needs some of each", allowed, len(want))
+	}
 }
 
 func TestScorerByNameRoundTrip(t *testing.T) {
@@ -537,19 +579,5 @@ func TestScorerByNameRoundTrip(t *testing.T) {
 	}
 	if _, err := ScorerByName("nope"); err == nil {
 		t.Error("unknown scorer accepted")
-	}
-}
-
-func TestPoolFromServerName(t *testing.T) {
-	for i := 0; i < 12; i++ {
-		got, ok := poolFromServerName(rm.PoolServerName(i), 12)
-		if !ok || got != i {
-			t.Errorf("round trip pool %d: got %d, %v", i, got, ok)
-		}
-	}
-	for _, bad := range []string{"", "p", "q3", "p-1", "p3x", "p12"} {
-		if _, ok := poolFromServerName(bad, 12); ok {
-			t.Errorf("%q parsed as a pool name", bad)
-		}
 	}
 }

@@ -39,17 +39,14 @@ type replanState struct {
 	period         float64
 	warmup, drain  float64
 	next           float64
-	names          []string  // class names, Load order
-	goals          []float64 // class SLA goals
-	thinks         []float64 // class think-time means
+	thinks         []float64 // class think-time means, Load order
 	configured     []int     // fleet-wide configured clients per class
 	classIdx       map[string]int
-	snap           rm.FleetSnapshot // Pools fixed at construction
+	snap           rm.FleetSnapshot // Load order; each replan sets only Classes[c].Clients
 	desired        []uint8          // scratch: the plan's allowed matrix
 	pending        []pendingChange
 	last           []classWindow
 	lastTime       float64
-	estimates      []int
 	latencies      []time.Duration
 	replans        int
 	pendingApplied int
@@ -65,27 +62,23 @@ func newReplanState(rp *rm.Replanner, router *Router, cfg *Config) *replanState 
 		warmup:     cfg.WarmupDelay,
 		drain:      cfg.DrainDelay,
 		next:       cfg.ReplanPeriod,
-		names:      make([]string, n),
-		goals:      make([]float64, n),
 		thinks:     make([]float64, n),
 		configured: make([]int, n),
 		classIdx:   make(map[string]int, n),
 		desired:    make([]uint8, n*router.npools),
 		last:       make([]classWindow, n),
-		estimates:  make([]int, n),
 	}
+	rs.snap.Classes = make([]rm.Class, n)
 	for i, pop := range cfg.Load {
-		rs.names[i] = pop.Class.Name
-		rs.goals[i] = pop.Class.GoalRT
+		rs.snap.Classes[i] = rm.Class{Name: pop.Class.Name, GoalRT: pop.Class.GoalRT}
 		rs.thinks[i] = pop.Class.ThinkTimeMean
 		rs.configured[i] = pop.Clients * cfg.Pools // every pool carries Load
 		rs.classIdx[pop.Class.Name] = i
 	}
-	rs.snap.Classes = make([]rm.Class, n)
 	rs.snap.Pools = make([]rm.PoolState, router.npools)
 	for p := range rs.snap.Pools {
 		a := cfg.Archs[p%len(cfg.Archs)]
-		rs.snap.Pools[p] = rm.PoolState{Pool: p, Arch: a.Name, Power: a.MaxThroughputTypical}
+		rs.snap.Pools[p] = rm.PoolState{Arch: a.Name, Power: a.MaxThroughputTypical}
 	}
 	return rs
 }
@@ -112,7 +105,7 @@ const timeEps = 1e-9
 func (rs *replanState) replanNow(now float64) {
 	v := &rs.router.view
 	span := now - rs.lastTime
-	for c := range rs.names {
+	for c := range rs.snap.Classes {
 		completed, rtSum, rtCount := rs.router.classTotals(c)
 		// Little's law over the window since the last replan:
 		// N ≈ X·(Z + R). Before any completions (first replan, or a
@@ -130,8 +123,7 @@ func (rs *replanState) replanNow(now float64) {
 			}
 		}
 		rs.last[c] = classWindow{completed: completed, rtSum: rtSum, rtCount: rtCount}
-		rs.estimates[c] = est
-		rs.snap.Classes[c] = rm.Class{Name: rs.names[c], GoalRT: rs.goals[c], Clients: est}
+		rs.snap.Classes[c].Clients = est
 	}
 	rs.lastTime = now
 
@@ -152,13 +144,11 @@ func (rs *replanState) replanNow(now float64) {
 	npools := rs.router.npools
 	for _, a := range plan.Allocations {
 		if ci, ok := rs.classIdx[a.Class]; ok {
-			if pi, ok := poolFromServerName(a.Server, npools); ok {
-				rs.desired[ci*npools+pi] = 1
-			}
+			rs.desired[ci*npools+a.ServerIndex] = 1
 		}
 	}
 	rs.pending = rs.pending[:0]
-	for c := range rs.names {
+	for c := range rs.snap.Classes {
 		row := c * npools
 		for p := 0; p < npools; p++ {
 			want := rs.desired[row+p]
@@ -189,24 +179,4 @@ func (rs *replanState) sweep(now float64) {
 		}
 	}
 	rs.pending = kept
-}
-
-// poolFromServerName inverts rm.PoolServerName ("p<i>") without
-// allocating.
-func poolFromServerName(name string, npools int) (int, bool) {
-	if len(name) < 2 || name[0] != 'p' {
-		return 0, false
-	}
-	n := 0
-	for i := 1; i < len(name); i++ {
-		d := name[i] - '0'
-		if d > 9 {
-			return 0, false
-		}
-		n = n*10 + int(d)
-	}
-	if n >= npools {
-		return 0, false
-	}
-	return n, true
 }

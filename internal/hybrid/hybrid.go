@@ -45,7 +45,8 @@ type Config struct {
 	// Workers bounds how many architectures generate their pseudo data
 	// concurrently during Build. Each architecture's solves are
 	// independent, so the built model is identical for any worker
-	// count. 0 selects runtime.GOMAXPROCS(0); 1 builds serially.
+	// count. 0 selects runtime.GOMAXPROCS(0); 1 builds one
+	// architecture at a time, in order, on one worker goroutine.
 	Workers int
 }
 

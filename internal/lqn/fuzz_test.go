@@ -51,7 +51,7 @@ func FuzzReadModel(f *testing.F) {
 			t.Fatalf("serialised model fails to re-parse: %v", err)
 		}
 		// Solving may fail cleanly (e.g. open saturation) but must not
-		// panic or hang; cap the iteration budget.
-		_, _ = Solve(back, Options{MaxIterations: 200})
+		// panic or hang.
+		_, _ = Solve(back, Options{})
 	})
 }

@@ -79,14 +79,7 @@ func solveLayered(m *Model, r *resolved, opt Options) (*Result, error) {
 	if err := layeredApplicable(m, r); err != nil {
 		return nil, err
 	}
-	convergence := opt.Convergence
-	if convergence <= 0 {
-		convergence = 1e-6
-	}
-	maxIter := opt.MaxIterations
-	if maxIter <= 0 {
-		maxIter = 10000
-	}
+	convergence := opt.convergence()
 
 	K := len(m.Classes)
 	entryNames := r.entryNames
@@ -261,7 +254,7 @@ func solveLayered(m *Model, r *resolved, opt Options) (*Result, error) {
 	prevR := make([]float64, K)
 	converged := false
 	iter := 0
-	for ; iter < maxIter; iter++ {
+	for ; iter < maxSweeps; iter++ {
 		// Per-class elapsed times under current waits/utilisations.
 		for k := range m.Classes {
 			elapsed(k)

@@ -104,23 +104,17 @@ func (ws *mvaWorkspace) background(p *solvePlan, i, k, K int) float64 {
 // — inflates a class's effective demand by 1/(1−ρ_background), the
 // standard shadow-server approximation. Iteration stops when every
 // class's response time changes by less than convergence seconds (the
-// paper's LQNS criterion), or after maxIter sweeps.
+// paper's LQNS criterion), or after maxSweeps sweeps.
 //
 // warm seeds the queue-length iterate from the previous converged
 // solve when the shapes match — the initial guess changes, the fixed
 // point does not, so adjacent-population sweeps converge in a handful
 // of sweeps instead of dozens.
-func (ws *mvaWorkspace) solveSchweitzer(p *solvePlan, convergence float64, maxIter int, warm bool) error {
+func (ws *mvaWorkspace) solveSchweitzer(p *solvePlan, convergence float64, warm bool) error {
 	K := len(p.closed)
 	I := len(p.procNames)
 	if K == 0 {
 		return errors.New("lqn: mva needs matching populations and think times")
-	}
-	if convergence <= 0 {
-		convergence = 1e-6
-	}
-	if maxIter <= 0 {
-		maxIter = 10000
 	}
 
 	// Seidmann split for multiservers: queueing portion D/c, delay
@@ -194,7 +188,7 @@ func (ws *mvaWorkspace) solveSchweitzer(p *solvePlan, convergence float64, maxIt
 
 	iter := 0
 	ws.converged = false
-	for ; iter < maxIter; iter++ {
+	for ; iter < maxSweeps; iter++ {
 		maxDQ := 0.0
 		for k := 0; k < K; k++ {
 			if ws.pop[k] == 0 {

@@ -11,8 +11,6 @@ type Options struct {
 	// slows solving but removes the small-spacing noise seen in
 	// figure 3. Zero selects 1e-6.
 	Convergence float64
-	// MaxIterations bounds the fixed-point sweeps (0 selects 10000).
-	MaxIterations int
 	// ExactMVA solves single-class models with the exact MVA
 	// recursion instead of the Schweitzer approximation; it is an
 	// ablation knob and returns an error on multiclass models or
@@ -25,6 +23,17 @@ type Options struct {
 	// offered concurrency. Supports closed classes and synchronous
 	// calls only. See layers.go.
 	TaskLayering bool
+}
+
+// maxSweeps bounds every fixed-point solve's sweeps.
+const maxSweeps = 10000
+
+// convergence resolves the Convergence default.
+func (o Options) convergence() float64 {
+	if o.Convergence <= 0 {
+		return 1e-6
+	}
+	return o.Convergence
 }
 
 // ClassResult is one service class's predicted steady-state metrics.

@@ -254,7 +254,7 @@ func (s *Solver) Solve(m *Model, opt Options) (*Result, error) {
 		}
 	default:
 		warmEligible = s.WarmStart
-		if err := ws.solveSchweitzer(p, opt.Convergence, opt.MaxIterations, s.WarmStart); err != nil {
+		if err := ws.solveSchweitzer(p, opt.convergence(), s.WarmStart); err != nil {
 			return nil, err
 		}
 	}

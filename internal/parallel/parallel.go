@@ -13,9 +13,9 @@
 //   - Memo and Once (memo.go) are the singleflight-style memoisation
 //     used to make shared calibration state safe for concurrent use.
 //
-// With workers == 1 every helper degenerates to a plain serial loop on
-// the calling goroutine — the exact pre-parallel behaviour, which the
-// determinism tests pin against the pooled path.
+// With workers == 1 Map's one goroutine takes the indices in ascending
+// order and stops at the first error — a serial loop's order and
+// error, which the determinism tests pin against wider pools.
 package parallel
 
 import (
@@ -41,14 +41,13 @@ func resolveWorkers(n int) int {
 // goroutines and returns the n results in index order. workers <= 0
 // selects runtime.GOMAXPROCS(0); the pool never exceeds n.
 //
-// With one worker, fn runs inline on the calling goroutine in
-// ascending index order and Map returns at the first error without
-// touching later indices — exactly a serial loop. With more workers,
-// indices are handed out in ascending order; on the first error the
+// Indices are handed out in ascending order; on the first error the
 // context passed to still-running fns is cancelled, the pool drains,
 // and the error reported is the lowest-indexed real failure (context
 // cancellations caused by that failure are not mistaken for it), so
-// the returned error does not depend on goroutine scheduling.
+// the returned error does not depend on goroutine scheduling. With one
+// worker that is a serial loop: ascending order, and nothing after the
+// first error runs.
 func Map[T any](ctx context.Context, workers, n int, fn func(ctx context.Context, i int) (T, error)) ([]T, error) {
 	if n <= 0 {
 		return nil, ctx.Err()
@@ -58,20 +57,6 @@ func Map[T any](ctx context.Context, workers, n int, fn func(ctx context.Context
 		workers = n
 	}
 	out := make([]T, n)
-	if workers == 1 {
-		for i := 0; i < n; i++ {
-			if err := ctx.Err(); err != nil {
-				return nil, err
-			}
-			v, err := fn(ctx, i)
-			if err != nil {
-				return nil, err
-			}
-			out[i] = v
-		}
-		return out, nil
-	}
-
 	cctx, cancel := context.WithCancel(ctx)
 	defer cancel()
 	errs := make([]error, n)

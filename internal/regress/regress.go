@@ -160,8 +160,6 @@ type TrainStats struct {
 	// training set consumed (warm-up + measured horizon per sample) —
 	// the startup-cost currency shared with hybrid's calibration runs.
 	SimSeconds float64
-	// WallSeconds is the wall-clock spent measuring + fitting.
-	WallSeconds float64
 }
 
 // fit builds a Model from externally measured samples. Samples are

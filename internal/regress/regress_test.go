@@ -214,9 +214,6 @@ func TestTrainEqualsFitOverMeasuredSamples(t *testing.T) {
 				m.Stats.Samples != trained.Stats.Samples || m.Stats.SimSeconds != trained.Stats.SimSeconds {
 				t.Errorf("workers %d: refit stats %+v, Train's %+v", workers, m.Stats, trained.Stats)
 			}
-			if m.Stats.WallSeconds <= 0 {
-				t.Errorf("workers %d: refit recorded no wall time", workers)
-			}
 		}
 		for i := range kept {
 			if samples[i] != kept[i] {

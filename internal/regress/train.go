@@ -5,7 +5,6 @@ import (
 	"errors"
 	"fmt"
 	"slices"
-	"time"
 
 	"perfpred/internal/parallel"
 	"perfpred/internal/sim"
@@ -81,21 +80,15 @@ func drawPopulations(arch workload.ServerArch, cell uint64, cfg TrainConfig) []i
 }
 
 // Train measures a seeded grid of simulator runs and fits the model:
-// Measure, then FitMeasured. The startup cost (simulated seconds, wall
-// seconds, sample count) is recorded in Model.Stats — the number the
-// four-family comparison holds against hybrid's calibration runs.
+// Measure, then FitMeasured. The startup cost (simulated seconds and
+// sample count) is recorded in Model.Stats — the number the four-family
+// comparison holds against hybrid's calibration runs.
 func Train(cfg TrainConfig) (*Model, error) {
-	start := time.Now()
 	samples, err := Measure(cfg)
 	if err != nil {
 		return nil, err
 	}
-	m, err := FitMeasured(cfg, samples)
-	if err != nil {
-		return nil, err
-	}
-	m.Stats.WallSeconds = time.Since(start).Seconds()
-	return m, nil
+	return FitMeasured(cfg, samples)
 }
 
 // Measure is the simulator-backed part of Train: it lays out the seeded
@@ -156,19 +149,17 @@ func Measure(cfg TrainConfig) ([]Sample, error) {
 // FitMeasured is the rest of Train (serial, fixed order): it fits the
 // model Train(cfg) returns from the samples Measure(cfg) returned, now
 // or earlier. Stats report the measurement those samples cost — sample
-// count and simulated seconds — and the wall time of this fit alone.
+// count and simulated seconds.
 func FitMeasured(cfg TrainConfig, samples []Sample) (*Model, error) {
 	cfg = cfg.withDefaults()
-	start := time.Now()
 	m, err := fit(samples, cfg.Archs, workload.CaseStudyDemands(), workload.ThinkTimeMean, cfg.Fit)
 	if err != nil {
 		return nil, err
 	}
 	m.QueryBuyFrac = cfg.BuyFracs[0]
 	m.Stats = TrainStats{
-		Samples:     len(samples),
-		SimSeconds:  cfg.SimSeconds(len(samples)),
-		WallSeconds: time.Since(start).Seconds(),
+		Samples:    len(samples),
+		SimSeconds: cfg.SimSeconds(len(samples)),
 	}
 	return m, nil
 }

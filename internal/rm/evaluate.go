@@ -70,31 +70,14 @@ func evaluate(plan *Plan, classes []Class, servers []Server, truth Predictor) (*
 				allocs = append(allocs, a)
 			}
 		}
-		// Largest-remainder apportionment of real clients.
 		shares := make([]float64, len(allocs))
-		floors := make([]int, len(allocs))
-		assigned := 0
 		for i, a := range allocs {
 			shares[i] = float64(c.Clients) * float64(a.Clients) / float64(planned)
-			floors[i] = int(math.Floor(shares[i]))
-			assigned += floors[i]
 		}
-		type rem struct {
-			idx  int
-			frac float64
-		}
-		rems := make([]rem, len(allocs))
-		for i := range allocs {
-			rems[i] = rem{i, shares[i] - float64(floors[i])}
-		}
-		sort.SliceStable(rems, func(i, j int) bool { return rems[i].frac > rems[j].frac })
-		for k := 0; k < c.Clients-assigned; k++ {
-			floors[rems[k%len(rems)].idx]++
-		}
-		for i, a := range allocs {
-			if floors[i] > 0 {
+		for i, n := range largestRemainder(shares, c.Clients) {
+			if n > 0 {
 				placements = append(placements, placement{
-					server: a.Server, class: c.Name, goal: c.GoalRT, real: floors[i],
+					server: allocs[i].Server, class: c.Name, goal: c.GoalRT, real: n,
 				})
 			}
 		}

@@ -2,12 +2,13 @@ package rm
 
 import "strconv"
 
-// PoolState is one pool's contribution to a fleet snapshot: its stable
-// index and planning identity. Algorithm 1 plans from the predictor's
+// PoolState is one pool's contribution to a fleet snapshot: its
+// planning identity. Algorithm 1 plans from the predictor's
 // steady-state curves, so no live load observation enters it.
 type PoolState struct {
-	// Pool is the stable pool index; the planned server name is
-	// PoolServerName(Pool).
+	// Pool is the pool's index. Nothing reads it: a pool's index is its
+	// position in FleetSnapshot.Pools, which each planned Allocation
+	// carries as ServerIndex.
 	Pool int
 	// Arch is the architecture key the Predictor understands.
 	Arch string
@@ -30,8 +31,7 @@ type FleetSnapshot struct {
 }
 
 // PoolServerName is the server name pool i carries inside plans
-// ("p<i>") — the key fleet layers use to map allocations back to pool
-// indexes.
+// ("p<i>"); an allocation's ServerIndex is the pool's index itself.
 func PoolServerName(i int) string { return "p" + strconv.Itoa(i) }
 
 // Replanner turns fleet snapshots into Algorithm 1 plans. It retains

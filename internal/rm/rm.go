@@ -53,7 +53,10 @@ type Server struct {
 // Allocation is a planned placement of clients on a server.
 type Allocation struct {
 	Server string
-	Class  string
+	// ServerIndex is Server's position in the servers Allocate was
+	// given.
+	ServerIndex int
+	Class       string
 	// Clients is the planned (slack-inflated) client count.
 	Clients int
 }
@@ -147,6 +150,7 @@ func Allocate(classes []Class, servers []Server, pred Predictor, slack float64, 
 
 	type serverState struct {
 		Server
+		index     int     // position in servers
 		allocated int     // planned clients across classes
 		minGoal   float64 // tightest goal placed (0 = empty)
 	}
@@ -155,7 +159,7 @@ func Allocate(classes []Class, servers []Server, pred Predictor, slack float64, 
 		if s.Power <= 0 {
 			return nil, fmt.Errorf("rm: server %q needs positive power", s.Name)
 		}
-		state[i] = &serverState{Server: s}
+		state[i] = &serverState{Server: s, index: i}
 	}
 
 	plan := &Plan{RejectedPlanned: make(map[string]int), Slack: slack}
@@ -231,7 +235,7 @@ placement:
 				take = remaining
 			}
 			plan.Allocations = append(plan.Allocations, Allocation{
-				Server: chosen.Name, Class: class.Name, Clients: take,
+				Server: chosen.Name, ServerIndex: chosen.index, Class: class.Name, Clients: take,
 			})
 			rmAllocations.Inc()
 			chosen.allocated += take

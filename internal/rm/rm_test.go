@@ -270,7 +270,7 @@ func TestRuntimeOptimizationReducesFailures(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(plan.Allocations) != 2 || plan.Allocations[0] != (Allocation{"a", "c", 100}) || plan.Allocations[1] != (Allocation{"b", "c", 80}) {
+	if len(plan.Allocations) != 2 || plan.Allocations[0] != (Allocation{"a", 0, "c", 100}) || plan.Allocations[1] != (Allocation{"b", 1, "c", 80}) {
 		t.Fatalf("plan = %+v, want a:100 b:80", plan.Allocations)
 	}
 	for _, tc := range []struct {

@@ -5,6 +5,7 @@ import (
 	"errors"
 	"fmt"
 	"math"
+	"sort"
 
 	"perfpred/internal/parallel"
 	"perfpred/internal/sla"
@@ -66,28 +67,36 @@ func SplitLoad(total int, shares []ClassShare) ([]Class, error) {
 	if math.Abs(sum-1) > 1e-9 {
 		return nil, fmt.Errorf("rm: class fractions sum to %v, want 1", sum)
 	}
-	classes := make([]Class, len(shares))
-	assigned := 0
-	fracs := make([]float64, len(shares))
+	exact := make([]float64, len(shares))
 	for i, s := range shares {
-		exact := float64(total) * s.Fraction
-		n := int(math.Floor(exact))
-		classes[i] = Class{Name: s.Name, GoalRT: s.GoalRT, Clients: n}
-		fracs[i] = exact - float64(n)
-		assigned += n
+		exact[i] = float64(total) * s.Fraction
 	}
-	for assigned < total {
-		best := 0
-		for i := 1; i < len(fracs); i++ {
-			if fracs[i] > fracs[best] {
-				best = i
-			}
-		}
-		classes[best].Clients++
-		fracs[best] = -1
-		assigned++
+	counts := largestRemainder(exact, total)
+	classes := make([]Class, len(shares))
+	for i, s := range shares {
+		classes[i] = Class{Name: s.Name, GoalRT: s.GoalRT, Clients: counts[i]}
 	}
 	return classes, nil
+}
+
+// largestRemainder apportions total among the exact shares: each gets
+// its share's floor, and what the floors leave goes one apiece in
+// decreasing order of fractional part, lowest index first on ties.
+func largestRemainder(exact []float64, total int) []int {
+	counts := make([]int, len(exact))
+	order := make([]int, len(exact))
+	left := total
+	for i, x := range exact {
+		counts[i] = int(math.Floor(x))
+		left -= counts[i]
+		order[i] = i
+	}
+	frac := func(i int) float64 { return exact[i] - float64(counts[i]) }
+	sort.SliceStable(order, func(a, b int) bool { return frac(order[a]) > frac(order[b]) })
+	for k := 0; k < left; k++ {
+		counts[order[k%len(order)]]++
+	}
+	return counts
 }
 
 // SweepPoint is one load level of a figure-5/6 series.

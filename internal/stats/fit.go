@@ -18,9 +18,6 @@ var ErrNonPositive = errors.New("stats: log-transform fit requires strictly posi
 type LinearModel struct {
 	Slope     float64
 	Intercept float64
-	// R2 is the coefficient of determination of the fit on the
-	// calibration data (1 is a perfect fit).
-	R2 float64
 }
 
 // Eval returns the model's estimate of y at x.
@@ -45,12 +42,10 @@ func FitLinear(xs, ys []float64) (LinearModel, error) {
 	if den == 0 {
 		return LinearModel{}, ErrInsufficientData
 	}
-	m := LinearModel{
+	return LinearModel{
 		Slope:     (n*sxy - sx*sy) / den,
 		Intercept: (sy - (n*sxy-sx*sy)/den*sx) / n,
-	}
-	m.R2 = rSquared(xs, ys, m.Eval)
-	return m, nil
+	}, nil
 }
 
 // ExponentialModel is a least-squares exponential trend line
@@ -161,26 +156,4 @@ func checkPaired(xs, ys []float64) error {
 		return ErrInsufficientData
 	}
 	return nil
-}
-
-func rSquared(xs, ys []float64, f func(float64) float64) float64 {
-	var mean float64
-	for _, y := range ys {
-		mean += y
-	}
-	mean /= float64(len(ys))
-	var ssRes, ssTot float64
-	for i := range ys {
-		d := ys[i] - f(xs[i])
-		ssRes += d * d
-		t := ys[i] - mean
-		ssTot += t * t
-	}
-	if ssTot == 0 {
-		if ssRes == 0 {
-			return 1
-		}
-		return 0
-	}
-	return 1 - ssRes/ssTot
 }

@@ -19,7 +19,8 @@ type MeasureOptions struct {
 	// MeasureCurve run concurrently. Every sweep cell owns its own
 	// engine and seeded streams, so results are bit-identical for any
 	// worker count; the knob only trades wall-clock for cores.
-	// 0 selects runtime.GOMAXPROCS(0); 1 runs the exact serial loop.
+	// 0 selects runtime.GOMAXPROCS(0); 1 runs the cells one at a time,
+	// in index order, on one worker goroutine.
 	Workers int
 }
 

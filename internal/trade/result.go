@@ -10,7 +10,6 @@ import (
 // ClassResult holds one service class's measurements over the
 // measurement window.
 type ClassResult struct {
-	Class string
 	// Completed is the number of responses returned in the window.
 	Completed int
 	// MeanRT is the mean response time in seconds.

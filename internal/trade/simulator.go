@@ -625,7 +625,6 @@ func collect(pools []*simulator, duration float64, fired uint64) *Result {
 			}
 		}
 		cr := ClassResult{
-			Class:      name,
 			Completed:  merged.Count(),
 			MeanRT:     merged.Mean(),
 			RTStdDev:   merged.StdDev(),
